@@ -16,7 +16,7 @@ from .channels import (
     sum_rate,
     weighted_sum_rate,
 )
-from .gcn import GcnModel, GcnParams, gcn_forward, gcn_gradient
+from .gcn import GcnModel, GcnParams, gcn_forward
 from .graph import (
     FeatureScaler,
     InterferenceGraph,
@@ -30,9 +30,7 @@ from .qgnn import (
     QgnnParams,
     build_qgcl_circuit,
     qgcl_forward,
-    qgcl_message,
     qgnn_forward,
-    qgnn_gradient,
 )
 from .qsim import (
     CircuitSpec,
@@ -52,7 +50,6 @@ from .trainer import (
     TrainReport,
     adam_step,
     train,
-    unsupervised_loss,
 )
 from .wmmse import WmmseConfig, WmmseResult, grid_search_oracle, wmmse_allocate
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 DATASET_VERSION = 1
+_HEADER_KEYS = ("M", "sigma2", "alpha", "p_max", "train", "test")
 
 # Default drop geometry and link constants, overridable through configs.
 DEFAULT_PAIRS = 4
@@ -135,31 +136,41 @@ def realize_channels(
     return ChannelRealization(G=amp * fade, sigma2=sigma2, alpha=alpha, p_max=p_max)
 
 
-def _check_power(channels: ChannelRealization, p) -> np.ndarray:
+def _sinr_terms(channels: ChannelRealization, p):
+    """Powers as an array, |G|^2, the direct received power and the
+    interference-plus-noise denominator, for p of shape (M,) or (B, M).
+    Column m of the interference sums |g_km|^2 p_k^2 over k in index order,
+    so a batch row gives the same bits as that power vector alone."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (channels.M,):
-        raise DimensionError(f"power vector has shape {p.shape}, expected ({channels.M},)")
-    return p
+    if p.ndim not in (1, 2) or p.shape[-1] != channels.M:
+        raise DimensionError(
+            f"power has shape {p.shape}, expected ({channels.M},) or (B, {channels.M})"
+        )
+    gain = np.abs(channels.G) ** 2
+    p2 = p ** 2
+    direct = p2 * np.diagonal(gain)
+    denom = np.einsum("...k,km->...m", p2, gain) - direct + channels.sigma2
+    return p, gain, direct, denom
 
 
 def sinr(channels: ChannelRealization, p) -> np.ndarray:
-    """Per-receiver SINR; the amplitude p_k scales the gain inside |.|^2."""
-    p = _check_power(channels, p)
-    received = np.abs(channels.G * p[:, None]) ** 2  # received[k, m] = |g_km p_k|^2
-    direct = np.diagonal(received).copy()
-    interference = received.sum(axis=0) - direct
-    return direct / (interference + channels.sigma2)
+    """Per-receiver SINR of power vectors p, shape (M,) or (B, M); the
+    amplitude p_k scales the gain inside |.|^2."""
+    _, _, direct, denom = _sinr_terms(channels, p)
+    return direct / denom
 
 
-def weighted_sum_rate(gamma, alpha) -> float:
-    """sum_m alpha_m log2(1 + gamma_m) in bps/Hz."""
+def weighted_sum_rate(gamma, alpha):
+    """sum_m alpha_m log2(1 + gamma_m) in bps/Hz over the last axis: a float
+    for gamma of shape (M,), an array of B values for shape (B, M)."""
     gamma = np.asarray(gamma, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    if gamma.shape != alpha.shape:
+    if gamma.shape[-1:] != alpha.shape:
         raise DimensionError(f"gamma {gamma.shape} vs alpha {alpha.shape}")
     if np.any(gamma < 0):
         raise ValueError("gamma must be non-negative")
-    return float(np.sum(alpha * np.log2(1.0 + gamma)))
+    rate = np.sum(alpha * np.log2(1.0 + gamma), axis=-1)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def sum_rate(channels: ChannelRealization, p) -> float:
@@ -169,29 +180,30 @@ def sum_rate(channels: ChannelRealization, p) -> float:
 
 def sum_rate_batch(channels: ChannelRealization, P: np.ndarray) -> np.ndarray:
     """Objective for a batch of power vectors, P of shape (B, M)."""
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[1] != channels.M:
-        raise DimensionError(f"batch has shape {P.shape}, expected (B, {channels.M})")
-    B2 = np.abs(channels.G) ** 2
-    received = (P ** 2) @ B2                       # (B, M), col m sums over tx k
-    direct = (P ** 2) * np.diagonal(B2)[None, :]
-    gamma = direct / (received - direct + channels.sigma2[None, :])
-    return (channels.alpha[None, :] * np.log2(1.0 + gamma)).sum(axis=1)
+    if np.ndim(P) != 2:
+        raise DimensionError(f"batch has shape {np.shape(P)}, expected (B, {channels.M})")
+    return weighted_sum_rate(sinr(channels, P), channels.alpha)
 
 
 def weighted_sum_rate_grad(channels: ChannelRealization, p) -> np.ndarray:
-    """Analytic d(weighted sum rate)/dp at a power vector."""
-    p = _check_power(channels, p)
-    B2 = np.abs(channels.G) ** 2
-    bdiag = np.diagonal(B2)
-    direct = bdiag * p ** 2
-    denom = (B2 * (p ** 2)[:, None]).sum(axis=0) - direct + channels.sigma2
-    gamma = direct / denom
-    pref = channels.alpha / (np.log(2.0) * (1.0 + gamma))  # d obj / d gamma_m
+    """Analytic d(weighted sum rate)/dp at power vectors of shape (M,) or (B, M)."""
+    p, gain, direct, denom = _sinr_terms(channels, p)
+    bdiag = np.diagonal(gain)
+    pref = channels.alpha / (np.log(2.0) * (1.0 + direct / denom))  # d obj / d gamma_m
     grad = pref * 2.0 * bdiag * p / denom
     cross = pref * direct / denom ** 2  # weight on each interference term
-    grad -= 2.0 * p * ((B2 * cross[None, :]).sum(axis=1) - bdiag * cross)
+    grad -= 2.0 * p * ((gain * cross[..., None, :]).sum(axis=-1) - bdiag * cross)
     return grad
+
+
+def sigmoid(z) -> np.ndarray:
+    """Logistic function, the power decode of both models. The split form
+    uses exp(-z) for z >= 0 and exp(z) for z < 0, so it never overflows;
+    an exp that underflows to 0 gives the exact saturated value."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _encode_complex_matrix(G: np.ndarray) -> list:
@@ -249,8 +261,13 @@ def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealizatio
     if not lines:
         raise ValueError(f"empty dataset file: {path}")
     header = json.loads(lines[0])
-    if header.get("version") != DATASET_VERSION or header.get("kind") != "d2d-dataset":
+    if not isinstance(header, dict) or header.get("version") != DATASET_VERSION \
+            or header.get("kind") != "d2d-dataset":
         raise ValueError(f"unrecognized dataset header in {path}")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"dataset header in {path} lacks {', '.join(missing)}")
+    m = int(header["M"])
     sigma2 = np.asarray(header["sigma2"], dtype=float)
     alpha = np.asarray(header["alpha"], dtype=float)
     p_max = float(header["p_max"])
@@ -258,9 +275,10 @@ def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealizatio
     test: list[ChannelRealization] = []
     for ln in lines[1:]:
         rec = json.loads(ln)
-        ch = ChannelRealization(
-            G=_decode_complex_matrix(rec["G"]), sigma2=sigma2, alpha=alpha, p_max=p_max
-        )
+        G = _decode_complex_matrix(rec["G"])
+        if G.shape != (m, m):
+            raise ValueError(f"record G has shape {G.shape}, header says M={m}")
+        ch = ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
         if rec["split"] == "train":
             train.append(ch)
         elif rec["split"] == "test":

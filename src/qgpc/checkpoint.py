@@ -15,7 +15,7 @@ import numpy as np
 
 from .graph import FeatureScaler
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: the arch dict no longer holds feature_dim
 KNOWN_KINDS = ("qgnn", "gcn")
 
 
@@ -43,18 +43,23 @@ def load_checkpoint(path) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')!r}")
     if doc.get("kind") not in KNOWN_KINDS:
         raise CheckpointError(f"unknown checkpoint kind {doc.get('kind')!r}")
-    sc = doc["scaler"]
-    return {
-        "version": doc["version"],
-        "kind": doc["kind"],
-        "arch": dict(doc["arch"]),
-        "scaler": FeatureScaler(mu=sc["mu"], sigma=sc["sigma"], z_clip=sc["z_clip"]),
-        "params": np.asarray(doc["params"], dtype=float),
-    }
+    try:
+        sc = doc["scaler"]
+        return {
+            "version": doc["version"],
+            "kind": doc["kind"],
+            "arch": dict(doc["arch"]),
+            "scaler": FeatureScaler(mu=sc["mu"], sigma=sc["sigma"], z_clip=sc["z_clip"]),
+            "params": np.asarray(doc["params"], dtype=float),
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
 
 
 def check_arch(doc: dict, kind: str, arch: dict) -> None:

@@ -22,8 +22,8 @@ from .gcn import GcnModel
 from .graph import build_graph, fit_feature_scaler
 from .qgnn import QgnnModel
 from .trainer import (
-    Instance, NonFiniteLossError, SeedConfig, TrainConfig, eval_star_seed,
-    mix_seed, train, wmmse_mean,
+    Instance, NonFiniteLossError, SeedConfig, TrainConfig, evaluate_mean, mix_seed, train,
+    wmmse_mean,
 )
 from .wmmse import grid_search_oracle
 
@@ -46,7 +46,6 @@ DEFAULT_CONFIG = {
     },
     "model": {
         "arch": "qgnn",
-        "feature_dim": 2,
         "layers": 2,
         "depth": 1,
         "k": 2,
@@ -137,13 +136,15 @@ def _validate_config(cfg: dict) -> None:
             raise ConfigError("need 0 < d_min <= d_max <= d")
         if float(sc["sigma2"]) <= 0 or float(sc["p_max"]) <= 0:
             raise ConfigError("sigma2 and p_max must be positive")
-        np.asarray(sc["alpha"], dtype=float)
+        alpha = np.asarray(sc["alpha"], dtype=float)
+        if alpha.shape not in ((), (1,), (int(sc["M"]),)) or np.any(alpha < 0):
+            raise ConfigError(f"scenario.alpha must be one or M={sc['M']} non-negative weights")
         if int(sc["train_size"]) < 1 or int(sc["test_size"]) < 0:
             raise ConfigError("train_size must be >= 1 and test_size >= 0")
         mc = cfg["model"]
         if mc["arch"] not in ("qgnn", "gcn"):
             raise ConfigError(f"unknown model.arch {mc['arch']!r}")
-        for key in ("feature_dim", "layers", "depth", "k", "hidden"):
+        for key in ("layers", "depth", "k", "hidden"):
             if int(mc[key]) < (0 if key == "k" else 1):
                 raise ConfigError(f"model.{key} out of range")
         tc = cfg["train"]
@@ -174,10 +175,8 @@ def _dataset_path(cfg: dict) -> Path:
 def _build_model(cfg: dict):
     mc = cfg["model"]
     if mc["arch"] == "qgnn":
-        return QgnnModel(feature_dim=int(mc["feature_dim"]), layers=int(mc["layers"]),
-                         depth=int(mc["depth"]), k=int(mc["k"]))
-    return GcnModel(feature_dim=int(mc["feature_dim"]), hidden=int(mc["hidden"]),
-                    layers=int(mc["layers"]))
+        return QgnnModel(layers=int(mc["layers"]), depth=int(mc["depth"]), k=int(mc["k"]))
+    return GcnModel(hidden=int(mc["hidden"]), layers=int(mc["layers"]))
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -250,7 +249,6 @@ def cmd_train(cfg: dict) -> int:
     ckpt_path = out / f"{model.name}_checkpoint.json"
     csv_path.write_text(report.to_csv(), encoding="utf-8")
     save_checkpoint(ckpt_path, model.name, model.arch_dict(), report.final_params, scaler)
-    report.checkpoint_ref = str(ckpt_path)
 
     final_test = report.test_curve[-1] if report.epochs else report.baseline_test_mean
     print(f"model={model.name} epochs={report.epochs} "
@@ -281,12 +279,7 @@ def cmd_eval(cfg: dict, checkpoint: str | None, oracle_levels: int | None) -> in
         )
 
     test_set = _instances("test", test_ch, scaler)
-    seeds = _train_config(cfg).seeds
-    total = 0.0
-    for idx, inst in enumerate(test_set):
-        p = model.forward(inst.channels, inst.graph, params, eval_star_seed(seeds, idx))
-        total += ch.sum_rate(inst.channels, p)
-    model_mean = total / len(test_set)
+    model_mean = evaluate_mean(model, params, test_set, _train_config(cfg).seeds)
     baseline = wmmse_mean(test_set)
     print(f"model={model.name} test_mean_bpshz={model_mean:.12g}")
     print(f"wmmse test_mean_bpshz={baseline:.12g} ratio={model_mean / baseline:.6g}")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelRealization, sinr, weighted_sum_rate, weighted_sum_rate_grad
-from .graph import InterferenceGraph
+from .channels import ChannelRealization, sigmoid, sum_rate, weighted_sum_rate_grad
+from .graph import NODE_FEATURES, InterferenceGraph
 
 
 @dataclass(eq=False)
@@ -88,25 +88,20 @@ class GcnParams:
         return np.concatenate(chunks)
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
-
-
-def _edge_lists(graph: InterferenceGraph) -> tuple[np.ndarray, np.ndarray]:
-    src, dst = [], []
-    for v in range(graph.N):
-        for u in graph.adjacency[v]:
-            src.append(u)
-            dst.append(v)
-    return np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
+def _complete_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered edges u -> v of the complete graph on n nodes, grouped by
+    destination v and ascending in u within a group."""
+    dst = np.repeat(np.arange(n), n - 1)
+    j = np.tile(np.arange(n - 1), n)
+    return j + (j >= dst), dst
 
 
 def _forward(graph: InterferenceGraph, params: GcnParams):
     """Returns (p, caches) where caches hold every intermediate for backprop."""
     n = graph.N
     hidden = params.head_w.shape[0]
-    src, dst = _edge_lists(graph)
-    edge_col = graph.edge_angle[src, dst][:, None] if src.size else np.empty((0, 1))
+    src, dst = _complete_edges(n)
+    edge_col = graph.edge_angle[src, dst][:, None]
     h = np.asarray(graph.node_features, dtype=float)
     caches = []
     for layer in params.layers:
@@ -114,15 +109,12 @@ def _forward(graph: InterferenceGraph, params: GcnParams):
         z1 = x @ layer.msg_w1 + layer.msg_b1
         a1 = np.maximum(z1, 0.0)
         msgs = a1 @ layer.msg_w2 + layer.msg_b2
-        agg = np.zeros((n, hidden))
-        amax = np.full((n, hidden), -1, dtype=int)
-        for v in range(n):
-            rows = np.nonzero(dst == v)[0]
-            if rows.size:
-                sub = msgs[rows]
-                top = np.argmax(sub, axis=0)
-                agg[v] = sub[top, np.arange(hidden)]
-                amax[v] = rows[top]
+        if n > 1:
+            grouped = msgs.reshape(n, n - 1, hidden)  # [v, j]: the j-th message into v
+            agg = grouped.max(axis=1)
+            amax = np.argmax(grouped, axis=1) + (n - 1) * np.arange(n)[:, None]  # msgs row
+        else:
+            agg, amax = np.zeros((n, hidden)), None
         u = np.concatenate([h, agg], axis=1)
         z1u = u @ layer.upd_w1 + layer.upd_c1
         a1u = np.maximum(z1u, 0.0)
@@ -130,7 +122,7 @@ def _forward(graph: InterferenceGraph, params: GcnParams):
         caches.append((h, x, z1, a1, msgs, amax, u, z1u, a1u))
         h = h_next
     zhead = h @ params.head_w + params.head_b
-    sig = _sigmoid(zhead)
+    sig = sigmoid(zhead)
     p = graph.p_max * sig
     return p, (h, sig, src, caches)
 
@@ -146,7 +138,7 @@ def gcn_loss_and_grad(graph: InterferenceGraph, channels: ChannelRealization,
     p, (h_final, sig, src, caches) = _forward(graph, params)
     hidden = params.head_w.shape[0]
 
-    loss = -weighted_sum_rate(sinr(channels, p), channels.alpha)
+    loss = -sum_rate(channels, p)
     dloss_dp = -weighted_sum_rate_grad(channels, p)
     gz = dloss_dp * graph.p_max * sig * (1.0 - sig)
 
@@ -170,10 +162,8 @@ def gcn_loss_and_grad(graph: InterferenceGraph, channels: ChannelRealization,
         dagg = du[:, di:]
 
         dmsgs = np.zeros_like(msgs)
-        valid = amax >= 0
-        if np.any(valid):
-            cols = np.broadcast_to(np.arange(hidden), amax.shape)
-            np.add.at(dmsgs, (amax[valid], cols[valid]), dagg[valid])
+        if amax is not None:
+            dmsgs[amax, np.arange(hidden)] = dagg  # each (row, column) feeds one max
 
         da1 = dmsgs @ layer.msg_w2.T
         d_msg_w2 = a1.T @ dmsgs
@@ -197,30 +187,23 @@ def gcn_loss_and_grad(graph: InterferenceGraph, channels: ChannelRealization,
     return loss, np.concatenate(chunks)
 
 
-def gcn_gradient(graph: InterferenceGraph, params: GcnParams,
-                 channels: ChannelRealization) -> np.ndarray:
-    """Flat gradient of the training loss; see gcn_loss_and_grad."""
-    return gcn_loss_and_grad(graph, channels, params)[1]
-
-
 class GcnModel:
     """Adapter bundling the architecture hyperparameters for the trainer."""
 
     name = "gcn"
 
-    def __init__(self, feature_dim: int = 2, hidden: int = 16, layers: int = 2):
-        self.feature_dim = feature_dim
+    def __init__(self, hidden: int = 16, layers: int = 2):
         self.hidden = hidden
         self.layers = layers
 
     def param_count(self) -> int:
-        return GcnParams.param_count(self.feature_dim, self.hidden, self.layers)
+        return GcnParams.param_count(NODE_FEATURES, self.hidden, self.layers)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-0.1, 0.1, size=self.param_count())
 
     def unflatten(self, flat) -> GcnParams:
-        return GcnParams.from_flat(flat, self.feature_dim, self.hidden, self.layers)
+        return GcnParams.from_flat(flat, NODE_FEATURES, self.hidden, self.layers)
 
     def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
                 flat_params, star_seed: int) -> np.ndarray:
@@ -231,4 +214,4 @@ class GcnModel:
         return gcn_loss_and_grad(graph, channels, self.unflatten(flat_params))
 
     def arch_dict(self) -> dict:
-        return {"feature_dim": self.feature_dim, "hidden": self.hidden, "layers": self.layers}
+        return {"hidden": self.hidden, "layers": self.layers}

@@ -20,6 +20,8 @@ import numpy as np
 
 from .channels import ChannelRealization
 
+NODE_FEATURES = 2  # columns of InterferenceGraph.node_features: direct gain, weight
+
 
 @dataclass(frozen=True)
 class FeatureScaler:
@@ -49,7 +51,7 @@ def fit_feature_scaler(realizations: list[ChannelRealization], z_clip: float = 3
 
 @dataclass(eq=False)
 class InterferenceGraph:
-    node_features: np.ndarray        # (N, F); column 0 already angle-scaled
+    node_features: np.ndarray        # (N, NODE_FEATURES); column 0 already angle-scaled
     edge_angle: np.ndarray           # (N, N); [k, m] = phi(|g_km|^2), diagonal unused
     adjacency: tuple[tuple[int, ...], ...]
     alpha: np.ndarray                # (N,) raw objective weights

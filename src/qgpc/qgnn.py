@@ -29,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import ChannelRealization, sinr, weighted_sum_rate, weighted_sum_rate_grad
-from .graph import InterferenceGraph, StarSubgraph, decompose_stars
+from .channels import ChannelRealization, sigmoid, sum_rate, weighted_sum_rate_grad
+from .graph import NODE_FEATURES, InterferenceGraph, StarSubgraph, decompose_stars
 from .qsim import CircuitSpec, Gate, expectations_z, run_batch
 
 
@@ -61,8 +61,7 @@ def build_qgcl_circuit(feature_dim: int, depth: int) -> CircuitSpec:
             slot += 1
         for q in range(nq):
             gates.append(Gate("CNOT", (q, (q + 1) % nq)))
-    roles = ("input",) * nq + ("trainable",) * (slot - nq)
-    return CircuitSpec(n=nq, gates=tuple(gates), angle_slots=slot, slot_roles=roles)
+    return CircuitSpec(n=nq, gates=tuple(gates), angle_slots=slot)
 
 
 @lru_cache(maxsize=64)
@@ -125,45 +124,44 @@ def initial_embeddings(graph: InterferenceGraph) -> np.ndarray:
     return node_input_angles(graph) * (2.0 / np.pi) - 1.0
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
-
-
-def qgcl_message(center_angles, leaf_angles, edge_angle, layer: QgclLayerParams,
-                 spec: CircuitSpec) -> np.ndarray:
-    """Z expectations on the center qubits for one (center, leaf, edge) triple.
-    All inputs must already be rotation angles."""
-    feature_dim = (spec.n - 1) // 2
-    row = np.concatenate([
-        np.asarray(center_angles, dtype=float),
-        np.asarray(leaf_angles, dtype=float),
-        [float(edge_angle)],
-        layer.theta,
-    ])
-    amps = run_batch(spec, row[None, :])
-    return expectations_z(amps, spec.n, range(feature_dim))[0]
+def _star_rows(star: StarSubgraph, embeddings: np.ndarray, layer: QgclLayerParams,
+               ) -> np.ndarray:
+    """Message-circuit rows of one star, one per leaf: center angles, leaf
+    angles, the edge angle, then the layer's trainable angles."""
+    f = embeddings.shape[1]
+    rows = np.empty((len(star.leaves), 2 * f + 1 + layer.theta.size))
+    rows[:, :f] = embedding_to_angle(embeddings[star.center])
+    rows[:, f:2 * f] = embedding_to_angle(embeddings[list(star.leaves)])
+    rows[:, 2 * f] = star.edge_feats
+    rows[:, 2 * f + 1:] = layer.theta
+    return rows
 
 
 def qgcl_forward(star: StarSubgraph, embeddings: np.ndarray, layer: QgclLayerParams,
-                 spec: CircuitSpec) -> np.ndarray:
+                 spec: CircuitSpec, rows: np.ndarray | None = None) -> np.ndarray:
     """New center embedding: mean leaf message, computed order-independently.
-    A star with no leaves passes the center embedding through unchanged."""
+    A star with no leaves passes the center embedding through unchanged.
+    ``rows`` are the star's circuit rows when the caller has built them."""
     feature_dim = (spec.n - 1) // 2
     if not star.leaves:
         return np.array(embeddings[star.center], dtype=float, copy=True)
-    center_ang = embedding_to_angle(embeddings[star.center])
-    rows = np.stack([
-        np.concatenate([
-            center_ang,
-            embedding_to_angle(embeddings[leaf]),
-            [star.edge_feats[j]],
-            layer.theta,
-        ])
-        for j, leaf in enumerate(star.leaves)
-    ])
+    if rows is None:
+        rows = _star_rows(star, embeddings, layer)
     msgs = expectations_z(run_batch(spec, rows), spec.n, range(feature_dim))
     inv = 1.0 / len(star.leaves)
     return np.array([math.fsum(msgs[:, q]) * inv for q in range(feature_dim)])
+
+
+def _layer_pass(h: np.ndarray, stars: list[StarSubgraph], layer: QgclLayerParams,
+                spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """One QGCL layer: the new embeddings and the circuit rows their messages
+    came from, stacked in star then leaf order (the backward pass reuses them)."""
+    new_h = np.empty_like(h)
+    rows = []
+    for star in stars:
+        rows.append(_star_rows(star, h, layer))
+        new_h[star.center] = qgcl_forward(star, h, layer, spec, rows[-1])
+    return new_h, np.concatenate(rows)
 
 
 def _stars_for_layers(graph, k, star_seed, n_layers, stars_by_layer):
@@ -174,35 +172,30 @@ def _stars_for_layers(graph, k, star_seed, n_layers, stars_by_layer):
     return [decompose_stars(graph, k, star_seed + ell) for ell in range(n_layers)]
 
 
+def _forward_tape(graph, params, k, star_seed, stars_by_layer):
+    """Run every layer. Returns the message circuit, each layer's stars, the
+    embeddings entering each layer plus the final ones, and each layer's rows."""
+    depth = params.layers[0].theta.size // (2 * input_slot_count(graph.feature_dim))
+    spec = _spec_for(graph.feature_dim, depth)
+    stars_all = _stars_for_layers(graph, k, star_seed, len(params.layers), stars_by_layer)
+    h_list = [initial_embeddings(graph)]
+    rows_all = []
+    for layer, stars in zip(params.layers, stars_all):
+        h, rows = _layer_pass(h_list[-1], stars, layer, spec)
+        h_list.append(h)
+        rows_all.append(rows)
+    return spec, stars_all, h_list, rows_all
+
+
 def qgnn_forward(graph: InterferenceGraph, params: QgnnParams, k: int, star_seed: int,
                  stars_by_layer: list[list[StarSubgraph]] | None = None,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Run all layers and decode powers. Layer ell draws its stars with seed
     star_seed + ell unless explicit stars are supplied. Returns (p, h)."""
-    feature_dim = graph.feature_dim
-    depth = len(params.layers[0].theta) // (2 * input_slot_count(feature_dim))
-    spec = _spec_for(feature_dim, depth)
-    stars_all = _stars_for_layers(graph, k, star_seed, len(params.layers), stars_by_layer)
-    h = initial_embeddings(graph)
-    for layer, stars in zip(params.layers, stars_all):
-        new_h = np.empty_like(h)
-        for star in stars:
-            new_h[star.center] = qgcl_forward(star, h, layer, spec)
-        h = new_h
-    p = graph.p_max * _sigmoid(params.decode_scale * h[:, 0] + params.decode_bias)
+    _, _, h_list, _ = _forward_tape(graph, params, k, star_seed, stars_by_layer)
+    h = h_list[-1]
+    p = graph.p_max * sigmoid(params.decode_scale * h[:, 0] + params.decode_bias)
     return p, h
-
-
-def pool(embeddings: np.ndarray, mode: str = "mean") -> np.ndarray:
-    """Graph-level readout over node embeddings."""
-    embeddings = np.asarray(embeddings, dtype=float)
-    if embeddings.size == 0:
-        raise ValueError("cannot pool an empty embedding set")
-    if mode == "mean":
-        return embeddings.mean(axis=0)
-    if mode == "sum":
-        return embeddings.sum(axis=0)
-    raise ValueError(f"unknown pooling mode {mode!r}")
 
 
 def _slot_jacobian(spec: CircuitSpec, rows: np.ndarray, feature_dim: int) -> np.ndarray:
@@ -228,28 +221,16 @@ def qgnn_loss_and_grad(graph: InterferenceGraph, channels: ChannelRealization,
                        ) -> tuple[float, np.ndarray]:
     """Negative weighted sum rate and its exact gradient in flat layout
     (layer angles in order, then decode_scale, decode_bias)."""
+    spec, stars_all, h_list, rows_all = _forward_tape(
+        graph, params, k, star_seed, stars_by_layer)
     feature_dim = graph.feature_dim
     n_input = input_slot_count(feature_dim)
-    depth = len(params.layers[0].theta) // (2 * n_input)
-    spec = _spec_for(feature_dim, depth)
-    n_layers = len(params.layers)
-    stars_all = _stars_for_layers(graph, k, star_seed, n_layers, stars_by_layer)
-
-    # Forward pass, keeping every layer's input embeddings.
-    h_list = [initial_embeddings(graph)]
-    for layer, stars in zip(params.layers, stars_all):
-        h = h_list[-1]
-        new_h = np.empty_like(h)
-        for star in stars:
-            new_h[star.center] = qgcl_forward(star, h, layer, spec)
-        h_list.append(new_h)
     h_final = h_list[-1]
 
-    z = params.decode_scale * h_final[:, 0] + params.decode_bias
-    sig = _sigmoid(z)
+    sig = sigmoid(params.decode_scale * h_final[:, 0] + params.decode_bias)
     p = graph.p_max * sig
 
-    loss = -weighted_sum_rate(sinr(channels, p), channels.alpha)
+    loss = -sum_rate(channels, p)
     dloss_dp = -weighted_sum_rate_grad(channels, p)
 
     dp_dz = graph.p_max * sig * (1.0 - sig)
@@ -257,31 +238,17 @@ def qgnn_loss_and_grad(graph: InterferenceGraph, channels: ChannelRealization,
     grad_scale = float(np.sum(gz * h_final[:, 0]))
     grad_bias = float(np.sum(gz))
 
-    # Backward pass through the layers.
+    # Backward pass through the layers, on the rows the forward pass ran.
     grad_layers = [np.zeros_like(layer.theta) for layer in params.layers]
     G = np.zeros_like(h_final)
     G[:, 0] = gz * params.decode_scale
     half_pi = np.pi / 2.0
-    for ell in range(n_layers - 1, -1, -1):
-        stars = stars_all[ell]
-        h = h_list[ell]
-        theta = params.layers[ell].theta
-        rows = []
-        for star in stars:
-            if not star.leaves:
-                continue
-            center_ang = embedding_to_angle(h[star.center])
-            for j, leaf in enumerate(star.leaves):
-                rows.append(np.concatenate([
-                    center_ang,
-                    embedding_to_angle(h[leaf]),
-                    [star.edge_feats[j]],
-                    theta,
-                ]))
-        jac = _slot_jacobian(spec, np.stack(rows), feature_dim) if rows else None
+    for ell in range(len(params.layers) - 1, -1, -1):
+        rows = rows_all[ell]
+        jac = _slot_jacobian(spec, rows, feature_dim) if len(rows) else None
         G_prev = np.zeros_like(G)
         row = 0
-        for star in stars:
+        for star in stars_all[ell]:
             i = star.center
             if not star.leaves:
                 G_prev[i] += G[i]
@@ -299,32 +266,24 @@ def qgnn_loss_and_grad(graph: InterferenceGraph, channels: ChannelRealization,
     return loss, flat
 
 
-def qgnn_gradient(graph: InterferenceGraph, params: QgnnParams, k: int, star_seed: int,
-                  channels: ChannelRealization) -> np.ndarray:
-    """Flat gradient of the training loss; see qgnn_loss_and_grad."""
-    return qgnn_loss_and_grad(graph, channels, params, k, star_seed)[1]
-
-
 class QgnnModel:
     """Adapter bundling the architecture hyperparameters for the trainer."""
 
     name = "qgnn"
 
-    def __init__(self, feature_dim: int = 2, layers: int = 2, depth: int = 1, k: int = 2):
-        self.feature_dim = feature_dim
+    def __init__(self, layers: int = 2, depth: int = 1, k: int = 2):
         self.layers = layers
         self.depth = depth
         self.k = k
-        self.spec = _spec_for(feature_dim, depth)
 
     def param_count(self) -> int:
-        return QgnnParams.param_count(self.feature_dim, self.layers, self.depth)
+        return QgnnParams.param_count(NODE_FEATURES, self.layers, self.depth)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-0.1, 0.1, size=self.param_count())
 
     def unflatten(self, flat) -> QgnnParams:
-        return QgnnParams.from_flat(flat, self.feature_dim, self.layers, self.depth)
+        return QgnnParams.from_flat(flat, NODE_FEATURES, self.layers, self.depth)
 
     def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
                 flat_params, star_seed: int) -> np.ndarray:
@@ -337,7 +296,4 @@ class QgnnModel:
                                   self.k, star_seed)
 
     def arch_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim, "layers": self.layers,
-            "depth": self.depth, "k": self.k,
-        }
+        return {"layers": self.layers, "depth": self.depth, "k": self.k}

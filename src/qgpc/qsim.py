@@ -24,7 +24,6 @@ NORM_TOL = 1e-10
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
 FIXED_KINDS = ("H", "CNOT", "CZ")
-SLOT_ROLES = ("input", "trainable")
 
 
 class CircuitError(ValueError):
@@ -61,18 +60,11 @@ class CircuitSpec:
     n: int
     gates: tuple[Gate, ...]
     angle_slots: int
-    slot_roles: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "slot_roles", tuple(self.slot_roles))
         if not 1 <= self.n <= QUBIT_LIMIT:
             raise CircuitError(f"qubit count {self.n} outside [1, {QUBIT_LIMIT}]")
-        if len(self.slot_roles) != self.angle_slots:
-            raise CircuitError("slot_roles must cover every angle slot")
-        for role in self.slot_roles:
-            if role not in SLOT_ROLES:
-                raise CircuitError(f"unknown slot role {role!r}")
         for g in self.gates:
             if any(t < 0 or t >= self.n for t in g.targets):
                 raise CircuitError(f"gate target out of range in {g}")

@@ -127,7 +127,6 @@ class TrainReport:
     wmmse_test_mean: float
     seconds: np.ndarray        # (epochs,) wall-clock, excluded from the CSV
     final_params: np.ndarray
-    checkpoint_ref: str | None = None
 
     def to_csv(self) -> str:
         """Deterministic per-epoch table. Epoch 0 is the untrained baseline.
@@ -144,11 +143,6 @@ class TrainReport:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
-
-
-def unsupervised_loss(p, channels: ChannelRealization) -> float:
-    """Negative weighted sum rate; minimizing it maximizes the objective."""
-    return -sum_rate(channels, p)
 
 
 def eval_star_seed(seeds: SeedConfig, instance_index: int) -> int:

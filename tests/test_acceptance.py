@@ -47,8 +47,7 @@ def _random_circuit(rng):
         else:
             a, b = rng.choice(n, size=2, replace=False)
             gates.append(Gate(kind, (int(a), int(b))))
-    spec = CircuitSpec(n=n, gates=tuple(gates), angle_slots=slots,
-                       slot_roles=("trainable",) * slots)
+    spec = CircuitSpec(n=n, gates=tuple(gates), angle_slots=slots)
     angles = rng.uniform(-np.pi, np.pi, slots)
     terms = []
     for _ in range(int(rng.integers(1, 4))):
@@ -212,7 +211,7 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
 
     # trainable parameter count independent of graph size and of k
     from qgpc.qgnn import QgnnModel
-    assert {QgnnModel(2, 2, 1, k).param_count() for k in (1, 2, 3, 9)} == {22}
+    assert {QgnnModel(2, 1, k).param_count() for k in (1, 2, 3, 9)} == {22}
     flat_q = np.random.default_rng(63).uniform(-0.1, 0.1, 22)
     qp = QgnnParams.from_flat(flat_q, 2, 2, 1)
     for m, k in [(2, 1), (4, 2), (6, 5)]:

@@ -1,7 +1,12 @@
 """Channel generation, SINR, objective, and dataset round trips."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qgpc import channels as ch
 
@@ -113,12 +118,56 @@ def test_weighted_sum_rate_values():
 
 def test_sum_rate_batch_matches_scalar_path():
     rng = np.random.default_rng(8)
-    G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    inst = _instance(G, sigma2=0.2, alpha=np.array([1.0, 0.5, 2.0]))
-    P = rng.uniform(0.0, 1.0, (20, 3))
-    batch = ch.sum_rate_batch(inst, P)
-    single = np.array([ch.sum_rate(inst, p) for p in P])
-    assert np.allclose(batch, single, rtol=1e-12, atol=1e-12)
+    for m, alpha in [(3, np.array([1.0, 0.5, 2.0])), (9, rng.uniform(0.5, 2.0, 9))]:
+        G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        inst = _instance(G, sigma2=0.2, alpha=alpha)
+        P = rng.uniform(0.0, 1.0, (20, m))
+        batch = ch.sum_rate_batch(inst, P)
+        assert batch.shape == (20,)
+        for i, p in enumerate(P):
+            assert batch[i] == ch.sum_rate(inst, p)  # bit for bit
+    with pytest.raises(ch.DimensionError):
+        ch.sum_rate_batch(inst, P[0])
+
+
+@st.composite
+def _grad_cases(draw):
+    """Random instances with gains over eight decades and one silent pair."""
+    m = draw(st.integers(1, 6))
+
+    def arr(shape, lo, hi):
+        return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
+
+    gains = 10.0 ** arr((m, m), -4.0, 4.0)  # |g_km|^2
+    G = np.sqrt(gains) * np.exp(1j * arr((m, m), 0.0, 2.0 * np.pi))
+    inst = _instance(G, sigma2=10.0 ** arr((m,), -2.0, 0.0), alpha=arr((m,), 0.0, 2.0))
+    p = arr((m,), 0.05, 1.0)
+    p[draw(st.integers(0, m - 1))] = 0.0
+    return inst, p
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_grad_cases())
+def test_weighted_sum_rate_grad_property_matches_central_differences(case):
+    inst, p = case
+    grad = ch.weighted_sum_rate_grad(inst, p)
+    h = 1e-6
+    fd = np.array([
+        (ch.sum_rate(inst, p + h * e) - ch.sum_rate(inst, p - h * e)) / (2 * h)
+        for e in np.eye(inst.M)
+    ])
+    assert np.all(np.isfinite(grad))
+    assert np.allclose(grad, fd, rtol=1e-5, atol=1e-6)
+    assert np.all(grad[p == 0.0] == 0.0)  # the objective is even in each p_m
+
+
+def test_sigmoid_is_stable_at_extreme_scores():
+    z = np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0])
+    with np.errstate(all="raise"):
+        got = ch.sigmoid(z)
+    want = [float(1 / (1 + Decimal(-v).exp())) for v in z]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    assert got[0] == 0.0 and got[2] == 0.5 and got[-1] == 1.0
 
 
 def test_weighted_sum_rate_grad_matches_finite_differences():

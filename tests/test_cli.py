@@ -186,6 +186,69 @@ def test_checkpoint_round_trip_params_exactly(tmp_path):
     from qgpc.checkpoint import load_checkpoint
     doc = load_checkpoint(tmp_path / "qgnn_checkpoint.json")
     assert doc["kind"] == "qgnn"
-    assert doc["arch"] == {"feature_dim": 2, "layers": 1, "depth": 1, "k": 1}
+    assert doc["arch"] == {"layers": 1, "depth": 1, "k": 1}
     assert doc["params"].dtype == np.float64
     assert doc["params"].shape == (12,)  # 1 layer * 10 angles + 2 decode params
+
+
+def test_alpha_length_must_match_pair_count(tmp_path, capsys):
+    args = _args(tmp_path, "--set", "scenario.M=4", "--set", "scenario.alpha=[1,2]")
+    assert main(args + ["gen"]) == 2
+    assert "scenario.alpha" in capsys.readouterr().err
+
+
+def test_dataset_header_without_sigma2_is_a_config_error(tmp_path, capsys):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    path = tmp_path / "dataset.jsonl"
+    lines = path.read_text().split("\n")
+    header = json.loads(lines[0])
+    del header["sigma2"]
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]))
+    assert main(_args(tmp_path) + ["train"]) == 2
+    assert "sigma2" in capsys.readouterr().err
+
+
+def test_checkpoint_holding_a_json_array_is_refused(tmp_path, capsys):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    (tmp_path / "qgnn_checkpoint.json").write_text("[1, 2]")
+    assert main(_args(tmp_path) + ["eval"]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_feature_dim_is_not_a_config_key(tmp_path, capsys):
+    assert main(_args(tmp_path, "--set", "model.feature_dim=3") + ["train"]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_version_one_checkpoint_is_refused(tmp_path, capsys):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    assert main(_args(tmp_path, "--set", "train.epochs=0") + ["train"]) == 0
+    ckpt = tmp_path / "qgnn_checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    doc["version"] = 1
+    doc["arch"]["feature_dim"] = 2
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(_args(tmp_path) + ["eval"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unsupported checkpoint version 1\n"
+
+
+def test_eval_prints_evaluate_mean_exactly(tmp_path, capsys):
+    from qgpc import channels as ch
+    from qgpc.checkpoint import load_checkpoint
+    from qgpc.graph import build_graph
+    from qgpc.qgnn import QgnnModel
+    from qgpc.trainer import Instance, SeedConfig, evaluate_mean
+
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    assert main(_args(tmp_path) + ["train"]) == 0
+    capsys.readouterr()
+    assert main(_args(tmp_path) + ["eval"]) == 0
+    printed = capsys.readouterr().out.split("test_mean_bpshz=")[1].split()[0]
+    doc = load_checkpoint(tmp_path / "qgnn_checkpoint.json")
+    _, test_ch, _ = ch.load_dataset(tmp_path / "dataset.jsonl")
+    test_set = [Instance(f"test/{i}", c, build_graph(c, doc["scaler"]))
+                for i, c in enumerate(test_ch)]
+    model = QgnnModel(layers=1, depth=1, k=1)
+    assert printed == format(evaluate_mean(model, doc["params"], test_set, SeedConfig()), ".12g")

@@ -5,6 +5,7 @@ import pytest
 
 from qgpc import channels as ch
 from qgpc.channels import sinr, weighted_sum_rate
+from qgpc import gcn
 from qgpc.gcn import GcnModel, GcnParams, gcn_forward, gcn_loss_and_grad
 from qgpc.graph import InterferenceGraph, build_graph, fit_feature_scaler
 
@@ -108,7 +109,7 @@ def test_gradient_is_deterministic():
 
 
 def test_model_adapter():
-    model = GcnModel(feature_dim=2, hidden=16, layers=2)
+    model = GcnModel(hidden=16, layers=2)
     rng = np.random.default_rng(8)
     flat = model.init_params(rng)
     assert flat.shape == (model.param_count(),)
@@ -117,4 +118,21 @@ def test_model_adapter():
     assert np.array_equal(p, model.forward(inst, graph, flat, star_seed=0))
     loss, grad = model.loss_and_grad(inst, graph, flat, star_seed=0)
     assert np.isfinite(loss) and grad.shape == flat.shape
-    assert model.arch_dict() == {"feature_dim": 2, "hidden": 16, "layers": 2}
+    assert model.arch_dict() == {"hidden": 16, "layers": 2}
+
+
+def test_max_aggregation_matches_per_node_loop():
+    _, graph = _instance(5, seed=9)
+    params = _random_params(2, 6, 2, seed=9)
+    params.layers[0].msg_w2[:, 0] = 0.0  # column 0 ties across every edge
+    _, (_, _, src, caches) = gcn._forward(graph, params)
+    n = graph.N
+    assert src.tolist() == [u for v in range(n) for u in graph.adjacency[v]]
+    dst = np.array([v for v in range(n) for _ in graph.adjacency[v]])
+    for h_in, _, _, _, msgs, amax, u, _, _ in caches:
+        cols = np.arange(msgs.shape[1])
+        for v in range(n):
+            rows = np.nonzero(dst == v)[0]
+            top = np.argmax(msgs[rows], axis=0)  # first index wins a tie
+            assert np.array_equal(u[v, h_in.shape[1]:], msgs[rows][top, cols])
+            assert np.array_equal(amax[v], rows[top])

@@ -7,8 +7,8 @@ from qgpc import channels as ch
 from qgpc.graph import StarSubgraph, InterferenceGraph, build_graph, fit_feature_scaler
 from qgpc.qgnn import (
     QgclLayerParams, QgnnModel, QgnnParams, build_qgcl_circuit, embedding_to_angle,
-    initial_embeddings, input_slot_count, node_input_angles, pool, qgcl_forward,
-    qgcl_message, qgnn_forward, qgnn_loss_and_grad, slots_per_layer,
+    initial_embeddings, input_slot_count, node_input_angles, qgcl_forward,
+    qgnn_forward, qgnn_loss_and_grad, slots_per_layer,
 )
 from qgpc.channels import sinr, weighted_sum_rate
 
@@ -41,8 +41,11 @@ def test_circuit_layout_counts():
     assert input_slot_count(2) == 5
     assert slots_per_layer(2, 1) == 10
     assert spec.angle_slots == 15
-    assert spec.slot_roles[:5] == ("input",) * 5
-    assert spec.slot_roles[5:] == ("trainable",) * 10
+    # the input slots come first: slot q feeds the encoding RY on qubit q
+    assert [(g.kind, g.targets, g.angle_slot) for g in spec.gates[:5]] == [
+        ("RY", (q,), q) for q in range(5)
+    ]
+    assert all(g.angle_slot is None or g.angle_slot >= 5 for g in spec.gates[5:])
     assert build_qgcl_circuit(1, 1).n == 3
     assert build_qgcl_circuit(3, 1).n == 7
     assert slots_per_layer(2, 3) == 30
@@ -65,9 +68,9 @@ def test_circuit_each_slot_feeds_exactly_one_gate():
 def test_param_count_independent_of_graph_size_and_fanout():
     assert QgnnParams.param_count(2, 2, 1) == 22
     assert QgnnParams.param_count(2, 2, 2) == 42
-    counts = {QgnnModel(2, 2, 1, k).param_count() for k in (1, 2, 3, 7)}
+    counts = {QgnnModel(2, 1, k).param_count() for k in (1, 2, 3, 7)}
     assert counts == {22}
-    model = QgnnModel(2, 2, 1, 2)
+    model = QgnnModel(2, 1, 2)
     rng = np.random.default_rng(0)
     flat = model.init_params(rng)
     for m in (2, 5):
@@ -89,10 +92,12 @@ def test_params_flatten_round_trip():
 
 
 def test_message_from_vacuum_is_all_ones():
-    # zero angles leave every qubit in |0>, so every Z expectation is +1
+    # zero angles leave every qubit in |0>, so every Z expectation is +1;
+    # a one-leaf star's update is that leaf's message
     spec = build_qgcl_circuit(2, 1)
     layer = QgclLayerParams(np.zeros(10))
-    msg = qgcl_message(np.zeros(2), np.zeros(2), 0.0, layer, spec)
+    h = np.full((2, 2), -1.0)  # embedding -1 encodes as angle 0
+    msg = qgcl_forward(StarSubgraph(0, (1,), np.zeros(1)), h, layer, spec)
     assert np.allclose(msg, 1.0, atol=1e-12)
 
 
@@ -101,8 +106,9 @@ def test_messages_stay_in_expectation_range():
     rng = np.random.default_rng(11)
     for _ in range(20):
         layer = QgclLayerParams(rng.uniform(-np.pi, np.pi, 20))
-        msg = qgcl_message(rng.uniform(0, np.pi, 2), rng.uniform(0, np.pi, 2),
-                           rng.uniform(0, np.pi), layer, spec)
+        h = rng.uniform(-1, 1, (2, 2))
+        star = StarSubgraph(0, (1,), rng.uniform(0, np.pi, 1))
+        msg = qgcl_forward(star, h, layer, spec)
         assert msg.shape == (2,)
         assert np.all(np.abs(msg) <= 1.0 + 1e-12)
 
@@ -239,7 +245,7 @@ def test_gradient_zero_decode_scale_blocks_circuit_gradients():
 
 
 def test_model_adapter_round_trip():
-    model = QgnnModel(feature_dim=2, layers=2, depth=1, k=2)
+    model = QgnnModel(layers=2, depth=1, k=2)
     rng = np.random.default_rng(15)
     flat = model.init_params(rng)
     assert flat.shape == (22,)
@@ -247,7 +253,7 @@ def test_model_adapter_round_trip():
     inst, graph = _instance(4, seed=15)
     loss, grad = model.loss_and_grad(inst, graph, flat, star_seed=2)
     assert np.isfinite(loss) and grad.shape == flat.shape
-    assert model.arch_dict() == {"feature_dim": 2, "layers": 2, "depth": 1, "k": 2}
+    assert model.arch_dict() == {"layers": 2, "depth": 1, "k": 2}
 
 
 def test_input_angle_scaling():
@@ -260,12 +266,3 @@ def test_input_angle_scaling():
     assert np.allclose(embedding_to_angle(h0), ang)
     assert np.all(h0 >= -1.0) and np.all(h0 <= 1.0)
 
-
-def test_pool_modes():
-    e = np.array([[1.0, 2.0], [3.0, 6.0]])
-    assert np.allclose(pool(e, "mean"), [2.0, 4.0])
-    assert np.allclose(pool(e, "sum"), [4.0, 8.0])
-    with pytest.raises(ValueError):
-        pool(np.zeros((0, 2)), "mean")
-    with pytest.raises(ValueError):
-        pool(e, "max")

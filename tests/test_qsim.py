@@ -9,9 +9,8 @@ from qgpc.qsim import (
 )
 
 
-def _spec(n, gates, slots=0, roles=None):
-    return CircuitSpec(n=n, gates=tuple(gates), angle_slots=slots,
-                       slot_roles=tuple(roles or ("trainable",) * slots))
+def _spec(n, gates, slots=0):
+    return CircuitSpec(n=n, gates=tuple(gates), angle_slots=slots)
 
 
 def _random_circuit(rng, max_qubits=6, max_slots=12, n_gates=18):
@@ -164,10 +163,6 @@ def test_gate_and_spec_validation():
         _spec(2, [Gate("RY", (2,), 0)], 1)  # target out of range
     with pytest.raises(CircuitError):
         _spec(2, [Gate("RY", (0,), 1)], 1)  # slot out of range
-    with pytest.raises(CircuitError):
-        CircuitSpec(n=1, gates=(), angle_slots=1, slot_roles=())  # roles too short
-    with pytest.raises(CircuitError):
-        CircuitSpec(n=1, gates=(), angle_slots=1, slot_roles=("weird",))
     with pytest.raises(CircuitError):
         run_circuit(_spec(1, [Gate("RY", (0,), 0)], 1), [0.1, 0.2])  # angle count
     with pytest.raises(CircuitError):

@@ -5,14 +5,13 @@ import pytest
 
 import qgpc.trainer as trainer_mod
 from qgpc import channels as ch
-from qgpc.channels import sum_rate
 from qgpc.gcn import GcnModel
 from qgpc.graph import build_graph, fit_feature_scaler
 from qgpc.qgnn import QgnnModel
 from qgpc.trainer import (
     AdamConfig, AdamState, Instance, NonFiniteLossError, SeedConfig, TrainConfig,
     TrainReport, adam_step, eval_star_seed, evaluate_mean, mix_seed, train,
-    train_star_seed, unsupervised_loss, wmmse_mean,
+    train_star_seed, wmmse_mean,
 )
 
 
@@ -85,17 +84,9 @@ def test_star_seed_streams_are_distinct():
     assert not ev & tr
 
 
-def test_unsupervised_loss_negates_objective():
-    inst = _instances(3, 1, seed0=40)[0]
-    p = np.full(3, 0.5)
-    assert unsupervised_loss(p, inst.channels) == pytest.approx(
-        -sum_rate(inst.channels, p), rel=1e-15
-    )
-
-
 def test_evaluate_mean_uses_frozen_star_seeds():
     insts = _instances(3, 4, seed0=50)
-    model = QgnnModel(feature_dim=2, layers=1, depth=1, k=2)
+    model = QgnnModel(layers=1, depth=1, k=2)
     flat = model.init_params(np.random.default_rng(0))
     seeds = SeedConfig()
     a = evaluate_mean(model, flat, insts, seeds)
@@ -107,7 +98,7 @@ def test_evaluate_mean_uses_frozen_star_seeds():
 
 def test_train_validates_inputs():
     insts = _instances(2, 2, seed0=60)
-    model = GcnModel(feature_dim=2, hidden=4, layers=1)
+    model = GcnModel(hidden=4, layers=1)
     with pytest.raises(ValueError):
         train(model, [], insts, TrainConfig(epochs=1))
     with pytest.raises(ValueError):
@@ -118,7 +109,7 @@ def test_train_validates_inputs():
 
 def test_train_zero_epochs_reports_baseline_only():
     insts = _instances(2, 3, seed0=70)
-    model = GcnModel(feature_dim=2, hidden=4, layers=1)
+    model = GcnModel(hidden=4, layers=1)
     report = train(model, insts, insts[:1], TrainConfig(epochs=0))
     assert report.epochs == 0
     assert report.train_curve.shape == (0,) and report.test_curve.shape == (0,)
@@ -133,7 +124,7 @@ def test_train_zero_epochs_reports_baseline_only():
 def test_train_is_bit_reproducible():
     tr = _instances(3, 6, seed0=80)
     te = _instances(3, 3, seed0=90, prefix="test")
-    model = GcnModel(feature_dim=2, hidden=4, layers=1)
+    model = GcnModel(hidden=4, layers=1)
     cfg = TrainConfig(epochs=3, lr=0.05, batch=300)
     r1 = train(model, tr, te, cfg)
     r2 = train(model, tr, te, cfg)
@@ -146,7 +137,7 @@ def test_train_is_bit_reproducible():
 def test_train_minibatch_shuffling_is_seeded():
     tr = _instances(3, 6, seed0=80)
     te = _instances(3, 2, seed0=95, prefix="test")
-    model = GcnModel(feature_dim=2, hidden=4, layers=1)
+    model = GcnModel(hidden=4, layers=1)
     cfg = TrainConfig(epochs=2, batch=2)
     r1 = train(model, tr, te, cfg)
     r2 = train(model, tr, te, cfg)
@@ -159,7 +150,7 @@ def test_train_minibatch_shuffling_is_seeded():
 def test_train_improves_mean_objective():
     tr = _instances(3, 8, seed0=100)
     te = _instances(3, 4, seed0=120, prefix="test")
-    model = GcnModel(feature_dim=2, hidden=8, layers=1)
+    model = GcnModel(hidden=8, layers=1)
     report = train(model, tr, te, TrainConfig(epochs=8, lr=0.05))
     assert report.test_curve[-1] > report.baseline_test_mean
 
@@ -167,7 +158,7 @@ def test_train_improves_mean_objective():
 def test_train_small_quantum_model_runs_and_improves():
     tr = _instances(2, 4, seed0=130)
     te = _instances(2, 2, seed0=140, prefix="test")
-    model = QgnnModel(feature_dim=2, layers=1, depth=1, k=1)
+    model = QgnnModel(layers=1, depth=1, k=1)
     report = train(model, tr, te, TrainConfig(epochs=4, lr=0.1))
     assert report.model == "qgnn"
     assert report.train_curve[-1] > report.baseline_train_mean
@@ -212,7 +203,7 @@ def test_solver_is_never_consulted_during_training(monkeypatch):
     monkeypatch.setattr(trainer_mod, "wmmse_allocate", counting)
     tr = _instances(3, 5, seed0=160)
     te = _instances(3, 3, seed0=170, prefix="test")
-    train(GcnModel(feature_dim=2, hidden=4, layers=1), tr, te, TrainConfig(epochs=3))
+    train(GcnModel(hidden=4, layers=1), tr, te, TrainConfig(epochs=3))
     assert len(calls) == len(te)
     assert all(c is inst.channels for c, inst in zip(calls, te))
 
