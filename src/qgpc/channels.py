@@ -273,18 +273,21 @@ def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealizatio
     p_max = float(header["p_max"])
     train: list[ChannelRealization] = []
     test: list[ChannelRealization] = []
-    for ln in lines[1:]:
+    for line_no, ln in enumerate(lines[1:], start=2):
         rec = json.loads(ln)
-        G = _decode_complex_matrix(rec["G"])
+        where = f"{path} line {line_no}"
+        if not isinstance(rec, dict) or "split" not in rec or "G" not in rec:
+            raise ValueError(f"{where}: a record needs a split and G")
+        if rec["split"] not in ("train", "test"):
+            raise ValueError(f"{where}: unknown split tag {rec['split']!r}")
+        try:
+            G = _decode_complex_matrix(rec["G"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: G is not a matrix of [re, im] pairs") from exc
         if G.shape != (m, m):
-            raise ValueError(f"record G has shape {G.shape}, header says M={m}")
+            raise ValueError(f"{where}: G has shape {G.shape}, header says M={m}")
         ch = ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
-        if rec["split"] == "train":
-            train.append(ch)
-        elif rec["split"] == "test":
-            test.append(ch)
-        else:
-            raise ValueError(f"unknown split tag {rec['split']!r}")
+        (train if rec["split"] == "train" else test).append(ch)
     if len(train) != header["train"] or len(test) != header["test"]:
         raise ValueError("record counts do not match dataset header")
     return train, test, header

@@ -51,15 +51,17 @@ def load_checkpoint(path) -> dict:
         raise CheckpointError(f"unknown checkpoint kind {doc.get('kind')!r}")
     try:
         sc = doc["scaler"]
-        return {
-            "version": doc["version"],
-            "kind": doc["kind"],
-            "arch": dict(doc["arch"]),
-            "scaler": FeatureScaler(mu=sc["mu"], sigma=sc["sigma"], z_clip=sc["z_clip"]),
-            "params": np.asarray(doc["params"], dtype=float),
-        }
+        arch = dict(doc["arch"])
+        scaler = FeatureScaler(mu=sc["mu"], sigma=sc["sigma"], z_clip=sc["z_clip"])
+        params = np.asarray(doc["params"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
+    if not all(type(val) is int for val in arch.values()):
+        raise CheckpointError(f"checkpoint {path} has non-integer arch values: {arch}")
+    if params.ndim != 1 or not np.all(np.isfinite(params)):
+        raise CheckpointError(f"checkpoint {path} params are not a finite vector")
+    return {"version": doc["version"], "kind": doc["kind"], "arch": arch,
+            "scaler": scaler, "params": params}
 
 
 def check_arch(doc: dict, kind: str, arch: dict) -> None:

@@ -75,11 +75,15 @@ class ConfigError(ValueError):
     """Raised for malformed configs, overrides, or input files."""
 
 
-def _deep_merge(base: dict, extra: dict) -> dict:
+def _deep_merge(base: dict, extra: dict, prefix: str = "") -> dict:
+    """``base`` with the values of ``extra`` laid over it. Every key of
+    ``extra`` must already be in ``base``, at any depth."""
     out = dict(base)
     for key, val in extra.items():
-        if key in out and isinstance(out[key], dict) and isinstance(val, dict):
-            out[key] = _deep_merge(out[key], val)
+        if key not in out:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+        if isinstance(out[key], dict) and isinstance(val, dict):
+            out[key] = _deep_merge(out[key], val, f"{prefix}{key}.")
         else:
             out[key] = val
     return out

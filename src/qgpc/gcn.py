@@ -213,5 +213,16 @@ class GcnModel:
                       flat_params, star_seed: int) -> tuple[float, np.ndarray]:
         return gcn_loss_and_grad(graph, channels, self.unflatten(flat_params))
 
+    def forward_batch(self, instances, flat_params, star_seeds) -> list[np.ndarray]:
+        return [self.forward(inst.channels, inst.graph, flat_params, seed)
+                for inst, seed in zip(instances, star_seeds)]
+
+    def loss_and_grad_batch(self, instances, flat_params, star_seeds,
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        losses, grads = np.empty(len(instances)), np.empty((len(instances), self.param_count()))
+        for i, (inst, seed) in enumerate(zip(instances, star_seeds)):
+            losses[i], grads[i] = self.loss_and_grad(inst.channels, inst.graph, flat_params, seed)
+        return losses, grads
+
     def arch_dict(self) -> dict:
         return {"hidden": self.hidden, "layers": self.layers}

@@ -16,14 +16,20 @@ angle (h + 1) * pi / 2. After L layers the power for node m is
 Circuit parameters are shared across nodes and leaves, so the trainable
 count L * depth * (2F+1) * 2 + 2 is independent of the graph size and of k.
 
-Gradients are exact: parameter-shift rules on both the trainable and the
-input slots, chained through the re-encoding map and the analytic derivative
-of the sum-rate objective.
+Engine: every message of a layer runs the same circuit, so a call stacks
+the (center, leaf, edge) rows of all stars of all its instances. The RY
+encoding of |0...0> is the real product state (x)_q [cos(a_q/2), sin(a_q/2)];
+the trainable block is one 2^n x 2^n unitary U, built by the gate-level
+simulator from the basis states; the messages are |psi U^T|^2 @ Z-signs.
+Gradients are exact: parameter shift on the trainable slots (2 shifted
+unitaries per slot), the analytic product-state derivative on the input
+slots (equal to the shift rule for RY on |0>), chained through the
+re-encoding map and the sum-rate objective. The gate-level simulator stays
+the independent oracle the tests hold this kernel to.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +37,12 @@ import numpy as np
 
 from .channels import ChannelRealization, sigmoid, sum_rate, weighted_sum_rate_grad
 from .graph import NODE_FEATURES, InterferenceGraph, StarSubgraph, decompose_stars
-from .qsim import CircuitSpec, Gate, expectations_z, run_batch
+# run_batch is not called here; it stays bound on this module for code that
+# looks it up or wraps it here (the benchmark's tracer does).
+from .qsim import CircuitSpec, Gate, _apply_gates, _z_signs, run_batch  # noqa: F401
+
+HALF_PI = np.pi / 2.0
+BLOCK_AMPLITUDES = 8192  # amplitudes per kernel temporary: 64 KB of float64
 
 
 def input_slot_count(feature_dim: int) -> int:
@@ -108,7 +119,7 @@ class QgnnParams:
 
 def embedding_to_angle(h) -> np.ndarray:
     """Re-encoding map [-1, 1] -> [0, pi]."""
-    return (np.asarray(h, dtype=float) + 1.0) * (np.pi / 2.0)
+    return (np.asarray(h, dtype=float) + 1.0) * HALF_PI
 
 
 def node_input_angles(graph: InterferenceGraph) -> np.ndarray:
@@ -124,67 +135,192 @@ def initial_embeddings(graph: InterferenceGraph) -> np.ndarray:
     return node_input_angles(graph) * (2.0 / np.pi) - 1.0
 
 
-def _star_rows(star: StarSubgraph, embeddings: np.ndarray, layer: QgclLayerParams,
-               ) -> np.ndarray:
-    """Message-circuit rows of one star, one per leaf: center angles, leaf
-    angles, the edge angle, then the layer's trainable angles."""
-    f = embeddings.shape[1]
-    rows = np.empty((len(star.leaves), 2 * f + 1 + layer.theta.size))
-    rows[:, :f] = embedding_to_angle(embeddings[star.center])
-    rows[:, f:2 * f] = embedding_to_angle(embeddings[list(star.leaves)])
-    rows[:, 2 * f] = star.edge_feats
-    rows[:, 2 * f + 1:] = layer.theta
-    return rows
+def _unitaries(spec: CircuitSpec, thetas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(real, imaginary) parts of the trainable block at each row of thetas,
+    from one gate-level run over the basis states with the encoding angles at
+    0. Row b of U is the block applied to basis state b: states psi -> psi @ U."""
+    dim = 2 ** spec.n
+    angles = np.zeros((len(thetas) * dim, spec.angle_slots))
+    angles[:, spec.n:] = np.repeat(thetas, dim, axis=0)
+    u = _apply_gates(np.tile(np.eye(dim, dtype=complex), (len(thetas), 1)), spec, angles)
+    return [(v.real.copy(), v.imag.copy()) for v in u.reshape(-1, dim, dim)]
+
+
+def _probs(psi: np.ndarray, u: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    return (psi @ u[0]) ** 2 + (psi @ u[1]) ** 2
+
+
+def _product_state(cos_half: np.ndarray, sin_half: np.ndarray) -> np.ndarray:
+    """Rows of (x)_q [cos_q, sin_q], qubit 0 least significant: (R, n) -> (R, 2^n)."""
+    psi = np.ones((len(cos_half), 1))
+    for q in range(cos_half.shape[1]):
+        psi = np.concatenate([cos_half[:, q, None] * psi, sin_half[:, q, None] * psi], axis=1)
+    return psi
+
+
+class _Kernel:
+    """A layer's message circuit in closed form at trainable angles theta;
+    with ``shifted``, also the block at theta_s +- pi/2 for each slot s."""
+
+    def __init__(self, spec: CircuitSpec, theta: np.ndarray, shifted: bool = False):
+        self.signs = np.stack([_z_signs(spec.n, (q,)) for q in range(spec.n // 2)], axis=1)
+        shifts = HALF_PI * np.eye(theta.size) if shifted else np.empty((0, theta.size))
+        self.block, *rest = _unitaries(spec, np.vstack([theta, theta + shifts, theta - shifts]))
+        self.shifted = list(zip(rest[:len(shifts)], rest[len(shifts):]))
+        # rows per call, so each (rows, 2^n) temporary holds BLOCK_AMPLITUDES
+        self.step = max(1, BLOCK_AMPLITUDES // len(self.signs))
+
+    def messages(self, angles: np.ndarray) -> np.ndarray:
+        """Z expectations (R, F) of the center qubits for input angles (R, n)."""
+        psi = _product_state(np.cos(0.5 * angles), np.sin(0.5 * angles))
+        return _probs(psi, self.block) @ self.signs
+
+    def vjp(self, angles: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_f w[r, f] d<Z_f>/d(slot s) for each row r and slot s, input
+        slots first: (R, slots). Each slot is reduced to its column at once."""
+        n = angles.shape[1]
+        obs = w @ self.signs.T  # row r's diagonal observable sum_f w[r, f] Z_f
+        c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
+        psi = _product_state(c, s)
+        out_re, out_im = psi @ self.block[0], psi @ self.block[1]
+        grad = np.empty((len(angles), n + len(self.shifted)))
+        for q in range(n):  # d/da [cos(a/2), sin(a/2)] = [-sin(a/2), cos(a/2)] / 2
+            dc, ds = c.copy(), s.copy()
+            dc[:, q], ds[:, q] = -0.5 * s[:, q], 0.5 * c[:, q]
+            dpsi = _product_state(dc, ds)
+            d_prob = out_re * (dpsi @ self.block[0]) + out_im * (dpsi @ self.block[1])
+            grad[:, q] = 2.0 * np.sum(d_prob * obs, axis=1)
+        for i, (plus, minus) in enumerate(self.shifted):
+            grad[:, n + i] = 0.5 * np.sum((_probs(psi, plus) - _probs(psi, minus)) * obs, axis=1)
+        return grad
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A layer's message rows over stacked nodes, star by star, each star's
+    leaves ascending so its mean does not depend on the draw order."""
+
+    center: np.ndarray  # (R,) stacked node index of the star center
+    leaf: np.ndarray    # (R,) stacked node index of the leaf
+    edge: np.ndarray    # (R,) angle of the edge leaf -> center
+    fan: np.ndarray     # (R,) leaf count of the row's star
+    first: np.ndarray   # first row of each star
+
+    def angles(self, h: np.ndarray, blk: slice) -> np.ndarray:
+        return np.concatenate([embedding_to_angle(h[self.center[blk]]),
+                               embedding_to_angle(h[self.leaf[blk]]), self.edge[blk, None]], 1)
+
+
+def _layer_rows(stars_by_graph, offsets) -> _Rows:
+    """Rows of each graph's star list, its nodes stacked from its offset."""
+    center, leaf, edge, fan, first = [], [], [], [], []
+    for off, stars in zip(offsets, stars_by_graph):
+        for star in (st for st in stars if st.leaves):
+            first.append(len(center))
+            fan += [len(star.leaves)] * len(star.leaves)
+            for node, angle in sorted(zip(star.leaves, star.edge_feats)):
+                center.append(off + star.center)
+                leaf.append(off + node)
+                edge.append(angle)
+    ints = [np.array(xs, dtype=np.intp) for xs in (center, leaf, fan, first)]
+    return _Rows(ints[0], ints[1], np.array(edge, dtype=float), ints[2], ints[3])
+
+
+def _layer_forward(spec: CircuitSpec, theta: np.ndarray, h: np.ndarray,
+                   rows: _Rows) -> np.ndarray:
+    """Centers with leaves move to their mean leaf message; others keep h."""
+    h_next = np.array(h, dtype=float, copy=True)
+    if rows.center.size:
+        kernel = _Kernel(spec, theta)
+        msgs = np.concatenate([kernel.messages(rows.angles(h, slice(lo, lo + kernel.step)))
+                               for lo in range(0, rows.center.size, kernel.step)])
+        inv = 1.0 / rows.fan[rows.first]
+        h_next[rows.center[rows.first]] = np.add.reduceat(msgs, rows.first, axis=0) * inv[:, None]
+    return h_next
+
+
+def _layer_backward(spec: CircuitSpec, theta: np.ndarray, h: np.ndarray, rows: _Rows,
+                    g_out: np.ndarray, grad_theta: np.ndarray, node_graph: np.ndarray,
+                    ) -> np.ndarray:
+    """Loss gradient at the layer input from ``g_out`` at its output; adds
+    each graph's trainable-angle gradient into its row of ``grad_theta``."""
+    g_in = np.array(g_out, copy=True)
+    if rows.center.size:
+        f = h.shape[1]
+        g_in[rows.center[rows.first]] = 0.0
+        kernel = _Kernel(spec, theta, shifted=True)
+        for lo in range(0, rows.center.size, kernel.step):
+            blk = slice(lo, lo + kernel.step)
+            center = rows.center[blk]
+            slots = kernel.vjp(rows.angles(h, blk), g_out[center] / rows.fan[blk, None])
+            np.add.at(g_in, center, slots[:, :f] * HALF_PI)
+            np.add.at(g_in, rows.leaf[blk], slots[:, f:2 * f] * HALF_PI)
+            np.add.at(grad_theta, node_graph[center], slots[:, 2 * f + 1:])
+    return g_in
 
 
 def qgcl_forward(star: StarSubgraph, embeddings: np.ndarray, layer: QgclLayerParams,
-                 spec: CircuitSpec, rows: np.ndarray | None = None) -> np.ndarray:
+                 spec: CircuitSpec) -> np.ndarray:
     """New center embedding: mean leaf message, computed order-independently.
-    A star with no leaves passes the center embedding through unchanged.
-    ``rows`` are the star's circuit rows when the caller has built them."""
-    feature_dim = (spec.n - 1) // 2
-    if not star.leaves:
-        return np.array(embeddings[star.center], dtype=float, copy=True)
-    if rows is None:
-        rows = _star_rows(star, embeddings, layer)
-    msgs = expectations_z(run_batch(spec, rows), spec.n, range(feature_dim))
-    inv = 1.0 / len(star.leaves)
-    return np.array([math.fsum(msgs[:, q]) * inv for q in range(feature_dim)])
+    A star with no leaves passes the center embedding through unchanged."""
+    h = np.asarray(embeddings, dtype=float)
+    return _layer_forward(spec, layer.theta, h, _layer_rows([[star]], [0]))[star.center]
 
 
-def _layer_pass(h: np.ndarray, stars: list[StarSubgraph], layer: QgclLayerParams,
-                spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """One QGCL layer: the new embeddings and the circuit rows their messages
-    came from, stacked in star then leaf order (the backward pass reuses them)."""
-    new_h = np.empty_like(h)
-    rows = []
-    for star in stars:
-        rows.append(_star_rows(star, h, layer))
-        new_h[star.center] = qgcl_forward(star, h, layer, spec, rows[-1])
-    return new_h, np.concatenate(rows)
+@dataclass(eq=False)
+class _Tape:
+    """A forward pass over graphs stacked node-wise, kept for the backward."""
+
+    spec: CircuitSpec
+    offsets: np.ndarray     # (B,) first stacked node of each graph
+    node_graph: np.ndarray  # (N,) graph of each stacked node
+    h: list[np.ndarray]     # embeddings entering each layer, then the final ones
+    rows: list[_Rows]       # each layer's message rows
+    p_max: np.ndarray       # (N,) power cap of each node
+    sig: np.ndarray         # (N,) decoded power fraction
 
 
-def _stars_for_layers(graph, k, star_seed, n_layers, stars_by_layer):
-    if stars_by_layer is not None:
-        if len(stars_by_layer) != n_layers:
-            raise ValueError("need one star list per layer")
-        return list(stars_by_layer)
-    return [decompose_stars(graph, k, star_seed + ell) for ell in range(n_layers)]
+def _forward_tape(graphs: list[InterferenceGraph], params: QgnnParams, k: int, star_seeds,
+                  stars_by_layer: list[list[StarSubgraph]] | None = None) -> _Tape:
+    """Layer ell of graph b draws its stars with seed star_seeds[b] + ell, one
+    graph at a time, unless the stars of the single graph are supplied."""
+    if stars_by_layer is not None and len(stars_by_layer) != len(params.layers):
+        raise ValueError("need one star list per layer")
+    f = graphs[0].feature_dim
+    spec = _spec_for(f, params.layers[0].theta.size // (2 * input_slot_count(f)))
+    sizes = [g.N for g in graphs]
+    offsets = np.cumsum([0] + sizes[:-1])
+    h, rows = [np.concatenate([initial_embeddings(g) for g in graphs])], []
+    for ell, layer in enumerate(params.layers):
+        stars = ([stars_by_layer[ell]] if stars_by_layer is not None else
+                 (decompose_stars(g, k, seed + ell) for g, seed in zip(graphs, star_seeds)))
+        rows.append(_layer_rows(stars, offsets))
+        h.append(_layer_forward(spec, layer.theta, h[-1], rows[-1]))
+    sig = sigmoid(params.decode_scale * h[-1][:, 0] + params.decode_bias)
+    return _Tape(spec, offsets, np.repeat(np.arange(len(graphs)), sizes), h, rows,
+                 np.repeat([g.p_max for g in graphs], sizes), sig)
 
 
-def _forward_tape(graph, params, k, star_seed, stars_by_layer):
-    """Run every layer. Returns the message circuit, each layer's stars, the
-    embeddings entering each layer plus the final ones, and each layer's rows."""
-    depth = params.layers[0].theta.size // (2 * input_slot_count(graph.feature_dim))
-    spec = _spec_for(graph.feature_dim, depth)
-    stars_all = _stars_for_layers(graph, k, star_seed, len(params.layers), stars_by_layer)
-    h_list = [initial_embeddings(graph)]
-    rows_all = []
-    for layer, stars in zip(params.layers, stars_all):
-        h, rows = _layer_pass(h_list[-1], stars, layer, spec)
-        h_list.append(h)
-        rows_all.append(rows)
-    return spec, stars_all, h_list, rows_all
+def _loss_and_grad(tape: _Tape, channels: list[ChannelRealization], params: QgnnParams,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-graph losses (B,) and gradients (B, P) in flat layout."""
+    p = tape.p_max * tape.sig
+    losses = np.empty(len(channels))
+    dloss_dp = np.empty_like(p)
+    for b, (ch, lo) in enumerate(zip(channels, tape.offsets)):
+        losses[b] = -sum_rate(ch, p[lo:lo + ch.M])
+        dloss_dp[lo:lo + ch.M] = -weighted_sum_rate_grad(ch, p[lo:lo + ch.M])
+    gz = dloss_dp * (tape.p_max * tape.sig * (1.0 - tape.sig))
+    spl = params.layers[0].theta.size
+    grads = np.zeros((len(channels), len(params.layers) * spl + 2))
+    grads[:, -2] = np.add.reduceat(gz * tape.h[-1][:, 0], tape.offsets)
+    grads[:, -1] = np.add.reduceat(gz, tape.offsets)
+    g = np.zeros_like(tape.h[-1])
+    g[:, 0] = gz * params.decode_scale
+    for ell in range(len(params.layers) - 1, -1, -1):
+        g = _layer_backward(tape.spec, params.layers[ell].theta, tape.h[ell], tape.rows[ell],
+                            g, grads[:, ell * spl:(ell + 1) * spl], tape.node_graph)
+    return losses, grads
 
 
 def qgnn_forward(graph: InterferenceGraph, params: QgnnParams, k: int, star_seed: int,
@@ -192,27 +328,8 @@ def qgnn_forward(graph: InterferenceGraph, params: QgnnParams, k: int, star_seed
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Run all layers and decode powers. Layer ell draws its stars with seed
     star_seed + ell unless explicit stars are supplied. Returns (p, h)."""
-    _, _, h_list, _ = _forward_tape(graph, params, k, star_seed, stars_by_layer)
-    h = h_list[-1]
-    p = graph.p_max * sigmoid(params.decode_scale * h[:, 0] + params.decode_bias)
-    return p, h
-
-
-def _slot_jacobian(spec: CircuitSpec, rows: np.ndarray, feature_dim: int) -> np.ndarray:
-    """d<Z_q>/d(slot) for every row: returns (R, angle_slots, F).
-
-    Valid because each slot of the message circuit feeds exactly one gate,
-    so a slot-level shift equals the single-occurrence shift.
-    """
-    r, s = rows.shape
-    shifts = np.zeros((s, 2, s))
-    idx = np.arange(s)
-    shifts[idx, 0, idx] = +np.pi / 2.0
-    shifts[idx, 1, idx] = -np.pi / 2.0
-    big = (rows[:, None, None, :] + shifts[None, :, :, :]).reshape(r * s * 2, s)
-    vals = expectations_z(run_batch(spec, big), spec.n, range(feature_dim))
-    vals = vals.reshape(r, s, 2, feature_dim)
-    return 0.5 * (vals[:, :, 0, :] - vals[:, :, 1, :])
+    tape = _forward_tape([graph], params, k, [star_seed], stars_by_layer)
+    return tape.p_max * tape.sig, tape.h[-1]
 
 
 def qgnn_loss_and_grad(graph: InterferenceGraph, channels: ChannelRealization,
@@ -221,49 +338,9 @@ def qgnn_loss_and_grad(graph: InterferenceGraph, channels: ChannelRealization,
                        ) -> tuple[float, np.ndarray]:
     """Negative weighted sum rate and its exact gradient in flat layout
     (layer angles in order, then decode_scale, decode_bias)."""
-    spec, stars_all, h_list, rows_all = _forward_tape(
-        graph, params, k, star_seed, stars_by_layer)
-    feature_dim = graph.feature_dim
-    n_input = input_slot_count(feature_dim)
-    h_final = h_list[-1]
-
-    sig = sigmoid(params.decode_scale * h_final[:, 0] + params.decode_bias)
-    p = graph.p_max * sig
-
-    loss = -sum_rate(channels, p)
-    dloss_dp = -weighted_sum_rate_grad(channels, p)
-
-    dp_dz = graph.p_max * sig * (1.0 - sig)
-    gz = dloss_dp * dp_dz
-    grad_scale = float(np.sum(gz * h_final[:, 0]))
-    grad_bias = float(np.sum(gz))
-
-    # Backward pass through the layers, on the rows the forward pass ran.
-    grad_layers = [np.zeros_like(layer.theta) for layer in params.layers]
-    G = np.zeros_like(h_final)
-    G[:, 0] = gz * params.decode_scale
-    half_pi = np.pi / 2.0
-    for ell in range(len(params.layers) - 1, -1, -1):
-        rows = rows_all[ell]
-        jac = _slot_jacobian(spec, rows, feature_dim) if len(rows) else None
-        G_prev = np.zeros_like(G)
-        row = 0
-        for star in stars_all[ell]:
-            i = star.center
-            if not star.leaves:
-                G_prev[i] += G[i]
-                continue
-            w = G[i] / len(star.leaves)
-            for leaf in star.leaves:
-                contrib = jac[row] @ w  # (angle_slots,)
-                grad_layers[ell] += contrib[n_input:]
-                G_prev[i] += contrib[:feature_dim] * half_pi
-                G_prev[leaf] += contrib[feature_dim:2 * feature_dim] * half_pi
-                row += 1
-        G = G_prev
-
-    flat = np.concatenate(grad_layers + [np.array([grad_scale, grad_bias])])
-    return loss, flat
+    tape = _forward_tape([graph], params, k, [star_seed], stars_by_layer)
+    losses, grads = _loss_and_grad(tape, [channels], params)
+    return float(losses[0]), grads[0]
 
 
 class QgnnModel:
@@ -294,6 +371,19 @@ class QgnnModel:
                       flat_params, star_seed: int) -> tuple[float, np.ndarray]:
         return qgnn_loss_and_grad(graph, channels, self.unflatten(flat_params),
                                   self.k, star_seed)
+
+    def forward_batch(self, instances, flat_params, star_seeds) -> list[np.ndarray]:
+        """Powers of every instance from one stacked pass."""
+        tape = _forward_tape([inst.graph for inst in instances], self.unflatten(flat_params),
+                             self.k, star_seeds)
+        return np.split(tape.p_max * tape.sig, tape.offsets[1:])
+
+    def loss_and_grad_batch(self, instances, flat_params, star_seeds,
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-instance losses (B,) and gradients (B, P) from one stacked pass."""
+        params = self.unflatten(flat_params)
+        tape = _forward_tape([inst.graph for inst in instances], params, self.k, star_seeds)
+        return _loss_and_grad(tape, [inst.channels for inst in instances], params)
 
     def arch_dict(self) -> dict:
         return {"layers": self.layers, "depth": self.depth, "k": self.k}

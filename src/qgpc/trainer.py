@@ -49,11 +49,14 @@ class PowerModel(Protocol):
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray: ...
 
-    def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
-                flat_params, star_seed: int) -> np.ndarray: ...
+    def forward_batch(self, instances: list[Instance], flat_params,
+                      star_seeds: list[int]) -> list[np.ndarray]:
+        """Power vector of each instance, drawing its stars from its seed."""
 
-    def loss_and_grad(self, channels: ChannelRealization, graph: InterferenceGraph,
-                      flat_params, star_seed: int) -> tuple[float, np.ndarray]: ...
+    def loss_and_grad_batch(self, instances: list[Instance], flat_params,
+                            star_seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-instance losses (B,), the negative weighted sum rates, and
+        their gradients (B, P)."""
 
 
 class Instance(NamedTuple):
@@ -160,10 +163,10 @@ def evaluate_mean(model: PowerModel, flat_params, instances: list[Instance],
     """Mean objective over instances with frozen evaluation star seeds."""
     if not instances:
         return float("nan")
+    powers = model.forward_batch(instances, flat_params,
+                                 [eval_star_seed(seeds, idx) for idx in range(len(instances))])
     total = 0.0
-    for idx, inst in enumerate(instances):
-        p = model.forward(inst.channels, inst.graph, flat_params,
-                          eval_star_seed(seeds, idx))
+    for inst, p in zip(instances, powers):
         total += sum_rate(inst.channels, p)
     return total / len(instances)
 
@@ -210,16 +213,15 @@ def train(model: PowerModel, train_set: list[Instance], test_set: list[Instance]
         else:
             order = np.arange(n_train)
         for step, start in enumerate(range(0, n_train, batch)):
-            grad_sum = np.zeros_like(params)
             members = order[start:start + batch]
-            for idx in members:
-                inst = train_set[idx]
-                loss, grad = model.loss_and_grad(
-                    inst.channels, inst.graph, params,
-                    train_star_seed(cfg.seeds, epoch, int(idx)),
-                )
+            losses, grads = model.loss_and_grad_batch(
+                [train_set[idx] for idx in members], params,
+                [train_star_seed(cfg.seeds, epoch, int(idx)) for idx in members],
+            )
+            grad_sum = np.zeros_like(params)
+            for idx, loss, grad in zip(members, losses, grads):
                 if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                    raise NonFiniteLossError(epoch, step, inst.label, loss)
+                    raise NonFiniteLossError(epoch, step, train_set[idx].label, float(loss))
                 grad_sum += grad
             t += 1
             params, state = adam_step(params, grad_sum / len(members), state, t, adam_cfg)

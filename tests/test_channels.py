@@ -146,7 +146,7 @@ def _grad_cases(draw):
     return inst, p
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(_grad_cases())
 def test_weighted_sum_rate_grad_property_matches_central_differences(case):
     inst, p = case

@@ -252,3 +252,69 @@ def test_eval_prints_evaluate_mean_exactly(tmp_path, capsys):
                 for i, c in enumerate(test_ch)]
     model = QgnnModel(layers=1, depth=1, k=1)
     assert printed == format(evaluate_mean(model, doc["params"], test_set, SeedConfig()), ".12g")
+
+
+def test_dataset_record_without_split_is_a_config_error(tmp_path, capsys):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    path = tmp_path / "dataset.jsonl"
+    lines = path.read_text().split("\n")
+    record = json.loads(lines[3])
+    del record["split"]
+    lines[3] = json.dumps(record)
+    path.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main(_args(tmp_path) + ["train"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 4" in err and "split" in err
+    record["split"], record["G"] = "train", [[1.0, 0.0]]  # G that is not M x M pairs
+    lines[3] = json.dumps(record)
+    path.write_text("\n".join(lines))
+    assert main(_args(tmp_path) + ["train"]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_config_file_rejects_unknown_keys_inside_known_sections(tmp_path, capsys):
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps(DEFAULT_CONFIG))
+    assert load_config(str(full), []) == load_config(None, [])
+    for doc, key in (({"train": {"bogus": 1}}, "train.bogus"),
+                     ({"model": {"feature_dim": 3}}, "model.feature_dim"),
+                     ({"train": {"seeds": {"extra": 4}}}, "train.seeds.extra")):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "gen"]) == 2
+        from_file = capsys.readouterr().err
+        assert main(["--set", f"{key}=1", "gen"]) == 2
+        assert from_file == capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert not (tmp_path / "dataset.jsonl").exists()
+
+
+def test_checkpoint_with_nan_param_or_fractional_arch_is_refused(tmp_path, capsys):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    assert main(_args(tmp_path, "--set", "train.epochs=0") + ["train"]) == 0
+    ckpt = tmp_path / "qgnn_checkpoint.json"
+    good = json.loads(ckpt.read_text())
+    nan_param = json.loads(ckpt.read_text())
+    nan_param["params"][-1] = float("nan")
+    half_layer = json.loads(ckpt.read_text())
+    half_layer["arch"]["layers"] = 1.5
+    capsys.readouterr()
+    for doc, words in ((nan_param, "finite"), (half_layer, "non-integer")):
+        ckpt.write_text(json.dumps(doc))
+        assert main(_args(tmp_path) + ["eval"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and words in captured.err
+    ckpt.write_text(json.dumps(good))
+    assert main(_args(tmp_path) + ["eval"]) == 0
+
+
+def test_minibatch_training_csv_is_byte_identical_on_rerun(tmp_path):
+    blobs = []
+    for sub in ("first", "second"):
+        args = _args(tmp_path / sub, "--set", "train.batch=3", "--set", "model.layers=2",
+                     "--set", "model.k=2")
+        assert main(args + ["gen"]) == 0
+        assert main(args + ["train"]) == 0
+        blobs.append((tmp_path / sub / "qgnn_train_report.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert len(blobs[0].decode().strip().split("\n")) == 4  # header, baseline, 2 epochs

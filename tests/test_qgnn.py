@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qgpc import channels as ch
 from qgpc.graph import StarSubgraph, InterferenceGraph, build_graph, fit_feature_scaler
 from qgpc.qgnn import (
-    QgclLayerParams, QgnnModel, QgnnParams, build_qgcl_circuit, embedding_to_angle,
+    QgclLayerParams, QgnnModel, QgnnParams, _Kernel, build_qgcl_circuit, embedding_to_angle,
     initial_embeddings, input_slot_count, node_input_angles, qgcl_forward,
     qgnn_forward, qgnn_loss_and_grad, slots_per_layer,
 )
 from qgpc.channels import sinr, weighted_sum_rate
+from qgpc.qsim import expectations_z, run_batch
+from qgpc.trainer import Instance
 
 
 def _instance(m=4, seed=0):
@@ -266,3 +271,58 @@ def test_input_angle_scaling():
     assert np.allclose(embedding_to_angle(h0), ang)
     assert np.all(h0 >= -1.0) and np.all(h0 <= 1.0)
 
+
+@pytest.mark.parametrize("feature_dim", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@settings(max_examples=4)
+@given(data=st.data())
+def test_kernel_matches_gate_level_simulator(feature_dim, depth, data):
+    # messages and the full slot Jacobian of the closed-form kernel against
+    # qsim.run_batch on the whole circuit, parameter shift on every slot
+    spec = build_qgcl_circuit(feature_dim, depth)
+    n_rows = data.draw(st.integers(1, 3))
+    rows = data.draw(hnp.arrays(float, (n_rows, spec.angle_slots), fill=st.nothing(),
+                                elements=st.floats(-2 * np.pi, 2 * np.pi)))
+    angles, theta = rows[:, :spec.n], rows[0, spec.n:]
+    rows[:, spec.n:] = theta  # every message of a layer shares its trainable angles
+
+    def gate_level(batch):
+        return expectations_z(run_batch(spec, batch), spec.n, range(feature_dim))
+
+    shifted = np.repeat(rows[:, None, :], spec.angle_slots, axis=1)
+    eye = np.eye(spec.angle_slots) * (np.pi / 2)
+    jac = 0.5 * (gate_level((shifted + eye).reshape(-1, spec.angle_slots))
+                 - gate_level((shifted - eye).reshape(-1, spec.angle_slots)))
+    jac = jac.reshape(n_rows, spec.angle_slots, feature_dim)
+
+    kernel = _Kernel(spec, theta, shifted=True)
+    np.testing.assert_allclose(kernel.messages(angles), gate_level(rows), rtol=0, atol=1e-12)
+    for f in range(feature_dim):
+        w = np.zeros((n_rows, feature_dim))
+        w[:, f] = 1.0
+        np.testing.assert_allclose(kernel.vjp(angles, w), jac[:, :, f], rtol=0, atol=1e-12)
+
+
+def _split(m, count, seed0):
+    insts = []
+    for i in range(count):
+        sc = ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=seed0 + i)
+        insts.append(ch.realize_channels(sc, seed=seed0 + 1000 + i))
+    scaler = fit_feature_scaler(insts)
+    return [Instance(f"test/{i}", c, build_graph(c, scaler)) for i, c in enumerate(insts)]
+
+
+def test_batch_calls_match_single_instance_calls():
+    split = _split(4, 24, seed0=300) + _split(1, 2, seed0=400) + _split(3, 3, seed0=500)
+    model = QgnnModel(layers=2, depth=2, k=2)
+    flat = np.random.default_rng(17).uniform(-1.0, 1.0, model.param_count())
+    seeds = [1000 + 7 * i for i in range(len(split))]
+    powers = model.forward_batch(split, flat, seeds)
+    losses, grads = model.loss_and_grad_batch(split, flat, seeds)
+    assert len(powers) == len(split) and grads.shape == (len(split), flat.size)
+    for i, inst in enumerate(split):
+        p = model.forward(inst.channels, inst.graph, flat, seeds[i])
+        np.testing.assert_allclose(powers[i], p, rtol=1e-13, atol=0)
+        loss, grad = model.loss_and_grad(inst.channels, inst.graph, flat, seeds[i])
+        assert losses[i] == pytest.approx(loss, rel=1e-13)
+        np.testing.assert_allclose(grads[i], grad, rtol=0, atol=1e-13 * np.abs(grad).max())

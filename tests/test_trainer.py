@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import qgpc.qgnn as qgnn_mod
+import qgpc.qsim as qsim_mod
 import qgpc.trainer as trainer_mod
 from qgpc import channels as ch
 from qgpc.gcn import GcnModel
@@ -155,7 +157,13 @@ def test_train_improves_mean_objective():
     assert report.test_curve[-1] > report.baseline_test_mean
 
 
-def test_train_small_quantum_model_runs_and_improves():
+def test_train_small_quantum_model_runs_and_improves(monkeypatch):
+    # training runs on the closed-form kernel, never on the gate-level simulator
+    def gate_level(*args):
+        raise AssertionError("qsim.run_batch called during training")
+
+    monkeypatch.setattr(qsim_mod, "run_batch", gate_level)
+    monkeypatch.setattr(qgnn_mod, "run_batch", gate_level)
     tr = _instances(2, 4, seed0=130)
     te = _instances(2, 2, seed0=140, prefix="test")
     model = QgnnModel(layers=1, depth=1, k=1)
@@ -174,11 +182,11 @@ class _NanModel:
     def init_params(self, rng):
         return np.zeros(2)
 
-    def forward(self, channels, graph, flat_params, star_seed):
-        return np.full(channels.M, 0.5)
+    def forward_batch(self, instances, flat_params, star_seeds):
+        return [np.full(inst.channels.M, 0.5) for inst in instances]
 
-    def loss_and_grad(self, channels, graph, flat_params, star_seed):
-        return float("nan"), np.zeros(2)
+    def loss_and_grad_batch(self, instances, flat_params, star_seeds):
+        return np.full(len(instances), np.nan), np.zeros((len(instances), 2))
 
 
 def test_train_aborts_on_non_finite_loss_with_context():
