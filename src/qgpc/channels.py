@@ -71,12 +71,12 @@ class ChannelRealization:
         self.alpha = np.broadcast_to(np.asarray(self.alpha, dtype=float), (m,)).copy()
         if not np.all(np.isfinite(self.G.view(float))):
             raise ValueError("G contains non-finite entries")
-        if np.any(self.sigma2 <= 0):
-            raise ValueError("sigma2 must be positive")
-        if np.any(self.alpha < 0):
-            raise ValueError("alpha must be non-negative")
-        if not self.p_max > 0:
-            raise ValueError("p_max must be positive")
+        if not np.all(np.isfinite(self.sigma2) & (self.sigma2 > 0)):
+            raise ValueError("sigma2 must be positive and finite")
+        if not np.all(np.isfinite(self.alpha) & (self.alpha >= 0)):
+            raise ValueError("alpha must be non-negative and finite")
+        if not (np.isfinite(self.p_max) and self.p_max > 0):
+            raise ValueError("p_max must be positive and finite")
 
     @property
     def M(self) -> int:
@@ -254,6 +254,34 @@ def save_dataset(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def is_json_number(x) -> bool:
+    """True for a parsed JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _header_values(header: dict, path) -> tuple[int, np.ndarray, np.ndarray, float]:
+    """M, sigma2, alpha and p_max of a dataset header, each checked for the
+    JSON type save_dataset writes; ChannelRealization checks their range."""
+    m = header["M"]
+    wants = {
+        "M": (type(m) is int and m >= 1, "a positive integer"),
+        "train": (type(header["train"]) is int, "an integer"),
+        "test": (type(header["test"]) is int, "an integer"),
+        "p_max": (is_json_number(header["p_max"]), "a number"),
+    }
+    for key in ("sigma2", "alpha"):
+        value = header[key]
+        wants[key] = (is_json_number(value) or (
+            isinstance(value, list) and len(value) == m and all(map(is_json_number, value))
+        ), "a number or a list of M numbers")
+    for key, (ok, want) in wants.items():
+        if not ok:
+            raise ValueError(f"dataset header in {path}: {key} must be {want}, "
+                             f"got {header[key]!r}")
+    return (m, np.asarray(header["sigma2"], dtype=float), np.asarray(header["alpha"], dtype=float),
+            float(header["p_max"]))
+
+
 def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealization], dict]:
     """Read a dataset file written by save_dataset; returns (train, test, header)."""
     text = Path(path).read_text(encoding="utf-8")
@@ -267,10 +295,7 @@ def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealizatio
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise ValueError(f"dataset header in {path} lacks {', '.join(missing)}")
-    m = int(header["M"])
-    sigma2 = np.asarray(header["sigma2"], dtype=float)
-    alpha = np.asarray(header["alpha"], dtype=float)
-    p_max = float(header["p_max"])
+    m, sigma2, alpha, p_max = _header_values(header, path)
     train: list[ChannelRealization] = []
     test: list[ChannelRealization] = []
     for line_no, ln in enumerate(lines[1:], start=2):

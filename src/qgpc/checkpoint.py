@@ -9,10 +9,12 @@ the container and differ only in kind and architecture fields.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
+from .channels import is_json_number
 from .graph import FeatureScaler
 
 CHECKPOINT_VERSION = 2  # 2: the arch dict no longer holds feature_dim
@@ -58,6 +60,11 @@ def load_checkpoint(path) -> dict:
         raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
     if not all(type(val) is int for val in arch.values()):
         raise CheckpointError(f"checkpoint {path} has non-integer arch values: {arch}")
+    numbers = (scaler.mu, scaler.sigma, scaler.z_clip)
+    if not all(is_json_number(x) and math.isfinite(x) for x in numbers) \
+            or not (scaler.sigma > 0 and scaler.z_clip > 0):
+        raise CheckpointError(f"checkpoint {path} scaler needs finite numbers with "
+                              f"sigma > 0 and z_clip > 0, got {sc}")
     if params.ndim != 1 or not np.all(np.isfinite(params)):
         raise CheckpointError(f"checkpoint {path} params are not a finite vector")
     return {"version": doc["version"], "kind": doc["kind"], "arch": arch,

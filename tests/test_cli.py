@@ -1,12 +1,23 @@
 """End-to-end command-line pipeline, run in process through cli.main."""
 
+import functools
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgpc.cli as cli
+from qgpc import channels as ch
+from qgpc.checkpoint import (CHECKPOINT_VERSION, KNOWN_KINDS, CheckpointError, load_checkpoint,
+                             save_checkpoint)
 from qgpc.cli import DEFAULT_CONFIG, ConfigError, load_config, main
+from qgpc.gcn import GcnModel
+from qgpc.graph import fit_feature_scaler
 from qgpc.trainer import NonFiniteLossError
 
 
@@ -208,6 +219,38 @@ def test_dataset_header_without_sigma2_is_a_config_error(tmp_path, capsys):
     assert "sigma2" in capsys.readouterr().err
 
 
+def test_dataset_header_values_are_type_checked(tmp_path, capsys):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    path = tmp_path / "dataset.jsonl"
+    lines = path.read_text().split("\n")
+    capsys.readouterr()
+    for key, value in (("M", None), ("p_max", None), ("sigma2", None), ("alpha", None),
+                       ("M", float("inf")), ("sigma2", float("nan")), ("p_max", float("inf")),
+                       ("alpha", [1.0, -float("inf"), 1.0]), ("train", "8")):
+        header = json.loads(lines[0])
+        header[key] = value
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]))
+        assert main(_args(tmp_path) + ["train"]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
+
+def test_checkpoint_scaler_needs_finite_numbers_and_positive_scales(tmp_path, capsys):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    assert main(_args(tmp_path, "--set", "train.epochs=0") + ["train"]) == 0
+    ckpt = tmp_path / "qgnn_checkpoint.json"
+    good = json.loads(ckpt.read_text())
+    capsys.readouterr()
+    for key, value in (("mu", None), ("sigma", "x"), ("sigma", 0), ("z_clip", -1.0),
+                       ("mu", float("inf")), ("sigma", True)):
+        doc = json.loads(json.dumps(good))
+        doc["scaler"][key] = value
+        ckpt.write_text(json.dumps(doc))
+        assert main(_args(tmp_path) + ["eval"]) == 2, (key, value)
+        captured = capsys.readouterr()
+        assert captured.out == "" and "scaler" in captured.err
+
+
 def test_checkpoint_holding_a_json_array_is_refused(tmp_path, capsys):
     assert main(_args(tmp_path) + ["gen"]) == 0
     (tmp_path / "qgnn_checkpoint.json").write_text("[1, 2]")
@@ -318,3 +361,82 @@ def test_minibatch_training_csv_is_byte_identical_on_rerun(tmp_path):
         blobs.append((tmp_path / sub / "qgnn_train_report.csv").read_bytes())
     assert blobs[0] == blobs[1]
     assert len(blobs[0].decode().strip().split("\n")) == 4  # header, baseline, 2 epochs
+
+
+@functools.cache
+def _valid_files() -> tuple[str, str]:
+    """Text of a small valid dataset and of a valid GCN checkpoint for it."""
+    realizations = [ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=s), seed=s)
+                    for s in range(3)]
+    model = GcnModel(hidden=4, layers=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        data, ckpt = Path(tmp) / "dataset.jsonl", Path(tmp) / "ckpt.json"
+        ch.save_dataset(data, realizations[:2], realizations[2:], {"seed": 1})
+        save_checkpoint(ckpt, "gcn", model.arch_dict(),
+                        model.init_params(np.random.default_rng(0)),
+                        fit_feature_scaler(realizations[:2]))
+        return data.read_text(), ckpt.read_text()
+
+
+_DATASET_FIELDS = [("header", key) for key in
+                   ("version", "kind", "M", "sigma2", "alpha", "p_max", "seed", "train", "test")]
+_DATASET_FIELDS += [("record", key) for key in ("split", "idx", "G")]
+_CHECKPOINT_FIELDS = [("version",), ("kind",), ("arch",), ("arch", "hidden"), ("arch", "layers"),
+                      ("scaler",), ("scaler", "mu"), ("scaler", "sigma"), ("scaler", "z_clip"),
+                      ("params",), ("params", 0)]
+_BAD_VALUES = (None, "x", [1.0], {"a": 1}, float("nan"), float("inf"), -float("inf"), 0, -1)
+
+
+def _assert_valid_dataset(train, test, header):
+    m = header["M"]
+    assert type(m) is int and m >= 1
+    assert len(train) == header["train"] and len(test) == header["test"]
+    for c in train + test:
+        assert c.G.shape == (m, m) and np.all(np.isfinite(c.G.view(float)))
+        assert np.all(np.isfinite(c.sigma2) & (c.sigma2 > 0))
+        assert np.all(np.isfinite(c.alpha) & (c.alpha >= 0))
+        assert math.isfinite(c.p_max) and c.p_max > 0
+
+
+def _assert_valid_checkpoint(doc):
+    assert doc["version"] == CHECKPOINT_VERSION and doc["kind"] in KNOWN_KINDS
+    assert all(type(val) is int for val in doc["arch"].values())
+    scaler = doc["scaler"]
+    for x in (scaler.mu, scaler.sigma, scaler.z_clip):
+        assert type(x) in (int, float) and math.isfinite(x)
+    assert scaler.sigma > 0 and scaler.z_clip > 0
+    assert doc["params"].ndim == 1 and np.all(np.isfinite(doc["params"]))
+
+
+@settings(max_examples=200)
+@given(field=st.sampled_from(_DATASET_FIELDS + _CHECKPOINT_FIELDS),
+       value=st.sampled_from(_BAD_VALUES))
+def test_parsers_raise_only_typed_errors_on_a_mutated_field(field, value):
+    dataset_text, checkpoint_text = _valid_files()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        if field in _DATASET_FIELDS:
+            lines = dataset_text.split("\n")
+            line = 0 if field[0] == "header" else 1
+            doc = json.loads(lines[line])
+            doc[field[1]] = value
+            lines[line] = json.dumps(doc)
+            path.write_text("\n".join(lines))
+            try:
+                loaded = ch.load_dataset(path)
+            except ValueError:
+                return
+            _assert_valid_dataset(*loaded)
+        else:
+            doc = json.loads(checkpoint_text)
+            *parents, key = field
+            target = doc
+            for name in parents:
+                target = target[name]
+            target[key] = value
+            path.write_text(json.dumps(doc))
+            try:
+                loaded = load_checkpoint(path)
+            except CheckpointError:
+                return
+            _assert_valid_checkpoint(loaded)

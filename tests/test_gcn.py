@@ -8,6 +8,7 @@ from qgpc.channels import sinr, weighted_sum_rate
 from qgpc import gcn
 from qgpc.gcn import GcnModel, GcnParams, gcn_forward, gcn_loss_and_grad
 from qgpc.graph import InterferenceGraph, build_graph, fit_feature_scaler
+from qgpc.trainer import Instance
 
 
 def _instance(m=4, seed=0):
@@ -122,17 +123,45 @@ def test_model_adapter():
 
 
 def test_max_aggregation_matches_per_node_loop():
-    _, graph = _instance(5, seed=9)
+    graphs = [_instance(5, seed=9)[1], _instance(5, seed=10)[1]]
     params = _random_params(2, 6, 2, seed=9)
     params.layers[0].msg_w2[:, 0] = 0.0  # column 0 ties across every edge
-    _, (_, _, src, caches) = gcn._forward(graph, params)
-    n = graph.N
-    assert src.tolist() == [u for v in range(n) for u in graph.adjacency[v]]
-    dst = np.array([v for v in range(n) for _ in graph.adjacency[v]])
-    for h_in, _, _, _, msgs, amax, u, _, _ in caches:
-        cols = np.arange(msgs.shape[1])
-        for v in range(n):
-            rows = np.nonzero(dst == v)[0]
-            top = np.argmax(msgs[rows], axis=0)  # first index wins a tie
-            assert np.array_equal(u[v, h_in.shape[1]:], msgs[rows][top, cols])
-            assert np.array_equal(amax[v], rows[top])
+    tape = gcn._forward(graphs, params)
+    n = graphs[0].N
+    assert tape.src.tolist() == [u for v in range(n) for u in graphs[0].adjacency[v]]
+    dst = np.array([v for v in range(n) for _ in graphs[0].adjacency[v]])
+    for layer, h_in, (_, _, a1, amax, u, _, _) in zip(params.layers, tape.h, tape.caches):
+        msgs = (a1 @ layer.msg_w2 + layer.msg_b2).reshape(len(graphs), dst.size, -1)
+        u = u.reshape(len(graphs), n, -1)
+        cols = np.arange(msgs.shape[2])
+        for b in range(len(graphs)):
+            for v in range(n):
+                rows = np.nonzero(dst == v)[0]
+                top = np.argmax(msgs[b, rows], axis=0)  # first index wins a tie
+                assert np.array_equal(u[b, v, h_in.shape[2]:], msgs[b, rows][top, cols])
+                assert np.array_equal(amax[b, v, 0], top)
+    assert not np.array_equal(tape.p[0], tape.p[1])
+
+
+def test_batch_calls_match_single_instance_calls(monkeypatch):
+    sizes = [4, 1, 3, 4, 2, 4, 1, 3, 4, 5, 4, 3, 1] * 3
+    insts = [ch.realize_channels(ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=40 + i),
+                                 seed=540 + i) for i, m in enumerate(sizes)]
+    scaler = fit_feature_scaler(insts)  # shared, so single-node graphs differ too
+    split = [Instance(f"i{i}", c, build_graph(c, scaler)) for i, c in enumerate(insts)]
+    model = GcnModel(hidden=16, layers=2)
+    params = _random_params(2, 16, 2, seed=21)
+    params.layers[1].msg_w2[:, 2] = 0.0  # column 2 ties across every edge
+    flat = params.flatten()
+    monkeypatch.setattr(gcn, "BLOCK_EDGES", 30)  # 2 graphs of 4 nodes, 5 of 3 per block
+    graphs = [inst.graph for inst in split]
+    assert len(list(gcn._blocks(graphs))) > len(set(sizes))
+    seeds = list(range(len(split)))
+    powers = model.forward_batch(split, flat, seeds)
+    losses, grads = model.loss_and_grad_batch(split, flat, seeds)
+    assert len(powers) == len(split) and grads.shape == (len(split), flat.size)
+    for i, inst in enumerate(split):
+        assert np.array_equal(powers[i], model.forward(inst.channels, inst.graph, flat, 0))
+        loss, grad = model.loss_and_grad(inst.channels, inst.graph, flat, 0)
+        assert losses[i] == pytest.approx(loss, rel=1e-13)
+        np.testing.assert_allclose(grads[i], grad, rtol=0, atol=1e-13 * np.abs(grad).max())
