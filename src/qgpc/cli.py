@@ -25,7 +25,7 @@ from .trainer import (
     Instance, NonFiniteLossError, SeedConfig, TrainConfig, evaluate_mean, mix_seed, train,
     wmmse_mean,
 )
-from .wmmse import grid_search_oracle
+from .wmmse import check_grid, grid_search_oracle
 
 ENV_OUT_DIR = "QGPC_OUT_DIR"
 CONFIG_VERSION = 1
@@ -266,9 +266,14 @@ def cmd_train(cfg: dict) -> int:
 def cmd_eval(cfg: dict, checkpoint: str | None, oracle_levels: int | None) -> int:
     """Evaluate a checkpoint on the test split against WMMSE (and optionally
     the grid oracle, feasible only for small M)."""
-    _, test_ch, _ = _load_instances(cfg)
+    _, test_ch, header = _load_instances(cfg)
     if not test_ch:
         raise ConfigError("dataset has no test split to evaluate on")
+    if oracle_levels is not None:
+        try:
+            check_grid(oracle_levels, header["M"])
+        except ValueError as exc:
+            raise ConfigError(f"--oracle-levels {oracle_levels}: {exc}") from exc
     model = _build_model(cfg)
     ckpt_path = Path(checkpoint) if checkpoint else _out_dir(cfg) / f"{model.name}_checkpoint.json"
     if not ckpt_path.exists():

@@ -17,6 +17,12 @@ pair entirely). wmmse_allocate therefore multi-starts by default: the
 configured primary start, one corner start per pair (that pair at p_max,
 the rest silent), and a few seeded uniform restarts. The best run's record
 is returned; everything stays deterministic for a fixed config.
+
+The grid oracle never builds its (levels^M, M) power grid. Receiver m's
+interference on the grid is a sum of M one-dimensional terms, term k being
+axis^2 |g_km|^2 laid along grid axis k, so each rate is formed by
+broadcasting those terms over one lexicographic slab of the grid at a time.
+Memory is bounded by a slab, not by the grid.
 """
 
 from __future__ import annotations
@@ -25,9 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelRealization, sum_rate, sum_rate_batch
+# sum_rate_batch is not called here; it stays bound on this module for code
+# that looks it up or wraps it here (the benchmark's tracer does).
+from .channels import ChannelRealization, sum_rate, sum_rate_batch  # noqa: F401
 
-GRID_POINT_GUARD = 10 ** 7
+GRID_POINT_GUARD = 10 ** 7  # bounds the oracle's time; its memory is bounded by a slab
+SLAB_POINTS = 1 << 16       # most grid points the oracle evaluates at once
 _W_DENOM_FLOOR = 1e-12
 _V_DENOM_FLOOR = 1e-300  # turns the 0/0 of an all-silent sweep into v = 0
 _RESTART_STREAM_TAG = 0x524553  # keeps restart draws apart from init="random"
@@ -142,29 +151,85 @@ def wmmse_allocate(channels: ChannelRealization, cfg: WmmseConfig = WmmseConfig(
     return best
 
 
-def grid_search_oracle(channels: ChannelRealization, levels: int) -> tuple[np.ndarray, float]:
-    """Exhaustive search over the uniform grid {0, ..., p_max}^M.
-
-    Refuses instances where levels**M exceeds the point guard. Ties are
-    broken toward the first grid point in lexicographic order.
-    """
+def check_grid(levels: int, m: int) -> None:
+    """Refuse a grid the oracle will not search: fewer than 2 levels, or
+    more than GRID_POINT_GUARD points."""
     if levels < 2:
         raise ValueError("levels must be >= 2")
-    m = channels.M
     if levels ** m > GRID_POINT_GUARD:
         raise InstanceTooLargeError(
             f"{levels}^{m} grid points exceed the {GRID_POINT_GUARD} guard"
         )
+
+
+def _slab_sum_rate(channels: ChannelRealization, axis: np.ndarray, picks: tuple) -> np.ndarray:
+    """Weighted sum rate at every point of one slab of the grid axis^M,
+    shaped like the slab.
+
+    picks[k] selects the levels of grid axis k: an int fixes it for the whole
+    slab, a slice spans it along one slab axis. term[m, k] holds
+    axis^2 |g_km|^2, so receiver m's interference is the broadcast sum of
+    term[m, k, picks[k]] over k in index order, the order in which
+    channels._sinr_terms adds them; each rate is built from the same float
+    operations as there. The sum over receivers runs in index order.
+    """
+    term = (np.abs(channels.G) ** 2).T[:, :, None] * axis ** 2
+    spans = [k for k, pick in enumerate(picks) if isinstance(pick, slice)]
+    shape = {k: (-1,) + (1,) * (len(spans) - 1 - d) for d, k in enumerate(spans)}
+
+    def laid(m, k):
+        t = term[m, k, picks[k]]
+        return t.reshape(shape[k]) if k in shape else t
+
+    total = 0.0
+    for m in range(len(picks)):
+        received = laid(m, 0)
+        for k in range(1, len(picks)):
+            received = received + laid(m, k)
+        direct = laid(m, m)
+        # alpha_m log2(1 + direct / (received - direct + sigma2_m)), in place
+        rate = received - direct
+        rate += channels.sigma2[m]
+        np.divide(direct, rate, out=rate)
+        rate += 1.0
+        np.log2(rate, out=rate)
+        rate *= channels.alpha[m]
+        total = total + rate
+    return total
+
+
+def grid_search_oracle(channels: ChannelRealization, levels: int) -> tuple[np.ndarray, float]:
+    """Exhaustive search over the uniform grid {0, ..., p_max}^M.
+
+    Refuses grids that check_grid refuses. The grid is evaluated in
+    lexicographic slabs of at most SLAB_POINTS points: the trailing axes
+    whole, a block of the next axis, every earlier axis fixed. Ties go to
+    the first grid point in lexicographic order (the first maximum within a
+    slab, a strict improvement across slabs). The objective returned is
+    sum_rate at the winning point, so it is bit-equal to scoring that point
+    alone; for M < 8 every in-grid value is too, while for larger M numpy's
+    pairwise sum over receivers may round an in-grid value differently.
+    """
+    m = channels.M
+    check_grid(levels, m)
     axis = np.linspace(0.0, channels.p_max, levels)
-    mesh = np.meshgrid(*([axis] * m), indexing="ij")
-    P = np.stack([g.ravel() for g in mesh], axis=1)
-    best_idx = -1
-    best_obj = -np.inf
-    chunk = 200_000
-    for start in range(0, P.shape[0], chunk):
-        objs = sum_rate_batch(channels, P[start:start + chunk])
-        i = int(np.argmax(objs))
-        if objs[i] > best_obj:
-            best_obj = float(objs[i])
-            best_idx = start + i
-    return P[best_idx].copy(), best_obj
+    whole = 0  # trailing axes that every slab spans in full
+    while whole < m and levels ** (whole + 1) <= SLAB_POINTS:
+        whole += 1
+    if whole == m:
+        slabs = [(slice(None),) * m]
+    else:
+        step = SLAB_POINTS // levels ** whole
+        slabs = ((*fixed, slice(start, start + step)) + (slice(None),) * whole
+                 for fixed in np.ndindex(*([levels] * (m - whole - 1)))
+                 for start in range(0, levels, step))
+    grid = (levels,) * m
+    best_obj, best = -np.inf, 0
+    for picks in slabs:
+        rates = _slab_sum_rate(channels, axis, picks)
+        i = int(np.argmax(rates))
+        if rates.flat[i] > best_obj:  # a slab is a contiguous run of the flat grid
+            origin = [pick if isinstance(pick, int) else pick.start or 0 for pick in picks]
+            best_obj, best = rates.flat[i], int(np.ravel_multi_index(origin, grid)) + i
+    p = axis[np.array(np.unravel_index(best, grid))]
+    return p, sum_rate(channels, p)

@@ -93,6 +93,25 @@ def test_eval_oracle_bound_on_small_instances(tmp_path, capsys):
     assert oracle >= model_mean - 1e-9
 
 
+@pytest.mark.parametrize("levels", ["1", "100"])  # < 2 levels; 100**4 points > guard
+def test_oracle_levels_are_checked_before_any_work(tmp_path, monkeypatch, capsys, levels):
+    args = _args(tmp_path, "--set", "scenario.M=4", "--set", "train.epochs=0")
+    assert main(args + ["gen"]) == 0
+    assert main(args + ["train"]) == 0
+    capsys.readouterr()
+
+    def no_work(*_):
+        raise AssertionError("eval ran before --oracle-levels was checked")
+
+    monkeypatch.setattr(cli, "evaluate_mean", no_work)
+    monkeypatch.setattr(cli, "wmmse_mean", no_work)
+    assert main(args + ["eval", "--oracle-levels", levels]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --oracle-levels {levels}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_both_archs_share_the_wmmse_baseline_column(tmp_path):
     assert main(_args(tmp_path) + ["gen"]) == 0
     assert main(_args(tmp_path) + ["train"]) == 0

@@ -1,9 +1,16 @@
 """WMMSE solver properties and the grid oracle."""
 
+import itertools
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgpc import channels as ch
+from qgpc import wmmse
 from qgpc.wmmse import (
     GRID_POINT_GUARD, InstanceTooLargeError, WmmseConfig, grid_search_oracle,
     wmmse_allocate,
@@ -74,8 +81,8 @@ def test_grid_oracle_single_pair_matches_scan():
     p, obj = grid_search_oracle(inst, levels=101)
     axis = np.linspace(0.0, 1.0, 101)
     objs = [ch.sum_rate(inst, np.array([x])) for x in axis]
-    assert obj == pytest.approx(max(objs), abs=1e-12)
-    assert p[0] == pytest.approx(axis[int(np.argmax(objs))], abs=1e-12)
+    assert obj == max(objs)
+    assert p[0] == axis[int(np.argmax(objs))]
 
 
 def test_grid_oracle_refinement_never_worse():
@@ -95,3 +102,70 @@ def test_grid_oracle_guards():
         grid_search_oracle(inst, levels=33)
     with pytest.raises(ValueError):
         grid_search_oracle(inst, levels=1)
+
+
+def _scan(inst, levels):
+    """Reference: every grid point in lexicographic order, and sum_rate at
+    each point, scored one by one."""
+    axis = np.linspace(0.0, inst.p_max, levels)
+    points = np.array(list(itertools.product(axis, repeat=inst.M)))
+    return points, np.array([ch.sum_rate(inst, point) for point in points])
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_grid_oracle_matches_a_per_point_scan(data):
+    m = data.draw(st.integers(1, 5), label="M")
+    levels = data.draw(st.integers(2, 6), label="levels")
+    gains = st.lists(st.floats(-6.0, 3.0), min_size=m * m, max_size=m * m)
+    phases = st.lists(st.floats(0.0, 2 * np.pi), min_size=m * m, max_size=m * m)
+    G = (np.exp(np.array(data.draw(gains, label="log |g|")))
+         * np.exp(1j * np.array(data.draw(phases, label="phase")))).reshape(m, m)
+    alpha = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m),
+                               label="alpha"))
+    silent = data.draw(st.none() | st.integers(0, m - 1), label="alpha=0 link")
+    if silent is not None:
+        alpha[silent] = 0.0
+    dead = data.draw(st.none() | st.integers(0, m - 1), label="zero gain row")
+    if dead is not None:
+        G[dead, :] = 0.0  # every level of this transmitter ties
+    sigma2 = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m), label="sigma2")
+    p_max = data.draw(st.floats(0.1, 10.0), label="p_max")
+    inst = ch.ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
+    # slabs of a handful of points put slab boundaries inside small grids
+    slab = data.draw(st.integers(1, 64) | st.just(wmmse.SLAB_POINTS), label="slab points")
+    with mock.patch.object(wmmse, "SLAB_POINTS", slab):
+        p, obj = grid_search_oracle(inst, levels)
+    points, objs = _scan(inst, levels)
+    first_max = int(np.argmax(objs))
+    assert np.array_equal(p, points[first_max])
+    assert obj == objs[first_max]
+    # below 8 receivers every in-grid value is bit-equal to sum_rate
+    whole = wmmse._slab_sum_rate(inst, np.linspace(0.0, inst.p_max, levels), (slice(None),) * m)
+    assert np.array_equal(whole.ravel(), objs)
+
+
+def test_grid_oracle_matches_a_per_point_scan_at_sixteen_pairs():
+    # From 8 receivers on, numpy's pairwise sum over receivers may round an
+    # in-grid value otherwise than sum_rate; the point and the returned
+    # objective must still be those of the per-point scan.
+    rng = np.random.default_rng(29)
+    for _ in range(2):
+        inst = _random_instance(rng, 16)
+        p, obj = grid_search_oracle(inst, levels=2)
+        points, objs = _scan(inst, 2)
+        first_max = int(np.argmax(objs))
+        assert np.array_equal(p, points[first_max])
+        assert obj == objs[first_max] == ch.sum_rate(inst, p)
+
+
+def test_grid_oracle_memory_is_bounded_by_a_slab():
+    rng = np.random.default_rng(23)
+    inst = _random_instance(rng, 6)
+    tracemalloc.start()
+    try:
+        grid_search_oracle(inst, levels=10)  # 10**6 points
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
