@@ -16,22 +16,15 @@ from .channels import (
     sum_rate,
     weighted_sum_rate,
 )
-from .gcn import GcnModel, GcnParams, gcn_forward
+from .gcn import GcnModel, GcnParams
 from .graph import (
     FeatureScaler,
     InterferenceGraph,
-    StarSubgraph,
     build_graph,
     decompose_stars,
     fit_feature_scaler,
 )
-from .qgnn import (
-    QgnnModel,
-    QgnnParams,
-    build_qgcl_circuit,
-    qgcl_forward,
-    qgnn_forward,
-)
+from .qgnn import QgnnModel, QgnnParams, build_qgcl_circuit
 from .qsim import (
     CircuitSpec,
     Gate,
@@ -45,6 +38,7 @@ from .trainer import (
     AdamConfig,
     Instance,
     NonFiniteLossError,
+    NonFinitePowerError,
     SeedConfig,
     TrainConfig,
     TrainReport,

@@ -3,7 +3,8 @@
 All behavior is driven by a JSON config file plus repeatable --set overrides
 (dotted keys, JSON-parsed values). Outputs land in io.out_dir, which the
 QGPC_OUT_DIR environment variable overrides. Exit codes: 0 success, 2 bad
-configuration or inputs, 3 runtime abort (non-finite training loss).
+configuration or inputs, 3 runtime abort (non-finite training loss or decoded
+power).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .gcn import GcnModel
 from .graph import build_graph, fit_feature_scaler
 from .qgnn import QgnnModel
 from .trainer import (
-    Instance, NonFiniteLossError, SeedConfig, TrainConfig, evaluate_mean, mix_seed, train,
-    wmmse_mean,
+    Instance, NonFiniteLossError, NonFinitePowerError, SeedConfig, TrainConfig, evaluate_mean,
+    mix_seed, train, wmmse_mean,
 )
 from .wmmse import check_grid, grid_search_oracle
 
@@ -331,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonFiniteLossError as exc:
+    except (NonFiniteLossError, NonFinitePowerError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
 

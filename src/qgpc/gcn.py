@@ -242,18 +242,6 @@ def gcn_loss_and_grad_batch(graphs: list[InterferenceGraph],
     return losses, grads
 
 
-def gcn_forward(graph: InterferenceGraph, params: GcnParams) -> np.ndarray:
-    """Power vector in (0, p_max) for one graph."""
-    return gcn_forward_batch([graph], params)[0]
-
-
-def gcn_loss_and_grad(graph: InterferenceGraph, channels: ChannelRealization,
-                      params: GcnParams) -> tuple[float, np.ndarray]:
-    """Negative weighted sum rate and its gradient in flatten() layout."""
-    losses, grads = gcn_loss_and_grad_batch([graph], [channels], params)
-    return float(losses[0]), grads[0]
-
-
 class GcnModel:
     """Adapter bundling the architecture hyperparameters for the trainer."""
 
@@ -274,11 +262,8 @@ class GcnModel:
 
     def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
                 flat_params, star_seed: int) -> np.ndarray:
-        return gcn_forward(graph, self.unflatten(flat_params))
-
-    def loss_and_grad(self, channels: ChannelRealization, graph: InterferenceGraph,
-                      flat_params, star_seed: int) -> tuple[float, np.ndarray]:
-        return gcn_loss_and_grad(graph, channels, self.unflatten(flat_params))
+        """Powers of one instance: the blocked pass at B = 1."""
+        return gcn_forward_batch([graph], self.unflatten(flat_params))[0]
 
     def forward_batch(self, instances, flat_params, star_seeds) -> list[np.ndarray]:
         """Powers of every instance; the GCN draws no stars."""

@@ -8,8 +8,8 @@ frozen from the training set, and lands affinely in [0, pi] so the values
 can feed rotation angles directly.
 
 The decomposition covers the graph with N overlapping stars, node i being
-the center of star i with at most k neighbors drawn uniformly without
-replacement as leaves.
+the center of star i with min(k, N - 1) of the other nodes drawn uniformly
+without replacement as leaves.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def fit_feature_scaler(realizations: list[ChannelRealization], z_clip: float = 3
 class InterferenceGraph:
     node_features: np.ndarray        # (N, NODE_FEATURES); column 0 already angle-scaled
     edge_angle: np.ndarray           # (N, N); [k, m] = phi(|g_km|^2), diagonal unused
-    adjacency: tuple[tuple[int, ...], ...]
     alpha: np.ndarray                # (N,) raw objective weights
     p_max: float
 
@@ -66,54 +65,28 @@ class InterferenceGraph:
         return self.node_features.shape[1]
 
 
-@dataclass(eq=False)
-class StarSubgraph:
-    center: int
-    leaves: tuple[int, ...]
-    edge_feats: np.ndarray  # (len(leaves),) angle of ordered edge leaf -> center
-
-    def __post_init__(self):
-        self.leaves = tuple(int(v) for v in self.leaves)
-        self.edge_feats = np.asarray(self.edge_feats, dtype=float)
-        if self.center in self.leaves:
-            raise ValueError(f"star center {self.center} cannot be its own leaf")
-        if len(set(self.leaves)) != len(self.leaves):
-            raise ValueError(f"duplicate leaves in star {self.leaves}")
-        if self.edge_feats.shape != (len(self.leaves),):
-            raise ValueError("one edge feature per leaf required")
-
-
 def build_graph(channels: ChannelRealization, scaler: FeatureScaler) -> InterferenceGraph:
     """Complete graph over the M pairs of one realization."""
-    m = channels.M
     gains = np.abs(channels.G) ** 2
     feats = np.stack([scaler.angle(np.diagonal(gains)), channels.alpha], axis=1)
     edge = scaler.angle(gains)
     np.fill_diagonal(edge, 0.0)
-    adjacency = tuple(
-        tuple(j for j in range(m) if j != i) for i in range(m)
-    )
     return InterferenceGraph(
-        node_features=feats, edge_angle=edge, adjacency=adjacency,
-        alpha=channels.alpha.copy(), p_max=channels.p_max,
+        node_features=feats, edge_angle=edge, alpha=channels.alpha.copy(), p_max=channels.p_max,
     )
 
 
-def decompose_stars(graph: InterferenceGraph, k: int, seed: int) -> list[StarSubgraph]:
-    """One star per node: center i plus min(k, degree) leaves drawn uniformly
-    without replacement from its neighborhood. Deterministic for a fixed seed;
-    leaf draws are consumed in center order 0..N-1."""
+def decompose_stars(n: int, k: int, seed: int) -> np.ndarray:
+    """Leaves of the n stars over n nodes: row i holds the min(k, n - 1)
+    leaves of center i in draw order, drawn uniformly without replacement
+    from the other nodes. Deterministic for a fixed seed; rows are drawn in
+    center order 0..n-1."""
     if k < 0:
         raise ValueError("k must be non-negative")
     rng = np.random.default_rng(seed)
-    stars = []
-    for i in range(graph.N):
-        neigh = np.asarray(graph.adjacency[i], dtype=int)
-        take = min(k, neigh.size)
-        leaves = rng.choice(neigh, size=take, replace=False) if take else np.empty(0, dtype=int)
-        stars.append(StarSubgraph(
-            center=i,
-            leaves=tuple(int(v) for v in leaves),
-            edge_feats=graph.edge_angle[leaves, i] if take else np.empty(0),
-        ))
-    return stars
+    leaves = np.empty((n, min(k, n - 1)), dtype=np.intp)
+    if leaves.shape[1]:
+        for i in range(n):  # index j of the other nodes is node j + (j >= i)
+            draw = rng.choice(n - 1, size=leaves.shape[1], replace=False)
+            leaves[i] = draw + (draw >= i)
+    return leaves

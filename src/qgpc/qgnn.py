@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import ChannelRealization, sigmoid, sum_rate, weighted_sum_rate_grad
-from .graph import NODE_FEATURES, InterferenceGraph, StarSubgraph, decompose_stars
+from .graph import NODE_FEATURES, InterferenceGraph, decompose_stars
 # run_batch is not called here; it stays bound on this module for code that
 # looks it up or wraps it here (the benchmark's tracer does).
 from .qsim import CircuitSpec, Gate, _apply_gates, _z_signs, run_batch  # noqa: F401
@@ -81,16 +81,8 @@ def _spec_for(feature_dim: int, depth: int) -> CircuitSpec:
 
 
 @dataclass(eq=False)
-class QgclLayerParams:
-    theta: np.ndarray
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-
-
-@dataclass(eq=False)
 class QgnnParams:
-    layers: list[QgclLayerParams]
+    layers: list[np.ndarray]  # trainable angles of each layer's circuit
     decode_scale: float
     decode_bias: float
 
@@ -105,15 +97,12 @@ class QgnnParams:
         want = cls.param_count(feature_dim, n_layers, depth)
         if flat.shape != (want,):
             raise ValueError(f"expected {want} parameters, got shape {flat.shape}")
-        layers = [
-            QgclLayerParams(flat[i * spl:(i + 1) * spl].copy()) for i in range(n_layers)
-        ]
+        layers = [flat[i * spl:(i + 1) * spl].copy() for i in range(n_layers)]
         return cls(layers=layers, decode_scale=float(flat[-2]), decode_bias=float(flat[-1]))
 
     def flatten(self) -> np.ndarray:
         return np.concatenate(
-            [layer.theta for layer in self.layers]
-            + [np.array([self.decode_scale, self.decode_bias])]
+            self.layers + [np.array([self.decode_scale, self.decode_bias])]
         )
 
 
@@ -211,19 +200,19 @@ class _Rows:
                                embedding_to_angle(h[self.leaf[blk]]), self.edge[blk, None]], 1)
 
 
-def _layer_rows(stars_by_graph, offsets) -> _Rows:
-    """Rows of each graph's star list, its nodes stacked from its offset."""
-    center, leaf, edge, fan, first = [], [], [], [], []
-    for off, stars in zip(offsets, stars_by_graph):
-        for star in (st for st in stars if st.leaves):
-            first.append(len(center))
-            fan += [len(star.leaves)] * len(star.leaves)
-            for node, angle in sorted(zip(star.leaves, star.edge_feats)):
-                center.append(off + star.center)
-                leaf.append(off + node)
-                edge.append(angle)
-    ints = [np.array(xs, dtype=np.intp) for xs in (center, leaf, fan, first)]
-    return _Rows(ints[0], ints[1], np.array(edge, dtype=float), ints[2], ints[3])
+def _layer_rows(graphs: list[InterferenceGraph], leaves: list[np.ndarray], offsets) -> _Rows:
+    """Rows of each graph's (N, s) leaf array, its nodes stacked from its offset."""
+    sizes = np.array([len(lv) for lv in leaves])
+    node_fan = np.repeat([lv.shape[1] for lv in leaves], sizes)
+    center = np.repeat(np.arange(node_fan.size), node_fan)
+    graph = np.repeat(np.arange(len(leaves)), [lv.size for lv in leaves])
+    local = np.concatenate([np.sort(lv, axis=1).ravel() for lv in leaves])
+    # edge leaf -> center of graph b is entry [leaf, center] of its raveled (N, N) block
+    block = np.cumsum(sizes ** 2) - sizes ** 2
+    angles = np.concatenate([g.edge_angle.ravel() for g in graphs])
+    edge = angles[block[graph] + local * sizes[graph] + center - offsets[graph]]
+    fan = node_fan[node_fan > 0]
+    return _Rows(center, local + offsets[graph], edge, np.repeat(fan, fan), np.cumsum(fan) - fan)
 
 
 def _layer_forward(spec: CircuitSpec, theta: np.ndarray, h: np.ndarray,
@@ -259,14 +248,6 @@ def _layer_backward(spec: CircuitSpec, theta: np.ndarray, h: np.ndarray, rows: _
     return g_in
 
 
-def qgcl_forward(star: StarSubgraph, embeddings: np.ndarray, layer: QgclLayerParams,
-                 spec: CircuitSpec) -> np.ndarray:
-    """New center embedding: mean leaf message, computed order-independently.
-    A star with no leaves passes the center embedding through unchanged."""
-    h = np.asarray(embeddings, dtype=float)
-    return _layer_forward(spec, layer.theta, h, _layer_rows([[star]], [0]))[star.center]
-
-
 @dataclass(eq=False)
 class _Tape:
     """A forward pass over graphs stacked node-wise, kept for the backward."""
@@ -280,22 +261,18 @@ class _Tape:
     sig: np.ndarray         # (N,) decoded power fraction
 
 
-def _forward_tape(graphs: list[InterferenceGraph], params: QgnnParams, k: int, star_seeds,
-                  stars_by_layer: list[list[StarSubgraph]] | None = None) -> _Tape:
-    """Layer ell of graph b draws its stars with seed star_seeds[b] + ell, one
-    graph at a time, unless the stars of the single graph are supplied."""
-    if stars_by_layer is not None and len(stars_by_layer) != len(params.layers):
-        raise ValueError("need one star list per layer")
+def _forward_tape(graphs: list[InterferenceGraph], params: QgnnParams, k: int,
+                  star_seeds) -> _Tape:
+    """Layer ell of graph b draws its stars with seed star_seeds[b] + ell."""
     f = graphs[0].feature_dim
-    spec = _spec_for(f, params.layers[0].theta.size // (2 * input_slot_count(f)))
+    spec = _spec_for(f, params.layers[0].size // (2 * input_slot_count(f)))
     sizes = [g.N for g in graphs]
     offsets = np.cumsum([0] + sizes[:-1])
     h, rows = [np.concatenate([initial_embeddings(g) for g in graphs])], []
-    for ell, layer in enumerate(params.layers):
-        stars = ([stars_by_layer[ell]] if stars_by_layer is not None else
-                 (decompose_stars(g, k, seed + ell) for g, seed in zip(graphs, star_seeds)))
-        rows.append(_layer_rows(stars, offsets))
-        h.append(_layer_forward(spec, layer.theta, h[-1], rows[-1]))
+    for ell, theta in enumerate(params.layers):
+        leaves = [decompose_stars(g.N, k, seed + ell) for g, seed in zip(graphs, star_seeds)]
+        rows.append(_layer_rows(graphs, leaves, offsets))
+        h.append(_layer_forward(spec, theta, h[-1], rows[-1]))
     sig = sigmoid(params.decode_scale * h[-1][:, 0] + params.decode_bias)
     return _Tape(spec, offsets, np.repeat(np.arange(len(graphs)), sizes), h, rows,
                  np.repeat([g.p_max for g in graphs], sizes), sig)
@@ -311,36 +288,16 @@ def _loss_and_grad(tape: _Tape, channels: list[ChannelRealization], params: Qgnn
         losses[b] = -sum_rate(ch, p[lo:lo + ch.M])
         dloss_dp[lo:lo + ch.M] = -weighted_sum_rate_grad(ch, p[lo:lo + ch.M])
     gz = dloss_dp * (tape.p_max * tape.sig * (1.0 - tape.sig))
-    spl = params.layers[0].theta.size
+    spl = params.layers[0].size
     grads = np.zeros((len(channels), len(params.layers) * spl + 2))
     grads[:, -2] = np.add.reduceat(gz * tape.h[-1][:, 0], tape.offsets)
     grads[:, -1] = np.add.reduceat(gz, tape.offsets)
     g = np.zeros_like(tape.h[-1])
     g[:, 0] = gz * params.decode_scale
     for ell in range(len(params.layers) - 1, -1, -1):
-        g = _layer_backward(tape.spec, params.layers[ell].theta, tape.h[ell], tape.rows[ell],
+        g = _layer_backward(tape.spec, params.layers[ell], tape.h[ell], tape.rows[ell],
                             g, grads[:, ell * spl:(ell + 1) * spl], tape.node_graph)
     return losses, grads
-
-
-def qgnn_forward(graph: InterferenceGraph, params: QgnnParams, k: int, star_seed: int,
-                 stars_by_layer: list[list[StarSubgraph]] | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run all layers and decode powers. Layer ell draws its stars with seed
-    star_seed + ell unless explicit stars are supplied. Returns (p, h)."""
-    tape = _forward_tape([graph], params, k, [star_seed], stars_by_layer)
-    return tape.p_max * tape.sig, tape.h[-1]
-
-
-def qgnn_loss_and_grad(graph: InterferenceGraph, channels: ChannelRealization,
-                       params: QgnnParams, k: int, star_seed: int,
-                       stars_by_layer: list[list[StarSubgraph]] | None = None,
-                       ) -> tuple[float, np.ndarray]:
-    """Negative weighted sum rate and its exact gradient in flat layout
-    (layer angles in order, then decode_scale, decode_bias)."""
-    tape = _forward_tape([graph], params, k, [star_seed], stars_by_layer)
-    losses, grads = _loss_and_grad(tape, [channels], params)
-    return float(losses[0]), grads[0]
 
 
 class QgnnModel:
@@ -364,13 +321,9 @@ class QgnnModel:
 
     def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
                 flat_params, star_seed: int) -> np.ndarray:
-        p, _ = qgnn_forward(graph, self.unflatten(flat_params), self.k, star_seed)
-        return p
-
-    def loss_and_grad(self, channels: ChannelRealization, graph: InterferenceGraph,
-                      flat_params, star_seed: int) -> tuple[float, np.ndarray]:
-        return qgnn_loss_and_grad(graph, channels, self.unflatten(flat_params),
-                                  self.k, star_seed)
+        """Powers of one instance: the stacked pass at B = 1."""
+        tape = _forward_tape([graph], self.unflatten(flat_params), self.k, [star_seed])
+        return tape.p_max * tape.sig
 
     def forward_batch(self, instances, flat_params, star_seeds) -> list[np.ndarray]:
         """Powers of every instance from one stacked pass."""

@@ -36,6 +36,10 @@ class NonFiniteLossError(RuntimeError):
         self.value = value
 
 
+class NonFinitePowerError(RuntimeError):
+    """Evaluation aborted on a non-finite decoded power."""
+
+
 def mix_seed(*parts: int) -> int:
     """Deterministically combine integers into one RNG seed."""
     state = np.random.SeedSequence([int(p) for p in parts]).generate_state(1, np.uint64)
@@ -167,6 +171,8 @@ def evaluate_mean(model: PowerModel, flat_params, instances: list[Instance],
                                  [eval_star_seed(seeds, idx) for idx in range(len(instances))])
     total = 0.0
     for inst, p in zip(instances, powers):
+        if not np.all(np.isfinite(p)):
+            raise NonFinitePowerError(f"non-finite power {p.tolist()} for instance {inst.label}")
         total += sum_rate(inst.channels, p)
     return total / len(instances)
 

@@ -6,3 +6,5 @@ from hypothesis import settings
 
 settings.register_profile("qgpc", derandomize=True, deadline=None)
 settings.load_profile("qgpc")
+
+pytest_plugins = ["pytester"]

@@ -18,13 +18,11 @@ import qgpc.cli as cli
 from qgpc import channels as ch
 from qgpc.channels import sinr, weighted_sum_rate
 from qgpc.cli import main
-from qgpc.gcn import GcnParams, gcn_forward
+from qgpc.gcn import GcnParams, gcn_forward_batch
 from qgpc.graph import InterferenceGraph, build_graph, decompose_stars, fit_feature_scaler
-from qgpc.qgnn import (
-    QgclLayerParams, QgnnParams, build_qgcl_circuit, qgcl_forward, qgnn_forward,
-    qgnn_loss_and_grad,
-)
+from qgpc.qgnn import QgnnModel, QgnnParams, _layer_forward, _layer_rows, build_qgcl_circuit
 from qgpc.qsim import CircuitSpec, Gate, Observable, expectation, param_shift_grad, run_circuit
+from qgpc.trainer import Instance
 from qgpc.wmmse import grid_search_oracle, wmmse_allocate
 
 
@@ -115,12 +113,11 @@ def test_acceptance_4_qgnn_gradient_fidelity():
     graph = build_graph(inst, fit_feature_scaler([inst]))
     n_params = QgnnParams.param_count(feature_dim=2, n_layers=2, depth=2)
     flat0 = np.random.default_rng(42).uniform(-0.5, 0.5, n_params)
-    params = QgnnParams.from_flat(flat0, 2, 2, 2)
-    _, grad = qgnn_loss_and_grad(graph, inst, params, k=2, star_seed=9)
+    model = QgnnModel(layers=2, depth=2, k=2)
+    (_,), (grad,) = model.loss_and_grad_batch([Instance("i", inst, graph)], flat0, [9])
 
     def f(flat):
-        q = QgnnParams.from_flat(flat, 2, 2, 2)
-        p, _ = qgnn_forward(graph, q, k=2, star_seed=9)
+        p = model.forward_batch([Instance("i", inst, graph)], flat, [9])[0]
         return -weighted_sum_rate(sinr(inst, p), inst.alpha)
 
     fd = np.zeros(n_params)
@@ -174,27 +171,30 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
     inst = _instance(5, seed=600)
     graph = build_graph(inst, fit_feature_scaler([inst]))
     for seed in range(20):
-        stars = decompose_stars(graph, k=2, seed=seed)
-        assert [s.center for s in stars] == list(range(5))
-        for s in stars:
-            assert all(leaf in graph.adjacency[s.center] for leaf in s.leaves)
+        stars = decompose_stars(graph.N, k=2, seed=seed)
+        assert len(stars) == 5  # row i is the star centered on node i
+        for center, leaves in enumerate(stars):
+            assert all(leaf in range(5) and leaf != center for leaf in leaves)
 
     # leaf-order invariance of the star update, bit-exact
     spec = build_qgcl_circuit(2, 1)
     rng = np.random.default_rng(61)
-    layer = QgclLayerParams(rng.uniform(-1, 1, 10))
+    theta = rng.uniform(-1, 1, 10)
     h = rng.uniform(-1, 1, (5, 2))
-    feats = rng.uniform(0, np.pi, 4)
-    from qgpc.graph import StarSubgraph
-    base = qgcl_forward(StarSubgraph(0, (1, 2, 3, 4), feats), h, layer, spec)
+    star_graph = InterferenceGraph(np.zeros((5, 2)), np.zeros((5, 5)), np.ones(5), 1.0)
+    star_graph.edge_angle[1:, 0] = rng.uniform(0, np.pi, 4)
+    others = [[j for j in range(5) if j != i] for i in range(1, 5)]
+    rows = _layer_rows([star_graph], [np.array([[1, 2, 3, 4]] + others)], np.array([0]))
+    base = _layer_forward(spec, theta, h, rows)[0]
     for order in [(3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)]:
-        star = StarSubgraph(0, tuple((1, 2, 3, 4)[i] for i in order), feats[list(order)])
-        assert np.array_equal(qgcl_forward(star, h, layer, spec), base)
+        leaves = np.array([[(1, 2, 3, 4)[i] for i in order]] + others)
+        permuted = _layer_rows([star_graph], [leaves], np.array([0]))
+        assert np.array_equal(_layer_forward(spec, theta, h, permuted)[0], base)
 
     # GCN permutation equivariance, bit-exact
     flat = np.random.default_rng(62).uniform(-0.5, 0.5, GcnParams.param_count(2, 8, 2))
     gp = GcnParams.from_flat(flat, 2, 8, 2)
-    p = gcn_forward(graph, gp)
+    p = gcn_forward_batch([graph], gp)[0]
     perm = np.array([4, 2, 0, 1, 3])
     ea = np.empty_like(graph.edge_angle)
     for a in range(5):
@@ -203,21 +203,18 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
     pg = InterferenceGraph(
         node_features=np.asarray(graph.node_features)[np.argsort(perm)],
         edge_angle=ea,
-        adjacency=tuple(tuple(j for j in range(5) if j != i) for i in range(5)),
         alpha=np.asarray(graph.alpha)[np.argsort(perm)],
         p_max=graph.p_max,
     )
-    assert np.array_equal(gcn_forward(pg, gp)[perm], p)
+    assert np.array_equal(gcn_forward_batch([pg], gp)[0][perm], p)
 
     # trainable parameter count independent of graph size and of k
-    from qgpc.qgnn import QgnnModel
     assert {QgnnModel(2, 1, k).param_count() for k in (1, 2, 3, 9)} == {22}
     flat_q = np.random.default_rng(63).uniform(-0.1, 0.1, 22)
-    qp = QgnnParams.from_flat(flat_q, 2, 2, 1)
     for m, k in [(2, 1), (4, 2), (6, 5)]:
         inst_m = _instance(m, seed=650 + m)
         graph_m = build_graph(inst_m, fit_feature_scaler([inst_m]))
-        p_m, _ = qgnn_forward(graph_m, qp, k=k, star_seed=1)
+        p_m = QgnnModel(2, 1, k).forward_batch([Instance("m", inst_m, graph_m)], flat_q, [1])[0]
         assert p_m.shape == (m,)  # same 22 parameters drive every size
 
     # byte-identical CSV reports from two identical training invocations

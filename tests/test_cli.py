@@ -18,6 +18,7 @@ from qgpc.checkpoint import (CHECKPOINT_VERSION, KNOWN_KINDS, CheckpointError, l
 from qgpc.cli import DEFAULT_CONFIG, ConfigError, load_config, main
 from qgpc.gcn import GcnModel
 from qgpc.graph import fit_feature_scaler
+from qgpc.qgnn import QgnnModel
 from qgpc.trainer import NonFiniteLossError
 
 
@@ -208,6 +209,29 @@ def test_non_finite_training_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "train", boom)
     assert main(_args(tmp_path) + ["train"]) == 3
     assert "aborted:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arch", ["qgnn", "gcn"])
+def test_eval_with_non_finite_powers_exits_three(tmp_path, monkeypatch, capsys, arch):
+    args = _args(tmp_path, "--set", f"model.arch={arch}")
+    assert main(args + ["gen"]) == 0
+    assert main(args + ["train"]) == 0
+    model = {"qgnn": QgnnModel, "gcn": GcnModel}[arch]
+    real = model.forward_batch
+
+    def second_goes_nan(self, instances, flat, seeds):
+        powers = real(self, instances, flat, seeds)
+        powers[1] = np.full_like(powers[1], np.nan)
+        return powers
+
+    monkeypatch.setattr(model, "forward_batch", second_goes_nan)
+    capsys.readouterr()
+    assert main(args + ["eval"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aborted: ")
+    assert "non-finite power" in lines[0] and lines[0].endswith("instance test/1")
 
 
 def test_checkpoint_round_trip_params_exactly(tmp_path):

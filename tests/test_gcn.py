@@ -6,7 +6,7 @@ import pytest
 from qgpc import channels as ch
 from qgpc.channels import sinr, weighted_sum_rate
 from qgpc import gcn
-from qgpc.gcn import GcnModel, GcnParams, gcn_forward, gcn_loss_and_grad
+from qgpc.gcn import GcnModel, GcnParams, gcn_forward_batch, gcn_loss_and_grad_batch
 from qgpc.graph import InterferenceGraph, build_graph, fit_feature_scaler
 from qgpc.trainer import Instance
 
@@ -43,8 +43,8 @@ def test_flat_round_trip():
 def test_forward_shapes_feasible_and_deterministic():
     inst, graph = _instance(4, seed=2)
     params = _random_params(2, 8, 2, seed=2)
-    p1 = gcn_forward(graph, params)
-    p2 = gcn_forward(graph, params)
+    p1 = gcn_forward_batch([graph], params)[0]
+    p2 = gcn_forward_batch([graph], params)[0]
     assert p1.shape == (4,)
     assert np.array_equal(p1, p2)
     assert np.all(p1 > 0.0) and np.all(p1 < inst.p_max)
@@ -53,7 +53,7 @@ def test_forward_shapes_feasible_and_deterministic():
 def test_forward_single_node_uses_empty_aggregation():
     inst, graph = _instance(1, seed=3)
     params = _random_params(2, 6, 2, seed=3)
-    p = gcn_forward(graph, params)
+    p = gcn_forward_batch([graph], params)[0]
     assert p.shape == (1,)
     assert 0.0 < p[0] < inst.p_max
 
@@ -61,7 +61,7 @@ def test_forward_single_node_uses_empty_aggregation():
 def test_forward_equivariant_under_node_relabeling():
     _, graph = _instance(5, seed=4)
     params = _random_params(2, 8, 2, seed=4)
-    p = gcn_forward(graph, params)
+    p = gcn_forward_batch([graph], params)[0]
     perm = np.array([3, 0, 4, 1, 2])  # old index i becomes new index perm[i]
     n = graph.N
     ea = np.empty_like(graph.edge_angle)
@@ -71,11 +71,10 @@ def test_forward_equivariant_under_node_relabeling():
     pg = InterferenceGraph(
         node_features=np.asarray(graph.node_features)[np.argsort(perm)],
         edge_angle=ea,
-        adjacency=tuple(tuple(j for j in range(n) if j != i) for i in range(n)),
         alpha=np.asarray(graph.alpha)[np.argsort(perm)],
         p_max=graph.p_max,
     )
-    pp = gcn_forward(pg, params)
+    pp = gcn_forward_batch([pg], params)[0]
     assert np.array_equal(pp[perm], p)
 
 
@@ -83,13 +82,13 @@ def test_loss_matches_forward_and_gradient_matches_finite_differences():
     inst, graph = _instance(3, seed=5)
     params = _random_params(2, 4, 2, seed=5)
     flat0 = params.flatten()
-    loss, grad = gcn_loss_and_grad(graph, inst, params)
-    p = gcn_forward(graph, params)
+    (loss,), (grad,) = gcn_loss_and_grad_batch([graph], [inst], params)
+    p = gcn_forward_batch([graph], params)[0]
     assert loss == pytest.approx(-weighted_sum_rate(sinr(inst, p), inst.alpha), rel=1e-12)
 
     def f(flat):
         q = GcnParams.from_flat(flat, 2, 4, 2)
-        pw = gcn_forward(graph, q)
+        pw = gcn_forward_batch([graph], q)[0]
         return -weighted_sum_rate(sinr(inst, pw), inst.alpha)
 
     fd = np.zeros_like(flat0)
@@ -103,8 +102,8 @@ def test_loss_matches_forward_and_gradient_matches_finite_differences():
 def test_gradient_is_deterministic():
     inst, graph = _instance(3, seed=6)
     params = _random_params(2, 4, 1, seed=6)
-    l1, g1 = gcn_loss_and_grad(graph, inst, params)
-    l2, g2 = gcn_loss_and_grad(graph, inst, params)
+    (l1,), (g1,) = gcn_loss_and_grad_batch([graph], [inst], params)
+    (l2,), (g2,) = gcn_loss_and_grad_batch([graph], [inst], params)
     assert l1 == l2
     assert np.array_equal(g1, g2)
 
@@ -117,8 +116,8 @@ def test_model_adapter():
     inst, graph = _instance(4, seed=8)
     p = model.forward(inst, graph, flat, star_seed=99)
     assert np.array_equal(p, model.forward(inst, graph, flat, star_seed=0))
-    loss, grad = model.loss_and_grad(inst, graph, flat, star_seed=0)
-    assert np.isfinite(loss) and grad.shape == flat.shape
+    losses, grads = model.loss_and_grad_batch([Instance("i", inst, graph)], flat, [0])
+    assert np.isfinite(losses[0]) and grads.shape == (1, flat.size)
     assert model.arch_dict() == {"hidden": 16, "layers": 2}
 
 
@@ -128,8 +127,8 @@ def test_max_aggregation_matches_per_node_loop():
     params.layers[0].msg_w2[:, 0] = 0.0  # column 0 ties across every edge
     tape = gcn._forward(graphs, params)
     n = graphs[0].N
-    assert tape.src.tolist() == [u for v in range(n) for u in graphs[0].adjacency[v]]
-    dst = np.array([v for v in range(n) for _ in graphs[0].adjacency[v]])
+    assert tape.src.tolist() == [u for v in range(n) for u in range(n) if u != v]
+    dst = np.array([v for v in range(n) for u in range(n) if u != v])
     for layer, h_in, (_, _, a1, amax, u, _, _) in zip(params.layers, tape.h, tape.caches):
         msgs = (a1 @ layer.msg_w2 + layer.msg_b2).reshape(len(graphs), dst.size, -1)
         u = u.reshape(len(graphs), n, -1)
@@ -161,7 +160,7 @@ def test_batch_calls_match_single_instance_calls(monkeypatch):
     losses, grads = model.loss_and_grad_batch(split, flat, seeds)
     assert len(powers) == len(split) and grads.shape == (len(split), flat.size)
     for i, inst in enumerate(split):
-        assert np.array_equal(powers[i], model.forward(inst.channels, inst.graph, flat, 0))
-        loss, grad = model.loss_and_grad(inst.channels, inst.graph, flat, 0)
+        assert np.array_equal(powers[i], model.forward_batch([inst], flat, [0])[0])
+        (loss,), (grad,) = model.loss_and_grad_batch([inst], flat, [0])
         assert losses[i] == pytest.approx(loss, rel=1e-13)
         np.testing.assert_allclose(grads[i], grad, rtol=0, atol=1e-13 * np.abs(grad).max())

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qgpc import channels as ch
-from qgpc.graph import (
-    FeatureScaler, StarSubgraph, build_graph, decompose_stars, fit_feature_scaler,
-)
+from qgpc.graph import build_graph, decompose_stars, fit_feature_scaler
 
 
 def _realization(m=4, seed=0, **kw):
@@ -51,8 +51,6 @@ def test_build_graph_shapes_and_adjacency(graph4):
     assert g.N == 4 and g.feature_dim == 2
     assert np.all(g.node_features[:, 0] >= 0.0) and np.all(g.node_features[:, 0] <= np.pi)
     assert np.array_equal(g.node_features[:, 1], inst.alpha)
-    for i in range(4):
-        assert g.adjacency[i] == tuple(j for j in range(4) if j != i)
     # ordered edge (k, m) carries the scaled cross gain tx k -> rx m
     gains = np.abs(inst.G) ** 2
     for k in range(4):
@@ -68,51 +66,42 @@ def test_build_graph_single_node():
     inst = _realization(1, seed=5)
     g = build_graph(inst, fit_feature_scaler([inst]))
     assert g.N == 1
-    assert g.adjacency == ((),)
+    assert g.edge_angle.shape == (1, 1)
 
 
 def test_decompose_stars_coverage_and_validity(graph4):
     g, _, _ = graph4
-    stars = decompose_stars(g, k=2, seed=123)
-    assert [s.center for s in stars] == [0, 1, 2, 3]
-    for s in stars:
-        assert len(s.leaves) == 2
-        assert s.center not in s.leaves
-        assert len(set(s.leaves)) == len(s.leaves)
-        for j, leaf in enumerate(s.leaves):
-            assert leaf in g.adjacency[s.center]
-            assert s.edge_feats[j] == g.edge_angle[leaf, s.center]
+    leaves = decompose_stars(g.N, k=2, seed=123)
+    assert leaves.shape == (4, 2)  # row i is the star centered on node i
+    for center, row in enumerate(leaves):
+        assert center not in row
+        assert len(set(row)) == len(row)
+        assert all(0 <= leaf < 4 for leaf in row)
 
 
 def test_decompose_stars_deterministic(graph4):
     g, _, _ = graph4
-    a = decompose_stars(g, k=2, seed=7)
-    b = decompose_stars(g, k=2, seed=7)
-    c = decompose_stars(g, k=2, seed=8)
-    assert [s.leaves for s in a] == [s.leaves for s in b]
-    assert any(x.leaves != y.leaves for x, y in zip(a, c))
+    a = decompose_stars(g.N, k=2, seed=7)
+    b = decompose_stars(g.N, k=2, seed=7)
+    c = decompose_stars(g.N, k=2, seed=8)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_decompose_stars_k_at_least_degree_takes_whole_neighborhood(graph4):
     g, _, _ = graph4
     for seed in range(5):
-        stars = decompose_stars(g, k=3, seed=seed)
-        for s in stars:
-            assert sorted(s.leaves) == list(g.adjacency[s.center])
-    stars = decompose_stars(g, k=10, seed=0)
-    assert all(len(s.leaves) == 3 for s in stars)
+        leaves = decompose_stars(g.N, k=3, seed=seed)
+        for center, row in enumerate(leaves):
+            assert sorted(row) == [j for j in range(4) if j != center]
+    assert decompose_stars(g.N, k=10, seed=0).shape == (4, 3)
 
 
 def test_decompose_stars_k_zero_and_single_node():
-    inst = _realization(1, seed=9)
-    g1 = build_graph(inst, fit_feature_scaler([inst]))
-    stars = decompose_stars(g1, k=3, seed=0)
-    assert stars[0].leaves == ()
-    inst4 = _realization(4, seed=10)
-    g4 = build_graph(inst4, fit_feature_scaler([inst4]))
-    assert all(s.leaves == () for s in decompose_stars(g4, k=0, seed=0))
+    assert decompose_stars(1, k=3, seed=0).shape == (1, 0)
+    assert decompose_stars(4, k=0, seed=0).shape == (4, 0)
     with pytest.raises(ValueError):
-        decompose_stars(g4, k=-1, seed=0)
+        decompose_stars(4, k=-1, seed=0)
 
 
 def test_leaf_sampling_is_uniform(graph4):
@@ -121,15 +110,36 @@ def test_leaf_sampling_is_uniform(graph4):
     hits = 0
     trials = 10_000
     for seed in range(trials):
-        stars = decompose_stars(g, k=2, seed=seed)
-        hits += 1 in stars[0].leaves
+        hits += 1 in decompose_stars(g.N, k=2, seed=seed)[0]
     assert abs(hits / trials - 2.0 / 3.0) < 0.02
 
 
-def test_star_validation():
-    with pytest.raises(ValueError):
-        StarSubgraph(center=0, leaves=(0, 1), edge_feats=np.zeros(2))
-    with pytest.raises(ValueError):
-        StarSubgraph(center=0, leaves=(1, 1), edge_feats=np.zeros(2))
-    with pytest.raises(ValueError):
-        StarSubgraph(center=0, leaves=(1, 2), edge_feats=np.zeros(3))
+# Leaves of every star of a 5-node graph in draw order, recorded from the
+# per-star sampler the leaf arrays replaced. A change of the star stream
+# shows up here.
+PINNED_DRAWS = {
+    (0, 1): [[4], [3], [3], [1], [1]],
+    (0, 2): [[3, 4], [2, 0], [4, 0], [2, 4], [1, 2]],
+    (0, 4): [[4, 3, 1, 2], [0, 3, 2, 4], [0, 4, 1, 3], [1, 0, 2, 4], [3, 1, 2, 0]],
+    (2024, 1): [[1], [3], [0], [0], [1]],
+    (2024, 2): [[3, 1], [2, 0], [3, 4], [0, 2], [0, 2]],
+    (2024, 4): [[2, 3, 4, 1], [2, 3, 0, 4], [1, 4, 3, 0], [0, 1, 4, 2], [1, 0, 3, 2]],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 2024])
+@pytest.mark.parametrize("k", [0, 1, 2, 4, 9])
+def test_star_draws_are_pinned(k, seed):
+    want = PINNED_DRAWS[seed, min(k, 4)] if k else [[]] * 5
+    assert decompose_stars(5, k, seed).tolist() == want
+
+
+@given(n=st.integers(1, 12), k=st.integers(0, 12), seed=st.integers(0, 2 ** 64 - 1))
+def test_leaf_array_contract(n, k, seed):
+    leaves = decompose_stars(n, k, seed)
+    assert leaves.shape == (n, min(k, n - 1))
+    assert np.issubdtype(leaves.dtype, np.integer)
+    for center, row in enumerate(leaves):
+        assert center not in row
+        assert len(set(row.tolist())) == row.size
+        assert np.all((row >= 0) & (row < n))
