@@ -45,6 +45,6 @@ from .trainer import (
     adam_step,
     train,
 )
-from .wmmse import WmmseConfig, WmmseResult, grid_search_oracle, wmmse_allocate
+from .wmmse import WmmseResult, grid_search_oracle, wmmse_allocate
 
 __version__ = "0.1.0"

@@ -10,10 +10,11 @@ order, so relabeling nodes permutes the outputs exactly.
 Backpropagation is written out by hand; max aggregation routes gradients to
 the argmax message with first-index tie-breaking.
 
-A batch runs as blocks of same-size graphs stacked (B, N, .): each MLP
-product is one GEMM over the block's edge or node rows, and the backward
-returns one gradient per graph. BLOCK_EDGES bounds the edge rows of a
-block, so the working set does not grow with the batch.
+The batch path both models share (trainer.BatchModel) hands the GCN
+blocks of same-size graphs, stacked (B, N, .): each MLP product is one GEMM
+over the block's edge or node rows, and the backward returns one gradient
+per graph. BLOCK_EDGES, the GCN's row budget, bounds the N(N-1) edge rows
+of a block, so the working set does not grow with the batch.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelRealization, sigmoid, sum_rate, weighted_sum_rate_grad
+from .channels import sigmoid
 from .graph import NODE_FEATURES, InterferenceGraph
+from .trainer import BatchModel
 
 BLOCK_EDGES = 2048  # message rows per kernel call: 256 KB per (rows, 16) temporary
 
@@ -116,53 +118,6 @@ class _Tape:
     p: np.ndarray        # (B, N) decoded powers
 
 
-def _blocks(graphs: list[InterferenceGraph]):
-    """Index arrays of same-size graphs, each holding at most BLOCK_EDGES
-    message rows (one graph when a single graph has more)."""
-    sizes = np.array([g.N for g in graphs])
-    for n in np.unique(sizes):
-        members = np.flatnonzero(sizes == n)
-        edges = n * (n - 1)
-        # a graph without edges runs alone, as in a single-graph call: numpy
-        # sends a one-row product to gemv, which rounds otherwise than gemm
-        step = max(1, BLOCK_EDGES // edges) if edges else 1
-        for lo in range(0, members.size, step):
-            yield members[lo:lo + step]
-
-
-def _forward(graphs: list[InterferenceGraph], params: GcnParams) -> _Tape:
-    """One pass over graphs of equal size, stacked (B, N, .); every MLP
-    product is one GEMM over the stacked edge or node rows."""
-    b, n = len(graphs), graphs[0].N
-    hidden = params.head_w.shape[0]
-    src, dst = _complete_edges(n)
-    edge_col = np.stack([g.edge_angle for g in graphs])[:, src, dst, None]
-    h = np.stack([np.asarray(g.node_features, dtype=float) for g in graphs])
-    hs, caches = [h], []
-    for layer in params.layers:
-        x = np.concatenate([h[:, src], edge_col], axis=2).reshape(b * src.size, h.shape[2] + 1)
-        z1 = x @ layer.msg_w1 + layer.msg_b1
-        a1 = np.maximum(z1, 0.0)
-        msgs = a1 @ layer.msg_w2 + layer.msg_b2
-        if n > 1:
-            grouped = msgs.reshape(b, n, n - 1, hidden)  # [b, v, j]: the j-th message into v
-            amax = np.argmax(grouped, axis=2)[:, :, None]  # first index wins a tie
-            agg = np.take_along_axis(grouped, amax, axis=2)[:, :, 0]
-        else:
-            agg, amax = np.zeros((b, n, hidden)), None
-        u = np.concatenate([h, agg], axis=2).reshape(b * n, -1)
-        z1u = u @ layer.upd_w1 + layer.upd_c1
-        a1u = np.maximum(z1u, 0.0)
-        h = (a1u @ layer.upd_w2 + layer.upd_c2).reshape(b, n, hidden)
-        hs.append(h)
-        caches.append((x, z1, a1, amax, u, z1u, a1u))
-    # a stacked (B, N, H) @ (H,) product gives each graph the bits of its
-    # own product; a (B * N, H) one rounds a row by its position in the block
-    sig = sigmoid(hs[-1] @ params.head_w + params.head_b)
-    p_max = np.array([g.p_max for g in graphs])[:, None]
-    return _Tape(src, dst, hs, caches, p_max, sig, p_max * sig)
-
-
 def _per_graph_product(a: np.ndarray, d: np.ndarray, b: int) -> np.ndarray:
     """a_b.T @ d_b for each of the b graphs whose rows are stacked in a and d."""
     rows = a.shape[0] // b
@@ -175,77 +130,11 @@ def _row_sums(d: np.ndarray, b: int) -> np.ndarray:
     return d.reshape(b, d.shape[0] // b, d.shape[1]).sum(axis=1)
 
 
-def _backward(tape: _Tape, params: GcnParams, gz: np.ndarray) -> np.ndarray:
-    """Per-graph gradients (B, P) in flatten() layout from the loss
-    gradient gz (B, N) at the head's pre-activation."""
-    b, n = gz.shape
-    hidden = params.head_w.shape[0]
-    src, dst = tape.src, tape.dst
-    layer_grads: list[list[np.ndarray]] = []
-    dh = gz[:, :, None] * params.head_w
-    for layer, h_in, cache in zip(reversed(params.layers), reversed(tape.h[:-1]),
-                                  reversed(tape.caches)):
-        x, z1, a1, amax, u, z1u, a1u = cache
-        di = h_in.shape[2]
-        dh = dh.reshape(b * n, hidden)
-        dz1u = (dh @ layer.upd_w2.T) * (z1u > 0)
-        du = (dz1u @ layer.upd_w1.T).reshape(b, n, di + hidden)
-
-        dmsgs = np.zeros((b, n, n - 1, hidden))
-        if amax is not None:
-            np.put_along_axis(dmsgs, amax, du[:, :, None, di:], axis=2)  # each max feeds one row
-        dmsgs = dmsgs.reshape(b * src.size, hidden)
-        dz1 = (dmsgs @ layer.msg_w2.T) * (z1 > 0)
-        dx = (dz1 @ layer.msg_w1.T)[:, :di]
-
-        # slot 0 of axis 1 holds the update path, slot v + 1 the edge into
-        # destination v: summing axis 1 adds each source's edges in edge order
-        into = np.zeros((b, n + 1, n, di))
-        into[:, 0] = du[:, :, :di]
-        into.reshape(b, (n + 1) * n, di)[:, (dst + 1) * n + src] = dx.reshape(b, src.size, di)
-        layer_grads.insert(0, [
-            _per_graph_product(x, dz1, b), _row_sums(dz1, b),
-            _per_graph_product(a1, dmsgs, b), _row_sums(dmsgs, b),
-            _per_graph_product(u, dz1u, b), _row_sums(dz1u, b),
-            _per_graph_product(a1u, dh, b), _row_sums(dh, b),
-        ])
-        dh = into.sum(axis=1)
-    chunks = [g.reshape(b, -1) for grads in layer_grads for g in grads]
-    chunks += [np.matmul(gz[:, None, :], tape.h[-1])[:, 0], gz.sum(axis=1)[:, None]]
-    return np.concatenate(chunks, axis=1)
-
-
-def gcn_forward_batch(graphs: list[InterferenceGraph], params: GcnParams) -> list[np.ndarray]:
-    """Power vector in (0, p_max) of each graph, in input order."""
-    powers: list[np.ndarray] = [None] * len(graphs)
-    for idx in _blocks(graphs):
-        for i, p in zip(idx, _forward([graphs[i] for i in idx], params).p):
-            powers[i] = p
-    return powers
-
-
-def gcn_loss_and_grad_batch(graphs: list[InterferenceGraph],
-                            channels: list[ChannelRealization], params: GcnParams,
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-graph negative weighted sum rates (B,) and their gradients (B, P)
-    in flatten() layout, in input order."""
-    losses = np.empty(len(graphs))
-    grads = np.empty((len(graphs), params.flatten().size))
-    for idx in _blocks(graphs):
-        tape = _forward([graphs[i] for i in idx], params)
-        dloss_dp = np.empty_like(tape.p)
-        for row, i in enumerate(idx):
-            losses[i] = -sum_rate(channels[i], tape.p[row])
-            dloss_dp[row] = -weighted_sum_rate_grad(channels[i], tape.p[row])
-        grads[idx] = _backward(tape, params,
-                               dloss_dp * tape.p_max * tape.sig * (1.0 - tape.sig))
-    return losses, grads
-
-
-class GcnModel:
+class GcnModel(BatchModel):
     """Adapter bundling the architecture hyperparameters for the trainer."""
 
     name = "gcn"
+    forward = BatchModel.forward  # bound here too, where tracers look it up
 
     def __init__(self, hidden: int = 16, layers: int = 2):
         self.hidden = hidden
@@ -254,27 +143,92 @@ class GcnModel:
     def param_count(self) -> int:
         return GcnParams.param_count(NODE_FEATURES, self.hidden, self.layers)
 
-    def init_params(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-0.1, 0.1, size=self.param_count())
-
     def unflatten(self, flat) -> GcnParams:
         return GcnParams.from_flat(flat, NODE_FEATURES, self.hidden, self.layers)
 
-    def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
-                flat_params, star_seed: int) -> np.ndarray:
-        """Powers of one instance: the blocked pass at B = 1."""
-        return gcn_forward_batch([graph], self.unflatten(flat_params))[0]
-
-    def forward_batch(self, instances, flat_params, star_seeds) -> list[np.ndarray]:
-        """Powers of every instance; the GCN draws no stars."""
-        return gcn_forward_batch([inst.graph for inst in instances], self.unflatten(flat_params))
-
-    def loss_and_grad_batch(self, instances, flat_params, star_seeds,
-                            ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-instance losses (B,) and gradients (B, P)."""
-        return gcn_loss_and_grad_batch([inst.graph for inst in instances],
-                                       [inst.channels for inst in instances],
-                                       self.unflatten(flat_params))
-
     def arch_dict(self) -> dict:
         return {"hidden": self.hidden, "layers": self.layers}
+
+    def _rows(self, n: int) -> int:
+        return n * (n - 1)
+
+    def _row_budget(self) -> int:
+        return BLOCK_EDGES
+
+    def _prepare(self, flat_params, grad: bool) -> GcnParams:
+        return self.unflatten(flat_params)
+
+    def _forward(self, graphs: list[InterferenceGraph], params: GcnParams,
+                 star_seeds) -> _Tape:
+        """One pass over graphs of equal size, stacked (B, N, .); every MLP
+        product is one GEMM over the stacked edge or node rows. The GCN draws
+        no stars."""
+        b, n = len(graphs), graphs[0].N
+        hidden = params.head_w.shape[0]
+        src, dst = _complete_edges(n)
+        edge_col = np.stack([g.edge_angle for g in graphs])[:, src, dst, None]
+        h = np.stack([np.asarray(g.node_features, dtype=float) for g in graphs])
+        hs, caches = [h], []
+        for layer in params.layers:
+            x = np.concatenate([h[:, src], edge_col], axis=2)
+            x = x.reshape(b * src.size, h.shape[2] + 1)
+            z1 = x @ layer.msg_w1 + layer.msg_b1
+            a1 = np.maximum(z1, 0.0)
+            msgs = a1 @ layer.msg_w2 + layer.msg_b2
+            if n > 1:
+                grouped = msgs.reshape(b, n, n - 1, hidden)  # [b, v, j]: the j-th message into v
+                amax = np.argmax(grouped, axis=2)[:, :, None]  # first index wins a tie
+                agg = np.take_along_axis(grouped, amax, axis=2)[:, :, 0]
+            else:
+                agg, amax = np.zeros((b, n, hidden)), None
+            u = np.concatenate([h, agg], axis=2).reshape(b * n, -1)
+            z1u = u @ layer.upd_w1 + layer.upd_c1
+            a1u = np.maximum(z1u, 0.0)
+            h = (a1u @ layer.upd_w2 + layer.upd_c2).reshape(b, n, hidden)
+            hs.append(h)
+            caches.append((x, z1, a1, amax, u, z1u, a1u))
+        # a stacked (B, N, H) @ (H,) product gives each graph the bits of its
+        # own product; a (B * N, H) one rounds a row by its position in the block
+        sig = sigmoid(hs[-1] @ params.head_w + params.head_b)
+        p_max = np.array([g.p_max for g in graphs])[:, None]
+        return _Tape(src, dst, hs, caches, p_max, sig, p_max * sig)
+
+    def _backward(self, tape: _Tape, params: GcnParams, dloss_dp: np.ndarray) -> np.ndarray:
+        """Per-graph gradients (B, P) in flatten() layout from the loss
+        gradient dloss_dp (B, N) at the powers."""
+        gz = dloss_dp * tape.p_max * tape.sig * (1.0 - tape.sig)  # at the head's pre-activation
+        b, n = gz.shape
+        hidden = params.head_w.shape[0]
+        src, dst = tape.src, tape.dst
+        layer_grads: list[list[np.ndarray]] = []
+        dh = gz[:, :, None] * params.head_w
+        for layer, h_in, cache in zip(reversed(params.layers), reversed(tape.h[:-1]),
+                                      reversed(tape.caches)):
+            x, z1, a1, amax, u, z1u, a1u = cache
+            di = h_in.shape[2]
+            dh = dh.reshape(b * n, hidden)
+            dz1u = (dh @ layer.upd_w2.T) * (z1u > 0)
+            du = (dz1u @ layer.upd_w1.T).reshape(b, n, di + hidden)
+
+            dmsgs = np.zeros((b, n, n - 1, hidden))
+            if amax is not None:  # each max feeds one row
+                np.put_along_axis(dmsgs, amax, du[:, :, None, di:], axis=2)
+            dmsgs = dmsgs.reshape(b * src.size, hidden)
+            dz1 = (dmsgs @ layer.msg_w2.T) * (z1 > 0)
+            dx = (dz1 @ layer.msg_w1.T)[:, :di]
+
+            # slot 0 of axis 1 holds the update path, slot v + 1 the edge into
+            # destination v: summing axis 1 adds each source's edges in edge order
+            into = np.zeros((b, n + 1, n, di))
+            into[:, 0] = du[:, :, :di]
+            into.reshape(b, (n + 1) * n, di)[:, (dst + 1) * n + src] = dx.reshape(b, src.size, di)
+            layer_grads.insert(0, [
+                _per_graph_product(x, dz1, b), _row_sums(dz1, b),
+                _per_graph_product(a1, dmsgs, b), _row_sums(dmsgs, b),
+                _per_graph_product(u, dz1u, b), _row_sums(dz1u, b),
+                _per_graph_product(a1u, dh, b), _row_sums(dh, b),
+            ])
+            dh = into.sum(axis=1)
+        chunks = [g.reshape(b, -1) for grads in layer_grads for g in grads]
+        chunks += [np.matmul(gz[:, None, :], tape.h[-1])[:, 0], gz.sum(axis=1)[:, None]]
+        return np.concatenate(chunks, axis=1)

@@ -16,10 +16,14 @@ angle (h + 1) * pi / 2. After L layers the power for node m is
 Circuit parameters are shared across nodes and leaves, so the trainable
 count L * depth * (2F+1) * 2 + 2 is independent of the graph size and of k.
 
-Engine: every message of a layer runs the same circuit, so a call stacks
-the (center, leaf, edge) rows of all stars of all its instances. The RY
-encoding of |0...0> is the real product state (x)_q [cos(a_q/2), sin(a_q/2)];
-the trainable block is one 2^n x 2^n unitary U, built by the gate-level
+Engine: every message of a layer runs the same circuit. The batch path
+both models share (trainer.BatchModel) groups a call's graphs by size into
+blocks; a block of B graphs of N nodes holds its embeddings as (B, N, F) and
+each layer's stars as (B, N, s) leaves, ascending per star, so the N * s
+(center, leaf, edge) rows of each of its graphs go through one kernel call.
+BLOCK_AMPLITUDES bounds a block's rows times 2^n. The RY encoding of
+|0...0> is the real product state (x)_q [cos(a_q/2), sin(a_q/2)]; the
+trainable block is one 2^n x 2^n unitary U, built by the gate-level
 simulator from the basis states; the messages are |psi U^T|^2 @ Z-signs.
 Gradients are exact: parameter shift on the trainable slots (2 shifted
 unitaries per slot), the analytic product-state derivative on the input
@@ -35,11 +39,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import ChannelRealization, sigmoid, sum_rate, weighted_sum_rate_grad
+from .channels import sigmoid
 from .graph import NODE_FEATURES, InterferenceGraph, decompose_stars
 # run_batch is not called here; it stays bound on this module for code that
 # looks it up or wraps it here (the benchmark's tracer does).
 from .qsim import CircuitSpec, Gate, _apply_gates, _z_signs, run_batch  # noqa: F401
+from .trainer import BatchModel
 
 HALF_PI = np.pi / 2.0
 BLOCK_AMPLITUDES = 8192  # amplitudes per kernel temporary: 64 KB of float64
@@ -156,8 +161,6 @@ class _Kernel:
         shifts = HALF_PI * np.eye(theta.size) if shifted else np.empty((0, theta.size))
         self.block, *rest = _unitaries(spec, np.vstack([theta, theta + shifts, theta - shifts]))
         self.shifted = list(zip(rest[:len(shifts)], rest[len(shifts):]))
-        # rows per call, so each (rows, 2^n) temporary holds BLOCK_AMPLITUDES
-        self.step = max(1, BLOCK_AMPLITUDES // len(self.signs))
 
     def messages(self, angles: np.ndarray) -> np.ndarray:
         """Z expectations (R, F) of the center qubits for input angles (R, n)."""
@@ -184,126 +187,65 @@ class _Kernel:
         return grad
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """A layer's message rows over stacked nodes, star by star, each star's
-    leaves ascending so its mean does not depend on the draw order."""
-
-    center: np.ndarray  # (R,) stacked node index of the star center
-    leaf: np.ndarray    # (R,) stacked node index of the leaf
-    edge: np.ndarray    # (R,) angle of the edge leaf -> center
-    fan: np.ndarray     # (R,) leaf count of the row's star
-    first: np.ndarray   # first row of each star
-
-    def angles(self, h: np.ndarray, blk: slice) -> np.ndarray:
-        return np.concatenate([embedding_to_angle(h[self.center[blk]]),
-                               embedding_to_angle(h[self.leaf[blk]]), self.edge[blk, None]], 1)
+def _row_angles(h: np.ndarray, edge: np.ndarray, leaves: np.ndarray) -> np.ndarray:
+    """Input angles (B * N * s, 2F+1) of a block's message rows, star by
+    star: the center's and the leaf's embeddings and the edge leaf -> center,
+    for embeddings h (B, N, F), edge angles (B, N, N), sorted leaves (B, N, s)."""
+    graph = np.arange(len(leaves))[:, None, None]
+    center = np.broadcast_to(np.arange(leaves.shape[1])[:, None], leaves.shape)
+    rows = np.concatenate([embedding_to_angle(h[graph, center]),
+                           embedding_to_angle(h[graph, leaves]),
+                           edge[graph, leaves, center][..., None]], axis=3)
+    return rows.reshape(-1, rows.shape[3])
 
 
-def _layer_rows(graphs: list[InterferenceGraph], leaves: list[np.ndarray], offsets) -> _Rows:
-    """Rows of each graph's (N, s) leaf array, its nodes stacked from its offset."""
-    sizes = np.array([len(lv) for lv in leaves])
-    node_fan = np.repeat([lv.shape[1] for lv in leaves], sizes)
-    center = np.repeat(np.arange(node_fan.size), node_fan)
-    graph = np.repeat(np.arange(len(leaves)), [lv.size for lv in leaves])
-    local = np.concatenate([np.sort(lv, axis=1).ravel() for lv in leaves])
-    # edge leaf -> center of graph b is entry [leaf, center] of its raveled (N, N) block
-    block = np.cumsum(sizes ** 2) - sizes ** 2
-    angles = np.concatenate([g.edge_angle.ravel() for g in graphs])
-    edge = angles[block[graph] + local * sizes[graph] + center - offsets[graph]]
-    fan = node_fan[node_fan > 0]
-    return _Rows(center, local + offsets[graph], edge, np.repeat(fan, fan), np.cumsum(fan) - fan)
+def _layer_forward(kernel: _Kernel, h: np.ndarray, edge: np.ndarray,
+                   leaves: np.ndarray) -> np.ndarray:
+    """Every center moves to the mean message of its s leaves; with no
+    leaves (s = 0) the embeddings pass through."""
+    b, n, s = leaves.shape
+    if s == 0:
+        return h.copy()
+    msgs = kernel.messages(_row_angles(h, edge, leaves))
+    mean = np.add.reduceat(msgs, np.arange(0, msgs.shape[0], s), axis=0) * (1.0 / s)
+    return mean.reshape(h.shape)
 
 
-def _layer_forward(spec: CircuitSpec, theta: np.ndarray, h: np.ndarray,
-                   rows: _Rows) -> np.ndarray:
-    """Centers with leaves move to their mean leaf message; others keep h."""
-    h_next = np.array(h, dtype=float, copy=True)
-    if rows.center.size:
-        kernel = _Kernel(spec, theta)
-        msgs = np.concatenate([kernel.messages(rows.angles(h, slice(lo, lo + kernel.step)))
-                               for lo in range(0, rows.center.size, kernel.step)])
-        inv = 1.0 / rows.fan[rows.first]
-        h_next[rows.center[rows.first]] = np.add.reduceat(msgs, rows.first, axis=0) * inv[:, None]
-    return h_next
-
-
-def _layer_backward(spec: CircuitSpec, theta: np.ndarray, h: np.ndarray, rows: _Rows,
-                    g_out: np.ndarray, grad_theta: np.ndarray, node_graph: np.ndarray,
-                    ) -> np.ndarray:
+def _layer_backward(kernel: _Kernel, h: np.ndarray, edge: np.ndarray, leaves: np.ndarray,
+                    g_out: np.ndarray, grad_theta: np.ndarray) -> np.ndarray:
     """Loss gradient at the layer input from ``g_out`` at its output; adds
     each graph's trainable-angle gradient into its row of ``grad_theta``."""
-    g_in = np.array(g_out, copy=True)
-    if rows.center.size:
-        f = h.shape[1]
-        g_in[rows.center[rows.first]] = 0.0
-        kernel = _Kernel(spec, theta, shifted=True)
-        for lo in range(0, rows.center.size, kernel.step):
-            blk = slice(lo, lo + kernel.step)
-            center = rows.center[blk]
-            slots = kernel.vjp(rows.angles(h, blk), g_out[center] / rows.fan[blk, None])
-            np.add.at(g_in, center, slots[:, :f] * HALF_PI)
-            np.add.at(g_in, rows.leaf[blk], slots[:, f:2 * f] * HALF_PI)
-            np.add.at(grad_theta, node_graph[center], slots[:, 2 * f + 1:])
-    return g_in
+    b, n, s = leaves.shape
+    if s == 0:
+        return g_out
+    f = h.shape[2]
+    center = np.repeat(np.arange(b * n), s)
+    g_in = np.zeros((b * n, f))
+    slots = kernel.vjp(_row_angles(h, edge, leaves), g_out.reshape(b * n, f)[center] / s)
+    leaf = (leaves + n * np.arange(b)[:, None, None]).ravel()
+    np.add.at(g_in, center, slots[:, :f] * HALF_PI)
+    np.add.at(g_in, leaf, slots[:, f:2 * f] * HALF_PI)
+    np.add.at(grad_theta, center // n, slots[:, 2 * f + 1:])
+    return g_in.reshape(h.shape)
 
 
 @dataclass(eq=False)
 class _Tape:
-    """A forward pass over graphs stacked node-wise, kept for the backward."""
+    """A forward pass over B graphs of N nodes each, kept for the backward."""
 
-    spec: CircuitSpec
-    offsets: np.ndarray     # (B,) first stacked node of each graph
-    node_graph: np.ndarray  # (N,) graph of each stacked node
-    h: list[np.ndarray]     # embeddings entering each layer, then the final ones
-    rows: list[_Rows]       # each layer's message rows
-    p_max: np.ndarray       # (N,) power cap of each node
-    sig: np.ndarray         # (N,) decoded power fraction
-
-
-def _forward_tape(graphs: list[InterferenceGraph], params: QgnnParams, k: int,
-                  star_seeds) -> _Tape:
-    """Layer ell of graph b draws its stars with seed star_seeds[b] + ell."""
-    f = graphs[0].feature_dim
-    spec = _spec_for(f, params.layers[0].size // (2 * input_slot_count(f)))
-    sizes = [g.N for g in graphs]
-    offsets = np.cumsum([0] + sizes[:-1])
-    h, rows = [np.concatenate([initial_embeddings(g) for g in graphs])], []
-    for ell, theta in enumerate(params.layers):
-        leaves = [decompose_stars(g.N, k, seed + ell) for g, seed in zip(graphs, star_seeds)]
-        rows.append(_layer_rows(graphs, leaves, offsets))
-        h.append(_layer_forward(spec, theta, h[-1], rows[-1]))
-    sig = sigmoid(params.decode_scale * h[-1][:, 0] + params.decode_bias)
-    return _Tape(spec, offsets, np.repeat(np.arange(len(graphs)), sizes), h, rows,
-                 np.repeat([g.p_max for g in graphs], sizes), sig)
+    edge: np.ndarray          # (B, N, N) edge angles
+    h: list[np.ndarray]       # (B, N, F) embeddings entering each layer, then the final ones
+    leaves: list[np.ndarray]  # (B, N, s) each layer's star leaves, ascending per star
+    p_max: np.ndarray         # (B, 1) power cap of each graph
+    sig: np.ndarray           # (B, N) decoded power fractions
+    p: np.ndarray             # (B, N) decoded powers
 
 
-def _loss_and_grad(tape: _Tape, channels: list[ChannelRealization], params: QgnnParams,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-graph losses (B,) and gradients (B, P) in flat layout."""
-    p = tape.p_max * tape.sig
-    losses = np.empty(len(channels))
-    dloss_dp = np.empty_like(p)
-    for b, (ch, lo) in enumerate(zip(channels, tape.offsets)):
-        losses[b] = -sum_rate(ch, p[lo:lo + ch.M])
-        dloss_dp[lo:lo + ch.M] = -weighted_sum_rate_grad(ch, p[lo:lo + ch.M])
-    gz = dloss_dp * (tape.p_max * tape.sig * (1.0 - tape.sig))
-    spl = params.layers[0].size
-    grads = np.zeros((len(channels), len(params.layers) * spl + 2))
-    grads[:, -2] = np.add.reduceat(gz * tape.h[-1][:, 0], tape.offsets)
-    grads[:, -1] = np.add.reduceat(gz, tape.offsets)
-    g = np.zeros_like(tape.h[-1])
-    g[:, 0] = gz * params.decode_scale
-    for ell in range(len(params.layers) - 1, -1, -1):
-        g = _layer_backward(tape.spec, params.layers[ell], tape.h[ell], tape.rows[ell],
-                            g, grads[:, ell * spl:(ell + 1) * spl], tape.node_graph)
-    return losses, grads
-
-
-class QgnnModel:
+class QgnnModel(BatchModel):
     """Adapter bundling the architecture hyperparameters for the trainer."""
 
     name = "qgnn"
+    forward = BatchModel.forward  # bound here too, where tracers look it up
 
     def __init__(self, layers: int = 2, depth: int = 1, k: int = 2):
         self.layers = layers
@@ -313,30 +255,50 @@ class QgnnModel:
     def param_count(self) -> int:
         return QgnnParams.param_count(NODE_FEATURES, self.layers, self.depth)
 
-    def init_params(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-0.1, 0.1, size=self.param_count())
-
     def unflatten(self, flat) -> QgnnParams:
         return QgnnParams.from_flat(flat, NODE_FEATURES, self.layers, self.depth)
 
-    def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
-                flat_params, star_seed: int) -> np.ndarray:
-        """Powers of one instance: the stacked pass at B = 1."""
-        tape = _forward_tape([graph], self.unflatten(flat_params), self.k, [star_seed])
-        return tape.p_max * tape.sig
-
-    def forward_batch(self, instances, flat_params, star_seeds) -> list[np.ndarray]:
-        """Powers of every instance from one stacked pass."""
-        tape = _forward_tape([inst.graph for inst in instances], self.unflatten(flat_params),
-                             self.k, star_seeds)
-        return np.split(tape.p_max * tape.sig, tape.offsets[1:])
-
-    def loss_and_grad_batch(self, instances, flat_params, star_seeds,
-                            ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-instance losses (B,) and gradients (B, P) from one stacked pass."""
-        params = self.unflatten(flat_params)
-        tape = _forward_tape([inst.graph for inst in instances], params, self.k, star_seeds)
-        return _loss_and_grad(tape, [inst.channels for inst in instances], params)
-
     def arch_dict(self) -> dict:
         return {"layers": self.layers, "depth": self.depth, "k": self.k}
+
+    def _rows(self, n: int) -> int:
+        return n * min(self.k, n - 1)
+
+    def _row_budget(self) -> int:  # each (rows, 2^n) kernel temporary holds BLOCK_AMPLITUDES
+        return BLOCK_AMPLITUDES >> input_slot_count(NODE_FEATURES)
+
+    def _prepare(self, flat_params, grad: bool) -> tuple[QgnnParams, list[_Kernel]]:
+        params = self.unflatten(flat_params)
+        spec = _spec_for(NODE_FEATURES, self.depth)
+        return params, [_Kernel(spec, theta, shifted=grad) for theta in params.layers]
+
+    def _forward(self, graphs: list[InterferenceGraph], prepared, star_seeds) -> _Tape:
+        """Layer ell of graph b draws its stars with seed star_seeds[b] + ell."""
+        params, kernels = prepared
+        edge = np.stack([g.edge_angle for g in graphs])
+        h, leaves = [np.stack([initial_embeddings(g) for g in graphs])], []
+        for ell, kernel in enumerate(kernels):
+            leaves.append(np.sort([decompose_stars(g.N, self.k, seed + ell)
+                                   for g, seed in zip(graphs, star_seeds)], axis=2))
+            h.append(_layer_forward(kernel, h[-1], edge, leaves[-1]))
+        sig = sigmoid(params.decode_scale * h[-1][:, :, 0] + params.decode_bias)
+        p_max = np.array([g.p_max for g in graphs])[:, None]
+        return _Tape(edge, h, leaves, p_max, sig, p_max * sig)
+
+    def _backward(self, tape: _Tape, prepared, dloss_dp: np.ndarray) -> np.ndarray:
+        """Per-graph gradients (B, P) in flat layout from the loss gradient
+        dloss_dp (B, N) at the powers."""
+        params, kernels = prepared
+        gz = dloss_dp * (tape.p_max * tape.sig * (1.0 - tape.sig))
+        b, n = gz.shape
+        spl = slots_per_layer(NODE_FEATURES, self.depth)
+        grads = np.zeros((b, self.param_count()))
+        starts = np.arange(0, b * n, n)
+        grads[:, -2] = np.add.reduceat((gz * tape.h[-1][:, :, 0]).ravel(), starts)
+        grads[:, -1] = np.add.reduceat(gz.ravel(), starts)
+        g = np.zeros_like(tape.h[-1])
+        g[:, :, 0] = gz * params.decode_scale
+        for ell in range(len(kernels) - 1, -1, -1):
+            g = _layer_backward(kernels[ell], tape.h[ell], tape.edge, tape.leaves[ell],
+                                g, grads[:, ell * spl:(ell + 1) * spl])
+        return grads

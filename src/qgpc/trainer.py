@@ -4,18 +4,19 @@ The loss for one realization is the negative weighted sum rate of the
 decoded powers; no solver output is ever used as a label. WMMSE enters only
 as an evaluation baseline on the test split. All randomness flows from three
 named seeds (data, init, stars) through deterministic mixing, so identical
-configurations reproduce identical reports.
+configurations reproduce identical reports. Both models run one batch path,
+BatchModel, which computes that loss and its gradient at the powers.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Protocol
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channels import ChannelRealization, sum_rate
+from .channels import ChannelRealization, sum_rate, weighted_sum_rate_grad
 from .graph import InterferenceGraph
 from .wmmse import wmmse_allocate
 
@@ -46,29 +47,76 @@ def mix_seed(*parts: int) -> int:
     return int(state[0])
 
 
-class PowerModel(Protocol):
-    name: str
-
-    def param_count(self) -> int: ...
-
-    def init_params(self, rng: np.random.Generator) -> np.ndarray: ...
-
-    def forward_batch(self, instances: list[Instance], flat_params,
-                      star_seeds: list[int]) -> list[np.ndarray]:
-        """Power vector of each instance, drawing its stars from its seed."""
-
-    def loss_and_grad_batch(self, instances: list[Instance], flat_params,
-                            star_seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Per-instance losses (B,), the negative weighted sum rates, and
-        their gradients (B, P)."""
-
-
 class Instance(NamedTuple):
     """One realization paired with its graph view."""
 
     label: str
     channels: ChannelRealization
     graph: InterferenceGraph
+
+
+def size_blocks(sizes, rows: Callable[[int], int], budget: int):
+    """Index arrays of same-size graphs, smallest size first, each holding at
+    most ``budget`` rows of ``rows(n)`` per n-node graph (one graph when a
+    single graph has more)."""
+    sizes = np.asarray(sizes)
+    for n in np.unique(sizes):
+        members = np.flatnonzero(sizes == n)
+        per_graph = rows(int(n))
+        # a graph without rows runs alone, as in a single-graph call: numpy
+        # sends a one-row product to gemv, which rounds otherwise than gemm
+        step = max(1, budget // per_graph) if per_graph else 1
+        for lo in range(0, members.size, step):
+            yield members[lo:lo + step]
+
+
+class BatchModel:
+    """The batch path both models share: a call prepares the parameters
+    once and runs each size_blocks block through the model's same-size
+    ``_forward`` (a tape holding the (B, N) powers ``p``) and ``_backward``
+    (the (B, P) gradients from dloss/dp); results come in input order."""
+
+    name: str
+
+    def init_params(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-0.1, 0.1, size=self.param_count())
+
+    def _tapes(self, instances: list[Instance], prepared, star_seeds: list[int]):
+        """The indices and the forward tape of each block of same-size graphs."""
+        sizes = [inst.graph.N for inst in instances]
+        for idx in size_blocks(sizes, self._rows, self._row_budget()):
+            yield idx, self._forward([instances[i].graph for i in idx], prepared,
+                                     [star_seeds[i] for i in idx])
+
+    def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
+                flat_params, star_seed: int) -> np.ndarray:
+        """Powers of one instance: the batch path at B = 1."""
+        return self.forward_batch([Instance("", channels, graph)], flat_params, [star_seed])[0]
+
+    def forward_batch(self, instances: list[Instance], flat_params,
+                      star_seeds: list[int]) -> list[np.ndarray]:
+        """Power vector of each instance, drawing its stars from its seed."""
+        powers: list[np.ndarray] = [None] * len(instances)
+        for idx, tape in self._tapes(instances, self._prepare(flat_params, grad=False),
+                                     star_seeds):
+            for i, p in zip(idx, tape.p):
+                powers[i] = p
+        return powers
+
+    def loss_and_grad_batch(self, instances: list[Instance], flat_params,
+                            star_seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-instance losses (B,), the negative weighted sum rates, and
+        their gradients (B, P)."""
+        prepared = self._prepare(flat_params, grad=True)
+        losses = np.empty(len(instances))
+        grads = np.empty((len(instances), self.param_count()))
+        for idx, tape in self._tapes(instances, prepared, star_seeds):
+            dloss_dp = np.empty_like(tape.p)
+            for row, i in enumerate(idx):
+                losses[i] = -sum_rate(instances[i].channels, tape.p[row])
+                dloss_dp[row] = -weighted_sum_rate_grad(instances[i].channels, tape.p[row])
+            grads[idx] = self._backward(tape, prepared, dloss_dp)
+        return losses, grads
 
 
 @dataclass(frozen=True)
@@ -162,13 +210,15 @@ def train_star_seed(seeds: SeedConfig, epoch: int, instance_index: int) -> int:
     return mix_seed(seeds.stars, epoch, instance_index)
 
 
-def evaluate_mean(model: PowerModel, flat_params, instances: list[Instance],
+def evaluate_mean(model: BatchModel, flat_params, instances: list[Instance],
                   seeds: SeedConfig) -> float:
     """Mean objective over instances with frozen evaluation star seeds."""
     if not instances:
         return float("nan")
-    powers = model.forward_batch(instances, flat_params,
-                                 [eval_star_seed(seeds, idx) for idx in range(len(instances))])
+    # an overflow shows up below as a non-finite power, so it does not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = model.forward_batch(
+            instances, flat_params, [eval_star_seed(seeds, idx) for idx in range(len(instances))])
     total = 0.0
     for inst, p in zip(instances, powers):
         if not np.all(np.isfinite(p)):
@@ -184,7 +234,7 @@ def wmmse_mean(instances: list[Instance]) -> float:
     return float(np.mean([wmmse_allocate(inst.channels).objective for inst in instances]))
 
 
-def train(model: PowerModel, train_set: list[Instance], test_set: list[Instance],
+def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance],
           cfg: TrainConfig) -> TrainReport:
     """Adam on the mean per-batch gradient. One step per batch; the batch
     size caps at the training-set size (full-batch default)."""
@@ -220,10 +270,11 @@ def train(model: PowerModel, train_set: list[Instance], test_set: list[Instance]
             order = np.arange(n_train)
         for step, start in enumerate(range(0, n_train, batch)):
             members = order[start:start + batch]
-            losses, grads = model.loss_and_grad_batch(
-                [train_set[idx] for idx in members], params,
-                [train_star_seed(cfg.seeds, epoch, int(idx)) for idx in members],
-            )
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                losses, grads = model.loss_and_grad_batch(
+                    [train_set[idx] for idx in members], params,
+                    [train_star_seed(cfg.seeds, epoch, int(idx)) for idx in members],
+                )
             grad_sum = np.zeros_like(params)
             for idx, loss, grad in zip(members, losses, grads):
                 if not np.isfinite(loss) or not np.all(np.isfinite(grad)):

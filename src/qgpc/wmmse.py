@@ -13,10 +13,10 @@ surrogate exactly, so the sum-rate objective is non-decreasing sweep to sweep.
 
 Sweeps only reach a stationary point, and under strong interference the
 full-power start can stall at a poor one (the global optimum may silence a
-pair entirely). wmmse_allocate therefore multi-starts by default: the
-configured primary start, one corner start per pair (that pair at p_max,
-the rest silent), and a few seeded uniform restarts. The best run's record
-is returned; everything stays deterministic for a fixed config.
+pair entirely). wmmse_allocate therefore multi-starts: full power, one
+corner start per pair (that pair at p_max, the rest silent), and a few
+seeded uniform restarts. The best run's record is returned; everything
+stays deterministic.
 
 The grid oracle never builds its (levels^M, M) power grid. Receiver m's
 interference on the grid is a sum of M one-dimensional terms, term k being
@@ -39,21 +39,14 @@ GRID_POINT_GUARD = 10 ** 7  # bounds the oracle's time; its memory is bounded by
 SLAB_POINTS = 1 << 16       # most grid points the oracle evaluates at once
 _W_DENOM_FLOOR = 1e-12
 _V_DENOM_FLOOR = 1e-300  # turns the 0/0 of an all-silent sweep into v = 0
-_RESTART_STREAM_TAG = 0x524553  # keeps restart draws apart from init="random"
+_RESTART_STREAM_TAG = 0x524553  # restart r draws from SeedSequence([0, tag, r])
+MAX_ITER = 100       # sweeps per start
+TOL = 1e-6           # a start has converged once a sweep moves the objective by at most this
+RANDOM_RESTARTS = 2  # seeded uniform starts after the full-power and corner starts
 
 
 class InstanceTooLargeError(ValueError):
     """Raised when a grid search would exceed the point-count guard."""
-
-
-@dataclass(frozen=True)
-class WmmseConfig:
-    max_iter: int = 100
-    tol: float = 1e-6
-    init: str = "full-power"  # primary start: "full-power" or "random"
-    init_seed: int = 0
-    corner_starts: bool = True  # also try each single-pair-only start
-    random_restarts: int = 2    # extra seeded uniform starts
 
 
 @dataclass(eq=False)
@@ -65,11 +58,11 @@ class WmmseResult:
     iterations: int
 
 
-def _wmmse_sweeps(channels: ChannelRealization, v0: np.ndarray,
-                  cfg: WmmseConfig) -> WmmseResult:
-    """Block-coordinate sweeps from one start until the objective moves < tol.
+def _wmmse_sweeps(channels: ChannelRealization, v0: np.ndarray) -> WmmseResult:
+    """Block-coordinate sweeps from one start until the objective moves by
+    at most TOL.
 
-    Non-convergence within max_iter is not an error; the best iterate is
+    Non-convergence within MAX_ITER is not an error; the best iterate is
     returned with converged=False.
     """
     G = channels.G
@@ -92,7 +85,7 @@ def _wmmse_sweeps(channels: ChannelRealization, v0: np.ndarray,
     u, w = receiver_weights(v)
     converged = False
     iterations = 0
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
         coeff = alpha * w * np.abs(u) ** 2
         numer = alpha * w * np.real(np.conj(u) * gdiag)
@@ -103,7 +96,7 @@ def _wmmse_sweeps(channels: ChannelRealization, v0: np.ndarray,
         trace.append(obj)
         if obj > best_obj:
             best_p, best_obj = v.copy(), obj
-        if abs(obj - prev) <= cfg.tol:
+        if abs(obj - prev) <= TOL:
             converged = True
             break
     return WmmseResult(
@@ -112,40 +105,24 @@ def _wmmse_sweeps(channels: ChannelRealization, v0: np.ndarray,
     )
 
 
-def wmmse_allocate(channels: ChannelRealization, cfg: WmmseConfig = WmmseConfig()) -> WmmseResult:
-    """Best WMMSE stationary point over the configured starts.
+def wmmse_allocate(channels: ChannelRealization) -> WmmseResult:
+    """Best WMMSE stationary point over the starts.
 
-    Starts, in order: the primary init (full-power by default), one corner
-    per pair when corner_starts is set, then random_restarts seeded uniform
-    draws. Ties keep the earliest start, so mild instances still return the
-    primary run's answer. The winner's own monotone trace is returned.
+    Starts, in order: full power, one corner per pair (that pair at p_max,
+    the rest silent), then RANDOM_RESTARTS seeded uniform draws. Ties keep
+    the earliest start, so mild instances still return the full-power run's
+    answer. The winner's own monotone trace is returned.
     """
     m = channels.M
     p_max = channels.p_max
-    if cfg.random_restarts < 0:
-        raise ValueError("random_restarts must be >= 0")
-    if cfg.init == "full-power":
-        primary = np.full(m, p_max)
-    elif cfg.init == "random":
-        primary = np.random.default_rng(cfg.init_seed).uniform(0.0, p_max, size=m)
-    else:
-        raise ValueError(f"unknown init {cfg.init!r}")
-
-    starts = [primary]
-    if cfg.corner_starts and m > 1:
-        for j in range(m):
-            corner = np.zeros(m)
-            corner[j] = p_max
-            starts.append(corner)
-    for r in range(cfg.random_restarts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.init_seed, _RESTART_STREAM_TAG, r])
-        )
+    starts = [np.full(m, p_max)] + (list(p_max * np.eye(m)) if m > 1 else [])
+    for r in range(RANDOM_RESTARTS):
+        rng = np.random.default_rng(np.random.SeedSequence([0, _RESTART_STREAM_TAG, r]))
         starts.append(rng.uniform(0.0, p_max, size=m))
 
     best = None
     for v0 in starts:
-        res = _wmmse_sweeps(channels, v0, cfg)
+        res = _wmmse_sweeps(channels, v0)
         if best is None or res.objective > best.objective:
             best = res
     return best

@@ -18,9 +18,10 @@ import qgpc.cli as cli
 from qgpc import channels as ch
 from qgpc.channels import sinr, weighted_sum_rate
 from qgpc.cli import main
-from qgpc.gcn import GcnParams, gcn_forward_batch
+from qgpc import qgnn
+from qgpc.gcn import GcnModel, GcnParams
 from qgpc.graph import InterferenceGraph, build_graph, decompose_stars, fit_feature_scaler
-from qgpc.qgnn import QgnnModel, QgnnParams, _layer_forward, _layer_rows, build_qgcl_circuit
+from qgpc.qgnn import QgnnModel, QgnnParams
 from qgpc.qsim import CircuitSpec, Gate, Observable, expectation, param_shift_grad, run_circuit
 from qgpc.trainer import Instance
 from qgpc.wmmse import grid_search_oracle, wmmse_allocate
@@ -177,24 +178,29 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
             assert all(leaf in range(5) and leaf != center for leaf in leaves)
 
     # leaf-order invariance of the star update, bit-exact
-    spec = build_qgcl_circuit(2, 1)
+    model = QgnnModel(layers=1, depth=1, k=6)
     rng = np.random.default_rng(61)
-    theta = rng.uniform(-1, 1, 10)
-    h = rng.uniform(-1, 1, (5, 2))
-    star_graph = InterferenceGraph(np.zeros((5, 2)), np.zeros((5, 5)), np.ones(5), 1.0)
-    star_graph.edge_angle[1:, 0] = rng.uniform(0, np.pi, 4)
-    others = [[j for j in range(5) if j != i] for i in range(1, 5)]
-    rows = _layer_rows([star_graph], [np.array([[1, 2, 3, 4]] + others)], np.array([0]))
-    base = _layer_forward(spec, theta, h, rows)[0]
-    for order in [(3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)]:
-        leaves = np.array([[(1, 2, 3, 4)[i] for i in order]] + others)
-        permuted = _layer_rows([star_graph], [leaves], np.array([0]))
-        assert np.array_equal(_layer_forward(spec, theta, h, permuted)[0], base)
+    prepared = model._prepare(rng.uniform(-1, 1, 12), grad=False)
+    star_graph = InterferenceGraph(rng.uniform(0, np.pi, (7, 2)), np.zeros((7, 7)),
+                                   np.ones(7), 1.0)
+    star_graph.edge_angle[1:, 0] = rng.uniform(0, np.pi, 6)
+    others = [[j for j in range(7) if j != i] for i in range(1, 7)]
+
+    def center_update(leaves):  # star 0's center after the layer
+        with monkeypatch.context() as patch:
+            patch.setattr(qgnn, "decompose_stars", lambda n, k, seed: leaves)
+            return model._forward([star_graph], prepared, [0]).h[1][0, 0]
+
+    base = center_update(np.array([[1, 2, 3, 4, 5, 6]] + others))
+    for order in [(5, 4, 3, 2, 1, 0), (1, 3, 0, 5, 2, 4), (2, 0, 4, 1, 5, 3)]:
+        leaves = np.array([[(1, 2, 3, 4, 5, 6)[i] for i in order]] + others)
+        permuted = center_update(leaves)
+        assert np.array_equal(permuted, base)
 
     # GCN permutation equivariance, bit-exact
     flat = np.random.default_rng(62).uniform(-0.5, 0.5, GcnParams.param_count(2, 8, 2))
-    gp = GcnParams.from_flat(flat, 2, 8, 2)
-    p = gcn_forward_batch([graph], gp)[0]
+    gcn_model = GcnModel(hidden=8, layers=2)
+    p = gcn_model.forward(inst, graph, flat, 0)
     perm = np.array([4, 2, 0, 1, 3])
     ea = np.empty_like(graph.edge_angle)
     for a in range(5):
@@ -206,7 +212,7 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
         alpha=np.asarray(graph.alpha)[np.argsort(perm)],
         p_max=graph.p_max,
     )
-    assert np.array_equal(gcn_forward_batch([pg], gp)[0][perm], p)
+    assert np.array_equal(gcn_model.forward(inst, pg, flat, 0)[perm], p)
 
     # trainable parameter count independent of graph size and of k
     assert {QgnnModel(2, 1, k).param_count() for k in (1, 2, 3, 9)} == {22}

@@ -406,6 +406,54 @@ def test_minibatch_training_csv_is_byte_identical_on_rerun(tmp_path):
     assert len(blobs[0].decode().strip().split("\n")) == 4  # header, baseline, 2 epochs
 
 
+# Reports of a tiny run at the default seeds and models. A change that moves
+# any random stream or float result of the pipeline shows up as an edit here.
+TINY_REPORTS = {
+    "qgnn": """epoch,train_mean_bpshz,test_mean_bpshz,wmmse_test_mean_bpshz
+0,0.356358966151,0.54137578454,1.43754541481
+1,0.371557292821,0.562388366619,1.43754541481
+2,0.386946103849,0.583587461864,1.43754541481
+""",
+    "gcn": """epoch,train_mean_bpshz,test_mean_bpshz,wmmse_test_mean_bpshz
+0,0.332969625178,0.50885334067,1.43754541481
+1,0.381620744498,0.576275770072,1.43754541481
+2,0.540327078795,0.789106660988,1.43754541481
+""",
+}
+
+
+@pytest.mark.parametrize("arch", ["qgnn", "gcn"])
+def test_tiny_run_reports_are_pinned(tmp_path, arch):
+    args = ["--set", f"io.out_dir={tmp_path}", "--set", "scenario.M=3",
+            "--set", "scenario.train_size=12", "--set", "scenario.test_size=6",
+            "--set", "train.epochs=2", "--set", f"model.arch={arch}"]
+    assert main(args + ["gen"]) == 0
+    assert main(args + ["train"]) == 0
+    assert (tmp_path / f"{arch}_train_report.csv").read_text() == TINY_REPORTS[arch]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_overflowing_parameters_abort_with_one_stderr_line(tmp_path, capsys, command):
+    # parameters near 1e300 overflow the GCN's products; the non-finite
+    # powers must end the run with one message, no numpy warning before it
+    args = _args(tmp_path, "--set", "model.arch=gcn")
+    assert main(args + ["gen"]) == 0
+    if command == "train":
+        args += ["--set", "train.lr=1e300"]
+    else:
+        assert main(args + ["train"]) == 0
+        path = tmp_path / "gcn_checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["params"] = [(1e300, -1e300)[i % 2] for i in range(len(doc["params"]))]
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(args + [command]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aborted: ")
+
+
 @functools.cache
 def _valid_files() -> tuple[str, str]:
     """Text of a small valid dataset and of a valid GCN checkpoint for it."""

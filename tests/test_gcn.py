@@ -6,9 +6,9 @@ import pytest
 from qgpc import channels as ch
 from qgpc.channels import sinr, weighted_sum_rate
 from qgpc import gcn
-from qgpc.gcn import GcnModel, GcnParams, gcn_forward_batch, gcn_loss_and_grad_batch
+from qgpc.gcn import GcnModel, GcnParams
 from qgpc.graph import InterferenceGraph, build_graph, fit_feature_scaler
-from qgpc.trainer import Instance
+from qgpc.trainer import Instance, size_blocks
 
 
 def _instance(m=4, seed=0):
@@ -22,6 +22,21 @@ def _random_params(feature_dim, hidden, layers, seed, scale=0.5):
     rng = np.random.default_rng(seed)
     flat = rng.uniform(-scale, scale, GcnParams.param_count(feature_dim, hidden, layers))
     return GcnParams.from_flat(flat, feature_dim, hidden, layers)
+
+
+def _model(params):
+    return GcnModel(hidden=params.head_w.size, layers=len(params.layers))
+
+
+def _powers(graph, params):
+    """Powers of one graph; the GCN reads no channels."""
+    return _model(params).forward(None, graph, params.flatten(), 0)
+
+
+def _loss_and_grad(inst, graph, params):
+    (loss,), (grad,) = _model(params).loss_and_grad_batch([Instance("i", inst, graph)],
+                                                          params.flatten(), [0])
+    return loss, grad
 
 
 def test_param_count_matches_flatten():
@@ -43,8 +58,8 @@ def test_flat_round_trip():
 def test_forward_shapes_feasible_and_deterministic():
     inst, graph = _instance(4, seed=2)
     params = _random_params(2, 8, 2, seed=2)
-    p1 = gcn_forward_batch([graph], params)[0]
-    p2 = gcn_forward_batch([graph], params)[0]
+    p1 = _powers(graph, params)
+    p2 = _powers(graph, params)
     assert p1.shape == (4,)
     assert np.array_equal(p1, p2)
     assert np.all(p1 > 0.0) and np.all(p1 < inst.p_max)
@@ -53,7 +68,7 @@ def test_forward_shapes_feasible_and_deterministic():
 def test_forward_single_node_uses_empty_aggregation():
     inst, graph = _instance(1, seed=3)
     params = _random_params(2, 6, 2, seed=3)
-    p = gcn_forward_batch([graph], params)[0]
+    p = _powers(graph, params)
     assert p.shape == (1,)
     assert 0.0 < p[0] < inst.p_max
 
@@ -61,7 +76,7 @@ def test_forward_single_node_uses_empty_aggregation():
 def test_forward_equivariant_under_node_relabeling():
     _, graph = _instance(5, seed=4)
     params = _random_params(2, 8, 2, seed=4)
-    p = gcn_forward_batch([graph], params)[0]
+    p = _powers(graph, params)
     perm = np.array([3, 0, 4, 1, 2])  # old index i becomes new index perm[i]
     n = graph.N
     ea = np.empty_like(graph.edge_angle)
@@ -74,7 +89,7 @@ def test_forward_equivariant_under_node_relabeling():
         alpha=np.asarray(graph.alpha)[np.argsort(perm)],
         p_max=graph.p_max,
     )
-    pp = gcn_forward_batch([pg], params)[0]
+    pp = _powers(pg, params)
     assert np.array_equal(pp[perm], p)
 
 
@@ -82,13 +97,13 @@ def test_loss_matches_forward_and_gradient_matches_finite_differences():
     inst, graph = _instance(3, seed=5)
     params = _random_params(2, 4, 2, seed=5)
     flat0 = params.flatten()
-    (loss,), (grad,) = gcn_loss_and_grad_batch([graph], [inst], params)
-    p = gcn_forward_batch([graph], params)[0]
+    loss, grad = _loss_and_grad(inst, graph, params)
+    p = _powers(graph, params)
     assert loss == pytest.approx(-weighted_sum_rate(sinr(inst, p), inst.alpha), rel=1e-12)
 
     def f(flat):
         q = GcnParams.from_flat(flat, 2, 4, 2)
-        pw = gcn_forward_batch([graph], q)[0]
+        pw = _powers(graph, q)
         return -weighted_sum_rate(sinr(inst, pw), inst.alpha)
 
     fd = np.zeros_like(flat0)
@@ -102,8 +117,8 @@ def test_loss_matches_forward_and_gradient_matches_finite_differences():
 def test_gradient_is_deterministic():
     inst, graph = _instance(3, seed=6)
     params = _random_params(2, 4, 1, seed=6)
-    (l1,), (g1,) = gcn_loss_and_grad_batch([graph], [inst], params)
-    (l2,), (g2,) = gcn_loss_and_grad_batch([graph], [inst], params)
+    l1, g1 = _loss_and_grad(inst, graph, params)
+    l2, g2 = _loss_and_grad(inst, graph, params)
     assert l1 == l2
     assert np.array_equal(g1, g2)
 
@@ -125,7 +140,7 @@ def test_max_aggregation_matches_per_node_loop():
     graphs = [_instance(5, seed=9)[1], _instance(5, seed=10)[1]]
     params = _random_params(2, 6, 2, seed=9)
     params.layers[0].msg_w2[:, 0] = 0.0  # column 0 ties across every edge
-    tape = gcn._forward(graphs, params)
+    tape = _model(params)._forward(graphs, params, None)
     n = graphs[0].N
     assert tape.src.tolist() == [u for v in range(n) for u in range(n) if u != v]
     dst = np.array([v for v in range(n) for u in range(n) if u != v])
@@ -153,8 +168,7 @@ def test_batch_calls_match_single_instance_calls(monkeypatch):
     params.layers[1].msg_w2[:, 2] = 0.0  # column 2 ties across every edge
     flat = params.flatten()
     monkeypatch.setattr(gcn, "BLOCK_EDGES", 30)  # 2 graphs of 4 nodes, 5 of 3 per block
-    graphs = [inst.graph for inst in split]
-    assert len(list(gcn._blocks(graphs))) > len(set(sizes))
+    assert len(list(size_blocks(sizes, model._rows, gcn.BLOCK_EDGES))) > len(set(sizes))
     seeds = list(range(len(split)))
     powers = model.forward_batch(split, flat, seeds)
     losses, grads = model.loss_and_grad_batch(split, flat, seeds)

@@ -10,13 +10,13 @@ from qgpc import channels as ch
 from qgpc import qgnn
 from qgpc.graph import InterferenceGraph, build_graph, decompose_stars, fit_feature_scaler
 from qgpc.qgnn import (
-    QgnnModel, QgnnParams, _Kernel, _forward_tape, _layer_forward, _layer_rows,
-    build_qgcl_circuit, embedding_to_angle, initial_embeddings, input_slot_count,
-    node_input_angles, slots_per_layer,
+    QgnnModel, QgnnParams, _Kernel, _layer_forward, _row_angles, build_qgcl_circuit,
+    embedding_to_angle, initial_embeddings, input_slot_count, node_input_angles,
+    slots_per_layer,
 )
 from qgpc.channels import sinr, weighted_sum_rate
 from qgpc.qsim import expectations_z, run_batch
-from qgpc.trainer import Instance
+from qgpc.trainer import Instance, size_blocks
 
 
 def _instance(m=4, seed=0):
@@ -32,11 +32,16 @@ def _random_params(feature_dim, n_layers, depth, seed, scale=0.5):
     return QgnnParams.from_flat(flat, feature_dim, n_layers, depth)
 
 
-def _graph(edge_angle):
-    """A graph carrying only the given edge angles, for hand-made stars."""
-    n = len(edge_angle)
-    return InterferenceGraph(np.zeros((n, 2)), np.asarray(edge_angle, dtype=float),
-                             np.ones(n), 1.0)
+def _layer(spec, theta, h, edge_angle, leaves):
+    """One layer over one graph with hand-made stars, each ascending."""
+    edge = np.asarray(edge_angle, dtype=float)
+    return _layer_forward(_Kernel(spec, theta), h[None], edge[None], np.asarray(leaves)[None])[0]
+
+
+def _tape(graph, params, k, seed):
+    """The forward pass over one graph, with the model's own star draw."""
+    model = QgnnModel(len(params.layers), params.layers[0].size // slots_per_layer(2, 1), k)
+    return model._forward([graph], model._prepare(params.flatten(), grad=False), [seed])
 
 
 def _one(inst, graph):
@@ -112,8 +117,7 @@ def test_message_from_vacuum_is_all_ones():
     # zero angles leave every qubit in |0>, so every Z expectation is +1;
     # a one-leaf star's update is that leaf's message
     h = np.full((2, 2), -1.0)  # embedding -1 encodes as angle 0
-    rows = _layer_rows([_graph(np.zeros((2, 2)))], [np.array([[1], [0]])], np.array([0]))
-    msg = _layer_forward(build_qgcl_circuit(2, 1), np.zeros(10), h, rows)
+    msg = _layer(build_qgcl_circuit(2, 1), np.zeros(10), h, np.zeros((2, 2)), [[1], [0]])
     assert np.allclose(msg, 1.0, atol=1e-12)
 
 
@@ -123,17 +127,15 @@ def test_messages_stay_in_expectation_range():
     for _ in range(20):
         theta = rng.uniform(-np.pi, np.pi, 20)
         h = rng.uniform(-1, 1, (2, 2))
-        graph = _graph(rng.uniform(0, np.pi, (2, 2)))
-        msg = _layer_forward(spec, theta, h,
-                             _layer_rows([graph], [np.array([[1], [0]])], np.array([0])))
+        msg = _layer(spec, theta, h, rng.uniform(0, np.pi, (2, 2)), [[1], [0]])
         assert msg.shape == (2, 2)
         assert np.all(np.abs(msg) <= 1.0 + 1e-12)
 
 
 def test_forward_star_without_leaves_passes_embedding_through():
     h = np.array([[0.2, -0.4], [0.9, 0.1]])
-    rows = _layer_rows([_graph(np.zeros((2, 2)))], [np.empty((2, 0), dtype=int)], np.array([0]))
-    out = _layer_forward(build_qgcl_circuit(2, 1), np.full(10, 0.3), h, rows)
+    out = _layer(build_qgcl_circuit(2, 1), np.full(10, 0.3), h, np.zeros((2, 2)),
+                 np.empty((2, 0), dtype=int))
     assert np.array_equal(out, h)
     out[0, 0] = 99.0
     assert h[0, 0] == 0.2
@@ -143,49 +145,48 @@ def test_forward_duplicate_leaf_embedding_matches_single_leaf():
     spec = build_qgcl_circuit(2, 1)
     theta = np.linspace(-0.5, 0.5, 10)
     h = np.array([[0.1, 0.2], [-0.3, 0.7], [-0.3, 0.7]])
-    rows1 = _layer_rows([_graph(np.full((2, 2), 0.4))], [np.array([[1], [0]])], np.array([0]))
-    rows2 = _layer_rows([_graph(np.full((3, 3), 0.4))], [np.array([[1, 2], [0, 2], [0, 1]])],
-                        np.array([0]))
-    one = _layer_forward(spec, theta, h[:2], rows1)[0]
-    two = _layer_forward(spec, theta, h, rows2)[0]
+    one = _layer(spec, theta, h[:2], np.full((2, 2), 0.4), [[1], [0]])[0]
+    two = _layer(spec, theta, h, np.full((3, 3), 0.4), [[1, 2], [0, 2], [0, 1]])[0]
     # batch sizes 1 and 2 may take different matmul paths, hence the tiny atol
     assert np.allclose(one, two, rtol=0.0, atol=1e-13)
 
 
-def test_forward_is_exactly_leaf_order_invariant():
-    spec = build_qgcl_circuit(2, 1)
+def test_forward_is_exactly_leaf_order_invariant(monkeypatch):
     rng = np.random.default_rng(21)
-    theta = rng.uniform(-1, 1, 10)
-    h = rng.uniform(-1, 1, (4, 2))
-    graph = _graph(rng.uniform(0, np.pi, (4, 4)))
-    others = [[0, 2, 3], [0, 1, 3], [0, 1, 2]]
-    base = _layer_forward(spec, theta, h,
-                          _layer_rows([graph], [np.array([[1, 2, 3]] + others)], np.array([0])))
-    for order in [(2, 0, 1), (1, 0, 2), (2, 1, 0)]:
-        leaves = np.array([[(1, 2, 3)[i] for i in order]] + others)
-        rows = _layer_rows([graph], [leaves], np.array([0]))
-        assert np.array_equal(_layer_forward(spec, theta, h, rows), base)
+    params = _random_params(2, 1, 1, seed=21)
+    graph = InterferenceGraph(rng.uniform(0, np.pi, (7, 2)), rng.uniform(0, np.pi, (7, 7)),
+                              np.ones(7), 1.0)
+    others = [[j for j in range(7) if j != i] for i in range(1, 7)]
+
+    def embeddings(first_star):
+        monkeypatch.setattr(qgnn, "decompose_stars", lambda n, k, seed: np.array(
+            [first_star] + others))
+        return _tape(graph, params, 6, 0).h[-1]
+
+    base = embeddings([1, 2, 3, 4, 5, 6])
+    for _ in range(4):
+        assert np.array_equal(embeddings(list(rng.permutation([1, 2, 3, 4, 5, 6]))), base)
 
 
 def test_forward_single_node_keeps_initial_embedding():
     inst, graph = _instance(1, seed=6)
     params = _random_params(2, 2, 1, seed=6)
-    tape = _forward_tape([graph], params, 2, [0])
-    h = tape.h[-1]
+    tape = _tape(graph, params, 2, 0)
+    h = tape.h[-1][0]
     assert np.array_equal(h, initial_embeddings(graph))
     want = inst.p_max / (1.0 + np.exp(-(params.decode_scale * h[0, 0] + params.decode_bias)))
-    assert tape.p_max[0] * tape.sig[0] == pytest.approx(want, rel=1e-12)
+    assert tape.p[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_forward_powers_feasible_and_deterministic():
     inst, graph = _instance(4, seed=7)
     params = _random_params(2, 2, 1, seed=7, scale=2.0)
-    t1, t2, t3 = (_forward_tape([graph], params, 2, [seed]) for seed in (5, 5, 6))
-    p1, h1 = t1.p_max * t1.sig, t1.h[-1]
-    assert np.array_equal(p1, t2.p_max * t2.sig) and np.array_equal(h1, t2.h[-1])
+    t1, t2, t3 = (_tape(graph, params, 2, seed) for seed in (5, 5, 6))
+    p1, h1 = t1.p, t1.h[-1]
+    assert np.array_equal(p1, t2.p) and np.array_equal(h1, t2.h[-1])
     assert np.all(p1 > 0.0) and np.all(p1 < inst.p_max)
     assert np.all(np.abs(h1) <= 1.0 + 1e-12)
-    assert not np.array_equal(p1, t3.p_max * t3.sig)
+    assert not np.array_equal(p1, t3.p)
 
 
 def test_forward_equivariant_under_node_relabeling(monkeypatch):
@@ -193,7 +194,7 @@ def test_forward_equivariant_under_node_relabeling(monkeypatch):
     params = _random_params(2, 2, 1, seed=8)
     leaves = np.array([[1, 3], [2, 0], [3, 1], [0, 2]])  # every layer's stars
     monkeypatch.setattr(qgnn, "decompose_stars", lambda n, k, seed: leaves)
-    tape = _forward_tape([graph], params, 2, [0])
+    tape = _tape(graph, params, 2, 0)
 
     perm = np.array([2, 0, 3, 1])  # old index i becomes new index perm[i]
     ea = np.empty_like(graph.edge_angle)
@@ -209,9 +210,9 @@ def test_forward_equivariant_under_node_relabeling(monkeypatch):
     pleaves = np.empty_like(leaves)
     pleaves[perm] = perm[leaves]  # star of old center i, relabeled, is row perm[i]
     monkeypatch.setattr(qgnn, "decompose_stars", lambda n, k, seed: pleaves)
-    ptape = _forward_tape([pg], params, 2, [0])
-    assert np.array_equal((ptape.p_max * ptape.sig)[perm], tape.p_max * tape.sig)
-    assert np.array_equal(ptape.h[-1][perm], tape.h[-1])
+    ptape = _tape(pg, params, 2, 0)
+    assert np.array_equal(ptape.p[0][perm], tape.p[0])
+    assert np.array_equal(ptape.h[-1][0][perm], tape.h[-1][0])
 
 
 def test_loss_matches_forward_and_gradient_matches_finite_differences():
@@ -320,30 +321,26 @@ def _split(m, count, seed0):
 
 
 def test_layer_rows_match_a_per_star_loop():
-    graphs = [inst.graph for inst in _split(4, 3, 300) + _split(1, 2, 400) + _split(3, 2, 500)]
-    offsets = np.cumsum([0] + [g.N for g in graphs[:-1]])
-    for k in (0, 1, 2, 5):
-        leaves = [decompose_stars(g.N, k, 7 + b) for b, g in enumerate(graphs)]
-        rows = _layer_rows(graphs, leaves, offsets)
-        center, leaf, edge, fan, first = [], [], [], [], []
-        for graph, lv, off in zip(graphs, leaves, offsets):
-            for i, star in enumerate(lv.tolist()):
-                first += [len(center)] if star else []
-                for j in sorted(star):
-                    center.append(off + i)
-                    leaf.append(off + j)
-                    edge.append(graph.edge_angle[j, i])
-                    fan.append(len(star))
-        assert rows.center.tolist() == center and rows.leaf.tolist() == leaf
-        assert rows.edge.tolist() == edge
-        assert rows.fan.tolist() == fan and rows.first.tolist() == first
+    # a block's message rows, star by star: center, leaf, edge leaf -> center
+    for m, k in [(4, 0), (4, 1), (4, 2), (3, 5), (1, 2)]:
+        graphs = [inst.graph for inst in _split(m, 3, 300 + m)]
+        h = np.stack([initial_embeddings(g) for g in graphs])
+        leaves = np.sort([decompose_stars(m, k, 7 + b) for b in range(3)], axis=2)
+        rows = _row_angles(h, np.stack([g.edge_angle for g in graphs]), leaves)
+        want = [np.concatenate([embedding_to_angle(h[b, i]), embedding_to_angle(h[b, j]),
+                                [graph.edge_angle[j, i]]])
+                for b, graph in enumerate(graphs) for i in range(m) for j in leaves[b, i]]
+        assert rows.tolist() == np.reshape(want, (-1, 5)).tolist()
 
 
-def test_batch_calls_match_single_instance_calls():
+def test_batch_calls_match_single_instance_calls(monkeypatch):
     split = _split(4, 24, seed0=300) + _split(1, 2, seed0=400) + _split(3, 3, seed0=500)
     model = QgnnModel(layers=2, depth=2, k=2)
     flat = np.random.default_rng(17).uniform(-1.0, 1.0, model.param_count())
     seeds = [1000 + 7 * i for i in range(len(split))]
+    monkeypatch.setattr(qgnn, "BLOCK_AMPLITUDES", 16 * 2 ** 5)  # 16 rows: 2 graphs per block
+    sizes = [inst.graph.N for inst in split]
+    assert len(list(size_blocks(sizes, model._rows, model._row_budget()))) == 12 + 2 + 2
     powers = model.forward_batch(split, flat, seeds)
     losses, grads = model.loss_and_grad_batch(split, flat, seeds)
     assert len(powers) == len(split) and grads.shape == (len(split), flat.size)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgpc.qgnn as qgnn_mod
 import qgpc.qsim as qsim_mod
@@ -12,7 +14,7 @@ from qgpc.graph import build_graph, fit_feature_scaler
 from qgpc.qgnn import QgnnModel
 from qgpc.trainer import (
     AdamConfig, AdamState, Instance, NonFiniteLossError, SeedConfig, TrainConfig,
-    TrainReport, adam_step, eval_star_seed, evaluate_mean, mix_seed, train,
+    TrainReport, adam_step, eval_star_seed, evaluate_mean, mix_seed, size_blocks, train,
     train_star_seed, wmmse_mean,
 )
 
@@ -231,3 +233,20 @@ def test_report_csv_layout_is_exact():
         "2,1.5,2.25,3\n"
     )
     assert report.to_csv() == want
+
+
+@settings(max_examples=200)
+@given(sizes=st.lists(st.integers(1, 9), max_size=40), budget=st.integers(0, 80),
+       k=st.none() | st.integers(0, 4))
+def test_size_blocks_partition_graphs_by_size_within_the_budget(sizes, budget, k):
+    # k None: the GCN's N(N-1) edge rows; else the QGNN's N min(k, N-1) message rows
+    def rows(n):
+        return n * (n - 1) if k is None else n * min(k, n - 1)
+
+    blocks = list(size_blocks(sizes, rows, budget))
+    assert sorted(i for idx in blocks for i in idx) == list(range(len(sizes)))
+    for idx in blocks:
+        assert len({sizes[i] for i in idx}) == 1
+        per_graph = rows(sizes[idx[0]])
+        assert len(idx) == 1 or len(idx) * per_graph <= budget
+        assert per_graph > 0 or len(idx) == 1  # a graph without rows runs alone
