@@ -6,6 +6,7 @@ and benchmarks both against WMMSE and a brute-force grid oracle.
 """
 
 from .channels import (
+    ChannelBatch,
     ChannelRealization,
     Scenario,
     generate_scenario,
@@ -45,6 +46,6 @@ from .trainer import (
     adam_step,
     train,
 )
-from .wmmse import WmmseResult, grid_search_oracle, wmmse_allocate
+from .wmmse import WmmseResult, grid_search_oracle, wmmse_allocate, wmmse_batch
 
 __version__ = "0.1.0"

@@ -136,36 +136,91 @@ def realize_channels(
     return ChannelRealization(G=amp * fade, sigma2=sigma2, alpha=alpha, p_max=p_max)
 
 
-def _sinr_terms(channels: ChannelRealization, p):
+@dataclass(eq=False)
+class ChannelBatch:
+    """Realizations of one size M stacked along a leading axis of B. Only
+    |G|^2 and the direct gains g_mm are kept: nothing batched reads the
+    other complex gains, and they would be two thirds of its bytes."""
+
+    gain: np.ndarray    # (B, M, M) |G|^2
+    gdiag: np.ndarray   # (B, M) complex direct gains g_mm
+    sigma2: np.ndarray  # (B, M)
+    alpha: np.ndarray   # (B, M)
+    p_max: np.ndarray   # (B,)
+
+    @classmethod
+    def stack(cls, realizations: list[ChannelRealization]) -> "ChannelBatch":
+        """Stack realizations that share M, in the order given."""
+        sizes = {ch.M for ch in realizations}
+        if len(sizes) != 1:
+            raise DimensionError(f"a batch needs one size M, got {sorted(sizes)}")
+        # |G|^2 one realization at a time: a stacked complex G would be a
+        # temporary twice the size of the batch's gains
+        return cls(gain=np.stack([np.abs(ch.G) ** 2 for ch in realizations]),
+                   gdiag=np.stack([np.diagonal(ch.G) for ch in realizations]),
+                   sigma2=np.stack([ch.sigma2 for ch in realizations]),
+                   alpha=np.stack([ch.alpha for ch in realizations]),
+                   p_max=np.array([ch.p_max for ch in realizations]))
+
+    def __len__(self) -> int:
+        return self.gain.shape[0]
+
+    def __getitem__(self, rows) -> "ChannelBatch":
+        """The realizations at the given row indices, as a batch."""
+        return ChannelBatch(gain=self.gain[rows], gdiag=self.gdiag[rows],
+                            sigma2=self.sigma2[rows], alpha=self.alpha[rows],
+                            p_max=self.p_max[rows])
+
+    @property
+    def M(self) -> int:
+        return self.gain.shape[-1]
+
+
+def stack_by_size(realizations: list[ChannelRealization]):
+    """(indices, ChannelBatch) for each group of same-size realizations,
+    smallest M first; the indices point into ``realizations``."""
+    sizes = np.array([ch.M for ch in realizations])
+    for m in np.unique(sizes):
+        idx = np.flatnonzero(sizes == m)
+        yield idx, ChannelBatch.stack([realizations[i] for i in idx])
+
+
+def _sinr_terms(channels: ChannelRealization | ChannelBatch, p):
     """Powers as an array, |G|^2, the direct received power and the
-    interference-plus-noise denominator, for p of shape (M,) or (B, M).
-    Column m of the interference sums |g_km|^2 p_k^2 over k in index order,
-    so a batch row gives the same bits as that power vector alone."""
+    interference-plus-noise denominator. On a realization p is (M,) or
+    (B, M); on a batch it is (B, M), row b on realization b. Column m of
+    the interference sums |g_km|^2 p_k^2 over k in index order, so a row
+    gives the same bits as that power vector on its realization alone."""
     p = np.asarray(p, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] != channels.M:
-        raise DimensionError(
-            f"power has shape {p.shape}, expected ({channels.M},) or (B, {channels.M})"
-        )
-    gain = np.abs(channels.G) ** 2
+    m = channels.M
+    if isinstance(channels, ChannelBatch):
+        if p.shape != (len(channels), m):
+            raise DimensionError(f"power has shape {p.shape}, expected ({len(channels)}, {m})")
+        gain = channels.gain
+    else:
+        if p.ndim not in (1, 2) or p.shape[-1] != m:
+            raise DimensionError(f"power has shape {p.shape}, expected ({m},) or (B, {m})")
+        gain = np.abs(channels.G) ** 2
     p2 = p ** 2
-    direct = p2 * np.diagonal(gain)
-    denom = np.einsum("...k,km->...m", p2, gain) - direct + channels.sigma2
+    direct = p2 * np.diagonal(gain, axis1=-2, axis2=-1)
+    denom = np.einsum("...k,...km->...m", p2, gain) - direct + channels.sigma2
     return p, gain, direct, denom
 
 
-def sinr(channels: ChannelRealization, p) -> np.ndarray:
-    """Per-receiver SINR of power vectors p, shape (M,) or (B, M); the
-    amplitude p_k scales the gain inside |.|^2."""
+def sinr(channels: ChannelRealization | ChannelBatch, p) -> np.ndarray:
+    """Per-receiver SINR of power vectors p (see _sinr_terms for the
+    shapes); the amplitude p_k scales the gain inside |.|^2."""
     _, _, direct, denom = _sinr_terms(channels, p)
     return direct / denom
 
 
 def weighted_sum_rate(gamma, alpha):
     """sum_m alpha_m log2(1 + gamma_m) in bps/Hz over the last axis: a float
-    for gamma of shape (M,), an array of B values for shape (B, M)."""
+    for gamma of shape (M,), an array of B values for shape (B, M). alpha is
+    (M,), or (B, M) with one weight vector per row."""
     gamma = np.asarray(gamma, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    if gamma.shape[-1:] != alpha.shape:
+    if gamma.shape[-1:] != alpha.shape[-1:] or alpha.ndim > gamma.ndim:
         raise DimensionError(f"gamma {gamma.shape} vs alpha {alpha.shape}")
     if np.any(gamma < 0):
         raise ValueError("gamma must be non-negative")
@@ -173,8 +228,9 @@ def weighted_sum_rate(gamma, alpha):
     return float(rate) if rate.ndim == 0 else rate
 
 
-def sum_rate(channels: ChannelRealization, p) -> float:
-    """Objective value of a power vector on one instance."""
+def sum_rate(channels: ChannelRealization | ChannelBatch, p):
+    """Objective of power vectors: a float for one vector on a realization,
+    one value per row for a (B, M) batch of vectors or on a ChannelBatch."""
     return weighted_sum_rate(sinr(channels, p), channels.alpha)
 
 
@@ -185,10 +241,10 @@ def sum_rate_batch(channels: ChannelRealization, P: np.ndarray) -> np.ndarray:
     return weighted_sum_rate(sinr(channels, P), channels.alpha)
 
 
-def weighted_sum_rate_grad(channels: ChannelRealization, p) -> np.ndarray:
-    """Analytic d(weighted sum rate)/dp at power vectors of shape (M,) or (B, M)."""
+def weighted_sum_rate_grad(channels: ChannelRealization | ChannelBatch, p) -> np.ndarray:
+    """Analytic d(weighted sum rate)/dp at power vectors p, shaped like p."""
     p, gain, direct, denom = _sinr_terms(channels, p)
-    bdiag = np.diagonal(gain)
+    bdiag = np.diagonal(gain, axis1=-2, axis2=-1)
     pref = channels.alpha / (np.log(2.0) * (1.0 + direct / denom))  # d obj / d gamma_m
     grad = pref * 2.0 * bdiag * p / denom
     cross = pref * direct / denom ** 2  # weight on each interference term

@@ -13,10 +13,11 @@ surrogate exactly, so the sum-rate objective is non-decreasing sweep to sweep.
 
 Sweeps only reach a stationary point, and under strong interference the
 full-power start can stall at a poor one (the global optimum may silence a
-pair entirely). wmmse_allocate therefore multi-starts: full power, one
-corner start per pair (that pair at p_max, the rest silent), and a few
-seeded uniform restarts. The best run's record is returned; everything
-stays deterministic.
+pair entirely). WMMSE therefore multi-starts: full power, one corner start
+per pair (that pair at p_max, the rest silent), and a few seeded uniform
+restarts. The best run's record is returned; everything stays
+deterministic. wmmse_batch runs every start of every instance of a list as
+one row of a stacked sweep; wmmse_allocate is that call on one instance.
 
 The grid oracle never builds its (levels^M, M) power grid. Receiver m's
 interference on the grid is a sum of M one-dimensional terms, term k being
@@ -33,7 +34,9 @@ import numpy as np
 
 # sum_rate_batch is not called here; it stays bound on this module for code
 # that looks it up or wraps it here (the benchmark's tracer does).
-from .channels import ChannelRealization, sum_rate, sum_rate_batch  # noqa: F401
+from .channels import (  # noqa: F401
+    ChannelBatch, ChannelRealization, stack_by_size, sum_rate, sum_rate_batch,
+)
 
 GRID_POINT_GUARD = 10 ** 7  # bounds the oracle's time; its memory is bounded by a slab
 SLAB_POINTS = 1 << 16       # most grid points the oracle evaluates at once
@@ -43,6 +46,7 @@ _RESTART_STREAM_TAG = 0x524553  # restart r draws from SeedSequence([0, tag, r])
 MAX_ITER = 100       # sweeps per start
 TOL = 1e-6           # a start has converged once a sweep moves the objective by at most this
 RANDOM_RESTARTS = 2  # seeded uniform starts after the full-power and corner starts
+ROW_BLOCK_ELEMENTS = 1 << 16  # most rows * M^2 a block of WMMSE rows spans
 
 
 class InstanceTooLargeError(ValueError):
@@ -56,76 +60,113 @@ class WmmseResult:
     trace: np.ndarray      # objective after init and after each sweep
     converged: bool
     iterations: int
+    start: int             # winning start: 0 full power, 1..M the corners (M > 1), then restarts
 
 
-def _wmmse_sweeps(channels: ChannelRealization, v0: np.ndarray) -> WmmseResult:
-    """Block-coordinate sweeps from one start until the objective moves by
-    at most TOL.
+def _starts(batch: ChannelBatch) -> np.ndarray:
+    """Start rows of every instance of a batch, (B * S, M), instance-major:
+    full power, one corner per pair (that pair at p_max, the rest silent)
+    when M > 1, then RANDOM_RESTARTS seeded uniform draws. A restart draw
+    depends on its index r alone, so every instance of a size shares it."""
+    m = batch.M
+    unit = [np.ones((1, m))] + ([np.eye(m)] if m > 1 else [])
+    for r in range(RANDOM_RESTARTS):
+        rng = np.random.default_rng(np.random.SeedSequence([0, _RESTART_STREAM_TAG, r]))
+        unit.append(rng.random((1, m)))  # uniform(0, p_max) is p_max times these
+    return (batch.p_max[:, None, None] * np.concatenate(unit)).reshape(-1, m)
 
-    Non-convergence within MAX_ITER is not an error; the best iterate is
-    returned with converged=False.
+
+def _receiver_weights(rows: ChannelBatch, v: np.ndarray):
+    """MMSE receivers u and weights w of each row at transmit amplitudes v.
+    The stacked products run as one matrix-vector product per row, as a
+    single power vector's would."""
+    total = ((v ** 2)[:, None, :] @ rows.gain)[:, 0, :] + rows.sigma2  # per-receiver power
+    u = rows.gdiag * v / total
+    mse_denom = 1.0 - np.real(np.conj(u) * rows.gdiag * v)
+    mse_denom = np.maximum(mse_denom, _W_DENOM_FLOOR)
+    return u, 1.0 / mse_denom
+
+
+def _sweep_rows(batch: ChannelBatch, inst: np.ndarray, v: np.ndarray):
+    """Block-coordinate sweeps of every row, row b on realization inst[b]
+    of the batch from start v[b], until a sweep moves its objective by at
+    most TOL or it has run MAX_ITER sweeps; a sweep updates only the rows
+    still running.
+
+    Returns each row's best iterate and its objective, its trace (column j
+    the objective after sweep j, valid up to its iteration count), whether
+    it converged and its iteration count. Not converging is not an error.
     """
-    G = channels.G
-    gdiag = np.diagonal(G)
-    B2 = np.abs(G) ** 2
-    alpha = channels.alpha
-    p_max = channels.p_max
+    rows = batch[inst]  # gathered here, so a compaction below frees the old rows
+    n = len(rows)
+    obj = sum_rate(rows, v)
+    trace = np.empty((n, MAX_ITER + 1))
+    trace[:, 0] = obj
+    best_p, best_obj = v.copy(), obj.copy()
+    converged = np.zeros(n, dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    live = np.arange(n)  # the rows still running, in row order
+    u, w = _receiver_weights(rows, v)
+    for sweep in range(1, MAX_ITER + 1):
+        coeff = rows.alpha * w * np.abs(u) ** 2
+        numer = rows.alpha * w * np.real(np.conj(u) * rows.gdiag)
+        denom = (rows.gain @ coeff[:, :, None])[:, :, 0]
+        v = np.clip(numer / np.maximum(denom, _V_DENOM_FLOOR), 0.0, rows.p_max[:, None])
+        u, w = _receiver_weights(rows, v)
+        prev, obj = obj, sum_rate(rows, v)
+        trace[live, sweep] = obj
+        iterations[live] = sweep
+        better = obj > best_obj[live]
+        best_p[live[better]] = v[better]
+        best_obj[live[better]] = obj[better]
+        done = np.abs(obj - prev) <= TOL
+        converged[live[done]] = True
+        if done.any():
+            keep = ~done
+            live, rows = live[keep], rows[keep]
+            v, u, w, obj = v[keep], u[keep], w[keep], obj[keep]
+            if not live.size:
+                break
+    return best_p, best_obj, trace, converged, iterations
 
-    def receiver_weights(v):
-        total = (v ** 2) @ B2 + channels.sigma2     # per-receiver total power
-        u = gdiag * v / total
-        mse_denom = 1.0 - np.real(np.conj(u) * gdiag * v)
-        mse_denom = np.maximum(mse_denom, _W_DENOM_FLOOR)
-        return u, 1.0 / mse_denom
 
-    v = np.array(v0, dtype=float)
-    obj = sum_rate(channels, v)
-    trace = [obj]
-    best_p, best_obj = v.copy(), obj
-    u, w = receiver_weights(v)
-    converged = False
-    iterations = 0
-    for _ in range(MAX_ITER):
-        iterations += 1
-        coeff = alpha * w * np.abs(u) ** 2
-        numer = alpha * w * np.real(np.conj(u) * gdiag)
-        v = np.clip(numer / np.maximum(B2 @ coeff, _V_DENOM_FLOOR), 0.0, p_max)
-        u, w = receiver_weights(v)
-        prev = obj
-        obj = sum_rate(channels, v)
-        trace.append(obj)
-        if obj > best_obj:
-            best_p, best_obj = v.copy(), obj
-        if abs(obj - prev) <= TOL:
-            converged = True
-            break
-    return WmmseResult(
-        p=best_p, objective=best_obj, trace=np.asarray(trace),
-        converged=converged, iterations=iterations,
-    )
+def wmmse_batch(realizations: list[ChannelRealization]) -> list[WmmseResult]:
+    """Best WMMSE stationary point over the starts of each realization, in
+    input order.
+
+    Every (instance, start) pair is one row of a sweep; the rows of one
+    size run in blocks of at most ROW_BLOCK_ELEMENTS // M^2 rows, so memory
+    is bounded by a block whatever the list's length. Ties keep the earliest
+    start, so mild instances still return the full-power run's answer. The
+    winner's own monotone trace is returned.
+    """
+    results: list[WmmseResult] = [None] * len(realizations)
+    for idx, batch in stack_by_size(realizations):
+        starts = _starts(batch)
+        n_starts = len(starts) // len(batch)
+        step = max(1, ROW_BLOCK_ELEMENTS // batch.M ** 2)
+        best = [None] * len(batch)  # objective of each instance's winner so far
+        for lo in range(0, len(starts), step):
+            rows = np.arange(lo, min(lo + step, len(starts)))
+            inst = rows // n_starts  # an instance's starts may span blocks
+            p, obj, trace, converged, iterations = _sweep_rows(batch, inst, starts[rows])
+            won = {}  # instance -> its row in this block that beat every earlier start
+            for r, (i, value) in enumerate(zip(inst.tolist(), obj.tolist())):
+                if best[i] is None or value > best[i]:
+                    best[i], won[i] = value, r
+            for i, r in won.items():
+                results[idx[i]] = WmmseResult(
+                    p=p[r].copy(), objective=float(obj[r]),
+                    trace=trace[r, :iterations[r] + 1].copy(),
+                    converged=bool(converged[r]), iterations=int(iterations[r]),
+                    start=int(rows[r] % n_starts),
+                )
+    return results
 
 
 def wmmse_allocate(channels: ChannelRealization) -> WmmseResult:
-    """Best WMMSE stationary point over the starts.
-
-    Starts, in order: full power, one corner per pair (that pair at p_max,
-    the rest silent), then RANDOM_RESTARTS seeded uniform draws. Ties keep
-    the earliest start, so mild instances still return the full-power run's
-    answer. The winner's own monotone trace is returned.
-    """
-    m = channels.M
-    p_max = channels.p_max
-    starts = [np.full(m, p_max)] + (list(p_max * np.eye(m)) if m > 1 else [])
-    for r in range(RANDOM_RESTARTS):
-        rng = np.random.default_rng(np.random.SeedSequence([0, _RESTART_STREAM_TAG, r]))
-        starts.append(rng.uniform(0.0, p_max, size=m))
-
-    best = None
-    for v0 in starts:
-        res = _wmmse_sweeps(channels, v0)
-        if best is None or res.objective > best.objective:
-            best = res
-    return best
+    """Best WMMSE stationary point over the starts of one realization."""
+    return wmmse_batch([channels])[0]
 
 
 def check_grid(levels: int, m: int) -> None:

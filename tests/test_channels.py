@@ -161,6 +161,80 @@ def test_weighted_sum_rate_grad_property_matches_central_differences(case):
     assert np.all(grad[p == 0.0] == 0.0)  # the objective is even in each p_m
 
 
+@st.composite
+def _mixed_size_cases(draw):
+    """Realizations of mixed M (1-10) with gains over eight decades, and one
+    power vector each, every power 0 or in [1e-3, 1] p_max (a power near 1e-156
+    squares into the subnormal range, where products lose bits)."""
+    insts, powers = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        m = draw(st.integers(1, 10))
+
+        def arr(shape, lo, hi):
+            return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
+
+        G = np.sqrt(10.0 ** arr((m, m), -4.0, 4.0)) * np.exp(1j * arr((m, m), 0.0, 2.0 * np.pi))
+        inst = _instance(G, sigma2=10.0 ** arr((m,), -3.0, 0.0), alpha=arr((m,), 0.0, 2.0),
+                         p_max=draw(st.floats(0.1, 10.0)))
+        insts.append(inst)
+        powers.append(inst.p_max * draw(hnp.arrays(
+            float, (m,), elements=st.just(0.0) | st.floats(1e-3, 1.0))))
+    return insts, powers
+
+
+def _both_paths(insts, powers, fn):
+    """fn on each realization alone, and fn on each same-size ChannelBatch,
+    the batch rows put back in input order."""
+    alone = [fn(inst, p) for inst, p in zip(insts, powers)]
+    batched = [None] * len(insts)
+    for idx, batch in ch.stack_by_size(insts):
+        out = fn(batch, np.stack([powers[i] for i in idx]))
+        for row, i in enumerate(idx):
+            batched[i] = out[row]
+    return alone, batched
+
+
+@settings(max_examples=80)
+@given(_mixed_size_cases())
+def test_batch_sum_rate_and_gradient_match_single_instance_calls(case):
+    for fn in (ch.sum_rate, ch.weighted_sum_rate_grad, ch.sinr):
+        alone, batched = _both_paths(*case, fn)
+        assert all(np.array_equal(a, b) for a, b in zip(alone, batched))  # bit for bit
+
+
+@settings(max_examples=60)
+@given(_mixed_size_cases(), st.integers(-8, 8))
+def test_sinr_is_unchanged_when_gains_scale_by_c_and_noise_by_c_squared(case, k):
+    # c a power of two scales every term exactly, so the SINR keeps its bits
+    insts, powers = case
+    c = 2.0 ** k
+    scaled = [_instance(c * inst.G, sigma2=c ** 2 * inst.sigma2, alpha=inst.alpha,
+                        p_max=inst.p_max) for inst in insts]
+    base, base_batched = _both_paths(insts, powers, ch.sinr)
+    got, got_batched = _both_paths(scaled, powers, ch.sinr)
+    assert all(np.array_equal(a, b) for a, b in zip(base + base_batched, got + got_batched))
+
+
+@settings(max_examples=60)
+@given(_mixed_size_cases(), st.data())
+def test_a_silent_transmitter_adds_no_interference_and_has_rate_zero(case, data):
+    insts, powers = case
+    silent = [data.draw(st.integers(0, inst.M - 1)) for inst in insts]
+    for p, k in zip(powers, silent):
+        p[k] = 0.0
+    # the same network with transmitter k's gains to every receiver removed
+    cut = []
+    for inst, k in zip(insts, silent):
+        G = inst.G.copy()
+        G[k, :] = 0.0
+        cut.append(_instance(G, sigma2=inst.sigma2, alpha=inst.alpha, p_max=inst.p_max))
+    for gamma, gamma_cut in zip(_both_paths(insts, powers, ch.sinr),
+                                _both_paths(cut, powers, ch.sinr)):
+        for g, g_cut, k in zip(gamma, gamma_cut, silent):
+            assert g[k] == 0.0  # so its term alpha_k log2(1 + gamma_k) is 0
+            assert np.array_equal(g, g_cut)
+
+
 def test_sigmoid_is_stable_at_extreme_scores():
     z = np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0])
     with np.errstate(all="raise"):

@@ -202,20 +202,22 @@ def test_train_aborts_on_non_finite_loss_with_context():
 
 
 def test_solver_is_never_consulted_during_training(monkeypatch):
-    # WMMSE may only be called once per test instance for the baseline column
+    # WMMSE may only see each test instance once, for the baseline column
     calls = []
-    real = trainer_mod.wmmse_allocate
+    real = trainer_mod.wmmse_batch
 
-    def counting(channels, *a, **kw):
-        calls.append(channels)
-        return real(channels, *a, **kw)
+    def counting(realizations, *a, **kw):
+        calls.append(list(realizations))
+        return real(realizations, *a, **kw)
 
-    monkeypatch.setattr(trainer_mod, "wmmse_allocate", counting)
+    monkeypatch.setattr(trainer_mod, "wmmse_batch", counting)
     tr = _instances(3, 5, seed0=160)
     te = _instances(3, 3, seed0=170, prefix="test")
     train(GcnModel(hidden=4, layers=1), tr, te, TrainConfig(epochs=3))
-    assert len(calls) == len(te)
-    assert all(c is inst.channels for c, inst in zip(calls, te))
+    seen = [c for call in calls for c in call]
+    assert len(seen) == len(te)
+    assert all(c is inst.channels for c, inst in zip(seen, te))
+    assert not any(c is inst.channels for c in seen for inst in tr)
 
 
 def test_report_csv_layout_is_exact():

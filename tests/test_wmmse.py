@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import wmmse_reference
 from qgpc import channels as ch
 from qgpc import wmmse
 from qgpc.wmmse import (
-    GRID_POINT_GUARD, InstanceTooLargeError, grid_search_oracle, wmmse_allocate,
+    GRID_POINT_GUARD, InstanceTooLargeError, grid_search_oracle, wmmse_allocate, wmmse_batch,
 )
 
 
@@ -69,9 +70,9 @@ def test_unconverged_run_still_returns_best_iterate(monkeypatch):
 
 
 @st.composite
-def _instances(draw):
-    """Random instances: M 1-6, gains over 1e-4..1e4, per-receiver noise."""
-    m = draw(st.integers(1, 6))
+def _instances(draw, max_m=6):
+    """Random instances: M 1-max_m, gains over 1e-4..1e4, per-receiver noise."""
+    m = draw(st.integers(1, max_m))
 
     def arr(shape, lo, hi):
         return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
@@ -88,6 +89,67 @@ def test_wmmse_stays_feasible_and_monotone_on_random_instances(inst):
     assert np.all(res.p >= 0.0) and np.all(res.p <= inst.p_max)
     assert np.all(np.diff(res.trace) >= -1e-9)  # acceptance 3's tolerance
     assert res.objective == ch.sum_rate(inst, res.p)
+
+
+def _same_result(got, want):
+    return (np.array_equal(got.p, want.p) and got.objective == want.objective
+            and np.array_equal(got.trace, want.trace) and got.converged == want.converged
+            and got.iterations == want.iterations and got.start == want.start)
+
+
+@settings(max_examples=40)
+@given(insts=st.lists(_instances(max_m=10), min_size=1, max_size=6),
+       budget=st.integers(1, 64) | st.just(wmmse.ROW_BLOCK_ELEMENTS))
+def test_wmmse_batch_matches_the_per_start_reference(insts, budget):
+    # budgets of a few elements split an instance's starts over several blocks
+    with mock.patch.object(wmmse, "ROW_BLOCK_ELEMENTS", budget):
+        got = wmmse_batch(insts)
+    want = [wmmse_reference.wmmse_allocate(inst) for inst in insts]
+    assert all(_same_result(g, w) for g, w in zip(got, want))
+
+
+def test_wmmse_batch_matches_the_reference_on_unconverged_starts(monkeypatch):
+    rng = np.random.default_rng(13)
+    insts = [ch.ChannelRealization(G=np.sqrt(10.0 ** rng.uniform(-2.0, 2.0, (m, m))),
+                                   sigma2=0.1, alpha=1.0, p_max=1.0) for m in (3, 1, 5, 3)]
+    monkeypatch.setattr(wmmse, "MAX_ITER", 2)
+    monkeypatch.setattr(wmmse, "TOL", 1e-30)
+    got = wmmse_batch(insts)
+    assert {res.converged for res in got} == {True, False}  # both ways a row stops
+    assert all(_same_result(g, wmmse_reference.wmmse_allocate(inst))
+               for g, inst in zip(got, insts))
+
+
+def test_wmmse_batch_memory_is_bounded_by_a_block():
+    rng = np.random.default_rng(31)
+    insts = [_random_instance(rng, 16) for _ in range(100)]  # 1,900 rows of 256 gains
+    tracemalloc.start()
+    try:
+        wmmse_batch(insts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_a_corner_start_wins_under_strong_interference():
+    # pair 1 alone beats full power, where each pair drowns in the other's signal
+    G = np.array([[1.0, 3.0], [3.0, 2.0]], dtype=complex)
+    inst = ch.ChannelRealization(G=G, sigma2=0.1, alpha=1.0, p_max=1.0)
+    res = wmmse_allocate(inst)
+    assert res.start == 2  # 0 full power, 1 and 2 the corners of pairs 0 and 1
+    assert np.array_equal(res.p, [0.0, 1.0])
+
+
+def test_tied_starts_resolve_to_the_earliest():
+    # both corners of a symmetric pair reach the same objective, bit for bit
+    G = np.array([[1.0, 3.0], [3.0, 1.0]], dtype=complex)
+    inst = ch.ChannelRealization(G=G, sigma2=0.1, alpha=1.0, p_max=1.0)
+    corners = [wmmse_reference.wmmse_sweeps(inst, v0) for v0 in np.eye(2)]
+    assert corners[0].objective == corners[1].objective
+    res = wmmse_allocate(inst)
+    assert res.start == 1
+    assert res.objective == corners[0].objective
 
 
 def test_grid_oracle_single_pair_matches_scan():
