@@ -36,7 +36,6 @@ from .qsim import (
     run_circuit,
 )
 from .trainer import (
-    AdamConfig,
     Instance,
     NonFiniteLossError,
     NonFinitePowerError,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -176,21 +177,30 @@ class ChannelBatch:
         return self.gain.shape[-1]
 
 
-def stack_by_size(realizations: list[ChannelRealization]):
-    """(indices, ChannelBatch) for each group of same-size realizations,
-    smallest M first; the indices point into ``realizations``."""
-    sizes = np.array([ch.M for ch in realizations])
-    for m in np.unique(sizes):
-        idx = np.flatnonzero(sizes == m)
-        yield idx, ChannelBatch.stack([realizations[i] for i in idx])
+def size_blocks(sizes, rows: Callable[[int], int], budget: int):
+    """Index arrays of same-size items, smallest size first, each holding at
+    most ``budget`` rows of ``rows(n)`` per item of size n (one item when a
+    single item has more). The one grouping rule of the batch paths: model
+    graphs, their channels and WMMSE's instances all run in these blocks."""
+    sizes = np.asarray(sizes)
+    for n in np.unique(sizes):
+        members = np.flatnonzero(sizes == n)
+        per_item = rows(int(n))
+        # an item without rows runs alone, as in a single-item call: numpy
+        # sends a one-row product to gemv, which rounds otherwise than gemm
+        step = max(1, budget // per_item) if per_item else 1
+        for lo in range(0, members.size, step):
+            yield members[lo:lo + step]
 
 
 def _sinr_terms(channels: ChannelRealization | ChannelBatch, p):
-    """Powers as an array, |G|^2, the direct received power and the
-    interference-plus-noise denominator. On a realization p is (M,) or
-    (B, M); on a batch it is (B, M), row b on realization b. Column m of
-    the interference sums |g_km|^2 p_k^2 over k in index order, so a row
-    gives the same bits as that power vector on its realization alone."""
+    """Powers as an array, |G|^2 with its diagonal zeroed, the direct gains
+    |g_mm|^2, the direct received power and the interference-plus-noise
+    denominator. On a realization p is (M,) or (B, M); on a batch it is
+    (B, M), row b on realization b. Column m of the interference sums
+    |g_km|^2 p_k^2 over k != m in index order, so a row gives the same bits
+    as that power vector on its realization alone; the direct term is never
+    added in, so it cannot swamp the interference."""
     p = np.asarray(p, dtype=float)
     m = channels.M
     if isinstance(channels, ChannelBatch):
@@ -201,16 +211,18 @@ def _sinr_terms(channels: ChannelRealization | ChannelBatch, p):
         if p.ndim not in (1, 2) or p.shape[-1] != m:
             raise DimensionError(f"power has shape {p.shape}, expected ({m},) or (B, {m})")
         gain = np.abs(channels.G) ** 2
+    bdiag = np.diagonal(gain, axis1=-2, axis2=-1)
+    cross = gain * (1.0 - np.eye(m))  # an exact 0 at k = m adds nothing to the sum below
     p2 = p ** 2
-    direct = p2 * np.diagonal(gain, axis1=-2, axis2=-1)
-    denom = np.einsum("...k,...km->...m", p2, gain) - direct + channels.sigma2
-    return p, gain, direct, denom
+    direct = p2 * bdiag
+    denom = np.einsum("...k,...km->...m", p2, cross) + channels.sigma2
+    return p, cross, bdiag, direct, denom
 
 
 def sinr(channels: ChannelRealization | ChannelBatch, p) -> np.ndarray:
     """Per-receiver SINR of power vectors p (see _sinr_terms for the
     shapes); the amplitude p_k scales the gain inside |.|^2."""
-    _, _, direct, denom = _sinr_terms(channels, p)
+    _, _, _, direct, denom = _sinr_terms(channels, p)
     return direct / denom
 
 
@@ -243,12 +255,11 @@ def sum_rate_batch(channels: ChannelRealization, P: np.ndarray) -> np.ndarray:
 
 def weighted_sum_rate_grad(channels: ChannelRealization | ChannelBatch, p) -> np.ndarray:
     """Analytic d(weighted sum rate)/dp at power vectors p, shaped like p."""
-    p, gain, direct, denom = _sinr_terms(channels, p)
-    bdiag = np.diagonal(gain, axis1=-2, axis2=-1)
+    p, cross, bdiag, direct, denom = _sinr_terms(channels, p)
     pref = channels.alpha / (np.log(2.0) * (1.0 + direct / denom))  # d obj / d gamma_m
     grad = pref * 2.0 * bdiag * p / denom
-    cross = pref * direct / denom ** 2  # weight on each interference term
-    grad -= 2.0 * p * ((gain * cross[..., None, :]).sum(axis=-1) - bdiag * cross)
+    weight = pref * direct / denom ** 2  # on each interference term
+    grad -= 2.0 * p * (cross * weight[..., None, :]).sum(axis=-1)
     return grad
 
 

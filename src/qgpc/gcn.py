@@ -86,16 +86,6 @@ class GcnParams:
         head_b = float(flat[pos + hidden])
         return cls(layers=layers, head_w=head_w, head_b=head_b)
 
-    def flatten(self) -> np.ndarray:
-        chunks = []
-        for layer in self.layers:
-            for arr in (layer.msg_w1, layer.msg_b1, layer.msg_w2, layer.msg_b2,
-                        layer.upd_w1, layer.upd_c1, layer.upd_w2, layer.upd_c2):
-                chunks.append(np.asarray(arr, dtype=float).ravel())
-        chunks.append(np.asarray(self.head_w, dtype=float).ravel())
-        chunks.append(np.array([self.head_b]))
-        return np.concatenate(chunks)
-
 
 def _complete_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Ordered edges u -> v of the complete graph on n nodes, grouped by
@@ -194,7 +184,7 @@ class GcnModel(BatchModel):
         return _Tape(src, dst, hs, caches, p_max, sig, p_max * sig)
 
     def _backward(self, tape: _Tape, params: GcnParams, dloss_dp: np.ndarray) -> np.ndarray:
-        """Per-graph gradients (B, P) in flatten() layout from the loss
+        """Per-graph gradients (B, P) in from_flat layout from the loss
         gradient dloss_dp (B, N) at the powers."""
         gz = dloss_dp * tape.p_max * tape.sig * (1.0 - tape.sig)  # at the head's pre-activation
         b, n = gz.shape

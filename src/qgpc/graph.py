@@ -53,16 +53,11 @@ def fit_feature_scaler(realizations: list[ChannelRealization], z_clip: float = 3
 class InterferenceGraph:
     node_features: np.ndarray        # (N, NODE_FEATURES); column 0 already angle-scaled
     edge_angle: np.ndarray           # (N, N); [k, m] = phi(|g_km|^2), diagonal unused
-    alpha: np.ndarray                # (N,) raw objective weights
     p_max: float
 
     @property
     def N(self) -> int:
         return self.node_features.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.node_features.shape[1]
 
 
 def build_graph(channels: ChannelRealization, scaler: FeatureScaler) -> InterferenceGraph:
@@ -71,9 +66,7 @@ def build_graph(channels: ChannelRealization, scaler: FeatureScaler) -> Interfer
     feats = np.stack([scaler.angle(np.diagonal(gains)), channels.alpha], axis=1)
     edge = scaler.angle(gains)
     np.fill_diagonal(edge, 0.0)
-    return InterferenceGraph(
-        node_features=feats, edge_angle=edge, alpha=channels.alpha.copy(), p_max=channels.p_max,
-    )
+    return InterferenceGraph(node_features=feats, edge_angle=edge, p_max=channels.p_max)
 
 
 def decompose_stars(n: int, k: int, seed: int) -> np.ndarray:

@@ -105,11 +105,6 @@ class QgnnParams:
         layers = [flat[i * spl:(i + 1) * spl].copy() for i in range(n_layers)]
         return cls(layers=layers, decode_scale=float(flat[-2]), decode_bias=float(flat[-1]))
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            self.layers + [np.array([self.decode_scale, self.decode_bias])]
-        )
-
 
 def embedding_to_angle(h) -> np.ndarray:
     """Re-encoding map [-1, 1] -> [0, pi]."""

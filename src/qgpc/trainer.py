@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import (
-    ChannelBatch, ChannelRealization, stack_by_size, sum_rate, weighted_sum_rate_grad,
+    ChannelBatch, ChannelRealization, size_blocks, sum_rate, weighted_sum_rate_grad,
 )
 from .graph import InterferenceGraph
 # wmmse_allocate is not called here; it stays bound on this module for code
@@ -59,21 +59,6 @@ class Instance(NamedTuple):
     graph: InterferenceGraph
 
 
-def size_blocks(sizes, rows: Callable[[int], int], budget: int):
-    """Index arrays of same-size graphs, smallest size first, each holding at
-    most ``budget`` rows of ``rows(n)`` per n-node graph (one graph when a
-    single graph has more)."""
-    sizes = np.asarray(sizes)
-    for n in np.unique(sizes):
-        members = np.flatnonzero(sizes == n)
-        per_graph = rows(int(n))
-        # a graph without rows runs alone, as in a single-graph call: numpy
-        # sends a one-row product to gemv, which rounds otherwise than gemm
-        step = max(1, budget // per_graph) if per_graph else 1
-        for lo in range(0, members.size, step):
-            yield members[lo:lo + step]
-
-
 class BatchModel:
     """The batch path both models share: a call prepares the parameters
     once and runs each size_blocks block through the model's same-size
@@ -85,12 +70,14 @@ class BatchModel:
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-0.1, 0.1, size=self.param_count())
 
-    def _tapes(self, instances: list[Instance], prepared, star_seeds: list[int]):
-        """The indices and the forward tape of each block of same-size graphs."""
+    def _blocks(self, instances: list[Instance], prepared, star_seeds: list[int]):
+        """(idx, ChannelBatch, tape) of each block of same-size instances:
+        their indices, their stacked channels and their forward tape."""
         sizes = [inst.graph.N for inst in instances]
         for idx in size_blocks(sizes, self._rows, self._row_budget()):
-            yield idx, self._forward([instances[i].graph for i in idx], prepared,
-                                     [star_seeds[i] for i in idx])
+            channels = ChannelBatch.stack([instances[i].channels for i in idx])
+            yield idx, channels, self._forward([instances[i].graph for i in idx], prepared,
+                                               [star_seeds[i] for i in idx])
 
     def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
                 flat_params, star_seed: int) -> np.ndarray:
@@ -101,8 +88,8 @@ class BatchModel:
                       star_seeds: list[int]) -> list[np.ndarray]:
         """Power vector of each instance, drawing its stars from its seed."""
         powers: list[np.ndarray] = [None] * len(instances)
-        for idx, tape in self._tapes(instances, self._prepare(flat_params, grad=False),
-                                     star_seeds):
+        for idx, _, tape in self._blocks(instances, self._prepare(flat_params, grad=False),
+                                         star_seeds):
             for i, p in zip(idx, tape.p):
                 powers[i] = p
         return powers
@@ -114,19 +101,10 @@ class BatchModel:
         prepared = self._prepare(flat_params, grad=True)
         losses = np.empty(len(instances))
         grads = np.empty((len(instances), self.param_count()))
-        for idx, tape in self._tapes(instances, prepared, star_seeds):
-            channels = ChannelBatch.stack([instances[i].channels for i in idx])
+        for idx, channels, tape in self._blocks(instances, prepared, star_seeds):
             losses[idx] = -sum_rate(channels, tape.p)
             grads[idx] = self._backward(tape, prepared, -weighted_sum_rate_grad(channels, tape.p))
         return losses, grads
-
-
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 5e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass(eq=False)
@@ -139,10 +117,11 @@ class AdamState:
         return cls(m=np.zeros(size), v=np.zeros(size))
 
 
-def adam_step(params, grad, state: AdamState, t: int, cfg: AdamConfig,
+def adam_step(params, grad, state: AdamState, t: int, cfg: TrainConfig,
               ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; t is the 1-based step count. Pure:
-    inputs are left untouched and fresh arrays are returned."""
+    """One bias-corrected Adam update at cfg's lr, beta1, beta2 and eps; t
+    is the 1-based step count. Pure: inputs are left untouched and fresh
+    arrays are returned."""
     if t < 1:
         raise ValueError("step count t must be >= 1")
     params = np.asarray(params, dtype=float)
@@ -217,16 +196,20 @@ def evaluate_mean(model: BatchModel, flat_params, instances: list[Instance],
     """Mean objective over instances with frozen evaluation star seeds."""
     if not instances:
         return float("nan")
+    rates = np.empty(len(instances))
+    bad = {}  # input index -> powers, for each instance with a non-finite power
+    blocks = model._blocks(instances, model._prepare(flat_params, grad=False),
+                           [eval_star_seed(seeds, idx) for idx in range(len(instances))])
     # an overflow shows up below as a non-finite power, so it does not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = model.forward_batch(
-            instances, flat_params, [eval_star_seed(seeds, idx) for idx in range(len(instances))])
-    for inst, p in zip(instances, powers):
-        if not np.all(np.isfinite(p)):
-            raise NonFinitePowerError(f"non-finite power {p.tolist()} for instance {inst.label}")
-    rates = np.empty(len(instances))
-    for idx, channels in stack_by_size([inst.channels for inst in instances]):
-        rates[idx] = sum_rate(channels, np.stack([powers[i] for i in idx]))
+        for idx, channels, tape in blocks:
+            finite = np.all(np.isfinite(tape.p), axis=1)
+            bad.update(zip(idx[~finite].tolist(), tape.p[~finite]))
+            rates[idx] = sum_rate(channels, tape.p)
+    if bad:
+        first = min(bad)  # the first in input order
+        raise NonFinitePowerError(
+            f"non-finite power {bad[first].tolist()} for instance {instances[first].label}")
     total = 0.0
     for rate in rates:  # sequential in input order, so the printed means keep their bits
         total += float(rate)
@@ -254,7 +237,6 @@ def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance]
 
     rng_init = np.random.default_rng(mix_seed(cfg.seeds.init))
     params = model.init_params(rng_init)
-    adam_cfg = AdamConfig(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     state = AdamState.zeros(params.size)
 
     baseline_wmmse = wmmse_mean(test_set)
@@ -288,7 +270,7 @@ def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance]
                     raise NonFiniteLossError(epoch, step, train_set[idx].label, float(loss))
                 grad_sum += grad
             t += 1
-            params, state = adam_step(params, grad_sum / len(members), state, t, adam_cfg)
+            params, state = adam_step(params, grad_sum / len(members), state, t, cfg)
         train_curve[epoch - 1] = evaluate_mean(model, params, train_set, cfg.seeds)
         test_curve[epoch - 1] = evaluate_mean(model, params, test_set, cfg.seeds)
         seconds[epoch - 1] = time.perf_counter() - started

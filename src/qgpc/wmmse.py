@@ -20,8 +20,8 @@ deterministic. wmmse_batch runs every start of every instance of a list as
 one row of a stacked sweep; wmmse_allocate is that call on one instance.
 
 The grid oracle never builds its (levels^M, M) power grid. Receiver m's
-interference on the grid is a sum of M one-dimensional terms, term k being
-axis^2 |g_km|^2 laid along grid axis k, so each rate is formed by
+interference on the grid is a sum of M - 1 one-dimensional terms, term
+k != m being axis^2 |g_km|^2 laid along grid axis k, so each rate is formed by
 broadcasting those terms over one lexicographic slab of the grid at a time.
 Memory is bounded by a slab, not by the grid.
 """
@@ -35,7 +35,7 @@ import numpy as np
 # sum_rate_batch is not called here; it stays bound on this module for code
 # that looks it up or wraps it here (the benchmark's tracer does).
 from .channels import (  # noqa: F401
-    ChannelBatch, ChannelRealization, stack_by_size, sum_rate, sum_rate_batch,
+    ChannelBatch, ChannelRealization, size_blocks, sum_rate, sum_rate_batch,
 )
 
 GRID_POINT_GUARD = 10 ** 7  # bounds the oracle's time; its memory is bounded by a slab
@@ -46,7 +46,7 @@ _RESTART_STREAM_TAG = 0x524553  # restart r draws from SeedSequence([0, tag, r])
 MAX_ITER = 100       # sweeps per start
 TOL = 1e-6           # a start has converged once a sweep moves the objective by at most this
 RANDOM_RESTARTS = 2  # seeded uniform starts after the full-power and corner starts
-ROW_BLOCK_ELEMENTS = 1 << 16  # most rows * M^2 a block of WMMSE rows spans
+ROW_BLOCK_ELEMENTS = 1 << 16  # most rows * M^2 in a block, unless one instance alone has more
 
 
 class InstanceTooLargeError(ValueError):
@@ -63,11 +63,16 @@ class WmmseResult:
     start: int             # winning start: 0 full power, 1..M the corners (M > 1), then restarts
 
 
+def _start_count(m: int) -> int:
+    """Starts per instance of M = m pairs: full power, one corner per pair
+    when m > 1, then RANDOM_RESTARTS seeded uniform draws."""
+    return 1 + (m if m > 1 else 0) + RANDOM_RESTARTS
+
+
 def _starts(batch: ChannelBatch) -> np.ndarray:
-    """Start rows of every instance of a batch, (B * S, M), instance-major:
-    full power, one corner per pair (that pair at p_max, the rest silent)
-    when M > 1, then RANDOM_RESTARTS seeded uniform draws. A restart draw
-    depends on its index r alone, so every instance of a size shares it."""
+    """Start rows of every instance of a batch, (B * S, M), instance-major,
+    in the order of _start_count. A restart draw depends on its index r
+    alone, so every instance of a size shares it."""
     m = batch.M
     unit = [np.ones((1, m))] + ([np.eye(m)] if m > 1 else [])
     for r in range(RANDOM_RESTARTS):
@@ -134,33 +139,29 @@ def wmmse_batch(realizations: list[ChannelRealization]) -> list[WmmseResult]:
     """Best WMMSE stationary point over the starts of each realization, in
     input order.
 
-    Every (instance, start) pair is one row of a sweep; the rows of one
-    size run in blocks of at most ROW_BLOCK_ELEMENTS // M^2 rows, so memory
-    is bounded by a block whatever the list's length. Ties keep the earliest
-    start, so mild instances still return the full-power run's answer. The
+    Every (instance, start) pair is one row of a sweep. Whole instances of
+    one size run together, in the size_blocks blocks of at most
+    ROW_BLOCK_ELEMENTS row gains (an instance with more runs alone), so
+    memory is bounded by a block whatever the list's length. An instance's
+    winner is the first best of its own rows: ties keep the earliest start,
+    so mild instances still return the full-power run's answer. The
     winner's own monotone trace is returned.
     """
     results: list[WmmseResult] = [None] * len(realizations)
-    for idx, batch in stack_by_size(realizations):
-        starts = _starts(batch)
-        n_starts = len(starts) // len(batch)
-        step = max(1, ROW_BLOCK_ELEMENTS // batch.M ** 2)
-        best = [None] * len(batch)  # objective of each instance's winner so far
-        for lo in range(0, len(starts), step):
-            rows = np.arange(lo, min(lo + step, len(starts)))
-            inst = rows // n_starts  # an instance's starts may span blocks
-            p, obj, trace, converged, iterations = _sweep_rows(batch, inst, starts[rows])
-            won = {}  # instance -> its row in this block that beat every earlier start
-            for r, (i, value) in enumerate(zip(inst.tolist(), obj.tolist())):
-                if best[i] is None or value > best[i]:
-                    best[i], won[i] = value, r
-            for i, r in won.items():
-                results[idx[i]] = WmmseResult(
-                    p=p[r].copy(), objective=float(obj[r]),
-                    trace=trace[r, :iterations[r] + 1].copy(),
-                    converged=bool(converged[r]), iterations=int(iterations[r]),
-                    start=int(rows[r] % n_starts),
-                )
+    sizes = [ch.M for ch in realizations]
+    for idx in size_blocks(sizes, lambda m: _start_count(m) * m * m, ROW_BLOCK_ELEMENTS):
+        batch = ChannelBatch.stack([realizations[i] for i in idx])
+        n_starts = _start_count(batch.M)
+        inst = np.repeat(np.arange(len(batch)), n_starts)
+        p, obj, trace, converged, iterations = _sweep_rows(batch, inst, _starts(batch))
+        won = obj.reshape(len(batch), n_starts).argmax(axis=1)
+        for b, (i, start) in enumerate(zip(idx, won.tolist())):
+            r = b * n_starts + start
+            results[i] = WmmseResult(
+                p=p[r].copy(), objective=float(obj[r]),
+                trace=trace[r, :iterations[r] + 1].copy(),
+                converged=bool(converged[r]), iterations=int(iterations[r]), start=start,
+            )
     return results
 
 
@@ -187,7 +188,7 @@ def _slab_sum_rate(channels: ChannelRealization, axis: np.ndarray, picks: tuple)
     picks[k] selects the levels of grid axis k: an int fixes it for the whole
     slab, a slice spans it along one slab axis. term[m, k] holds
     axis^2 |g_km|^2, so receiver m's interference is the broadcast sum of
-    term[m, k, picks[k]] over k in index order, the order in which
+    term[m, k, picks[k]] over k != m in index order, the order in which
     channels._sinr_terms adds them; each rate is built from the same float
     operations as there. The sum over receivers runs in index order.
     """
@@ -201,14 +202,12 @@ def _slab_sum_rate(channels: ChannelRealization, axis: np.ndarray, picks: tuple)
 
     total = 0.0
     for m in range(len(picks)):
-        received = laid(m, 0)
-        for k in range(1, len(picks)):
-            received = received + laid(m, k)
-        direct = laid(m, m)
-        # alpha_m log2(1 + direct / (received - direct + sigma2_m)), in place
-        rate = received - direct
-        rate += channels.sigma2[m]
-        np.divide(direct, rate, out=rate)
+        interference = 0.0
+        for k in range(len(picks)):
+            if k != m:
+                interference = interference + laid(m, k)
+        # alpha_m log2(1 + direct / (interference + sigma2_m)), in place after the division
+        rate = laid(m, m) / (interference + channels.sigma2[m])
         rate += 1.0
         np.log2(rate, out=rate)
         rate *= channels.alpha[m]

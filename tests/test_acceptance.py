@@ -181,8 +181,7 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
     model = QgnnModel(layers=1, depth=1, k=6)
     rng = np.random.default_rng(61)
     prepared = model._prepare(rng.uniform(-1, 1, 12), grad=False)
-    star_graph = InterferenceGraph(rng.uniform(0, np.pi, (7, 2)), np.zeros((7, 7)),
-                                   np.ones(7), 1.0)
+    star_graph = InterferenceGraph(rng.uniform(0, np.pi, (7, 2)), np.zeros((7, 7)), 1.0)
     star_graph.edge_angle[1:, 0] = rng.uniform(0, np.pi, 6)
     others = [[j for j in range(7) if j != i] for i in range(1, 7)]
 
@@ -209,7 +208,6 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
     pg = InterferenceGraph(
         node_features=np.asarray(graph.node_features)[np.argsort(perm)],
         edge_angle=ea,
-        alpha=np.asarray(graph.alpha)[np.argsort(perm)],
         p_max=graph.p_max,
     )
     assert np.array_equal(gcn_model.forward(inst, pg, flat, 0)[perm], p)

@@ -162,6 +162,43 @@ def test_weighted_sum_rate_grad_property_matches_central_differences(case):
 
 
 @st.composite
+def _extreme_grad_cases(draw):
+    """Random instances with gains over eighteen decades and noise down to
+    1e-12, where the direct power can dwarf interference plus noise, and
+    powers in [0.05, 1] p_max."""
+    m = draw(st.integers(1, 6))
+
+    def arr(shape, lo, hi):
+        return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
+
+    G = np.sqrt(10.0 ** arr((m, m), -12.0, 6.0)) * np.exp(1j * arr((m, m), 0.0, 2.0 * np.pi))
+    inst = _instance(G, sigma2=10.0 ** arr((m,), -12.0, 0.0), alpha=arr((m,), 0.1, 2.0),
+                     p_max=draw(st.floats(0.1, 10.0)))
+    return inst, inst.p_max * arr((m,), 0.05, 1.0)
+
+
+@settings(max_examples=200)
+@given(_extreme_grad_cases())
+def test_weighted_sum_rate_grad_matches_central_differences_at_extreme_gains(case):
+    inst, p = case
+    grad = ch.weighted_sum_rate_grad(inst, p)
+    h = 1e-6 * p
+    fd = np.array([(ch.sum_rate(inst, p + hk * e) - ch.sum_rate(inst, p - hk * e)) / (2 * hk)
+                   for hk, e in zip(h, np.eye(inst.M))])
+    # sum_m alpha_m 2 / (p_k ln 2) bounds |d obj / d p_k|, so it sets the scale of an error
+    scale = inst.alpha.sum() * 2.0 / (p * np.log(2.0))
+    assert np.max(np.abs(grad - fd) / scale) < 1e-6
+
+
+def test_sinr_keeps_its_precision_when_the_direct_power_dwarfs_the_rest():
+    inst = _instance([[1e3, 1e-6], [1e-6, 1e3]], sigma2=1e-12)
+    p = np.array([0.7, 0.3])
+    want = [0.49e6 / (0.09e-12 + 1e-12), 0.09e6 / (0.49e-12 + 1e-12)]  # 4.50e17, 6.04e16
+    for gamma in (ch.sinr(inst, p), ch.sinr(ch.ChannelBatch.stack([inst]), p[None])[0]):
+        np.testing.assert_allclose(gamma, want, rtol=1e-13)
+
+
+@st.composite
 def _mixed_size_cases(draw):
     """Realizations of mixed M (1-10) with gains over eight decades, and one
     power vector each, every power 0 or in [1e-3, 1] p_max (a power near 1e-156
@@ -187,8 +224,8 @@ def _both_paths(insts, powers, fn):
     the batch rows put back in input order."""
     alone = [fn(inst, p) for inst, p in zip(insts, powers)]
     batched = [None] * len(insts)
-    for idx, batch in ch.stack_by_size(insts):
-        out = fn(batch, np.stack([powers[i] for i in idx]))
+    for idx in ch.size_blocks([inst.M for inst in insts], lambda m: 1, len(insts)):
+        out = fn(ch.ChannelBatch.stack([insts[i] for i in idx]), np.stack([powers[i] for i in idx]))
         for row, i in enumerate(idx):
             batched[i] = out[row]
     return alone, batched

@@ -217,14 +217,14 @@ def test_eval_with_non_finite_powers_exits_three(tmp_path, monkeypatch, capsys, 
     assert main(args + ["gen"]) == 0
     assert main(args + ["train"]) == 0
     model = {"qgnn": QgnnModel, "gcn": GcnModel}[arch]
-    real = model.forward_batch
+    real = model._blocks
 
-    def second_goes_nan(self, instances, flat, seeds):
-        powers = real(self, instances, flat, seeds)
-        powers[1] = np.full_like(powers[1], np.nan)
-        return powers
+    def second_goes_nan(self, instances, prepared, seeds):
+        for idx, channels, tape in real(self, instances, prepared, seeds):
+            tape.p[idx == 1] = np.nan
+            yield idx, channels, tape
 
-    monkeypatch.setattr(model, "forward_batch", second_goes_nan)
+    monkeypatch.setattr(model, "_blocks", second_goes_nan)
     capsys.readouterr()
     assert main(args + ["eval"]) == 3
     captured = capsys.readouterr()

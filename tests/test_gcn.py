@@ -8,7 +8,7 @@ from qgpc.channels import sinr, weighted_sum_rate
 from qgpc import gcn
 from qgpc.gcn import GcnModel, GcnParams
 from qgpc.graph import InterferenceGraph, build_graph, fit_feature_scaler
-from qgpc.trainer import Instance, size_blocks
+from qgpc.trainer import Instance
 
 
 def _instance(m=4, seed=0):
@@ -18,48 +18,49 @@ def _instance(m=4, seed=0):
     return inst, graph
 
 
-def _random_params(feature_dim, hidden, layers, seed, scale=0.5):
-    rng = np.random.default_rng(seed)
-    flat = rng.uniform(-scale, scale, GcnParams.param_count(feature_dim, hidden, layers))
-    return GcnParams.from_flat(flat, feature_dim, hidden, layers)
+def _random_params(hidden, layers, seed, scale=0.5):
+    """A GCN and a flat parameter vector drawn for it."""
+    model = GcnModel(hidden=hidden, layers=layers)
+    return model, np.random.default_rng(seed).uniform(-scale, scale, model.param_count())
 
 
-def _model(params):
-    return GcnModel(hidden=params.head_w.size, layers=len(params.layers))
+def _powers(inst, graph, model, flat):
+    return model.forward(inst, graph, flat, 0)
 
 
-def _powers(graph, params):
-    """Powers of one graph; the GCN reads no channels."""
-    return _model(params).forward(None, graph, params.flatten(), 0)
-
-
-def _loss_and_grad(inst, graph, params):
-    (loss,), (grad,) = _model(params).loss_and_grad_batch([Instance("i", inst, graph)],
-                                                          params.flatten(), [0])
+def _loss_and_grad(inst, graph, model, flat):
+    (loss,), (grad,) = model.loss_and_grad_batch([Instance("i", inst, graph)], flat, [0])
     return loss, grad
 
 
-def test_param_count_matches_flatten():
+def _arrays(params):
+    """Every array of a GcnParams in from_flat's order, the head bias last."""
+    return [a for layer in params.layers for a in vars(layer).values()] + [
+        params.head_w, np.array([params.head_b])]
+
+
+def test_param_count_matches_from_flat():
     for fd, hd, nl in [(2, 4, 1), (2, 16, 2), (3, 8, 3)]:
-        params = _random_params(fd, hd, nl, seed=fd + hd + nl)
-        assert params.flatten().shape == (GcnParams.param_count(fd, hd, nl),)
+        count = GcnParams.param_count(fd, hd, nl)
+        params = GcnParams.from_flat(np.zeros(count), fd, hd, nl)
+        assert sum(a.size for a in _arrays(params)) == count
 
 
 def test_flat_round_trip():
-    params = _random_params(2, 5, 2, seed=1)
-    flat = params.flatten()
-    back = GcnParams.from_flat(flat, 2, 5, 2)
-    assert np.array_equal(back.flatten(), flat)
-    assert back.head_b == params.head_b
+    # from_flat of 0..n-1 shows where each entry lands: every one exactly once, in order
+    n = GcnParams.param_count(2, 5, 2)
+    back = GcnParams.from_flat(np.arange(n, dtype=float), 2, 5, 2)
+    assert np.array_equal(np.concatenate([a.ravel() for a in _arrays(back)]), np.arange(n))
+    assert back.head_b == n - 1
     with pytest.raises(ValueError):
-        GcnParams.from_flat(flat[:-1], 2, 5, 2)
+        GcnParams.from_flat(np.zeros(n - 1), 2, 5, 2)
 
 
 def test_forward_shapes_feasible_and_deterministic():
     inst, graph = _instance(4, seed=2)
-    params = _random_params(2, 8, 2, seed=2)
-    p1 = _powers(graph, params)
-    p2 = _powers(graph, params)
+    model, flat = _random_params(8, 2, seed=2)
+    p1 = _powers(inst, graph, model, flat)
+    p2 = _powers(inst, graph, model, flat)
     assert p1.shape == (4,)
     assert np.array_equal(p1, p2)
     assert np.all(p1 > 0.0) and np.all(p1 < inst.p_max)
@@ -67,16 +68,16 @@ def test_forward_shapes_feasible_and_deterministic():
 
 def test_forward_single_node_uses_empty_aggregation():
     inst, graph = _instance(1, seed=3)
-    params = _random_params(2, 6, 2, seed=3)
-    p = _powers(graph, params)
+    model, flat = _random_params(6, 2, seed=3)
+    p = _powers(inst, graph, model, flat)
     assert p.shape == (1,)
     assert 0.0 < p[0] < inst.p_max
 
 
 def test_forward_equivariant_under_node_relabeling():
-    _, graph = _instance(5, seed=4)
-    params = _random_params(2, 8, 2, seed=4)
-    p = _powers(graph, params)
+    inst, graph = _instance(5, seed=4)
+    model, flat = _random_params(8, 2, seed=4)
+    p = _powers(inst, graph, model, flat)
     perm = np.array([3, 0, 4, 1, 2])  # old index i becomes new index perm[i]
     n = graph.N
     ea = np.empty_like(graph.edge_angle)
@@ -86,24 +87,21 @@ def test_forward_equivariant_under_node_relabeling():
     pg = InterferenceGraph(
         node_features=np.asarray(graph.node_features)[np.argsort(perm)],
         edge_angle=ea,
-        alpha=np.asarray(graph.alpha)[np.argsort(perm)],
         p_max=graph.p_max,
     )
-    pp = _powers(pg, params)
+    pp = _powers(inst, pg, model, flat)
     assert np.array_equal(pp[perm], p)
 
 
 def test_loss_matches_forward_and_gradient_matches_finite_differences():
     inst, graph = _instance(3, seed=5)
-    params = _random_params(2, 4, 2, seed=5)
-    flat0 = params.flatten()
-    loss, grad = _loss_and_grad(inst, graph, params)
-    p = _powers(graph, params)
+    model, flat0 = _random_params(4, 2, seed=5)
+    loss, grad = _loss_and_grad(inst, graph, model, flat0)
+    p = _powers(inst, graph, model, flat0)
     assert loss == pytest.approx(-weighted_sum_rate(sinr(inst, p), inst.alpha), rel=1e-12)
 
     def f(flat):
-        q = GcnParams.from_flat(flat, 2, 4, 2)
-        pw = _powers(graph, q)
+        pw = _powers(inst, graph, model, flat)
         return -weighted_sum_rate(sinr(inst, pw), inst.alpha)
 
     fd = np.zeros_like(flat0)
@@ -116,9 +114,9 @@ def test_loss_matches_forward_and_gradient_matches_finite_differences():
 
 def test_gradient_is_deterministic():
     inst, graph = _instance(3, seed=6)
-    params = _random_params(2, 4, 1, seed=6)
-    l1, g1 = _loss_and_grad(inst, graph, params)
-    l2, g2 = _loss_and_grad(inst, graph, params)
+    model, flat = _random_params(4, 1, seed=6)
+    l1, g1 = _loss_and_grad(inst, graph, model, flat)
+    l2, g2 = _loss_and_grad(inst, graph, model, flat)
     assert l1 == l2
     assert np.array_equal(g1, g2)
 
@@ -138,9 +136,10 @@ def test_model_adapter():
 
 def test_max_aggregation_matches_per_node_loop():
     graphs = [_instance(5, seed=9)[1], _instance(5, seed=10)[1]]
-    params = _random_params(2, 6, 2, seed=9)
+    model, flat = _random_params(6, 2, seed=9)
+    params = model.unflatten(flat)
     params.layers[0].msg_w2[:, 0] = 0.0  # column 0 ties across every edge
-    tape = _model(params)._forward(graphs, params, None)
+    tape = model._forward(graphs, params, None)
     n = graphs[0].N
     assert tape.src.tolist() == [u for v in range(n) for u in range(n) if u != v]
     dst = np.array([v for v in range(n) for u in range(n) if u != v])
@@ -164,11 +163,11 @@ def test_batch_calls_match_single_instance_calls(monkeypatch):
     scaler = fit_feature_scaler(insts)  # shared, so single-node graphs differ too
     split = [Instance(f"i{i}", c, build_graph(c, scaler)) for i, c in enumerate(insts)]
     model = GcnModel(hidden=16, layers=2)
-    params = _random_params(2, 16, 2, seed=21)
-    params.layers[1].msg_w2[:, 2] = 0.0  # column 2 ties across every edge
-    flat = params.flatten()
+    _, flat = _random_params(16, 2, seed=21)
+    where = model.unflatten(np.arange(flat.size)).layers[1].msg_w2[:, 2]  # flat positions
+    flat[where.astype(int)] = 0.0  # column 2 ties across every edge
     monkeypatch.setattr(gcn, "BLOCK_EDGES", 30)  # 2 graphs of 4 nodes, 5 of 3 per block
-    assert len(list(size_blocks(sizes, model._rows, gcn.BLOCK_EDGES))) > len(set(sizes))
+    assert len(list(ch.size_blocks(sizes, model._rows, gcn.BLOCK_EDGES))) > len(set(sizes))
     seeds = list(range(len(split)))
     powers = model.forward_batch(split, flat, seeds)
     losses, grads = model.loss_and_grad_batch(split, flat, seeds)

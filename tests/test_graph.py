@@ -48,7 +48,7 @@ def test_scaler_requires_training_data():
 
 def test_build_graph_shapes_and_adjacency(graph4):
     g, inst, scaler = graph4
-    assert g.N == 4 and g.feature_dim == 2
+    assert g.node_features.shape == (4, 2)
     assert np.all(g.node_features[:, 0] >= 0.0) and np.all(g.node_features[:, 0] <= np.pi)
     assert np.array_equal(g.node_features[:, 1], inst.alpha)
     # ordered edge (k, m) carries the scaled cross gain tx k -> rx m

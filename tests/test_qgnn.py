@@ -16,7 +16,7 @@ from qgpc.qgnn import (
 )
 from qgpc.channels import sinr, weighted_sum_rate
 from qgpc.qsim import expectations_z, run_batch
-from qgpc.trainer import Instance, size_blocks
+from qgpc.trainer import Instance
 
 
 def _instance(m=4, seed=0):
@@ -27,9 +27,9 @@ def _instance(m=4, seed=0):
 
 
 def _random_params(feature_dim, n_layers, depth, seed, scale=0.5):
+    """A flat parameter vector: each layer's trainable angles, then the decode scale and bias."""
     rng = np.random.default_rng(seed)
-    flat = rng.uniform(-scale, scale, QgnnParams.param_count(feature_dim, n_layers, depth))
-    return QgnnParams.from_flat(flat, feature_dim, n_layers, depth)
+    return rng.uniform(-scale, scale, QgnnParams.param_count(feature_dim, n_layers, depth))
 
 
 def _layer(spec, theta, h, edge_angle, leaves):
@@ -38,10 +38,10 @@ def _layer(spec, theta, h, edge_angle, leaves):
     return _layer_forward(_Kernel(spec, theta), h[None], edge[None], np.asarray(leaves)[None])[0]
 
 
-def _tape(graph, params, k, seed):
-    """The forward pass over one graph, with the model's own star draw."""
-    model = QgnnModel(len(params.layers), params.layers[0].size // slots_per_layer(2, 1), k)
-    return model._forward([graph], model._prepare(params.flatten(), grad=False), [seed])
+def _tape(graph, flat, k, seed):
+    """The forward pass over one graph of a depth-1 model, with its own star draw."""
+    model = QgnnModel((flat.size - 2) // slots_per_layer(2, 1), 1, k)
+    return model._forward([graph], model._prepare(flat, grad=False), [seed])
 
 
 def _one(inst, graph):
@@ -101,14 +101,14 @@ def test_param_count_independent_of_graph_size_and_fanout():
         assert p.shape == (m,)
 
 
-def test_params_flatten_round_trip():
-    params = _random_params(2, 2, 1, seed=4)
-    flat = params.flatten()
+def test_params_from_flat_layout():
+    flat = _random_params(2, 2, 1, seed=4)
     assert flat.shape == (22,)
     back = QgnnParams.from_flat(flat, 2, 2, 1)
-    assert all(np.array_equal(a, b) for a, b in zip(params.layers, back.layers))
-    assert back.decode_scale == params.decode_scale
-    assert back.decode_bias == params.decode_bias
+    spl = slots_per_layer(2, 1)
+    assert all(np.array_equal(a, flat[spl * i:spl * (i + 1)]) for i, a in enumerate(back.layers))
+    assert back.decode_scale == flat[-2]
+    assert back.decode_bias == flat[-1]
     with pytest.raises(ValueError):
         QgnnParams.from_flat(flat[:-1], 2, 2, 1)
 
@@ -153,15 +153,14 @@ def test_forward_duplicate_leaf_embedding_matches_single_leaf():
 
 def test_forward_is_exactly_leaf_order_invariant(monkeypatch):
     rng = np.random.default_rng(21)
-    params = _random_params(2, 1, 1, seed=21)
-    graph = InterferenceGraph(rng.uniform(0, np.pi, (7, 2)), rng.uniform(0, np.pi, (7, 7)),
-                              np.ones(7), 1.0)
+    flat = _random_params(2, 1, 1, seed=21)
+    graph = InterferenceGraph(rng.uniform(0, np.pi, (7, 2)), rng.uniform(0, np.pi, (7, 7)), 1.0)
     others = [[j for j in range(7) if j != i] for i in range(1, 7)]
 
     def embeddings(first_star):
         monkeypatch.setattr(qgnn, "decompose_stars", lambda n, k, seed: np.array(
             [first_star] + others))
-        return _tape(graph, params, 6, 0).h[-1]
+        return _tape(graph, flat, 6, 0).h[-1]
 
     base = embeddings([1, 2, 3, 4, 5, 6])
     for _ in range(4):
@@ -170,18 +169,18 @@ def test_forward_is_exactly_leaf_order_invariant(monkeypatch):
 
 def test_forward_single_node_keeps_initial_embedding():
     inst, graph = _instance(1, seed=6)
-    params = _random_params(2, 2, 1, seed=6)
-    tape = _tape(graph, params, 2, 0)
+    flat = _random_params(2, 2, 1, seed=6)
+    tape = _tape(graph, flat, 2, 0)
     h = tape.h[-1][0]
     assert np.array_equal(h, initial_embeddings(graph))
-    want = inst.p_max / (1.0 + np.exp(-(params.decode_scale * h[0, 0] + params.decode_bias)))
+    want = inst.p_max / (1.0 + np.exp(-(flat[-2] * h[0, 0] + flat[-1])))  # decode scale, bias
     assert tape.p[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_forward_powers_feasible_and_deterministic():
     inst, graph = _instance(4, seed=7)
-    params = _random_params(2, 2, 1, seed=7, scale=2.0)
-    t1, t2, t3 = (_tape(graph, params, 2, seed) for seed in (5, 5, 6))
+    flat = _random_params(2, 2, 1, seed=7, scale=2.0)
+    t1, t2, t3 = (_tape(graph, flat, 2, seed) for seed in (5, 5, 6))
     p1, h1 = t1.p, t1.h[-1]
     assert np.array_equal(p1, t2.p) and np.array_equal(h1, t2.h[-1])
     assert np.all(p1 > 0.0) and np.all(p1 < inst.p_max)
@@ -191,10 +190,10 @@ def test_forward_powers_feasible_and_deterministic():
 
 def test_forward_equivariant_under_node_relabeling(monkeypatch):
     inst, graph = _instance(4, seed=8)
-    params = _random_params(2, 2, 1, seed=8)
+    flat = _random_params(2, 2, 1, seed=8)
     leaves = np.array([[1, 3], [2, 0], [3, 1], [0, 2]])  # every layer's stars
     monkeypatch.setattr(qgnn, "decompose_stars", lambda n, k, seed: leaves)
-    tape = _tape(graph, params, 2, 0)
+    tape = _tape(graph, flat, 2, 0)
 
     perm = np.array([2, 0, 3, 1])  # old index i becomes new index perm[i]
     ea = np.empty_like(graph.edge_angle)
@@ -204,13 +203,12 @@ def test_forward_equivariant_under_node_relabeling(monkeypatch):
     pg = InterferenceGraph(
         node_features=np.asarray(graph.node_features)[np.argsort(perm)],
         edge_angle=ea,
-        alpha=np.asarray(graph.alpha)[np.argsort(perm)],
         p_max=graph.p_max,
     )
     pleaves = np.empty_like(leaves)
     pleaves[perm] = perm[leaves]  # star of old center i, relabeled, is row perm[i]
     monkeypatch.setattr(qgnn, "decompose_stars", lambda n, k, seed: pleaves)
-    ptape = _tape(pg, params, 2, 0)
+    ptape = _tape(pg, flat, 2, 0)
     assert np.array_equal(ptape.p[0][perm], tape.p[0])
     assert np.array_equal(ptape.h[-1][0][perm], tape.h[-1][0])
 
@@ -218,7 +216,7 @@ def test_forward_equivariant_under_node_relabeling(monkeypatch):
 def test_loss_matches_forward_and_gradient_matches_finite_differences():
     inst, graph = _instance(3, seed=9)
     model = QgnnModel(layers=2, depth=1, k=2)
-    flat0 = _random_params(2, 2, 1, seed=9).flatten()
+    flat0 = _random_params(2, 2, 1, seed=9)
     losses, grads = model.loss_and_grad_batch(_one(inst, graph), flat0, [11])
     p = model.forward_batch(_one(inst, graph), flat0, [11])[0]
     assert losses[0] == pytest.approx(-weighted_sum_rate(sinr(inst, p), inst.alpha), rel=1e-12)
@@ -234,7 +232,7 @@ def test_loss_matches_forward_and_gradient_matches_finite_differences():
 def test_gradient_single_node_touches_only_decode_params():
     inst, graph = _instance(1, seed=13)
     model = QgnnModel(layers=1, depth=1, k=2)
-    flat0 = _random_params(2, 1, 1, seed=13).flatten()
+    flat0 = _random_params(2, 1, 1, seed=13)
     _, grads = model.loss_and_grad_batch(_one(inst, graph), flat0, [0])
     assert np.array_equal(grads[0, :10], np.zeros(10))
 
@@ -248,7 +246,7 @@ def test_gradient_single_node_touches_only_decode_params():
 
 def test_gradient_zero_decode_scale_blocks_circuit_gradients():
     inst, graph = _instance(3, seed=14)
-    flat = _random_params(2, 2, 1, seed=14).flatten()
+    flat = _random_params(2, 2, 1, seed=14)
     flat[-2] = 0.0  # decode_scale
     _, grads = QgnnModel(layers=2, depth=1, k=2).loss_and_grad_batch(_one(inst, graph), flat, [3])
     assert np.array_equal(grads[0, :20], np.zeros(20))
@@ -340,7 +338,7 @@ def test_batch_calls_match_single_instance_calls(monkeypatch):
     seeds = [1000 + 7 * i for i in range(len(split))]
     monkeypatch.setattr(qgnn, "BLOCK_AMPLITUDES", 16 * 2 ** 5)  # 16 rows: 2 graphs per block
     sizes = [inst.graph.N for inst in split]
-    assert len(list(size_blocks(sizes, model._rows, model._row_budget()))) == 12 + 2 + 2
+    assert len(list(ch.size_blocks(sizes, model._rows, model._row_budget()))) == 12 + 2 + 2
     powers = model.forward_batch(split, flat, seeds)
     losses, grads = model.loss_and_grad_batch(split, flat, seeds)
     assert len(powers) == len(split) and grads.shape == (len(split), flat.size)

@@ -1,5 +1,7 @@
 """Optimizer, seed plumbing, and the unsupervised training loop."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,8 @@ from qgpc.gcn import GcnModel
 from qgpc.graph import build_graph, fit_feature_scaler
 from qgpc.qgnn import QgnnModel
 from qgpc.trainer import (
-    AdamConfig, AdamState, Instance, NonFiniteLossError, SeedConfig, TrainConfig,
-    TrainReport, adam_step, eval_star_seed, evaluate_mean, mix_seed, size_blocks, train,
+    AdamState, BatchModel, Instance, NonFiniteLossError, NonFinitePowerError, SeedConfig,
+    TrainConfig, TrainReport, adam_step, eval_star_seed, evaluate_mean, mix_seed, train,
     train_star_seed, wmmse_mean,
 )
 
@@ -34,13 +36,13 @@ def _instances(m, count, seed0, prefix="train"):
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = np.array([0.3, -1.2, 4.0])
-    new, state = adam_step(params, np.zeros(3), AdamState.zeros(3), t=1, cfg=AdamConfig())
+    new, state = adam_step(params, np.zeros(3), AdamState.zeros(3), t=1, cfg=TrainConfig())
     assert np.array_equal(new, params)
     assert np.array_equal(state.m, np.zeros(3))
 
 
 def test_adam_first_step_has_learning_rate_magnitude():
-    cfg = AdamConfig(lr=0.05)
+    cfg = TrainConfig(lr=0.05)
     grad = np.array([3.0, -0.7, 1e-3])
     new, _ = adam_step(np.zeros(3), grad, AdamState.zeros(3), t=1, cfg=cfg)
     # bias correction makes the first update lr * g / (|g| + eps)
@@ -52,16 +54,16 @@ def test_adam_is_pure():
     params = np.array([1.0, 2.0])
     grad = np.array([0.5, -0.5])
     state = AdamState(m=np.array([0.1, 0.1]), v=np.array([0.2, 0.2]))
-    new, new_state = adam_step(params, grad, state, t=3, cfg=AdamConfig())
+    new, new_state = adam_step(params, grad, state, t=3, cfg=TrainConfig())
     assert np.array_equal(params, [1.0, 2.0])
     assert np.array_equal(state.m, [0.1, 0.1]) and np.array_equal(state.v, [0.2, 0.2])
     assert new is not params and new_state.m is not state.m
     with pytest.raises(ValueError):
-        adam_step(params, grad, state, t=0, cfg=AdamConfig())
+        adam_step(params, grad, state, t=0, cfg=TrainConfig())
 
 
 def test_adam_matches_hand_computed_second_step():
-    cfg = AdamConfig(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    cfg = TrainConfig(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     g1, g2 = np.array([1.0]), np.array([-2.0])
     p, s = adam_step(np.array([0.0]), g1, AdamState.zeros(1), t=1, cfg=cfg)
     p, s = adam_step(p, g2, s, t=2, cfg=cfg)
@@ -175,20 +177,34 @@ def test_train_small_quantum_model_runs_and_improves(monkeypatch):
     assert report.final_params.shape == (model.param_count(),)
 
 
-class _NanModel:
+class _NanModel(BatchModel):
+    """Decodes NaN powers on the gradient path and on graphs of the sizes in
+    nan_sizes, and 0.5 elsewhere; blocks hold at most two graphs."""
+
     name = "nan"
+
+    def __init__(self, nan_sizes=()):
+        self.nan_sizes = set(nan_sizes)
 
     def param_count(self):
         return 2
 
-    def init_params(self, rng):
-        return np.zeros(2)
+    def _rows(self, n):
+        return 1
 
-    def forward_batch(self, instances, flat_params, star_seeds):
-        return [np.full(inst.channels.M, 0.5) for inst in instances]
+    def _row_budget(self):
+        return 2
 
-    def loss_and_grad_batch(self, instances, flat_params, star_seeds):
-        return np.full(len(instances), np.nan), np.zeros((len(instances), 2))
+    def _prepare(self, flat_params, grad):
+        return grad
+
+    def _forward(self, graphs, grad, star_seeds):
+        n = graphs[0].N
+        return SimpleNamespace(p=np.full((len(graphs), n),
+                                         np.nan if grad or n in self.nan_sizes else 0.5))
+
+    def _backward(self, tape, grad, dloss_dp):
+        return np.zeros((len(dloss_dp), 2))
 
 
 def test_train_aborts_on_non_finite_loss_with_context():
@@ -199,6 +215,19 @@ def test_train_aborts_on_non_finite_loss_with_context():
     assert err.value.step == 0
     assert err.value.instance == "train-0"
     assert np.isnan(err.value.value)
+
+
+def test_evaluate_mean_names_the_first_non_finite_instance_in_input_order():
+    # blocks run by size, 2 then 3 then 4, so a size-3 instance fails first
+    sizes = [4, 2, 3, 2, 3, 4]
+    split = [_instances(m, 1, seed0=200 + 10 * i)[0]._replace(label=f"test-{i}")
+             for i, m in enumerate(sizes)]
+    with pytest.raises(NonFinitePowerError, match=r"\[nan, nan, nan, nan\] for instance test-0$"):
+        evaluate_mean(_NanModel(nan_sizes=(3, 4)), np.zeros(2), split, SeedConfig())
+    total = 0.0
+    for inst in split:  # the finite mean adds the rates in input order
+        total += ch.sum_rate(inst.channels, np.full(inst.channels.M, 0.5))
+    assert evaluate_mean(_NanModel(), np.zeros(2), split, SeedConfig()) == total / len(split)
 
 
 def test_solver_is_never_consulted_during_training(monkeypatch):
@@ -245,7 +274,7 @@ def test_size_blocks_partition_graphs_by_size_within_the_budget(sizes, budget, k
     def rows(n):
         return n * (n - 1) if k is None else n * min(k, n - 1)
 
-    blocks = list(size_blocks(sizes, rows, budget))
+    blocks = list(ch.size_blocks(sizes, rows, budget))
     assert sorted(i for idx in blocks for i in idx) == list(range(len(sizes)))
     for idx in blocks:
         assert len({sizes[i] for i in idx}) == 1

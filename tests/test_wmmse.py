@@ -70,9 +70,9 @@ def test_unconverged_run_still_returns_best_iterate(monkeypatch):
 
 
 @st.composite
-def _instances(draw, max_m=6):
-    """Random instances: M 1-max_m, gains over 1e-4..1e4, per-receiver noise."""
-    m = draw(st.integers(1, max_m))
+def _instances(draw, max_m=6, min_m=1):
+    """Random instances: M min_m-max_m, gains over 1e-4..1e4, per-receiver noise."""
+    m = draw(st.integers(min_m, max_m))
 
     def arr(shape, lo, hi):
         return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
@@ -97,11 +97,23 @@ def _same_result(got, want):
             and got.iterations == want.iterations and got.start == want.start)
 
 
+def _mixed_lists():
+    """1-8 instances over at most three sizes M of 1-10, so a size often repeats."""
+    return st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True).flatmap(
+        lambda sizes: st.lists(st.sampled_from(sizes).flatmap(
+            lambda m: _instances(max_m=m, min_m=m)), min_size=1, max_size=8))
+
+
 @settings(max_examples=40)
-@given(insts=st.lists(_instances(max_m=10), min_size=1, max_size=6),
-       budget=st.integers(1, 64) | st.just(wmmse.ROW_BLOCK_ELEMENTS))
-def test_wmmse_batch_matches_the_per_start_reference(insts, budget):
-    # budgets of a few elements split an instance's starts over several blocks
+@given(insts=_mixed_lists(), budget=st.integers(1, 64) | st.just(wmmse.ROW_BLOCK_ELEMENTS),
+       per_block=st.sampled_from([None, 2, 3]))
+def test_wmmse_batch_matches_the_per_start_reference(insts, budget, per_block):
+    # a block holds whole instances of one size, S starts of M^2 gains each:
+    # a budget of 1-64 elements puts one instance of M >= 3 in a block, and
+    # per_block sizes the budget to put that many of the first size in one
+    if per_block:
+        m = insts[0].M
+        budget = per_block * wmmse._start_count(m) * m * m
     with mock.patch.object(wmmse, "ROW_BLOCK_ELEMENTS", budget):
         got = wmmse_batch(insts)
     want = [wmmse_reference.wmmse_allocate(inst) for inst in insts]
