@@ -17,7 +17,7 @@ from .channels import (
     sum_rate,
     weighted_sum_rate,
 )
-from .gcn import GcnModel, GcnParams
+from .gcn import GcnModel
 from .graph import (
     FeatureScaler,
     InterferenceGraph,
@@ -25,7 +25,7 @@ from .graph import (
     decompose_stars,
     fit_feature_scaler,
 )
-from .qgnn import QgnnModel, QgnnParams, build_qgcl_circuit
+from .qgnn import QgnnModel, build_qgcl_circuit
 from .qsim import (
     CircuitSpec,
     Gate,

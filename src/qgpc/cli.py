@@ -134,6 +134,12 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 def _validate_config(cfg: dict) -> None:
     try:
+        for key in ("scenario.d", "scenario.d_min", "scenario.d_max", "scenario.pathloss_exp",
+                    "scenario.sigma2", "scenario.alpha", "scenario.p_max", "train.lr",
+                    "train.beta1", "train.beta2", "train.eps"):
+            section, name = key.split(".")
+            if not np.all(np.isfinite(np.asarray(cfg[section][name], dtype=float))):
+                raise ConfigError(f"{key} must be finite")
         sc = cfg["scenario"]
         if int(sc["M"]) < 1:
             raise ConfigError("scenario.M must be >= 1")
@@ -155,14 +161,15 @@ def _validate_config(cfg: dict) -> None:
         tc = cfg["train"]
         if int(tc["epochs"]) < 0 or int(tc["batch"]) < 1 or float(tc["lr"]) <= 0:
             raise ConfigError("train.epochs >= 0, train.batch >= 1, train.lr > 0 required")
-        float(tc["beta1"]), float(tc["beta2"]), float(tc["eps"])
+        if float(tc["eps"]) <= 0 or not all(0 <= float(tc[key]) < 1 for key in ("beta1", "beta2")):
+            raise ConfigError("train.eps > 0 and 0 <= train.beta1, train.beta2 < 1 required")
         for key in ("data", "init", "stars"):
             int(tc["seeds"][key])
         if not isinstance(cfg["io"]["dataset"], str) or not isinstance(cfg["io"]["out_dir"], str):
             raise ConfigError("io.dataset and io.out_dir must be strings")
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc!r}") from exc
 
 

@@ -53,7 +53,6 @@ def fit_feature_scaler(realizations: list[ChannelRealization], z_clip: float = 3
 class InterferenceGraph:
     node_features: np.ndarray        # (N, NODE_FEATURES); column 0 already angle-scaled
     edge_angle: np.ndarray           # (N, N); [k, m] = phi(|g_km|^2), diagonal unused
-    p_max: float
 
     @property
     def N(self) -> int:
@@ -66,7 +65,7 @@ def build_graph(channels: ChannelRealization, scaler: FeatureScaler) -> Interfer
     feats = np.stack([scaler.angle(np.diagonal(gains)), channels.alpha], axis=1)
     edge = scaler.angle(gains)
     np.fill_diagonal(edge, 0.0)
-    return InterferenceGraph(node_features=feats, edge_angle=edge, p_max=channels.p_max)
+    return InterferenceGraph(node_features=feats, edge_angle=edge)
 
 
 def decompose_stars(n: int, k: int, seed: int) -> np.ndarray:

@@ -17,19 +17,20 @@ Circuit parameters are shared across nodes and leaves, so the trainable
 count L * depth * (2F+1) * 2 + 2 is independent of the graph size and of k.
 
 Engine: every message of a layer runs the same circuit. The batch path
-both models share (trainer.BatchModel) groups a call's graphs by size into
-blocks; a block of B graphs of N nodes holds its embeddings as (B, N, F) and
-each layer's stars as (B, N, s) leaves, ascending per star, so the N * s
-(center, leaf, edge) rows of each of its graphs go through one kernel call.
-BLOCK_AMPLITUDES bounds a block's rows times 2^n. The RY encoding of
-|0...0> is the real product state (x)_q [cos(a_q/2), sin(a_q/2)]; the
-trainable block is one 2^n x 2^n unitary U, built by the gate-level
-simulator from the basis states; the messages are |psi U^T|^2 @ Z-signs.
-Gradients are exact: parameter shift on the trainable slots (2 shifted
-unitaries per slot), the analytic product-state derivative on the input
-slots (equal to the shift rule for RY on |0>), chained through the
-re-encoding map and the sum-rate objective. The gate-level simulator stays
-the independent oracle the tests hold this kernel to.
+both models share (trainer.BatchModel, which also applies the sigmoid)
+groups a call's graphs by size into blocks; a block of B graphs of N nodes
+holds its embeddings as (B, N, F) and each layer's stars as (B, N, s)
+leaves, ascending per star, so the N * s (center, leaf, edge) rows of each
+of its graphs go through one kernel call. BLOCK_AMPLITUDES bounds a block's
+rows times 2^n. The RY encoding of |0...0> is the real product state
+(x)_q [cos(a_q/2), sin(a_q/2)]; the trainable block is one 2^n x 2^n
+unitary U, built by the gate-level simulator from the basis states; the
+messages are |psi U^T|^2 @ Z-signs. Gradients are exact: parameter shift on
+the trainable slots (2 shifted unitaries per slot), the analytic
+product-state derivative on the input slots (equal to the shift rule for RY
+on |0>), chained through the re-encoding map and the sum-rate objective.
+The gate-level simulator stays the independent oracle the tests hold this
+kernel to.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import sigmoid
-from .graph import NODE_FEATURES, InterferenceGraph, decompose_stars
+from .graph import NODE_FEATURES, decompose_stars
 # run_batch is not called here; it stays bound on this module for code that
 # looks it up or wraps it here (the benchmark's tracer does).
 from .qsim import CircuitSpec, Gate, _apply_gates, _z_signs, run_batch  # noqa: F401
@@ -59,9 +59,11 @@ def slots_per_layer(feature_dim: int, depth: int) -> int:
     return depth * (2 * feature_dim + 1) * 2
 
 
+@lru_cache(maxsize=64)
 def build_qgcl_circuit(feature_dim: int, depth: int) -> CircuitSpec:
     """Message circuit: RY input encoding on all 2F+1 qubits, then ``depth``
-    blocks of per-qubit trainable RY+RZ followed by a CNOT ring."""
+    blocks of per-qubit trainable RY+RZ followed by a CNOT ring. Cached: a
+    spec is immutable."""
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")
     if depth < 1:
@@ -80,48 +82,23 @@ def build_qgcl_circuit(feature_dim: int, depth: int) -> CircuitSpec:
     return CircuitSpec(n=nq, gates=tuple(gates), angle_slots=slot)
 
 
-@lru_cache(maxsize=64)
-def _spec_for(feature_dim: int, depth: int) -> CircuitSpec:
-    return build_qgcl_circuit(feature_dim, depth)
-
-
-@dataclass(eq=False)
-class QgnnParams:
-    layers: list[np.ndarray]  # trainable angles of each layer's circuit
-    decode_scale: float
-    decode_bias: float
-
-    @staticmethod
-    def param_count(feature_dim: int, n_layers: int, depth: int) -> int:
-        return n_layers * slots_per_layer(feature_dim, depth) + 2
-
-    @classmethod
-    def from_flat(cls, flat, feature_dim: int, n_layers: int, depth: int) -> "QgnnParams":
-        flat = np.asarray(flat, dtype=float)
-        spl = slots_per_layer(feature_dim, depth)
-        want = cls.param_count(feature_dim, n_layers, depth)
-        if flat.shape != (want,):
-            raise ValueError(f"expected {want} parameters, got shape {flat.shape}")
-        layers = [flat[i * spl:(i + 1) * spl].copy() for i in range(n_layers)]
-        return cls(layers=layers, decode_scale=float(flat[-2]), decode_bias=float(flat[-1]))
-
-
 def embedding_to_angle(h) -> np.ndarray:
     """Re-encoding map [-1, 1] -> [0, pi]."""
     return (np.asarray(h, dtype=float) + 1.0) * HALF_PI
 
 
-def node_input_angles(graph: InterferenceGraph) -> np.ndarray:
-    """Initial rotation angles per node. Column 0 is already angle-scaled by
-    the graph feature map; weight columns are scaled by pi/2 and clipped."""
-    ang = np.array(graph.node_features, dtype=float, copy=True)
-    ang[:, 1:] = np.clip(ang[:, 1:] * (np.pi / 2.0), 0.0, np.pi)
+def node_input_angles(features) -> np.ndarray:
+    """Initial rotation angles of node features (..., N, F). Column 0 is
+    already angle-scaled by the graph feature map; weight columns are scaled
+    by pi/2 and clipped."""
+    ang = np.array(features, dtype=float, copy=True)
+    ang[..., 1:] = np.clip(ang[..., 1:] * (np.pi / 2.0), 0.0, np.pi)
     return ang
 
 
-def initial_embeddings(graph: InterferenceGraph) -> np.ndarray:
+def initial_embeddings(features) -> np.ndarray:
     """Layer-0 embeddings: node feature angles pulled back into [-1, 1]."""
-    return node_input_angles(graph) * (2.0 / np.pi) - 1.0
+    return node_input_angles(features) * (2.0 / np.pi) - 1.0
 
 
 def _unitaries(spec: CircuitSpec, thetas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -231,9 +208,6 @@ class _Tape:
     edge: np.ndarray          # (B, N, N) edge angles
     h: list[np.ndarray]       # (B, N, F) embeddings entering each layer, then the final ones
     leaves: list[np.ndarray]  # (B, N, s) each layer's star leaves, ascending per star
-    p_max: np.ndarray         # (B, 1) power cap of each graph
-    sig: np.ndarray           # (B, N) decoded power fractions
-    p: np.ndarray             # (B, N) decoded powers
 
 
 class QgnnModel(BatchModel):
@@ -247,11 +221,9 @@ class QgnnModel(BatchModel):
         self.depth = depth
         self.k = k
 
-    def param_count(self) -> int:
-        return QgnnParams.param_count(NODE_FEATURES, self.layers, self.depth)
-
-    def unflatten(self, flat) -> QgnnParams:
-        return QgnnParams.from_flat(flat, NODE_FEATURES, self.layers, self.depth)
+    def _shapes(self) -> list[tuple[int, ...]]:
+        """Each layer's trainable angles, then the decode scale and bias."""
+        return [(slots_per_layer(NODE_FEATURES, self.depth),)] * self.layers + [(), ()]
 
     def arch_dict(self) -> dict:
         return {"layers": self.layers, "depth": self.depth, "k": self.k}
@@ -262,38 +234,35 @@ class QgnnModel(BatchModel):
     def _row_budget(self) -> int:  # each (rows, 2^n) kernel temporary holds BLOCK_AMPLITUDES
         return BLOCK_AMPLITUDES >> input_slot_count(NODE_FEATURES)
 
-    def _prepare(self, flat_params, grad: bool) -> tuple[QgnnParams, list[_Kernel]]:
+    def _prepare(self, flat_params, grad: bool) -> tuple[list[np.ndarray], list[_Kernel]]:
         params = self.unflatten(flat_params)
-        spec = _spec_for(NODE_FEATURES, self.depth)
-        return params, [_Kernel(spec, theta, shifted=grad) for theta in params.layers]
+        spec = build_qgcl_circuit(NODE_FEATURES, self.depth)
+        return params, [_Kernel(spec, theta, shifted=grad) for theta in params[:-2]]
 
-    def _forward(self, graphs: list[InterferenceGraph], prepared, star_seeds) -> _Tape:
+    def _forward(self, features: np.ndarray, edge: np.ndarray, prepared,
+                 star_seeds) -> tuple[np.ndarray, _Tape]:
         """Layer ell of graph b draws its stars with seed star_seeds[b] + ell."""
         params, kernels = prepared
-        edge = np.stack([g.edge_angle for g in graphs])
-        h, leaves = [np.stack([initial_embeddings(g) for g in graphs])], []
+        h, leaves = [initial_embeddings(features)], []
         for ell, kernel in enumerate(kernels):
-            leaves.append(np.sort([decompose_stars(g.N, self.k, seed + ell)
-                                   for g, seed in zip(graphs, star_seeds)], axis=2))
+            leaves.append(np.sort([decompose_stars(features.shape[1], self.k, seed + ell)
+                                   for seed in star_seeds], axis=2))
             h.append(_layer_forward(kernel, h[-1], edge, leaves[-1]))
-        sig = sigmoid(params.decode_scale * h[-1][:, :, 0] + params.decode_bias)
-        p_max = np.array([g.p_max for g in graphs])[:, None]
-        return _Tape(edge, h, leaves, p_max, sig, p_max * sig)
+        scale, bias = params[-2:]
+        return scale * h[-1][:, :, 0] + bias, _Tape(edge, h, leaves)
 
-    def _backward(self, tape: _Tape, prepared, dloss_dp: np.ndarray) -> np.ndarray:
-        """Per-graph gradients (B, P) in flat layout from the loss gradient
-        dloss_dp (B, N) at the powers."""
+    def _backward(self, tape: _Tape, prepared, gz: np.ndarray) -> list[np.ndarray]:
+        """Per-graph gradients of each parameter array from the loss
+        gradient gz (B, N) at the head scores."""
         params, kernels = prepared
-        gz = dloss_dp * (tape.p_max * tape.sig * (1.0 - tape.sig))
         b, n = gz.shape
-        spl = slots_per_layer(NODE_FEATURES, self.depth)
-        grads = np.zeros((b, self.param_count()))
         starts = np.arange(0, b * n, n)
-        grads[:, -2] = np.add.reduceat((gz * tape.h[-1][:, :, 0]).ravel(), starts)
-        grads[:, -1] = np.add.reduceat(gz.ravel(), starts)
+        grads = [np.zeros((b, theta.size)) for theta in params[:-2]]
+        grads += [np.add.reduceat((gz * tape.h[-1][:, :, 0]).ravel(), starts),
+                  np.add.reduceat(gz.ravel(), starts)]
         g = np.zeros_like(tape.h[-1])
-        g[:, :, 0] = gz * params.decode_scale
+        g[:, :, 0] = gz * params[-2]
         for ell in range(len(kernels) - 1, -1, -1):
             g = _layer_backward(kernels[ell], tape.h[ell], tape.edge, tape.leaves[ell],
-                                g, grads[:, ell * spl:(ell + 1) * spl])
+                                g, grads[ell])
         return grads

@@ -10,14 +10,16 @@ BatchModel, which computes that loss and its gradient at the powers.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import (
-    ChannelBatch, ChannelRealization, size_blocks, sum_rate, weighted_sum_rate_grad,
+    ChannelBatch, ChannelRealization, sigmoid, size_blocks, sum_rate, weighted_sum_rate_grad,
 )
 from .graph import InterferenceGraph
 # wmmse_allocate is not called here; it stays bound on this module for code
@@ -60,24 +62,47 @@ class Instance(NamedTuple):
 
 
 class BatchModel:
-    """The batch path both models share: a call prepares the parameters
-    once and runs each size_blocks block through the model's same-size
-    ``_forward`` (a tape holding the (B, N) powers ``p``) and ``_backward``
-    (the (B, P) gradients from dloss/dp); results come in input order."""
+    """The batch path both models share. It owns the flat parameter layout,
+    the stacking of each size_blocks block's graph inputs and the power
+    decode p = p_max * sigmoid(z). A model declares its arrays' shapes
+    (``_shapes``, in flat order) and runs its layers on arrays:
+    ``_forward(features (B, N, F), edge (B, N, N), prepared, star_seeds)``
+    gives the (B, N) scores z and a tape, and ``_backward(tape, prepared,
+    dloss/dz)`` one (B, *shape) gradient per shape. Results come in input order."""
 
     name: str
+
+    def param_count(self) -> int:
+        return sum(math.prod(shape) for shape in self._shapes())
+
+    def unflatten(self, flat) -> list[np.ndarray]:
+        """Read-only views of flat, one array per ``_shapes`` entry."""
+        flat = np.asarray(flat, dtype=float).view()
+        flat.flags.writeable = False  # and so is every view split from it
+        shapes = self._shapes()
+        sizes = [math.prod(shape) for shape in shapes]
+        if flat.shape != (sum(sizes),):
+            raise ValueError(f"expected {sum(sizes)} parameters, got shape {flat.shape}")
+        return [part.reshape(shape)
+                for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-0.1, 0.1, size=self.param_count())
 
     def _blocks(self, instances: list[Instance], prepared, star_seeds: list[int]):
-        """(idx, ChannelBatch, tape) of each block of same-size instances:
-        their indices, their stacked channels and their forward tape."""
+        """(idx, ChannelBatch, p, (tape, dp/dz)) of each block of same-size
+        instances: their indices, their stacked channels, their (B, N)
+        decoded powers and what the backward needs."""
         sizes = [inst.graph.N for inst in instances]
         for idx in size_blocks(sizes, self._rows, self._row_budget()):
+            graphs = [instances[i].graph for i in idx]
             channels = ChannelBatch.stack([instances[i].channels for i in idx])
-            yield idx, channels, self._forward([instances[i].graph for i in idx], prepared,
-                                               [star_seeds[i] for i in idx])
+            z, tape = self._forward(np.stack([g.node_features for g in graphs]),
+                                    np.stack([g.edge_angle for g in graphs]), prepared,
+                                    [star_seeds[i] for i in idx])
+            sig = sigmoid(z)
+            p = channels.p_max[:, None] * sig
+            yield idx, channels, p, (tape, p * (1.0 - sig))
 
     def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
                 flat_params, star_seed: int) -> np.ndarray:
@@ -88,10 +113,10 @@ class BatchModel:
                       star_seeds: list[int]) -> list[np.ndarray]:
         """Power vector of each instance, drawing its stars from its seed."""
         powers: list[np.ndarray] = [None] * len(instances)
-        for idx, _, tape in self._blocks(instances, self._prepare(flat_params, grad=False),
+        for idx, _, p, _ in self._blocks(instances, self._prepare(flat_params, grad=False),
                                          star_seeds):
-            for i, p in zip(idx, tape.p):
-                powers[i] = p
+            for i, row in zip(idx, p):
+                powers[i] = row
         return powers
 
     def loss_and_grad_batch(self, instances: list[Instance], flat_params,
@@ -101,9 +126,11 @@ class BatchModel:
         prepared = self._prepare(flat_params, grad=True)
         losses = np.empty(len(instances))
         grads = np.empty((len(instances), self.param_count()))
-        for idx, channels, tape in self._blocks(instances, prepared, star_seeds):
-            losses[idx] = -sum_rate(channels, tape.p)
-            grads[idx] = self._backward(tape, prepared, -weighted_sum_rate_grad(channels, tape.p))
+        for idx, channels, p, (tape, dp_dz) in self._blocks(instances, prepared, star_seeds):
+            losses[idx] = -sum_rate(channels, p)
+            dloss_dz = -weighted_sum_rate_grad(channels, p) * dp_dz
+            grads[idx] = np.concatenate([g.reshape(len(idx), -1) for g in
+                                         self._backward(tape, prepared, dloss_dz)], axis=1)
         return losses, grads
 
 
@@ -181,8 +208,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+@cache
 def eval_star_seed(seeds: SeedConfig, instance_index: int) -> int:
-    """Frozen star draw used whenever a model is evaluated (not trained)."""
+    """Frozen star draw used whenever a model is evaluated (not trained);
+    cached, since every evaluation of a split asks for the same seeds."""
     return mix_seed(seeds.stars, _EVAL_STREAM_TAG, instance_index)
 
 
@@ -202,10 +231,10 @@ def evaluate_mean(model: BatchModel, flat_params, instances: list[Instance],
                            [eval_star_seed(seeds, idx) for idx in range(len(instances))])
     # an overflow shows up below as a non-finite power, so it does not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, channels, tape in blocks:
-            finite = np.all(np.isfinite(tape.p), axis=1)
-            bad.update(zip(idx[~finite].tolist(), tape.p[~finite]))
-            rates[idx] = sum_rate(channels, tape.p)
+        for idx, channels, p, _ in blocks:
+            finite = np.all(np.isfinite(p), axis=1)
+            bad.update(zip(idx[~finite].tolist(), p[~finite]))
+            rates[idx] = sum_rate(channels, p)
     if bad:
         first = min(bad)  # the first in input order
         raise NonFinitePowerError(

@@ -19,9 +19,9 @@ from qgpc import channels as ch
 from qgpc.channels import sinr, weighted_sum_rate
 from qgpc.cli import main
 from qgpc import qgnn
-from qgpc.gcn import GcnModel, GcnParams
+from qgpc.gcn import GcnModel
 from qgpc.graph import InterferenceGraph, build_graph, decompose_stars, fit_feature_scaler
-from qgpc.qgnn import QgnnModel, QgnnParams
+from qgpc.qgnn import QgnnModel
 from qgpc.qsim import CircuitSpec, Gate, Observable, expectation, param_shift_grad, run_circuit
 from qgpc.trainer import Instance
 from qgpc.wmmse import grid_search_oracle, wmmse_allocate
@@ -112,7 +112,7 @@ def test_acceptance_4_qgnn_gradient_fidelity():
     started = time.perf_counter()
     inst = _instance(4, seed=777)
     graph = build_graph(inst, fit_feature_scaler([inst]))
-    n_params = QgnnParams.param_count(feature_dim=2, n_layers=2, depth=2)
+    n_params = QgnnModel(layers=2, depth=2).param_count()
     flat0 = np.random.default_rng(42).uniform(-0.5, 0.5, n_params)
     model = QgnnModel(layers=2, depth=2, k=2)
     (_,), (grad,) = model.loss_and_grad_batch([Instance("i", inst, graph)], flat0, [9])
@@ -181,14 +181,15 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
     model = QgnnModel(layers=1, depth=1, k=6)
     rng = np.random.default_rng(61)
     prepared = model._prepare(rng.uniform(-1, 1, 12), grad=False)
-    star_graph = InterferenceGraph(rng.uniform(0, np.pi, (7, 2)), np.zeros((7, 7)), 1.0)
+    star_graph = InterferenceGraph(rng.uniform(0, np.pi, (7, 2)), np.zeros((7, 7)))
     star_graph.edge_angle[1:, 0] = rng.uniform(0, np.pi, 6)
     others = [[j for j in range(7) if j != i] for i in range(1, 7)]
 
     def center_update(leaves):  # star 0's center after the layer
         with monkeypatch.context() as patch:
             patch.setattr(qgnn, "decompose_stars", lambda n, k, seed: leaves)
-            return model._forward([star_graph], prepared, [0]).h[1][0, 0]
+            return model._forward(star_graph.node_features[None], star_graph.edge_angle[None],
+                                  prepared, [0])[1].h[1][0, 0]
 
     base = center_update(np.array([[1, 2, 3, 4, 5, 6]] + others))
     for order in [(5, 4, 3, 2, 1, 0), (1, 3, 0, 5, 2, 4), (2, 0, 4, 1, 5, 3)]:
@@ -197,7 +198,7 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
         assert np.array_equal(permuted, base)
 
     # GCN permutation equivariance, bit-exact
-    flat = np.random.default_rng(62).uniform(-0.5, 0.5, GcnParams.param_count(2, 8, 2))
+    flat = np.random.default_rng(62).uniform(-0.5, 0.5, GcnModel(hidden=8, layers=2).param_count())
     gcn_model = GcnModel(hidden=8, layers=2)
     p = gcn_model.forward(inst, graph, flat, 0)
     perm = np.array([4, 2, 0, 1, 3])
@@ -208,7 +209,6 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
     pg = InterferenceGraph(
         node_features=np.asarray(graph.node_features)[np.argsort(perm)],
         edge_angle=ea,
-        p_max=graph.p_max,
     )
     assert np.array_equal(gcn_model.forward(inst, pg, flat, 0)[perm], p)
 

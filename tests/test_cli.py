@@ -151,6 +151,24 @@ def test_bad_overrides_exit_with_config_error(tmp_path, capsys):
     assert err.count("error:") == 6
 
 
+@pytest.mark.parametrize("override", [
+    "scenario.sigma2=NaN", "scenario.p_max=Infinity", "scenario.pathloss_exp=NaN",
+    "scenario.alpha=NaN", "scenario.d=Infinity", "train.lr=NaN", "train.beta2=NaN",
+    "train.eps=NaN", "train.lr=Infinity", "train.beta1=1.0", "train.beta1=-1", "train.eps=0",
+])
+def test_non_finite_or_out_of_range_numbers_exit_with_config_error(tmp_path, capsys, override):
+    # a train key is given to train on a valid dataset, which would otherwise run
+    command = "gen" if override.startswith("scenario.") else "train"
+    if command == "train":
+        assert main(_args(tmp_path) + ["gen"]) == 0
+        capsys.readouterr()
+    assert main(_args(tmp_path, "--set", override) + [command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_config_file_merges_over_defaults(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -220,9 +238,9 @@ def test_eval_with_non_finite_powers_exits_three(tmp_path, monkeypatch, capsys, 
     real = model._blocks
 
     def second_goes_nan(self, instances, prepared, seeds):
-        for idx, channels, tape in real(self, instances, prepared, seeds):
-            tape.p[idx == 1] = np.nan
-            yield idx, channels, tape
+        for idx, channels, p, backward in real(self, instances, prepared, seeds):
+            p[idx == 1] = np.nan
+            yield idx, channels, p, backward
 
     monkeypatch.setattr(model, "_blocks", second_goes_nan)
     capsys.readouterr()

@@ -6,7 +6,7 @@ import pytest
 from qgpc import channels as ch
 from qgpc.channels import sinr, weighted_sum_rate
 from qgpc import gcn
-from qgpc.gcn import GcnModel, GcnParams
+from qgpc.gcn import GcnModel
 from qgpc.graph import InterferenceGraph, build_graph, fit_feature_scaler
 from qgpc.trainer import Instance
 
@@ -33,27 +33,30 @@ def _loss_and_grad(inst, graph, model, flat):
     return loss, grad
 
 
-def _arrays(params):
-    """Every array of a GcnParams in from_flat's order, the head bias last."""
-    return [a for layer in params.layers for a in vars(layer).values()] + [
-        params.head_w, np.array([params.head_b])]
+def _stacked(graphs):
+    """A block's stacked node features and edge angles, as _forward takes them."""
+    return np.stack([g.node_features for g in graphs]), np.stack([g.edge_angle for g in graphs])
 
 
-def test_param_count_matches_from_flat():
-    for fd, hd, nl in [(2, 4, 1), (2, 16, 2), (3, 8, 3)]:
-        count = GcnParams.param_count(fd, hd, nl)
-        params = GcnParams.from_flat(np.zeros(count), fd, hd, nl)
-        assert sum(a.size for a in _arrays(params)) == count
+def test_param_count_matches_unflatten():
+    for hd, nl in [(4, 1), (16, 2), (8, 3)]:
+        model = GcnModel(hidden=hd, layers=nl)
+        count = model.param_count()
+        arrays = model.unflatten(np.zeros(count))
+        assert [a.shape for a in arrays] == model._shapes()
+        assert sum(a.size for a in arrays) == count
 
 
 def test_flat_round_trip():
-    # from_flat of 0..n-1 shows where each entry lands: every one exactly once, in order
-    n = GcnParams.param_count(2, 5, 2)
-    back = GcnParams.from_flat(np.arange(n, dtype=float), 2, 5, 2)
-    assert np.array_equal(np.concatenate([a.ravel() for a in _arrays(back)]), np.arange(n))
-    assert back.head_b == n - 1
+    # unflatten of 0..n-1 shows where each entry lands: every one exactly once, in order
+    model = GcnModel(hidden=5, layers=2)
+    n = model.param_count()
+    back = model.unflatten(np.arange(n, dtype=float))
+    assert np.array_equal(np.concatenate([a.ravel() for a in back]), np.arange(n))
+    assert back[-1] == n - 1  # the head bias
+    assert not any(a.flags.writeable for a in back)
     with pytest.raises(ValueError):
-        GcnParams.from_flat(np.zeros(n - 1), 2, 5, 2)
+        model.unflatten(np.zeros(n - 1))
 
 
 def test_forward_shapes_feasible_and_deterministic():
@@ -87,7 +90,6 @@ def test_forward_equivariant_under_node_relabeling():
     pg = InterferenceGraph(
         node_features=np.asarray(graph.node_features)[np.argsort(perm)],
         edge_angle=ea,
-        p_max=graph.p_max,
     )
     pp = _powers(inst, pg, model, flat)
     assert np.array_equal(pp[perm], p)
@@ -137,14 +139,16 @@ def test_model_adapter():
 def test_max_aggregation_matches_per_node_loop():
     graphs = [_instance(5, seed=9)[1], _instance(5, seed=10)[1]]
     model, flat = _random_params(6, 2, seed=9)
+    where = model.unflatten(np.arange(flat.size))[2][:, 0]  # flat positions of layer 0's msg_w2
+    flat[where.astype(int)] = 0.0  # column 0 ties across every edge
     params = model.unflatten(flat)
-    params.layers[0].msg_w2[:, 0] = 0.0  # column 0 ties across every edge
-    tape = model._forward(graphs, params, None)
+    z, tape = model._forward(*_stacked(graphs), params, None)
     n = graphs[0].N
     assert tape.src.tolist() == [u for v in range(n) for u in range(n) if u != v]
     dst = np.array([v for v in range(n) for u in range(n) if u != v])
-    for layer, h_in, (_, _, a1, amax, u, _, _) in zip(params.layers, tape.h, tape.caches):
-        msgs = (a1 @ layer.msg_w2 + layer.msg_b2).reshape(len(graphs), dst.size, -1)
+    for ell, (h_in, (_, _, a1, amax, u, _, _)) in enumerate(zip(tape.h, tape.caches)):
+        msg_w2, msg_b2 = params[8 * ell + 2:8 * ell + 4]
+        msgs = (a1 @ msg_w2 + msg_b2).reshape(len(graphs), dst.size, -1)
         u = u.reshape(len(graphs), n, -1)
         cols = np.arange(msgs.shape[2])
         for b in range(len(graphs)):
@@ -153,7 +157,7 @@ def test_max_aggregation_matches_per_node_loop():
                 top = np.argmax(msgs[b, rows], axis=0)  # first index wins a tie
                 assert np.array_equal(u[b, v, h_in.shape[2]:], msgs[b, rows][top, cols])
                 assert np.array_equal(amax[b, v, 0], top)
-    assert not np.array_equal(tape.p[0], tape.p[1])
+    assert not np.array_equal(z[0], z[1])
 
 
 def test_batch_calls_match_single_instance_calls(monkeypatch):
@@ -164,7 +168,7 @@ def test_batch_calls_match_single_instance_calls(monkeypatch):
     split = [Instance(f"i{i}", c, build_graph(c, scaler)) for i, c in enumerate(insts)]
     model = GcnModel(hidden=16, layers=2)
     _, flat = _random_params(16, 2, seed=21)
-    where = model.unflatten(np.arange(flat.size)).layers[1].msg_w2[:, 2]  # flat positions
+    where = model.unflatten(np.arange(flat.size))[8 + 2][:, 2]  # flat positions of layer 1's msg_w2
     flat[where.astype(int)] = 0.0  # column 2 ties across every edge
     monkeypatch.setattr(gcn, "BLOCK_EDGES", 30)  # 2 graphs of 4 nodes, 5 of 3 per block
     assert len(list(ch.size_blocks(sizes, model._rows, gcn.BLOCK_EDGES))) > len(set(sizes))

@@ -59,7 +59,6 @@ def test_build_graph_shapes_and_adjacency(graph4):
                 assert g.edge_angle[k, m] == pytest.approx(
                     float(scaler.angle(gains[k, m])), abs=0.0
                 )
-    assert g.p_max == inst.p_max
 
 
 def test_build_graph_single_node():

@@ -10,7 +10,7 @@ from qgpc import channels as ch
 from qgpc import qgnn
 from qgpc.graph import InterferenceGraph, build_graph, decompose_stars, fit_feature_scaler
 from qgpc.qgnn import (
-    QgnnModel, QgnnParams, _Kernel, _layer_forward, _row_angles, build_qgcl_circuit,
+    QgnnModel, _Kernel, _layer_forward, _row_angles, build_qgcl_circuit,
     embedding_to_angle, initial_embeddings, input_slot_count, node_input_angles,
     slots_per_layer,
 )
@@ -26,10 +26,10 @@ def _instance(m=4, seed=0):
     return inst, graph
 
 
-def _random_params(feature_dim, n_layers, depth, seed, scale=0.5):
+def _random_params(n_layers, depth, seed, scale=0.5):
     """A flat parameter vector: each layer's trainable angles, then the decode scale and bias."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-scale, scale, QgnnParams.param_count(feature_dim, n_layers, depth))
+    return rng.uniform(-scale, scale, QgnnModel(n_layers, depth).param_count())
 
 
 def _layer(spec, theta, h, edge_angle, leaves):
@@ -38,10 +38,16 @@ def _layer(spec, theta, h, edge_angle, leaves):
     return _layer_forward(_Kernel(spec, theta), h[None], edge[None], np.asarray(leaves)[None])[0]
 
 
+def _model(flat, k):
+    """The depth-1 model that flat parameterizes."""
+    return QgnnModel((flat.size - 2) // slots_per_layer(2, 1), 1, k)
+
+
 def _tape(graph, flat, k, seed):
-    """The forward pass over one graph of a depth-1 model, with its own star draw."""
-    model = QgnnModel((flat.size - 2) // slots_per_layer(2, 1), 1, k)
-    return model._forward([graph], model._prepare(flat, grad=False), [seed])
+    """The forward tape over one graph of a depth-1 model, with its own star draw."""
+    model = _model(flat, k)
+    return model._forward(graph.node_features[None], graph.edge_angle[None],
+                          model._prepare(flat, grad=False), [seed])[1]
 
 
 def _one(inst, graph):
@@ -88,8 +94,8 @@ def test_circuit_each_slot_feeds_exactly_one_gate():
 
 
 def test_param_count_independent_of_graph_size_and_fanout():
-    assert QgnnParams.param_count(2, 2, 1) == 22
-    assert QgnnParams.param_count(2, 2, 2) == 42
+    assert QgnnModel(layers=2, depth=1).param_count() == 22
+    assert QgnnModel(layers=2, depth=2).param_count() == 42
     counts = {QgnnModel(2, 1, k).param_count() for k in (1, 2, 3, 7)}
     assert counts == {22}
     model = QgnnModel(2, 1, 2)
@@ -101,16 +107,21 @@ def test_param_count_independent_of_graph_size_and_fanout():
         assert p.shape == (m,)
 
 
-def test_params_from_flat_layout():
-    flat = _random_params(2, 2, 1, seed=4)
+def test_params_unflatten_layout():
+    model = QgnnModel(layers=2, depth=1)
+    flat = _random_params(2, 1, seed=4)
     assert flat.shape == (22,)
-    back = QgnnParams.from_flat(flat, 2, 2, 1)
+    back = model.unflatten(flat)
     spl = slots_per_layer(2, 1)
-    assert all(np.array_equal(a, flat[spl * i:spl * (i + 1)]) for i, a in enumerate(back.layers))
-    assert back.decode_scale == flat[-2]
-    assert back.decode_bias == flat[-1]
+    assert [a.shape for a in back] == [(spl,), (spl,), (), ()]
+    assert all(np.array_equal(a, flat[spl * i:spl * (i + 1)]) for i, a in enumerate(back[:-2]))
+    assert back[-2] == flat[-2]  # decode scale
+    assert back[-1] == flat[-1]  # decode bias
+    # unflatten of 0..n-1 shows where each entry lands: every one exactly once, in order
+    order = model.unflatten(np.arange(22.0))
+    assert np.array_equal(np.concatenate([a.ravel() for a in order]), np.arange(22.0))
     with pytest.raises(ValueError):
-        QgnnParams.from_flat(flat[:-1], 2, 2, 1)
+        model.unflatten(flat[:-1])
 
 
 def test_message_from_vacuum_is_all_ones():
@@ -153,8 +164,8 @@ def test_forward_duplicate_leaf_embedding_matches_single_leaf():
 
 def test_forward_is_exactly_leaf_order_invariant(monkeypatch):
     rng = np.random.default_rng(21)
-    flat = _random_params(2, 1, 1, seed=21)
-    graph = InterferenceGraph(rng.uniform(0, np.pi, (7, 2)), rng.uniform(0, np.pi, (7, 7)), 1.0)
+    flat = _random_params(1, 1, seed=21)
+    graph = InterferenceGraph(rng.uniform(0, np.pi, (7, 2)), rng.uniform(0, np.pi, (7, 7)))
     others = [[j for j in range(7) if j != i] for i in range(1, 7)]
 
     def embeddings(first_star):
@@ -169,31 +180,31 @@ def test_forward_is_exactly_leaf_order_invariant(monkeypatch):
 
 def test_forward_single_node_keeps_initial_embedding():
     inst, graph = _instance(1, seed=6)
-    flat = _random_params(2, 2, 1, seed=6)
-    tape = _tape(graph, flat, 2, 0)
-    h = tape.h[-1][0]
-    assert np.array_equal(h, initial_embeddings(graph))
+    flat = _random_params(2, 1, seed=6)
+    h = _tape(graph, flat, 2, 0).h[-1][0]
+    assert np.array_equal(h, initial_embeddings(graph.node_features))
     want = inst.p_max / (1.0 + np.exp(-(flat[-2] * h[0, 0] + flat[-1])))  # decode scale, bias
-    assert tape.p[0, 0] == pytest.approx(want, rel=1e-12)
+    assert _model(flat, 2).forward(inst, graph, flat, 0)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_forward_powers_feasible_and_deterministic():
     inst, graph = _instance(4, seed=7)
-    flat = _random_params(2, 2, 1, seed=7, scale=2.0)
-    t1, t2, t3 = (_tape(graph, flat, 2, seed) for seed in (5, 5, 6))
-    p1, h1 = t1.p, t1.h[-1]
-    assert np.array_equal(p1, t2.p) and np.array_equal(h1, t2.h[-1])
+    flat = _random_params(2, 1, seed=7, scale=2.0)
+    p1, p2, p3 = (_model(flat, 2).forward(inst, graph, flat, seed) for seed in (5, 5, 6))
+    h1, h2 = (_tape(graph, flat, 2, seed).h[-1] for seed in (5, 5))
+    assert np.array_equal(p1, p2) and np.array_equal(h1, h2)
     assert np.all(p1 > 0.0) and np.all(p1 < inst.p_max)
     assert np.all(np.abs(h1) <= 1.0 + 1e-12)
-    assert not np.array_equal(p1, t3.p)
+    assert not np.array_equal(p1, p3)
 
 
 def test_forward_equivariant_under_node_relabeling(monkeypatch):
     inst, graph = _instance(4, seed=8)
-    flat = _random_params(2, 2, 1, seed=8)
+    flat = _random_params(2, 1, seed=8)
     leaves = np.array([[1, 3], [2, 0], [3, 1], [0, 2]])  # every layer's stars
     monkeypatch.setattr(qgnn, "decompose_stars", lambda n, k, seed: leaves)
     tape = _tape(graph, flat, 2, 0)
+    p = _model(flat, 2).forward(inst, graph, flat, 0)
 
     perm = np.array([2, 0, 3, 1])  # old index i becomes new index perm[i]
     ea = np.empty_like(graph.edge_angle)
@@ -203,20 +214,19 @@ def test_forward_equivariant_under_node_relabeling(monkeypatch):
     pg = InterferenceGraph(
         node_features=np.asarray(graph.node_features)[np.argsort(perm)],
         edge_angle=ea,
-        p_max=graph.p_max,
     )
     pleaves = np.empty_like(leaves)
     pleaves[perm] = perm[leaves]  # star of old center i, relabeled, is row perm[i]
     monkeypatch.setattr(qgnn, "decompose_stars", lambda n, k, seed: pleaves)
     ptape = _tape(pg, flat, 2, 0)
-    assert np.array_equal(ptape.p[0][perm], tape.p[0])
+    assert np.array_equal(_model(flat, 2).forward(inst, pg, flat, 0)[perm], p)
     assert np.array_equal(ptape.h[-1][0][perm], tape.h[-1][0])
 
 
 def test_loss_matches_forward_and_gradient_matches_finite_differences():
     inst, graph = _instance(3, seed=9)
     model = QgnnModel(layers=2, depth=1, k=2)
-    flat0 = _random_params(2, 2, 1, seed=9)
+    flat0 = _random_params(2, 1, seed=9)
     losses, grads = model.loss_and_grad_batch(_one(inst, graph), flat0, [11])
     p = model.forward_batch(_one(inst, graph), flat0, [11])[0]
     assert losses[0] == pytest.approx(-weighted_sum_rate(sinr(inst, p), inst.alpha), rel=1e-12)
@@ -232,7 +242,7 @@ def test_loss_matches_forward_and_gradient_matches_finite_differences():
 def test_gradient_single_node_touches_only_decode_params():
     inst, graph = _instance(1, seed=13)
     model = QgnnModel(layers=1, depth=1, k=2)
-    flat0 = _random_params(2, 1, 1, seed=13)
+    flat0 = _random_params(1, 1, seed=13)
     _, grads = model.loss_and_grad_batch(_one(inst, graph), flat0, [0])
     assert np.array_equal(grads[0, :10], np.zeros(10))
 
@@ -246,7 +256,7 @@ def test_gradient_single_node_touches_only_decode_params():
 
 def test_gradient_zero_decode_scale_blocks_circuit_gradients():
     inst, graph = _instance(3, seed=14)
-    flat = _random_params(2, 2, 1, seed=14)
+    flat = _random_params(2, 1, seed=14)
     flat[-2] = 0.0  # decode_scale
     _, grads = QgnnModel(layers=2, depth=1, k=2).loss_and_grad_batch(_one(inst, graph), flat, [3])
     assert np.array_equal(grads[0, :20], np.zeros(20))
@@ -269,11 +279,13 @@ def test_model_adapter_round_trip():
 
 def test_input_angle_scaling():
     inst, graph = _instance(3, seed=16)
-    ang = node_input_angles(graph)
-    nf = np.asarray(graph.node_features)
+    nf = graph.node_features
+    ang = node_input_angles(nf)
     assert np.array_equal(ang[:, 0], nf[:, 0])
     assert np.allclose(ang[:, 1], np.pi / 2.0)  # unit weights
-    h0 = initial_embeddings(graph)
+    # any leading dims: a stack of graphs gives each graph its own angles
+    assert np.array_equal(node_input_angles(np.stack([nf, nf[::-1]])), np.stack([ang, ang[::-1]]))
+    h0 = initial_embeddings(nf)
     assert np.allclose(embedding_to_angle(h0), ang)
     assert np.all(h0 >= -1.0) and np.all(h0 <= 1.0)
 
@@ -322,7 +334,7 @@ def test_layer_rows_match_a_per_star_loop():
     # a block's message rows, star by star: center, leaf, edge leaf -> center
     for m, k in [(4, 0), (4, 1), (4, 2), (3, 5), (1, 2)]:
         graphs = [inst.graph for inst in _split(m, 3, 300 + m)]
-        h = np.stack([initial_embeddings(g) for g in graphs])
+        h = np.stack([initial_embeddings(g.node_features) for g in graphs])
         leaves = np.sort([decompose_stars(m, k, 7 + b) for b in range(3)], axis=2)
         rows = _row_angles(h, np.stack([g.edge_angle for g in graphs]), leaves)
         want = [np.concatenate([embedding_to_angle(h[b, i]), embedding_to_angle(h[b, j]),

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qgpc.qsim import (
-    QUBIT_LIMIT, CircuitError, CircuitSpec, Gate, Observable, StateVector,
-    expectation, expectations_z, param_shift_grad, run_batch, run_circuit,
+    FIXED_KINDS, QUBIT_LIMIT, ROTATION_KINDS, CircuitError, CircuitSpec, Gate, Observable,
+    StateVector, expectation, expectations_z, param_shift_grad, run_batch, run_circuit,
 )
 
 
@@ -97,14 +100,35 @@ def test_rx_rz_match_matrix_algebra():
     assert st.amps[1] == pytest.approx(np.exp(+0.5j * theta) / np.sqrt(2), abs=1e-15)
 
 
-def test_random_circuits_preserve_norm_and_determinism():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        spec, angles = _random_circuit(rng)
-        a = run_circuit(spec, angles)
-        b = run_circuit(spec, angles)
-        assert np.array_equal(a.amps, b.amps)
-        assert abs(np.sum(np.abs(a.amps) ** 2) - 1.0) < 1e-10
+@st.composite
+def _circuits(draw):
+    """A circuit over all six gate kinds and 2-5 rows of angles in [-1e3, 1e3]."""
+    n = draw(st.integers(2, 6))
+    slots = draw(st.integers(1, 12))
+    qubit = st.integers(0, n - 1)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(ROTATION_KINDS + FIXED_KINDS), max_size=30)):
+        if kind in ROTATION_KINDS:
+            gates.append(Gate(kind, (draw(qubit),), draw(st.integers(0, slots - 1))))
+        elif kind == "H":
+            gates.append(Gate("H", (draw(qubit),)))
+        else:
+            gates.append(Gate(kind, tuple(draw(st.lists(qubit, min_size=2, max_size=2,
+                                                        unique=True)))))
+    rows = draw(hnp.arrays(float, (draw(st.integers(2, 5)), slots),
+                           elements=st.floats(-1e3, 1e3)))
+    return _spec(n, gates, slots), rows
+
+
+@settings(max_examples=100)
+@given(_circuits())
+def test_random_circuits_preserve_norm_and_determinism(circuit):
+    spec, rows = circuit
+    batch = run_batch(spec, rows)
+    assert np.array_equal(batch, run_batch(spec, rows))
+    np.testing.assert_allclose(np.sum(np.abs(batch) ** 2, axis=1), 1.0, rtol=0, atol=1e-10)
+    for row, amps in zip(rows, batch):
+        assert np.array_equal(amps, run_circuit(spec, row).amps)
 
 
 def test_circuit_followed_by_its_inverse_returns_to_vacuum():

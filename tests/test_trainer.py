@@ -1,7 +1,5 @@
 """Optimizer, seed plumbing, and the unsupervised training loop."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,16 +176,17 @@ def test_train_small_quantum_model_runs_and_improves(monkeypatch):
 
 
 class _NanModel(BatchModel):
-    """Decodes NaN powers on the gradient path and on graphs of the sizes in
-    nan_sizes, and 0.5 elsewhere; blocks hold at most two graphs."""
+    """Scores NaN on the gradient path and on graphs of the sizes in
+    nan_sizes, and 0 (power p_max / 2 = 0.5) elsewhere; blocks hold at most
+    two graphs."""
 
     name = "nan"
 
     def __init__(self, nan_sizes=()):
         self.nan_sizes = set(nan_sizes)
 
-    def param_count(self):
-        return 2
+    def _shapes(self):
+        return [(2,)]
 
     def _rows(self, n):
         return 1
@@ -198,13 +197,12 @@ class _NanModel(BatchModel):
     def _prepare(self, flat_params, grad):
         return grad
 
-    def _forward(self, graphs, grad, star_seeds):
-        n = graphs[0].N
-        return SimpleNamespace(p=np.full((len(graphs), n),
-                                         np.nan if grad or n in self.nan_sizes else 0.5))
+    def _forward(self, features, edge, grad, star_seeds):
+        b, n = features.shape[:2]
+        return np.full((b, n), np.nan if grad or n in self.nan_sizes else 0.0), None
 
-    def _backward(self, tape, grad, dloss_dp):
-        return np.zeros((len(dloss_dp), 2))
+    def _backward(self, tape, grad, dloss_dz):
+        return [np.zeros((len(dloss_dz), 2))]
 
 
 def test_train_aborts_on_non_finite_loss_with_context():
