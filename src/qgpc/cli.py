@@ -2,9 +2,9 @@
 
 All behavior is driven by a JSON config file plus repeatable --set overrides
 (dotted keys, JSON-parsed values). Outputs land in io.out_dir, which the
-QGPC_OUT_DIR environment variable overrides. Exit codes: 0 success, 2 bad
-configuration or inputs, 3 runtime abort (non-finite training loss or decoded
-power).
+QGPC_OUT_DIR environment variable overrides. Exit codes: 0 success, 1 stdout
+closed by its reader, 2 bad configuration or inputs, 3 runtime abort
+(non-finite training loss or decoded power).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -52,15 +53,7 @@ DEFAULT_CONFIG = {
         "k": 2,
         "hidden": 16,
     },
-    "train": {
-        "epochs": 50,
-        "lr": 5e-2,
-        "batch": 300,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "seeds": {"data": 1, "init": 2, "stars": 3},
-    },
+    "train": asdict(TrainConfig()),
     "io": {
         "dataset": "dataset.jsonl",
         "out_dir": ".",
@@ -69,7 +62,6 @@ DEFAULT_CONFIG = {
 
 _GEOM_STREAM_TAG = 0x47454F  # scenario position draws
 _FADE_STREAM_TAG = 0x464144  # fading draws
-_SPLIT_TAGS = {"train": 0, "test": 1}
 
 
 class ConfigError(ValueError):
@@ -90,23 +82,19 @@ def _deep_merge(base: dict, extra: dict, prefix: str = "") -> dict:
     return out
 
 
-def _apply_override(cfg: dict, assignment: str) -> None:
+def _override(assignment: str) -> dict:
+    """``key.path=value`` as the nested object a config file would hold. The
+    value is JSON-parsed, or kept as a string when it is not JSON."""
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key.path=value")
     key, raw = assignment.split("=", 1)
-    parts = key.strip().split(".")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:
         value = raw
-    node = cfg
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config section {part!r} in override {key!r}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError(f"unknown config key {key!r}")
-    node[parts[-1]] = value
+    for part in reversed(key.strip().split(".")):
+        value = {part: value}
+    return value
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -114,63 +102,67 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     if path is not None:
         try:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
-        if user.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-            raise ConfigError(f"unsupported config version {user.get('version')!r}")
-        for section in user:
-            if section not in DEFAULT_CONFIG:
-                raise ConfigError(f"unknown config section {section!r}")
         cfg = _deep_merge(cfg, user)
     for assignment in overrides:
-        _apply_override(cfg, assignment)
+        cfg = _deep_merge(cfg, _override(assignment))
     if os.environ.get(ENV_OUT_DIR):
-        cfg["io"]["out_dir"] = os.environ[ENV_OUT_DIR]
+        cfg = _deep_merge(cfg, {"io": {"out_dir": os.environ[ENV_OUT_DIR]}})
+    _check_types(cfg, DEFAULT_CONFIG, "")
     _validate_config(cfg)
     return cfg
 
 
+def _check_types(value, default, key: str) -> None:
+    """Raise unless ``value`` has the JSON type of ``default`` at every depth:
+    an object with the same keys, a finite number for a float default
+    (``scenario.alpha`` may also be a list of them), and otherwise the
+    default's own type, so an int default refuses true, 1.5 and 4.0."""
+    if isinstance(default, dict):
+        if not (isinstance(value, dict) and value.keys() == default.keys()):
+            raise ConfigError(f"{key} must be an object with keys {list(default)}, got {value!r}")
+        for name, val in value.items():
+            _check_types(val, default[name], f"{key}.{name}" if key else name)
+    elif isinstance(default, float):
+        items = value if key == "scenario.alpha" and isinstance(value, list) else [value]
+        if not all(ch.is_json_number(x) and abs(x) <= sys.float_info.max for x in items):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    elif type(value) is not type(default):
+        raise ConfigError(f"{key} must be of type {type(default).__name__}, got {value!r}")
+
+
 def _validate_config(cfg: dict) -> None:
-    try:
-        for key in ("scenario.d", "scenario.d_min", "scenario.d_max", "scenario.pathloss_exp",
-                    "scenario.sigma2", "scenario.alpha", "scenario.p_max", "train.lr",
-                    "train.beta1", "train.beta2", "train.eps"):
-            section, name = key.split(".")
-            if not np.all(np.isfinite(np.asarray(cfg[section][name], dtype=float))):
-                raise ConfigError(f"{key} must be finite")
-        sc = cfg["scenario"]
-        if int(sc["M"]) < 1:
-            raise ConfigError("scenario.M must be >= 1")
-        if not (0 < float(sc["d_min"]) <= float(sc["d_max"]) <= float(sc["d"])):
-            raise ConfigError("need 0 < d_min <= d_max <= d")
-        if float(sc["sigma2"]) <= 0 or float(sc["p_max"]) <= 0:
-            raise ConfigError("sigma2 and p_max must be positive")
-        alpha = np.asarray(sc["alpha"], dtype=float)
-        if alpha.shape not in ((), (1,), (int(sc["M"]),)) or np.any(alpha < 0):
-            raise ConfigError(f"scenario.alpha must be one or M={sc['M']} non-negative weights")
-        if int(sc["train_size"]) < 1 or int(sc["test_size"]) < 0:
-            raise ConfigError("train_size must be >= 1 and test_size >= 0")
-        mc = cfg["model"]
-        if mc["arch"] not in ("qgnn", "gcn"):
-            raise ConfigError(f"unknown model.arch {mc['arch']!r}")
-        for key in ("layers", "depth", "k", "hidden"):
-            if int(mc[key]) < (0 if key == "k" else 1):
-                raise ConfigError(f"model.{key} out of range")
-        tc = cfg["train"]
-        if int(tc["epochs"]) < 0 or int(tc["batch"]) < 1 or float(tc["lr"]) <= 0:
-            raise ConfigError("train.epochs >= 0, train.batch >= 1, train.lr > 0 required")
-        if float(tc["eps"]) <= 0 or not all(0 <= float(tc[key]) < 1 for key in ("beta1", "beta2")):
-            raise ConfigError("train.eps > 0 and 0 <= train.beta1, train.beta2 < 1 required")
-        for key in ("data", "init", "stars"):
-            int(tc["seeds"][key])
-        if not isinstance(cfg["io"]["dataset"], str) or not isinstance(cfg["io"]["out_dir"], str):
-            raise ConfigError("io.dataset and io.out_dir must be strings")
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid config value: {exc!r}") from exc
+    """Range checks on a config that has passed _check_types."""
+    if cfg["version"] != CONFIG_VERSION:
+        raise ConfigError(f"unsupported config version {cfg['version']!r}")
+    sc = cfg["scenario"]
+    if sc["M"] < 1:
+        raise ConfigError("scenario.M must be >= 1")
+    if not (0 < sc["d_min"] <= sc["d_max"] <= sc["d"]):
+        raise ConfigError("need 0 < d_min <= d_max <= d")
+    if sc["sigma2"] <= 0 or sc["p_max"] <= 0:
+        raise ConfigError("sigma2 and p_max must be positive")
+    alpha = sc["alpha"] if isinstance(sc["alpha"], list) else [sc["alpha"]]
+    if len(alpha) not in (1, sc["M"]) or min(alpha) < 0:
+        raise ConfigError(f"scenario.alpha must be one or M={sc['M']} non-negative weights")
+    if sc["train_size"] < 1 or sc["test_size"] < 0:
+        raise ConfigError("train_size must be >= 1 and test_size >= 0")
+    mc = cfg["model"]
+    if mc["arch"] not in ("qgnn", "gcn"):
+        raise ConfigError(f"unknown model.arch {mc['arch']!r}")
+    for key in ("layers", "depth", "k", "hidden"):
+        if mc[key] < (0 if key == "k" else 1):
+            raise ConfigError(f"model.{key} out of range")
+    tc = cfg["train"]
+    if tc["epochs"] < 0 or tc["batch"] < 1 or tc["lr"] <= 0:
+        raise ConfigError("train.epochs >= 0, train.batch >= 1, train.lr > 0 required")
+    if tc["eps"] <= 0 or not all(0 <= tc[key] < 1 for key in ("beta1", "beta2")):
+        raise ConfigError("train.eps > 0 and 0 <= train.beta1, train.beta2 < 1 required")
+    if min(tc["seeds"].values()) < 0:
+        raise ConfigError("train.seeds.data, init and stars must be >= 0")
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -187,37 +179,29 @@ def _dataset_path(cfg: dict) -> Path:
 def _build_model(cfg: dict):
     mc = cfg["model"]
     if mc["arch"] == "qgnn":
-        return QgnnModel(layers=int(mc["layers"]), depth=int(mc["depth"]), k=int(mc["k"]))
-    return GcnModel(hidden=int(mc["hidden"]), layers=int(mc["layers"]))
+        return QgnnModel(layers=mc["layers"], depth=mc["depth"], k=mc["k"])
+    return GcnModel(hidden=mc["hidden"], layers=mc["layers"])
 
 
 def _train_config(cfg: dict) -> TrainConfig:
     tc = cfg["train"]
-    seeds = tc["seeds"]
-    return TrainConfig(
-        epochs=int(tc["epochs"]), lr=float(tc["lr"]), batch=int(tc["batch"]),
-        beta1=float(tc["beta1"]), beta2=float(tc["beta2"]), eps=float(tc["eps"]),
-        seeds=SeedConfig(data=int(seeds["data"]), init=int(seeds["init"]),
-                         stars=int(seeds["stars"])),
-    )
+    return TrainConfig(**{**tc, "seeds": SeedConfig(**tc["seeds"])})
 
 
 def cmd_gen(cfg: dict) -> int:
     """Draw the train/test realizations and write the dataset file."""
     sc = cfg["scenario"]
-    data_seed = int(cfg["train"]["seeds"]["data"])
+    data_seed = cfg["train"]["seeds"]["data"]
     splits: dict[str, list] = {"train": [], "test": []}
-    for split, count_key in (("train", "train_size"), ("test", "test_size")):
-        for idx in range(int(sc[count_key])):
-            tag = _SPLIT_TAGS[split]
+    for tag, (split, count_key) in enumerate((("train", "train_size"), ("test", "test_size"))):
+        for idx in range(sc[count_key]):
             scen = ch.generate_scenario(
-                M=int(sc["M"]), d=float(sc["d"]), d_min=float(sc["d_min"]),
-                d_max=float(sc["d_max"]),
+                M=sc["M"], d=sc["d"], d_min=sc["d_min"], d_max=sc["d_max"],
                 seed=mix_seed(data_seed, _GEOM_STREAM_TAG, tag, idx),
             )
             splits[split].append(ch.realize_channels(
-                scen, pathloss_exp=float(sc["pathloss_exp"]), sigma2=float(sc["sigma2"]),
-                alpha=sc["alpha"], p_max=float(sc["p_max"]),
+                scen, pathloss_exp=sc["pathloss_exp"], sigma2=sc["sigma2"],
+                alpha=sc["alpha"], p_max=sc["p_max"],
                 seed=mix_seed(data_seed, _FADE_STREAM_TAG, tag, idx),
             ))
     path = _dataset_path(cfg)
@@ -234,10 +218,9 @@ def _load_instances(cfg: dict):
     if not path.exists():
         raise ConfigError(f"dataset not found: {path} (run gen first)")
     try:
-        train_ch, test_ch, header = ch.load_dataset(path)
+        return ch.load_dataset(path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return train_ch, test_ch, header
 
 
 def _instances(label: str, realizations, scaler):
@@ -345,7 +328,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:  # as the signal docs advise: exit's own flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
-"""End-to-end command-line pipeline, run in process through cli.main."""
+"""End-to-end command-line pipeline, run in process through cli.main (and in
+subprocesses where the process boundary itself is under test)."""
 
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -155,6 +159,9 @@ def test_bad_overrides_exit_with_config_error(tmp_path, capsys):
     "scenario.sigma2=NaN", "scenario.p_max=Infinity", "scenario.pathloss_exp=NaN",
     "scenario.alpha=NaN", "scenario.d=Infinity", "train.lr=NaN", "train.beta2=NaN",
     "train.eps=NaN", "train.lr=Infinity", "train.beta1=1.0", "train.beta1=-1", "train.eps=0",
+    "scenario.M=3.7", "scenario.M=4.0", "scenario.train_size=true", "train.epochs=1.9",
+    "model.layers=1.5", "train.seeds.data=1.5", "version=2",
+    "train.seeds.data=-1", "train.seeds.init=-5", "train.seeds.stars=-2",
 ])
 def test_non_finite_or_out_of_range_numbers_exit_with_config_error(tmp_path, capsys, override):
     # a train key is given to train on a valid dataset, which would otherwise run
@@ -199,6 +206,63 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["--config", str(unknown_section), "gen"]) == 2
     assert main(["--config", str(tmp_path / "missing.json"), "gen"]) == 2
     assert capsys.readouterr().err.count("error:") == 5
+
+
+def test_set_flags_merge_like_a_config_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"train": {"seeds": {"data": 5}}}))
+    cfg = load_config(None, ['train.seeds={"data": 5}'])
+    assert cfg == load_config(str(path), [])
+    assert cfg["train"]["seeds"] == {"data": 5, "init": 2, "stars": 3}
+
+
+def test_undecodable_file_or_a_section_replaced_by_the_environment_exits_two(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    assert main(["--config", str(binary), "gen"]) == 2
+    assert main(["--set", "train.epochs=" + "1" * 5000, "gen"]) == 2  # past int()'s digit limit
+    assert main(["--set", "io=5", "gen"]) == 2  # QGPC_OUT_DIR leaves io without dataset
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error: ") == 3
+    assert not (tmp_path / "dataset.jsonl").exists()
+
+
+def _config_leaves(node, prefix=""):
+    for key, val in node.items():
+        if isinstance(val, dict):
+            yield from _config_leaves(val, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def _leaf(cfg, key):
+    for part in key.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
+_CONFIG_LEAVES = sorted(_config_leaves(DEFAULT_CONFIG))
+_BAD_CONFIG_VALUES = (None, "x", [1.0], {"a": 1}, True, 1.5, 4.0, float("nan"), float("inf"),
+                      -float("inf"), 0, -1)
+
+
+@settings(max_examples=400)
+@given(key=st.sampled_from(_CONFIG_LEAVES), value=st.sampled_from(_BAD_CONFIG_VALUES))
+def test_a_set_leaf_is_refused_or_keeps_its_default_json_type(key, value):
+    try:
+        cfg = load_config(None, [f"{key}={json.dumps(value)}"])
+    except ConfigError:
+        return
+    assert sorted(_config_leaves(cfg)) == _CONFIG_LEAVES
+    for leaf in _CONFIG_LEAVES:
+        got, default = _leaf(cfg, leaf), _leaf(DEFAULT_CONFIG, leaf)
+        if type(default) is float:
+            items = got if leaf == "scenario.alpha" and type(got) is list else [got]
+            assert all(type(x) in (int, float) and math.isfinite(x) for x in items), (leaf, got)
+        else:
+            assert type(got) is type(default), (leaf, got)
 
 
 def test_load_config_does_not_mutate_defaults():
@@ -549,3 +613,48 @@ def test_parsers_raise_only_typed_errors_on_a_mutated_field(field, value):
             except CheckpointError:
                 return
             _assert_valid_checkpoint(loaded)
+
+
+def _cli(args, cwd, stdout=subprocess.PIPE, **env):
+    """Run ``python -m qgpc.cli`` in a subprocess on this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", **env}
+    env.pop(cli.ENV_OUT_DIR, None)
+    return subprocess.run([sys.executable, "-m", "qgpc.cli", *args], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=300, check=False)
+
+
+def _cli_with_closed_stdout(args, cwd):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child prints
+    try:
+        return _cli(args, cwd, stdout=write_end)
+    finally:
+        os.close(write_end)
+
+
+def test_a_closed_stdout_exits_one_quietly_after_writing_the_outputs(tmp_path):
+    gen = _cli_with_closed_stdout(_args(tmp_path) + ["gen"], tmp_path)
+    assert (gen.returncode, gen.stderr) == (1, b"")
+    assert (tmp_path / "dataset.jsonl").exists()
+    assert main(_args(tmp_path) + ["train"]) == 0
+    evaluation = _cli_with_closed_stdout(_args(tmp_path) + ["eval"], tmp_path)
+    assert (evaluation.returncode, evaluation.stderr) == (1, b"")
+
+
+def test_reports_and_checkpoints_are_byte_identical_across_blas_threads(tmp_path):
+    args = ["--set", "scenario.M=16", "--set", "scenario.train_size=24",
+            "--set", "scenario.test_size=8", "--set", "train.epochs=2"]
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for command in (["gen"], ["train"], ["--set", "model.arch=gcn", "train"]):
+            result = _cli(args + ["--set", f"io.out_dir={out}", *command], tmp_path,
+                          OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            assert result.returncode == 0, result.stderr.decode()
+        files[threads] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert sorted(files["1"]) == ["dataset.jsonl", "gcn_checkpoint.json", "gcn_train_report.csv",
+                                  "qgnn_checkpoint.json", "qgnn_train_report.csv"]
+    assert files["1"] == files["2"]
