@@ -3,8 +3,8 @@
 All behavior is driven by a JSON config file plus repeatable --set overrides
 (dotted keys, JSON-parsed values). Outputs land in io.out_dir, which the
 QGPC_OUT_DIR environment variable overrides. Exit codes: 0 success, 1 stdout
-closed by its reader, 2 bad configuration or inputs, 3 runtime abort
-(non-finite training loss or decoded power).
+closed by its reader (or an unhandled error, with a traceback), 2 bad
+configuration or inputs, 3 runtime abort (non-finite loss or decoded power).
 """
 
 from __future__ import annotations

@@ -645,7 +645,9 @@ def test_a_closed_stdout_exits_one_quietly_after_writing_the_outputs(tmp_path):
 
 
 def test_reports_and_checkpoints_are_byte_identical_across_blas_threads(tmp_path):
-    args = ["--set", "scenario.M=16", "--set", "scenario.train_size=24",
+    # At M=64 the GCN's matrix products are large enough for OpenBLAS to split
+    # them across two threads; at M=16 no product is, nor any of the QGNN's.
+    args = ["--set", "scenario.M=64", "--set", "scenario.train_size=24",
             "--set", "scenario.test_size=8", "--set", "train.epochs=2"]
     files = {}
     for threads in ("1", "2"):
