@@ -161,8 +161,8 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("train.epochs >= 0, train.batch >= 1, train.lr > 0 required")
     if tc["eps"] <= 0 or not all(0 <= tc[key] < 1 for key in ("beta1", "beta2")):
         raise ConfigError("train.eps > 0 and 0 <= train.beta1, train.beta2 < 1 required")
-    if min(tc["seeds"].values()) < 0:
-        raise ConfigError("train.seeds.data, init and stars must be >= 0")
+    if not all(0 <= seed < 2 ** 64 for seed in tc["seeds"].values()):
+        raise ConfigError("train.seeds.data, init and stars must be in [0, 2^64)")
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -207,7 +207,10 @@ def cmd_gen(cfg: dict) -> int:
     path = _dataset_path(cfg)
     meta = {"seed": data_seed, "scenario": {key: sc[key] for key in
             ("d", "d_min", "d_max", "pathloss_exp")}}
-    ch.save_dataset(path, splits["train"], splits["test"], meta)
+    try:
+        ch.save_dataset(path, splits["train"], splits["test"], meta)
+    except OSError as exc:  # guarded here: main() lets BrokenPipeError through to run()
+        raise ConfigError(f"cannot write dataset: {exc}") from exc
     print(f"wrote {len(splits['train'])} train + {len(splits['test'])} test "
           f"realizations of M={sc['M']} to {path}")
     return 0
@@ -219,6 +222,8 @@ def _load_instances(cfg: dict):
         raise ConfigError(f"dataset not found: {path} (run gen first)")
     try:
         return ch.load_dataset(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -8,8 +8,12 @@ frozen from the training set, and lands affinely in [0, pi] so the values
 can feed rotation angles directly.
 
 The decomposition covers the graph with N overlapping stars, node i being
-the center of star i with min(k, N - 1) of the other nodes drawn uniformly
-without replacement as leaves.
+the center of star i with s = min(k, N - 1) of the other nodes drawn
+uniformly without replacement as leaves. The draw is counter-based: every
+(graph, center, candidate leaf) gets a splitmix64 key (Steele, Lea & Flood,
+OOPSLA 2014) of its seed and its own counter, and the s candidates with the
+smallest keys are the leaves, so every star of a block is drawn in one
+loop-free pass and a graph's stars depend only on its own seed.
 """
 
 from __future__ import annotations
@@ -68,17 +72,46 @@ def build_graph(channels: ChannelRealization, scaler: FeatureScaler) -> Interfer
     return InterferenceGraph(node_features=feats, edge_angle=edge)
 
 
-def decompose_stars(n: int, k: int, seed: int) -> np.ndarray:
-    """Leaves of the n stars over n nodes: row i holds the min(k, n - 1)
-    leaves of center i in draw order, drawn uniformly without replacement
-    from the other nodes. Deterministic for a fixed seed; rows are drawn in
-    center order 0..n-1."""
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's increment, 2^64 / golden ratio
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+
+
+def mix64(*parts) -> np.ndarray:
+    """splitmix64 hash of non-negative integers below 2^64 (scalars or
+    broadcastable arrays), folded left to right: h = f(p_0), then
+    h = f(h ^ p_i), where f is the splitmix64 output function of x + gamma
+    and h starts at 0. All arithmetic wraps mod 2^64. Returns a uint64 array
+    of the broadcast shape, or one np.uint64 when every part is a scalar."""
+    h = np.uint64(0)
+    for part in parts:
+        # at least 1-d: numpy warns on the wrap of a scalar product, not of an array's
+        z = np.array(part, dtype=np.uint64, ndmin=1) ^ h
+        z += _GAMMA
+        z ^= z >> np.uint64(30)
+        z *= _MUL1
+        z ^= z >> np.uint64(27)
+        z *= _MUL2
+        z ^= z >> np.uint64(31)
+        h = z.reshape(np.broadcast_shapes(np.shape(part), np.shape(h)))
+    return h[()]
+
+
+def decompose_stars(n: int, k: int, seeds) -> np.ndarray:
+    """Leaves of the n stars over n nodes for each seed: (n, s) for a scalar
+    seed, (B, n, s) for a (B,) array of uint64 seeds, s = min(k, n - 1).
+    Row i holds the s leaves of center i, ascending, drawn uniformly without
+    replacement from the other nodes: candidate j of center i (node
+    j + (j >= i)) has key mix64(seed, i * (n - 1) + j), and the s smallest
+    keys win. The keys of one row are distinct, since the splitmix64 output
+    function is a bijection, so the draw has no ties."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    rng = np.random.default_rng(seed)
-    leaves = np.empty((n, min(k, n - 1)), dtype=np.intp)
-    if leaves.shape[1]:
-        for i in range(n):  # index j of the other nodes is node j + (j >= i)
-            draw = rng.choice(n - 1, size=leaves.shape[1], replace=False)
-            leaves[i] = draw + (draw >= i)
-    return leaves
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    s = min(k, n - 1)
+    if s == 0:
+        return np.empty(seeds.shape + (n, 0), dtype=np.intp)
+    counters = np.arange(n * (n - 1), dtype=np.uint64).reshape(n, n - 1)
+    keys = mix64(seeds[..., None, None], counters)
+    j = np.sort(np.argpartition(keys, s - 1, axis=-1)[..., :s], axis=-1)
+    return j + (j >= np.arange(n)[:, None])

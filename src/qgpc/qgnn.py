@@ -20,7 +20,8 @@ Engine: every message of a layer runs the same circuit. The batch path
 both models share (trainer.BatchModel, which also applies the sigmoid)
 groups a call's graphs by size into blocks; a block of B graphs of N nodes
 holds its embeddings as (B, N, F) and each layer's stars as (B, N, s)
-leaves, ascending per star, so the N * s (center, leaf, edge) rows of each
+leaves, ascending per star and drawn for the whole block by one keyed
+graph.decompose_stars call, so the N * s (center, leaf, edge) rows of each
 of its graphs go through one kernel call. BLOCK_AMPLITUDES bounds a block's
 rows times 2^n. The RY encoding of |0...0> is the real product state
 (x)_q [cos(a_q/2), sin(a_q/2)]; the trainable block is one 2^n x 2^n
@@ -240,13 +241,16 @@ class QgnnModel(BatchModel):
         return params, [_Kernel(spec, theta, shifted=grad) for theta in params[:-2]]
 
     def _forward(self, features: np.ndarray, edge: np.ndarray, prepared,
-                 star_seeds) -> tuple[np.ndarray, _Tape]:
-        """Layer ell of graph b draws its stars with seed star_seeds[b] + ell."""
+                 star_seeds: np.ndarray) -> tuple[np.ndarray, _Tape]:
+        """Layer ell of graph b draws its stars with seed star_seeds[b] + ell
+        (uint64, wrapping), one draw per layer for the whole block. The
+        leaves are sorted here, so a layer's bits do not depend on the order
+        a draw lists them in."""
         params, kernels = prepared
         h, leaves = [initial_embeddings(features)], []
         for ell, kernel in enumerate(kernels):
-            leaves.append(np.sort([decompose_stars(features.shape[1], self.k, seed + ell)
-                                   for seed in star_seeds], axis=2))
+            stars = decompose_stars(features.shape[1], self.k, star_seeds + np.uint64(ell))
+            leaves.append(np.sort(stars, axis=2))
             h.append(_layer_forward(kernel, h[-1], edge, leaves[-1]))
         scale, bias = params[-2:]
         return scale * h[-1][:, :, 0] + bias, _Tape(edge, h, leaves)

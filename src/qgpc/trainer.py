@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .channels import (
     ChannelBatch, ChannelRealization, sigmoid, size_blocks, sum_rate, weighted_sum_rate_grad,
 )
-from .graph import InterferenceGraph
+from .graph import InterferenceGraph, mix64
 # wmmse_allocate is not called here; it stays bound on this module for code
 # that looks it up or wraps it here (the benchmark's tracer does).
 from .wmmse import wmmse_allocate, wmmse_batch  # noqa: F401
@@ -66,9 +65,10 @@ class BatchModel:
     the stacking of each size_blocks block's graph inputs and the power
     decode p = p_max * sigmoid(z). A model declares its arrays' shapes
     (``_shapes``, in flat order) and runs its layers on arrays:
-    ``_forward(features (B, N, F), edge (B, N, N), prepared, star_seeds)``
-    gives the (B, N) scores z and a tape, and ``_backward(tape, prepared,
-    dloss/dz)`` one (B, *shape) gradient per shape. Results come in input order."""
+    ``_forward(features (B, N, F), edge (B, N, N), prepared, star_seeds
+    (B,) uint64)`` gives the (B, N) scores z and a tape, and
+    ``_backward(tape, prepared, dloss/dz)`` one (B, *shape) gradient per
+    shape. Results come in input order."""
 
     name: str
 
@@ -89,28 +89,29 @@ class BatchModel:
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-0.1, 0.1, size=self.param_count())
 
-    def _blocks(self, instances: list[Instance], prepared, star_seeds: list[int]):
+    def _blocks(self, instances: list[Instance], prepared, star_seeds):
         """(idx, ChannelBatch, p, (tape, dp/dz)) of each block of same-size
         instances: their indices, their stacked channels, their (B, N)
         decoded powers and what the backward needs."""
+        star_seeds = np.asarray(star_seeds, dtype=np.uint64)
         sizes = [inst.graph.N for inst in instances]
         for idx in size_blocks(sizes, self._rows, self._row_budget()):
             graphs = [instances[i].graph for i in idx]
             channels = ChannelBatch.stack([instances[i].channels for i in idx])
             z, tape = self._forward(np.stack([g.node_features for g in graphs]),
                                     np.stack([g.edge_angle for g in graphs]), prepared,
-                                    [star_seeds[i] for i in idx])
+                                    star_seeds[idx])
             sig = sigmoid(z)
             p = channels.p_max[:, None] * sig
             yield idx, channels, p, (tape, p * (1.0 - sig))
 
     def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
-                flat_params, star_seed: int) -> np.ndarray:
+                flat_params, star_seed) -> np.ndarray:
         """Powers of one instance: the batch path at B = 1."""
         return self.forward_batch([Instance("", channels, graph)], flat_params, [star_seed])[0]
 
     def forward_batch(self, instances: list[Instance], flat_params,
-                      star_seeds: list[int]) -> list[np.ndarray]:
+                      star_seeds) -> list[np.ndarray]:
         """Power vector of each instance, drawing its stars from its seed."""
         powers: list[np.ndarray] = [None] * len(instances)
         for idx, _, p, _ in self._blocks(instances, self._prepare(flat_params, grad=False),
@@ -120,7 +121,7 @@ class BatchModel:
         return powers
 
     def loss_and_grad_batch(self, instances: list[Instance], flat_params,
-                            star_seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+                            star_seeds) -> tuple[np.ndarray, np.ndarray]:
         """Per-instance losses (B,), the negative weighted sum rates, and
         their gradients (B, P)."""
         prepared = self._prepare(flat_params, grad=True)
@@ -208,16 +209,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-@cache
-def eval_star_seed(seeds: SeedConfig, instance_index: int) -> int:
-    """Frozen star draw used whenever a model is evaluated (not trained);
-    cached, since every evaluation of a split asks for the same seeds."""
-    return mix_seed(seeds.stars, _EVAL_STREAM_TAG, instance_index)
+def eval_star_seed(seeds: SeedConfig, instance_index) -> np.ndarray:
+    """Frozen star seed(s) of the instance index (or index array) used
+    whenever a model is evaluated (not trained), from the sampler's hash."""
+    return mix64(seeds.stars, _EVAL_STREAM_TAG, instance_index)
 
 
-def train_star_seed(seeds: SeedConfig, epoch: int, instance_index: int) -> int:
-    """Fresh star draw per epoch and instance for training steps."""
-    return mix_seed(seeds.stars, epoch, instance_index)
+def train_star_seed(seeds: SeedConfig, epoch: int, instance_index) -> np.ndarray:
+    """Fresh star seed(s) per epoch and instance index (or index array) for
+    training steps, from the sampler's hash."""
+    return mix64(seeds.stars, epoch, instance_index)
 
 
 def evaluate_mean(model: BatchModel, flat_params, instances: list[Instance],
@@ -228,7 +229,7 @@ def evaluate_mean(model: BatchModel, flat_params, instances: list[Instance],
     rates = np.empty(len(instances))
     bad = {}  # input index -> powers, for each instance with a non-finite power
     blocks = model._blocks(instances, model._prepare(flat_params, grad=False),
-                           [eval_star_seed(seeds, idx) for idx in range(len(instances))])
+                           eval_star_seed(seeds, np.arange(len(instances))))
     # an overflow shows up below as a non-finite power, so it does not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, channels, p, _ in blocks:
@@ -291,7 +292,7 @@ def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance]
             with np.errstate(over="ignore", invalid="ignore"):  # checked just below
                 losses, grads = model.loss_and_grad_batch(
                     [train_set[idx] for idx in members], params,
-                    [train_star_seed(cfg.seeds, epoch, int(idx)) for idx in members],
+                    train_star_seed(cfg.seeds, epoch, members),
                 )
             grad_sum = np.zeros_like(params)
             for idx, loss, grad in zip(members, losses, grads):

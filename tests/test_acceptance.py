@@ -172,7 +172,7 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
     inst = _instance(5, seed=600)
     graph = build_graph(inst, fit_feature_scaler([inst]))
     for seed in range(20):
-        stars = decompose_stars(graph.N, k=2, seed=seed)
+        stars = decompose_stars(graph.N, k=2, seeds=seed)
         assert len(stars) == 5  # row i is the star centered on node i
         for center, leaves in enumerate(stars):
             assert all(leaf in range(5) and leaf != center for leaf in leaves)
@@ -186,10 +186,18 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
     others = [[j for j in range(7) if j != i] for i in range(1, 7)]
 
     def center_update(leaves):  # star 0's center after the layer
+        calls = []
+
+        def draw(n, k, seeds):
+            calls.append(seeds)
+            return np.broadcast_to(leaves, seeds.shape + leaves.shape)
+
         with monkeypatch.context() as patch:
-            patch.setattr(qgnn, "decompose_stars", lambda n, k, seed: leaves)
-            return model._forward(star_graph.node_features[None], star_graph.edge_angle[None],
-                                  prepared, [0])[1].h[1][0, 0]
+            patch.setattr(qgnn, "decompose_stars", draw)
+            h = model._forward(star_graph.node_features[None], star_graph.edge_angle[None],
+                               prepared, np.zeros(1, dtype=np.uint64))[1].h[1][0, 0]
+        assert len(calls) == 1  # the layer drew its stars through the patch
+        return h
 
     base = center_update(np.array([[1, 2, 3, 4, 5, 6]] + others))
     for order in [(5, 4, 3, 2, 1, 0), (1, 3, 0, 5, 2, 4), (2, 0, 4, 1, 5, 3)]:

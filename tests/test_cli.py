@@ -144,6 +144,17 @@ def test_eval_missing_checkpoint_and_missing_dataset(tmp_path, capsys):
     assert "checkpoint not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_dataset_path_naming_a_directory_exits_2(tmp_path, capsys, command):
+    (tmp_path / "dataset.jsonl").mkdir()
+    assert main(_args(tmp_path) + [command]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: cannot ")
+    assert "dataset.jsonl" in lines[0]
+
+
 def test_bad_overrides_exit_with_config_error(tmp_path, capsys):
     assert main(_args(tmp_path, "--set", "train.bogus=1") + ["gen"]) == 2
     assert main(_args(tmp_path, "--set", "nosection.x=1") + ["gen"]) == 2
@@ -162,6 +173,7 @@ def test_bad_overrides_exit_with_config_error(tmp_path, capsys):
     "scenario.M=3.7", "scenario.M=4.0", "scenario.train_size=true", "train.epochs=1.9",
     "model.layers=1.5", "train.seeds.data=1.5", "version=2",
     "train.seeds.data=-1", "train.seeds.init=-5", "train.seeds.stars=-2",
+    "train.seeds.stars=18446744073709551616",
 ])
 def test_non_finite_or_out_of_range_numbers_exit_with_config_error(tmp_path, capsys, override):
     # a train key is given to train on a valid dataset, which would otherwise run
@@ -501,17 +513,26 @@ TINY_REPORTS = {
 1,0.381620744498,0.576275770072,1.43754541481
 2,0.540327078795,0.789106660988,1.43754541481
 """,
+    # k=1 < M - 1: each star takes one of its two neighbours, so this run,
+    # unlike the k=2 one above, pins the star stream
+    "qgnn-k1": """epoch,train_mean_bpshz,test_mean_bpshz,wmmse_test_mean_bpshz
+0,0.356359202939,0.541375284349,1.43754541481
+1,0.371559419937,0.562380725037,1.43754541481
+2,0.386954252395,0.583566750011,1.43754541481
+""",
 }
 
 
-@pytest.mark.parametrize("arch", ["qgnn", "gcn"])
-def test_tiny_run_reports_are_pinned(tmp_path, arch):
+@pytest.mark.parametrize("run", list(TINY_REPORTS))
+def test_tiny_run_reports_are_pinned(tmp_path, run):
+    arch, _, k = run.partition("-k")
     args = ["--set", f"io.out_dir={tmp_path}", "--set", "scenario.M=3",
             "--set", "scenario.train_size=12", "--set", "scenario.test_size=6",
             "--set", "train.epochs=2", "--set", f"model.arch={arch}"]
+    args += ["--set", f"model.k={k}"] if k else []
     assert main(args + ["gen"]) == 0
     assert main(args + ["train"]) == 0
-    assert (tmp_path / f"{arch}_train_report.csv").read_text() == TINY_REPORTS[arch]
+    assert (tmp_path / f"{arch}_train_report.csv").read_text() == TINY_REPORTS[run]
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -1,12 +1,14 @@
 """Graph construction, feature scaling, and star decomposition."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qgpc import channels as ch
-from qgpc.graph import build_graph, decompose_stars, fit_feature_scaler
+from qgpc.graph import build_graph, decompose_stars, fit_feature_scaler, mix64
 
 
 def _realization(m=4, seed=0, **kw):
@@ -70,7 +72,7 @@ def test_build_graph_single_node():
 
 def test_decompose_stars_coverage_and_validity(graph4):
     g, _, _ = graph4
-    leaves = decompose_stars(g.N, k=2, seed=123)
+    leaves = decompose_stars(g.N, k=2, seeds=123)
     assert leaves.shape == (4, 2)  # row i is the star centered on node i
     for center, row in enumerate(leaves):
         assert center not in row
@@ -80,9 +82,9 @@ def test_decompose_stars_coverage_and_validity(graph4):
 
 def test_decompose_stars_deterministic(graph4):
     g, _, _ = graph4
-    a = decompose_stars(g.N, k=2, seed=7)
-    b = decompose_stars(g.N, k=2, seed=7)
-    c = decompose_stars(g.N, k=2, seed=8)
+    a = decompose_stars(g.N, k=2, seeds=7)
+    b = decompose_stars(g.N, k=2, seeds=7)
+    c = decompose_stars(g.N, k=2, seeds=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -90,17 +92,17 @@ def test_decompose_stars_deterministic(graph4):
 def test_decompose_stars_k_at_least_degree_takes_whole_neighborhood(graph4):
     g, _, _ = graph4
     for seed in range(5):
-        leaves = decompose_stars(g.N, k=3, seed=seed)
+        leaves = decompose_stars(g.N, k=3, seeds=seed)
         for center, row in enumerate(leaves):
             assert sorted(row) == [j for j in range(4) if j != center]
-    assert decompose_stars(g.N, k=10, seed=0).shape == (4, 3)
+    assert decompose_stars(g.N, k=10, seeds=0).shape == (4, 3)
 
 
 def test_decompose_stars_k_zero_and_single_node():
-    assert decompose_stars(1, k=3, seed=0).shape == (1, 0)
-    assert decompose_stars(4, k=0, seed=0).shape == (4, 0)
+    assert decompose_stars(1, k=3, seeds=0).shape == (1, 0)
+    assert decompose_stars(4, k=0, seeds=0).shape == (4, 0)
     with pytest.raises(ValueError):
-        decompose_stars(4, k=-1, seed=0)
+        decompose_stars(4, k=-1, seeds=0)
 
 
 def test_leaf_sampling_is_uniform(graph4):
@@ -109,28 +111,79 @@ def test_leaf_sampling_is_uniform(graph4):
     hits = 0
     trials = 10_000
     for seed in range(trials):
-        hits += 1 in decompose_stars(g.N, k=2, seed=seed)[0]
+        hits += 1 in decompose_stars(g.N, k=2, seeds=seed)[0]
     assert abs(hits / trials - 2.0 / 3.0) < 0.02
 
 
-# Leaves of every star of a 5-node graph in draw order, recorded from the
-# per-star sampler the leaf arrays replaced. A change of the star stream
-# shows up here.
+# Leaves of every star of a 5-node graph, recorded from the keyed sampler
+# (splitmix64 keys, the s smallest win, ascending). A change of the star
+# stream shows up here.
 PINNED_DRAWS = {
-    (0, 1): [[4], [3], [3], [1], [1]],
-    (0, 2): [[3, 4], [2, 0], [4, 0], [2, 4], [1, 2]],
-    (0, 4): [[4, 3, 1, 2], [0, 3, 2, 4], [0, 4, 1, 3], [1, 0, 2, 4], [3, 1, 2, 0]],
-    (2024, 1): [[1], [3], [0], [0], [1]],
-    (2024, 2): [[3, 1], [2, 0], [3, 4], [0, 2], [0, 2]],
-    (2024, 4): [[2, 3, 4, 1], [2, 3, 0, 4], [1, 4, 3, 0], [0, 1, 4, 2], [1, 0, 3, 2]],
+    (0, 1): [[2], [0], [4], [1], [2]],
+    (0, 2): [[1, 2], [0, 2], [1, 4], [1, 4], [1, 2]],
+    (0, 3): [[1, 2, 4], [0, 2, 4], [1, 3, 4], [0, 1, 4], [0, 1, 2]],
+    (0, 4): [[1, 2, 3, 4], [0, 2, 3, 4], [0, 1, 3, 4], [0, 1, 2, 4], [0, 1, 2, 3]],
+    (2024, 1): [[2], [3], [1], [1], [2]],
+    (2024, 2): [[2, 3], [2, 3], [1, 3], [1, 4], [2, 3]],
+    (2024, 3): [[1, 2, 3], [0, 2, 3], [1, 3, 4], [1, 2, 4], [1, 2, 3]],
+    (2024, 4): [[1, 2, 3, 4], [0, 2, 3, 4], [0, 1, 3, 4], [0, 1, 2, 4], [0, 1, 2, 3]],
 }
 
 
 @pytest.mark.parametrize("seed", [0, 2024])
-@pytest.mark.parametrize("k", [0, 1, 2, 4, 9])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 9])
 def test_star_draws_are_pinned(k, seed):
     want = PINNED_DRAWS[seed, min(k, 4)] if k else [[]] * 5
     assert decompose_stars(5, k, seed).tolist() == want
+
+
+def test_mix64_is_splitmix64():
+    # the splitmix64 output function, in Python integers mod 2^64
+    def f(x):
+        x = (x + 0x9E3779B97F4A7C15) % 2 ** 64
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB % 2 ** 64
+        return x ^ (x >> 31)
+
+    for a, b in [(0, 0), (1, 7), (2 ** 64 - 1, 2 ** 64 - 1), (12345678901234567, 3)]:
+        assert mix64(a) == f(a) and isinstance(mix64(a), np.uint64)
+        assert mix64(a, b) == f(f(a) ^ b)
+    grid = mix64(np.arange(3, dtype=np.uint64)[:, None], np.arange(4))
+    assert grid.shape == (3, 4) and grid.dtype == np.uint64
+    assert grid.tolist() == [[f(f(a) ^ b) for b in range(4)] for a in range(3)]
+
+
+def test_batched_draw_rows_match_scalar_draws():
+    seeds = np.array([0, 1, 2024, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    for n, k in [(1, 2), (2, 1), (5, 2), (7, 3), (6, 9), (4, 0)]:
+        leaves = decompose_stars(n, k, seeds)
+        assert leaves.shape == (len(seeds), n, min(k, n - 1))
+        for b, seed in enumerate(seeds):
+            assert np.array_equal(leaves[b], decompose_stars(n, k, seed))
+
+
+def test_every_leaf_subset_is_equally_likely():
+    # n=6, s=2: each star's leaves are one of C(5, 2) = 10 subsets of the
+    # other nodes; over 20,000 graphs x 6 stars each subset should come up
+    # 12,000 times. Chi-square over 9 degrees of freedom: the 0.1% tail
+    # starts at 27.9.
+    leaves = decompose_stars(6, 2, np.arange(20_000, dtype=np.uint64))
+    j = leaves - (leaves > np.arange(6)[:, None])  # leaf -> candidate index 0..4
+    counts = np.bincount((j[..., 0] * 5 + j[..., 1]).ravel(), minlength=25)
+    subsets = [a * 5 + b for a, b in itertools.combinations(range(5), 2)]
+    assert counts.sum() == counts[subsets].sum() == 120_000
+    chi2 = np.sum((counts[subsets] - 12_000) ** 2 / 12_000)
+    assert chi2 < 27.9
+
+
+def test_adjacent_seeds_draw_unrelated_stars():
+    # layer ell of a graph uses seed + ell, so seed and seed + 1 must not
+    # share stars beyond chance: at n=12, s=2 two stars agree w.p. 1/55
+    seeds = mix64(5, np.arange(2000))
+    a = decompose_stars(12, 2, seeds)
+    b = decompose_stars(12, 2, seeds + np.uint64(1))
+    same = np.all(a == b, axis=2).mean()
+    assert same < 2.0 / 55.0
 
 
 @given(n=st.integers(1, 12), k=st.integers(0, 12), seed=st.integers(0, 2 ** 64 - 1))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -47,7 +47,20 @@ def _tape(graph, flat, k, seed):
     """The forward tape over one graph of a depth-1 model, with its own star draw."""
     model = _model(flat, k)
     return model._forward(graph.node_features[None], graph.edge_angle[None],
-                          model._prepare(flat, grad=False), [seed])[1]
+                          model._prepare(flat, grad=False), np.array([seed], dtype=np.uint64))[1]
+
+
+def _inject(monkeypatch, leaves):
+    """Make every star draw return ``leaves`` (n, s) for each graph of the
+    block; returns the list of (n, k, seeds) calls the patch saw."""
+    calls = []
+
+    def draw(n, k, seeds):
+        calls.append((n, k, seeds))
+        return np.broadcast_to(leaves, seeds.shape + np.shape(leaves))
+
+    monkeypatch.setattr(qgnn, "decompose_stars", draw)
+    return calls
 
 
 def _one(inst, graph):
@@ -169,9 +182,10 @@ def test_forward_is_exactly_leaf_order_invariant(monkeypatch):
     others = [[j for j in range(7) if j != i] for i in range(1, 7)]
 
     def embeddings(first_star):
-        monkeypatch.setattr(qgnn, "decompose_stars", lambda n, k, seed: np.array(
-            [first_star] + others))
-        return _tape(graph, flat, 6, 0).h[-1]
+        calls = _inject(monkeypatch, np.array([first_star] + others))
+        h = _tape(graph, flat, 6, 0).h[-1]
+        assert len(calls) == 1  # one layer, one draw
+        return h
 
     base = embeddings([1, 2, 3, 4, 5, 6])
     for _ in range(4):
@@ -202,9 +216,10 @@ def test_forward_equivariant_under_node_relabeling(monkeypatch):
     inst, graph = _instance(4, seed=8)
     flat = _random_params(2, 1, seed=8)
     leaves = np.array([[1, 3], [2, 0], [3, 1], [0, 2]])  # every layer's stars
-    monkeypatch.setattr(qgnn, "decompose_stars", lambda n, k, seed: leaves)
+    calls = _inject(monkeypatch, leaves)
     tape = _tape(graph, flat, 2, 0)
     p = _model(flat, 2).forward(inst, graph, flat, 0)
+    assert len(calls) == 4  # two layers, two forwards
 
     perm = np.array([2, 0, 3, 1])  # old index i becomes new index perm[i]
     ea = np.empty_like(graph.edge_angle)
@@ -217,10 +232,26 @@ def test_forward_equivariant_under_node_relabeling(monkeypatch):
     )
     pleaves = np.empty_like(leaves)
     pleaves[perm] = perm[leaves]  # star of old center i, relabeled, is row perm[i]
-    monkeypatch.setattr(qgnn, "decompose_stars", lambda n, k, seed: pleaves)
+    calls = _inject(monkeypatch, pleaves)
     ptape = _tape(pg, flat, 2, 0)
     assert np.array_equal(_model(flat, 2).forward(inst, pg, flat, 0)[perm], p)
+    assert len(calls) == 4
     assert np.array_equal(ptape.h[-1][0][perm], tape.h[-1][0])
+
+
+@settings(max_examples=10, deadline=None)
+@example(seed=2 ** 64 - 1)
+@given(seed=st.integers(0, 2 ** 64 - 1))
+def test_layer_star_seeds_wrap_at_two_to_the_64(seed):
+    # layer ell draws with seed + ell mod 2^64, and mixed seeds reach 2^64 - 1
+    inst, graph = _instance(4, seed=18)
+    flat = _random_params(2, 1, seed=18)
+    model = _model(flat, 2)
+    tape = _tape(graph, flat, 2, seed)
+    for ell, leaves in enumerate(tape.leaves):
+        assert np.array_equal(leaves[0], decompose_stars(4, 2, (seed + ell) % 2 ** 64))
+    losses, grads = model.loss_and_grad_batch(_one(inst, graph), flat, [seed])
+    assert np.isfinite(losses[0]) and np.all(np.isfinite(grads))
 
 
 def test_loss_matches_forward_and_gradient_matches_finite_differences():
@@ -335,7 +366,7 @@ def test_layer_rows_match_a_per_star_loop():
     for m, k in [(4, 0), (4, 1), (4, 2), (3, 5), (1, 2)]:
         graphs = [inst.graph for inst in _split(m, 3, 300 + m)]
         h = np.stack([initial_embeddings(g.node_features) for g in graphs])
-        leaves = np.sort([decompose_stars(m, k, 7 + b) for b in range(3)], axis=2)
+        leaves = decompose_stars(m, k, np.arange(7, 10, dtype=np.uint64))
         rows = _row_angles(h, np.stack([g.edge_angle for g in graphs]), leaves)
         want = [np.concatenate([embedding_to_angle(h[b, i]), embedding_to_angle(h[b, j]),
                                 [graph.edge_angle[j, i]]])

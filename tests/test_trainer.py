@@ -86,6 +86,11 @@ def test_star_seed_streams_are_distinct():
     tr = {train_star_seed(seeds, e, i) for e in range(3) for i in range(20)}
     assert len(ev) == 20 and len(tr) == 60
     assert not ev & tr
+    # an index array gives the scalar calls' seeds, in one call
+    idx = np.arange(20)
+    assert eval_star_seed(seeds, idx).tolist() == [int(eval_star_seed(seeds, i)) for i in idx]
+    assert train_star_seed(seeds, 2, idx[::-1]).tolist() == [
+        int(train_star_seed(seeds, 2, i)) for i in idx[::-1]]
 
 
 def test_evaluate_mean_uses_frozen_star_seeds():
