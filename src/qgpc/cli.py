@@ -167,7 +167,10 @@ def _validate_config(cfg: dict) -> None:
 
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["io"]["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # guarded here: main() lets BrokenPipeError through to run()
+        raise ConfigError(f"cannot create io.out_dir: {exc}") from exc
     return out
 
 

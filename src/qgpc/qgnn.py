@@ -22,14 +22,14 @@ groups a call's graphs by size into blocks; a block of B graphs of N nodes
 holds its embeddings as (B, N, F) and each layer's stars as (B, N, s)
 leaves, ascending per star and drawn for the whole block by one keyed
 graph.decompose_stars call, so the N * s (center, leaf, edge) rows of each
-of its graphs go through one kernel call. BLOCK_AMPLITUDES bounds a block's
-rows times 2^n. The RY encoding of |0...0> is the real product state
-(x)_q [cos(a_q/2), sin(a_q/2)]; the trainable block is one 2^n x 2^n
-unitary U, built by the gate-level simulator from the basis states; the
-messages are |psi U^T|^2 @ Z-signs. Gradients are exact: parameter shift on
-the trainable slots (2 shifted unitaries per slot), the analytic
-product-state derivative on the input slots (equal to the shift rule for RY
-on |0>), chained through the re-encoding map and the sum-rate objective.
+of its graphs, s per center, go through one kernel call. BLOCK_AMPLITUDES
+bounds a block's rows times 2^n. The RY encoding of |0...0> is the real
+product state (x)_q [cos(a_q/2), sin(a_q/2)]; the trainable block is one
+2^n x 2^n unitary U, built by the gate-level simulator from the basis
+states; the messages are |psi U|^2 @ Z-signs. Gradients are exact: every
+slot x enters as exp(-i x P / 2), so d/dx is half the circuit at x + pi,
+and one adjoint pass (Jones & Gacon, arXiv:2009.02823) contracts every slot
+at once, chained through the re-encoding map and the sum-rate objective.
 The gate-level simulator stays the independent oracle the tests hold this
 kernel to.
 """
@@ -102,62 +102,61 @@ def initial_embeddings(features) -> np.ndarray:
     return node_input_angles(features) * (2.0 / np.pi) - 1.0
 
 
-def _unitaries(spec: CircuitSpec, thetas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(real, imaginary) parts of the trainable block at each row of thetas,
-    from one gate-level run over the basis states with the encoding angles at
-    0. Row b of U is the block applied to basis state b: states psi -> psi @ U."""
+def _unitaries(spec: CircuitSpec, thetas: np.ndarray) -> np.ndarray:
+    """The trainable block U at each row of thetas as [Re U | Im U], from one
+    gate-level run over the basis states with the encoding angles at 0. Row
+    b of U is the block applied to basis state b: states psi -> psi @ U."""
     dim = 2 ** spec.n
     angles = np.zeros((len(thetas) * dim, spec.angle_slots))
     angles[:, spec.n:] = np.repeat(thetas, dim, axis=0)
     u = _apply_gates(np.tile(np.eye(dim, dtype=complex), (len(thetas), 1)), spec, angles)
-    return [(v.real.copy(), v.imag.copy()) for v in u.reshape(-1, dim, dim)]
+    return np.concatenate([u.real, u.imag], axis=1).reshape(-1, dim, 2 * dim)
 
 
-def _probs(psi: np.ndarray, u: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    return (psi @ u[0]) ** 2 + (psi @ u[1]) ** 2
-
-
-def _product_state(cos_half: np.ndarray, sin_half: np.ndarray) -> np.ndarray:
-    """Rows of (x)_q [cos_q, sin_q], qubit 0 least significant: (R, n) -> (R, 2^n)."""
-    psi = np.ones((len(cos_half), 1))
-    for q in range(cos_half.shape[1]):
-        psi = np.concatenate([cos_half[:, q, None] * psi, sin_half[:, q, None] * psi], axis=1)
+def _product_state(angles: np.ndarray) -> np.ndarray:
+    """Rows of (x)_q RY(a_q)|0> = (x)_q [cos(a_q/2), sin(a_q/2)], qubit 0
+    least significant: angles (R, n) -> (R, 2^n)."""
+    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    psi = np.ones((len(angles), 1))
+    for q in range(angles.shape[1]):
+        psi = np.concatenate([c[:, q, None] * psi, s[:, q, None] * psi], axis=1)
     return psi
 
 
 class _Kernel:
-    """A layer's message circuit in closed form at trainable angles theta;
-    with ``shifted``, also the block at theta_s +- pi/2 for each slot s."""
+    """A layer's message circuit at trainable angles theta: the block U as
+    [Re U | Im U], built by the gate-level simulator; with ``grad``, also the
+    blocks at theta + pi e_s, one per trainable slot s."""
 
-    def __init__(self, spec: CircuitSpec, theta: np.ndarray, shifted: bool = False):
+    def __init__(self, spec: CircuitSpec, theta: np.ndarray, grad: bool = False):
         self.signs = np.stack([_z_signs(spec.n, (q,)) for q in range(spec.n // 2)], axis=1)
-        shifts = HALF_PI * np.eye(theta.size) if shifted else np.empty((0, theta.size))
-        self.block, *rest = _unitaries(spec, np.vstack([theta, theta + shifts, theta - shifts]))
-        self.shifted = list(zip(rest[:len(shifts)], rest[len(shifts):]))
+        shifts = np.pi * np.eye(theta.size) if grad else np.empty((0, theta.size))
+        blocks = _unitaries(spec, np.vstack([theta, theta + shifts]))
+        self.block = blocks[0]
+        self.grad_blocks = blocks[1:].reshape(len(shifts), self.block.size).T  # (2^(2n+1), S)
 
     def messages(self, angles: np.ndarray) -> np.ndarray:
         """Z expectations (R, F) of the center qubits for input angles (R, n)."""
-        psi = _product_state(np.cos(0.5 * angles), np.sin(0.5 * angles))
-        return _probs(psi, self.block) @ self.signs
+        phi = _product_state(angles) @ self.block
+        dim = self.block.shape[0]
+        return (phi[:, :dim] ** 2 + phi[:, dim:] ** 2) @ self.signs
 
-    def vjp(self, angles: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_f w[r, f] d<Z_f>/d(slot s) for each row r and slot s, input
-        slots first: (R, slots). Each slot is reduced to its column at once."""
+    def vjp(self, angles: np.ndarray, w: np.ndarray, graphs: int) -> tuple[np.ndarray, ...]:
+        """Gradients of sum_{r, f} w[r, f] <Z_f>_r at each row's input slots
+        (R, n) and at the trainable slots, summed over each of ``graphs``
+        equal runs of rows (graphs, S). With phi = psi U and y = obs *
+        conj(phi), obs = sum_f w[r, f] Z_f, slot x gives 2 Re(y . dphi/dx):
+        psi(a + pi e_q) . Re(U y) for input slot q, and Re <sum_r psi_r^T y_r,
+        U(theta + pi e_s)> over a graph's rows for trainable slot s."""
         n = angles.shape[1]
-        obs = w @ self.signs.T  # row r's diagonal observable sum_f w[r, f] Z_f
-        c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
-        psi = _product_state(c, s)
-        out_re, out_im = psi @ self.block[0], psi @ self.block[1]
-        grad = np.empty((len(angles), n + len(self.shifted)))
-        for q in range(n):  # d/da [cos(a/2), sin(a/2)] = [-sin(a/2), cos(a/2)] / 2
-            dc, ds = c.copy(), s.copy()
-            dc[:, q], ds[:, q] = -0.5 * s[:, q], 0.5 * c[:, q]
-            dpsi = _product_state(dc, ds)
-            d_prob = out_re * (dpsi @ self.block[0]) + out_im * (dpsi @ self.block[1])
-            grad[:, q] = 2.0 * np.sum(d_prob * obs, axis=1)
-        for i, (plus, minus) in enumerate(self.shifted):
-            grad[:, n + i] = 0.5 * np.sum((_probs(psi, plus) - _probs(psi, minus)) * obs, axis=1)
-        return grad
+        psi = _product_state(angles)
+        y = np.tile(w @ self.signs.T, 2) * (psi @ self.block)  # [Re y | -Im y]
+        shifted_psi = _product_state((angles[:, None] + np.pi * np.eye(n)).reshape(-1, n))
+        inputs = np.einsum("rqi,ri->rq", shifted_psi.reshape(len(angles), n, -1),
+                           y @ self.block.T)
+        rows = psi.reshape(graphs, -1, psi.shape[1])
+        outer = rows.transpose(0, 2, 1) @ y.reshape(graphs, -1, y.shape[1])  # sum_r psi_r^T y_r
+        return inputs, outer.reshape(graphs, -1) @ self.grad_blocks
 
 
 def _row_angles(h: np.ndarray, edge: np.ndarray, leaves: np.ndarray) -> np.ndarray:
@@ -180,8 +179,7 @@ def _layer_forward(kernel: _Kernel, h: np.ndarray, edge: np.ndarray,
     if s == 0:
         return h.copy()
     msgs = kernel.messages(_row_angles(h, edge, leaves))
-    mean = np.add.reduceat(msgs, np.arange(0, msgs.shape[0], s), axis=0) * (1.0 / s)
-    return mean.reshape(h.shape)
+    return msgs.reshape(b, n, s, -1).sum(axis=2) * (1.0 / s)
 
 
 def _layer_backward(kernel: _Kernel, h: np.ndarray, edge: np.ndarray, leaves: np.ndarray,
@@ -192,14 +190,13 @@ def _layer_backward(kernel: _Kernel, h: np.ndarray, edge: np.ndarray, leaves: np
     if s == 0:
         return g_out
     f = h.shape[2]
-    center = np.repeat(np.arange(b * n), s)
-    g_in = np.zeros((b * n, f))
-    slots = kernel.vjp(_row_angles(h, edge, leaves), g_out.reshape(b * n, f)[center] / s)
-    leaf = (leaves + n * np.arange(b)[:, None, None]).ravel()
-    np.add.at(g_in, center, slots[:, :f] * HALF_PI)
-    np.add.at(g_in, leaf, slots[:, f:2 * f] * HALF_PI)
-    np.add.at(grad_theta, center // n, slots[:, 2 * f + 1:])
-    return g_in.reshape(h.shape)
+    w = np.repeat(g_out.reshape(b * n, f) / s, s, axis=0)  # rows are star-major
+    inputs, theta_grad = kernel.vjp(_row_angles(h, edge, leaves), w, b)
+    grad_theta += theta_grad
+    inputs = inputs.reshape(b, n, s, -1) * HALF_PI
+    g_in = inputs[..., :f].sum(axis=2)
+    np.add.at(g_in, (np.arange(b)[:, None, None], leaves), inputs[..., f:2 * f])
+    return g_in
 
 
 @dataclass(eq=False)
@@ -238,7 +235,7 @@ class QgnnModel(BatchModel):
     def _prepare(self, flat_params, grad: bool) -> tuple[list[np.ndarray], list[_Kernel]]:
         params = self.unflatten(flat_params)
         spec = build_qgcl_circuit(NODE_FEATURES, self.depth)
-        return params, [_Kernel(spec, theta, shifted=grad) for theta in params[:-2]]
+        return params, [_Kernel(spec, theta, grad) for theta in params[:-2]]
 
     def _forward(self, features: np.ndarray, edge: np.ndarray, prepared,
                  star_seeds: np.ndarray) -> tuple[np.ndarray, _Tape]:
@@ -259,11 +256,8 @@ class QgnnModel(BatchModel):
         """Per-graph gradients of each parameter array from the loss
         gradient gz (B, N) at the head scores."""
         params, kernels = prepared
-        b, n = gz.shape
-        starts = np.arange(0, b * n, n)
-        grads = [np.zeros((b, theta.size)) for theta in params[:-2]]
-        grads += [np.add.reduceat((gz * tape.h[-1][:, :, 0]).ravel(), starts),
-                  np.add.reduceat(gz.ravel(), starts)]
+        grads = [np.zeros((len(gz), theta.size)) for theta in params[:-2]]
+        grads += [(gz * tape.h[-1][:, :, 0]).sum(axis=1), gz.sum(axis=1)]
         g = np.zeros_like(tape.h[-1])
         g[:, :, 0] = gz * params[-2]
         for ell in range(len(kernels) - 1, -1, -1):

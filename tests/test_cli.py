@@ -155,6 +155,19 @@ def test_dataset_path_naming_a_directory_exits_2(tmp_path, capsys, command):
     assert "dataset.jsonl" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["gen", "train"])
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys, command, under):
+    # the out dir itself a regular file (FileExistsError), or a path under one (NotADirectoryError)
+    (tmp_path / "file").write_text("")
+    assert main(_args(tmp_path / "file" / under) + [command]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: cannot create io.out_dir: ")
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_bad_overrides_exit_with_config_error(tmp_path, capsys):
     assert main(_args(tmp_path, "--set", "train.bogus=1") + ["gen"]) == 2
     assert main(_args(tmp_path, "--set", "nosection.x=1") + ["gen"]) == 2

@@ -326,10 +326,12 @@ def test_input_angle_scaling():
 @settings(max_examples=4)
 @given(data=st.data())
 def test_kernel_matches_gate_level_simulator(feature_dim, depth, data):
-    # messages and the full slot Jacobian of the closed-form kernel against
-    # qsim.run_batch on the whole circuit, parameter shift on every slot
+    # messages and the full slot Jacobian of the kernel against
+    # qsim.run_batch on the whole circuit, parameter shift on every slot;
+    # the trainable slots come summed over each graph's run of rows
     spec = build_qgcl_circuit(feature_dim, depth)
-    n_rows = data.draw(st.integers(1, 3))
+    n_rows = data.draw(st.integers(1, 4))
+    graphs = data.draw(st.sampled_from([g for g in (1, 2, 3, 4) if n_rows % g == 0]))
     rows = data.draw(hnp.arrays(float, (n_rows, spec.angle_slots), fill=st.nothing(),
                                 elements=st.floats(-2 * np.pi, 2 * np.pi)))
     angles, theta = rows[:, :spec.n], rows[0, spec.n:]
@@ -344,12 +346,33 @@ def test_kernel_matches_gate_level_simulator(feature_dim, depth, data):
                  - gate_level((shifted - eye).reshape(-1, spec.angle_slots)))
     jac = jac.reshape(n_rows, spec.angle_slots, feature_dim)
 
-    kernel = _Kernel(spec, theta, shifted=True)
+    kernel = _Kernel(spec, theta, grad=True)
     np.testing.assert_allclose(kernel.messages(angles), gate_level(rows), rtol=0, atol=1e-12)
     for f in range(feature_dim):
         w = np.zeros((n_rows, feature_dim))
         w[:, f] = 1.0
-        np.testing.assert_allclose(kernel.vjp(angles, w), jac[:, :, f], rtol=0, atol=1e-12)
+        inputs, trainable = kernel.vjp(angles, w, graphs)
+        np.testing.assert_allclose(inputs, jac[:, :spec.n, f], rtol=0, atol=1e-12)
+        per_graph = jac[:, spec.n:, f].reshape(graphs, -1, theta.size).sum(axis=1)
+        np.testing.assert_allclose(trainable, per_graph, rtol=0, atol=1e-12)
+
+
+def test_prepare_builds_one_block_per_trainable_slot(monkeypatch):
+    # one shift rule: a gradient prepare sends 1 + S blocks of 2^n basis rows
+    # per layer through the simulator, a forward prepare one block
+    model = QgnnModel(layers=2, depth=2)
+    rows, apply_gates = [], qgnn._apply_gates
+
+    def counting(amps, *args):
+        rows.append(len(amps))
+        return apply_gates(amps, *args)
+
+    monkeypatch.setattr(qgnn, "_apply_gates", counting)
+    flat = _random_params(2, 2, seed=5)
+    for grad, blocks in [(False, 1), (True, 1 + slots_per_layer(2, 2))]:
+        rows.clear()
+        model._prepare(flat, grad)
+        assert rows and sum(rows) == model.layers * blocks * 2 ** input_slot_count(2)
 
 
 def _split(m, count, seed0):
