@@ -165,7 +165,7 @@ def test_train_improves_mean_objective():
 
 
 def test_train_small_quantum_model_runs_and_improves(monkeypatch):
-    # training runs on the closed-form kernel, never on the gate-level simulator
+    # training runs on the product-state kernel, never on qsim.run_batch
     def gate_level(*args):
         raise AssertionError("qsim.run_batch called during training")
 
