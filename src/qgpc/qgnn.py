@@ -25,26 +25,31 @@ graph.decompose_stars call, so the N * s (center, leaf, edge) rows of each
 of its graphs, s per center, go through one kernel call. BLOCK_AMPLITUDES
 bounds a block's rows times 2^n. The RY encoding of |0...0> is the real
 product state (x)_q [cos(a_q/2), sin(a_q/2)]; the trainable block is one
-2^n x 2^n unitary U, built by the gate-level simulator from the basis
-states; the messages are |psi U|^2 @ Z-signs. Gradients are exact: every
-slot x enters as exp(-i x P / 2), so d/dx is half the circuit at x + pi,
-and one adjoint pass (Jones & Gacon, arXiv:2009.02823) contracts every slot
-at once, chained through the re-encoding map and the sum-rate objective.
-The gate-level simulator stays the independent oracle the tests hold this
-kernel to.
+2^n x 2^n unitary U in closed form, read from the circuit's gates: each
+qubit's rotations between CNOT rings fold into one 2x2 factor, each ring is
+a fixed permutation of the basis columns, and U is the product of the
+rings' permuted Kronecker products. The messages are |psi U|^2 @ Z-signs.
+Gradients are exact: every slot x enters as exp(-i x P / 2), so d/dx is
+half the circuit at x + pi, and one adjoint pass (Jones & Gacon,
+arXiv:2009.02823) contracts every slot at once, chained through the
+re-encoding map and the sum-rate objective; an input slot contracts the
+adjoint vector with the product-state factors one qubit at a time. The
+gate-level simulator (qsim) is the independent oracle the tests hold this
+kernel to; the model never runs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import NODE_FEATURES, decompose_stars
 # run_batch is not called here; it stays bound on this module for code that
 # looks it up or wraps it here (the benchmark's tracer does).
-from .qsim import CircuitSpec, Gate, _apply_gates, _z_signs, run_batch  # noqa: F401
+from .qsim import CircuitError, CircuitSpec, Gate, _z_signs, run_batch  # noqa: F401
 from .trainer import BatchModel
 
 HALF_PI = np.pi / 2.0
@@ -102,15 +107,88 @@ def initial_embeddings(features) -> np.ndarray:
     return node_input_angles(features) * (2.0 / np.pi) - 1.0
 
 
+# -i P^T of each rotation exp(-i t P / 2) that folds: for row states the
+# rotation is its transpose, cos(t/2) I + sin(t/2) (-i P^T)
+_GENERATORS = {"RY": np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),
+               "RZ": np.array([[-1j, 0.0], [0.0, 1j]])}
+
+
+class _FoldPlan(NamedTuple):
+    """A circuit's trainable gates, walked once; every array is read-only."""
+
+    generators: np.ndarray  # (R, 2, 2) of each rotation, in gate order
+    slots: np.ndarray       # (R,) each rotation's column of thetas
+    rounds: tuple           # per round r: (rotation, factor) indices of each r-th rotation
+    gathers: np.ndarray     # (segments, 4^n) block entry -> multiplied-out factor entry
+
+
+@lru_cache(maxsize=64)
+def _fold_plan(spec: CircuitSpec) -> _FoldPlan:
+    """Walk spec's gates for ``_unitaries``. The first n gates must be the
+    RY encoding, slot q on qubit q, which the product state carries. Past
+    them a segment is a run of RY/RZ gates, then a run of CNOTs; factor
+    s * n + q is qubit q's 2x2 factor in segment s. Any other gate raises
+    CircuitError. Cached: a spec is immutable."""
+    n, dim = spec.n, 2 ** spec.n
+    if [(g.kind, g.targets, g.angle_slot) for g in spec.gates[:n]] != \
+            [("RY", (q,), q) for q in range(n)]:
+        raise CircuitError("the circuit must open with the RY encoding, slot q on qubit q")
+    perms, rotations, entangled = [np.arange(dim)], [], False
+    for g in spec.gates[n:]:
+        if g.kind == "CNOT":
+            control, target = g.targets
+            perms[-1] = perms[-1] ^ (((perms[-1] >> control) & 1) << target)
+            entangled = True
+        elif g.kind in _GENERATORS and g.angle_slot >= n:
+            if entangled:  # a rotation after CNOTs opens the next segment
+                perms.append(np.arange(dim))
+                entangled = False
+            rotations.append(((len(perms) - 1) * n + g.targets[0], g))
+        else:
+            raise CircuitError(f"the closed form does not fold {g}")
+    factor = np.array([f for f, _ in rotations], dtype=int)
+    rank = np.array([np.count_nonzero(factor[:i] == f) for i, f in enumerate(factor)], dtype=int)
+    rounds = tuple((np.flatnonzero(rank == r), factor[rank == r])
+                   for r in range(rank.max(initial=-1) + 1))
+    # qubit q's entry (i_q, j_q) is base-4 digit q of a multiplied-out entry's
+    # index, and block entry (b, perm[b']) is the multiplied-out entry (b, b')
+    spread = ((np.arange(dim)[:, None] >> np.arange(n)) & 1) @ 4 ** np.arange(n)
+    gathers = np.empty((len(perms), dim, dim), dtype=int)
+    for gather, perm in zip(gathers, perms):
+        gather[:, perm] = 2 * spread[:, None] + spread
+    plan = _FoldPlan(np.array([_GENERATORS[g.kind] for _, g in rotations]).reshape(-1, 2, 2),
+                     np.array([g.angle_slot - n for _, g in rotations], dtype=int),
+                     rounds, gathers.reshape(len(perms), -1))
+    for arr in (plan.generators, plan.slots, plan.gathers, *(a for rnd in rounds for a in rnd)):
+        arr.flags.writeable = False
+    return plan
+
+
 def _unitaries(spec: CircuitSpec, thetas: np.ndarray) -> np.ndarray:
-    """The trainable block U at each row of thetas as [Re U | Im U], from one
-    gate-level run over the basis states with the encoding angles at 0. Row
-    b of U is the block applied to basis state b: states psi -> psi @ U."""
-    dim = 2 ** spec.n
-    angles = np.zeros((len(thetas) * dim, spec.angle_slots))
-    angles[:, spec.n:] = np.repeat(thetas, dim, axis=0)
-    u = _apply_gates(np.tile(np.eye(dim, dtype=complex), (len(thetas), 1)), spec, angles)
-    return np.concatenate([u.real, u.imag], axis=1).reshape(-1, dim, 2 * dim)
+    """The trainable block U at each row of thetas (T, angle_slots - n) as
+    [Re U | Im U] (T, 2^n, 2^(n+1)), in closed form from spec's gates (see
+    ``_fold_plan``). Row b of U is the block applied to basis state b:
+    states psi -> psi @ U. Each qubit's rotations in a segment fold into
+    one 2x2 factor per row of thetas, and the segment's CNOTs are a fixed
+    permutation of the 2^n basis columns; a segment is the Kronecker
+    product of its factors with its columns permuted, and U the product of
+    the segments in order."""
+    plan = _fold_plan(spec)
+    n, dim, segments = spec.n, 2 ** spec.n, len(plan.gathers)
+    half = 0.5 * thetas[:, plan.slots].T[..., None, None]  # (R, T, 1, 1)
+    rot = np.cos(half) * np.eye(2) + np.sin(half) * plan.generators[:, None]
+    factors = np.broadcast_to(np.eye(2, dtype=complex), (segments * n,) + rot.shape[1:]).copy()
+    for which, factor in plan.rounds:  # in gate order: f @ r, written out for 2x2s
+        f, r = factors[factor], rot[which]
+        factors[factor] = f[..., :1] * r[..., :1, :] + f[..., 1:] * r[..., 1:, :]
+    u = None
+    for f, gather in zip(factors.reshape(segments, n, -1, 4), plan.gathers):
+        entries = f[0]  # (T, 4) qubit 0's entries; each qubit above adds a base-4 digit
+        for fq in f[1:]:
+            entries = (fq[:, :, None] * entries[:, None, :]).reshape(len(entries), -1)
+        block = np.take(entries, gather, axis=1).reshape(-1, dim, dim)
+        u = block if u is None else u @ block
+    return np.concatenate([u.real, u.imag], axis=2)
 
 
 def _product_state(angles: np.ndarray) -> np.ndarray:
@@ -123,10 +201,26 @@ def _product_state(angles: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _shifted_dots(angles: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """psi(a + pi e_q) . v for every row and qubit q: angles (R, n), v
+    (R, 2^n) -> (R, n), without forming the shifted states. v is contracted
+    with one qubit's factor [cos(a_q/2), sin(a_q/2)] at a time, qubit 0
+    first, carrying the all-unshifted row and one row per qubit already
+    contracted with its shifted factor [-sin(a_q/2), cos(a_q/2)]."""
+    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    x = v[:, None, :]  # (R, 1 + qubits shifted so far, amplitudes left)
+    for q in range(angles.shape[1]):
+        x = x.reshape(len(x), x.shape[1], -1, 2)
+        lo, hi = x[..., 0], x[..., 1]
+        cq, sq = c[:, q, None, None], s[:, q, None, None]
+        x = np.concatenate([lo * cq + hi * sq, hi[:, :1] * cq - lo[:, :1] * sq], axis=1)
+    return x[:, 1:, 0]
+
+
 class _Kernel:
     """A layer's message circuit at trainable angles theta: the block U as
-    [Re U | Im U], built by the gate-level simulator; with ``grad``, also the
-    blocks at theta + pi e_s, one per trainable slot s."""
+    [Re U | Im U], in closed form (``_unitaries``); with ``grad``, also the
+    blocks at theta + pi e_s, one per trainable slot s, from the same call."""
 
     def __init__(self, spec: CircuitSpec, theta: np.ndarray, grad: bool = False):
         self.signs = np.stack([_z_signs(spec.n, (q,)) for q in range(spec.n // 2)], axis=1)
@@ -146,14 +240,12 @@ class _Kernel:
         (R, n) and at the trainable slots, summed over each of ``graphs``
         equal runs of rows (graphs, S). With phi = psi U and y = obs *
         conj(phi), obs = sum_f w[r, f] Z_f, slot x gives 2 Re(y . dphi/dx):
-        psi(a + pi e_q) . Re(U y) for input slot q, and Re <sum_r psi_r^T y_r,
-        U(theta + pi e_s)> over a graph's rows for trainable slot s."""
-        n = angles.shape[1]
+        psi(a + pi e_q) . Re(U y) for input slot q (``_shifted_dots``), and
+        Re <sum_r psi_r^T y_r, U(theta + pi e_s)> over a graph's rows for
+        trainable slot s."""
         psi = _product_state(angles)
         y = np.tile(w @ self.signs.T, 2) * (psi @ self.block)  # [Re y | -Im y]
-        shifted_psi = _product_state((angles[:, None] + np.pi * np.eye(n)).reshape(-1, n))
-        inputs = np.einsum("rqi,ri->rq", shifted_psi.reshape(len(angles), n, -1),
-                           y @ self.block.T)
+        inputs = _shifted_dots(angles, y @ self.block.T)
         rows = psi.reshape(graphs, -1, psi.shape[1])
         outer = rows.transpose(0, 2, 1) @ y.reshape(graphs, -1, y.shape[1])  # sum_r psi_r^T y_r
         return inputs, outer.reshape(graphs, -1) @ self.grad_blocks

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qgpc import channels as ch
-from qgpc import qgnn
+from qgpc import qgnn, qsim
 from qgpc.graph import InterferenceGraph, build_graph, decompose_stars, fit_feature_scaler
 from qgpc.qgnn import (
     QgnnModel, _Kernel, _layer_forward, _row_angles, build_qgcl_circuit,
@@ -15,7 +15,9 @@ from qgpc.qgnn import (
     slots_per_layer,
 )
 from qgpc.channels import sinr, weighted_sum_rate
-from qgpc.qsim import expectations_z, run_batch
+from qgpc.qsim import (
+    CircuitError, CircuitSpec, Gate, _apply_gates, expectations_z, run_batch,
+)
 from qgpc.trainer import Instance
 
 
@@ -357,22 +359,85 @@ def test_kernel_matches_gate_level_simulator(feature_dim, depth, data):
         np.testing.assert_allclose(trainable, per_graph, rtol=0, atol=1e-12)
 
 
+def _gate_level_unitaries(spec, thetas):
+    """The blocks U at each row of thetas as [Re U | Im U], built by the
+    gate-level simulator: one run over the basis states, encoding angles at 0."""
+    dim = 2 ** spec.n
+    angles = np.zeros((len(thetas) * dim, spec.angle_slots))
+    angles[:, spec.n:] = np.repeat(thetas, dim, axis=0)
+    u = _apply_gates(np.tile(np.eye(dim, dtype=complex), (len(thetas), 1)), spec, angles)
+    return np.concatenate([u.real, u.imag], axis=1).reshape(-1, dim, 2 * dim)
+
+
+@pytest.mark.parametrize("feature_dim", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_closed_form_blocks_match_gate_level_build(feature_dim, depth):
+    # the kernel's block at theta and at every theta + pi e_s
+    spec = build_qgcl_circuit(feature_dim, depth)
+    theta = np.random.default_rng(10 * feature_dim + depth).uniform(-2 * np.pi, 2 * np.pi,
+                                                                    spec.angle_slots - spec.n)
+    kernel = _Kernel(spec, theta, grad=True)
+    want = _gate_level_unitaries(spec, np.vstack([theta, theta + np.pi * np.eye(theta.size)]))
+    np.testing.assert_allclose(kernel.block, want[0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(kernel.grad_blocks, want[1:].reshape(theta.size, -1).T,
+                               rtol=0, atol=1e-13)
+
+
+def test_closed_form_raises_on_gates_it_does_not_fold():
+    spec = build_qgcl_circuit(1, 1)
+    theta = np.zeros(spec.angle_slots - spec.n)
+    for gates in [spec.gates + (Gate("H", (0,)),),
+                  spec.gates + (Gate("RX", (1,), spec.n),),
+                  spec.gates + (Gate("RY", (1,), 0),),  # an input slot past the encoding
+                  spec.gates[1:]]:                      # no encoding on qubit 0
+        with pytest.raises(CircuitError):
+            _Kernel(CircuitSpec(spec.n, gates, spec.angle_slots), theta)
+
+
 def test_prepare_builds_one_block_per_trainable_slot(monkeypatch):
-    # one shift rule: a gradient prepare sends 1 + S blocks of 2^n basis rows
-    # per layer through the simulator, a forward prepare one block
+    # a gradient prepare holds 1 + S blocks per layer, a forward prepare one,
+    # and neither they nor a forward run the gate-level simulator
+    def refuse(*args):
+        raise AssertionError("the model ran the gate-level simulator")
+
+    monkeypatch.setattr(qsim, "_apply_gates", refuse)
     model = QgnnModel(layers=2, depth=2)
-    rows, apply_gates = [], qgnn._apply_gates
-
-    def counting(amps, *args):
-        rows.append(len(amps))
-        return apply_gates(amps, *args)
-
-    monkeypatch.setattr(qgnn, "_apply_gates", counting)
     flat = _random_params(2, 2, seed=5)
-    for grad, blocks in [(False, 1), (True, 1 + slots_per_layer(2, 2))]:
-        rows.clear()
-        model._prepare(flat, grad)
-        assert rows and sum(rows) == model.layers * blocks * 2 ** input_slot_count(2)
+    inst, graph = _instance(4, seed=5)
+    for grad, slots in [(False, 0), (True, slots_per_layer(2, 2))]:
+        _, kernels = prepared = model._prepare(flat, grad)
+        assert len(kernels) == model.layers
+        assert all(k.grad_blocks.shape == (k.block.size, slots) for k in kernels)
+        z, _ = model._forward(graph.node_features[None], graph.edge_angle[None], prepared,
+                              np.array([3], dtype=np.uint64))
+        assert np.all(np.isfinite(z))
+    losses, grads = model.loss_and_grad_batch(_one(inst, graph), flat, [3])
+    assert np.isfinite(losses[0]) and np.all(np.isfinite(grads))
+
+
+_HALF_TURNS = st.sampled_from([0.0, np.pi, -np.pi, 2 * np.pi])
+
+
+@pytest.mark.parametrize("feature_dim", [1, 2, 3])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_input_slot_contraction_matches_shifted_states(feature_dim, data):
+    # vjp's input slots against psi(a + pi e_q) . Re(U y) with the shifted
+    # states formed explicitly; angles may sit at 0, +-pi or 2 pi, where the
+    # cosine or sine of the half-angle vanishes
+    spec = build_qgcl_circuit(feature_dim, 1)
+    n, n_rows = spec.n, data.draw(st.integers(1, 6))
+    angles = data.draw(hnp.arrays(float, (n_rows, n), elements=st.floats(-2 * np.pi, 2 * np.pi)
+                                  | _HALF_TURNS))
+    theta = data.draw(hnp.arrays(float, spec.angle_slots - n, elements=st.floats(-np.pi, np.pi)))
+    w = data.draw(hnp.arrays(float, (n_rows, feature_dim), elements=st.floats(-2.0, 2.0)))
+    kernel = _Kernel(spec, theta)
+    psi = qgnn._product_state(angles)
+    y = np.tile(w @ kernel.signs.T, 2) * (psi @ kernel.block)
+    shifted = qgnn._product_state((angles[:, None] + np.pi * np.eye(n)).reshape(-1, n))
+    want = np.einsum("rqi,ri->rq", shifted.reshape(n_rows, n, -1), y @ kernel.block.T)
+    inputs, _ = kernel.vjp(angles, w, 1)
+    np.testing.assert_allclose(inputs, want, rtol=0, atol=1e-13)
 
 
 def _split(m, count, seed0):
