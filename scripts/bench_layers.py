@@ -8,9 +8,9 @@ Run from the root of a source checkout (the package is imported from
 
 Every input is drawn from fixed seeds at the desk config (M=4, 300 train
 and 100 test realizations, QGNN layers 2 / depth 1 / k 2, GCN hidden 16 /
-layers 2). Each call is timed ``--repeats`` times after one warm-up call,
-at one BLAS thread; the best and the median in milliseconds are printed
-and written to ``--out`` as JSON.
+layers 2). Each call is timed REPEATS times after one warm-up call, at one
+BLAS thread; the best and the median in milliseconds are printed and
+written to ``--out`` as JSON.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from qgpc.trainer import Instance, SeedConfig, evaluate_mean, train_star_seed  #
 from qgpc.wmmse import wmmse_batch  # noqa: E402
 
 M, TRAIN, TEST = 4, 300, 100
+REPEATS = 30  # timed calls per kernel
 
 
 def _realizations(count: int, seed0: int) -> list[ch.ChannelRealization]:
@@ -50,17 +51,17 @@ def _realizations(count: int, seed0: int) -> list[ch.ChannelRealization]:
             for i in range(count)]
 
 
-def _time(fn, repeats: int) -> dict:
+def _time(fn) -> dict:
     fn()  # warm-up: caches and lazy set-up
     samples = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
     return {"best_ms": 1e3 * min(samples), "median_ms": 1e3 * float(np.median(samples))}
 
 
-def measure(repeats: int) -> dict[str, dict]:
+def measure() -> dict[str, dict]:
     train_ch, test_ch = _realizations(TRAIN, 0), _realizations(TEST, TRAIN)
     scaler = fit_feature_scaler(train_ch)
     train_set = [Instance(f"train/{i}", c, build_graph(c, scaler))
@@ -91,17 +92,14 @@ def measure(repeats: int) -> dict[str, dict]:
         f"graph.decompose_stars.{TRAIN}": lambda: decompose_stars(M, 2, star_seeds),
         f"wmmse.wmmse_batch.{TEST}": lambda: wmmse_batch(test_ch),
     }
-    return {name: _time(fn, repeats) for name, fn in calls.items()}
+    return {name: _time(fn) for name, fn in calls.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=15, help="timed calls per kernel")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    timings = measure(args.repeats)
+    timings = measure()
     for name, t in timings.items():
         print(f"{name:40s} best {t['best_ms']:9.3f} ms  median {t['median_ms']:9.3f} ms")
     record = {
@@ -110,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "blas_threads": 1,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "timings": timings,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

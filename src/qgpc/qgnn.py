@@ -118,7 +118,7 @@ class _FoldPlan(NamedTuple):
 
     generators: np.ndarray  # (R, 2, 2) of each rotation, in gate order
     slots: np.ndarray       # (R,) each rotation's column of thetas
-    rounds: tuple           # per round r: (rotation, factor) indices of each r-th rotation
+    factors: np.ndarray     # (R,) each rotation's factor
     gathers: np.ndarray     # (segments, 4^n) block entry -> multiplied-out factor entry
 
 
@@ -146,10 +146,6 @@ def _fold_plan(spec: CircuitSpec) -> _FoldPlan:
             rotations.append(((len(perms) - 1) * n + g.targets[0], g))
         else:
             raise CircuitError(f"the closed form does not fold {g}")
-    factor = np.array([f for f, _ in rotations], dtype=int)
-    rank = np.array([np.count_nonzero(factor[:i] == f) for i, f in enumerate(factor)], dtype=int)
-    rounds = tuple((np.flatnonzero(rank == r), factor[rank == r])
-                   for r in range(rank.max(initial=-1) + 1))
     # qubit q's entry (i_q, j_q) is base-4 digit q of a multiplied-out entry's
     # index, and block entry (b, perm[b']) is the multiplied-out entry (b, b')
     spread = ((np.arange(dim)[:, None] >> np.arange(n)) & 1) @ 4 ** np.arange(n)
@@ -158,8 +154,9 @@ def _fold_plan(spec: CircuitSpec) -> _FoldPlan:
         gather[:, perm] = 2 * spread[:, None] + spread
     plan = _FoldPlan(np.array([_GENERATORS[g.kind] for _, g in rotations]).reshape(-1, 2, 2),
                      np.array([g.angle_slot - n for _, g in rotations], dtype=int),
-                     rounds, gathers.reshape(len(perms), -1))
-    for arr in (plan.generators, plan.slots, plan.gathers, *(a for rnd in rounds for a in rnd)):
+                     np.array([f for f, _ in rotations], dtype=int),
+                     gathers.reshape(len(perms), -1))
+    for arr in plan:
         arr.flags.writeable = False
     return plan
 
@@ -178,9 +175,8 @@ def _unitaries(spec: CircuitSpec, thetas: np.ndarray) -> np.ndarray:
     half = 0.5 * thetas[:, plan.slots].T[..., None, None]  # (R, T, 1, 1)
     rot = np.cos(half) * np.eye(2) + np.sin(half) * plan.generators[:, None]
     factors = np.broadcast_to(np.eye(2, dtype=complex), (segments * n,) + rot.shape[1:]).copy()
-    for which, factor in plan.rounds:  # in gate order: f @ r, written out for 2x2s
-        f, r = factors[factor], rot[which]
-        factors[factor] = f[..., :1] * r[..., :1, :] + f[..., 1:] * r[..., 1:, :]
+    for f, r in zip(plan.factors, rot):  # in gate order
+        factors[f] = factors[f] @ r
     u = None
     for f, gather in zip(factors.reshape(segments, n, -1, 4), plan.gathers):
         entries = f[0]  # (T, 4) qubit 0's entries; each qubit above adds a base-4 digit

@@ -400,6 +400,7 @@ def test_prepare_builds_one_block_per_trainable_slot(monkeypatch):
     def refuse(*args):
         raise AssertionError("the model ran the gate-level simulator")
 
+    assert not hasattr(qgnn, "_apply_gates")  # no binding of its own to call instead
     monkeypatch.setattr(qsim, "_apply_gates", refuse)
     model = QgnnModel(layers=2, depth=2)
     flat = _random_params(2, 2, seed=5)
