@@ -8,7 +8,8 @@ Run from the root of a source checkout (the package is imported from
 
 Every input is drawn from fixed seeds at the desk config (M=4, 300 train
 and 100 test realizations, QGNN layers 2 / depth 1 / k 2, GCN hidden 16 /
-layers 2). Each call is timed REPEATS times after one warm-up call, at one
+layers 2), and WMMSE also runs on 100 realizations at M=16, where it takes
+enough sweeps to show their cost (about 1.5 per instance at M=4). Each call is timed REPEATS times after one warm-up call, at one
 BLAS thread; the best and the median in milliseconds are printed and
 written to ``--out`` as JSON.
 """
@@ -40,11 +41,12 @@ from qgpc.trainer import Instance, SeedConfig, evaluate_mean, train_star_seed  #
 from qgpc.wmmse import wmmse_batch  # noqa: E402
 
 M, TRAIN, TEST = 4, 300, 100
+WMMSE_M = 16  # the second WMMSE size
 REPEATS = 30  # timed calls per kernel
 
 
-def _realizations(count: int, seed0: int) -> list[ch.ChannelRealization]:
-    return [ch.realize_channels(ch.generate_scenario(M, ch.DEFAULT_AREA_SIDE,
+def _realizations(count: int, seed0: int, m: int = M) -> list[ch.ChannelRealization]:
+    return [ch.realize_channels(ch.generate_scenario(m, ch.DEFAULT_AREA_SIDE,
                                                      ch.DEFAULT_MIN_RANGE,
                                                      ch.DEFAULT_MAX_RANGE, seed0 + i),
                                 seed=seed0 + 100_000 + i)
@@ -63,6 +65,7 @@ def _time(fn) -> dict:
 
 def measure() -> dict[str, dict]:
     train_ch, test_ch = _realizations(TRAIN, 0), _realizations(TEST, TRAIN)
+    wide_ch = _realizations(TEST, TRAIN, WMMSE_M)
     scaler = fit_feature_scaler(train_ch)
     train_set = [Instance(f"train/{i}", c, build_graph(c, scaler))
                  for i, c in enumerate(train_ch)]
@@ -91,6 +94,7 @@ def measure() -> dict[str, dict]:
             train_set, g_flat, star_seeds),
         f"graph.decompose_stars.{TRAIN}": lambda: decompose_stars(M, 2, star_seeds),
         f"wmmse.wmmse_batch.{TEST}": lambda: wmmse_batch(test_ch),
+        f"wmmse.wmmse_batch.{TEST}.M{WMMSE_M}": lambda: wmmse_batch(wide_ch),
     }
     return {name: _time(fn) for name, fn in calls.items()}
 

@@ -140,11 +140,10 @@ def realize_channels(
 @dataclass(eq=False)
 class ChannelBatch:
     """Realizations of one size M stacked along a leading axis of B. Only
-    |G|^2 and the direct gains g_mm are kept: nothing batched reads the
-    other complex gains, and they would be two thirds of its bytes."""
+    the real |G|^2 is kept: the SINR, its gradient and every WMMSE block
+    read no phase, and the complex gains would triple its bytes."""
 
     gain: np.ndarray    # (B, M, M) |G|^2
-    gdiag: np.ndarray   # (B, M) complex direct gains g_mm
     sigma2: np.ndarray  # (B, M)
     alpha: np.ndarray   # (B, M)
     p_max: np.ndarray   # (B,)
@@ -158,7 +157,6 @@ class ChannelBatch:
         # |G|^2 one realization at a time: a stacked complex G would be a
         # temporary twice the size of the batch's gains
         return cls(gain=np.stack([np.abs(ch.G) ** 2 for ch in realizations]),
-                   gdiag=np.stack([np.diagonal(ch.G) for ch in realizations]),
                    sigma2=np.stack([ch.sigma2 for ch in realizations]),
                    alpha=np.stack([ch.alpha for ch in realizations]),
                    p_max=np.array([ch.p_max for ch in realizations]))
@@ -168,9 +166,8 @@ class ChannelBatch:
 
     def __getitem__(self, rows) -> "ChannelBatch":
         """The realizations at the given row indices, as a batch."""
-        return ChannelBatch(gain=self.gain[rows], gdiag=self.gdiag[rows],
-                            sigma2=self.sigma2[rows], alpha=self.alpha[rows],
-                            p_max=self.p_max[rows])
+        return ChannelBatch(gain=self.gain[rows], sigma2=self.sigma2[rows],
+                            alpha=self.alpha[rows], p_max=self.p_max[rows])
 
     @property
     def M(self) -> int:
@@ -345,8 +342,10 @@ def _header_values(header: dict, path) -> tuple[int, np.ndarray, np.ndarray, flo
         if not ok:
             raise ValueError(f"dataset header in {path}: {key} must be {want}, "
                              f"got {header[key]!r}")
-    return (m, np.asarray(header["sigma2"], dtype=float), np.asarray(header["alpha"], dtype=float),
-            float(header["p_max"]))
+    alpha = np.asarray(header["alpha"], dtype=float)
+    if not alpha.any():  # every sum rate, WMMSE's too, would be 0
+        raise ValueError(f"dataset header in {path}: alpha must not be all 0")
+    return m, np.asarray(header["sigma2"], dtype=float), alpha, float(header["p_max"])
 
 
 def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealization], dict]:

@@ -146,8 +146,8 @@ def _validate_config(cfg: dict) -> None:
     if sc["sigma2"] <= 0 or sc["p_max"] <= 0:
         raise ConfigError("sigma2 and p_max must be positive")
     alpha = sc["alpha"] if isinstance(sc["alpha"], list) else [sc["alpha"]]
-    if len(alpha) not in (1, sc["M"]) or min(alpha) < 0:
-        raise ConfigError(f"scenario.alpha must be one or M={sc['M']} non-negative weights")
+    if len(alpha) not in (1, sc["M"]) or min(alpha) < 0 or max(alpha) == 0:
+        raise ConfigError(f"scenario.alpha must be one or M={sc['M']} weights >= 0, not all 0")
     if sc["train_size"] < 1 or sc["test_size"] < 0:
         raise ConfigError("train_size must be >= 1 and test_size >= 0")
     mc = cfg["model"]

@@ -2,14 +2,15 @@
 
 Scalar single-antenna links with amplitude-domain powers: the transmit
 variable v_m is the power amplitude itself (v_m = p_m, not sqrt(p_m)).
-Each sweep updates the three blocks in closed form:
-
-    u_m = g_mm v_m / (sum_k |g_km v_k|^2 + sigma2_m)
-    w_m = 1 / (1 - conj(u_m) g_mm v_m)
-    v_m = alpha_m w_m Re(conj(u_m) g_mm) / (sum_k alpha_k w_k |u_k|^2 |g_mk|^2)
-
-with v clipped to [0, p_max]. Every block minimizes the same weighted-MSE
-surrogate exactly, so the sum-rate objective is non-decreasing sweep to sweep.
+Each sweep updates the three blocks in closed form, in real numbers only.
+From the SINR kernel's direct power d_m, interference-plus-noise n_m,
+t_m = d_m + n_m and gamma_m = d_m / n_m, the MMSE receiver
+u_m = g_mm v_m / t_m has the weight w_m = 1 / (1 - Re(conj(u_m) g_mm v_m))
+= 1 + gamma_m (Shi et al., IEEE TSP 2011), never formed as that difference,
+which cancels at large SINR. The update is v_m <- alpha_m w_m |g_mm|^2 v_m
+/ (t_m sum_k |g_mk|^2 c_k), c_k = alpha_k w_k |u_k|^2, clipped to [0, p_max].
+Every block minimizes the same weighted-MSE surrogate exactly, so the
+sum-rate objective is non-decreasing sweep to sweep.
 
 Sweeps only reach a stationary point, and under strong interference the
 full-power start can stall at a poor one (the global optimum may silence a
@@ -35,12 +36,11 @@ import numpy as np
 # sum_rate_batch is not called here; it stays bound on this module for code
 # that looks it up or wraps it here (the benchmark's tracer does).
 from .channels import (  # noqa: F401
-    ChannelBatch, ChannelRealization, size_blocks, sum_rate, sum_rate_batch,
-)
+    ChannelBatch, ChannelRealization, _sinr_terms, size_blocks, sum_rate, sum_rate_batch,
+    weighted_sum_rate)
 
 GRID_POINT_GUARD = 10 ** 7  # bounds the oracle's time; its memory is bounded by a slab
 SLAB_POINTS = 1 << 16       # most grid points the oracle evaluates at once
-_W_DENOM_FLOOR = 1e-12
 _V_DENOM_FLOOR = 1e-300  # turns the 0/0 of an all-silent sweep into v = 0
 _RESTART_STREAM_TAG = 0x524553  # restart r draws from SeedSequence([0, tag, r])
 MAX_ITER = 100       # sweeps per start
@@ -81,22 +81,21 @@ def _starts(batch: ChannelBatch) -> np.ndarray:
     return (batch.p_max[:, None, None] * np.concatenate(unit)).reshape(-1, m)
 
 
-def _receiver_weights(rows: ChannelBatch, v: np.ndarray):
-    """MMSE receivers u and weights w of each row at transmit amplitudes v.
-    The stacked products run as one matrix-vector product per row, as a
-    single power vector's would."""
-    total = ((v ** 2)[:, None, :] @ rows.gain)[:, 0, :] + rows.sigma2  # per-receiver power
-    u = rows.gdiag * v / total
-    mse_denom = 1.0 - np.real(np.conj(u) * rows.gdiag * v)
-    mse_denom = np.maximum(mse_denom, _W_DENOM_FLOOR)
-    return u, 1.0 / mse_denom
+def _mmse_blocks(rows: ChannelBatch, v: np.ndarray):
+    """SINR gamma of each row at amplitudes v, and the next v update's
+    numerator alpha w |g_mm|^2 v / t and coefficients c (module docstring)."""
+    _, _, bdiag, direct, noise = _sinr_terms(rows, v)
+    gamma = direct / noise
+    total = direct + noise
+    numer = rows.alpha * (1.0 + gamma) * bdiag * v / total
+    return gamma, numer, numer * v / total
 
 
 def _sweep_rows(batch: ChannelBatch, inst: np.ndarray, v: np.ndarray):
     """Block-coordinate sweeps of every row, row b on realization inst[b]
     of the batch from start v[b], until a sweep moves its objective by at
     most TOL or it has run MAX_ITER sweeps; a sweep updates only the rows
-    still running.
+    still running, with one SINR-kernel call and one interference product.
 
     Returns each row's best iterate and its objective, its trace (column j
     the objective after sweep j, valid up to its iteration count), whether
@@ -104,21 +103,19 @@ def _sweep_rows(batch: ChannelBatch, inst: np.ndarray, v: np.ndarray):
     """
     rows = batch[inst]  # gathered here, so a compaction below frees the old rows
     n = len(rows)
-    obj = sum_rate(rows, v)
+    gamma, numer, coeff = _mmse_blocks(rows, v)
+    obj = weighted_sum_rate(gamma, rows.alpha)  # sum_rate(rows, v), bit for bit
     trace = np.empty((n, MAX_ITER + 1))
     trace[:, 0] = obj
     best_p, best_obj = v.copy(), obj.copy()
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
     live = np.arange(n)  # the rows still running, in row order
-    u, w = _receiver_weights(rows, v)
     for sweep in range(1, MAX_ITER + 1):
-        coeff = rows.alpha * w * np.abs(u) ** 2
-        numer = rows.alpha * w * np.real(np.conj(u) * rows.gdiag)
         denom = (rows.gain @ coeff[:, :, None])[:, :, 0]
         v = np.clip(numer / np.maximum(denom, _V_DENOM_FLOOR), 0.0, rows.p_max[:, None])
-        u, w = _receiver_weights(rows, v)
-        prev, obj = obj, sum_rate(rows, v)
+        gamma, numer, coeff = _mmse_blocks(rows, v)
+        prev, obj = obj, weighted_sum_rate(gamma, rows.alpha)
         trace[live, sweep] = obj
         iterations[live] = sweep
         better = obj > best_obj[live]
@@ -129,7 +126,7 @@ def _sweep_rows(batch: ChannelBatch, inst: np.ndarray, v: np.ndarray):
         if done.any():
             keep = ~done
             live, rows = live[keep], rows[keep]
-            v, u, w, obj = v[keep], u[keep], w[keep], obj[keep]
+            numer, coeff, obj = numer[keep], coeff[keep], obj[keep]
             if not live.size:
                 break
     return best_p, best_obj, trace, converged, iterations

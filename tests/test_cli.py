@@ -358,6 +358,32 @@ def test_alpha_length_must_match_pair_count(tmp_path, capsys):
     assert "scenario.alpha" in capsys.readouterr().err
 
 
+def test_all_zero_weights_exit_with_config_error(tmp_path, capsys):
+    # with every weight 0 every sum rate is 0, WMMSE's too, and eval's ratio divides by it
+    for alpha in ("0.0", "[0,0,0]"):
+        assert main(_args(tmp_path, "--set", f"scenario.alpha={alpha}") + ["gen"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "scenario.alpha" in err
+    assert main(_args(tmp_path, "--set", "scenario.alpha=[0,1.5,0]") + ["gen"]) == 0
+
+
+def test_dataset_header_with_all_zero_weights_is_a_config_error(tmp_path, capsys):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    assert main(_args(tmp_path) + ["train"]) == 0
+    path = tmp_path / "dataset.jsonl"
+    lines = path.read_text().split("\n")
+    capsys.readouterr()
+    for alpha, code in ((0.0, 2), ([0.0, 0.0, 0.0], 2), ([0.0, 1.0, 0.0], 0)):
+        header = json.loads(lines[0])
+        header["alpha"] = alpha
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]))
+        for command in ("train", "eval"):
+            assert main(_args(tmp_path) + [command]) == code, (alpha, command)
+            err = capsys.readouterr().err
+            if code:
+                assert err.startswith("error:") and err.count("\n") == 1 and "alpha" in err
+
+
 def test_dataset_header_without_sigma2_is_a_config_error(tmp_path, capsys):
     assert main(_args(tmp_path) + ["gen"]) == 0
     path = tmp_path / "dataset.jsonl"

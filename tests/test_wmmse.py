@@ -91,6 +91,65 @@ def test_wmmse_stays_feasible_and_monotone_on_random_instances(inst):
     assert res.objective == ch.sum_rate(inst, res.p)
 
 
+@st.composite
+def _extreme_sinr_instances(draw):
+    """|G|^2 over 1e-4..1e4, noise down to 1e-12, and one strong pair whose
+    corner start (its p_max alone) has an SINR past 1e13."""
+    m = draw(st.integers(1, 6))
+
+    def arr(shape, lo, hi):
+        return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
+
+    gain = 10.0 ** arr((m, m), -4.0, 4.0)
+    sigma2 = 10.0 ** arr((m,), -12.0, -3.0)
+    strong = draw(st.integers(0, m - 1))
+    gain[strong, strong] = 10.0 ** draw(st.floats(1.0, 4.0))
+    sigma2[strong] = 1e-12
+    G = np.sqrt(gain) * np.exp(1j * arr((m, m), 0.0, 2.0 * np.pi))
+    return ch.ChannelRealization(G=G, sigma2=sigma2, alpha=arr((m,), 0.1, 2.0),
+                                 p_max=draw(st.floats(1.0, 10.0)))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(_extreme_sinr_instances())
+def test_wmmse_stays_feasible_and_monotone_at_extreme_sinr(inst):
+    # every start's run, not only the winner's: the strong pair's corner
+    # starts at w = 1 + gamma > 1e13
+    batch = ch.ChannelBatch.stack([inst])
+    starts = wmmse._starts(batch)
+    p, _, trace, _, iterations = wmmse._sweep_rows(batch, np.zeros(len(starts), int), starts)
+    assert np.all(p >= 0.0) and np.all(p <= inst.p_max)
+    for row, n in zip(trace, iterations):
+        assert np.all(np.diff(row[:n + 1]) >= -1e-9)  # acceptance 3's tolerance
+    res = wmmse_allocate(inst)
+    assert res.objective == ch.sum_rate(inst, res.p)
+
+
+def test_sweep_blocks_match_the_textbook_complex_form():
+    # u = g_mm v / t, w = 1 / (1 - Re(conj(u) g_mm v)), the numerator
+    # alpha w Re(conj(u) g_mm) and the coefficient alpha w |u|^2, t the total
+    # received power, from the complex G; SINRs below 1e3 keep the
+    # cancellation in w's denominator far below the tolerance
+    rng = np.random.default_rng(37)
+    for m in (1, 2, 5, 8):
+        insts = [ch.ChannelRealization(
+            G=np.sqrt(10.0 ** rng.uniform(-1.0, 1.0, (m, m)))
+            * np.exp(2j * np.pi * rng.random((m, m))),
+            sigma2=10.0 ** rng.uniform(-1.0, 0.0, m), alpha=rng.uniform(0.1, 2.0, m),
+            p_max=rng.uniform(0.5, 3.0)) for _ in range(20)]
+        batch = ch.ChannelBatch.stack(insts)
+        v = rng.random((20, m)) * batch.p_max[:, None]
+        gamma, numer, coeff = wmmse._mmse_blocks(batch, v)
+        G = np.stack([inst.G for inst in insts])
+        g = np.diagonal(G, axis1=1, axis2=2)
+        t = np.einsum("bk,bkm->bm", v ** 2, np.abs(G) ** 2) + batch.sigma2
+        u = g * v / t
+        w = 1.0 / (1.0 - np.real(np.conj(u) * g * v))
+        np.testing.assert_allclose(1.0 + gamma, w, rtol=1e-12)
+        np.testing.assert_allclose(numer, batch.alpha * w * np.real(np.conj(u) * g), rtol=1e-12)
+        np.testing.assert_allclose(coeff, batch.alpha * w * np.abs(u) ** 2, rtol=1e-12)
+
+
 def _same_result(got, want):
     return (np.array_equal(got.p, want.p) and got.objective == want.objective
             and np.array_equal(got.trace, want.trace) and got.converged == want.converged

@@ -4,7 +4,7 @@ product per block update, and the starts tried one by one in order."""
 
 import numpy as np
 
-from qgpc.channels import ChannelRealization, sum_rate
+from qgpc.channels import ChannelRealization, _sinr_terms, sum_rate
 from qgpc.wmmse import WmmseResult
 
 
@@ -13,32 +13,31 @@ def wmmse_sweeps(channels: ChannelRealization, v0: np.ndarray) -> WmmseResult:
     at most TOL, or MAX_ITER sweeps; start is left at 0."""
     from qgpc import wmmse
 
-    G = channels.G
-    gdiag = np.diagonal(G)
-    B2 = np.abs(G) ** 2
+    B2 = np.abs(channels.G) ** 2
     alpha = channels.alpha
     p_max = channels.p_max
 
-    def receiver_weights(v):
-        total = (v ** 2) @ B2 + channels.sigma2     # per-receiver total power
-        u = gdiag * v / total
-        mse_denom = 1.0 - np.real(np.conj(u) * gdiag * v)
-        mse_denom = np.maximum(mse_denom, wmmse._W_DENOM_FLOOR)
-        return u, 1.0 / mse_denom
+    def blocks(v):
+        # u = g_mm v / t and w = 1 / (1 - Re(conj(u) g_mm v)) = 1 + gamma in
+        # real form: the numerator alpha w Re(conj(u) g_mm) and the
+        # coefficient alpha w |u|^2 from the direct power d and the
+        # interference-plus-noise n, t = d + n
+        _, _, bdiag, d, n = _sinr_terms(channels, v)
+        t = d + n
+        numer = alpha * (1.0 + d / n) * bdiag * v / t
+        return numer, numer * v / t
 
     v = np.array(v0, dtype=float)
     obj = sum_rate(channels, v)
     trace = [obj]
     best_p, best_obj = v.copy(), obj
-    u, w = receiver_weights(v)
+    numer, coeff = blocks(v)
     converged = False
     iterations = 0
     for _ in range(wmmse.MAX_ITER):
         iterations += 1
-        coeff = alpha * w * np.abs(u) ** 2
-        numer = alpha * w * np.real(np.conj(u) * gdiag)
         v = np.clip(numer / np.maximum(B2 @ coeff, wmmse._V_DENOM_FLOOR), 0.0, p_max)
-        u, w = receiver_weights(v)
+        numer, coeff = blocks(v)
         prev = obj
         obj = sum_rate(channels, v)
         trace.append(obj)
