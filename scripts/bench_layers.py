@@ -9,9 +9,13 @@ Run from the root of a source checkout (the package is imported from
 Every input is drawn from fixed seeds at the desk config (M=4, 300 train
 and 100 test realizations, QGNN layers 2 / depth 1 / k 2, GCN hidden 16 /
 layers 2), and WMMSE also runs on 100 realizations at M=16, where it takes
-enough sweeps to show their cost (about 1.5 per instance at M=4). Each call is timed REPEATS times after one warm-up call, at one
-BLAS thread; the best and the median in milliseconds are printed and
-written to ``--out`` as JSON.
+enough sweeps to show their cost (about 1.5 per instance at M=4). Besides
+the kernels it times building the training split (``trainer.Split``) and a
+whole one-epoch desk ``trainer.train`` call of each model: the WMMSE
+baseline, the splits, the untrained evaluation and one full-batch epoch.
+Each call is timed REPEATS times after one warm-up call, at one BLAS
+thread; the best and the median in milliseconds are printed and written to
+``--out`` as JSON.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ from qgpc import channels as ch  # noqa: E402
 from qgpc.gcn import GcnModel  # noqa: E402
 from qgpc.graph import build_graph, decompose_stars, fit_feature_scaler  # noqa: E402
 from qgpc.qgnn import BLOCK_AMPLITUDES, QgnnModel, input_slot_count  # noqa: E402
-from qgpc.trainer import Instance, SeedConfig, evaluate_mean, train_star_seed  # noqa: E402
+from qgpc.trainer import (  # noqa: E402
+    Instance, SeedConfig, Split, TrainConfig, evaluate_mean, train, train_star_seed,
+)
 from qgpc.wmmse import wmmse_batch  # noqa: E402
 
 M, TRAIN, TEST = 4, 300, 100
@@ -69,6 +75,8 @@ def measure() -> dict[str, dict]:
     scaler = fit_feature_scaler(train_ch)
     train_set = [Instance(f"train/{i}", c, build_graph(c, scaler))
                  for i, c in enumerate(train_ch)]
+    test_set = [Instance(f"test/{i}", c, build_graph(c, scaler)) for i, c in enumerate(test_ch)]
+    one_epoch = TrainConfig(epochs=1)
     seeds = SeedConfig()
     star_seeds = train_star_seed(seeds, 0, np.arange(TRAIN))
     rng = np.random.default_rng(0)
@@ -79,6 +87,7 @@ def measure() -> dict[str, dict]:
     rows = BLOCK_AMPLITUDES >> input_slot_count(2)  # one full block: 32 graphs of 8 rows
     angles = rng.uniform(0.0, np.pi, (rows, input_slot_count(2)))
     w = rng.standard_normal((rows, 2))
+    kept = kernel.messages(angles)[1]  # the rows vjp reads, as a forward keeps them
     gcn = GcnModel(hidden=16, layers=2)
     g_flat = gcn.init_params(rng)
 
@@ -86,7 +95,7 @@ def measure() -> dict[str, dict]:
         "qgnn._prepare.grad": lambda: qgnn._prepare(q_flat, grad=True),
         "qgnn._prepare.no_grad": lambda: qgnn._prepare(q_flat, grad=False),
         f"qgnn._Kernel.messages.{rows}_rows": lambda: kernel.messages(angles),
-        f"qgnn._Kernel.vjp.{rows}_rows": lambda: kernel.vjp(angles, w, 32),
+        f"qgnn._Kernel.vjp.{rows}_rows": lambda: kernel.vjp(kept, w, 32),
         f"qgnn.loss_and_grad_batch.{TRAIN}": lambda: qgnn.loss_and_grad_batch(
             train_set, q_flat, star_seeds),
         f"qgnn.evaluate_mean.{TRAIN}": lambda: evaluate_mean(qgnn, q_flat, train_set, seeds),
@@ -95,6 +104,9 @@ def measure() -> dict[str, dict]:
         f"graph.decompose_stars.{TRAIN}": lambda: decompose_stars(M, 2, star_seeds),
         f"wmmse.wmmse_batch.{TEST}": lambda: wmmse_batch(test_ch),
         f"wmmse.wmmse_batch.{TEST}.M{WMMSE_M}": lambda: wmmse_batch(wide_ch),
+        f"trainer.Split.{TRAIN}": lambda: Split(train_set),
+        "trainer.train.qgnn.1_epoch": lambda: train(qgnn, train_set, test_set, one_epoch),
+        "trainer.train.gcn.1_epoch": lambda: train(gcn, train_set, test_set, one_epoch),
     }
     return {name: _time(fn) for name, fn in calls.items()}
 

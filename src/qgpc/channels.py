@@ -13,6 +13,7 @@ and the objective is ``sum_m alpha_m log2(1 + gamma_m)`` in bps/Hz.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -70,8 +71,10 @@ class ChannelRealization:
             raise DimensionError(f"G must be square, got {self.G.shape}")
         self.sigma2 = np.broadcast_to(np.asarray(self.sigma2, dtype=float), (m,)).copy()
         self.alpha = np.broadcast_to(np.asarray(self.alpha, dtype=float), (m,)).copy()
-        if not np.all(np.isfinite(self.G.view(float))):
-            raise ValueError("G contains non-finite entries")
+        # max is NaN at a NaN entry; a Python float product overflows quietly
+        peak = float(np.abs(self.G).max(initial=0.0))
+        if not math.isfinite(peak * peak):
+            raise ValueError("|G|^2 must be finite")
         if not np.all(np.isfinite(self.sigma2) & (self.sigma2 > 0)):
             raise ValueError("sigma2 must be positive and finite")
         if not np.all(np.isfinite(self.alpha) & (self.alpha >= 0)):
@@ -144,6 +147,7 @@ class ChannelBatch:
     read no phase, and the complex gains would triple its bytes."""
 
     gain: np.ndarray    # (B, M, M) |G|^2
+    cross: np.ndarray   # (B, M, M) |G|^2 with its diagonal zeroed, built once by stack
     sigma2: np.ndarray  # (B, M)
     alpha: np.ndarray   # (B, M)
     p_max: np.ndarray   # (B,)
@@ -156,7 +160,8 @@ class ChannelBatch:
             raise DimensionError(f"a batch needs one size M, got {sorted(sizes)}")
         # |G|^2 one realization at a time: a stacked complex G would be a
         # temporary twice the size of the batch's gains
-        return cls(gain=np.stack([np.abs(ch.G) ** 2 for ch in realizations]),
+        gain = np.stack([np.abs(ch.G) ** 2 for ch in realizations])
+        return cls(gain=gain, cross=gain * (1.0 - np.eye(gain.shape[-1])),
                    sigma2=np.stack([ch.sigma2 for ch in realizations]),
                    alpha=np.stack([ch.alpha for ch in realizations]),
                    p_max=np.array([ch.p_max for ch in realizations]))
@@ -166,8 +171,7 @@ class ChannelBatch:
 
     def __getitem__(self, rows) -> "ChannelBatch":
         """The realizations at the given row indices, as a batch."""
-        return ChannelBatch(gain=self.gain[rows], sigma2=self.sigma2[rows],
-                            alpha=self.alpha[rows], p_max=self.p_max[rows])
+        return ChannelBatch(**{name: array[rows] for name, array in vars(self).items()})
 
     @property
     def M(self) -> int:
@@ -203,13 +207,13 @@ def _sinr_terms(channels: ChannelRealization | ChannelBatch, p):
     if isinstance(channels, ChannelBatch):
         if p.shape != (len(channels), m):
             raise DimensionError(f"power has shape {p.shape}, expected ({len(channels)}, {m})")
-        gain = channels.gain
+        gain, cross = channels.gain, channels.cross
     else:
         if p.ndim not in (1, 2) or p.shape[-1] != m:
             raise DimensionError(f"power has shape {p.shape}, expected ({m},) or (B, {m})")
         gain = np.abs(channels.G) ** 2
+        cross = gain * (1.0 - np.eye(m))  # an exact 0 at k = m adds nothing to the sum below
     bdiag = np.diagonal(gain, axis1=-2, axis2=-1)
-    cross = gain * (1.0 - np.eye(m))  # an exact 0 at k = m adds nothing to the sum below
     p2 = p ** 2
     direct = p2 * bdiag
     denom = np.einsum("...k,...km->...m", p2, cross) + channels.sigma2
@@ -377,7 +381,10 @@ def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealizatio
             raise ValueError(f"{where}: G is not a matrix of [re, im] pairs") from exc
         if G.shape != (m, m):
             raise ValueError(f"{where}: G has shape {G.shape}, header says M={m}")
-        ch = ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
+        try:
+            ch = ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
         (train if rec["split"] == "train" else test).append(ch)
     if len(train) != header["train"] or len(test) != header["test"]:
         raise ValueError("record counts do not match dataset header")

@@ -290,7 +290,9 @@ def cmd_eval(cfg: dict, checkpoint: str | None, oracle_levels: int | None) -> in
     model_mean = evaluate_mean(model, params, test_set, _train_config(cfg).seeds)
     baseline = wmmse_mean(test_set)
     print(f"model={model.name} test_mean_bpshz={model_mean:.12g}")
-    print(f"wmmse test_mean_bpshz={baseline:.12g} ratio={model_mean / baseline:.6g}")
+    # every rate is 0 when every test realization's gains are, so no ratio
+    ratio = f" ratio={model_mean / baseline:.6g}" if baseline else ""
+    print(f"wmmse test_mean_bpshz={baseline:.12g}{ratio}")
     if oracle_levels is not None:
         oracle_vals = [grid_search_oracle(inst.channels, oracle_levels)[1]
                        for inst in test_set]

@@ -91,7 +91,7 @@ class GcnModel(BatchModel):
         return self.unflatten(flat_params)
 
     def _forward(self, features: np.ndarray, edge: np.ndarray, params: list[np.ndarray],
-                 star_seeds) -> tuple[np.ndarray, _Tape]:
+                 stars) -> tuple[np.ndarray, _Tape]:
         """One pass over graphs of equal size, stacked (B, N, .); every MLP
         product is one GEMM over the stacked edge or node rows. The GCN draws
         no stars."""

@@ -16,26 +16,25 @@ angle (h + 1) * pi / 2. After L layers the power for node m is
 Circuit parameters are shared across nodes and leaves, so the trainable
 count L * depth * (2F+1) * 2 + 2 is independent of the graph size and of k.
 
-Engine: every message of a layer runs the same circuit. The batch path
-both models share (trainer.BatchModel, which also applies the sigmoid)
-groups a call's graphs by size into blocks; a block of B graphs of N nodes
-holds its embeddings as (B, N, F) and each layer's stars as (B, N, s)
-leaves, ascending per star and drawn for the whole block by one keyed
-graph.decompose_stars call, so the N * s (center, leaf, edge) rows of each
-of its graphs, s per center, go through one kernel call. BLOCK_AMPLITUDES
-bounds a block's rows times 2^n. The RY encoding of |0...0> is the real
-product state (x)_q [cos(a_q/2), sin(a_q/2)]; the trainable block is one
-2^n x 2^n unitary U in closed form, read from the circuit's gates: each
-qubit's rotations between CNOT rings fold into one 2x2 factor, each ring is
-a fixed permutation of the basis columns, and U is the product of the
-rings' permuted Kronecker products. The messages are |psi U|^2 @ Z-signs.
-Gradients are exact: every slot x enters as exp(-i x P / 2), so d/dx is
-half the circuit at x + pi, and one adjoint pass (Jones & Gacon,
-arXiv:2009.02823) contracts every slot at once, chained through the
-re-encoding map and the sum-rate objective; an input slot contracts the
-adjoint vector with the product-state factors one qubit at a time. The
-gate-level simulator (qsim) is the independent oracle the tests hold this
-kernel to; the model never runs it.
+Engine: every message of a layer runs the same circuit. The batch path both
+models share (trainer.BatchModel, which also applies the sigmoid) cuts blocks
+from a trainer.Split: a block of B graphs of N nodes holds its embeddings as
+(B, N, F) and each layer's stars as (B, N, s) leaves, ascending per star, from
+one keyed graph.decompose_stars call per layer (frozen ones once per split and
+size), and its N * s (center, leaf, edge) rows, s per center, go through one
+kernel call. BLOCK_AMPLITUDES bounds a block's rows times 2^n. The RY encoding
+of |0...0> is the real product state psi = (x)_q [cos(a_q/2), sin(a_q/2)]; the
+trainable block is one 2^n x 2^n unitary U in closed form from the gates: each
+qubit's rotations between CNOT rings fold into one 2x2 factor, each ring is a
+fixed permutation of the basis columns, and U is the product of the rings'
+permuted Kronecker products. The messages are |psi U|^2 @ Z-signs; the tape
+keeps each layer's row angles, psi and phi = psi U for the backward.
+Gradients are exact: each slot x enters as exp(-i x P / 2), so d/dx is half
+the circuit at x + pi, and one adjoint pass (Jones & Gacon, arXiv:2009.02823)
+over the kept states contracts every slot, chained through the re-encoding
+map and the objective; an input slot contracts the adjoint vector with the
+product-state factors one qubit at a time. The model never runs qsim, the
+tests' oracle for this kernel.
 """
 
 from __future__ import annotations
@@ -225,25 +224,27 @@ class _Kernel:
         self.block = blocks[0]
         self.grad_blocks = blocks[1:].reshape(len(shifts), self.block.size).T  # (2^(2n+1), S)
 
-    def messages(self, angles: np.ndarray) -> np.ndarray:
-        """Z expectations (R, F) of the center qubits for input angles (R, n)."""
-        phi = _product_state(angles) @ self.block
+    def messages(self, angles: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Z expectations (R, F) of the center qubits for input angles (R, n),
+        and the rows for ``vjp``: the angles, their product states psi (R,
+        2^n) and phi = psi U (R, 2^(n+1)) as [Re | Im]."""
+        psi = _product_state(angles)
+        phi = psi @ self.block
         dim = self.block.shape[0]
-        return (phi[:, :dim] ** 2 + phi[:, dim:] ** 2) @ self.signs
+        return (phi[:, :dim] ** 2 + phi[:, dim:] ** 2) @ self.signs, (angles, psi, phi)
 
-    def vjp(self, angles: np.ndarray, w: np.ndarray, graphs: int) -> tuple[np.ndarray, ...]:
+    def vjp(self, rows: tuple, w: np.ndarray, graphs: int) -> tuple[np.ndarray, ...]:
         """Gradients of sum_{r, f} w[r, f] <Z_f>_r at each row's input slots
         (R, n) and at the trainable slots, summed over each of ``graphs``
-        equal runs of rows (graphs, S). With phi = psi U and y = obs *
-        conj(phi), obs = sum_f w[r, f] Z_f, slot x gives 2 Re(y . dphi/dx):
-        psi(a + pi e_q) . Re(U y) for input slot q (``_shifted_dots``), and
-        Re <sum_r psi_r^T y_r, U(theta + pi e_s)> over a graph's rows for
-        trainable slot s."""
-        psi = _product_state(angles)
-        y = np.tile(w @ self.signs.T, 2) * (psi @ self.block)  # [Re y | -Im y]
+        equal runs of rows (graphs, S). With y = obs * conj(phi), obs =
+        sum_f w[r, f] Z_f, slot x gives 2 Re(y . dphi/dx): psi(a + pi e_q) .
+        Re(U y) for input slot q (``_shifted_dots``), and Re <sum_r psi_r^T
+        y_r, U(theta + pi e_s)> over a graph's rows for trainable slot s."""
+        angles, psi, phi = rows  # as ``messages`` formed them
+        y = np.tile(w @ self.signs.T, 2) * phi  # [Re y | -Im y]
         inputs = _shifted_dots(angles, y @ self.block.T)
-        rows = psi.reshape(graphs, -1, psi.shape[1])
-        outer = rows.transpose(0, 2, 1) @ y.reshape(graphs, -1, y.shape[1])  # sum_r psi_r^T y_r
+        psi = psi.reshape(graphs, -1, psi.shape[1])
+        outer = psi.transpose(0, 2, 1) @ y.reshape(graphs, -1, y.shape[1])  # sum_r psi_r^T y_r
         return inputs, outer.reshape(graphs, -1) @ self.grad_blocks
 
 
@@ -260,26 +261,26 @@ def _row_angles(h: np.ndarray, edge: np.ndarray, leaves: np.ndarray) -> np.ndarr
 
 
 def _layer_forward(kernel: _Kernel, h: np.ndarray, edge: np.ndarray,
-                   leaves: np.ndarray) -> np.ndarray:
-    """Every center moves to the mean message of its s leaves; with no
-    leaves (s = 0) the embeddings pass through."""
+                   leaves: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+    """Every center moves to the mean message of its s leaves, and the
+    rows the backward reads; with no leaves (s = 0) h passes through."""
     b, n, s = leaves.shape
     if s == 0:
-        return h.copy()
-    msgs = kernel.messages(_row_angles(h, edge, leaves))
-    return msgs.reshape(b, n, s, -1).sum(axis=2) * (1.0 / s)
+        return h.copy(), None
+    msgs, rows = kernel.messages(_row_angles(h, edge, leaves))
+    return msgs.reshape(b, n, s, -1).sum(axis=2) * (1.0 / s), rows
 
 
-def _layer_backward(kernel: _Kernel, h: np.ndarray, edge: np.ndarray, leaves: np.ndarray,
+def _layer_backward(kernel: _Kernel, rows: tuple | None, leaves: np.ndarray,
                     g_out: np.ndarray, grad_theta: np.ndarray) -> np.ndarray:
     """Loss gradient at the layer input from ``g_out`` at its output; adds
     each graph's trainable-angle gradient into its row of ``grad_theta``."""
     b, n, s = leaves.shape
     if s == 0:
         return g_out
-    f = h.shape[2]
+    f = g_out.shape[2]
     w = np.repeat(g_out.reshape(b * n, f) / s, s, axis=0)  # rows are star-major
-    inputs, theta_grad = kernel.vjp(_row_angles(h, edge, leaves), w, b)
+    inputs, theta_grad = kernel.vjp(rows, w, b)
     grad_theta += theta_grad
     inputs = inputs.reshape(b, n, s, -1) * HALF_PI
     g_in = inputs[..., :f].sum(axis=2)
@@ -291,15 +292,16 @@ def _layer_backward(kernel: _Kernel, h: np.ndarray, edge: np.ndarray, leaves: np
 class _Tape:
     """A forward pass over B graphs of N nodes each, kept for the backward."""
 
-    edge: np.ndarray          # (B, N, N) edge angles
     h: list[np.ndarray]       # (B, N, F) embeddings entering each layer, then the final ones
     leaves: list[np.ndarray]  # (B, N, s) each layer's star leaves, ascending per star
+    rows: list[tuple | None]  # each layer's message rows, as _Kernel.messages gives them
 
 
 class QgnnModel(BatchModel):
     """Adapter bundling the architecture hyperparameters for the trainer."""
 
     name = "qgnn"
+    draws_stars = True
     forward = BatchModel.forward  # bound here too, where tracers look it up
 
     def __init__(self, layers: int = 2, depth: int = 1, k: int = 2):
@@ -325,20 +327,24 @@ class QgnnModel(BatchModel):
         spec = build_qgcl_circuit(NODE_FEATURES, self.depth)
         return params, [_Kernel(spec, theta, grad) for theta in params[:-2]]
 
-    def _forward(self, features: np.ndarray, edge: np.ndarray, prepared,
-                 star_seeds: np.ndarray) -> tuple[np.ndarray, _Tape]:
+    def _stars(self, n: int, star_seeds: np.ndarray) -> list[np.ndarray]:
         """Layer ell of graph b draws its stars with seed star_seeds[b] + ell
-        (uint64, wrapping), one draw per layer for the whole block. The
-        leaves are sorted here, so a layer's bits do not depend on the order
-        a draw lists them in."""
+        (uint64, wrapping), one draw per layer for all the seeds. The leaves
+        are sorted here, so a layer's bits do not depend on the order a draw
+        lists them in."""
+        return [np.sort(decompose_stars(n, self.k, star_seeds + np.uint64(ell)), axis=2)
+                for ell in range(self.layers)]
+
+    def _forward(self, features: np.ndarray, edge: np.ndarray, prepared,
+                 stars: list[np.ndarray]) -> tuple[np.ndarray, _Tape]:
         params, kernels = prepared
-        h, leaves = [initial_embeddings(features)], []
-        for ell, kernel in enumerate(kernels):
-            stars = decompose_stars(features.shape[1], self.k, star_seeds + np.uint64(ell))
-            leaves.append(np.sort(stars, axis=2))
-            h.append(_layer_forward(kernel, h[-1], edge, leaves[-1]))
+        tape = _Tape([initial_embeddings(features)], stars, [])
+        for kernel, leaves in zip(kernels, stars, strict=True):
+            h, rows = _layer_forward(kernel, tape.h[-1], edge, leaves)
+            tape.h.append(h)
+            tape.rows.append(rows)
         scale, bias = params[-2:]
-        return scale * h[-1][:, :, 0] + bias, _Tape(edge, h, leaves)
+        return scale * tape.h[-1][:, :, 0] + bias, tape
 
     def _backward(self, tape: _Tape, prepared, gz: np.ndarray) -> list[np.ndarray]:
         """Per-graph gradients of each parameter array from the loss
@@ -349,6 +355,5 @@ class QgnnModel(BatchModel):
         g = np.zeros_like(tape.h[-1])
         g[:, :, 0] = gz * params[-2]
         for ell in range(len(kernels) - 1, -1, -1):
-            g = _layer_backward(kernels[ell], tape.h[ell], tape.edge, tape.leaves[ell],
-                                g, grads[ell])
+            g = _layer_backward(kernels[ell], tape.rows[ell], tape.leaves[ell], g, grads[ell])
         return grads

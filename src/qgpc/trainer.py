@@ -5,7 +5,10 @@ decoded powers; no solver output is ever used as a label. WMMSE enters only
 as an evaluation baseline on the test split. All randomness flows from three
 named seeds (data, init, stars) through deterministic mixing, so identical
 configurations reproduce identical reports. Both models run one batch path,
-BatchModel, which computes that loss and its gradient at the powers.
+BatchModel, which computes that loss and its gradient at the powers, on
+blocks cut from a Split (instances grouped by size and stacked once). train
+builds one per data split, frozen evaluation stars included, and evaluates
+both with one prepare an epoch; a list entry point builds one per call.
 """
 
 from __future__ import annotations
@@ -60,17 +63,57 @@ class Instance(NamedTuple):
     graph: InterferenceGraph
 
 
+class _SizeGroup(NamedTuple):
+    """The instances of one size N in a Split, in list order."""
+
+    features: np.ndarray      # (B, N, F) node features
+    edge: np.ndarray          # (B, N, N) edge angles
+    channels: ChannelBatch
+    stars: list[np.ndarray]   # frozen evaluation stars: (B, N, s) leaves per layer
+
+
+class Split:
+    """Instances grouped by size and stacked; given seeds, a star-drawing
+    model's frozen evaluation stars too, one _stars call per size."""
+
+    def __init__(self, instances: list[Instance], model: BatchModel | None = None,
+                 seeds: SeedConfig | None = None):
+        self.labels = [inst.label for inst in instances]
+        self.sizes = np.array([inst.graph.N for inst in instances], dtype=int)
+        self.row = np.empty(len(instances), dtype=int)  # each instance's row in its group
+        self.groups: dict[int, _SizeGroup] = {}
+        for n in np.unique(self.sizes).tolist():
+            positions = np.flatnonzero(self.sizes == n)
+            self.row[positions] = np.arange(positions.size)
+            members = [instances[i] for i in positions]
+            self.groups[n] = _SizeGroup(
+                np.stack([inst.graph.node_features for inst in members]),
+                np.stack([inst.graph.edge_angle for inst in members]),
+                ChannelBatch.stack([inst.channels for inst in members]),
+                model._stars(n, eval_star_seed(seeds, positions))
+                if seeds is not None and model.draws_stars else [])
+
+    def select(self, positions: np.ndarray) -> tuple[_SizeGroup, slice | np.ndarray]:
+        """The group of same-size instances at positions, and their rows in
+        it: a slice where the rows run consecutively, so a block is views."""
+        rows = self.row[positions]
+        if np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size)):
+            rows = slice(int(rows[0]), int(rows[0]) + rows.size)
+        return self.groups[int(self.sizes[positions[0]])], rows
+
+
 class BatchModel:
     """The batch path both models share. It owns the flat parameter layout,
-    the stacking of each size_blocks block's graph inputs and the power
-    decode p = p_max * sigmoid(z). A model declares its arrays' shapes
-    (``_shapes``, in flat order) and runs its layers on arrays:
-    ``_forward(features (B, N, F), edge (B, N, N), prepared, star_seeds
-    (B,) uint64)`` gives the (B, N) scores z and a tape, and
+    the blocks cut from a Split and the power decode p = p_max * sigmoid(z).
+    A model declares its arrays' shapes (``_shapes``, in flat order) and
+    runs its layers on arrays: ``_forward(features (B, N, F), edge (B, N,
+    N), prepared, stars)`` gives the (B, N) scores z and a tape, and
     ``_backward(tape, prepared, dloss/dz)`` one (B, *shape) gradient per
-    shape. Results come in input order."""
+    shape. A model that draws stars sets ``draws_stars`` and ``_stars``
+    (each layer's leaves from (B,) uint64 seeds). Results keep input order."""
 
     name: str
+    draws_stars = False
 
     def param_count(self) -> int:
         return sum(math.prod(shape) for shape in self._shapes())
@@ -89,18 +132,22 @@ class BatchModel:
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-0.1, 0.1, size=self.param_count())
 
-    def _blocks(self, instances: list[Instance], prepared, star_seeds):
-        """(idx, ChannelBatch, p, (tape, dp/dz)) of each block of same-size
-        instances: their indices, their stacked channels, their (B, N)
-        decoded powers and what the backward needs."""
-        star_seeds = np.asarray(star_seeds, dtype=np.uint64)
-        sizes = [inst.graph.N for inst in instances]
-        for idx in size_blocks(sizes, self._rows, self._row_budget()):
-            graphs = [instances[i].graph for i in idx]
-            channels = ChannelBatch.stack([instances[i].channels for i in idx])
-            z, tape = self._forward(np.stack([g.node_features for g in graphs]),
-                                    np.stack([g.edge_angle for g in graphs]), prepared,
-                                    star_seeds[idx])
+    def _stars(self, n: int, star_seeds: np.ndarray) -> list[np.ndarray]:
+        return []
+
+    def _blocks(self, split: Split, prepared, star_seeds, members=None):
+        """(idx, ChannelBatch, p, (tape, dp/dz)) of each size_blocks block of
+        the split's instances at positions ``members`` (all, in list order,
+        by default): idx indexes members, p is the block's (B, N) decoded
+        powers. A block draws its stars from star_seeds[idx], or, when
+        star_seeds is None, takes the split's frozen ones."""
+        members = np.arange(len(split.labels)) if members is None else members
+        for idx in size_blocks(split.sizes[members], self._rows, self._row_budget()):
+            group, rows = split.select(members[idx])
+            stars = ([leaves[rows] for leaves in group.stars] if star_seeds is None
+                     else self._stars(group.features.shape[1], star_seeds[idx]))
+            channels = group.channels[rows]
+            z, tape = self._forward(group.features[rows], group.edge[rows], prepared, stars)
             sig = sigmoid(z)
             p = channels.p_max[:, None] * sig
             yield idx, channels, p, (tape, p * (1.0 - sig))
@@ -114,8 +161,8 @@ class BatchModel:
                       star_seeds) -> list[np.ndarray]:
         """Power vector of each instance, drawing its stars from its seed."""
         powers: list[np.ndarray] = [None] * len(instances)
-        for idx, _, p, _ in self._blocks(instances, self._prepare(flat_params, grad=False),
-                                         star_seeds):
+        for idx, _, p, _ in self._blocks(Split(instances), self._prepare(flat_params, grad=False),
+                                         np.asarray(star_seeds, dtype=np.uint64)):
             for i, row in zip(idx, p):
                 powers[i] = row
         return powers
@@ -124,10 +171,17 @@ class BatchModel:
                             star_seeds) -> tuple[np.ndarray, np.ndarray]:
         """Per-instance losses (B,), the negative weighted sum rates, and
         their gradients (B, P)."""
+        return self._loss_and_grad(Split(instances), flat_params,
+                                   np.asarray(star_seeds, dtype=np.uint64),
+                                   np.arange(len(instances)))
+
+    def _loss_and_grad(self, split: Split, flat_params, star_seeds, members):
+        """loss_and_grad_batch of the split's instances at ``members``."""
         prepared = self._prepare(flat_params, grad=True)
-        losses = np.empty(len(instances))
-        grads = np.empty((len(instances), self.param_count()))
-        for idx, channels, p, (tape, dp_dz) in self._blocks(instances, prepared, star_seeds):
+        losses = np.empty(len(members))
+        grads = np.empty((len(members), self.param_count()))
+        for idx, channels, p, (tape, dp_dz) in self._blocks(split, prepared, star_seeds,
+                                                             members):
             losses[idx] = -sum_rate(channels, p)
             dloss_dz = -weighted_sum_rate_grad(channels, p) * dp_dz
             grads[idx] = np.concatenate([g.reshape(len(idx), -1) for g in
@@ -224,26 +278,30 @@ def train_star_seed(seeds: SeedConfig, epoch: int, instance_index) -> np.ndarray
 def evaluate_mean(model: BatchModel, flat_params, instances: list[Instance],
                   seeds: SeedConfig) -> float:
     """Mean objective over instances with frozen evaluation star seeds."""
-    if not instances:
+    return _split_mean(model, model._prepare(flat_params, grad=False),
+                       Split(instances, model, seeds))
+
+
+def _split_mean(model: BatchModel, prepared, split: Split) -> float:
+    """evaluate_mean on a split with frozen stars and prepared parameters."""
+    if not split.labels:
         return float("nan")
-    rates = np.empty(len(instances))
-    bad = {}  # input index -> powers, for each instance with a non-finite power
-    blocks = model._blocks(instances, model._prepare(flat_params, grad=False),
-                           eval_star_seed(seeds, np.arange(len(instances))))
+    rates = np.empty(len(split.labels))
+    bad = {}  # position -> powers, for each instance with a non-finite power
     # an overflow shows up below as a non-finite power, so it does not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, channels, p, _ in blocks:
+        for idx, channels, p, _ in model._blocks(split, prepared, None):
             finite = np.all(np.isfinite(p), axis=1)
             bad.update(zip(idx[~finite].tolist(), p[~finite]))
             rates[idx] = sum_rate(channels, p)
     if bad:
         first = min(bad)  # the first in input order
         raise NonFinitePowerError(
-            f"non-finite power {bad[first].tolist()} for instance {instances[first].label}")
+            f"non-finite power {bad[first].tolist()} for instance {split.labels[first]}")
     total = 0.0
     for rate in rates:  # sequential in input order, so the printed means keep their bits
         total += float(rate)
-    return total / len(instances)
+    return total / len(split.labels)
 
 
 def wmmse_mean(instances: list[Instance]) -> float:
@@ -270,8 +328,13 @@ def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance]
     state = AdamState.zeros(params.size)
 
     baseline_wmmse = wmmse_mean(test_set)
-    baseline_train = evaluate_mean(model, params, train_set, cfg.seeds)
-    baseline_test = evaluate_mean(model, params, test_set, cfg.seeds)
+    splits = [Split(train_set, model, cfg.seeds), Split(test_set, model, cfg.seeds)]
+
+    def means():  # one prepare for both splits
+        prepared = model._prepare(params, grad=False)
+        return [_split_mean(model, prepared, split) for split in splits]
+
+    baseline_train, baseline_test = means()
 
     n_train = len(train_set)
     batch = min(cfg.batch, n_train)
@@ -289,20 +352,20 @@ def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance]
             order = np.arange(n_train)
         for step, start in enumerate(range(0, n_train, batch)):
             members = order[start:start + batch]
+            star_seeds = train_star_seed(cfg.seeds, epoch, members) if model.draws_stars else None
             with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-                losses, grads = model.loss_and_grad_batch(
-                    [train_set[idx] for idx in members], params,
-                    train_star_seed(cfg.seeds, epoch, members),
-                )
+                losses, grads = model._loss_and_grad(splits[0], params, star_seeds, members)
+            finite = np.isfinite(losses) & np.all(np.isfinite(grads), axis=1)
+            if not finite.all():
+                bad = int(np.argmin(finite))  # the first in member order
+                raise NonFiniteLossError(epoch, step, train_set[members[bad]].label,
+                                         float(losses[bad]))
             grad_sum = np.zeros_like(params)
-            for idx, loss, grad in zip(members, losses, grads):
-                if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                    raise NonFiniteLossError(epoch, step, train_set[idx].label, float(loss))
+            for grad in grads:  # sequential in member order, so the sum keeps its bits
                 grad_sum += grad
             t += 1
             params, state = adam_step(params, grad_sum / len(members), state, t, cfg)
-        train_curve[epoch - 1] = evaluate_mean(model, params, train_set, cfg.seeds)
-        test_curve[epoch - 1] = evaluate_mean(model, params, test_set, cfg.seeds)
+        train_curve[epoch - 1], test_curve[epoch - 1] = means()
         seconds[epoch - 1] = time.perf_counter() - started
 
     return TrainReport(

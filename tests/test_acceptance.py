@@ -194,8 +194,9 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(qgnn, "decompose_stars", draw)
+            stars = model._stars(7, np.zeros(1, dtype=np.uint64))
             h = model._forward(star_graph.node_features[None], star_graph.edge_angle[None],
-                               prepared, np.zeros(1, dtype=np.uint64))[1].h[1][0, 0]
+                               prepared, stars)[1].h[1][0, 0]
         assert len(calls) == 1  # the layer drew its stars through the patch
         return h
 

@@ -307,6 +307,23 @@ def test_channel_realization_validation():
         _instance([[1.0]], alpha=-1.0)
     with pytest.raises(ch.DimensionError):
         ch.ChannelRealization(G=np.ones((2, 3)), sigma2=0.1, alpha=1.0, p_max=1.0)
+    # finite entries whose |G|^2 overflows are refused too, without a warning
+    for G in ([[1e308 + 1e308j]], [[1.0, 1e155], [0.0, 1.0]], [[np.nan]], [[np.inf]]):
+        with pytest.raises(ValueError, match=r"\|G\|\^2 must be finite"):
+            _instance(G)
+    assert _instance([[1e153 + 1e153j]]).M == 1  # |G|^2 = 2e306
+
+
+def test_a_batch_carries_its_zero_diagonal_gains_and_the_sinr_reads_them():
+    insts = [ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=s), seed=s)
+             for s in range(4)]
+    batch = ch.ChannelBatch.stack(insts)
+    assert np.array_equal(batch.cross, batch.gain * (1.0 - np.eye(3)))
+    assert np.array_equal(batch[[2, 0]].cross, batch.cross[[2, 0]])
+    p = np.full((4, 3), 0.5)
+    batch.cross = np.zeros_like(batch.cross)  # no interference left: the SINR is direct / noise
+    direct = 0.25 * np.diagonal(batch.gain, axis1=1, axis2=2)
+    assert np.array_equal(ch.sinr(batch, p), direct / batch.sigma2)
 
 
 def test_dataset_round_trip(tmp_path):

@@ -434,6 +434,53 @@ def test_checkpoint_holding_a_json_array_is_refused(tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+def test_checkpoint_that_is_not_utf8_is_refused(tmp_path, capsys):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    capsys.readouterr()
+    assert main(_args(tmp_path) + ["eval", "--checkpoint", str(binary)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: cannot read checkpoint")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_eval_on_a_test_split_whose_gains_are_all_zero_prints_no_ratio(tmp_path, capsys):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    assert main(_args(tmp_path) + ["train"]) == 0
+    path = tmp_path / "dataset.jsonl"
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        record = json.loads(line)
+        if record["split"] == "test":
+            record["G"] = [[[0.0, 0.0]] * 3] * 3
+            lines[i] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(_args(tmp_path) + ["eval", "--oracle-levels", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(" test_mean_bpshz=0") and out[1] == "wmmse test_mean_bpshz=0"
+    assert out[2] == "oracle(levels=3) test_mean_bpshz=0"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dataset_record_whose_gain_power_overflows_is_a_config_error(tmp_path, capsys, command):
+    # finite entries, but |G|^2 = 2e616 is not a float
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    assert main(_args(tmp_path, "--set", "train.epochs=0") + ["train"]) == 0
+    path = tmp_path / "dataset.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[-1])
+    record["G"][1][2] = [1e308, 1e308]
+    lines[-1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(_args(tmp_path) + [command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} line {len(lines)}: |G|^2 must be finite\n"
+
+
 def test_feature_dim_is_not_a_config_key(tmp_path, capsys):
     assert main(_args(tmp_path, "--set", "model.feature_dim=3") + ["train"]) == 2
     assert "unknown config key" in capsys.readouterr().err

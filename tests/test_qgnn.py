@@ -37,7 +37,8 @@ def _random_params(n_layers, depth, seed, scale=0.5):
 def _layer(spec, theta, h, edge_angle, leaves):
     """One layer over one graph with hand-made stars, each ascending."""
     edge = np.asarray(edge_angle, dtype=float)
-    return _layer_forward(_Kernel(spec, theta), h[None], edge[None], np.asarray(leaves)[None])[0]
+    return _layer_forward(_Kernel(spec, theta), h[None], edge[None],
+                          np.asarray(leaves)[None])[0][0]
 
 
 def _model(flat, k):
@@ -49,7 +50,8 @@ def _tape(graph, flat, k, seed):
     """The forward tape over one graph of a depth-1 model, with its own star draw."""
     model = _model(flat, k)
     return model._forward(graph.node_features[None], graph.edge_angle[None],
-                          model._prepare(flat, grad=False), np.array([seed], dtype=np.uint64))[1]
+                          model._prepare(flat, grad=False),
+                          model._stars(graph.N, np.array([seed], dtype=np.uint64)))[1]
 
 
 def _inject(monkeypatch, leaves):
@@ -349,11 +351,11 @@ def test_kernel_matches_gate_level_simulator(feature_dim, depth, data):
     jac = jac.reshape(n_rows, spec.angle_slots, feature_dim)
 
     kernel = _Kernel(spec, theta, grad=True)
-    np.testing.assert_allclose(kernel.messages(angles), gate_level(rows), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kernel.messages(angles)[0], gate_level(rows), rtol=0, atol=1e-12)
     for f in range(feature_dim):
         w = np.zeros((n_rows, feature_dim))
         w[:, f] = 1.0
-        inputs, trainable = kernel.vjp(angles, w, graphs)
+        inputs, trainable = kernel.vjp(kernel.messages(angles)[1], w, graphs)
         np.testing.assert_allclose(inputs, jac[:, :spec.n, f], rtol=0, atol=1e-12)
         per_graph = jac[:, spec.n:, f].reshape(graphs, -1, theta.size).sum(axis=1)
         np.testing.assert_allclose(trainable, per_graph, rtol=0, atol=1e-12)
@@ -410,7 +412,7 @@ def test_prepare_builds_one_block_per_trainable_slot(monkeypatch):
         assert len(kernels) == model.layers
         assert all(k.grad_blocks.shape == (k.block.size, slots) for k in kernels)
         z, _ = model._forward(graph.node_features[None], graph.edge_angle[None], prepared,
-                              np.array([3], dtype=np.uint64))
+                              model._stars(graph.N, np.array([3], dtype=np.uint64)))
         assert np.all(np.isfinite(z))
     losses, grads = model.loss_and_grad_batch(_one(inst, graph), flat, [3])
     assert np.isfinite(losses[0]) and np.all(np.isfinite(grads))
@@ -437,7 +439,7 @@ def test_input_slot_contraction_matches_shifted_states(feature_dim, data):
     y = np.tile(w @ kernel.signs.T, 2) * (psi @ kernel.block)
     shifted = qgnn._product_state((angles[:, None] + np.pi * np.eye(n)).reshape(-1, n))
     want = np.einsum("rqi,ri->rq", shifted.reshape(n_rows, n, -1), y @ kernel.block.T)
-    inputs, _ = kernel.vjp(angles, w, 1)
+    inputs, _ = kernel.vjp(kernel.messages(angles)[1], w, 1)
     np.testing.assert_allclose(inputs, want, rtol=0, atol=1e-13)
 
 

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgpc.gcn as gcn_mod
 import qgpc.qgnn as qgnn_mod
 import qgpc.qsim as qsim_mod
 import qgpc.trainer as trainer_mod
 from qgpc import channels as ch
 from qgpc.gcn import GcnModel
-from qgpc.graph import build_graph, fit_feature_scaler
+from qgpc.graph import build_graph, fit_feature_scaler, mix64
 from qgpc.qgnn import QgnnModel
 from qgpc.trainer import (
     AdamState, BatchModel, Instance, NonFiniteLossError, NonFinitePowerError, SeedConfig,
@@ -284,3 +285,137 @@ def test_size_blocks_partition_graphs_by_size_within_the_budget(sizes, budget, k
         per_graph = rows(sizes[idx[0]])
         assert len(idx) == 1 or len(idx) * per_graph <= budget
         assert per_graph > 0 or len(idx) == 1  # a graph without rows runs alone
+
+
+def _per_block_reference(model, instances, flat, star_seeds):
+    """Powers, losses and gradients of the batch path as it ran before the
+    Split: each size_blocks block of the list stacked on its own."""
+    prepared = model._prepare(flat, grad=True)
+    star_seeds = np.asarray(star_seeds, dtype=np.uint64)
+    powers = [None] * len(instances)
+    losses, grads = np.empty(len(instances)), np.empty((len(instances), flat.size))
+    for idx in ch.size_blocks([inst.graph.N for inst in instances], model._rows,
+                              model._row_budget()):
+        graphs = [instances[i].graph for i in idx]
+        channels = ch.ChannelBatch.stack([instances[i].channels for i in idx])
+        z, tape = model._forward(np.stack([g.node_features for g in graphs]),
+                                 np.stack([g.edge_angle for g in graphs]), prepared,
+                                 model._stars(graphs[0].N, star_seeds[idx]))
+        sig = ch.sigmoid(z)
+        p = channels.p_max[:, None] * sig
+        losses[idx] = -ch.sum_rate(channels, p)
+        dloss_dz = -ch.weighted_sum_rate_grad(channels, p) * (p * (1.0 - sig))
+        grads[idx] = np.concatenate([g.reshape(len(idx), -1) for g in
+                                     model._backward(tape, prepared, dloss_dz)], axis=1)
+        for i, row in zip(idx, p):
+            powers[i] = row
+    return powers, losses, grads
+
+
+@pytest.mark.parametrize("arch", ["qgnn", "gcn"])
+@pytest.mark.parametrize("case", range(3))
+def test_split_blocks_equal_per_block_stacking_bit_for_bit(monkeypatch, arch, case):
+    # small row budgets cut each size into several blocks
+    monkeypatch.setattr(qgnn_mod, "BLOCK_AMPLITUDES", 12 * 2 ** 5)  # 12 message rows
+    monkeypatch.setattr(gcn_mod, "BLOCK_EDGES", 30)
+    rng = np.random.default_rng(900 + case)
+    insts = [_instances(int(m), 1, seed0=1000 * case + 10 * i)[0]._replace(label=f"mixed-{i}")
+             for i, m in enumerate(rng.integers(1, 6, 24))]
+    model = QgnnModel(layers=2, depth=1, k=2) if arch == "qgnn" else GcnModel(hidden=4, layers=2)
+    flat = rng.uniform(-1.0, 1.0, model.param_count())
+    seeds = mix64(case, np.arange(len(insts)))
+
+    powers, want_losses, want_grads = _per_block_reference(model, insts, flat, seeds)
+    got = model.forward_batch(insts, flat, seeds)
+    assert all(np.array_equal(a, b) for a, b in zip(got, powers))
+    losses, grads = model.loss_and_grad_batch(insts, flat, seeds)
+    assert np.array_equal(losses, want_losses) and np.array_equal(grads, want_grads)
+
+    # GCN powers and gradients equal single-instance calls bit for bit; a
+    # QGNN power of N = 2 or 5 may move by an ulp or two (the desk's M = 4 do
+    # not, see the test below)
+    for i, inst in enumerate(insts):
+        alone = model.forward(inst.channels, inst.graph, flat, seeds[i])
+        if arch == "gcn":
+            assert np.array_equal(alone, powers[i])
+            assert np.array_equal(model.loss_and_grad_batch([inst], flat, seeds[i:i + 1])[1][0],
+                                  grads[i])
+        else:
+            np.testing.assert_allclose(alone, powers[i], rtol=1e-15, atol=0)
+
+    split = trainer_mod.Split(insts)  # a shuffled minibatch is a row selection of the split
+    for size in (1, 7, len(insts)):
+        members = rng.permutation(len(insts))[:size]
+        _, want_losses, want_grads = _per_block_reference(model, [insts[i] for i in members],
+                                                          flat, seeds[members])
+        losses, grads = model._loss_and_grad(split, flat, seeds[members], members)
+        assert np.array_equal(losses, want_losses) and np.array_equal(grads, want_grads)
+
+    # the frozen evaluation stars, drawn once per size, are each block's own draws
+    frozen = SeedConfig(stars=case)
+    powers = model.forward_batch(insts, flat, eval_star_seed(frozen, np.arange(len(insts))))
+    total = 0.0
+    for inst, p in zip(insts, powers):
+        total += ch.sum_rate(inst.channels, p)
+    assert evaluate_mean(model, flat, insts, frozen) == total / len(insts)
+
+
+@pytest.fixture(scope="module")
+def desk_sets():
+    """Instances of the desk split sizes at M=4: 300 training, 100 test."""
+    return _instances(4, 300, seed0=3000), _instances(4, 100, seed0=5000, prefix="test")
+
+
+@pytest.mark.parametrize("model", [QgnnModel(), GcnModel()], ids=["qgnn", "gcn"])
+def test_desk_powers_equal_single_instance_calls_bit_for_bit(desk_sets, model):
+    insts = desk_sets[0]
+    flat = np.random.default_rng(7).uniform(-1.0, 1.0, model.param_count())
+    seeds = mix64(7, np.arange(len(insts)))
+    for inst, seed, p in zip(insts, seeds, model.forward_batch(insts, flat, seeds)):
+        assert np.array_equal(model.forward(inst.channels, inst.graph, flat, seed), p)
+
+
+def _counts(monkeypatch, targets, run):
+    """Calls of each target, {key: (owner, attribute)}, during run(1) and
+    run(2): a 1-epoch and a 2-epoch training call."""
+    counts = {}
+    for key, (owner, name) in targets.items():
+        def counting(*args, _key=key, _real=getattr(owner, name), **kwargs):
+            counts[_key] = counts.get(_key, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    seen = []
+    for epochs in (1, 2):
+        counts.clear()
+        run(epochs)
+        seen.append({key: counts.get(key, 0) for key in targets})
+    return seen
+
+
+def test_a_desk_qgnn_epoch_draws_no_evaluation_stars_and_rebuilds_no_state(
+        monkeypatch, desk_sets):
+    targets = {"decompose_stars": (qgnn_mod, "decompose_stars"),
+               "_product_state": (qgnn_mod, "_product_state"),
+               "messages": (qgnn_mod._Kernel, "messages")}
+    one, two = _counts(monkeypatch, targets, lambda epochs: train(
+        QgnnModel(), *desk_sets, TrainConfig(epochs=epochs)))
+    epoch = {name: two[name] - one[name] for name in one}
+    # 2 layers x 10 training blocks of 32 graphs; the evaluation stars, 2
+    # layers for each of the two splits, are drawn once per train call
+    assert epoch["decompose_stars"] == 20
+    assert one["decompose_stars"] == 20 + 2 * 2
+    # every product state is a forward's: the backward reads the kept ones
+    assert epoch["_product_state"] == epoch["messages"] == 20 + 2 * (10 + 4)
+
+
+def test_a_gcn_epoch_stacks_nothing_and_derives_no_star_seeds(monkeypatch, desk_sets):
+    targets = {"ChannelBatch.stack": (ch.ChannelBatch, "stack"), "np.stack": (np, "stack"),
+               "train_star_seed": (trainer_mod, "train_star_seed"),
+               "eval_star_seed": (trainer_mod, "eval_star_seed")}
+    one, two = _counts(monkeypatch, targets, lambda epochs: train(
+        GcnModel(), *desk_sets, TrainConfig(epochs=epochs)))
+    for key in ("ChannelBatch.stack", "np.stack"):  # only the splits' own stacks, before epoch 1
+        assert two[key] == one[key] > 0
+    for key in ("train_star_seed", "eval_star_seed"):
+        assert one[key] == two[key] == 0
