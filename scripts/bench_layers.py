@@ -8,8 +8,10 @@ Run from the root of a source checkout (the package is imported from
 
 Every input is drawn from fixed seeds at the desk config (M=4, 300 train
 and 100 test realizations, QGNN layers 2 / depth 1 / k 2, GCN hidden 16 /
-layers 2), and WMMSE also runs on 100 realizations at M=16, where it takes
-enough sweeps to show their cost (about 1.5 per instance at M=4). Besides
+layers 2). WMMSE also runs on 100 realizations at M=16, where it takes
+enough sweeps to show their cost (about 1.5 per instance at M=4), and the
+GCN on 300 realizations at M=16, the size of the benchmark's GCN workload,
+where its N(N-1) edge rows dominate. Besides
 the kernels it times building the training split (``trainer.Split``) and a
 whole one-epoch desk ``trainer.train`` call of each model: the WMMSE
 baseline, the splits, the untrained evaluation and one full-batch epoch.
@@ -47,7 +49,7 @@ from qgpc.trainer import (  # noqa: E402
 from qgpc.wmmse import wmmse_batch  # noqa: E402
 
 M, TRAIN, TEST = 4, 300, 100
-WMMSE_M = 16  # the second WMMSE size
+WIDE_M = 16  # the second size of WMMSE and the GCN
 REPEATS = 30  # timed calls per kernel
 
 
@@ -71,10 +73,14 @@ def _time(fn) -> dict:
 
 def measure() -> dict[str, dict]:
     train_ch, test_ch = _realizations(TRAIN, 0), _realizations(TEST, TRAIN)
-    wide_ch = _realizations(TEST, TRAIN, WMMSE_M)
+    wide_ch = _realizations(TEST, TRAIN, WIDE_M)
     scaler = fit_feature_scaler(train_ch)
     train_set = [Instance(f"train/{i}", c, build_graph(c, scaler))
                  for i, c in enumerate(train_ch)]
+    wide_train = _realizations(TRAIN, 0, WIDE_M)
+    wide_scaler = fit_feature_scaler(wide_train)
+    wide_set = [Instance(f"train/{i}", c, build_graph(c, wide_scaler))
+                for i, c in enumerate(wide_train)]
     test_set = [Instance(f"test/{i}", c, build_graph(c, scaler)) for i, c in enumerate(test_ch)]
     one_epoch = TrainConfig(epochs=1)
     seeds = SeedConfig()
@@ -101,9 +107,13 @@ def measure() -> dict[str, dict]:
         f"qgnn.evaluate_mean.{TRAIN}": lambda: evaluate_mean(qgnn, q_flat, train_set, seeds),
         f"gcn.loss_and_grad_batch.{TRAIN}": lambda: gcn.loss_and_grad_batch(
             train_set, g_flat, star_seeds),
+        f"gcn.loss_and_grad_batch.{TRAIN}.M{WIDE_M}": lambda: gcn.loss_and_grad_batch(
+            wide_set, g_flat, star_seeds),
+        f"gcn.evaluate_mean.{TRAIN}.M{WIDE_M}": lambda: evaluate_mean(gcn, g_flat, wide_set,
+                                                                      seeds),
         f"graph.decompose_stars.{TRAIN}": lambda: decompose_stars(M, 2, star_seeds),
         f"wmmse.wmmse_batch.{TEST}": lambda: wmmse_batch(test_ch),
-        f"wmmse.wmmse_batch.{TEST}.M{WMMSE_M}": lambda: wmmse_batch(wide_ch),
+        f"wmmse.wmmse_batch.{TEST}.M{WIDE_M}": lambda: wmmse_batch(wide_ch),
         f"trainer.Split.{TRAIN}": lambda: Split(train_set),
         "trainer.train.qgnn.1_epoch": lambda: train(qgnn, train_set, test_set, one_epoch),
         "trainer.train.gcn.1_epoch": lambda: train(gcn, train_set, test_set, one_epoch),

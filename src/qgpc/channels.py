@@ -72,7 +72,8 @@ class ChannelRealization:
         self.sigma2 = np.broadcast_to(np.asarray(self.sigma2, dtype=float), (m,)).copy()
         self.alpha = np.broadcast_to(np.asarray(self.alpha, dtype=float), (m,)).copy()
         # max is NaN at a NaN entry; a Python float product overflows quietly
-        peak = float(np.abs(self.G).max(initial=0.0))
+        magnitude = np.abs(self.G)
+        peak = float(magnitude.max(initial=0.0))
         if not math.isfinite(peak * peak):
             raise ValueError("|G|^2 must be finite")
         if not np.all(np.isfinite(self.sigma2) & (self.sigma2 > 0)):
@@ -81,6 +82,14 @@ class ChannelRealization:
             raise ValueError("alpha must be non-negative and finite")
         if not (np.isfinite(self.p_max) and self.p_max > 0):
             raise ValueError("p_max must be positive and finite")
+        # the SINR kernel's largest sums, every transmitter at p_max plus noise,
+        # must be finite; they are formed only when a bound on them overflows
+        p_max = float(self.p_max)
+        if not math.isfinite(p_max * p_max * peak * peak * m + float(self.sigma2.max())):
+            with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN: refused
+                received = p_max * p_max * (magnitude * magnitude).sum(axis=0) + self.sigma2
+            if not np.all(np.isfinite(received)):
+                raise ValueError("the power received at p_max must be finite")
 
     @property
     def M(self) -> int:

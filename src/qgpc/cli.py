@@ -202,11 +202,14 @@ def cmd_gen(cfg: dict) -> int:
                 M=sc["M"], d=sc["d"], d_min=sc["d_min"], d_max=sc["d_max"],
                 seed=mix_seed(data_seed, _GEOM_STREAM_TAG, tag, idx),
             )
-            splits[split].append(ch.realize_channels(
-                scen, pathloss_exp=sc["pathloss_exp"], sigma2=sc["sigma2"],
-                alpha=sc["alpha"], p_max=sc["p_max"],
-                seed=mix_seed(data_seed, _FADE_STREAM_TAG, tag, idx),
-            ))
+            try:
+                splits[split].append(ch.realize_channels(
+                    scen, pathloss_exp=sc["pathloss_exp"], sigma2=sc["sigma2"],
+                    alpha=sc["alpha"], p_max=sc["p_max"],
+                    seed=mix_seed(data_seed, _FADE_STREAM_TAG, tag, idx),
+                ))
+            except ValueError as exc:  # the scenario's numbers overflow a realization
+                raise ConfigError(f"{split} realization {idx}: {exc}") from exc
     path = _dataset_path(cfg)
     meta = {"seed": data_seed, "scenario": {key: sc[key] for key in
             ("d", "d_min", "d_max", "pathloss_exp")}}

@@ -33,11 +33,13 @@ _ORDER_STREAM_TAG = 0x4F5244  # distinguishes minibatch shuffling draws
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training aborted on a non-finite loss."""
+    """Training aborted on a non-finite loss, or a finite loss (value) whose
+    gradient is not finite."""
 
     def __init__(self, epoch: int, step: int, instance: str, value: float):
+        what = f"gradient of the loss {value!r}" if math.isfinite(value) else f"loss {value!r}"
         super().__init__(
-            f"non-finite loss {value!r} at epoch {epoch}, step {step}, instance {instance}"
+            f"non-finite {what} at epoch {epoch}, step {step}, instance {instance}"
         )
         self.epoch = epoch
         self.step = step

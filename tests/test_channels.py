@@ -312,6 +312,13 @@ def test_channel_realization_validation():
         with pytest.raises(ValueError, match=r"\|G\|\^2 must be finite"):
             _instance(G)
     assert _instance([[1e153 + 1e153j]]).M == 1  # |G|^2 = 2e306
+    # so is a receiver's power at p_max plus noise that overflows, or that the
+    # kernel's p^2 |g|^2 terms make NaN; every |g|^2 = 1e308 alone is a float
+    for kwargs in ({"G": [[1e154, 0.0], [1e154, 1.0]]}, {"G": [[1e154]], "p_max": 2.0},
+                   {"G": [[1e154]], "sigma2": 1e308}, {"G": [[0.0]], "p_max": 1e200}):
+        with pytest.raises(ValueError, match="the power received at p_max must be finite"):
+            _instance(**kwargs)
+    assert _instance([[1e154, 0.0], [1e153, 1.0]]).M == 2  # the sum is 1.01e308
 
 
 def test_a_batch_carries_its_zero_diagonal_gains_and_the_sinr_reads_them():

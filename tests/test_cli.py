@@ -481,6 +481,35 @@ def test_dataset_record_whose_gain_power_overflows_is_a_config_error(tmp_path, c
     assert captured.err == f"error: {path} line {len(lines)}: |G|^2 must be finite\n"
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dataset_record_whose_received_power_overflows_is_a_config_error(tmp_path, capsys,
+                                                                        command):
+    # each |g|^2 = 1e308 is a float, but one receiver's sum of three is not
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    assert main(_args(tmp_path, "--set", "train.epochs=0") + ["train"]) == 0
+    path = tmp_path / "dataset.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["split"] == "train"
+    for row in record["G"]:
+        row[0] = [1e154, 0.0]
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(_args(tmp_path) + [command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} line 2: the power received at p_max must be finite\n"
+
+
+def test_gen_whose_p_max_overflows_the_received_power_is_a_config_error(tmp_path, capsys):
+    assert main(_args(tmp_path, "--set", "scenario.p_max=1e200") + ["gen"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "dataset.jsonl").exists()
+    assert captured.err == ("error: train realization 0: "
+                            "the power received at p_max must be finite\n")
+
+
 def test_feature_dim_is_not_a_config_key(tmp_path, capsys):
     assert main(_args(tmp_path, "--set", "model.feature_dim=3") + ["train"]) == 2
     assert "unknown config key" in capsys.readouterr().err

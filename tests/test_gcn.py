@@ -114,6 +114,25 @@ def test_loss_matches_forward_and_gradient_matches_finite_differences():
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("layers", [1, 3])
+def test_gradient_matches_finite_differences_across_sizes_and_depths(n, layers):
+    inst, graph = _instance(n, seed=60 + n)
+    model, flat0 = _random_params(5, layers, seed=60 + layers)
+    _, grad = _loss_and_grad(inst, graph, model, flat0)
+
+    def f(flat):
+        return -weighted_sum_rate(sinr(inst, _powers(inst, graph, model, flat)), inst.alpha)
+
+    fd = np.zeros_like(flat0)
+    for i in range(flat0.size):
+        e = np.zeros_like(flat0)
+        e[i] = 1e-5
+        fd[i] = (f(flat0 + e) - f(flat0 - e)) / 2e-5
+    assert np.linalg.norm(fd) > 0
+    assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
+
+
 def test_gradient_is_deterministic():
     inst, graph = _instance(3, seed=6)
     model, flat = _random_params(4, 1, seed=6)
@@ -141,22 +160,27 @@ def test_max_aggregation_matches_per_node_loop():
     model, flat = _random_params(6, 2, seed=9)
     where = model.unflatten(np.arange(flat.size))[2][:, 0]  # flat positions of layer 0's msg_w2
     flat[where.astype(int)] = 0.0  # column 0 ties across every edge
-    params = model.unflatten(flat)
-    z, tape = model._forward(*_stacked(graphs), params, None)
+    prepared = model._prepare(flat, grad=True)
+    params = prepared[0]
+    z, tape = model._forward(*_stacked(graphs), prepared, None)
     n = graphs[0].N
-    assert tape.src.tolist() == [u for v in range(n) for u in range(n) if u != v]
-    dst = np.array([v for v in range(n) for u in range(n) if u != v])
-    for ell, (h_in, (_, _, a1, amax, u, _, _)) in enumerate(zip(tape.h, tape.caches)):
+    # edge j * n + v is the j-th edge into v, the sources into v ascending in j
+    src, dst = gcn._complete_edges(n)
+    assert src.tolist() == [j + (j >= v) for j in range(n - 1) for v in range(n)]
+    assert dst.tolist() == [v for j in range(n - 1) for v in range(n)]
+    assert gcn._complete_edges(n)[0] is src and not (src.flags.writeable or dst.flags.writeable)
+    for ell, (h_in, (a1, won, u, _)) in enumerate(zip(tape.h, tape.caches)):
         msg_w2, msg_b2 = params[8 * ell + 2:8 * ell + 4]
-        msgs = (a1 @ msg_w2 + msg_b2).reshape(len(graphs), dst.size, -1)
+        # the tape keeps the messages before their bias, which joins after the max
+        msgs = (a1 @ msg_w2).reshape(len(graphs), dst.size, -1)
         u = u.reshape(len(graphs), n, -1)
         cols = np.arange(msgs.shape[2])
         for b in range(len(graphs)):
             for v in range(n):
                 rows = np.nonzero(dst == v)[0]
                 top = np.argmax(msgs[b, rows], axis=0)  # first index wins a tie
-                assert np.array_equal(u[b, v, h_in.shape[2]:], msgs[b, rows][top, cols])
-                assert np.array_equal(amax[b, v, 0], top)
+                assert np.array_equal(u[b, v, h_in.shape[2]:], msgs[b, rows][top, cols] + msg_b2)
+                assert np.array_equal(won[b, :, v], np.arange(n - 1)[:, None] == top)
     assert not np.array_equal(z[0], z[1])
 
 
@@ -181,3 +205,25 @@ def test_batch_calls_match_single_instance_calls(monkeypatch):
         (loss,), (grad,) = model.loss_and_grad_batch([inst], flat, [0])
         assert losses[i] == pytest.approx(loss, rel=1e-13)
         np.testing.assert_allclose(grads[i], grad, rtol=0, atol=1e-13 * np.abs(grad).max())
+
+
+@pytest.mark.parametrize("budget", [30, gcn.BLOCK_EDGES])
+def test_forward_only_scores_equal_the_gradient_paths_bit_for_bit(budget):
+    rng = np.random.default_rng(77)
+    sizes = [1, 6] + rng.integers(1, 7, 28).tolist()
+    insts = [ch.realize_channels(ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=80 + i),
+                                 seed=580 + i) for i, m in enumerate(sizes)]
+    scaler = fit_feature_scaler(insts)
+    graphs = [build_graph(c, scaler) for c in insts]
+    model, flat = _random_params(6, 2, seed=77)
+    where = model.unflatten(np.arange(flat.size))[2][:, 1]  # flat positions of layer 0's msg_w2
+    flat[where.astype(int)] = 0.0  # column 1 ties across every edge
+    blocks = list(ch.size_blocks(sizes, model._rows, budget))
+    sixes = [idx for idx in blocks if sizes[idx[0]] == 6]  # 30 edge rows each
+    assert len(sixes) == (sizes.count(6) if budget == 30 else 1)
+    for idx in blocks:
+        block = _stacked([graphs[i] for i in idx])
+        z, tape = model._forward(*block, model._prepare(flat, grad=False), None)
+        z_grad, tape_grad = model._forward(*block, model._prepare(flat, grad=True), None)
+        assert tape is None and tape_grad is not None
+        assert np.array_equal(z, z_grad)

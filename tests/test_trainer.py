@@ -221,6 +221,23 @@ def test_train_aborts_on_non_finite_loss_with_context():
     assert np.isnan(err.value.value)
 
 
+def test_train_names_the_gradient_when_only_the_gradient_is_non_finite():
+    class NanGradModel(_NanModel):
+        def _forward(self, features, edge, grad, star_seeds):
+            return np.zeros(features.shape[:2]), None
+
+        def _backward(self, tape, grad, dloss_dz):
+            return [np.full((len(dloss_dz), 2), np.nan)]
+
+    insts = _instances(2, 3, seed0=150)
+    with pytest.raises(NonFiniteLossError) as err:
+        train(NanGradModel(), insts, insts[:1], TrainConfig(epochs=2))
+    assert np.isfinite(err.value.value)
+    assert str(err.value) == (f"non-finite gradient of the loss {err.value.value!r} "
+                              "at epoch 1, step 0, instance train-0")
+    assert "non-finite loss nan at" in str(NonFiniteLossError(1, 0, "x", float("nan")))
+
+
 def test_evaluate_mean_names_the_first_non_finite_instance_in_input_order():
     # blocks run by size, 2 then 3 then 4, so a size-3 instance fails first
     sizes = [4, 2, 3, 2, 3, 4]
