@@ -11,8 +11,10 @@ and 100 test realizations, QGNN layers 2 / depth 1 / k 2, GCN hidden 16 /
 layers 2). WMMSE also runs on 100 realizations at M=16, where it takes
 enough sweeps to show their cost (about 1.5 per instance at M=4), and the
 GCN on 300 realizations at M=16, the size of the benchmark's GCN workload,
-where its N(N-1) edge rows dominate. Besides
-the kernels it times building the training split (``trainer.Split``) and a
+where its N(N-1) edge rows dominate. The QGNN kernel's ``messages`` and
+``vjp`` run on one full desk block at the block budget
+(``channels.BLOCK_BYTES``), with its graph count. Besides the kernels it
+times building the training split (``trainer.Split``) and a
 whole one-epoch desk ``trainer.train`` call of each model: the WMMSE
 baseline, the splits, the untrained evaluation and one full-batch epoch.
 Each call is timed REPEATS times after one warm-up call, at one BLAS
@@ -42,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qgpc import channels as ch  # noqa: E402
 from qgpc.gcn import GcnModel  # noqa: E402
 from qgpc.graph import build_graph, decompose_stars, fit_feature_scaler  # noqa: E402
-from qgpc.qgnn import BLOCK_AMPLITUDES, QgnnModel, input_slot_count  # noqa: E402
+from qgpc.qgnn import QgnnModel, input_slot_count  # noqa: E402
 from qgpc.trainer import (  # noqa: E402
     Instance, SeedConfig, Split, TrainConfig, evaluate_mean, train, train_star_seed,
 )
@@ -90,21 +92,24 @@ def measure() -> dict[str, dict]:
     qgnn = QgnnModel(layers=2, depth=1, k=2)
     q_flat = qgnn.init_params(rng)
     kernel = qgnn._prepare(q_flat, grad=True)[1][0]
-    rows = BLOCK_AMPLITUDES >> input_slot_count(2)  # one full block: 32 graphs of 8 rows
+    # one full desk block at the block budget: its graphs of M min(k, M-1) rows
+    graphs = len(next(ch.size_blocks([M] * TRAIN, qgnn._item_bytes)))
+    rows = graphs * M * min(qgnn.k, M - 1)
     angles = rng.uniform(0.0, np.pi, (rows, input_slot_count(2)))
     w = rng.standard_normal((rows, 2))
-    kept = kernel.messages(angles)[1]  # the rows vjp reads, as a forward keeps them
+    kept = kernel.messages(angles, graphs)[1]  # the rows vjp reads, as a forward keeps them
     gcn = GcnModel(hidden=16, layers=2)
     g_flat = gcn.init_params(rng)
 
     calls = {
         "qgnn._prepare.grad": lambda: qgnn._prepare(q_flat, grad=True),
         "qgnn._prepare.no_grad": lambda: qgnn._prepare(q_flat, grad=False),
-        f"qgnn._Kernel.messages.{rows}_rows": lambda: kernel.messages(angles),
-        f"qgnn._Kernel.vjp.{rows}_rows": lambda: kernel.vjp(kept, w, 32),
+        f"qgnn._Kernel.messages.{rows}_rows": lambda: kernel.messages(angles, graphs),
+        f"qgnn._Kernel.vjp.{rows}_rows": lambda: kernel.vjp(kept, w, graphs),
         f"qgnn.loss_and_grad_batch.{TRAIN}": lambda: qgnn.loss_and_grad_batch(
             train_set, q_flat, star_seeds),
         f"qgnn.evaluate_mean.{TRAIN}": lambda: evaluate_mean(qgnn, q_flat, train_set, seeds),
+        f"qgnn.evaluate_mean.{TEST}": lambda: evaluate_mean(qgnn, q_flat, test_set, seeds),
         f"gcn.loss_and_grad_batch.{TRAIN}": lambda: gcn.loss_and_grad_batch(
             train_set, g_flat, star_seeds),
         f"gcn.loss_and_grad_batch.{TRAIN}.M{WIDE_M}": lambda: gcn.loss_and_grad_batch(

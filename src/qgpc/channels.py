@@ -32,6 +32,9 @@ DEFAULT_PATHLOSS_EXP = 3.0
 DEFAULT_NOISE_POWER = 1e-2
 DEFAULT_WEIGHT = 1.0
 DEFAULT_P_MAX = 1.0
+# the bytes a block's items keep live, as each kernel counts them: 85 desk QGNN
+# graphs (680 message rows), 2048 edge rows of a 16-wide GCN, 2^16 WMMSE row gains
+BLOCK_BYTES = 1 << 19
 
 
 class GeometryError(ValueError):
@@ -187,18 +190,20 @@ class ChannelBatch:
         return self.gain.shape[-1]
 
 
-def size_blocks(sizes, rows: Callable[[int], int], budget: int):
-    """Index arrays of same-size items, smallest size first, each holding at
-    most ``budget`` rows of ``rows(n)`` per item of size n (one item when a
-    single item has more). The one grouping rule of the batch paths: model
-    graphs, their channels and WMMSE's instances all run in these blocks."""
+def size_blocks(sizes, item_bytes: Callable[[int], int]):
+    """Index arrays of same-size items, smallest size first, each holding
+    items of ``item_bytes(n)`` bytes (an item of size n) that sum to at
+    most BLOCK_BYTES (one item when a single item has more). The one
+    grouping rule of the batch paths: model graphs, their channels and
+    WMMSE's instances all run in these blocks, each kernel counting the
+    bytes its items keep live."""
     sizes = np.asarray(sizes)
     for n in np.unique(sizes):
         members = np.flatnonzero(sizes == n)
-        per_item = rows(int(n))
+        per_item = item_bytes(int(n))
         # an item without rows runs alone, as in a single-item call: numpy
         # sends a one-row product to gemv, which rounds otherwise than gemm
-        step = max(1, budget // per_item) if per_item else 1
+        step = max(1, BLOCK_BYTES // per_item) if per_item else 1
         for lo in range(0, members.size, step):
             yield members[lo:lo + step]
 
@@ -268,7 +273,8 @@ def weighted_sum_rate_grad(channels: ChannelRealization | ChannelBatch, p) -> np
     p, cross, bdiag, direct, denom = _sinr_terms(channels, p)
     pref = channels.alpha / (np.log(2.0) * (1.0 + direct / denom))  # d obj / d gamma_m
     grad = pref * 2.0 * bdiag * p / denom
-    weight = pref * direct / denom ** 2  # on each interference term
+    # on each interference term; denom ** 2 would underflow for tiny gains and noise
+    weight = pref * (direct / denom) / denom
     grad -= 2.0 * p * (cross * weight[..., None, :]).sum(axis=-1)
     return grad
 

@@ -16,9 +16,10 @@ gradient per graph. The message MLP's first layer splits into a node term
 h_u W + b, one product over the block's node rows gathered to the edges,
 and an edge term e_uv w; its second layer is one product over the edge
 rows, and its bias joins after the max, on node rows. A forward prepared
-without the gradient keeps no tape. BLOCK_EDGES, the GCN's row budget,
-bounds the N(N-1) edge rows of a block, so the working set does not grow
-with the batch.
+without the gradient keeps no tape. A block holds graphs whose N(N-1) edge
+rows' hidden activations and messages, H floats each, fit
+channels.BLOCK_BYTES (2048 edge rows at H = 16), so the working set does not
+grow with the batch.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import numpy as np
 
 from .graph import NODE_FEATURES
 from .trainer import BatchModel
-
-BLOCK_EDGES = 2048  # message rows per kernel call: 256 KB per (rows, 16) temporary
 
 
 @functools.cache
@@ -88,11 +87,10 @@ class GcnModel(BatchModel):
     def arch_dict(self) -> dict:
         return {"hidden": self.hidden, "layers": self.layers}
 
-    def _rows(self, n: int) -> int:
-        return n * (n - 1)
-
-    def _row_budget(self) -> int:
-        return BLOCK_EDGES
+    def _item_bytes(self, n: int) -> int:
+        """A graph's N(N-1) edge rows each keep the message MLP's hidden
+        activation and its message live, H floats each."""
+        return n * (n - 1) * 2 * self.hidden * 8
 
     def _prepare(self, flat_params, grad: bool) -> tuple[list[np.ndarray], bool]:
         return self.unflatten(flat_params), grad

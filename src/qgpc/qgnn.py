@@ -22,9 +22,15 @@ from a trainer.Split: a block of B graphs of N nodes holds its embeddings as
 (B, N, F) and each layer's stars as (B, N, s) leaves, ascending per star, from
 one keyed graph.decompose_stars call per layer (frozen ones once per split and
 size), and its N * s (center, leaf, edge) rows, s per center, go through one
-kernel call. BLOCK_AMPLITUDES bounds a block's rows times 2^n. The RY encoding
-of |0...0> is the real product state psi = (x)_q [cos(a_q/2), sin(a_q/2)]; the
-trainable block is one 2^n x 2^n unitary U in closed form from the gates: each
+kernel call. A block holds graphs whose rows' psi and phi = psi U, 2^n and
+2^(n+1) floats, fit channels.BLOCK_BYTES (680 rows at M = 4, k = 2). Every
+kernel product runs per graph, a stacked (graphs, rows, K) matmul, except
+the trainable slots' contraction, whose products all hold OUTER_GRAPHS
+graphs (the last zero-padded); so a graph's powers, loss and gradient have
+the same bits in any block. A forward prepared without the gradient keeps
+no tape. The RY encoding of |0...0> is the real product state
+psi = (x)_q [cos(a_q/2), sin(a_q/2)]; the trainable block is one
+2^n x 2^n unitary U in closed form from the gates: each
 qubit's rotations between CNOT rings fold into one 2x2 factor, each ring is a
 fixed permutation of the basis columns, and U is the product of the rings'
 permuted Kronecker products. The messages are |psi U|^2 @ Z-signs; the tape
@@ -52,7 +58,7 @@ from .qsim import CircuitError, CircuitSpec, Gate, _z_signs, run_batch  # noqa: 
 from .trainer import BatchModel
 
 HALF_PI = np.pi / 2.0
-BLOCK_AMPLITUDES = 8192  # amplitudes per kernel temporary: 64 KB of float64
+OUTER_GRAPHS = 16  # graphs per product of the adjoint outer products with grad_blocks
 
 
 def input_slot_count(feature_dim: int) -> int:
@@ -212,10 +218,20 @@ def _shifted_dots(angles: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x[:, 1:, 0]
 
 
+def _per_graph(a: np.ndarray, b: np.ndarray, graphs: int) -> np.ndarray:
+    """a @ b for rows of a stacked as ``graphs`` equal runs, one product per
+    graph: BLAS rounds a row by the shape of the product it sits in, so a
+    graph's rows keep their bits in any block."""
+    return (a.reshape(graphs, -1, a.shape[1]) @ b).reshape(len(a), -1)
+
+
 class _Kernel:
     """A layer's message circuit at trainable angles theta: the block U as
     [Re U | Im U], in closed form (``_unitaries``); with ``grad``, also the
-    blocks at theta + pi e_s, one per trainable slot s, from the same call."""
+    blocks at theta + pi e_s, one per trainable slot s, from the same call.
+    Rows come as ``graphs`` equal runs, one per graph. Every product runs
+    per graph, or in products of one fixed shape, so a graph's results do
+    not depend on its block."""
 
     def __init__(self, spec: CircuitSpec, theta: np.ndarray, grad: bool = False):
         self.signs = np.stack([_z_signs(spec.n, (q,)) for q in range(spec.n // 2)], axis=1)
@@ -224,28 +240,43 @@ class _Kernel:
         self.block = blocks[0]
         self.grad_blocks = blocks[1:].reshape(len(shifts), self.block.size).T  # (2^(2n+1), S)
 
-    def messages(self, angles: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def messages(self, angles: np.ndarray,
+                 graphs: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Z expectations (R, F) of the center qubits for input angles (R, n),
         and the rows for ``vjp``: the angles, their product states psi (R,
         2^n) and phi = psi U (R, 2^(n+1)) as [Re | Im]."""
         psi = _product_state(angles)
-        phi = psi @ self.block
+        phi = _per_graph(psi, self.block, graphs)
         dim = self.block.shape[0]
-        return (phi[:, :dim] ** 2 + phi[:, dim:] ** 2) @ self.signs, (angles, psi, phi)
+        prob = phi[:, :dim] ** 2
+        prob += phi[:, dim:] ** 2
+        return _per_graph(prob, self.signs, graphs), (angles, psi, phi)
 
     def vjp(self, rows: tuple, w: np.ndarray, graphs: int) -> tuple[np.ndarray, ...]:
         """Gradients of sum_{r, f} w[r, f] <Z_f>_r at each row's input slots
-        (R, n) and at the trainable slots, summed over each of ``graphs``
-        equal runs of rows (graphs, S). With y = obs * conj(phi), obs =
-        sum_f w[r, f] Z_f, slot x gives 2 Re(y . dphi/dx): psi(a + pi e_q) .
-        Re(U y) for input slot q (``_shifted_dots``), and Re <sum_r psi_r^T
-        y_r, U(theta + pi e_s)> over a graph's rows for trainable slot s."""
+        (R, n) and at the trainable slots, summed over each graph's rows
+        (graphs, S). With y = obs * conj(phi), obs = sum_f w[r, f] Z_f, slot
+        x gives 2 Re(y . dphi/dx): psi(a + pi e_q) . Re(U y) for input slot q
+        (``_shifted_dots``), and Re <sum_r psi_r^T y_r, U(theta + pi e_s)>
+        over a graph's rows for trainable slot s."""
         angles, psi, phi = rows  # as ``messages`` formed them
-        y = np.tile(w @ self.signs.T, 2) * phi  # [Re y | -Im y]
-        inputs = _shifted_dots(angles, y @ self.block.T)
-        psi = psi.reshape(graphs, -1, psi.shape[1])
-        outer = psi.transpose(0, 2, 1) @ y.reshape(graphs, -1, y.shape[1])  # sum_r psi_r^T y_r
-        return inputs, outer.reshape(graphs, -1) @ self.grad_blocks
+        y = np.tile(_per_graph(w, self.signs.T, graphs), 2)
+        y *= phi  # [Re y | -Im y]
+        inputs = _shifted_dots(angles, _per_graph(y, self.block.T, graphs))
+        psi_t = psi.reshape(graphs, -1, psi.shape[1]).transpose(0, 2, 1)
+        y = y.reshape(graphs, -1, y.shape[1])
+        trainable = np.empty((graphs, self.grad_blocks.shape[1]))
+        # each chunk of graphs' outer products is one product of the same
+        # shape, the last chunk zero-padded: BLAS gives a row of a product of
+        # fixed shape the same bits wherever it sits and whatever the other
+        # rows hold, and one product reads grad_blocks once, not per graph
+        outer = np.zeros((OUTER_GRAPHS, psi_t.shape[1], y.shape[2]))
+        for lo in range(0, graphs, OUTER_GRAPHS):
+            n = min(OUTER_GRAPHS, graphs - lo)
+            np.matmul(psi_t[lo:lo + n], y[lo:lo + n], out=outer[:n])  # sum_r psi_r^T y_r
+            outer[n:] = 0.0
+            trainable[lo:lo + n] = (outer.reshape(OUTER_GRAPHS, -1) @ self.grad_blocks)[:n]
+        return inputs, trainable
 
 
 def _row_angles(h: np.ndarray, edge: np.ndarray, leaves: np.ndarray) -> np.ndarray:
@@ -254,8 +285,8 @@ def _row_angles(h: np.ndarray, edge: np.ndarray, leaves: np.ndarray) -> np.ndarr
     for embeddings h (B, N, F), edge angles (B, N, N), sorted leaves (B, N, s)."""
     graph = np.arange(len(leaves))[:, None, None]
     center = np.broadcast_to(np.arange(leaves.shape[1])[:, None], leaves.shape)
-    rows = np.concatenate([embedding_to_angle(h[graph, center]),
-                           embedding_to_angle(h[graph, leaves]),
+    angle = embedding_to_angle(h)
+    rows = np.concatenate([angle[graph, center], angle[graph, leaves],
                            edge[graph, leaves, center][..., None]], axis=3)
     return rows.reshape(-1, rows.shape[3])
 
@@ -267,7 +298,7 @@ def _layer_forward(kernel: _Kernel, h: np.ndarray, edge: np.ndarray,
     b, n, s = leaves.shape
     if s == 0:
         return h.copy(), None
-    msgs, rows = kernel.messages(_row_angles(h, edge, leaves))
+    msgs, rows = kernel.messages(_row_angles(h, edge, leaves), b)
     return msgs.reshape(b, n, s, -1).sum(axis=2) * (1.0 / s), rows
 
 
@@ -316,16 +347,15 @@ class QgnnModel(BatchModel):
     def arch_dict(self) -> dict:
         return {"layers": self.layers, "depth": self.depth, "k": self.k}
 
-    def _rows(self, n: int) -> int:
-        return n * min(self.k, n - 1)
+    def _item_bytes(self, n: int) -> int:
+        """A graph's N min(k, N-1) message rows each keep their product state
+        psi and phi = psi U on the tape, 2^n and 2^(n+1) floats (n qubits)."""
+        return n * min(self.k, n - 1) * 3 * 2 ** input_slot_count(NODE_FEATURES) * 8
 
-    def _row_budget(self) -> int:  # each (rows, 2^n) kernel temporary holds BLOCK_AMPLITUDES
-        return BLOCK_AMPLITUDES >> input_slot_count(NODE_FEATURES)
-
-    def _prepare(self, flat_params, grad: bool) -> tuple[list[np.ndarray], list[_Kernel]]:
+    def _prepare(self, flat_params, grad: bool) -> tuple[list[np.ndarray], list[_Kernel], bool]:
         params = self.unflatten(flat_params)
         spec = build_qgcl_circuit(NODE_FEATURES, self.depth)
-        return params, [_Kernel(spec, theta, grad) for theta in params[:-2]]
+        return params, [_Kernel(spec, theta, grad) for theta in params[:-2]], grad
 
     def _stars(self, n: int, star_seeds: np.ndarray) -> list[np.ndarray]:
         """Layer ell of graph b draws its stars with seed star_seeds[b] + ell
@@ -336,20 +366,25 @@ class QgnnModel(BatchModel):
                 for ell in range(self.layers)]
 
     def _forward(self, features: np.ndarray, edge: np.ndarray, prepared,
-                 stars: list[np.ndarray]) -> tuple[np.ndarray, _Tape]:
-        params, kernels = prepared
-        tape = _Tape([initial_embeddings(features)], stars, [])
+                 stars: list[np.ndarray]) -> tuple[np.ndarray, _Tape | None]:
+        """Scores of graphs of equal size, stacked (B, N, .); the tape is
+        None unless prepared for the gradient, so a forward-only pass drops
+        each layer's rows once the layer is done."""
+        params, kernels, grad = prepared
+        h = initial_embeddings(features)
+        tape = _Tape([h], stars, []) if grad else None
         for kernel, leaves in zip(kernels, stars, strict=True):
-            h, rows = _layer_forward(kernel, tape.h[-1], edge, leaves)
-            tape.h.append(h)
-            tape.rows.append(rows)
+            h, rows = _layer_forward(kernel, h, edge, leaves)
+            if grad:
+                tape.h.append(h)
+                tape.rows.append(rows)
         scale, bias = params[-2:]
-        return scale * tape.h[-1][:, :, 0] + bias, tape
+        return scale * h[:, :, 0] + bias, tape
 
     def _backward(self, tape: _Tape, prepared, gz: np.ndarray) -> list[np.ndarray]:
         """Per-graph gradients of each parameter array from the loss
         gradient gz (B, N) at the head scores."""
-        params, kernels = prepared
+        params, kernels, _ = prepared
         grads = [np.zeros((len(gz), theta.size)) for theta in params[:-2]]
         grads += [(gz * tape.h[-1][:, :, 0]).sum(axis=1), gz.sum(axis=1)]
         g = np.zeros_like(tape.h[-1])

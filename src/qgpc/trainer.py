@@ -144,7 +144,7 @@ class BatchModel:
         powers. A block draws its stars from star_seeds[idx], or, when
         star_seeds is None, takes the split's frozen ones."""
         members = np.arange(len(split.labels)) if members is None else members
-        for idx in size_blocks(split.sizes[members], self._rows, self._row_budget()):
+        for idx in size_blocks(split.sizes[members], self._item_bytes):
             group, rows = split.select(members[idx])
             stars = ([leaves[rows] for leaves in group.stars] if star_seeds is None
                      else self._stars(group.features.shape[1], star_seeds[idx]))

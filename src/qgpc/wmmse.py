@@ -46,7 +46,6 @@ _RESTART_STREAM_TAG = 0x524553  # restart r draws from SeedSequence([0, tag, r])
 MAX_ITER = 100       # sweeps per start
 TOL = 1e-6           # a start has converged once a sweep moves the objective by at most this
 RANDOM_RESTARTS = 2  # seeded uniform starts after the full-power and corner starts
-ROW_BLOCK_ELEMENTS = 1 << 16  # most rows * M^2 in a block, unless one instance alone has more
 
 
 class InstanceTooLargeError(ValueError):
@@ -137,16 +136,17 @@ def wmmse_batch(realizations: list[ChannelRealization]) -> list[WmmseResult]:
     input order.
 
     Every (instance, start) pair is one row of a sweep. Whole instances of
-    one size run together, in the size_blocks blocks of at most
-    ROW_BLOCK_ELEMENTS row gains (an instance with more runs alone), so
-    memory is bounded by a block whatever the list's length. An instance's
-    winner is the first best of its own rows: ties keep the earliest start,
-    so mild instances still return the full-power run's answer. The
-    winner's own monotone trace is returned.
+    one size run together, in size_blocks blocks of at most
+    channels.BLOCK_BYTES of row gains, one float each (an instance with
+    more runs alone), so memory is bounded by a block whatever the list's
+    length. An instance's winner is the first best of its own rows: ties
+    keep the earliest start, so mild instances still return the full-power
+    run's answer. The winner's own monotone trace is returned.
     """
     results: list[WmmseResult] = [None] * len(realizations)
     sizes = [ch.M for ch in realizations]
-    for idx in size_blocks(sizes, lambda m: _start_count(m) * m * m, ROW_BLOCK_ELEMENTS):
+    # a row gain is one float of the (rows, M, M) gains a sweep gathers
+    for idx in size_blocks(sizes, lambda m: _start_count(m) * m * m * 8):
         batch = ChannelBatch.stack([realizations[i] for i in idx])
         n_starts = _start_count(batch.M)
         inst = np.repeat(np.arange(len(batch)), n_starts)

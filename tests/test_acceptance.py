@@ -180,7 +180,7 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
     # leaf-order invariance of the star update, bit-exact
     model = QgnnModel(layers=1, depth=1, k=6)
     rng = np.random.default_rng(61)
-    prepared = model._prepare(rng.uniform(-1, 1, 12), grad=False)
+    prepared = model._prepare(rng.uniform(-1, 1, 12), grad=True)  # a forward that keeps its tape
     star_graph = InterferenceGraph(rng.uniform(0, np.pi, (7, 2)), np.zeros((7, 7)))
     star_graph.edge_angle[1:, 0] = rng.uniform(0, np.pi, 6)
     others = [[j for j in range(7) if j != i] for i in range(1, 7)]

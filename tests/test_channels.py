@@ -224,7 +224,7 @@ def _both_paths(insts, powers, fn):
     the batch rows put back in input order."""
     alone = [fn(inst, p) for inst, p in zip(insts, powers)]
     batched = [None] * len(insts)
-    for idx in ch.size_blocks([inst.M for inst in insts], lambda m: 1, len(insts)):
+    for idx in ch.size_blocks([inst.M for inst in insts], lambda m: ch.BLOCK_BYTES // len(insts)):
         out = fn(ch.ChannelBatch.stack([insts[i] for i in idx]), np.stack([powers[i] for i in idx]))
         for row, i in enumerate(idx):
             batched[i] = out[row]
@@ -279,6 +279,18 @@ def test_sigmoid_is_stable_at_extreme_scores():
     want = [float(1 / (1 + Decimal(-v).exp())) for v in z]
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
     assert got[0] == 0.0 and got[2] == 0.5 and got[-1] == 1.0
+
+
+def test_weighted_sum_rate_grad_stays_finite_when_gains_and_noise_are_tiny():
+    # |g|^2 near 1e-310 and sigma^2 = 1e-300: denom^2 would underflow to 0.
+    # Gains times c and noise times c^2 leave the SINR, so the gradient, as it was
+    rng = np.random.default_rng(46)
+    G = 1e-155 * (rng.uniform(0.5, 2.0, (3, 3)) * np.exp(2j * np.pi * rng.uniform(size=(3, 3))))
+    p = np.array([0.9, 0.4, 0.7])
+    grad = ch.weighted_sum_rate_grad(_instance(G, sigma2=1e-300), p)
+    assert np.all(np.isfinite(grad))
+    want = ch.weighted_sum_rate_grad(_instance(G * 1e150, sigma2=1.0), p)
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=0)
 
 
 def test_weighted_sum_rate_grad_matches_finite_differences():

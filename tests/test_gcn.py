@@ -194,8 +194,9 @@ def test_batch_calls_match_single_instance_calls(monkeypatch):
     _, flat = _random_params(16, 2, seed=21)
     where = model.unflatten(np.arange(flat.size))[8 + 2][:, 2]  # flat positions of layer 1's msg_w2
     flat[where.astype(int)] = 0.0  # column 2 ties across every edge
-    monkeypatch.setattr(gcn, "BLOCK_EDGES", 30)  # 2 graphs of 4 nodes, 5 of 3 per block
-    assert len(list(ch.size_blocks(sizes, model._rows, gcn.BLOCK_EDGES))) > len(set(sizes))
+    # 30 edge rows: 2 graphs of 4 nodes, 5 of 3 per block
+    monkeypatch.setattr(ch, "BLOCK_BYTES", model._item_bytes(6))
+    assert len(list(ch.size_blocks(sizes, model._item_bytes))) > len(set(sizes))
     seeds = list(range(len(split)))
     powers = model.forward_batch(split, flat, seeds)
     losses, grads = model.loss_and_grad_batch(split, flat, seeds)
@@ -207,8 +208,8 @@ def test_batch_calls_match_single_instance_calls(monkeypatch):
         np.testing.assert_allclose(grads[i], grad, rtol=0, atol=1e-13 * np.abs(grad).max())
 
 
-@pytest.mark.parametrize("budget", [30, gcn.BLOCK_EDGES])
-def test_forward_only_scores_equal_the_gradient_paths_bit_for_bit(budget):
+@pytest.mark.parametrize("edge_rows", [30, 2048])
+def test_forward_only_scores_equal_the_gradient_paths_bit_for_bit(monkeypatch, edge_rows):
     rng = np.random.default_rng(77)
     sizes = [1, 6] + rng.integers(1, 7, 28).tolist()
     insts = [ch.realize_channels(ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=80 + i),
@@ -218,9 +219,10 @@ def test_forward_only_scores_equal_the_gradient_paths_bit_for_bit(budget):
     model, flat = _random_params(6, 2, seed=77)
     where = model.unflatten(np.arange(flat.size))[2][:, 1]  # flat positions of layer 0's msg_w2
     flat[where.astype(int)] = 0.0  # column 1 ties across every edge
-    blocks = list(ch.size_blocks(sizes, model._rows, budget))
+    monkeypatch.setattr(ch, "BLOCK_BYTES", edge_rows * model._item_bytes(2) // 2)
+    blocks = list(ch.size_blocks(sizes, model._item_bytes))
     sixes = [idx for idx in blocks if sizes[idx[0]] == 6]  # 30 edge rows each
-    assert len(sixes) == (sizes.count(6) if budget == 30 else 1)
+    assert len(sixes) == (sizes.count(6) if edge_rows == 30 else 1)
     for idx in blocks:
         block = _stacked([graphs[i] for i in idx])
         z, tape = model._forward(*block, model._prepare(flat, grad=False), None)

@@ -50,7 +50,7 @@ def _tape(graph, flat, k, seed):
     """The forward tape over one graph of a depth-1 model, with its own star draw."""
     model = _model(flat, k)
     return model._forward(graph.node_features[None], graph.edge_angle[None],
-                          model._prepare(flat, grad=False),
+                          model._prepare(flat, grad=True),
                           model._stars(graph.N, np.array([seed], dtype=np.uint64)))[1]
 
 
@@ -351,11 +351,12 @@ def test_kernel_matches_gate_level_simulator(feature_dim, depth, data):
     jac = jac.reshape(n_rows, spec.angle_slots, feature_dim)
 
     kernel = _Kernel(spec, theta, grad=True)
-    np.testing.assert_allclose(kernel.messages(angles)[0], gate_level(rows), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kernel.messages(angles, graphs)[0], gate_level(rows),
+                               rtol=0, atol=1e-12)
     for f in range(feature_dim):
         w = np.zeros((n_rows, feature_dim))
         w[:, f] = 1.0
-        inputs, trainable = kernel.vjp(kernel.messages(angles)[1], w, graphs)
+        inputs, trainable = kernel.vjp(kernel.messages(angles, graphs)[1], w, graphs)
         np.testing.assert_allclose(inputs, jac[:, :spec.n, f], rtol=0, atol=1e-12)
         per_graph = jac[:, spec.n:, f].reshape(graphs, -1, theta.size).sum(axis=1)
         np.testing.assert_allclose(trainable, per_graph, rtol=0, atol=1e-12)
@@ -408,7 +409,7 @@ def test_prepare_builds_one_block_per_trainable_slot(monkeypatch):
     flat = _random_params(2, 2, seed=5)
     inst, graph = _instance(4, seed=5)
     for grad, slots in [(False, 0), (True, slots_per_layer(2, 2))]:
-        _, kernels = prepared = model._prepare(flat, grad)
+        _, kernels, _ = prepared = model._prepare(flat, grad)
         assert len(kernels) == model.layers
         assert all(k.grad_blocks.shape == (k.block.size, slots) for k in kernels)
         z, _ = model._forward(graph.node_features[None], graph.edge_angle[None], prepared,
@@ -439,7 +440,7 @@ def test_input_slot_contraction_matches_shifted_states(feature_dim, data):
     y = np.tile(w @ kernel.signs.T, 2) * (psi @ kernel.block)
     shifted = qgnn._product_state((angles[:, None] + np.pi * np.eye(n)).reshape(-1, n))
     want = np.einsum("rqi,ri->rq", shifted.reshape(n_rows, n, -1), y @ kernel.block.T)
-    inputs, _ = kernel.vjp(kernel.messages(angles)[1], w, 1)
+    inputs, _ = kernel.vjp(kernel.messages(angles, 1)[1], w, 1)
     np.testing.assert_allclose(inputs, want, rtol=0, atol=1e-13)
 
 
@@ -470,15 +471,13 @@ def test_batch_calls_match_single_instance_calls(monkeypatch):
     model = QgnnModel(layers=2, depth=2, k=2)
     flat = np.random.default_rng(17).uniform(-1.0, 1.0, model.param_count())
     seeds = [1000 + 7 * i for i in range(len(split))]
-    monkeypatch.setattr(qgnn, "BLOCK_AMPLITUDES", 16 * 2 ** 5)  # 16 rows: 2 graphs per block
+    monkeypatch.setattr(ch, "BLOCK_BYTES", 2 * model._item_bytes(4))  # 16 rows: 2 graphs a block
     sizes = [inst.graph.N for inst in split]
-    assert len(list(ch.size_blocks(sizes, model._rows, model._row_budget()))) == 12 + 2 + 2
+    assert len(list(ch.size_blocks(sizes, model._item_bytes))) == 12 + 2 + 2
     powers = model.forward_batch(split, flat, seeds)
     losses, grads = model.loss_and_grad_batch(split, flat, seeds)
     assert len(powers) == len(split) and grads.shape == (len(split), flat.size)
     for i, inst in enumerate(split):
-        p = model.forward_batch([inst], flat, [seeds[i]])[0]
-        np.testing.assert_allclose(powers[i], p, rtol=1e-13, atol=0)
+        assert np.array_equal(powers[i], model.forward_batch([inst], flat, [seeds[i]])[0])
         (loss,), (grad,) = model.loss_and_grad_batch([inst], flat, [seeds[i]])
-        assert losses[i] == pytest.approx(loss, rel=1e-13)
-        np.testing.assert_allclose(grads[i], grad, rtol=0, atol=1e-13 * np.abs(grad).max())
+        assert losses[i] == loss and np.array_equal(grads[i], grad)

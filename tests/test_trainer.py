@@ -1,11 +1,12 @@
 """Optimizer, seed plumbing, and the unsupervised training loop."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qgpc.gcn as gcn_mod
 import qgpc.qgnn as qgnn_mod
 import qgpc.qsim as qsim_mod
 import qgpc.trainer as trainer_mod
@@ -194,11 +195,8 @@ class _NanModel(BatchModel):
     def _shapes(self):
         return [(2,)]
 
-    def _rows(self, n):
-        return 1
-
-    def _row_budget(self):
-        return 2
+    def _item_bytes(self, n):
+        return ch.BLOCK_BYTES // 2
 
     def _prepare(self, flat_params, grad):
         return grad
@@ -295,7 +293,8 @@ def test_size_blocks_partition_graphs_by_size_within_the_budget(sizes, budget, k
     def rows(n):
         return n * (n - 1) if k is None else n * min(k, n - 1)
 
-    blocks = list(ch.size_blocks(sizes, rows, budget))
+    with mock.patch.object(ch, "BLOCK_BYTES", budget):
+        blocks = list(ch.size_blocks(sizes, rows))
     assert sorted(i for idx in blocks for i in idx) == list(range(len(sizes)))
     for idx in blocks:
         assert len({sizes[i] for i in idx}) == 1
@@ -311,8 +310,7 @@ def _per_block_reference(model, instances, flat, star_seeds):
     star_seeds = np.asarray(star_seeds, dtype=np.uint64)
     powers = [None] * len(instances)
     losses, grads = np.empty(len(instances)), np.empty((len(instances), flat.size))
-    for idx in ch.size_blocks([inst.graph.N for inst in instances], model._rows,
-                              model._row_budget()):
+    for idx in ch.size_blocks([inst.graph.N for inst in instances], model._item_bytes):
         graphs = [instances[i].graph for i in idx]
         channels = ch.ChannelBatch.stack([instances[i].channels for i in idx])
         z, tape = model._forward(np.stack([g.node_features for g in graphs]),
@@ -332,13 +330,14 @@ def _per_block_reference(model, instances, flat, star_seeds):
 @pytest.mark.parametrize("arch", ["qgnn", "gcn"])
 @pytest.mark.parametrize("case", range(3))
 def test_split_blocks_equal_per_block_stacking_bit_for_bit(monkeypatch, arch, case):
-    # small row budgets cut each size into several blocks
-    monkeypatch.setattr(qgnn_mod, "BLOCK_AMPLITUDES", 12 * 2 ** 5)  # 12 message rows
-    monkeypatch.setattr(gcn_mod, "BLOCK_EDGES", 30)
     rng = np.random.default_rng(900 + case)
     insts = [_instances(int(m), 1, seed0=1000 * case + 10 * i)[0]._replace(label=f"mixed-{i}")
              for i, m in enumerate(rng.integers(1, 6, 24))]
     model = QgnnModel(layers=2, depth=1, k=2) if arch == "qgnn" else GcnModel(hidden=4, layers=2)
+    # small budgets cut each size into several blocks: 12 message rows or 30
+    # edge rows (a graph of 2 nodes has 2 rows of either kind)
+    rows = 12 if arch == "qgnn" else 30
+    monkeypatch.setattr(ch, "BLOCK_BYTES", rows * model._item_bytes(2) // 2)
     flat = rng.uniform(-1.0, 1.0, model.param_count())
     seeds = mix64(case, np.arange(len(insts)))
 
@@ -348,17 +347,11 @@ def test_split_blocks_equal_per_block_stacking_bit_for_bit(monkeypatch, arch, ca
     losses, grads = model.loss_and_grad_batch(insts, flat, seeds)
     assert np.array_equal(losses, want_losses) and np.array_equal(grads, want_grads)
 
-    # GCN powers and gradients equal single-instance calls bit for bit; a
-    # QGNN power of N = 2 or 5 may move by an ulp or two (the desk's M = 4 do
-    # not, see the test below)
+    # powers and gradients equal single-instance calls bit for bit
     for i, inst in enumerate(insts):
-        alone = model.forward(inst.channels, inst.graph, flat, seeds[i])
-        if arch == "gcn":
-            assert np.array_equal(alone, powers[i])
-            assert np.array_equal(model.loss_and_grad_batch([inst], flat, seeds[i:i + 1])[1][0],
-                                  grads[i])
-        else:
-            np.testing.assert_allclose(alone, powers[i], rtol=1e-15, atol=0)
+        assert np.array_equal(model.forward(inst.channels, inst.graph, flat, seeds[i]), powers[i])
+        assert np.array_equal(model.loss_and_grad_batch([inst], flat, seeds[i:i + 1])[1][0],
+                              grads[i])
 
     split = trainer_mod.Split(insts)  # a shuffled minibatch is a row selection of the split
     for size in (1, 7, len(insts)):
@@ -375,6 +368,39 @@ def test_split_blocks_equal_per_block_stacking_bit_for_bit(monkeypatch, arch, ca
     for inst, p in zip(insts, powers):
         total += ch.sum_rate(inst.channels, p)
     assert evaluate_mean(model, flat, insts, frozen) == total / len(insts)
+
+
+@pytest.mark.parametrize("arch", ["qgnn", "gcn"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_any_block_gives_each_instance_its_single_instance_bits(arch, data):
+    # every kernel product runs per graph or in products of one fixed shape,
+    # so a graph's powers, loss and gradient keep their bits in any block:
+    # from one graph a block (budget 0) to the whole list, in list order or
+    # as a shuffled minibatch of a split
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=10), label="sizes")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    insts = [_instances(m, 1, seed0=seed % 10_000 + 10 * i)[0] for i, m in enumerate(sizes)]
+    model = QgnnModel(layers=2, depth=1, k=2) if arch == "qgnn" else GcnModel(hidden=16, layers=2)
+    flat = rng.uniform(-1.0, 1.0, model.param_count())
+    seeds = mix64(seed, np.arange(len(insts)))
+    alone = [(model.forward(inst.channels, inst.graph, flat, s),
+              model.loss_and_grad_batch([inst], flat, [s])) for inst, s in zip(insts, seeds)]
+
+    budget = data.draw(st.integers(0, len(insts) * max(map(model._item_bytes, sizes))),
+                       label="budget")
+    members = rng.permutation(len(insts))[:data.draw(st.integers(1, len(insts)))]
+    with mock.patch.object(ch, "BLOCK_BYTES", budget):
+        powers = model.forward_batch(insts, flat, seeds)
+        losses, grads = model.loss_and_grad_batch(insts, flat, seeds)
+        m_losses, m_grads = model._loss_and_grad(trainer_mod.Split(insts), flat,
+                                                 seeds[members], members)
+    for i, (p, ((loss,), (grad,))) in enumerate(alone):
+        assert np.array_equal(powers[i], p)
+        assert losses[i] == loss and np.array_equal(grads[i], grad)
+    for j, i in enumerate(members):
+        assert m_losses[j] == alone[i][1][0][0] and np.array_equal(m_grads[j], alone[i][1][1][0])
 
 
 @pytest.fixture(scope="module")
@@ -418,12 +444,16 @@ def test_a_desk_qgnn_epoch_draws_no_evaluation_stars_and_rebuilds_no_state(
     one, two = _counts(monkeypatch, targets, lambda epochs: train(
         QgnnModel(), *desk_sets, TrainConfig(epochs=epochs)))
     epoch = {name: two[name] - one[name] for name in one}
-    # 2 layers x 10 training blocks of 32 graphs; the evaluation stars, 2
-    # layers for each of the two splits, are drawn once per train call
-    assert epoch["decompose_stars"] == 20
-    assert one["decompose_stars"] == 20 + 2 * 2
+    train_blocks, test_blocks = (len(list(ch.size_blocks([4] * len(insts),
+                                                         QgnnModel()._item_bytes)))
+                                 for insts in desk_sets)
+    # 2 layers x the training blocks (one full batch); the evaluation stars,
+    # 2 layers for each of the two splits, are drawn once per train call
+    assert epoch["decompose_stars"] == 2 * train_blocks
+    assert one["decompose_stars"] == 2 * train_blocks + 2 * 2
     # every product state is a forward's: the backward reads the kept ones
-    assert epoch["_product_state"] == epoch["messages"] == 20 + 2 * (10 + 4)
+    assert epoch["_product_state"] == epoch["messages"] == \
+        2 * train_blocks + 2 * (train_blocks + test_blocks)
 
 
 def test_a_gcn_epoch_stacks_nothing_and_derives_no_star_seeds(monkeypatch, desk_sets):

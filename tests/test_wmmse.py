@@ -164,7 +164,7 @@ def _mixed_lists():
 
 
 @settings(max_examples=40)
-@given(insts=_mixed_lists(), budget=st.integers(1, 64) | st.just(wmmse.ROW_BLOCK_ELEMENTS),
+@given(insts=_mixed_lists(), budget=st.integers(1, 64) | st.just(ch.BLOCK_BYTES // 8),
        per_block=st.sampled_from([None, 2, 3]))
 def test_wmmse_batch_matches_the_per_start_reference(insts, budget, per_block):
     # a block holds whole instances of one size, S starts of M^2 gains each:
@@ -173,7 +173,7 @@ def test_wmmse_batch_matches_the_per_start_reference(insts, budget, per_block):
     if per_block:
         m = insts[0].M
         budget = per_block * wmmse._start_count(m) * m * m
-    with mock.patch.object(wmmse, "ROW_BLOCK_ELEMENTS", budget):
+    with mock.patch.object(ch, "BLOCK_BYTES", 8 * budget):  # one float per row gain
         got = wmmse_batch(insts)
     want = [wmmse_reference.wmmse_allocate(inst) for inst in insts]
     assert all(_same_result(g, w) for g, w in zip(got, want))
