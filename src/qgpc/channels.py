@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -294,7 +296,12 @@ def _encode_complex_matrix(G: np.ndarray) -> list:
 
 
 def _decode_complex_matrix(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    """G from rows of [re, im] pairs, each part a JSON number; complex()
+    refuses any other JSON value but a boolean, which its type gives away."""
+    G = np.array([[complex(re, im) for re, im in row] for row in rows])
+    if not {type(x) for x in chain.from_iterable(chain.from_iterable(rows))} <= {int, float}:
+        raise TypeError("a gain part is not a JSON number")
+    return G
 
 
 def save_dataset(
@@ -338,8 +345,10 @@ def save_dataset(
 
 
 def is_json_number(x) -> bool:
-    """True for a parsed JSON number: an int or a float, not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """True for a parsed JSON number a float holds: a float, or an int no
+    larger than the largest float; not a bool."""
+    return isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)
+                                    and abs(x) <= sys.float_info.max)
 
 
 def _header_values(header: dict, path) -> tuple[int, np.ndarray, np.ndarray, float]:
@@ -392,7 +401,7 @@ def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealizatio
             raise ValueError(f"{where}: unknown split tag {rec['split']!r}")
         try:
             G = _decode_complex_matrix(rec["G"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where}: G is not a matrix of [re, im] pairs") from exc
         if G.shape != (m, m):
             raise ValueError(f"{where}: G has shape {G.shape}, header says M={m}")

@@ -52,12 +52,12 @@ def load_checkpoint(path) -> dict:
     if doc.get("kind") not in KNOWN_KINDS:
         raise CheckpointError(f"unknown checkpoint kind {doc.get('kind')!r}")
     try:
-        sc = doc["scaler"]
-        arch = dict(doc["arch"])
+        sc, arch, params = doc["scaler"], doc["arch"], doc["params"]
         scaler = FeatureScaler(mu=sc["mu"], sigma=sc["sigma"], z_clip=sc["z_clip"])
-        params = np.asarray(doc["params"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
+    if not isinstance(arch, dict):
+        raise CheckpointError(f"checkpoint {path} arch is not a JSON object: {arch!r}")
     if not all(type(val) is int for val in arch.values()):
         raise CheckpointError(f"checkpoint {path} has non-integer arch values: {arch}")
     numbers = (scaler.mu, scaler.sigma, scaler.z_clip)
@@ -65,10 +65,11 @@ def load_checkpoint(path) -> dict:
             or not (scaler.sigma > 0 and scaler.z_clip > 0):
         raise CheckpointError(f"checkpoint {path} scaler needs finite numbers with "
                               f"sigma > 0 and z_clip > 0, got {sc}")
-    if params.ndim != 1 or not np.all(np.isfinite(params)):
-        raise CheckpointError(f"checkpoint {path} params are not a finite vector")
+    if not (isinstance(params, list) and all(map(is_json_number, params))
+            and all(map(math.isfinite, params))):
+        raise CheckpointError(f"checkpoint {path} params are not a list of finite numbers")
     return {"version": doc["version"], "kind": doc["kind"], "arch": arch,
-            "scaler": scaler, "params": params}
+            "scaler": scaler, "params": np.asarray(params, dtype=float)}
 
 
 def check_arch(doc: dict, kind: str, arch: dict) -> None:
@@ -76,7 +77,7 @@ def check_arch(doc: dict, kind: str, arch: dict) -> None:
     if doc["kind"] != kind:
         raise CheckpointError(f"checkpoint holds {doc['kind']!r}, expected {kind!r}")
     want = {key: int(val) for key, val in arch.items()}
-    if dict(doc["arch"]) != want:
+    if doc["arch"] != want:
         raise CheckpointError(
             f"architecture mismatch: checkpoint {doc['arch']} vs requested {want}"
         )

@@ -42,7 +42,7 @@ class FeatureScaler:
         return (z + self.z_clip) / (2.0 * self.z_clip) * np.pi
 
 
-def fit_feature_scaler(realizations: list[ChannelRealization], z_clip: float = 3.0) -> FeatureScaler:
+def fit_feature_scaler(realizations: list[ChannelRealization]) -> FeatureScaler:
     """Fit mu/sigma over log10 of every squared gain in the training set."""
     if not realizations:
         raise ValueError("cannot fit a scaler on an empty training set")
@@ -50,7 +50,7 @@ def fit_feature_scaler(realizations: list[ChannelRealization], z_clip: float = 3
         np.log10(np.maximum(np.abs(ch.G) ** 2, 1e-300)).ravel() for ch in realizations
     ])
     sigma = float(np.std(logs))
-    return FeatureScaler(mu=float(np.mean(logs)), sigma=max(sigma, 1e-12), z_clip=z_clip)
+    return FeatureScaler(mu=float(np.mean(logs)), sigma=max(sigma, 1e-12))
 
 
 @dataclass(eq=False)

@@ -29,11 +29,12 @@ the trainable slots' contraction, whose products all hold OUTER_GRAPHS
 graphs (the last zero-padded); so a graph's powers, loss and gradient have
 the same bits in any block. A forward prepared without the gradient keeps
 no tape. The RY encoding of |0...0> is the real product state
-psi = (x)_q [cos(a_q/2), sin(a_q/2)]; the trainable block is one
-2^n x 2^n unitary U in closed form from the gates: each
-qubit's rotations between CNOT rings fold into one 2x2 factor, each ring is a
-fixed permutation of the basis columns, and U is the product of the rings'
-permuted Kronecker products. The messages are |psi U|^2 @ Z-signs; the tape
+psi = (x)_q [cos(a_q/2), sin(a_q/2)]; the trainable part is one
+2^n x 2^n unitary U, built from (F, depth) and the angles alone: in each
+entangling block a qubit's RY and RZ fold into one 2x2 factor, the CNOT
+ring is a fixed permutation of the basis columns, and U is the product of
+the blocks' permuted Kronecker products. build_qgcl_circuit states the same
+circuit gate by gate for qsim. The messages are |psi U|^2 @ Z-signs; the tape
 keeps each layer's row angles, psi and phi = psi U for the backward.
 Gradients are exact: each slot x enters as exp(-i x P / 2), so d/dx is half
 the circuit at x + pi, and one adjoint pass (Jones & Gacon, arXiv:2009.02823)
@@ -47,14 +48,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .graph import NODE_FEATURES, decompose_stars
 # run_batch is not called here; it stays bound on this module for code that
 # looks it up or wraps it here (the benchmark's tracer does).
-from .qsim import CircuitError, CircuitSpec, Gate, _z_signs, run_batch  # noqa: F401
+from .qsim import CircuitSpec, Gate, _z_signs, run_batch  # noqa: F401
 from .trainer import BatchModel
 
 HALF_PI = np.pi / 2.0
@@ -70,11 +70,11 @@ def slots_per_layer(feature_dim: int, depth: int) -> int:
     return depth * (2 * feature_dim + 1) * 2
 
 
-@lru_cache(maxsize=64)
 def build_qgcl_circuit(feature_dim: int, depth: int) -> CircuitSpec:
     """Message circuit: RY input encoding on all 2F+1 qubits, then ``depth``
-    blocks of per-qubit trainable RY+RZ followed by a CNOT ring. Cached: a
-    spec is immutable."""
+    blocks of per-qubit trainable RY+RZ followed by a CNOT ring. The model
+    runs it in closed form (``_unitaries``); this gate list states it for
+    the gate-level simulator."""
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")
     if depth < 1:
@@ -112,83 +112,49 @@ def initial_embeddings(features) -> np.ndarray:
     return node_input_angles(features) * (2.0 / np.pi) - 1.0
 
 
-# -i P^T of each rotation exp(-i t P / 2) that folds: for row states the
-# rotation is its transpose, cos(t/2) I + sin(t/2) (-i P^T)
-_GENERATORS = {"RY": np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),
-               "RZ": np.array([[-1j, 0.0], [0.0, 1j]])}
+# -i P^T of RY and RZ: for row states a rotation exp(-i t P / 2) is its
+# transpose, cos(t/2) I + sin(t/2) (-i P^T)
+_RY_RZ = np.array([[[0.0, 1.0], [-1.0, 0.0]], [[-1j, 0.0], [0.0, 1j]]])
 
 
-class _FoldPlan(NamedTuple):
-    """A circuit's trainable gates, walked once; every array is read-only."""
-
-    generators: np.ndarray  # (R, 2, 2) of each rotation, in gate order
-    slots: np.ndarray       # (R,) each rotation's column of thetas
-    factors: np.ndarray     # (R,) each rotation's factor
-    gathers: np.ndarray     # (segments, 4^n) block entry -> multiplied-out factor entry
-
-
-@lru_cache(maxsize=64)
-def _fold_plan(spec: CircuitSpec) -> _FoldPlan:
-    """Walk spec's gates for ``_unitaries``. The first n gates must be the
-    RY encoding, slot q on qubit q, which the product state carries. Past
-    them a segment is a run of RY/RZ gates, then a run of CNOTs; factor
-    s * n + q is qubit q's 2x2 factor in segment s. Any other gate raises
-    CircuitError. Cached: a spec is immutable."""
-    n, dim = spec.n, 2 ** spec.n
-    if [(g.kind, g.targets, g.angle_slot) for g in spec.gates[:n]] != \
-            [("RY", (q,), q) for q in range(n)]:
-        raise CircuitError("the circuit must open with the RY encoding, slot q on qubit q")
-    perms, rotations, entangled = [np.arange(dim)], [], False
-    for g in spec.gates[n:]:
-        if g.kind == "CNOT":
-            control, target = g.targets
-            perms[-1] = perms[-1] ^ (((perms[-1] >> control) & 1) << target)
-            entangled = True
-        elif g.kind in _GENERATORS and g.angle_slot >= n:
-            if entangled:  # a rotation after CNOTs opens the next segment
-                perms.append(np.arange(dim))
-                entangled = False
-            rotations.append(((len(perms) - 1) * n + g.targets[0], g))
-        else:
-            raise CircuitError(f"the closed form does not fold {g}")
-    # qubit q's entry (i_q, j_q) is base-4 digit q of a multiplied-out entry's
-    # index, and block entry (b, perm[b']) is the multiplied-out entry (b, b')
+@lru_cache(maxsize=8)
+def _ring_gather(n: int) -> np.ndarray:
+    """Where each entry of an entangling block on n qubits comes from,
+    (4^n,), read-only: block entry (b, perm[b']) is entry (b, b') of the
+    Kronecker product of the qubits' 2x2 factors, whose index holds qubit
+    q's factor entry (i, j) as base-4 digit q, 2 i + j; perm is the CNOT
+    ring q -> q + 1 (mod n) on the basis columns."""
+    dim = 2 ** n
+    perm = np.arange(dim)
+    for q in range(n):
+        perm ^= ((perm >> q) & 1) << (q + 1) % n
     spread = ((np.arange(dim)[:, None] >> np.arange(n)) & 1) @ 4 ** np.arange(n)
-    gathers = np.empty((len(perms), dim, dim), dtype=int)
-    for gather, perm in zip(gathers, perms):
-        gather[:, perm] = 2 * spread[:, None] + spread
-    plan = _FoldPlan(np.array([_GENERATORS[g.kind] for _, g in rotations]).reshape(-1, 2, 2),
-                     np.array([g.angle_slot - n for _, g in rotations], dtype=int),
-                     np.array([f for f, _ in rotations], dtype=int),
-                     gathers.reshape(len(perms), -1))
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
+    gather = np.empty((dim, dim), dtype=int)
+    gather[:, perm] = 2 * spread[:, None] + spread
+    gather = gather.ravel()
+    gather.flags.writeable = False
+    return gather
 
 
-def _unitaries(spec: CircuitSpec, thetas: np.ndarray) -> np.ndarray:
-    """The trainable block U at each row of thetas (T, angle_slots - n) as
-    [Re U | Im U] (T, 2^n, 2^(n+1)), in closed form from spec's gates (see
-    ``_fold_plan``). Row b of U is the block applied to basis state b:
-    states psi -> psi @ U. Each qubit's rotations in a segment fold into
-    one 2x2 factor per row of thetas, and the segment's CNOTs are a fixed
-    permutation of the 2^n basis columns; a segment is the Kronecker
-    product of its factors with its columns permuted, and U the product of
-    the segments in order."""
-    plan = _fold_plan(spec)
-    n, dim, segments = spec.n, 2 ** spec.n, len(plan.gathers)
-    half = 0.5 * thetas[:, plan.slots].T[..., None, None]  # (R, T, 1, 1)
-    rot = np.cos(half) * np.eye(2) + np.sin(half) * plan.generators[:, None]
-    factors = np.broadcast_to(np.eye(2, dtype=complex), (segments * n,) + rot.shape[1:]).copy()
-    for f, r in zip(plan.factors, rot):  # in gate order
-        factors[f] = factors[f] @ r
-    u = None
-    for f, gather in zip(factors.reshape(segments, n, -1, 4), plan.gathers):
-        entries = f[0]  # (T, 4) qubit 0's entries; each qubit above adds a base-4 digit
-        for fq in f[1:]:
-            entries = (fq[:, :, None] * entries[:, None, :]).reshape(len(entries), -1)
-        block = np.take(entries, gather, axis=1).reshape(-1, dim, dim)
-        u = block if u is None else u @ block
+def _unitaries(n: int, depth: int, thetas: np.ndarray) -> np.ndarray:
+    """The trainable part U of the n-qubit message circuit at each row of
+    thetas (T, depth * n * 2), as [Re U | Im U] (T, 2^n, 2^(n+1)); block d's
+    RY and RZ angles on qubit q sit at columns 2 (d n + q) and 2 (d n + q) + 1.
+    Row b of U is the circuit applied to basis state b: states psi -> psi @ U.
+    A block's two rotations on qubit q fold into one 2x2 factor, the block is
+    the Kronecker product of its factors with the columns permuted by the
+    CNOT ring (``_ring_gather``), and U is the product of the blocks in order."""
+    t, dim = len(thetas), 2 ** n
+    half = 0.5 * thetas.reshape(t, depth, n, 2, 1, 1)
+    rot = np.cos(half) * np.eye(2) + np.sin(half) * _RY_RZ  # (T, depth, n, 2, 2, 2)
+    factors = (rot[:, :, :, 0] @ rot[:, :, :, 1]).reshape(t, depth, n, 4)
+    entries = factors[:, :, 0]  # qubit 0's entries; each qubit above adds a base-4 digit
+    for q in range(1, n):
+        entries = (factors[:, :, q, :, None] * entries[:, :, None, :]).reshape(t, depth, -1)
+    blocks = np.take(entries, _ring_gather(n), axis=2).reshape(t, depth, dim, dim)
+    u = blocks[:, 0]
+    for d in range(1, depth):
+        u = u @ blocks[:, d]
     return np.concatenate([u.real, u.imag], axis=2)
 
 
@@ -233,10 +199,11 @@ class _Kernel:
     per graph, or in products of one fixed shape, so a graph's results do
     not depend on its block."""
 
-    def __init__(self, spec: CircuitSpec, theta: np.ndarray, grad: bool = False):
-        self.signs = np.stack([_z_signs(spec.n, (q,)) for q in range(spec.n // 2)], axis=1)
+    def __init__(self, feature_dim: int, depth: int, theta: np.ndarray, grad: bool = False):
+        n = input_slot_count(feature_dim)
+        self.signs = np.stack([_z_signs(n, (q,)) for q in range(feature_dim)], axis=1)
         shifts = np.pi * np.eye(theta.size) if grad else np.empty((0, theta.size))
-        blocks = _unitaries(spec, np.vstack([theta, theta + shifts]))
+        blocks = _unitaries(n, depth, np.vstack([theta, theta + shifts]))
         self.block = blocks[0]
         self.grad_blocks = blocks[1:].reshape(len(shifts), self.block.size).T  # (2^(2n+1), S)
 
@@ -354,8 +321,8 @@ class QgnnModel(BatchModel):
 
     def _prepare(self, flat_params, grad: bool) -> tuple[list[np.ndarray], list[_Kernel], bool]:
         params = self.unflatten(flat_params)
-        spec = build_qgcl_circuit(NODE_FEATURES, self.depth)
-        return params, [_Kernel(spec, theta, grad) for theta in params[:-2]], grad
+        kernels = [_Kernel(NODE_FEATURES, self.depth, theta, grad) for theta in params[:-2]]
+        return params, kernels, grad
 
     def _stars(self, n: int, star_seeds: np.ndarray) -> list[np.ndarray]:
         """Layer ell of graph b draws its stars with seed star_seeds[b] + ell

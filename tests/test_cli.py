@@ -561,7 +561,17 @@ def test_dataset_record_without_split_is_a_config_error(tmp_path, capsys):
     assert main(_args(tmp_path) + ["train"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "line 4" in err and "split" in err
-    record["split"], record["G"] = "train", [[1.0, 0.0]]  # G that is not M x M pairs
+    good_g = record["G"]
+    record["split"] = "train"
+    for pair in ([True, False], [10 ** 400, 0.0]):  # parts complex() would take, or overflow on
+        record["G"] = json.loads(json.dumps(good_g))
+        record["G"][1][2] = pair
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines))
+        assert main(_args(tmp_path) + ["train"]) == 2, pair
+        err = capsys.readouterr().err
+        assert err == f"error: {path} line 4: G is not a matrix of [re, im] pairs\n", pair
+    record["G"] = [[1.0, 0.0]]  # G that is not M x M pairs
     lines[3] = json.dumps(record)
     path.write_text("\n".join(lines))
     assert main(_args(tmp_path) + ["train"]) == 2
@@ -593,12 +603,25 @@ def test_checkpoint_with_nan_param_or_fractional_arch_is_refused(tmp_path, capsy
     nan_param["params"][-1] = float("nan")
     half_layer = json.loads(ckpt.read_text())
     half_layer["arch"]["layers"] = 1.5
+    # numbers that a lax reader would convert: strings, a boolean, an int
+    # beyond the float range, and arch as [key, value] pairs
+    string_params = json.loads(ckpt.read_text())
+    string_params["params"] = [str(x) for x in string_params["params"]]
+    bool_param = json.loads(ckpt.read_text())
+    bool_param["params"][0] = True
+    huge_param = json.loads(ckpt.read_text())
+    huge_param["params"][0] = 10 ** 400
+    arch_pairs = json.loads(ckpt.read_text())
+    arch_pairs["arch"] = [[key, val] for key, val in arch_pairs["arch"].items()]
     capsys.readouterr()
-    for doc, words in ((nan_param, "finite"), (half_layer, "non-integer")):
+    for doc, words in ((nan_param, "finite"), (half_layer, "non-integer"),
+                       (string_params, "params"), (bool_param, "params"),
+                       (huge_param, "params"), (arch_pairs, "arch")):
         ckpt.write_text(json.dumps(doc))
         assert main(_args(tmp_path) + ["eval"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and words in captured.err
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     ckpt.write_text(json.dumps(good))
     assert main(_args(tmp_path) + ["eval"]) == 0
 
@@ -689,11 +712,12 @@ def _valid_files() -> tuple[str, str]:
 
 _DATASET_FIELDS = [("header", key) for key in
                    ("version", "kind", "M", "sigma2", "alpha", "p_max", "seed", "train", "test")]
-_DATASET_FIELDS += [("record", key) for key in ("split", "idx", "G")]
+_DATASET_FIELDS += [("record", key) for key in ("split", "idx", "G")] + [("record", "G", 0, 0, 0)]
 _CHECKPOINT_FIELDS = [("version",), ("kind",), ("arch",), ("arch", "hidden"), ("arch", "layers"),
                       ("scaler",), ("scaler", "mu"), ("scaler", "sigma"), ("scaler", "z_clip"),
                       ("params",), ("params", 0)]
-_BAD_VALUES = (None, "x", [1.0], {"a": 1}, float("nan"), float("inf"), -float("inf"), 0, -1)
+_BAD_VALUES = (None, "x", "1.5", True, [1.0], [["layers", 1]], {"a": 1}, float("nan"),
+               float("inf"), -float("inf"), 0, -1, 10 ** 400)
 
 
 def _assert_valid_dataset(train, test, header):
@@ -707,7 +731,8 @@ def _assert_valid_dataset(train, test, header):
         assert math.isfinite(c.p_max) and c.p_max > 0
 
 
-def _assert_valid_checkpoint(doc):
+def _assert_valid_checkpoint(doc, raw):
+    assert isinstance(raw["arch"], dict) and all(map(ch.is_json_number, raw["params"]))
     assert doc["version"] == CHECKPOINT_VERSION and doc["kind"] in KNOWN_KINDS
     assert all(type(val) is int for val in doc["arch"].values())
     scaler = doc["scaler"]
@@ -722,33 +747,33 @@ def _assert_valid_checkpoint(doc):
        value=st.sampled_from(_BAD_VALUES))
 def test_parsers_raise_only_typed_errors_on_a_mutated_field(field, value):
     dataset_text, checkpoint_text = _valid_files()
+    in_dataset = field in _DATASET_FIELDS
+    lines = dataset_text.split("\n") if in_dataset else [checkpoint_text]
+    line = 1 if field[0] == "record" else 0
+    doc = json.loads(lines[line])
+    *parents, key = field[1:] if in_dataset else field
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    lines[line] = json.dumps(doc)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "file"
-        if field in _DATASET_FIELDS:
-            lines = dataset_text.split("\n")
-            line = 0 if field[0] == "header" else 1
-            doc = json.loads(lines[line])
-            doc[field[1]] = value
-            lines[line] = json.dumps(doc)
-            path.write_text("\n".join(lines))
+        path.write_text("\n".join(lines))
+        if in_dataset:
             try:
                 loaded = ch.load_dataset(path)
             except ValueError:
                 return
             _assert_valid_dataset(*loaded)
+            gains = json.loads(lines[1])["G"]
+            assert all(ch.is_json_number(x) for row in gains for pair in row for x in pair)
         else:
-            doc = json.loads(checkpoint_text)
-            *parents, key = field
-            target = doc
-            for name in parents:
-                target = target[name]
-            target[key] = value
-            path.write_text(json.dumps(doc))
             try:
                 loaded = load_checkpoint(path)
             except CheckpointError:
                 return
-            _assert_valid_checkpoint(loaded)
+            _assert_valid_checkpoint(loaded, doc)
 
 
 def _cli(args, cwd, stdout=subprocess.PIPE, **env):

@@ -15,9 +15,7 @@ from qgpc.qgnn import (
     slots_per_layer,
 )
 from qgpc.channels import sinr, weighted_sum_rate
-from qgpc.qsim import (
-    CircuitError, CircuitSpec, Gate, _apply_gates, expectations_z, run_batch,
-)
+from qgpc.qsim import _apply_gates, expectations_z, run_batch
 from qgpc.trainer import Instance
 
 
@@ -34,10 +32,10 @@ def _random_params(n_layers, depth, seed, scale=0.5):
     return rng.uniform(-scale, scale, QgnnModel(n_layers, depth).param_count())
 
 
-def _layer(spec, theta, h, edge_angle, leaves):
-    """One layer over one graph with hand-made stars, each ascending."""
+def _layer(depth, theta, h, edge_angle, leaves):
+    """One layer of F = 2 over one graph with hand-made stars, each ascending."""
     edge = np.asarray(edge_angle, dtype=float)
-    return _layer_forward(_Kernel(spec, theta), h[None], edge[None],
+    return _layer_forward(_Kernel(2, depth, theta), h[None], edge[None],
                           np.asarray(leaves)[None])[0][0]
 
 
@@ -145,24 +143,23 @@ def test_message_from_vacuum_is_all_ones():
     # zero angles leave every qubit in |0>, so every Z expectation is +1;
     # a one-leaf star's update is that leaf's message
     h = np.full((2, 2), -1.0)  # embedding -1 encodes as angle 0
-    msg = _layer(build_qgcl_circuit(2, 1), np.zeros(10), h, np.zeros((2, 2)), [[1], [0]])
+    msg = _layer(1, np.zeros(10), h, np.zeros((2, 2)), [[1], [0]])
     assert np.allclose(msg, 1.0, atol=1e-12)
 
 
 def test_messages_stay_in_expectation_range():
-    spec = build_qgcl_circuit(2, 2)
     rng = np.random.default_rng(11)
     for _ in range(20):
         theta = rng.uniform(-np.pi, np.pi, 20)
         h = rng.uniform(-1, 1, (2, 2))
-        msg = _layer(spec, theta, h, rng.uniform(0, np.pi, (2, 2)), [[1], [0]])
+        msg = _layer(2, theta, h, rng.uniform(0, np.pi, (2, 2)), [[1], [0]])
         assert msg.shape == (2, 2)
         assert np.all(np.abs(msg) <= 1.0 + 1e-12)
 
 
 def test_forward_star_without_leaves_passes_embedding_through():
     h = np.array([[0.2, -0.4], [0.9, 0.1]])
-    out = _layer(build_qgcl_circuit(2, 1), np.full(10, 0.3), h, np.zeros((2, 2)),
+    out = _layer(1, np.full(10, 0.3), h, np.zeros((2, 2)),
                  np.empty((2, 0), dtype=int))
     assert np.array_equal(out, h)
     out[0, 0] = 99.0
@@ -170,11 +167,10 @@ def test_forward_star_without_leaves_passes_embedding_through():
 
 
 def test_forward_duplicate_leaf_embedding_matches_single_leaf():
-    spec = build_qgcl_circuit(2, 1)
     theta = np.linspace(-0.5, 0.5, 10)
     h = np.array([[0.1, 0.2], [-0.3, 0.7], [-0.3, 0.7]])
-    one = _layer(spec, theta, h[:2], np.full((2, 2), 0.4), [[1], [0]])[0]
-    two = _layer(spec, theta, h, np.full((3, 3), 0.4), [[1, 2], [0, 2], [0, 1]])[0]
+    one = _layer(1, theta, h[:2], np.full((2, 2), 0.4), [[1], [0]])[0]
+    two = _layer(1, theta, h, np.full((3, 3), 0.4), [[1, 2], [0, 2], [0, 1]])[0]
     # batch sizes 1 and 2 may take different matmul paths, hence the tiny atol
     assert np.allclose(one, two, rtol=0.0, atol=1e-13)
 
@@ -350,7 +346,7 @@ def test_kernel_matches_gate_level_simulator(feature_dim, depth, data):
                  - gate_level((shifted - eye).reshape(-1, spec.angle_slots)))
     jac = jac.reshape(n_rows, spec.angle_slots, feature_dim)
 
-    kernel = _Kernel(spec, theta, grad=True)
+    kernel = _Kernel(feature_dim, depth, theta, grad=True)
     np.testing.assert_allclose(kernel.messages(angles, graphs)[0], gate_level(rows),
                                rtol=0, atol=1e-12)
     for f in range(feature_dim):
@@ -379,22 +375,11 @@ def test_closed_form_blocks_match_gate_level_build(feature_dim, depth):
     spec = build_qgcl_circuit(feature_dim, depth)
     theta = np.random.default_rng(10 * feature_dim + depth).uniform(-2 * np.pi, 2 * np.pi,
                                                                     spec.angle_slots - spec.n)
-    kernel = _Kernel(spec, theta, grad=True)
+    kernel = _Kernel(feature_dim, depth, theta, grad=True)
     want = _gate_level_unitaries(spec, np.vstack([theta, theta + np.pi * np.eye(theta.size)]))
     np.testing.assert_allclose(kernel.block, want[0], rtol=0, atol=1e-13)
     np.testing.assert_allclose(kernel.grad_blocks, want[1:].reshape(theta.size, -1).T,
                                rtol=0, atol=1e-13)
-
-
-def test_closed_form_raises_on_gates_it_does_not_fold():
-    spec = build_qgcl_circuit(1, 1)
-    theta = np.zeros(spec.angle_slots - spec.n)
-    for gates in [spec.gates + (Gate("H", (0,)),),
-                  spec.gates + (Gate("RX", (1,), spec.n),),
-                  spec.gates + (Gate("RY", (1,), 0),),  # an input slot past the encoding
-                  spec.gates[1:]]:                      # no encoding on qubit 0
-        with pytest.raises(CircuitError):
-            _Kernel(CircuitSpec(spec.n, gates, spec.angle_slots), theta)
 
 
 def test_prepare_builds_one_block_per_trainable_slot(monkeypatch):
@@ -435,7 +420,7 @@ def test_input_slot_contraction_matches_shifted_states(feature_dim, data):
                                   | _HALF_TURNS))
     theta = data.draw(hnp.arrays(float, spec.angle_slots - n, elements=st.floats(-np.pi, np.pi)))
     w = data.draw(hnp.arrays(float, (n_rows, feature_dim), elements=st.floats(-2.0, 2.0)))
-    kernel = _Kernel(spec, theta)
+    kernel = _Kernel(feature_dim, 1, theta)
     psi = qgnn._product_state(angles)
     y = np.tile(w @ kernel.signs.T, 2) * (psi @ kernel.block)
     shifted = qgnn._product_state((angles[:, None] + np.pi * np.eye(n)).reshape(-1, n))
