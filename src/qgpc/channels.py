@@ -376,13 +376,20 @@ def _header_values(header: dict, path) -> tuple[int, np.ndarray, np.ndarray, flo
     return m, np.asarray(header["sigma2"], dtype=float), alpha, float(header["p_max"])
 
 
+def _json_line(path, line_no: int, line: str):
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
+        raise ValueError(f"{path} line {line_no}: {exc}") from exc
+
+
 def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealization], dict]:
     """Read a dataset file written by save_dataset; returns (train, test, header)."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"empty dataset file: {path}")
-    header = json.loads(lines[0])
+    header = _json_line(path, *lines[0])
     if not isinstance(header, dict) or header.get("version") != DATASET_VERSION \
             or header.get("kind") != "d2d-dataset":
         raise ValueError(f"unrecognized dataset header in {path}")
@@ -392,8 +399,8 @@ def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealizatio
     m, sigma2, alpha, p_max = _header_values(header, path)
     train: list[ChannelRealization] = []
     test: list[ChannelRealization] = []
-    for line_no, ln in enumerate(lines[1:], start=2):
-        rec = json.loads(ln)
+    for line_no, ln in lines[1:]:
+        rec = _json_line(path, line_no, ln)
         where = f"{path} line {line_no}"
         if not isinstance(rec, dict) or "split" not in rec or "G" not in rec:
             raise ValueError(f"{where}: a record needs a split and G")

@@ -90,7 +90,7 @@ def _override(assignment: str) -> dict:
     key, raw = assignment.split("=", 1)
     try:
         value = json.loads(raw)
-    except ValueError:
+    except (ValueError, RecursionError):
         value = raw
     for part in reversed(key.strip().split(".")):
         value = {part: value}
@@ -102,7 +102,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     if path is not None:
         try:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")

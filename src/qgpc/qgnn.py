@@ -54,7 +54,7 @@ import numpy as np
 from .graph import NODE_FEATURES, decompose_stars
 # run_batch is not called here; it stays bound on this module for code that
 # looks it up or wraps it here (the benchmark's tracer does).
-from .qsim import CircuitSpec, Gate, _z_signs, run_batch  # noqa: F401
+from .qsim import CircuitSpec, Gate, run_batch  # noqa: F401
 from .trainer import BatchModel
 
 HALF_PI = np.pi / 2.0
@@ -201,7 +201,7 @@ class _Kernel:
 
     def __init__(self, feature_dim: int, depth: int, theta: np.ndarray, grad: bool = False):
         n = input_slot_count(feature_dim)
-        self.signs = np.stack([_z_signs(n, (q,)) for q in range(feature_dim)], axis=1)
+        self.signs = 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(feature_dim)) & 1)
         shifts = np.pi * np.eye(theta.size) if grad else np.empty((0, theta.size))
         blocks = _unitaries(n, depth, np.vstack([theta, theta + shifts]))
         self.block = blocks[0]

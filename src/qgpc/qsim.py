@@ -7,6 +7,12 @@ so qubit 0 is the least significant bit. Supported gates are RX, RY, RZ
 
     RY(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]
 
+Every gate is applied the same way, as a matrix on its target axes: a
+rotation is a (B, 2, 2) stack at the batch's row angles, H a fixed 2x2, and
+CNOT and CZ fixed 4x4s indexed by (control bit, target bit). The target
+axes of the (B, 2, ..., 2) state move to the front, one stacked matmul
+applies the gate, and the axes move back.
+
 Expectations are exact; there is no shot sampling. Angle slots may be shared
 by several gates, in which case the parameter-shift derivative sums the
 per-occurrence shift terms.
@@ -24,6 +30,20 @@ NORM_TOL = 1e-10
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
 FIXED_KINDS = ("H", "CNOT", "CZ")
+_ARITY = {"RX": 1, "RY": 1, "RZ": 1, "H": 1, "CNOT": 2, "CZ": 2}
+
+# each rotation is exp(-i t P / 2) = cos(t/2) I - i sin(t/2) P for its Pauli P
+_PAULIS = {
+    "RX": np.array([[0, 1], [1, 0]]),
+    "RY": np.array([[0, -1j], [1j, 0]]),
+    "RZ": np.array([[1, 0], [0, -1]]),
+}
+# two-qubit rows and columns are indexed 2 * (control bit) + (target bit)
+_FIXED = {
+    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+    "CNOT": np.eye(4)[[0, 1, 3, 2]],
+    "CZ": np.diag([1.0, 1.0, 1.0, -1.0]),
+}
 
 
 class CircuitError(ValueError):
@@ -38,19 +58,15 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        if self.kind in ROTATION_KINDS:
-            if len(self.targets) != 1:
-                raise CircuitError(f"{self.kind} takes one target, got {self.targets}")
-            if self.angle_slot is None:
-                raise CircuitError(f"{self.kind} requires an angle slot")
-        elif self.kind in FIXED_KINDS:
-            want = 1 if self.kind == "H" else 2
-            if len(self.targets) != want:
-                raise CircuitError(f"{self.kind} takes {want} target(s), got {self.targets}")
-            if self.angle_slot is not None:
-                raise CircuitError(f"{self.kind} takes no angle slot")
-        else:
+        want = _ARITY.get(self.kind)
+        if want is None:
             raise CircuitError(f"unknown gate kind {self.kind!r}")
+        if len(self.targets) != want:
+            raise CircuitError(f"{self.kind} takes {want} target(s), got {self.targets}")
+        if self.kind in ROTATION_KINDS and self.angle_slot is None:
+            raise CircuitError(f"{self.kind} requires an angle slot")
+        if self.kind in FIXED_KINDS and self.angle_slot is not None:
+            raise CircuitError(f"{self.kind} takes no angle slot")
         if len(set(self.targets)) != len(self.targets):
             raise CircuitError(f"duplicate targets in {self.kind}{self.targets}")
 
@@ -106,82 +122,32 @@ class Observable:
         return cls(((1.0, (q,)),))
 
 
-def _axis(n: int, q: int) -> int:
-    # amps reshaped to (B, 2, ..., 2) puts qubit q at axis 1 + (n - 1 - q)
-    return 1 + (n - 1 - q)
-
-
-def _slot_index(idx_len: int, axis: int, value: int) -> tuple:
-    sl: list = [slice(None)] * idx_len
-    sl[axis] = value
-    return tuple(sl)
-
-
-def _slot_index2(idx_len: int, ax1: int, v1: int, ax2: int, v2: int) -> tuple:
-    sl: list = [slice(None)] * idx_len
-    sl[ax1] = v1
-    sl[ax2] = v2
-    return tuple(sl)
-
-
 def _apply_gates(amps: np.ndarray, spec: CircuitSpec, angles: np.ndarray,
                  gate_shifts: dict[int, float] | None = None) -> np.ndarray:
-    """Apply spec.gates to a batch of states in place.
+    """Apply spec.gates to a batch of states and return the new states.
 
     amps has shape (B, 2**n); angles has shape (B, angle_slots). gate_shifts
     maps gate index -> additive angle offset for that single occurrence.
     """
     b, n = amps.shape[0], spec.n
     a = amps.reshape((b,) + (2,) * n)
-    nd = a.ndim
-    bshape = (b,) + (1,) * (n - 1)
     for gi, g in enumerate(spec.gates):
         if g.kind in ROTATION_KINDS:
             th = angles[:, g.angle_slot]
             if gate_shifts and gi in gate_shifts:
                 th = th + gate_shifts[gi]
             half = 0.5 * th
-            ax = _axis(n, g.targets[0])
-            i0 = _slot_index(nd, ax, 0)
-            i1 = _slot_index(nd, ax, 1)
-            a0, a1 = a[i0], a[i1]
-            if g.kind == "RZ":
-                phase = np.exp(-0.5j * th).reshape(bshape)
-                a[i0] = a0 * phase
-                a[i1] = a1 * np.conj(phase)
-            else:
-                c = np.cos(half).reshape(bshape)
-                s = np.sin(half).reshape(bshape)
-                if g.kind == "RY":
-                    new0 = c * a0 - s * a1
-                    new1 = s * a0 + c * a1
-                else:  # RX
-                    new0 = c * a0 - 1j * s * a1
-                    new1 = -1j * s * a0 + c * a1
-                a[i0] = new0
-                a[i1] = new1
-        elif g.kind == "H":
-            ax = _axis(n, g.targets[0])
-            i0 = _slot_index(nd, ax, 0)
-            i1 = _slot_index(nd, ax, 1)
-            a0, a1 = a[i0].copy(), a[i1]
-            inv = 1.0 / np.sqrt(2.0)
-            a[i0] = (a0 + a1) * inv
-            a[i1] = (a0 - a1) * inv
-        elif g.kind == "CNOT":
-            axc = _axis(n, g.targets[0])
-            axt = _axis(n, g.targets[1])
-            i10 = _slot_index2(nd, axc, 1, axt, 0)
-            i11 = _slot_index2(nd, axc, 1, axt, 1)
-            tmp = a[i10].copy()
-            a[i10] = a[i11]
-            a[i11] = tmp
-        else:  # CZ
-            axc = _axis(n, g.targets[0])
-            axt = _axis(n, g.targets[1])
-            i11 = _slot_index2(nd, axc, 1, axt, 1)
-            a[i11] = -a[i11]
-    return amps
+            m = (np.cos(half)[:, None, None] * np.eye(2)
+                 - 1j * np.sin(half)[:, None, None] * _PAULIS[g.kind])
+        else:
+            m = _FIXED[g.kind]
+        # qubit q is axis n - q of a; the gate's axes go first, in target order
+        axes = [n - q for q in g.targets]
+        front = range(1, len(axes) + 1)
+        moved = np.moveaxis(a, axes, front)
+        out = m @ moved.reshape(b, 2 ** len(axes), 2 ** (n - len(axes)))
+        a = np.moveaxis(out.reshape(moved.shape), front, axes)
+    return a.reshape(b, -1)
 
 
 def _check_angles(spec: CircuitSpec, angles) -> np.ndarray:

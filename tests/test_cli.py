@@ -576,6 +576,41 @@ def test_dataset_record_without_split_is_a_config_error(tmp_path, capsys):
     path.write_text("\n".join(lines))
     assert main(_args(tmp_path) + ["train"]) == 2
     assert "line 4" in capsys.readouterr().err
+    lines[3] = lines[3][:-5]  # a record cut short is not JSON
+    path.write_text("\n".join(lines))
+    assert main(_args(tmp_path) + ["train"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} line 4: ") and len(err.splitlines()) == 1
+
+
+DEEP_JSON = "[" * 100000 + "]" * 100000  # past the recursion limit of json.loads
+
+
+@pytest.mark.parametrize("reader", ["checkpoint", "config", "override", "dataset"])
+def test_deeply_nested_json_is_a_config_error(tmp_path, capsys, reader):
+    # json.loads raises RecursionError, not ValueError, on such text
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    path = tmp_path / "dataset.jsonl"
+    lines = path.read_text().splitlines()
+    runs = {  # (dataset line to replace, argv)
+        "checkpoint": [(None, _args(tmp_path) + ["eval", "--checkpoint", str(deep)])],
+        "config": [(None, ["--config", str(deep)] + _args(tmp_path) + ["gen"])],
+        "override": [(None, _args(tmp_path, "--set", f"scenario.alpha={DEEP_JSON}") + ["gen"])],
+        "dataset": [(i, _args(tmp_path) + [command]) for i in (0, 2)
+                    for command in ("train", "eval")],
+    }[reader]
+    for i, argv in runs:
+        if i is not None:
+            path.write_text("\n".join(lines[:i] + [DEEP_JSON] + lines[i + 1:]) + "\n")
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        if i is not None:
+            assert captured.err.startswith(f"error: {path} line {i + 1}: ")
 
 
 def test_config_file_rejects_unknown_keys_inside_known_sections(tmp_path, capsys):

@@ -73,6 +73,11 @@ def test_ry_pi_then_cnot_reaches_basis_state_three():
     st = run_circuit(spec, [np.pi])
     assert abs(st.amps[3]) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(st.amps[:3], 0.0, atol=1e-12)
+    # a control above its target, two qubits apart: |100> -> |101> = 5
+    spec = _spec(3, [Gate("RY", (2,), 0), Gate("CNOT", (2, 0))], 1)
+    st = run_circuit(spec, [np.pi])
+    assert abs(st.amps[5]) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(np.delete(st.amps, 5), 0.0, atol=1e-12)
 
 
 def test_bell_state_parity():
@@ -86,6 +91,10 @@ def test_cz_flips_phase_of_one_one():
     spec = _spec(2, [Gate("RY", (0,), 0), Gate("RY", (1,), 0), Gate("CZ", (0, 1))], 1)
     st = run_circuit(spec, [np.pi])
     assert st.amps[3] == pytest.approx(-1.0, abs=1e-12)
+    # qubits two apart: CZ(0, 2) negates |101> = 5
+    spec = _spec(3, [Gate("RY", (0,), 0), Gate("RY", (2,), 0), Gate("CZ", (0, 2))], 1)
+    st = run_circuit(spec, [np.pi])
+    assert st.amps[5] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_rx_rz_match_matrix_algebra():
