@@ -17,6 +17,8 @@ where its N(N-1) edge rows dominate. The QGNN kernel's ``messages`` and
 times building the training split (``trainer.Split``) and a
 whole one-epoch desk ``trainer.train`` call of each model: the WMMSE
 baseline, the splits, the untrained evaluation and one full-batch epoch.
+Dataset save and load run on the desk realizations and on 300 + 100 at M=16,
+to a file in a temporary directory.
 Each call is timed REPEATS times after one warm-up call, at one BLAS
 thread; the best and the median in milliseconds are printed and written to
 ``--out`` as JSON.
@@ -34,6 +36,7 @@ import argparse
 import json
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -73,7 +76,7 @@ def _time(fn) -> dict:
     return {"best_ms": 1e3 * min(samples), "median_ms": 1e3 * float(np.median(samples))}
 
 
-def measure() -> dict[str, dict]:
+def measure(tmp: Path) -> dict[str, dict]:
     train_ch, test_ch = _realizations(TRAIN, 0), _realizations(TEST, TRAIN)
     wide_ch = _realizations(TEST, TRAIN, WIDE_M)
     scaler = fit_feature_scaler(train_ch)
@@ -100,6 +103,10 @@ def measure() -> dict[str, dict]:
     kept = kernel.messages(angles, graphs)[1]  # the rows vjp reads, as a forward keeps them
     gcn = GcnModel(hidden=16, layers=2)
     g_flat = gcn.init_params(rng)
+    desk_file, wide_file = tmp / "desk.npz", tmp / "wide.npz"
+    ch.save_dataset(desk_file, train_ch, test_ch)
+    ch.save_dataset(wide_file, wide_train, wide_ch)
+    stored = TRAIN + TEST
 
     calls = {
         "qgnn._prepare.grad": lambda: qgnn._prepare(q_flat, grad=True),
@@ -122,6 +129,11 @@ def measure() -> dict[str, dict]:
         f"trainer.Split.{TRAIN}": lambda: Split(train_set),
         "trainer.train.qgnn.1_epoch": lambda: train(qgnn, train_set, test_set, one_epoch),
         "trainer.train.gcn.1_epoch": lambda: train(gcn, train_set, test_set, one_epoch),
+        f"channels.save_dataset.{stored}": lambda: ch.save_dataset(desk_file, train_ch, test_ch),
+        f"channels.load_dataset.{stored}": lambda: ch.load_dataset(desk_file),
+        f"channels.save_dataset.{stored}.M{WIDE_M}": lambda: ch.save_dataset(
+            wide_file, wide_train, wide_ch),
+        f"channels.load_dataset.{stored}.M{WIDE_M}": lambda: ch.load_dataset(wide_file),
     }
     return {name: _time(fn) for name, fn in calls.items()}
 
@@ -130,7 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    timings = measure()
+    with tempfile.TemporaryDirectory() as tmp:
+        timings = measure(Path(tmp))
     for name, t in timings.items():
         print(f"{name:40s} best {t['best_ms']:9.3f} ms  median {t['median_ms']:9.3f} ms")
     record = {

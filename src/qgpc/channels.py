@@ -15,15 +15,17 @@ from __future__ import annotations
 import json
 import math
 import sys
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass
-from itertools import chain
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-DATASET_VERSION = 1
+DATASET_VERSION = 2  # 1 was one JSON line per realization
 _HEADER_KEYS = ("M", "sigma2", "alpha", "p_max", "train", "test")
+_MEMBERS = ("header", "G_train", "G_test")
 
 # Default drop geometry and link constants, overridable through configs.
 DEFAULT_PAIRS = 4
@@ -291,28 +293,16 @@ def sigmoid(z) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _encode_complex_matrix(G: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in G]
-
-
-def _decode_complex_matrix(rows: list) -> np.ndarray:
-    """G from rows of [re, im] pairs, each part a JSON number; complex()
-    refuses any other JSON value but a boolean, which its type gives away."""
-    G = np.array([[complex(re, im) for re, im in row] for row in rows])
-    if not {type(x) for x in chain.from_iterable(chain.from_iterable(rows))} <= {int, float}:
-        raise TypeError("a gain part is not a JSON number")
-    return G
-
-
 def save_dataset(
     path,
     train: list[ChannelRealization],
     test: list[ChannelRealization],
     meta: dict | None = None,
 ) -> None:
-    """Write a line-delimited dataset: one header object, then one record per
-    realization with the complex gains as [re, im] pairs. All realizations in
-    a file share M, sigma2, alpha and p_max, which live in the header."""
+    """Write a dataset as one .npz: the complex gains of each split as a
+    complex128 (n, M, M) array, G_train and G_test, and a JSON header string.
+    All realizations in a file share M, sigma2, alpha and p_max, which live in
+    the header. The file is written at ``path`` exactly, whatever its suffix."""
     items = list(train) + list(test)
     if not items:
         raise ValueError("dataset must contain at least one realization")
@@ -332,16 +322,15 @@ def save_dataset(
         "train": len(train),
         "test": len(test),
     }
-    if meta:
-        for key, val in meta.items():
-            if key not in header:
-                header[key] = val
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for split, group in (("train", train), ("test", test)):
-        for idx, ch in enumerate(group):
-            rec = {"split": split, "idx": idx, "G": _encode_complex_matrix(ch.G)}
-            lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = {**(meta or {}), **header}  # meta adds keys, never replaces one
+    gains = {f"G_{split}": np.array([ch.G for ch in group], dtype=np.complex128)
+             .reshape(len(group), first.M, first.M)
+             for split, group in (("train", train), ("test", test))}
+    # a file object, as np.savez would append .npz to a path that lacks it;
+    # its zip entries carry a fixed date, so the bytes are reproducible
+    with open(path, "wb") as f:
+        np.savez(f, header=np.array(json.dumps(header, sort_keys=True, separators=(",", ":"))),
+                 **gains)
 
 
 def is_json_number(x) -> bool:
@@ -376,47 +365,52 @@ def _header_values(header: dict, path) -> tuple[int, np.ndarray, np.ndarray, flo
     return m, np.asarray(header["sigma2"], dtype=float), alpha, float(header["p_max"])
 
 
-def _json_line(path, line_no: int, line: str):
-    try:
-        return json.loads(line)
-    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
-        raise ValueError(f"{path} line {line_no}: {exc}") from exc
+def _read_members(path) -> dict[str, np.ndarray]:
+    """The arrays of a dataset file, read without pickle. A file that is not
+    such an .npz (JSON text, an empty or cut file, an object array) is a
+    ValueError that names the path and none of numpy's words."""
+    refused = f"{path} is not a gen dataset (an .npz of {', '.join(_MEMBERS)}); re-run gen"
+    with open(path, "rb") as f:  # an OSError here is the caller's: the file cannot be read
+        try:
+            with np.lib.npyio.NpzFile(f, allow_pickle=False) as npz:
+                members = {name: npz[name] for name in npz.files}
+        # numpy's and zipfile's on a damaged or foreign file (OSError: a seek before
+        # the start; RuntimeError: an entry marked encrypted; TokenError: a bad .npy header)
+        except (ValueError, EOFError, OSError, RuntimeError, tokenize.TokenError,
+                zipfile.BadZipFile, zlib.error, NotImplementedError) as exc:
+            raise ValueError(refused) from exc
+    if sorted(members) != sorted(_MEMBERS):
+        raise ValueError(refused)
+    return members
 
 
 def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealization], dict]:
-    """Read a dataset file written by save_dataset; returns (train, test, header)."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty dataset file: {path}")
-    header = _json_line(path, *lines[0])
+    """Read a dataset file written by save_dataset; returns (train, test, header).
+    Each gain array must be complex128 of the header's (count, M, M), and
+    each realization passes the ChannelRealization checks."""
+    members = _read_members(path)
+    text = members["header"]
+    try:
+        header = json.loads(str(text)) if text.dtype.kind == "U" and text.ndim == 0 else None
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
+        raise ValueError(f"dataset header in {path}: {exc}") from exc
     if not isinstance(header, dict) or header.get("version") != DATASET_VERSION \
             or header.get("kind") != "d2d-dataset":
-        raise ValueError(f"unrecognized dataset header in {path}")
+        raise ValueError(f"unrecognized dataset header in {path} (re-run gen)")
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise ValueError(f"dataset header in {path} lacks {', '.join(missing)}")
     m, sigma2, alpha, p_max = _header_values(header, path)
-    train: list[ChannelRealization] = []
-    test: list[ChannelRealization] = []
-    for line_no, ln in lines[1:]:
-        rec = _json_line(path, line_no, ln)
-        where = f"{path} line {line_no}"
-        if not isinstance(rec, dict) or "split" not in rec or "G" not in rec:
-            raise ValueError(f"{where}: a record needs a split and G")
-        if rec["split"] not in ("train", "test"):
-            raise ValueError(f"{where}: unknown split tag {rec['split']!r}")
-        try:
-            G = _decode_complex_matrix(rec["G"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{where}: G is not a matrix of [re, im] pairs") from exc
-        if G.shape != (m, m):
-            raise ValueError(f"{where}: G has shape {G.shape}, header says M={m}")
-        try:
-            ch = ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-        (train if rec["split"] == "train" else test).append(ch)
-    if len(train) != header["train"] or len(test) != header["test"]:
-        raise ValueError("record counts do not match dataset header")
-    return train, test, header
+    splits = []
+    for split in ("train", "test"):
+        name, gains = f"G_{split}", members[f"G_{split}"]
+        if gains.dtype != np.complex128 or gains.shape != (header[split], m, m):
+            raise ValueError(f"{path}: {name} is {gains.dtype} of shape {gains.shape}, header "
+                             f"says complex128 of ({header[split]}, {m}, {m})")
+        splits.append([])
+        for idx, G in enumerate(gains):
+            try:
+                splits[-1].append(ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max))
+            except ValueError as exc:
+                raise ValueError(f"{path} {name}[{idx}]: {exc}") from exc
+    return splits[0], splits[1], header

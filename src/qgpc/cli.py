@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib  # echoed values are cut short: a --set value may be any length
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -55,7 +56,7 @@ DEFAULT_CONFIG = {
     },
     "train": asdict(TrainConfig()),
     "io": {
-        "dataset": "dataset.jsonl",
+        "dataset": "dataset.npz",
         "out_dir": ".",
     },
 }
@@ -74,7 +75,7 @@ def _deep_merge(base: dict, extra: dict, prefix: str = "") -> dict:
     out = dict(base)
     for key, val in extra.items():
         if key not in out:
-            raise ConfigError(f"unknown config key {prefix + key!r}")
+            raise ConfigError(f"unknown config key {reprlib.repr(prefix + key)}")
         if isinstance(out[key], dict) and isinstance(val, dict):
             out[key] = _deep_merge(out[key], val, f"{prefix}{key}.")
         else:
@@ -86,7 +87,7 @@ def _override(assignment: str) -> dict:
     """``key.path=value`` as the nested object a config file would hold. The
     value is JSON-parsed, or kept as a string when it is not JSON."""
     if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not of the form key.path=value")
+        raise ConfigError(f"override {reprlib.repr(assignment)} is not of the form key.path=value")
     key, raw = assignment.split("=", 1)
     try:
         value = json.loads(raw)
@@ -123,15 +124,17 @@ def _check_types(value, default, key: str) -> None:
     default's own type, so an int default refuses true, 1.5 and 4.0."""
     if isinstance(default, dict):
         if not (isinstance(value, dict) and value.keys() == default.keys()):
-            raise ConfigError(f"{key} must be an object with keys {list(default)}, got {value!r}")
+            raise ConfigError(f"{key} must be an object with keys {list(default)}, "
+                              f"got {reprlib.repr(value)}")
         for name, val in value.items():
             _check_types(val, default[name], f"{key}.{name}" if key else name)
     elif isinstance(default, float):
         items = value if key == "scenario.alpha" and isinstance(value, list) else [value]
         if not all(ch.is_json_number(x) and abs(x) <= sys.float_info.max for x in items):
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+            raise ConfigError(f"{key} must be a finite number, got {reprlib.repr(value)}")
     elif type(value) is not type(default):
-        raise ConfigError(f"{key} must be of type {type(default).__name__}, got {value!r}")
+        raise ConfigError(f"{key} must be of type {type(default).__name__}, "
+                          f"got {reprlib.repr(value)}")
 
 
 def _validate_config(cfg: dict) -> None:
@@ -152,7 +155,7 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("train_size must be >= 1 and test_size >= 0")
     mc = cfg["model"]
     if mc["arch"] not in ("qgnn", "gcn"):
-        raise ConfigError(f"unknown model.arch {mc['arch']!r}")
+        raise ConfigError(f"unknown model.arch {reprlib.repr(mc['arch'])}")
     for key in ("layers", "depth", "k", "hidden"):
         if mc[key] < (0 if key == "k" else 1):
             raise ConfigError(f"model.{key} out of range")

@@ -349,7 +349,7 @@ def test_dataset_round_trip(tmp_path):
     sc = ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=21)
     train = [ch.realize_channels(sc, seed=s) for s in range(4)]
     test = [ch.realize_channels(sc, seed=100 + s) for s in range(2)]
-    path = tmp_path / "data.jsonl"
+    path = tmp_path / "data.npz"
     ch.save_dataset(path, train, test, meta={"seed": 21})
     loaded_train, loaded_test, header = ch.load_dataset(path)
     assert header["M"] == 3 and header["train"] == 4 and header["test"] == 2
@@ -369,4 +369,4 @@ def test_dataset_rejects_mixed_constants(tmp_path):
     a = ch.realize_channels(sc, sigma2=0.01, seed=0)
     b = ch.realize_channels(sc, sigma2=0.02, seed=1)
     with pytest.raises(ValueError):
-        ch.save_dataset(tmp_path / "bad.jsonl", [a], [b])
+        ch.save_dataset(tmp_path / "bad.npz", [a], [b])

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +53,8 @@ def test_gen_writes_dataset_and_is_byte_reproducible(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote 8 train + 4 test realizations of M=3" in out
     assert main(_args(b) + ["gen"]) == 0
-    assert (a / "dataset.jsonl").read_bytes() == (b / "dataset.jsonl").read_bytes()
-    header = json.loads((a / "dataset.jsonl").read_text().split("\n")[0])
+    assert (a / "dataset.npz").read_bytes() == (b / "dataset.npz").read_bytes()
+    _, _, header = ch.load_dataset(a / "dataset.npz")
     assert header["M"] == 3 and header["train"] == 8 and header["test"] == 4
 
 
@@ -146,13 +147,13 @@ def test_eval_missing_checkpoint_and_missing_dataset(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["gen", "train"])
 def test_dataset_path_naming_a_directory_exits_2(tmp_path, capsys, command):
-    (tmp_path / "dataset.jsonl").mkdir()
+    (tmp_path / "dataset.npz").mkdir()
     assert main(_args(tmp_path) + [command]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert captured.out == ""
     assert len(lines) == 1 and lines[0].startswith("error: cannot ")
-    assert "dataset.jsonl" in lines[0]
+    assert "dataset.npz" in lines[0]
 
 
 @pytest.mark.parametrize("command", ["gen", "train"])
@@ -212,7 +213,7 @@ def test_config_file_merges_over_defaults(tmp_path):
     assert cfg["scenario"]["d"] == DEFAULT_CONFIG["scenario"]["d"]
     assert cfg["train"]["epochs"] == 50
     assert main(["--config", str(cfg_path), "gen"]) == 0
-    header = json.loads((tmp_path / "dataset.jsonl").read_text().split("\n")[0])
+    _, _, header = ch.load_dataset(tmp_path / "dataset.npz")
     assert header["M"] == 5
 
 
@@ -251,7 +252,7 @@ def test_undecodable_file_or_a_section_replaced_by_the_environment_exits_two(
     assert main(["--set", "io=5", "gen"]) == 2  # QGPC_OUT_DIR leaves io without dataset
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("error: ") == 3
-    assert not (tmp_path / "dataset.jsonl").exists()
+    assert not (tmp_path / "dataset.npz").exists()
 
 
 def _config_leaves(node, prefix=""):
@@ -303,7 +304,7 @@ def test_out_dir_environment_override(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv(cli.ENV_OUT_DIR, str(env_dir))
     assert main(_args(tmp_path / "ignored") + ["gen"]) == 0
-    assert (env_dir / "dataset.jsonl").exists()
+    assert (env_dir / "dataset.npz").exists()
     assert not (tmp_path / "ignored").exists()
 
 
@@ -367,16 +368,31 @@ def test_all_zero_weights_exit_with_config_error(tmp_path, capsys):
     assert main(_args(tmp_path, "--set", "scenario.alpha=[0,1.5,0]") + ["gen"]) == 0
 
 
+def _members(path) -> dict:
+    """The arrays of a dataset file, by member name."""
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _write_members(path, members: dict, header: dict | None = None) -> None:
+    """Write arrays (object arrays too) as a dataset file, the header
+    replaced by ``header`` when one is given."""
+    if header is not None:
+        members = {**members, "header": np.array(json.dumps(header))}
+    with open(path, "wb") as f:
+        np.savez(f, **members)
+
+
 def test_dataset_header_with_all_zero_weights_is_a_config_error(tmp_path, capsys):
     assert main(_args(tmp_path) + ["gen"]) == 0
     assert main(_args(tmp_path) + ["train"]) == 0
-    path = tmp_path / "dataset.jsonl"
-    lines = path.read_text().split("\n")
+    path = tmp_path / "dataset.npz"
+    members = _members(path)
     capsys.readouterr()
     for alpha, code in ((0.0, 2), ([0.0, 0.0, 0.0], 2), ([0.0, 1.0, 0.0], 0)):
-        header = json.loads(lines[0])
+        header = json.loads(str(members["header"]))
         header["alpha"] = alpha
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]))
+        _write_members(path, members, header)
         for command in ("train", "eval"):
             assert main(_args(tmp_path) + [command]) == code, (alpha, command)
             err = capsys.readouterr().err
@@ -386,26 +402,26 @@ def test_dataset_header_with_all_zero_weights_is_a_config_error(tmp_path, capsys
 
 def test_dataset_header_without_sigma2_is_a_config_error(tmp_path, capsys):
     assert main(_args(tmp_path) + ["gen"]) == 0
-    path = tmp_path / "dataset.jsonl"
-    lines = path.read_text().split("\n")
-    header = json.loads(lines[0])
+    path = tmp_path / "dataset.npz"
+    members = _members(path)
+    header = json.loads(str(members["header"]))
     del header["sigma2"]
-    path.write_text("\n".join([json.dumps(header)] + lines[1:]))
+    _write_members(path, members, header)
     assert main(_args(tmp_path) + ["train"]) == 2
     assert "sigma2" in capsys.readouterr().err
 
 
 def test_dataset_header_values_are_type_checked(tmp_path, capsys):
     assert main(_args(tmp_path) + ["gen"]) == 0
-    path = tmp_path / "dataset.jsonl"
-    lines = path.read_text().split("\n")
+    path = tmp_path / "dataset.npz"
+    members = _members(path)
     capsys.readouterr()
     for key, value in (("M", None), ("p_max", None), ("sigma2", None), ("alpha", None),
                        ("M", float("inf")), ("sigma2", float("nan")), ("p_max", float("inf")),
                        ("alpha", [1.0, -float("inf"), 1.0]), ("train", "8")):
-        header = json.loads(lines[0])
+        header = json.loads(str(members["header"]))
         header[key] = value
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]))
+        _write_members(path, members, header)
         assert main(_args(tmp_path) + ["train"]) == 2, key
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
@@ -448,14 +464,10 @@ def test_checkpoint_that_is_not_utf8_is_refused(tmp_path, capsys):
 def test_eval_on_a_test_split_whose_gains_are_all_zero_prints_no_ratio(tmp_path, capsys):
     assert main(_args(tmp_path) + ["gen"]) == 0
     assert main(_args(tmp_path) + ["train"]) == 0
-    path = tmp_path / "dataset.jsonl"
-    lines = path.read_text().splitlines()
-    for i, line in enumerate(lines[1:], start=1):
-        record = json.loads(line)
-        if record["split"] == "test":
-            record["G"] = [[[0.0, 0.0]] * 3] * 3
-            lines[i] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "dataset.npz"
+    members = _members(path)
+    members["G_test"][:] = 0.0
+    _write_members(path, members)
     capsys.readouterr()
     assert main(_args(tmp_path) + ["eval", "--oracle-levels", "3"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -468,17 +480,15 @@ def test_dataset_record_whose_gain_power_overflows_is_a_config_error(tmp_path, c
     # finite entries, but |G|^2 = 2e616 is not a float
     assert main(_args(tmp_path) + ["gen"]) == 0
     assert main(_args(tmp_path, "--set", "train.epochs=0") + ["train"]) == 0
-    path = tmp_path / "dataset.jsonl"
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[-1])
-    record["G"][1][2] = [1e308, 1e308]
-    lines[-1] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "dataset.npz"
+    members = _members(path)
+    members["G_test"][-1, 1, 2] = complex(1e308, 1e308)
+    _write_members(path, members)
     capsys.readouterr()
     assert main(_args(tmp_path) + [command]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {path} line {len(lines)}: |G|^2 must be finite\n"
+    assert captured.err == f"error: {path} G_test[3]: |G|^2 must be finite\n"
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -487,25 +497,21 @@ def test_dataset_record_whose_received_power_overflows_is_a_config_error(tmp_pat
     # each |g|^2 = 1e308 is a float, but one receiver's sum of three is not
     assert main(_args(tmp_path) + ["gen"]) == 0
     assert main(_args(tmp_path, "--set", "train.epochs=0") + ["train"]) == 0
-    path = tmp_path / "dataset.jsonl"
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
-    assert record["split"] == "train"
-    for row in record["G"]:
-        row[0] = [1e154, 0.0]
-    lines[1] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "dataset.npz"
+    members = _members(path)
+    members["G_train"][0, :, 0] = 1e154
+    _write_members(path, members)
     capsys.readouterr()
     assert main(_args(tmp_path) + [command]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {path} line 2: the power received at p_max must be finite\n"
+    assert captured.err == f"error: {path} G_train[0]: the power received at p_max must be finite\n"
 
 
 def test_gen_whose_p_max_overflows_the_received_power_is_a_config_error(tmp_path, capsys):
     assert main(_args(tmp_path, "--set", "scenario.p_max=1e200") + ["gen"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and not (tmp_path / "dataset.jsonl").exists()
+    assert captured.out == "" and not (tmp_path / "dataset.npz").exists()
     assert captured.err == ("error: train realization 0: "
                             "the power received at p_max must be finite\n")
 
@@ -542,45 +548,94 @@ def test_eval_prints_evaluate_mean_exactly(tmp_path, capsys):
     assert main(_args(tmp_path) + ["eval"]) == 0
     printed = capsys.readouterr().out.split("test_mean_bpshz=")[1].split()[0]
     doc = load_checkpoint(tmp_path / "qgnn_checkpoint.json")
-    _, test_ch, _ = ch.load_dataset(tmp_path / "dataset.jsonl")
+    _, test_ch, _ = ch.load_dataset(tmp_path / "dataset.npz")
     test_set = [Instance(f"test/{i}", c, build_graph(c, doc["scaler"]))
                 for i, c in enumerate(test_ch)]
     model = QgnnModel(layers=1, depth=1, k=1)
     assert printed == format(evaluate_mean(model, doc["params"], test_set, SeedConfig()), ".12g")
 
 
-def test_dataset_record_without_split_is_a_config_error(tmp_path, capsys):
+# a dataset of the JSON-lines format that .npz files replaced
+_JSONL_DATASET = ('{"M":3,"kind":"d2d-dataset","test":0,"train":1,"version":1}\n'
+                  '{"G":[[[1.0,0.0]]],"idx":0,"split":"train"}\n')
+_NOT_A_DATASET = ("jsonl", "empty", "lone_array", "truncated", "encrypted", "bad_npy_header",
+                  "bad_directory_offset", "object_array", "no_test_split")
+_BAD_GAINS = ("float_gains", "int_gains", "shape_against_M", "count_mismatch",
+              "non_finite_entry")
+
+
+def _make_malformed(path, case: str) -> str:
+    """Rewrite the dataset at ``path`` into ``case``; returns what its error names."""
+    members = _members(path)
+    if case == "jsonl":
+        path.write_text(_JSONL_DATASET)
+    elif case == "empty":
+        path.write_bytes(b"")
+    elif case == "lone_array":  # a .npy file, not an .npz
+        with open(path, "wb") as f:
+            np.save(f, members["G_train"])
+    elif case == "truncated":  # cut inside G_train, the bulk of the file
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    elif case == "encrypted":  # each central directory entry flagged as encrypted
+        data = bytearray(path.read_bytes())
+        at = data.find(b"PK\x01\x02")
+        while at >= 0:
+            data[at + 8] |= 1
+            at = data.find(b"PK\x01\x02", at + 4)
+        path.write_bytes(bytes(data))
+    elif case == "bad_npy_header":  # an unclosed bracket in G_train's array header
+        with zipfile.ZipFile(path) as archive:
+            entries = {name: archive.read(name) for name in archive.namelist()}
+        entries["G_train.npy"] = entries["G_train.npy"].replace(b"), }", b",  }", 1)
+        with zipfile.ZipFile(path, "w") as archive:  # a valid zip: its CRCs match
+            for name, data in entries.items():
+                archive.writestr(name, data)
+    elif case == "bad_directory_offset":  # the zip's end record points before the file
+        data = bytearray(path.read_bytes())
+        data[-6] ^= 0xFF
+        path.write_bytes(bytes(data))
+    elif case == "object_array":  # np.savez pickles it; a reader must not unpickle it
+        _write_members(path, {**members, "G_train": members["G_train"].astype(object)})
+    elif case == "no_test_split":
+        del members["G_test"]
+        _write_members(path, members)
+    elif case == "non_finite_entry":
+        members["G_train"][1, 0, 2] = complex(np.nan, 0.0)
+        _write_members(path, members)
+        return "G_train[1]"
+    else:  # a gain array whose dtype or shape is not the header's
+        name, gains = {
+            "float_gains": ("G_train", members["G_train"].real),
+            "int_gains": ("G_train", np.ones(members["G_train"].shape, dtype=int)),
+            "shape_against_M": ("G_train", members["G_train"][:, :2, :2]),
+            "count_mismatch": ("G_test", members["G_test"][:3]),
+        }[case]
+        _write_members(path, {**members, name: gains})
+        return name
+    return "re-run gen"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case", _NOT_A_DATASET + _BAD_GAINS)
+def test_a_malformed_dataset_exits_2_with_one_error_line(tmp_path, capsys, case, command):
     assert main(_args(tmp_path) + ["gen"]) == 0
-    path = tmp_path / "dataset.jsonl"
-    lines = path.read_text().split("\n")
-    record = json.loads(lines[3])
-    del record["split"]
-    lines[3] = json.dumps(record)
-    path.write_text("\n".join(lines))
+    path = tmp_path / "dataset.npz"
+    words = _make_malformed(path, case)
     capsys.readouterr()
-    assert main(_args(tmp_path) + ["train"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "line 4" in err and "split" in err
-    good_g = record["G"]
-    record["split"] = "train"
-    for pair in ([True, False], [10 ** 400, 0.0]):  # parts complex() would take, or overflow on
-        record["G"] = json.loads(json.dumps(good_g))
-        record["G"][1][2] = pair
-        lines[3] = json.dumps(record)
-        path.write_text("\n".join(lines))
-        assert main(_args(tmp_path) + ["train"]) == 2, pair
-        err = capsys.readouterr().err
-        assert err == f"error: {path} line 4: G is not a matrix of [re, im] pairs\n", pair
-    record["G"] = [[1.0, 0.0]]  # G that is not M x M pairs
-    lines[3] = json.dumps(record)
-    path.write_text("\n".join(lines))
-    assert main(_args(tmp_path) + ["train"]) == 2
-    assert "line 4" in capsys.readouterr().err
-    lines[3] = lines[3][:-5]  # a record cut short is not JSON
-    path.write_text("\n".join(lines))
-    assert main(_args(tmp_path) + ["train"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path} line 4: ") and len(err.splitlines()) == 1
+    assert main(_args(tmp_path) + [command]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith(f"error: {path}") and words in lines[0]
+    for leak in ("pickle", "EOF", "BadZip", "zip file"):  # numpy's and zipfile's own words
+        assert leak not in lines[0]
+
+
+def test_a_configured_dataset_path_is_written_and_read_exactly(tmp_path):
+    args = _args(tmp_path, "--set", "io.dataset=data.jsonl")
+    assert main(args + ["gen"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+    assert main(args + ["train"]) == 0
 
 
 DEEP_JSON = "[" * 100000 + "]" * 100000  # past the recursion limit of json.loads
@@ -592,25 +647,34 @@ def test_deeply_nested_json_is_a_config_error(tmp_path, capsys, reader):
     assert main(_args(tmp_path) + ["gen"]) == 0
     deep = tmp_path / "deep.json"
     deep.write_text(DEEP_JSON)
-    path = tmp_path / "dataset.jsonl"
-    lines = path.read_text().splitlines()
-    runs = {  # (dataset line to replace, argv)
-        "checkpoint": [(None, _args(tmp_path) + ["eval", "--checkpoint", str(deep)])],
-        "config": [(None, ["--config", str(deep)] + _args(tmp_path) + ["gen"])],
-        "override": [(None, _args(tmp_path, "--set", f"scenario.alpha={DEEP_JSON}") + ["gen"])],
-        "dataset": [(i, _args(tmp_path) + [command]) for i in (0, 2)
-                    for command in ("train", "eval")],
+    path = tmp_path / "dataset.npz"
+    runs = {
+        "checkpoint": [_args(tmp_path) + ["eval", "--checkpoint", str(deep)]],
+        "config": [["--config", str(deep)] + _args(tmp_path) + ["gen"]],
+        "override": [_args(tmp_path, "--set", f"scenario.alpha={DEEP_JSON}") + ["gen"]],
+        "dataset": [_args(tmp_path) + [command] for command in ("train", "eval")],
     }[reader]
-    for i, argv in runs:
-        if i is not None:
-            path.write_text("\n".join(lines[:i] + [DEEP_JSON] + lines[i + 1:]) + "\n")
+    if reader == "dataset":  # the header member holds the text
+        _write_members(path, {**_members(path), "header": np.array(DEEP_JSON)})
+    for argv in runs:
         capsys.readouterr()
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
-        if i is not None:
-            assert captured.err.startswith(f"error: {path} line {i + 1}: ")
+        if reader == "dataset":
+            assert captured.err.startswith(f"error: dataset header in {path}: ")
+
+
+def test_a_long_set_value_is_cut_short_in_its_error(tmp_path, capsys):
+    value = "[" * 60000 + "]" * 60000  # not JSON to json.loads, so kept as a string
+    assert main(["--set", f"io.out_dir={tmp_path}", "--set", f"scenario.alpha={value}",
+                 "gen"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error: scenario.alpha must be a finite number") \
+        and len(lines[0]) < 200
 
 
 def test_config_file_rejects_unknown_keys_inside_known_sections(tmp_path, capsys):
@@ -626,7 +690,7 @@ def test_config_file_rejects_unknown_keys_inside_known_sections(tmp_path, capsys
         from_file = capsys.readouterr().err
         assert main(["--set", f"{key}=1", "gen"]) == 2
         assert from_file == capsys.readouterr().err == f"error: unknown config key {key!r}\n"
-    assert not (tmp_path / "dataset.jsonl").exists()
+    assert not (tmp_path / "dataset.npz").exists()
 
 
 def test_checkpoint_with_nan_param_or_fractional_arch_is_refused(tmp_path, capsys):
@@ -731,28 +795,42 @@ def test_overflowing_parameters_abort_with_one_stderr_line(tmp_path, capsys, com
 
 
 @functools.cache
-def _valid_files() -> tuple[str, str]:
-    """Text of a small valid dataset and of a valid GCN checkpoint for it."""
+def _valid_files() -> tuple[bytes, str]:
+    """Bytes of a small valid dataset and text of a valid GCN checkpoint for it."""
     realizations = [ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=s), seed=s)
                     for s in range(3)]
     model = GcnModel(hidden=4, layers=1)
     with tempfile.TemporaryDirectory() as tmp:
-        data, ckpt = Path(tmp) / "dataset.jsonl", Path(tmp) / "ckpt.json"
+        data, ckpt = Path(tmp) / "dataset.npz", Path(tmp) / "ckpt.json"
         ch.save_dataset(data, realizations[:2], realizations[2:], {"seed": 1})
         save_checkpoint(ckpt, "gcn", model.arch_dict(),
                         model.init_params(np.random.default_rng(0)),
                         fit_feature_scaler(realizations[:2]))
-        return data.read_text(), ckpt.read_text()
+        return data.read_bytes(), ckpt.read_text()
 
 
 _DATASET_FIELDS = [("header", key) for key in
                    ("version", "kind", "M", "sigma2", "alpha", "p_max", "seed", "train", "test")]
-_DATASET_FIELDS += [("record", key) for key in ("split", "idx", "G")] + [("record", "G", 0, 0, 0)]
+_DATASET_FIELDS += [("G_train",), ("G_test",), ("G_train", 0, 0, 0)]
 _CHECKPOINT_FIELDS = [("version",), ("kind",), ("arch",), ("arch", "hidden"), ("arch", "layers"),
                       ("scaler",), ("scaler", "mu"), ("scaler", "sigma"), ("scaler", "z_clip"),
                       ("params",), ("params", 0)]
 _BAD_VALUES = (None, "x", "1.5", True, [1.0], [["layers", 1]], {"a": 1}, float("nan"),
                float("inf"), -float("inf"), 0, -1, 10 ** 400)
+
+
+def _mutated_gains(gains: np.ndarray, index: tuple, value) -> np.ndarray:
+    """The gain array with the whole array (no index) or one entry replaced by
+    ``value``, in the dtype numpy gives the result; an object array when it
+    gives none."""
+    if not index:
+        return np.asarray(value)
+    held = gains.astype(object)
+    held[index] = value
+    try:
+        return np.array(held.tolist())
+    except (ValueError, OverflowError):  # ragged, or an int past every numpy type
+        return held
 
 
 def _assert_valid_dataset(train, test, header):
@@ -781,29 +859,35 @@ def _assert_valid_checkpoint(doc, raw):
 @given(field=st.sampled_from(_DATASET_FIELDS + _CHECKPOINT_FIELDS),
        value=st.sampled_from(_BAD_VALUES))
 def test_parsers_raise_only_typed_errors_on_a_mutated_field(field, value):
-    dataset_text, checkpoint_text = _valid_files()
-    in_dataset = field in _DATASET_FIELDS
-    lines = dataset_text.split("\n") if in_dataset else [checkpoint_text]
-    line = 1 if field[0] == "record" else 0
-    doc = json.loads(lines[line])
-    *parents, key = field[1:] if in_dataset else field
-    target = doc
-    for name in parents:
-        target = target[name]
-    target[key] = value
-    lines[line] = json.dumps(doc)
+    dataset_bytes, checkpoint_text = _valid_files()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "file"
-        path.write_text("\n".join(lines))
-        if in_dataset:
+        if field in _DATASET_FIELDS:
+            path.write_bytes(dataset_bytes)
+            members = _members(path)
+            if field[0] == "header":
+                header = json.loads(str(members["header"]))
+                header[field[1]] = value
+                _write_members(path, members, header)
+            else:
+                name, *index = field
+                _write_members(path, {**members,
+                                      name: _mutated_gains(members[name], tuple(index), value)})
             try:
                 loaded = ch.load_dataset(path)
             except ValueError:
                 return
             _assert_valid_dataset(*loaded)
-            gains = json.loads(lines[1])["G"]
-            assert all(ch.is_json_number(x) for row in gains for pair in row for x in pair)
+            assert all(gains.dtype == np.complex128 for name, gains in _members(path).items()
+                       if name != "header")
         else:
+            doc = json.loads(checkpoint_text)
+            *parents, key = field
+            target = doc
+            for name in parents:
+                target = target[name]
+            target[key] = value
+            path.write_text(json.dumps(doc))
             try:
                 loaded = load_checkpoint(path)
             except CheckpointError:
@@ -834,7 +918,7 @@ def _cli_with_closed_stdout(args, cwd):
 def test_a_closed_stdout_exits_one_quietly_after_writing_the_outputs(tmp_path):
     gen = _cli_with_closed_stdout(_args(tmp_path) + ["gen"], tmp_path)
     assert (gen.returncode, gen.stderr) == (1, b"")
-    assert (tmp_path / "dataset.jsonl").exists()
+    assert (tmp_path / "dataset.npz").exists()
     assert main(_args(tmp_path) + ["train"]) == 0
     evaluation = _cli_with_closed_stdout(_args(tmp_path) + ["eval"], tmp_path)
     assert (evaluation.returncode, evaluation.stderr) == (1, b"")
@@ -853,6 +937,6 @@ def test_reports_and_checkpoints_are_byte_identical_across_blas_threads(tmp_path
                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             assert result.returncode == 0, result.stderr.decode()
         files[threads] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-    assert sorted(files["1"]) == ["dataset.jsonl", "gcn_checkpoint.json", "gcn_train_report.csv",
+    assert sorted(files["1"]) == ["dataset.npz", "gcn_checkpoint.json", "gcn_train_report.csv",
                                   "qgnn_checkpoint.json", "qgnn_train_report.csv"]
     assert files["1"] == files["2"]
