@@ -11,7 +11,11 @@ and 100 test realizations, QGNN layers 2 / depth 1 / k 2, GCN hidden 16 /
 layers 2). WMMSE also runs on 100 realizations at M=16, where it takes
 enough sweeps to show their cost (about 1.5 per instance at M=4), and the
 GCN on 300 realizations at M=16, the size of the benchmark's GCN workload,
-where its N(N-1) edge rows dominate. The QGNN kernel's ``messages`` and
+where its N(N-1) edge rows dominate. The grid oracle runs on the desk test
+realizations at 17 levels (the paper's oracle), on 20 dense drops (M=4 in a
+20 m square, where less of the grid can be pruned) at 17 levels, and on
+on/off grids (2 levels) at M=16 (desk geometry and dense) and M=12 (dense).
+The QGNN kernel's ``messages`` and
 ``vjp`` run on one full desk block at the block budget
 (``channels.BLOCK_BYTES``), with its graph count. Besides the kernels it
 times building the training split (``trainer.Split``) and a
@@ -51,19 +55,24 @@ from qgpc.qgnn import QgnnModel, input_slot_count  # noqa: E402
 from qgpc.trainer import (  # noqa: E402
     Instance, SeedConfig, Split, TrainConfig, evaluate_mean, train, train_star_seed,
 )
-from qgpc.wmmse import wmmse_batch  # noqa: E402
+from qgpc.wmmse import grid_search_oracle, wmmse_batch  # noqa: E402
 
 M, TRAIN, TEST = 4, 300, 100
 WIDE_M = 16  # the second size of WMMSE and the GCN
+DENSE_SIDE = 20.0  # side of the dense drops' square, in m
 REPEATS = 30  # timed calls per kernel
 
 
-def _realizations(count: int, seed0: int, m: int = M) -> list[ch.ChannelRealization]:
-    return [ch.realize_channels(ch.generate_scenario(m, ch.DEFAULT_AREA_SIDE,
-                                                     ch.DEFAULT_MIN_RANGE,
+def _realizations(count: int, seed0: int, m: int = M,
+                  side: float = ch.DEFAULT_AREA_SIDE) -> list[ch.ChannelRealization]:
+    return [ch.realize_channels(ch.generate_scenario(m, side, ch.DEFAULT_MIN_RANGE,
                                                      ch.DEFAULT_MAX_RANGE, seed0 + i),
                                 seed=seed0 + 100_000 + i)
             for i in range(count)]
+
+
+def _oracle(realizations: list[ch.ChannelRealization], levels: int):
+    return lambda: [grid_search_oracle(c, levels) for c in realizations]
 
 
 def _time(fn) -> dict:
@@ -107,6 +116,10 @@ def measure(tmp: Path) -> dict[str, dict]:
     ch.save_dataset(desk_file, train_ch, test_ch)
     ch.save_dataset(wide_file, wide_train, wide_ch)
     stored = TRAIN + TEST
+    dense = _realizations(20, TRAIN, M, DENSE_SIDE)
+    onoff = _realizations(10, TRAIN, WIDE_M)
+    onoff_dense = _realizations(10, TRAIN, WIDE_M, DENSE_SIDE)
+    onoff_12 = _realizations(20, TRAIN, 12, DENSE_SIDE)
 
     calls = {
         "qgnn._prepare.grad": lambda: qgnn._prepare(q_flat, grad=True),
@@ -126,6 +139,11 @@ def measure(tmp: Path) -> dict[str, dict]:
         f"graph.decompose_stars.{TRAIN}": lambda: decompose_stars(M, 2, star_seeds),
         f"wmmse.wmmse_batch.{TEST}": lambda: wmmse_batch(test_ch),
         f"wmmse.wmmse_batch.{TEST}.M{WIDE_M}": lambda: wmmse_batch(wide_ch),
+        f"wmmse.grid_search_oracle.{TEST}": _oracle(test_ch, 17),
+        f"wmmse.grid_search_oracle.{len(dense)}.d20": _oracle(dense, 17),
+        f"wmmse.grid_search_oracle.{len(onoff)}.M{WIDE_M}.L2": _oracle(onoff, 2),
+        f"wmmse.grid_search_oracle.{len(onoff_dense)}.M{WIDE_M}.L2.d20": _oracle(onoff_dense, 2),
+        f"wmmse.grid_search_oracle.{len(onoff_12)}.M12.L2.d20": _oracle(onoff_12, 2),
         f"trainer.Split.{TRAIN}": lambda: Split(train_set),
         "trainer.train.qgnn.1_epoch": lambda: train(qgnn, train_set, test_set, one_epoch),
         "trainer.train.gcn.1_epoch": lambda: train(gcn, train_set, test_set, one_epoch),

@@ -20,11 +20,12 @@ restarts. The best run's record is returned; everything stays
 deterministic. wmmse_batch runs every start of every instance of a list as
 one row of a stacked sweep; wmmse_allocate is that call on one instance.
 
-The grid oracle never builds its (levels^M, M) power grid. Receiver m's
-interference on the grid is a sum of M - 1 one-dimensional terms, term
-k != m being axis^2 |g_km|^2 laid along grid axis k, so each rate is formed by
-broadcasting those terms over one lexicographic slab of the grid at a time.
-Memory is bounded by a slab, not by the grid.
+The grid oracle never builds its (levels^M, M) power grid, and it skips
+most of it. A pair's rate rises with its own power and falls with its
+interferers' (the monotone structure of MAPEL: Qian, Zhang & Huang, IEEE TWC
+2009), so a block of the grid is bounded by its pairs' top levels with their
+interferers at the lowest. Blocks are searched best bound first, and once a
+bound falls below the best rate found the rest cannot hold the answer.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ from .channels import (  # noqa: F401
     ChannelBatch, ChannelRealization, _sinr_terms, size_blocks, sum_rate, sum_rate_batch,
     weighted_sum_rate)
 
-GRID_POINT_GUARD = 10 ** 7  # bounds the oracle's time; its memory is bounded by a slab
-SLAB_POINTS = 1 << 16       # most grid points the oracle evaluates at once
+GRID_POINT_GUARD = 10 ** 7  # bounds the oracle's time; SLAB_POINTS bounds its memory
+SLAB_POINTS = 1 << 16       # most values the oracle holds at once: M per block bound or point
+BLOCK_POINTS = 64           # fewest points of an oracle block, chosen by measurement
+BOUND_MARGIN = 1e-12        # relative slack on a block bound, for log2's few-ulp error
 _V_DENOM_FLOOR = 1e-300  # turns the 0/0 of an all-silent sweep into v = 0
 _RESTART_STREAM_TAG = 0x524553  # restart r draws from SeedSequence([0, tag, r])
 MAX_ITER = 100       # sweeps per start
@@ -178,72 +181,93 @@ def check_grid(levels: int, m: int) -> None:
         )
 
 
-def _slab_sum_rate(channels: ChannelRealization, axis: np.ndarray, picks: tuple) -> np.ndarray:
-    """Weighted sum rate at every point of one slab of the grid axis^M,
-    shaped like the slab.
+def _rates(channels: ChannelRealization, axis: np.ndarray, idx: list, own: list) -> np.ndarray:
+    """Weighted sum rate at the points of axis^M whose levels are the
+    per-axis index arrays idx (of one ndim, broadcast together), with pair
+    m's direct term at level own[m]: own = idx gives each point's rate.
 
-    picks[k] selects the levels of grid axis k: an int fixes it for the whole
-    slab, a slice spans it along one slab axis. term[m, k] holds
-    axis^2 |g_km|^2, so receiver m's interference is the broadcast sum of
-    term[m, k, picks[k]] over k != m in index order, the order in which
-    channels._sinr_terms adds them; each rate is built from the same float
-    operations as there. The sum over receivers runs in index order.
+    term[k, m] holds axis^2 |g_km|^2. Receiver m's interference sums
+    term[k, m, idx[k]] over k in index order, an exact 0 at k = m, as
+    channels._sinr_terms does, and each rate takes the same float operations
+    as there; the sum over receivers runs in index order.
     """
-    term = (np.abs(channels.G) ** 2).T[:, :, None] * axis ** 2
-    spans = [k for k, pick in enumerate(picks) if isinstance(pick, slice)]
-    shape = {k: (-1,) + (1,) * (len(spans) - 1 - d) for d, k in enumerate(spans)}
-
-    def laid(m, k):
-        t = term[m, k, picks[k]]
-        return t.reshape(shape[k]) if k in shape else t
-
+    m = len(idx)
+    term = (np.abs(channels.G) ** 2)[:, :, None] * axis ** 2
+    cross = term * (1.0 - np.eye(m))[:, :, None]
+    interference = 0.0
+    for k in range(m):  # every receiver at once: (M, *points)
+        interference = interference + cross[k][:, idx[k]]
     total = 0.0
-    for m in range(len(picks)):
-        interference = 0.0
-        for k in range(len(picks)):
-            if k != m:
-                interference = interference + laid(m, k)
-        # alpha_m log2(1 + direct / (interference + sigma2_m)), in place after the division
-        rate = laid(m, m) / (interference + channels.sigma2[m])
+    for r in range(m):
+        # alpha_r log2(1 + direct / (interference + sigma2_r)), in place after the division
+        rate = term[r, r, own[r]] / (interference[r] + channels.sigma2[r])
         rate += 1.0
         np.log2(rate, out=rate)
-        rate *= channels.alpha[m]
+        rate *= channels.alpha[r]
         total = total + rate
     return total
 
 
-def grid_search_oracle(channels: ChannelRealization, levels: int) -> tuple[np.ndarray, float]:
-    """Exhaustive search over the uniform grid {0, ..., p_max}^M.
+def _digit(flat: np.ndarray, j: int, n: int, levels: int) -> np.ndarray:
+    """Level of axis j at the lexicographic indices flat of an n-axis grid."""
+    return flat // levels ** (n - 1 - j) % levels
 
-    Refuses grids that check_grid refuses. The grid is evaluated in
-    lexicographic slabs of at most SLAB_POINTS points: the trailing axes
-    whole, a block of the next axis, every earlier axis fixed. Ties go to
-    the first grid point in lexicographic order (the first maximum within a
-    slab, a strict improvement across slabs). The objective returned is
-    sum_rate at the winning point, so it is bit-equal to scoring that point
-    alone; for M < 8 every in-grid value is too, while for larger M numpy's
-    pairwise sum over receivers may round an in-grid value differently.
+
+def _block_bounds(channels: ChannelRealization, axis: np.ndarray, lead: int) -> np.ndarray:
+    """A bound on the rates of each block that fixes the lead leading axes,
+    in lexicographic block order: each pair's own level at the top of its
+    span in the block, each interferer at the bottom of its span."""
+    m, levels = channels.M, len(axis)
+    fixed = [_digit(np.arange(levels ** lead), j, lead, levels) for j in range(lead)]
+    low, top = [np.zeros(1, dtype=int)] * (m - lead), [np.full(1, levels - 1)] * (m - lead)
+    return _rates(channels, axis, fixed + low, fixed + top)
+
+
+def grid_search_oracle(channels: ChannelRealization, levels: int) -> tuple[np.ndarray, float]:
+    """Exhaustive search over the uniform grid {0, ..., p_max}^M, best-first.
+
+    Refuses grids that check_grid refuses. A block fixes the leading axes
+    and spans the fewest trailing axes that hold BLOCK_POINTS points, or
+    more while the blocks' bounds (M values a block) exceed SLAB_POINTS. A
+    pair's rate rises with its own power and falls with its interferers',
+    so _block_bounds bounds every rate of a block. Blocks are searched in
+    descending order of bound (a stable sort): the top block alone, then
+    chunks of blocks of at most SLAB_POINTS values, until a block's bound,
+    inflated by BOUND_MARGIN, falls strictly below the best rate found.
+
+    The answer is that of a full scan: +, / and * round correctly, so they
+    are monotone, and the margin covers log2's few-ulp error; so no block
+    that could hold the best value is skipped, and ties go to the first grid
+    point in lexicographic order. Memory is bounded by SLAB_POINTS values
+    (by one axis at M = 1). The objective returned is sum_rate at the
+    winning point, so it is bit-equal to scoring that point alone; for M < 8
+    every in-grid value is too, while for larger M numpy's pairwise sum over
+    receivers may round an in-grid value differently.
     """
     m = channels.M
     check_grid(levels, m)
     axis = np.linspace(0.0, channels.p_max, levels)
-    whole = 0  # trailing axes that every slab spans in full
-    while whole < m and levels ** (whole + 1) <= SLAB_POINTS:
+    whole = 0  # trailing axes that every block spans
+    while whole < m and (levels ** whole < BLOCK_POINTS or m * levels ** (m - whole) > SLAB_POINTS):
         whole += 1
-    if whole == m:
-        slabs = [(slice(None),) * m]
-    else:
-        step = SLAB_POINTS // levels ** whole
-        slabs = ((*fixed, slice(start, start + step)) + (slice(None),) * whole
-                 for fixed in np.ndindex(*([levels] * (m - whole - 1)))
-                 for start in range(0, levels, step))
-    grid = (levels,) * m
-    best_obj, best = -np.inf, 0
-    for picks in slabs:
-        rates = _slab_sum_rate(channels, axis, picks)
-        i = int(np.argmax(rates))
-        if rates.flat[i] > best_obj:  # a slab is a contiguous run of the flat grid
-            origin = [pick if isinstance(pick, int) else pick.start or 0 for pick in picks]
-            best_obj, best = rates.flat[i], int(np.ravel_multi_index(origin, grid)) + i
-    p = axis[np.array(np.unravel_index(best, grid))]
+    lead, size = m - whole, levels ** whole
+    bounds = _block_bounds(channels, axis, lead)
+    bounds[np.isnan(bounds)] = np.inf  # 0 * inf at an alpha = 0 link: never skip its block
+    order = np.argsort(-bounds, kind="stable")
+    floor = -bounds[order] * (1.0 + BOUND_MARGIN)  # the inflated bounds, negated: ascending
+    trailing = [_digit(np.arange(size)[None], j, whole, levels) for j in range(whole)]
+    best_obj, best, pos, stop = -np.inf, levels ** m, 0, len(order)
+    while pos < stop:
+        ids = order[pos:min(stop, pos + (max(1, SLAB_POINTS // (m * size)) if pos else 1))]
+        fixed = [_digit(ids[:, None], j, lead, levels) for j in range(lead)]
+        rates = _rates(channels, axis, fixed + trailing, fixed + trailing).reshape(len(ids), size)
+        rates[np.isnan(rates)] = -np.inf
+        top = rates.max()
+        hit = np.flatnonzero(rates == top)
+        first = int((ids[hit // size] * size + hit % size).min())  # its grid index
+        if top > best_obj or (top == best_obj and first < best):
+            best_obj, best = top, first
+        pos += len(ids)
+        stop = int(np.searchsorted(floor, -best_obj, side="right"))
+    p = axis[np.array(np.unravel_index(best, (levels,) * m))]
     return p, sum_rate(channels, p)

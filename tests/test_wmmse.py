@@ -288,7 +288,8 @@ def test_grid_oracle_matches_a_per_point_scan(data):
     assert np.array_equal(p, points[first_max])
     assert obj == objs[first_max]
     # below 8 receivers every in-grid value is bit-equal to sum_rate
-    whole = wmmse._slab_sum_rate(inst, np.linspace(0.0, inst.p_max, levels), (slice(None),) * m)
+    idx = list(np.indices((levels,) * m, sparse=True))
+    whole = wmmse._rates(inst, np.linspace(0.0, inst.p_max, levels), idx, idx)
     assert np.array_equal(whole.ravel(), objs)
 
 
@@ -316,3 +317,85 @@ def test_grid_oracle_memory_is_bounded_by_a_slab():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_block_bound_is_at_least_every_rate_in_its_block(data):
+    m = data.draw(st.integers(1, 5), label="M")
+    levels = data.draw(st.integers(2, 5), label="levels")
+    lead = data.draw(st.integers(0, m), label="fixed leading axes")
+    # |g|^2 from 1e-40 to 1e20 and noise down to 1e-300: some SINRs overflow to inf
+    gains = st.lists(st.floats(-46.0, 23.0), min_size=m * m, max_size=m * m)
+    G = np.exp(np.array(data.draw(gains, label="log |g|"))).reshape(m, m).astype(complex)
+    alpha = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m),
+                               label="alpha"))
+    silent = data.draw(st.none() | st.integers(0, m - 1), label="alpha=0 link")
+    if silent is not None:
+        alpha[silent] = 0.0
+    dead = data.draw(st.none() | st.integers(0, m - 1), label="zero gain row")
+    if dead is not None:
+        G[dead, :] = 0.0
+    log_noise = st.lists(st.floats(-300.0, 0.0), min_size=m, max_size=m)
+    sigma2 = 10.0 ** np.array(data.draw(log_noise, label="log10 sigma2"))
+    p_max = data.draw(st.floats(0.1, 10.0), label="p_max")
+    inst = ch.ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
+    axis = np.linspace(0.0, p_max, levels)
+    bounds = wmmse._block_bounds(inst, axis, lead)
+    idx = list(np.indices((levels,) * m, sparse=True))
+    rates = wmmse._rates(inst, axis, idx, idx).reshape(len(bounds), -1)
+    # a NaN bound (0 * inf at an alpha = 0 link) is never used to skip a
+    # block; a NaN rate occurs only in such a block
+    usable = ~np.isnan(bounds)
+    assert not np.isnan(rates[usable]).any()
+    assert np.all(rates[usable] <= bounds[usable, None] * (1.0 + wmmse.BOUND_MARGIN))
+
+
+def _full_scan(inst, levels):
+    """Reference: every grid value at once, its first maximum, and sum_rate there."""
+    axis = np.linspace(0.0, inst.p_max, levels)
+    idx = list(np.indices((levels,) * inst.M, sparse=True))
+    rates = wmmse._rates(inst, axis, idx, idx)
+    p = axis[np.array(np.unravel_index(int(np.argmax(rates)), rates.shape))]
+    return p, ch.sum_rate(inst, p)
+
+
+@pytest.mark.parametrize("m, d, levels, count", [
+    (4, 100.0, 17, 12),  # the desk grid, where the bound prunes most blocks
+    (4, 20.0, 17, 12),   # dense drops: little can be pruned
+    (12, 20.0, 2, 3),
+    (16, 20.0, 2, 2),
+])
+def test_grid_oracle_is_bit_equal_to_a_full_scan(m, d, levels, count):
+    rng = np.random.default_rng(31)
+    rates_fn, evaluated = wmmse._rates, []
+
+    def counted(*args):
+        rates = rates_fn(*args)
+        evaluated.append(rates.size)
+        return rates
+
+    for _ in range(count):
+        sc = ch.generate_scenario(m, d, 2.0, 10.0, seed=int(rng.integers(1 << 31)))
+        inst = ch.realize_channels(sc, seed=int(rng.integers(1 << 31)))
+        with mock.patch.object(wmmse, "_rates", counted):
+            p, obj = grid_search_oracle(inst, levels)
+        want_p, want_obj = _full_scan(inst, levels)
+        assert np.array_equal(p, want_p)
+        assert obj == want_obj
+    if d == 100.0:  # the search covers the grid but evaluates a small part of it
+        assert sum(evaluated) < 0.1 * count * levels ** m
+
+
+def test_grid_oracle_ties_across_chunks_go_to_the_first_point():
+    # Pair 1's rate at full power ignores pair 0 (a tiny gain, absorbed by the
+    # noise), and pair 0's rate is exactly 0 whenever pair 1 transmits at
+    # full power (a huge cross gain), so every (p0, p_max) point ties; only
+    # at p1 = 0 does pair 0 raise its block's bound. The search meets the
+    # block p0 = p_max first, and must still return p0 = 0.
+    G = np.array([[1.0, 1e-10], [1e15, 1e3]], dtype=complex)
+    inst = ch.ChannelRealization(G=G, sigma2=1.0, alpha=1.0, p_max=1.0)
+    with mock.patch.object(wmmse, "BLOCK_POINTS", 2):  # one block per level of p0
+        p, obj = grid_search_oracle(inst, 5)
+    assert np.array_equal(p, [0.0, 1.0])
+    assert obj == ch.sum_rate(inst, p) == ch.sum_rate(inst, np.array([1.0, 1.0]))
