@@ -14,17 +14,19 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib  # echoed values are cut short: a value may be any length
 import sys
 import tokenize
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 DATASET_VERSION = 2  # 1 was one JSON line per realization
-_HEADER_KEYS = ("M", "sigma2", "alpha", "p_max", "train", "test")
+# the JSON types of a dataset header's keys, for check_json; save_dataset adds others
+_HEADER = {"M": 0, "sigma2": [0.0], "alpha": [0.0], "p_max": 0.0, "train": 0, "test": 0}
 _MEMBERS = ("header", "G_train", "G_test")
 
 # Default drop geometry and link constants, overridable through configs.
@@ -70,6 +72,7 @@ class ChannelRealization:
     sigma2: np.ndarray  # (M,) receiver noise power, > 0
     alpha: np.ndarray   # (M,) objective weights, >= 0
     p_max: float
+    gain: np.ndarray = field(init=False, repr=False)  # (M, M) |G|^2, taken once here
 
     def __post_init__(self):
         self.G = np.asarray(self.G, dtype=complex)
@@ -83,6 +86,7 @@ class ChannelRealization:
         peak = float(magnitude.max(initial=0.0))
         if not math.isfinite(peak * peak):
             raise ValueError("|G|^2 must be finite")
+        self.gain = magnitude * magnitude  # the bits of np.abs(G) ** 2
         if not np.all(np.isfinite(self.sigma2) & (self.sigma2 > 0)):
             raise ValueError("sigma2 must be positive and finite")
         if not np.all(np.isfinite(self.alpha) & (self.alpha >= 0)):
@@ -94,7 +98,7 @@ class ChannelRealization:
         p_max = float(self.p_max)
         if not math.isfinite(p_max * p_max * peak * peak * m + float(self.sigma2.max())):
             with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN: refused
-                received = p_max * p_max * (magnitude * magnitude).sum(axis=0) + self.sigma2
+                received = p_max * p_max * self.gain.sum(axis=0) + self.sigma2
             if not np.all(np.isfinite(received)):
                 raise ValueError("the power received at p_max must be finite")
 
@@ -174,9 +178,7 @@ class ChannelBatch:
         sizes = {ch.M for ch in realizations}
         if len(sizes) != 1:
             raise DimensionError(f"a batch needs one size M, got {sorted(sizes)}")
-        # |G|^2 one realization at a time: a stacked complex G would be a
-        # temporary twice the size of the batch's gains
-        gain = np.stack([np.abs(ch.G) ** 2 for ch in realizations])
+        gain = np.stack([ch.gain for ch in realizations])
         return cls(gain=gain, cross=gain * (1.0 - np.eye(gain.shape[-1])),
                    sigma2=np.stack([ch.sigma2 for ch in realizations]),
                    alpha=np.stack([ch.alpha for ch in realizations]),
@@ -221,15 +223,14 @@ def _sinr_terms(channels: ChannelRealization | ChannelBatch, p):
     as that power vector on its realization alone; the direct term is never
     added in, so it cannot swamp the interference."""
     p = np.asarray(p, dtype=float)
-    m = channels.M
+    m, gain = channels.M, channels.gain
     if isinstance(channels, ChannelBatch):
         if p.shape != (len(channels), m):
             raise DimensionError(f"power has shape {p.shape}, expected ({len(channels)}, {m})")
-        gain, cross = channels.gain, channels.cross
+        cross = channels.cross
     else:
         if p.ndim not in (1, 2) or p.shape[-1] != m:
             raise DimensionError(f"power has shape {p.shape}, expected ({m},) or (B, {m})")
-        gain = np.abs(channels.G) ** 2
         cross = gain * (1.0 - np.eye(m))  # an exact 0 at k = m adds nothing to the sum below
     bdiag = np.diagonal(gain, axis1=-2, axis2=-1)
     p2 = p ** 2
@@ -334,35 +335,39 @@ def save_dataset(
 
 
 def is_json_number(x) -> bool:
-    """True for a parsed JSON number a float holds: a float, or an int no
-    larger than the largest float; not a bool."""
-    return isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)
-                                    and abs(x) <= sys.float_info.max)
+    """True for a parsed JSON number a float holds finitely: an int or float
+    no larger in magnitude than the largest float; not a bool, NaN or inf."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
-def _header_values(header: dict, path) -> tuple[int, np.ndarray, np.ndarray, float]:
-    """M, sigma2, alpha and p_max of a dataset header, each checked for the
-    JSON type save_dataset writes; ChannelRealization checks their range."""
-    m = header["M"]
-    wants = {
-        "M": (type(m) is int and m >= 1, "a positive integer"),
-        "train": (type(header["train"]) is int, "an integer"),
-        "test": (type(header["test"]) is int, "an integer"),
-        "p_max": (is_json_number(header["p_max"]), "a number"),
-    }
-    for key in ("sigma2", "alpha"):
-        value = header[key]
-        wants[key] = (is_json_number(value) or (
-            isinstance(value, list) and len(value) == m and all(map(is_json_number, value))
-        ), "a number or a list of M numbers")
-    for key, (ok, want) in wants.items():
-        if not ok:
-            raise ValueError(f"dataset header in {path}: {key} must be {want}, "
-                             f"got {header[key]!r}")
-    alpha = np.asarray(header["alpha"], dtype=float)
-    if not alpha.any():  # every sum rate, WMMSE's too, would be 0
-        raise ValueError(f"dataset header in {path}: alpha must not be all 0")
-    return m, np.asarray(header["sigma2"], dtype=float), alpha, float(header["p_max"])
+def check_json(value, proto, key: str = "") -> None:
+    """Raise ValueError unless a parsed JSON value has the types of its
+    prototype, the one type rule of the config, the dataset header and the
+    checkpoint. An object must hold each key of the prototype's, checked
+    against that key's prototype (other keys pass unchecked); a float wants
+    a finite number (is_json_number); a list a list of finite numbers, and a
+    list that holds an item also takes one number alone, the value of every
+    entry; anything else wants the prototype's own type, so an int refuses
+    true, 1.5 and 4.0. ``key`` names the value in the message."""
+    got = reprlib.repr(value)
+    if isinstance(proto, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{key or 'the document'} is not a JSON object: {got}")
+        for name, item in proto.items():
+            dotted = f"{key}.{name}" if key else name
+            if name not in value:
+                raise ValueError(f"missing key {dotted!r}")
+            check_json(value[name], item, dotted)
+    elif isinstance(proto, list) and (isinstance(value, list) or not proto):
+        if not (isinstance(value, list) and all(map(is_json_number, value))):
+            raise ValueError(f"{key} must be a list of finite numbers, got {got}")
+    elif isinstance(proto, (float, list)):
+        if not is_json_number(value):
+            also = " or a list of finite numbers" if isinstance(proto, list) else ""
+            raise ValueError(f"{key} must be a finite number{also}, got {got}")
+    elif type(value) is not type(proto):
+        name = {int: "integer", str: "string"}[type(proto)]
+        raise ValueError(f"{key} must be a JSON {name}, got non-{name} {got}")
 
 
 def _read_members(path) -> dict[str, np.ndarray]:
@@ -397,10 +402,20 @@ def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealizatio
     if not isinstance(header, dict) or header.get("version") != DATASET_VERSION \
             or header.get("kind") != "d2d-dataset":
         raise ValueError(f"unrecognized dataset header in {path} (re-run gen)")
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise ValueError(f"dataset header in {path} lacks {', '.join(missing)}")
-    m, sigma2, alpha, p_max = _header_values(header, path)
+    try:  # ChannelRealization checks every other range
+        check_json(header, _HEADER)
+        m, p_max = header["M"], float(header["p_max"])
+        sigma2, alpha = (np.asarray(header[key], dtype=float) for key in ("sigma2", "alpha"))
+        if m < 1:
+            raise ValueError(f"M must be >= 1, got {m}")
+        for key, values in (("sigma2", sigma2), ("alpha", alpha)):
+            if values.shape not in ((), (m,)):
+                raise ValueError(f"{key} must be a number or a list of M={m} numbers, "
+                                 f"got {reprlib.repr(header[key])}")
+        if not alpha.any():  # every sum rate, WMMSE's too, would be 0
+            raise ValueError("alpha must not be all 0")
+    except ValueError as exc:
+        raise ValueError(f"dataset header in {path}: {exc}") from exc
     splits = []
     for split in ("train", "test"):
         name, gains = f"G_{split}", members[f"G_{split}"]

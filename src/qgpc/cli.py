@@ -71,16 +71,24 @@ class ConfigError(ValueError):
 
 def _deep_merge(base: dict, extra: dict, prefix: str = "") -> dict:
     """``base`` with the values of ``extra`` laid over it. Every key of
-    ``extra`` must already be in ``base``, at any depth."""
+    ``extra`` must already be in ``base``, at any depth, and an object of
+    ``base`` is merged key by key, never replaced, so it keeps only known keys."""
     out = dict(base)
     for key, val in extra.items():
         if key not in out:
             raise ConfigError(f"unknown config key {reprlib.repr(prefix + key)}")
         if isinstance(out[key], dict) and isinstance(val, dict):
             out[key] = _deep_merge(out[key], val, f"{prefix}{key}.")
+        elif isinstance(out[key], dict):
+            raise ConfigError(f"{prefix}{key} is not a JSON object: {reprlib.repr(val)}")
         else:
             out[key] = val
     return out
+
+
+# the config's JSON types, for channels.check_json: DEFAULT_CONFIG's, but
+# scenario.alpha also takes a list, one weight per pair
+_PROTOTYPE = _deep_merge(DEFAULT_CONFIG, {"scenario": {"alpha": [ch.DEFAULT_WEIGHT]}})
 
 
 def _override(assignment: str) -> dict:
@@ -112,33 +120,16 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         cfg = _deep_merge(cfg, _override(assignment))
     if os.environ.get(ENV_OUT_DIR):
         cfg = _deep_merge(cfg, {"io": {"out_dir": os.environ[ENV_OUT_DIR]}})
-    _check_types(cfg, DEFAULT_CONFIG, "")
+    try:
+        ch.check_json(cfg, _PROTOTYPE)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _validate_config(cfg)
     return cfg
 
 
-def _check_types(value, default, key: str) -> None:
-    """Raise unless ``value`` has the JSON type of ``default`` at every depth:
-    an object with the same keys, a finite number for a float default
-    (``scenario.alpha`` may also be a list of them), and otherwise the
-    default's own type, so an int default refuses true, 1.5 and 4.0."""
-    if isinstance(default, dict):
-        if not (isinstance(value, dict) and value.keys() == default.keys()):
-            raise ConfigError(f"{key} must be an object with keys {list(default)}, "
-                              f"got {reprlib.repr(value)}")
-        for name, val in value.items():
-            _check_types(val, default[name], f"{key}.{name}" if key else name)
-    elif isinstance(default, float):
-        items = value if key == "scenario.alpha" and isinstance(value, list) else [value]
-        if not all(ch.is_json_number(x) and abs(x) <= sys.float_info.max for x in items):
-            raise ConfigError(f"{key} must be a finite number, got {reprlib.repr(value)}")
-    elif type(value) is not type(default):
-        raise ConfigError(f"{key} must be of type {type(default).__name__}, "
-                          f"got {reprlib.repr(value)}")
-
-
 def _validate_config(cfg: dict) -> None:
-    """Range checks on a config that has passed _check_types."""
+    """Range checks on a config of _PROTOTYPE's JSON types."""
     if cfg["version"] != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {cfg['version']!r}")
     sc = cfg["scenario"]
@@ -337,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_eval(cfg, args.checkpoint, args.oracle_levels)
     except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the array a configured size made too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (NonFiniteLossError, NonFinitePowerError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)

@@ -37,7 +37,8 @@ class FeatureScaler:
 
     def angle(self, x) -> np.ndarray:
         x = np.maximum(np.asarray(x, dtype=float), 1e-300)
-        z = (np.log10(x) - self.mu) / self.sigma
+        with np.errstate(over="ignore"):  # a subnormal sigma: the clip saturates the inf
+            z = (np.log10(x) - self.mu) / self.sigma
         z = np.clip(z, -self.z_clip, self.z_clip)
         return (z + self.z_clip) / (2.0 * self.z_clip) * np.pi
 
@@ -47,7 +48,7 @@ def fit_feature_scaler(realizations: list[ChannelRealization]) -> FeatureScaler:
     if not realizations:
         raise ValueError("cannot fit a scaler on an empty training set")
     logs = np.concatenate([
-        np.log10(np.maximum(np.abs(ch.G) ** 2, 1e-300)).ravel() for ch in realizations
+        np.log10(np.maximum(ch.gain, 1e-300)).ravel() for ch in realizations
     ])
     sigma = float(np.std(logs))
     return FeatureScaler(mu=float(np.mean(logs)), sigma=max(sigma, 1e-12))
@@ -65,9 +66,8 @@ class InterferenceGraph:
 
 def build_graph(channels: ChannelRealization, scaler: FeatureScaler) -> InterferenceGraph:
     """Complete graph over the M pairs of one realization."""
-    gains = np.abs(channels.G) ** 2
-    feats = np.stack([scaler.angle(np.diagonal(gains)), channels.alpha], axis=1)
-    edge = scaler.angle(gains)
+    feats = np.stack([scaler.angle(np.diagonal(channels.gain)), channels.alpha], axis=1)
+    edge = scaler.angle(channels.gain)
     np.fill_diagonal(edge, 0.0)
     return InterferenceGraph(node_features=feats, edge_angle=edge)
 

@@ -192,7 +192,7 @@ def _rates(channels: ChannelRealization, axis: np.ndarray, idx: list, own: list)
     as there; the sum over receivers runs in index order.
     """
     m = len(idx)
-    term = (np.abs(channels.G) ** 2)[:, :, None] * axis ** 2
+    term = channels.gain[:, :, None] * axis ** 2
     cross = term * (1.0 - np.eye(m))[:, :, None]
     interference = 0.0
     for k in range(m):  # every receiver at once: (M, *points)

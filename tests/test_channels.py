@@ -1,5 +1,6 @@
 """Channel generation, SINR, objective, and dataset round trips."""
 
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -370,3 +371,42 @@ def test_dataset_rejects_mixed_constants(tmp_path):
     b = ch.realize_channels(sc, sigma2=0.02, seed=1)
     with pytest.raises(ValueError):
         ch.save_dataset(tmp_path / "bad.npz", [a], [b])
+
+
+def test_a_realization_keeps_the_bits_of_its_squared_gain_magnitudes():
+    for s in range(5):
+        c = ch.realize_channels(ch.generate_scenario(6, 100.0, 2.0, 10.0, seed=s), seed=s)
+        assert np.array_equal(c.gain, np.abs(c.G) ** 2)
+    tiny = _instance([[1e-200 + 1e-200j]])  # |G|^2 underflows to 0 quietly
+    assert np.array_equal(tiny.gain, np.abs(tiny.G) ** 2)
+
+
+_PROTO = {"n": 0, "x": 0.0, "each": [0.0], "list": [], "name": "", "sub": {"k": 0}}
+_GOOD = {"n": 3, "x": 2, "each": 0.5, "list": [1, 2.5], "name": "a", "sub": {"k": -1}, "more": None}
+
+
+@pytest.mark.parametrize("key, value, words", [
+    ("n", True, "n must be a JSON integer, got non-integer True"),
+    ("n", 1.5, "n must be a JSON integer, got non-integer 1.5"),
+    ("n", 4.0, "n must be a JSON integer, got non-integer 4.0"),
+    ("x", float("nan"), "x must be a finite number, got nan"),
+    ("x", 10 ** 400, "x must be a finite number, got"),
+    ("x", [1.0], "x must be a finite number, got [1.0]"),
+    ("x", False, "x must be a finite number, got False"),
+    ("each", "1", "each must be a finite number or a list of finite numbers, got '1'"),
+    ("each", [1.0, float("inf")], "each must be a list of finite numbers"),
+    ("list", 1.0, "list must be a list of finite numbers, got 1.0"),
+    ("list", [True], "list must be a list of finite numbers"),
+    ("name", 3, "name must be a JSON string, got non-string 3"),
+    ("sub", [["k", 1]], "sub is not a JSON object: [['k', 1]]"),
+    ("sub", {}, "missing key 'sub.k'"),
+    ("sub", {"k": "1"}, "sub.k must be a JSON integer"),
+])
+def test_check_json_refuses_a_value_of_another_type(key, value, words):
+    ch.check_json(_GOOD, _PROTO)
+    with pytest.raises(ValueError, match="^" + re.escape(words)):
+        ch.check_json({**_GOOD, key: value}, _PROTO)
+    with pytest.raises(ValueError, match=f"^missing key '{key}'$"):
+        ch.check_json({name: val for name, val in _GOOD.items() if name != key}, _PROTO)
+    with pytest.raises(ValueError, match=r"^the document is not a JSON object: \[\]$"):
+        ch.check_json([], _PROTO)

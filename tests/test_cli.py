@@ -940,3 +940,51 @@ def test_reports_and_checkpoints_are_byte_identical_across_blas_threads(tmp_path
     assert sorted(files["1"]) == ["dataset.npz", "gcn_checkpoint.json", "gcn_train_report.csv",
                                   "qgnn_checkpoint.json", "qgnn_train_report.csv"]
     assert files["1"] == files["2"]
+
+
+@pytest.mark.parametrize("sizes", [["train.epochs=1000000000000"],
+                                   ["model.arch=gcn", "model.hidden=10000000"]])
+def test_a_size_numpy_cannot_allocate_exits_2_with_one_error_line(tmp_path, capsys, sizes):
+    # 10^12 epoch slots, or a GCN layer of 10^14 weights: numpy refuses at once
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    capsys.readouterr()
+    args = _args(tmp_path)
+    for size in sizes:
+        args += ["--set", size]
+    assert main(args + ["train"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_eval_with_a_subnormal_scaler_sigma_warns_nothing(tmp_path, capsys):
+    # every standardized feature overflows to +-inf, which the clip saturates
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    assert main(_args(tmp_path) + ["train"]) == 0
+    ckpt = tmp_path / "qgnn_checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    doc["scaler"]["sigma"] = 1e-320
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(_args(tmp_path) + ["eval"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("case", ["other_kind", "one_param_short"])
+def test_eval_refuses_a_checkpoint_the_model_cannot_take(tmp_path, capsys, case):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    assert main(_args(tmp_path) + ["train"]) == 0
+    ckpt = tmp_path / "qgnn_checkpoint.json"
+    if case == "other_kind":
+        args = _args(tmp_path, "--set", "model.arch=gcn")
+        words = "checkpoint holds 'qgnn', expected 'gcn'"
+    else:
+        doc = json.loads(ckpt.read_text())
+        doc["params"] = doc["params"][:-1]
+        ckpt.write_text(json.dumps(doc))
+        args, words = _args(tmp_path), "checkpoint has 11 parameters, model needs 12"
+    capsys.readouterr()
+    assert main(args + ["eval", "--checkpoint", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {words}\n"
