@@ -25,16 +25,7 @@ from .graph import (
     decompose_stars,
     fit_feature_scaler,
 )
-from .qgnn import QgnnModel, build_qgcl_circuit
-from .qsim import (
-    CircuitSpec,
-    Gate,
-    Observable,
-    StateVector,
-    expectation,
-    param_shift_grad,
-    run_circuit,
-)
+from .qgnn import QgnnModel
 from .trainer import (
     Instance,
     NonFiniteLossError,

@@ -33,9 +33,10 @@ psi = (x)_q [cos(a_q/2), sin(a_q/2)]; the trainable part is one
 2^n x 2^n unitary U, built from (F, depth) and the angles alone: in each
 entangling block a qubit's RY and RZ fold into one 2x2 factor, the CNOT
 ring is a fixed permutation of the basis columns, and U is the product of
-the blocks' permuted Kronecker products. build_qgcl_circuit states the same
-circuit gate by gate for qsim. The messages are |psi U|^2 @ Z-signs; the tape
-keeps each layer's row angles, psi and phi = psi U for the backward.
+the blocks' permuted Kronecker products. The tests state the same circuit
+gate by gate for qsim. The messages are |psi U|^2 @ Z-signs; the tape keeps
+each layer's half-angle cosines and sines, psi and phi = psi U for the
+backward.
 Gradients are exact: each slot x enters as exp(-i x P / 2), so d/dx is half
 the circuit at x + pi, and one adjoint pass (Jones & Gacon, arXiv:2009.02823)
 over the kept states contracts every slot, chained through the re-encoding
@@ -54,7 +55,7 @@ import numpy as np
 from .graph import NODE_FEATURES, decompose_stars
 # run_batch is not called here; it stays bound on this module for code that
 # looks it up or wraps it here (the benchmark's tracer does).
-from .qsim import CircuitSpec, Gate, run_batch  # noqa: F401
+from .qsim import run_batch  # noqa: F401
 from .trainer import BatchModel
 
 HALF_PI = np.pi / 2.0
@@ -68,29 +69,6 @@ def input_slot_count(feature_dim: int) -> int:
 def slots_per_layer(feature_dim: int, depth: int) -> int:
     """Trainable angle count of one layer's circuit."""
     return depth * (2 * feature_dim + 1) * 2
-
-
-def build_qgcl_circuit(feature_dim: int, depth: int) -> CircuitSpec:
-    """Message circuit: RY input encoding on all 2F+1 qubits, then ``depth``
-    blocks of per-qubit trainable RY+RZ followed by a CNOT ring. The model
-    runs it in closed form (``_unitaries``); this gate list states it for
-    the gate-level simulator."""
-    if feature_dim < 1:
-        raise ValueError("feature_dim must be >= 1")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    nq = 2 * feature_dim + 1
-    gates = [Gate("RY", (q,), q) for q in range(nq)]
-    slot = nq
-    for _ in range(depth):
-        for q in range(nq):
-            gates.append(Gate("RY", (q,), slot))
-            slot += 1
-            gates.append(Gate("RZ", (q,), slot))
-            slot += 1
-        for q in range(nq):
-            gates.append(Gate("CNOT", (q, (q + 1) % nq)))
-    return CircuitSpec(n=nq, gates=tuple(gates), angle_slots=slot)
 
 
 def embedding_to_angle(h) -> np.ndarray:
@@ -158,25 +136,23 @@ def _unitaries(n: int, depth: int, thetas: np.ndarray) -> np.ndarray:
     return np.concatenate([u.real, u.imag], axis=2)
 
 
-def _product_state(angles: np.ndarray) -> np.ndarray:
-    """Rows of (x)_q RY(a_q)|0> = (x)_q [cos(a_q/2), sin(a_q/2)], qubit 0
-    least significant: angles (R, n) -> (R, 2^n)."""
-    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
-    psi = np.ones((len(angles), 1))
-    for q in range(angles.shape[1]):
+def _product_state(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows of (x)_q RY(a_q)|0> = (x)_q [c_q, s_q], c = cos(a/2) and
+    s = sin(a/2) of the angles (R, n), qubit 0 least significant: (R, 2^n)."""
+    psi = np.ones((len(c), 1))
+    for q in range(c.shape[1]):
         psi = np.concatenate([c[:, q, None] * psi, s[:, q, None] * psi], axis=1)
     return psi
 
 
-def _shifted_dots(angles: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """psi(a + pi e_q) . v for every row and qubit q: angles (R, n), v
-    (R, 2^n) -> (R, n), without forming the shifted states. v is contracted
-    with one qubit's factor [cos(a_q/2), sin(a_q/2)] at a time, qubit 0
-    first, carrying the all-unshifted row and one row per qubit already
-    contracted with its shifted factor [-sin(a_q/2), cos(a_q/2)]."""
-    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
+def _shifted_dots(c: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """psi(a + pi e_q) . v for every row and qubit q, from c = cos(a/2) and
+    s = sin(a/2) (R, n) and v (R, 2^n) -> (R, n), without forming the
+    shifted states. v is contracted with one qubit's factor [c_q, s_q] at a
+    time, qubit 0 first, carrying the all-unshifted row and one row per
+    qubit already contracted with its shifted factor [-s_q, c_q]."""
     x = v[:, None, :]  # (R, 1 + qubits shifted so far, amplitudes left)
-    for q in range(angles.shape[1]):
+    for q in range(c.shape[1]):
         x = x.reshape(len(x), x.shape[1], -1, 2)
         lo, hi = x[..., 0], x[..., 1]
         cq, sq = c[:, q, None, None], s[:, q, None, None]
@@ -210,14 +186,16 @@ class _Kernel:
     def messages(self, angles: np.ndarray,
                  graphs: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Z expectations (R, F) of the center qubits for input angles (R, n),
-        and the rows for ``vjp``: the angles, their product states psi (R,
-        2^n) and phi = psi U (R, 2^(n+1)) as [Re | Im]."""
-        psi = _product_state(angles)
+        and the rows for ``vjp``: the half-angle factors cos(a/2) and
+        sin(a/2), the product states psi (R, 2^n) and phi = psi U (R,
+        2^(n+1)) as [Re | Im]."""
+        c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
+        psi = _product_state(c, s)
         phi = _per_graph(psi, self.block, graphs)
         dim = self.block.shape[0]
         prob = phi[:, :dim] ** 2
         prob += phi[:, dim:] ** 2
-        return _per_graph(prob, self.signs, graphs), (angles, psi, phi)
+        return _per_graph(prob, self.signs, graphs), (c, s, psi, phi)
 
     def vjp(self, rows: tuple, w: np.ndarray, graphs: int) -> tuple[np.ndarray, ...]:
         """Gradients of sum_{r, f} w[r, f] <Z_f>_r at each row's input slots
@@ -226,10 +204,10 @@ class _Kernel:
         x gives 2 Re(y . dphi/dx): psi(a + pi e_q) . Re(U y) for input slot q
         (``_shifted_dots``), and Re <sum_r psi_r^T y_r, U(theta + pi e_s)>
         over a graph's rows for trainable slot s."""
-        angles, psi, phi = rows  # as ``messages`` formed them
+        c, s, psi, phi = rows  # as ``messages`` formed them
         y = np.tile(_per_graph(w, self.signs.T, graphs), 2)
         y *= phi  # [Re y | -Im y]
-        inputs = _shifted_dots(angles, _per_graph(y, self.block.T, graphs))
+        inputs = _shifted_dots(c, s, _per_graph(y, self.block.T, graphs))
         psi_t = psi.reshape(graphs, -1, psi.shape[1]).transpose(0, 2, 1)
         y = y.reshape(graphs, -1, y.shape[1])
         trainable = np.empty((graphs, self.grad_blocks.shape[1]))

@@ -10,13 +10,30 @@ from qgpc import channels as ch
 from qgpc import qgnn, qsim
 from qgpc.graph import InterferenceGraph, build_graph, decompose_stars, fit_feature_scaler
 from qgpc.qgnn import (
-    QgnnModel, _Kernel, _layer_forward, _row_angles, build_qgcl_circuit,
-    embedding_to_angle, initial_embeddings, input_slot_count, node_input_angles,
-    slots_per_layer,
+    QgnnModel, _Kernel, _layer_forward, _row_angles, embedding_to_angle,
+    initial_embeddings, input_slot_count, node_input_angles, slots_per_layer,
 )
 from qgpc.channels import sinr, weighted_sum_rate
-from qgpc.qsim import _apply_gates, expectations_z, run_batch
+from qgpc.qsim import CircuitSpec, Gate, _apply_gates, expectations_z, run_batch
 from qgpc.trainer import Instance
+
+
+def build_qgcl_circuit(feature_dim, depth):
+    """The model's message circuit gate by gate, for the gate-level oracle:
+    RY input encoding on all 2F+1 qubits, then ``depth`` blocks of per-qubit
+    trainable RY+RZ followed by a CNOT ring; the model runs it in closed form."""
+    nq = 2 * feature_dim + 1
+    gates = [Gate("RY", (q,), q) for q in range(nq)]
+    slot = nq
+    for _ in range(depth):
+        for q in range(nq):
+            gates.append(Gate("RY", (q,), slot))
+            slot += 1
+            gates.append(Gate("RZ", (q,), slot))
+            slot += 1
+        for q in range(nq):
+            gates.append(Gate("CNOT", (q, (q + 1) % nq)))
+    return CircuitSpec(n=nq, gates=tuple(gates), angle_slots=slot)
 
 
 def _instance(m=4, seed=0):
@@ -92,10 +109,6 @@ def test_circuit_layout_counts():
     assert build_qgcl_circuit(1, 1).n == 3
     assert build_qgcl_circuit(3, 1).n == 7
     assert slots_per_layer(2, 3) == 30
-    with pytest.raises(ValueError):
-        build_qgcl_circuit(0, 1)
-    with pytest.raises(ValueError):
-        build_qgcl_circuit(2, 0)
 
 
 def test_circuit_each_slot_feeds_exactly_one_gate():
@@ -421,9 +434,10 @@ def test_input_slot_contraction_matches_shifted_states(feature_dim, data):
     theta = data.draw(hnp.arrays(float, spec.angle_slots - n, elements=st.floats(-np.pi, np.pi)))
     w = data.draw(hnp.arrays(float, (n_rows, feature_dim), elements=st.floats(-2.0, 2.0)))
     kernel = _Kernel(feature_dim, 1, theta)
-    psi = qgnn._product_state(angles)
+    psi = qgnn._product_state(np.cos(0.5 * angles), np.sin(0.5 * angles))
     y = np.tile(w @ kernel.signs.T, 2) * (psi @ kernel.block)
-    shifted = qgnn._product_state((angles[:, None] + np.pi * np.eye(n)).reshape(-1, n))
+    half = 0.5 * (angles[:, None] + np.pi * np.eye(n)).reshape(-1, n)
+    shifted = qgnn._product_state(np.cos(half), np.sin(half))
     want = np.einsum("rqi,ri->rq", shifted.reshape(n_rows, n, -1), y @ kernel.block.T)
     inputs, _ = kernel.vjp(kernel.messages(angles, 1)[1], w, 1)
     np.testing.assert_allclose(inputs, want, rtol=0, atol=1e-13)
