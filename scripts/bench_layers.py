@@ -22,7 +22,9 @@ times building the training split (``trainer.Split``) and a
 whole one-epoch desk ``trainer.train`` call of each model: the WMMSE
 baseline, the splits, the untrained evaluation and one full-batch epoch.
 Dataset save and load run on the desk realizations and on 300 + 100 at M=16,
-to a file in a temporary directory.
+to a file in a temporary directory; so does ``cli.cmd_gen``, the whole
+``gen`` command (seeds, draws, checks and save), at the desk config and at
+M=16, and ``build_graph`` runs over the 400 desk realizations.
 Each call is timed REPEATS times after one warm-up call, at one BLAS
 thread; the best and the median in milliseconds are printed and written to
 ``--out`` as JSON.
@@ -37,6 +39,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import sys
@@ -49,6 +53,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qgpc import channels as ch  # noqa: E402
+from qgpc.cli import cmd_gen, load_config  # noqa: E402
 from qgpc.gcn import GcnModel  # noqa: E402
 from qgpc.graph import build_graph, decompose_stars, fit_feature_scaler  # noqa: E402
 from qgpc.qgnn import QgnnModel, input_slot_count  # noqa: E402
@@ -65,14 +70,24 @@ REPEATS = 30  # timed calls per kernel
 
 def _realizations(count: int, seed0: int, m: int = M,
                   side: float = ch.DEFAULT_AREA_SIDE) -> list[ch.ChannelRealization]:
-    return [ch.realize_channels(ch.generate_scenario(m, side, ch.DEFAULT_MIN_RANGE,
-                                                     ch.DEFAULT_MAX_RANGE, seed0 + i),
-                                seed=seed0 + 100_000 + i)
-            for i in range(count)]
+    seeds = seed0 + np.arange(count)
+    return ch.realize_channels(ch.generate_scenario(m, side, ch.DEFAULT_MIN_RANGE,
+                                                    ch.DEFAULT_MAX_RANGE, seeds),
+                               seed=seeds + 100_000)
 
 
 def _oracle(realizations: list[ch.ChannelRealization], levels: int):
     return lambda: [grid_search_oracle(c, levels) for c in realizations]
+
+
+def _gen(tmp: Path, *overrides: str):
+    """cmd_gen of the default config with overrides, writing into tmp, quiet."""
+    cfg = load_config(None, [f"io.out_dir={tmp}", *overrides])
+
+    def gen():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cmd_gen(cfg)
+    return gen
 
 
 def _time(fn) -> dict:
@@ -152,6 +167,10 @@ def measure(tmp: Path) -> dict[str, dict]:
         f"channels.save_dataset.{stored}.M{WIDE_M}": lambda: ch.save_dataset(
             wide_file, wide_train, wide_ch),
         f"channels.load_dataset.{stored}.M{WIDE_M}": lambda: ch.load_dataset(wide_file),
+        f"cli.cmd_gen.{stored}": _gen(tmp),
+        f"cli.cmd_gen.{stored}.M{WIDE_M}": _gen(tmp, f"scenario.M={WIDE_M}"),
+        f"graph.build_graph.{stored}": lambda: [build_graph(c, scaler)
+                                                for c in train_ch + test_ch],
     }
     return {name: _time(fn) for name, fn in calls.items()}
 

@@ -13,7 +13,6 @@ and the objective is ``sum_m alpha_m log2(1 + gamma_m)`` in bps/Hz.
 from __future__ import annotations
 
 import json
-import math
 import reprlib  # echoed values are cut short: a value may be any length
 import sys
 import tokenize
@@ -43,7 +42,16 @@ DEFAULT_P_MAX = 1.0
 BLOCK_BYTES = 1 << 19
 
 
-class GeometryError(ValueError):
+class RealizationError(ValueError):
+    """Raised when the draw or the check of realization ``index`` of a stack
+    fails; the message itself names no index."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
+
+
+class GeometryError(RealizationError):
     """Raised when drop geometry constraints are unsatisfiable."""
 
 
@@ -53,15 +61,16 @@ class DimensionError(ValueError):
 
 @dataclass(eq=False)
 class Scenario:
-    """Transmitter/receiver positions for one drop of M pairs."""
+    """Transmitter/receiver positions for one drop of M pairs, or for a
+    stack of B drops."""
 
     M: int
     d: float
     d_min: float
     d_max: float
-    seed: int
-    tx_pos: np.ndarray  # (M, 2) meters
-    rx_pos: np.ndarray  # (M, 2) meters
+    seed: int | np.ndarray  # one seed, or the (B,) seeds of a stack
+    tx_pos: np.ndarray  # (M, 2) or (B, M, 2) meters
+    rx_pos: np.ndarray  # (M, 2) or (B, M, 2) meters
 
 
 @dataclass(eq=False)
@@ -79,32 +88,62 @@ class ChannelRealization:
         m = self.G.shape[0]
         if self.G.shape != (m, m):
             raise DimensionError(f"G must be square, got {self.G.shape}")
-        self.sigma2 = np.broadcast_to(np.asarray(self.sigma2, dtype=float), (m,)).copy()
-        self.alpha = np.broadcast_to(np.asarray(self.alpha, dtype=float), (m,)).copy()
-        # max is NaN at a NaN entry; a Python float product overflows quietly
-        magnitude = np.abs(self.G)
-        peak = float(magnitude.max(initial=0.0))
-        if not math.isfinite(peak * peak):
-            raise ValueError("|G|^2 must be finite")
-        self.gain = magnitude * magnitude  # the bits of np.abs(G) ** 2
-        if not np.all(np.isfinite(self.sigma2) & (self.sigma2 > 0)):
-            raise ValueError("sigma2 must be positive and finite")
-        if not np.all(np.isfinite(self.alpha) & (self.alpha >= 0)):
-            raise ValueError("alpha must be non-negative and finite")
-        if not (np.isfinite(self.p_max) and self.p_max > 0):
-            raise ValueError("p_max must be positive and finite")
-        # the SINR kernel's largest sums, every transmitter at p_max plus noise,
-        # must be finite; they are formed only when a bound on them overflows
-        p_max = float(self.p_max)
-        if not math.isfinite(p_max * p_max * peak * peak * m + float(self.sigma2.max())):
-            with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN: refused
-                received = p_max * p_max * self.gain.sum(axis=0) + self.sigma2
-            if not np.all(np.isfinite(received)):
-                raise ValueError("the power received at p_max must be finite")
+        gain, self.sigma2, self.alpha = _check_stack(self.G[None], self.sigma2, self.alpha,
+                                                     self.p_max)
+        self.gain = gain[0]
 
     @property
     def M(self) -> int:
         return self.G.shape[0]
+
+
+def _check_stack(G: np.ndarray, sigma2, alpha, p_max):
+    """Check a complex (n, M, M) gain stack whose items share the link
+    constants: every |G|^2 finite, sigma2 positive and alpha non-negative
+    (each a number or M of them), p_max positive, all finite, and the power
+    each receiver takes in with every transmitter at p_max finite. Returns
+    |G|^2 and the (M,) sigma2 and alpha, read-only as the items share them.
+    Raises RealizationError at the first bad index with the message a check
+    of that item alone gives; a bad link constant makes index 0 bad."""
+    m = G.shape[-1]
+    sigma2, alpha = (np.broadcast_to(np.asarray(x, dtype=float), (m,)).copy()
+                     for x in (sigma2, alpha))
+    sigma2.flags.writeable = alpha.flags.writeable = False
+    gain = np.abs(G)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        gain *= gain  # the bits of np.abs(G) ** 2
+    bad_gain = ~np.isfinite(gain).all(axis=(-2, -1))
+    link = None
+    if not np.all(np.isfinite(sigma2) & (sigma2 > 0)):
+        link = "sigma2 must be positive and finite"
+    elif not np.all(np.isfinite(alpha) & (alpha >= 0)):
+        link = "alpha must be non-negative and finite"
+    elif not (np.isfinite(p_max) and p_max > 0):
+        link = "p_max must be positive and finite"
+    # the SINR kernel's largest sums, every transmitter at p_max plus noise
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN: refused
+        received = float(p_max) * float(p_max) * gain.sum(axis=-2) + sigma2
+    bad = bad_gain | ~np.isfinite(received).all(axis=-1)
+    if link is not None:
+        bad[:1] = True
+    if bad.any():
+        j = int(bad.argmax())
+        raise RealizationError("|G|^2 must be finite" if bad_gain[j] else
+                               link or "the power received at p_max must be finite", j)
+    return gain, sigma2, alpha
+
+
+def _realizations(G: np.ndarray, sigma2, alpha, p_max) -> list[ChannelRealization]:
+    """The realizations of a complex (n, M, M) gain stack that share their
+    link constants, checked once over the stack (_check_stack). Each item's
+    G and |G|^2 are views of the stack's."""
+    gain, sigma2, alpha = _check_stack(G, sigma2, alpha, p_max)
+    items = []
+    for g, g2 in zip(G, gain):
+        item = object.__new__(ChannelRealization)  # checked above, not again per item
+        item.G, item.gain, item.sigma2, item.alpha, item.p_max = g, g2, sigma2, alpha, p_max
+        items.append(item)
+    return items
 
 
 def pathloss(r, exponent: float):
@@ -112,25 +151,67 @@ def pathloss(r, exponent: float):
     return (1.0 + np.asarray(r, dtype=float)) ** (-exponent)
 
 
-def generate_scenario(M: int, d: float, d_min: float, d_max: float, seed: int) -> Scenario:
+POOL_PER_PAIR = 2  # receiver attempts an instance draws at a time, per pair
+MAX_ATTEMPTS = 10_000  # a pair that finds no receiver position in these gives up
+
+
+def generate_scenario(M: int, d: float, d_min: float, d_max: float, seed) -> Scenario:
     """Drop M transmitters uniformly in the square and each receiver at a
-    uniform range/bearing from its transmitter, rejection-sampled into the square."""
+    uniform range/bearing from its transmitter, rejection-sampled into the
+    square. ``seed`` is one seed in [0, 2^64), giving (M, 2) positions, or a
+    1-D array of B, giving (B, M, 2), instance b drawn from its own
+    generator exactly as its seed alone would draw it.
+
+    An instance draws its transmitters, then a pool of POOL_PER_PAIR * M
+    (range, bearing) attempts, and another pool whenever one runs out. Pair
+    i takes the next attempts in the order drawn until one lands in the
+    square, in one pass over every instance per pair. A pair that finds no
+    position in MAX_ATTEMPTS attempts raises GeometryError with the
+    instance's index (in a 10 m square with d_min = 10, no point is 10 m
+    from a transmitter near the centre)."""
     if M < 1:
         raise GeometryError("M must be >= 1")
     if not (0 < d_min <= d_max <= d):
         raise GeometryError(f"need 0 < d_min <= d_max <= d, got {d_min}, {d_max}, {d}")
-    rng = np.random.default_rng(seed)
-    tx = rng.uniform(0.0, d, size=(M, 2))
-    rx = np.empty((M, 2))
+    seeds = np.asarray(seed, dtype=np.uint64)
+    rngs = [np.random.default_rng(s) for s in seeds.reshape(-1).tolist()]
+    n, k = len(rngs), POOL_PER_PAIR * M
+    low, high = [d_min, 0.0], [d_max, 2.0 * np.pi]
+    tx, attempts = np.empty((n, M, 2)), np.empty((n, k, 2))
+    for b, rng in enumerate(rngs):
+        tx[b] = rng.uniform(0.0, d, size=(M, 2))
+        attempts[b] = rng.uniform(low, high, size=(k, 2))
+
+    def steps(rows):  # (..., k, 2) range/bearing attempts -> offsets from the transmitter
+        phi = rows[..., 1]
+        return rows[..., :1] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+    def inside(points):
+        return ((points >= 0.0) & (points <= d)).all(axis=-1)
+
+    step = steps(attempts)
+    rx = np.empty((n, M, 2))
+    nxt = np.zeros(n, dtype=np.intp)  # each instance's next unused attempt
+    every = np.arange(n)
     for i in range(M):
-        while True:
-            r = rng.uniform(d_min, d_max)
-            phi = rng.uniform(0.0, 2.0 * np.pi)
-            cand = tx[i] + r * np.array([np.cos(phi), np.sin(phi)])
-            if 0.0 <= cand[0] <= d and 0.0 <= cand[1] <= d:
-                rx[i] = cand
-                break
-    return Scenario(M=M, d=d, d_min=d_min, d_max=d_max, seed=seed, tx_pos=tx, rx_pos=rx)
+        hit = inside(tx[:, i, None, :] + step) & (np.arange(k) >= nxt[:, None])
+        first = hit.argmax(axis=1)
+        for b in np.flatnonzero(~hit[every, first]):  # this pool ran out
+            tried, found = k - nxt[b], False
+            while not found and tried < MAX_ATTEMPTS:
+                step[b] = steps(rngs[b].uniform(low, high, size=(k, 2)))
+                hits = inside(tx[b, i] + step[b])
+                first[b], found = hits.argmax(), hits.any()
+                tried += first[b] + 1 if found else k
+            if tried > MAX_ATTEMPTS or not found:
+                raise GeometryError(
+                    f"pair {i}: no receiver position in the {d} m square at {d_min} to "
+                    f"{d_max} m from its transmitter in {MAX_ATTEMPTS} attempts", int(b))
+        rx[:, i] = tx[:, i] + step[every, first]
+        nxt = first + 1
+    if seeds.ndim == 0:
+        tx, rx, seeds = tx[0], rx[0], int(seeds)
+    return Scenario(M=M, d=d, d_min=d_min, d_max=d_max, seed=seeds, tx_pos=tx, rx_pos=rx)
 
 
 def realize_channels(
@@ -139,25 +220,35 @@ def realize_channels(
     sigma2: float | np.ndarray = DEFAULT_NOISE_POWER,
     alpha: float | np.ndarray = DEFAULT_WEIGHT,
     p_max: float = DEFAULT_P_MAX,
-    seed: int = 0,
+    seed=0,
     fading: bool = True,
-) -> ChannelRealization:
-    """Draw complex gains over a scenario.
+) -> ChannelRealization | list[ChannelRealization]:
+    """Draw complex gains over a scenario: one realization for a drop, a
+    list of B for a stack of B drops, with ``seed`` one fading seed in
+    [0, 2^64) or B of them, instance b drawn from its own generator exactly
+    as its seed alone would draw it. The stack is checked once (_check_stack).
 
     Amplitude gain = sqrt(pathloss(distance)) times unit-variance complex
     Gaussian fading. With ``fading=False`` the fading factor is exactly 1,
     so pathloss_exp = 0 gives |g_km| = 1 for every link.
     """
     m = scenario.M
-    diff = scenario.tx_pos[:, None, :] - scenario.rx_pos[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))  # dist[k, m] = tx k to rx m
+    diff = scenario.tx_pos[..., :, None, :] - scenario.rx_pos[..., None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=-1))  # dist[..., k, m] = tx k to rx m
     amp = np.sqrt(pathloss(dist, pathloss_exp))
     if fading:
-        rng = np.random.default_rng(seed)
-        fade = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+        seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), dist.shape[:-2])
+        normal = np.empty((seeds.size, 2, m, m))  # the real parts, then the imaginary
+        for b, s in enumerate(seeds.reshape(-1).tolist()):
+            normal[b] = np.random.default_rng(s).standard_normal((2, m, m))
+        normal = normal.reshape(seeds.shape + (2, m, m))
+        fade = (normal[..., 0, :, :] + 1j * normal[..., 1, :, :]) / np.sqrt(2.0)
     else:
-        fade = np.ones((m, m), dtype=complex)
-    return ChannelRealization(G=amp * fade, sigma2=sigma2, alpha=alpha, p_max=p_max)
+        fade = np.ones(dist.shape, dtype=complex)
+    G = amp * fade
+    if G.ndim == 2:
+        return ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
+    return _realizations(G, sigma2, alpha, p_max)
 
 
 @dataclass(eq=False)
@@ -304,14 +395,25 @@ def save_dataset(
     complex128 (n, M, M) array, G_train and G_test, and a JSON header string.
     All realizations in a file share M, sigma2, alpha and p_max, which live in
     the header. The file is written at ``path`` exactly, whatever its suffix."""
-    items = list(train) + list(test)
-    if not items:
+    if not (train or test):
         raise ValueError("dataset must contain at least one realization")
-    first = items[0]
-    for ch in items:
-        if ch.M != first.M or not np.array_equal(ch.sigma2, first.sigma2) \
-                or not np.array_equal(ch.alpha, first.alpha) or ch.p_max != first.p_max:
-            raise ValueError("all realizations in a dataset must share link constants")
+    first = (train or test)[0]
+    shared = "all realizations in a dataset must share link constants"
+    gains = {}
+    for split, group in (("train", train), ("test", test)):
+        if not group:
+            gains[f"G_{split}"] = np.empty((0, first.M, first.M), dtype=np.complex128)
+            continue
+        try:  # np.stack refuses realizations of more than one M
+            G, sigma2, alpha = (np.stack([getattr(ch, key) for ch in group])
+                                for key in ("G", "sigma2", "alpha"))
+        except ValueError as exc:
+            raise ValueError(shared) from exc
+        p_max = np.array([ch.p_max for ch in group])
+        if G.shape[1:] != first.G.shape or (sigma2 != first.sigma2).any() \
+                or (alpha != first.alpha).any() or (p_max != first.p_max).any():
+            raise ValueError(shared)
+        gains[f"G_{split}"] = G
     header = {
         "version": DATASET_VERSION,
         "kind": "d2d-dataset",
@@ -324,9 +426,6 @@ def save_dataset(
         "test": len(test),
     }
     header = {**(meta or {}), **header}  # meta adds keys, never replaces one
-    gains = {f"G_{split}": np.array([ch.G for ch in group], dtype=np.complex128)
-             .reshape(len(group), first.M, first.M)
-             for split, group in (("train", train), ("test", test))}
     # a file object, as np.savez would append .npz to a path that lacks it;
     # its zip entries carry a fixed date, so the bytes are reproducible
     with open(path, "wb") as f:
@@ -392,7 +491,8 @@ def _read_members(path) -> dict[str, np.ndarray]:
 def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealization], dict]:
     """Read a dataset file written by save_dataset; returns (train, test, header).
     Each gain array must be complex128 of the header's (count, M, M), and
-    each realization passes the ChannelRealization checks."""
+    passes the ChannelRealization checks, run once over the array; an error
+    names the first bad realization."""
     members = _read_members(path)
     text = members["header"]
     try:
@@ -422,10 +522,8 @@ def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealizatio
         if gains.dtype != np.complex128 or gains.shape != (header[split], m, m):
             raise ValueError(f"{path}: {name} is {gains.dtype} of shape {gains.shape}, header "
                              f"says complex128 of ({header[split]}, {m}, {m})")
-        splits.append([])
-        for idx, G in enumerate(gains):
-            try:
-                splits[-1].append(ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max))
-            except ValueError as exc:
-                raise ValueError(f"{path} {name}[{idx}]: {exc}") from exc
+        try:
+            splits.append(_realizations(gains, sigma2, alpha, p_max))
+        except RealizationError as exc:
+            raise ValueError(f"{path} {name}[{exc.index}]: {exc}") from exc
     return splits[0], splits[1], header

@@ -189,21 +189,20 @@ def cmd_gen(cfg: dict) -> int:
     """Draw the train/test realizations and write the dataset file."""
     sc = cfg["scenario"]
     data_seed = cfg["train"]["seeds"]["data"]
-    splits: dict[str, list] = {"train": [], "test": []}
+    splits = {}
     for tag, (split, count_key) in enumerate((("train", "train_size"), ("test", "test_size"))):
-        for idx in range(sc[count_key]):
-            scen = ch.generate_scenario(
-                M=sc["M"], d=sc["d"], d_min=sc["d_min"], d_max=sc["d_max"],
-                seed=mix_seed(data_seed, _GEOM_STREAM_TAG, tag, idx),
-            )
-            try:
-                splits[split].append(ch.realize_channels(
-                    scen, pathloss_exp=sc["pathloss_exp"], sigma2=sc["sigma2"],
-                    alpha=sc["alpha"], p_max=sc["p_max"],
-                    seed=mix_seed(data_seed, _FADE_STREAM_TAG, tag, idx),
-                ))
-            except ValueError as exc:  # the scenario's numbers overflow a realization
-                raise ConfigError(f"{split} realization {idx}: {exc}") from exc
+        geom, fade = (np.array([mix_seed(data_seed, stream, tag, idx)
+                                for idx in range(sc[count_key])], dtype=np.uint64)
+                      for stream in (_GEOM_STREAM_TAG, _FADE_STREAM_TAG))
+        try:  # one call of each per split, looked up on the module (the tracer wraps them)
+            scen = ch.generate_scenario(M=sc["M"], d=sc["d"], d_min=sc["d_min"],
+                                        d_max=sc["d_max"], seed=geom)
+            splits[split] = ch.realize_channels(
+                scen, pathloss_exp=sc["pathloss_exp"], sigma2=sc["sigma2"],
+                alpha=sc["alpha"], p_max=sc["p_max"], seed=fade)
+        # no receiver position found, or the scenario's numbers overflow a realization
+        except ch.RealizationError as exc:
+            raise ConfigError(f"{split} realization {exc.index}: {exc}") from exc
     path = _dataset_path(cfg)
     meta = {"seed": data_seed, "scenario": {key: sc[key] for key in
             ("d", "d_min", "d_max", "pathloss_exp")}}

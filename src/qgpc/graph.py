@@ -66,8 +66,8 @@ class InterferenceGraph:
 
 def build_graph(channels: ChannelRealization, scaler: FeatureScaler) -> InterferenceGraph:
     """Complete graph over the M pairs of one realization."""
-    feats = np.stack([scaler.angle(np.diagonal(channels.gain)), channels.alpha], axis=1)
     edge = scaler.angle(channels.gain)
+    feats = np.stack([np.diagonal(edge), channels.alpha], axis=1)  # a copy, before the zeroing
     np.fill_diagonal(edge, 0.0)
     return InterferenceGraph(node_features=feats, edge_angle=edge)
 

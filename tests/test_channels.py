@@ -39,6 +39,72 @@ def test_generate_scenario_rejects_bad_geometry():
         ch.generate_scenario(0, 100.0, 2.0, 10.0, seed=0)
 
 
+def _reference_drop(M, d, d_min, d_max, seed, fade_seed):
+    """One drop and its gains as a per-instance loop draws them, one scalar
+    range and bearing per attempt: the reference for the batched draw.
+    Returns the positions, G and the attempts each pair took."""
+    rng = np.random.default_rng(seed)
+    tx = rng.uniform(0.0, d, size=(M, 2))
+    rx = np.empty((M, 2))
+    tries = []
+    for i in range(M):
+        tries.append(0)
+        while True:
+            tries[-1] += 1
+            r = rng.uniform(d_min, d_max)
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            cand = tx[i] + r * np.array([np.cos(phi), np.sin(phi)])
+            if 0.0 <= cand[0] <= d and 0.0 <= cand[1] <= d:
+                rx[i] = cand
+                break
+    diff = tx[:, None, :] - rx[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    amp = np.sqrt(ch.pathloss(dist, ch.DEFAULT_PATHLOSS_EXP))
+    rng = np.random.default_rng(fade_seed)
+    fade = (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))) / np.sqrt(2.0)
+    return tx, rx, amp * fade, tries
+
+
+@pytest.mark.parametrize("M", [1, 2, 4, 16])
+@pytest.mark.parametrize("d", [100.0, 20.0, 10.0])  # the desk square, a dense one, d = d_max
+def test_batched_draw_gives_the_bits_of_a_per_instance_draw(M, d):
+    seeds = np.array([2 ** 64 - 1 - s if s % 2 else s for s in range(24)], dtype=np.uint64)
+    fade_seeds = seeds ^ np.uint64(0xFADE)
+    scen = ch.generate_scenario(M, d, 2.0, 10.0, seed=seeds)
+    batch = ch.realize_channels(scen, seed=fade_seeds)
+    assert scen.tx_pos.shape == scen.rx_pos.shape == (24, M, 2) and len(batch) == 24
+    used = []
+    for b, (seed, fade_seed) in enumerate(zip(seeds.tolist(), fade_seeds.tolist())):
+        tx, rx, G, tries = _reference_drop(M, d, 2.0, 10.0, seed, fade_seed)
+        assert np.array_equal(scen.tx_pos[b].view(np.uint8), tx.view(np.uint8))
+        assert np.array_equal(scen.rx_pos[b].view(np.uint8), rx.view(np.uint8))
+        assert np.array_equal(batch[b].G.view(np.uint8), G.view(np.uint8))
+        used.append(sum(tries))
+    one = ch.realize_channels(ch.generate_scenario(M, d, 2.0, 10.0, seed=seed), seed=fade_seed)
+    assert np.array_equal(one.G.view(np.uint8), G.view(np.uint8))  # a scalar seed: B = 1
+    if d == 10.0:  # some instance spent its first pool and drew another
+        assert max(used) > ch.POOL_PER_PAIR * M
+
+
+def test_a_pair_that_finds_no_receiver_position_stops_at_the_attempt_cap():
+    # d_min = d_max = d = 10: a receiver fits only where a corner of the square
+    # is more than 10 m from the transmitter; pick drops by that distance
+    def corner(seed):
+        tx = np.random.default_rng(seed).uniform(0.0, 10.0, size=2)
+        return np.hypot(*np.maximum(tx, 10.0 - tx))
+    easy = [s for s in range(40) if corner(s) > 12.0][:3]
+    never = next(s for s in range(40) if corner(s) < 9.5)
+    seeds = np.array(easy[:2] + [never] + easy[2:], dtype=np.uint64)
+    assert len(ch.generate_scenario(1, 10.0, 10.0, 10.0, seed=seeds[:2]).rx_pos) == 2
+    for seed, index in ((seeds, 2), (never, 0)):
+        with pytest.raises(ch.GeometryError) as info:
+            ch.generate_scenario(1, 10.0, 10.0, 10.0, seed=seed)
+        assert info.value.index == index
+        assert str(info.value) == ("pair 0: no receiver position in the 10.0 m square at "
+                                   "10.0 to 10.0 m from its transmitter in "
+                                   f"{ch.MAX_ATTEMPTS} attempts")
+
+
 def test_pathloss_unit_at_zero_distance():
     assert ch.pathloss(0.0, 3.0) == 1.0
     assert ch.pathloss(1.0, 3.0) == pytest.approx(0.125)

@@ -508,6 +508,55 @@ def test_dataset_record_whose_received_power_overflows_is_a_config_error(tmp_pat
     assert captured.err == f"error: {path} G_train[0]: the power received at p_max must be finite\n"
 
 
+def test_a_dataset_check_names_the_first_bad_realization_past_index_0(tmp_path):
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    path = tmp_path / "dataset.npz"
+    members = _members(path)
+    members["G_test"][2, :, 0] = 1e154  # a received power of 3e308; G_test[0..1] are fine
+    _write_members(path, members)
+    with pytest.raises(ValueError) as info:
+        ch.load_dataset(path)
+    assert str(info.value) == f"{path} G_test[2]: the power received at p_max must be finite"
+
+
+def test_gen_names_the_first_realization_whose_received_power_overflows(tmp_path, capsys):
+    # unit path gains, and a p_max whose received power overflows at test
+    # realization 2 alone: at data seed 53 its largest receiver sum is over
+    # twice the others', and p_max^2 times their geometric mean is the largest float
+    scenario = ("--set", "scenario.train_size=1", "--set", "scenario.test_size=3",
+                "--set", "scenario.pathloss_exp=0", "--set", "train.seeds.data=53")
+    assert main(_args(tmp_path, *scenario) + ["gen"]) == 0
+    train, test, _ = ch.load_dataset(tmp_path / "dataset.npz")
+    *fine, bad = [float(c.gain.sum(axis=0).max()) for c in train + test]
+    assert bad > 2.0 * max(fine) >= 1.0
+    p_max = math.sqrt(sys.float_info.max / math.sqrt(bad * max(fine)))
+    (tmp_path / "dataset.npz").unlink()
+    capsys.readouterr()
+    assert main(_args(tmp_path, *scenario, "--set", f"scenario.p_max={p_max!r}") + ["gen"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "dataset.npz").exists()
+    assert captured.err == ("error: test realization 2: "
+                            "the power received at p_max must be finite\n")
+
+
+def test_gen_and_load_of_an_empty_test_split(tmp_path, capsys):
+    assert main(_args(tmp_path, "--set", "scenario.test_size=0") + ["gen"]) == 0
+    train, test, header = ch.load_dataset(tmp_path / "dataset.npz")
+    assert len(train) == 8 and test == [] and header["test"] == 0
+    assert _members(tmp_path / "dataset.npz")["G_test"].shape == (0, 3, 3)
+
+
+def test_gen_on_a_geometry_where_no_receiver_fits_exits_2(tmp_path, capsys):
+    geometry = ("--set", "scenario.d=10", "--set", "scenario.d_min=10",
+                "--set", "scenario.d_max=10")
+    assert main(_args(tmp_path, *geometry) + ["gen"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "dataset.npz").exists()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: train realization ")
+    assert captured.err.endswith(f" in {ch.MAX_ATTEMPTS} attempts\n")
+
+
 def test_gen_whose_p_max_overflows_the_received_power_is_a_config_error(tmp_path, capsys):
     assert main(_args(tmp_path, "--set", "scenario.p_max=1e200") + ["gen"]) == 2
     captured = capsys.readouterr()
