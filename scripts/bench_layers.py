@@ -24,7 +24,8 @@ baseline, the splits, the untrained evaluation and one full-batch epoch.
 Dataset save and load run on the desk realizations and on 300 + 100 at M=16,
 to a file in a temporary directory; so does ``cli.cmd_gen``, the whole
 ``gen`` command (seeds, draws, checks and save), at the desk config and at
-M=16, and ``build_graph`` runs over the 400 desk realizations.
+M=16. ``build_graph`` runs over the 400 desk realizations, and
+``fit_feature_scaler`` on the 300-realization training stack.
 Each call is timed REPEATS times after one warm-up call, at one BLAS
 thread; the best and the median in milliseconds are printed and written to
 ``--out`` as JSON.
@@ -68,16 +69,25 @@ DENSE_SIDE = 20.0  # side of the dense drops' square, in m
 REPEATS = 30  # timed calls per kernel
 
 
-def _realizations(count: int, seed0: int, m: int = M,
-                  side: float = ch.DEFAULT_AREA_SIDE) -> list[ch.ChannelRealization]:
+LINK = (ch.DEFAULT_NOISE_POWER, ch.DEFAULT_WEIGHT, ch.DEFAULT_P_MAX)  # sigma2, alpha, p_max
+
+
+def _gains(count: int, seed0: int, m: int = M, side: float = ch.DEFAULT_AREA_SIDE) -> np.ndarray:
+    """The complex (count, m, m) gains of drops drawn from fixed seeds."""
     seeds = seed0 + np.arange(count)
     return ch.realize_channels(ch.generate_scenario(m, side, ch.DEFAULT_MIN_RANGE,
                                                     ch.DEFAULT_MAX_RANGE, seeds),
                                seed=seeds + 100_000)
 
 
-def _oracle(realizations: list[ch.ChannelRealization], levels: int):
-    return lambda: [grid_search_oracle(c, levels) for c in realizations]
+def _realizations(count: int, seed0: int, m: int = M,
+                  side: float = ch.DEFAULT_AREA_SIDE) -> ch.ChannelBatch:
+    return ch.ChannelBatch.from_gains(_gains(count, seed0, m, side), *LINK)
+
+
+def _oracle(realizations: ch.ChannelBatch, levels: int):
+    rows = list(realizations)
+    return lambda: [grid_search_oracle(c, levels) for c in rows]
 
 
 def _gen(tmp: Path, *overrides: str):
@@ -101,12 +111,15 @@ def _time(fn) -> dict:
 
 
 def measure(tmp: Path) -> dict[str, dict]:
-    train_ch, test_ch = _realizations(TRAIN, 0), _realizations(TEST, TRAIN)
-    wide_ch = _realizations(TEST, TRAIN, WIDE_M)
+    train_g, test_g = _gains(TRAIN, 0), _gains(TEST, TRAIN)
+    wide_g, wide_train_g = _gains(TEST, TRAIN, WIDE_M), _gains(TRAIN, 0, WIDE_M)
+    train_ch, test_ch = (ch.ChannelBatch.from_gains(G, *LINK) for G in (train_g, test_g))
+    wide_ch, wide_train = (ch.ChannelBatch.from_gains(G, *LINK) for G in (wide_g, wide_train_g))
+    # lists of single realizations, as build_graph and wmmse_batch take them
+    desk_rows, wide_rows = [*train_ch, *test_ch], list(wide_ch)
     scaler = fit_feature_scaler(train_ch)
     train_set = [Instance(f"train/{i}", c, build_graph(c, scaler))
                  for i, c in enumerate(train_ch)]
-    wide_train = _realizations(TRAIN, 0, WIDE_M)
     wide_scaler = fit_feature_scaler(wide_train)
     wide_set = [Instance(f"train/{i}", c, build_graph(c, wide_scaler))
                 for i, c in enumerate(wide_train)]
@@ -128,8 +141,8 @@ def measure(tmp: Path) -> dict[str, dict]:
     gcn = GcnModel(hidden=16, layers=2)
     g_flat = gcn.init_params(rng)
     desk_file, wide_file = tmp / "desk.npz", tmp / "wide.npz"
-    ch.save_dataset(desk_file, train_ch, test_ch)
-    ch.save_dataset(wide_file, wide_train, wide_ch)
+    ch.save_dataset(desk_file, train_g, test_g, *LINK)
+    ch.save_dataset(wide_file, wide_train_g, wide_g, *LINK)
     stored = TRAIN + TEST
     dense = _realizations(20, TRAIN, M, DENSE_SIDE)
     onoff = _realizations(10, TRAIN, WIDE_M)
@@ -152,8 +165,8 @@ def measure(tmp: Path) -> dict[str, dict]:
         f"gcn.evaluate_mean.{TRAIN}.M{WIDE_M}": lambda: evaluate_mean(gcn, g_flat, wide_set,
                                                                       seeds),
         f"graph.decompose_stars.{TRAIN}": lambda: decompose_stars(M, 2, star_seeds),
-        f"wmmse.wmmse_batch.{TEST}": lambda: wmmse_batch(test_ch),
-        f"wmmse.wmmse_batch.{TEST}.M{WIDE_M}": lambda: wmmse_batch(wide_ch),
+        f"wmmse.wmmse_batch.{TEST}": lambda: wmmse_batch(desk_rows[TRAIN:]),
+        f"wmmse.wmmse_batch.{TEST}.M{WIDE_M}": lambda: wmmse_batch(wide_rows),
         f"wmmse.grid_search_oracle.{TEST}": _oracle(test_ch, 17),
         f"wmmse.grid_search_oracle.{len(dense)}.d20": _oracle(dense, 17),
         f"wmmse.grid_search_oracle.{len(onoff)}.M{WIDE_M}.L2": _oracle(onoff, 2),
@@ -162,15 +175,16 @@ def measure(tmp: Path) -> dict[str, dict]:
         f"trainer.Split.{TRAIN}": lambda: Split(train_set),
         "trainer.train.qgnn.1_epoch": lambda: train(qgnn, train_set, test_set, one_epoch),
         "trainer.train.gcn.1_epoch": lambda: train(gcn, train_set, test_set, one_epoch),
-        f"channels.save_dataset.{stored}": lambda: ch.save_dataset(desk_file, train_ch, test_ch),
+        f"channels.save_dataset.{stored}": lambda: ch.save_dataset(desk_file, train_g, test_g,
+                                                                   *LINK),
         f"channels.load_dataset.{stored}": lambda: ch.load_dataset(desk_file),
         f"channels.save_dataset.{stored}.M{WIDE_M}": lambda: ch.save_dataset(
-            wide_file, wide_train, wide_ch),
+            wide_file, wide_train_g, wide_g, *LINK),
         f"channels.load_dataset.{stored}.M{WIDE_M}": lambda: ch.load_dataset(wide_file),
         f"cli.cmd_gen.{stored}": _gen(tmp),
         f"cli.cmd_gen.{stored}.M{WIDE_M}": _gen(tmp, f"scenario.M={WIDE_M}"),
-        f"graph.build_graph.{stored}": lambda: [build_graph(c, scaler)
-                                                for c in train_ch + test_ch],
+        f"graph.build_graph.{stored}": lambda: [build_graph(c, scaler) for c in desk_rows],
+        f"graph.fit_feature_scaler.{TRAIN}": lambda: fit_feature_scaler(train_ch),
     }
     return {name: _time(fn) for name, fn in calls.items()}
 

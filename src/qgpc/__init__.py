@@ -7,7 +7,6 @@ and benchmarks both against WMMSE and a brute-force grid oracle.
 
 from .channels import (
     ChannelBatch,
-    ChannelRealization,
     Scenario,
     generate_scenario,
     load_dataset,

@@ -18,7 +18,8 @@ import sys
 import tokenize
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -59,6 +60,14 @@ class DimensionError(ValueError):
     """Raised when a vector does not match the instance size."""
 
 
+class SplitError(ValueError):
+    """A split's realization ``index`` that save_dataset and load_dataset refuse."""
+
+    def __init__(self, path, split: str, exc: RealizationError):
+        super().__init__(f"{path} G_{split}[{exc.index}]: {exc}")
+        self.split, self.index = split, exc.index
+
+
 @dataclass(eq=False)
 class Scenario:
     """Transmitter/receiver positions for one drop of M pairs, or for a
@@ -73,42 +82,17 @@ class Scenario:
     rx_pos: np.ndarray  # (M, 2) or (B, M, 2) meters
 
 
-@dataclass(eq=False)
-class ChannelRealization:
-    """One fading draw over a scenario, plus the link constants."""
-
-    G: np.ndarray       # (M, M) complex, G[k, m] = gain tx k -> rx m
-    sigma2: np.ndarray  # (M,) receiver noise power, > 0
-    alpha: np.ndarray   # (M,) objective weights, >= 0
-    p_max: float
-    gain: np.ndarray = field(init=False, repr=False)  # (M, M) |G|^2, taken once here
-
-    def __post_init__(self):
-        self.G = np.asarray(self.G, dtype=complex)
-        m = self.G.shape[0]
-        if self.G.shape != (m, m):
-            raise DimensionError(f"G must be square, got {self.G.shape}")
-        gain, self.sigma2, self.alpha = _check_stack(self.G[None], self.sigma2, self.alpha,
-                                                     self.p_max)
-        self.gain = gain[0]
-
-    @property
-    def M(self) -> int:
-        return self.G.shape[0]
-
-
 def _check_stack(G: np.ndarray, sigma2, alpha, p_max):
     """Check a complex (n, M, M) gain stack whose items share the link
     constants: every |G|^2 finite, sigma2 positive and alpha non-negative
     (each a number or M of them), p_max positive, all finite, and the power
     each receiver takes in with every transmitter at p_max finite. Returns
-    |G|^2 and the (M,) sigma2 and alpha, read-only as the items share them.
+    |G|^2 and copies of the (M,) sigma2 and alpha.
     Raises RealizationError at the first bad index with the message a check
     of that item alone gives; a bad link constant makes index 0 bad."""
     m = G.shape[-1]
     sigma2, alpha = (np.broadcast_to(np.asarray(x, dtype=float), (m,)).copy()
                      for x in (sigma2, alpha))
-    sigma2.flags.writeable = alpha.flags.writeable = False
     gain = np.abs(G)
     with np.errstate(over="ignore"):  # an overflow is refused below
         gain *= gain  # the bits of np.abs(G) ** 2
@@ -133,17 +117,63 @@ def _check_stack(G: np.ndarray, sigma2, alpha, p_max):
     return gain, sigma2, alpha
 
 
-def _realizations(G: np.ndarray, sigma2, alpha, p_max) -> list[ChannelRealization]:
-    """The realizations of a complex (n, M, M) gain stack that share their
-    link constants, checked once over the stack (_check_stack). Each item's
-    G and |G|^2 are views of the stack's."""
-    gain, sigma2, alpha = _check_stack(G, sigma2, alpha, p_max)
-    items = []
-    for g, g2 in zip(G, gain):
-        item = object.__new__(ChannelRealization)  # checked above, not again per item
-        item.G, item.gain, item.sigma2, item.alpha, item.p_max = g, g2, sigma2, alpha, p_max
-        items.append(item)
-    return items
+@dataclass(eq=False)
+class ChannelBatch:
+    """Channels of one size M, one realization or a stack of B along a
+    leading axis. A stack has a length, iterates over its realizations and
+    gives one as views at an int index, a stack at any other index; one
+    realization has no length. Only the real |G|^2 is kept: the SINR, its
+    gradient, the graph features and every WMMSE block read no phase, and
+    the complex gains would triple the bytes."""
+
+    gain: np.ndarray    # (..., M, M) |G|^2, [k, m] from tx k to rx m
+    cross: np.ndarray   # (..., M, M) |G|^2 with its diagonal zeroed, built once
+    sigma2: np.ndarray  # (..., M) receiver noise power, > 0
+    alpha: np.ndarray   # (..., M) objective weights, >= 0
+    p_max: np.ndarray | float  # (B,) for a stack
+
+    @classmethod
+    def from_gains(cls, G, sigma2, alpha, p_max) -> "ChannelBatch":
+        """The channels of complex gains G, (M, M) or a (B, M, M) stack
+        whose items share the link constants (sigma2 and alpha each a
+        number or M of them), checked once over the stack (_check_stack)."""
+        G = np.asarray(G, dtype=complex)
+        if G.ndim not in (2, 3) or G.shape[-2] != G.shape[-1]:
+            raise DimensionError(f"G must be square, got {G.shape}")
+        lead, m = G.shape[:-2], G.shape[-1]
+        gain, sigma2, alpha = _check_stack(G.reshape(-1, m, m), sigma2, alpha, p_max)
+        gain = gain.reshape(G.shape)
+        return cls(gain, gain * (1.0 - np.eye(m)), np.broadcast_to(sigma2, lead + (m,)),
+                   np.broadcast_to(alpha, lead + (m,)),
+                   np.full(lead, float(p_max)) if lead else float(p_max))
+
+    @classmethod
+    def stack(cls, realizations) -> "ChannelBatch":
+        """Stack single realizations that share M, in the order given."""
+        gain = np.array([ch.gain for ch in realizations])
+        return cls(gain, gain * (1.0 - np.eye(gain.shape[-1])),  # from_gains' zeroing
+                   *(np.array([getattr(ch, name) for ch in realizations])
+                     for name in ("sigma2", "alpha", "p_max")))
+
+    def __len__(self) -> int:
+        if self.gain.ndim == 2:
+            raise TypeError("one realization has no len(): it is not a stack")
+        return self.gain.shape[0]
+
+    def __iter__(self):
+        n = len(self)  # one realization is not a stack of M rows
+        # a from_gains stack's link constants are one row broadcast: its rows share one view
+        link = (repeat(a[0], n) if n and not a.strides[0] else a for a in (self.sigma2, self.alpha))
+        return map(ChannelBatch, self.gain, self.cross, *link, self.p_max)
+
+    def __getitem__(self, rows) -> "ChannelBatch":
+        len(self)  # one realization has no rows to index
+        return ChannelBatch(self.gain[rows], self.cross[rows], self.sigma2[rows],
+                            self.alpha[rows], self.p_max[rows])
+
+    @property
+    def M(self) -> int:
+        return self.gain.shape[-1]
 
 
 def pathloss(r, exponent: float):
@@ -217,16 +247,14 @@ def generate_scenario(M: int, d: float, d_min: float, d_max: float, seed) -> Sce
 def realize_channels(
     scenario: Scenario,
     pathloss_exp: float = DEFAULT_PATHLOSS_EXP,
-    sigma2: float | np.ndarray = DEFAULT_NOISE_POWER,
-    alpha: float | np.ndarray = DEFAULT_WEIGHT,
-    p_max: float = DEFAULT_P_MAX,
     seed=0,
     fading: bool = True,
-) -> ChannelRealization | list[ChannelRealization]:
-    """Draw complex gains over a scenario: one realization for a drop, a
-    list of B for a stack of B drops, with ``seed`` one fading seed in
-    [0, 2^64) or B of them, instance b drawn from its own generator exactly
-    as its seed alone would draw it. The stack is checked once (_check_stack).
+) -> np.ndarray:
+    """Draw the complex gains G[..., k, m], tx k to rx m, over a scenario:
+    (M, M) for a drop, (B, M, M) for a stack of B drops, with ``seed`` one
+    fading seed in [0, 2^64) or B of them, instance b drawn from its own
+    generator exactly as its seed alone would draw it. Nothing is checked
+    here: ChannelBatch.from_gains and save_dataset check the gains.
 
     Amplitude gain = sqrt(pathloss(distance)) times unit-variance complex
     Gaussian fading. With ``fading=False`` the fading factor is exactly 1,
@@ -236,55 +264,15 @@ def realize_channels(
     diff = scenario.tx_pos[..., :, None, :] - scenario.rx_pos[..., None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=-1))  # dist[..., k, m] = tx k to rx m
     amp = np.sqrt(pathloss(dist, pathloss_exp))
-    if fading:
-        seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), dist.shape[:-2])
-        normal = np.empty((seeds.size, 2, m, m))  # the real parts, then the imaginary
-        for b, s in enumerate(seeds.reshape(-1).tolist()):
-            normal[b] = np.random.default_rng(s).standard_normal((2, m, m))
-        normal = normal.reshape(seeds.shape + (2, m, m))
-        fade = (normal[..., 0, :, :] + 1j * normal[..., 1, :, :]) / np.sqrt(2.0)
-    else:
-        fade = np.ones(dist.shape, dtype=complex)
-    G = amp * fade
-    if G.ndim == 2:
-        return ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
-    return _realizations(G, sigma2, alpha, p_max)
-
-
-@dataclass(eq=False)
-class ChannelBatch:
-    """Realizations of one size M stacked along a leading axis of B. Only
-    the real |G|^2 is kept: the SINR, its gradient and every WMMSE block
-    read no phase, and the complex gains would triple its bytes."""
-
-    gain: np.ndarray    # (B, M, M) |G|^2
-    cross: np.ndarray   # (B, M, M) |G|^2 with its diagonal zeroed, built once by stack
-    sigma2: np.ndarray  # (B, M)
-    alpha: np.ndarray   # (B, M)
-    p_max: np.ndarray   # (B,)
-
-    @classmethod
-    def stack(cls, realizations: list[ChannelRealization]) -> "ChannelBatch":
-        """Stack realizations that share M, in the order given."""
-        sizes = {ch.M for ch in realizations}
-        if len(sizes) != 1:
-            raise DimensionError(f"a batch needs one size M, got {sorted(sizes)}")
-        gain = np.stack([ch.gain for ch in realizations])
-        return cls(gain=gain, cross=gain * (1.0 - np.eye(gain.shape[-1])),
-                   sigma2=np.stack([ch.sigma2 for ch in realizations]),
-                   alpha=np.stack([ch.alpha for ch in realizations]),
-                   p_max=np.array([ch.p_max for ch in realizations]))
-
-    def __len__(self) -> int:
-        return self.gain.shape[0]
-
-    def __getitem__(self, rows) -> "ChannelBatch":
-        """The realizations at the given row indices, as a batch."""
-        return ChannelBatch(**{name: array[rows] for name, array in vars(self).items()})
-
-    @property
-    def M(self) -> int:
-        return self.gain.shape[-1]
+    if not fading:
+        return amp.astype(complex)
+    seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), dist.shape[:-2])
+    normal = np.empty((seeds.size, 2, m, m))  # the real parts, then the imaginary
+    for b, s in enumerate(seeds.reshape(-1).tolist()):
+        normal[b] = np.random.default_rng(s).standard_normal((2, m, m))
+    normal = normal.reshape(seeds.shape + (2, m, m))
+    fade = (normal[..., 0, :, :] + 1j * normal[..., 1, :, :]) / np.sqrt(2.0)
+    return amp * fade
 
 
 def size_blocks(sizes, item_bytes: Callable[[int], int]):
@@ -305,24 +293,19 @@ def size_blocks(sizes, item_bytes: Callable[[int], int]):
             yield members[lo:lo + step]
 
 
-def _sinr_terms(channels: ChannelRealization | ChannelBatch, p):
+def _sinr_terms(channels: ChannelBatch, p):
     """Powers as an array, |G|^2 with its diagonal zeroed, the direct gains
     |g_mm|^2, the direct received power and the interference-plus-noise
-    denominator. On a realization p is (M,) or (B, M); on a batch it is
+    denominator. On one realization p is (M,) or (B, M); on a stack it is
     (B, M), row b on realization b. Column m of the interference sums
     |g_km|^2 p_k^2 over k != m in index order, so a row gives the same bits
     as that power vector on its realization alone; the direct term is never
     added in, so it cannot swamp the interference."""
     p = np.asarray(p, dtype=float)
-    m, gain = channels.M, channels.gain
-    if isinstance(channels, ChannelBatch):
-        if p.shape != (len(channels), m):
-            raise DimensionError(f"power has shape {p.shape}, expected ({len(channels)}, {m})")
-        cross = channels.cross
-    else:
-        if p.ndim not in (1, 2) or p.shape[-1] != m:
-            raise DimensionError(f"power has shape {p.shape}, expected ({m},) or (B, {m})")
-        cross = gain * (1.0 - np.eye(m))  # an exact 0 at k = m adds nothing to the sum below
+    gain, cross = channels.gain, channels.cross  # an exact 0 at k = m adds nothing below
+    rows = gain.shape[:-2] or p.shape[:-1]  # one row per realization of a stack
+    if p.shape != rows + (channels.M,) or len(rows) > 1:
+        raise DimensionError(f"power has shape {p.shape}, on gains of shape {gain.shape}")
     bdiag = np.diagonal(gain, axis1=-2, axis2=-1)
     p2 = p ** 2
     direct = p2 * bdiag
@@ -330,7 +313,7 @@ def _sinr_terms(channels: ChannelRealization | ChannelBatch, p):
     return p, cross, bdiag, direct, denom
 
 
-def sinr(channels: ChannelRealization | ChannelBatch, p) -> np.ndarray:
+def sinr(channels: ChannelBatch, p) -> np.ndarray:
     """Per-receiver SINR of power vectors p (see _sinr_terms for the
     shapes); the amplitude p_k scales the gain inside |.|^2."""
     _, _, _, direct, denom = _sinr_terms(channels, p)
@@ -351,20 +334,20 @@ def weighted_sum_rate(gamma, alpha):
     return float(rate) if rate.ndim == 0 else rate
 
 
-def sum_rate(channels: ChannelRealization | ChannelBatch, p):
+def sum_rate(channels: ChannelBatch, p):
     """Objective of power vectors: a float for one vector on a realization,
-    one value per row for a (B, M) batch of vectors or on a ChannelBatch."""
+    one value per row for a (B, M) batch of vectors or on a stack."""
     return weighted_sum_rate(sinr(channels, p), channels.alpha)
 
 
-def sum_rate_batch(channels: ChannelRealization, P: np.ndarray) -> np.ndarray:
+def sum_rate_batch(channels: ChannelBatch, P: np.ndarray) -> np.ndarray:
     """Objective for a batch of power vectors, P of shape (B, M)."""
     if np.ndim(P) != 2:
         raise DimensionError(f"batch has shape {np.shape(P)}, expected (B, {channels.M})")
     return weighted_sum_rate(sinr(channels, P), channels.alpha)
 
 
-def weighted_sum_rate_grad(channels: ChannelRealization | ChannelBatch, p) -> np.ndarray:
+def weighted_sum_rate_grad(channels: ChannelBatch, p) -> np.ndarray:
     """Analytic d(weighted sum rate)/dp at power vectors p, shaped like p."""
     p, cross, bdiag, direct, denom = _sinr_terms(channels, p)
     pref = channels.alpha / (np.log(2.0) * (1.0 + direct / denom))  # d obj / d gamma_m
@@ -385,52 +368,39 @@ def sigmoid(z) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def save_dataset(
-    path,
-    train: list[ChannelRealization],
-    test: list[ChannelRealization],
-    meta: dict | None = None,
-) -> None:
+def save_dataset(path, G_train, G_test, sigma2, alpha, p_max, meta: dict | None = None) -> None:
     """Write a dataset as one .npz: the complex gains of each split as a
-    complex128 (n, M, M) array, G_train and G_test, and a JSON header string.
-    All realizations in a file share M, sigma2, alpha and p_max, which live in
-    the header. The file is written at ``path`` exactly, whatever its suffix."""
-    if not (train or test):
-        raise ValueError("dataset must contain at least one realization")
-    first = (train or test)[0]
-    shared = "all realizations in a dataset must share link constants"
-    gains = {}
-    for split, group in (("train", train), ("test", test)):
-        if not group:
-            gains[f"G_{split}"] = np.empty((0, first.M, first.M), dtype=np.complex128)
-            continue
-        try:  # np.stack refuses realizations of more than one M
-            G, sigma2, alpha = (np.stack([getattr(ch, key) for ch in group])
-                                for key in ("G", "sigma2", "alpha"))
-        except ValueError as exc:
-            raise ValueError(shared) from exc
-        p_max = np.array([ch.p_max for ch in group])
-        if G.shape[1:] != first.G.shape or (sigma2 != first.sigma2).any() \
-                or (alpha != first.alpha).any() or (p_max != first.p_max).any():
-            raise ValueError(shared)
-        gains[f"G_{split}"] = G
+    complex128 (n, M, M) array, G_train and G_test, and a JSON header string
+    of M and the link constants both share (sigma2 and alpha each a number or
+    M of them). A split load_dataset would refuse raises its SplitError
+    before the file is opened. The file is written at ``path`` exactly."""
+    gains = {"train": np.asarray(G_train, complex), "test": np.asarray(G_test, complex)}
+    m = gains["train"].shape[-1]
+    if any(G.ndim != 3 or G.shape[1:] != (m, m) for G in gains.values()):
+        raise DimensionError("the splits must be (n, M, M) gain stacks of one M, got "
+                             f"{gains['train'].shape} and {gains['test'].shape}")
+    for split, G in gains.items():
+        try:
+            _, sigma2_m, alpha_m = _check_stack(G, sigma2, alpha, p_max)  # both (M,)
+        except RealizationError as exc:
+            raise SplitError(path, split, exc) from exc
     header = {
         "version": DATASET_VERSION,
         "kind": "d2d-dataset",
-        "M": first.M,
-        "sigma2": [float(x) for x in first.sigma2],
-        "alpha": [float(x) for x in first.alpha],
-        "p_max": float(first.p_max),
+        "M": m,
+        "sigma2": [float(x) for x in sigma2_m],
+        "alpha": [float(x) for x in alpha_m],
+        "p_max": float(p_max),
         "seed": int((meta or {}).get("seed", 0)),
-        "train": len(train),
-        "test": len(test),
+        "train": len(gains["train"]),
+        "test": len(gains["test"]),
     }
     header = {**(meta or {}), **header}  # meta adds keys, never replaces one
     # a file object, as np.savez would append .npz to a path that lacks it;
     # its zip entries carry a fixed date, so the bytes are reproducible
     with open(path, "wb") as f:
         np.savez(f, header=np.array(json.dumps(header, sort_keys=True, separators=(",", ":"))),
-                 **gains)
+                 G_train=gains["train"], G_test=gains["test"])
 
 
 def is_json_number(x) -> bool:
@@ -488,11 +458,12 @@ def _read_members(path) -> dict[str, np.ndarray]:
     return members
 
 
-def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealization], dict]:
-    """Read a dataset file written by save_dataset; returns (train, test, header).
-    Each gain array must be complex128 of the header's (count, M, M), and
-    passes the ChannelRealization checks, run once over the array; an error
-    names the first bad realization."""
+def load_dataset(path) -> tuple[ChannelBatch, ChannelBatch, dict]:
+    """Read a dataset file written by save_dataset; returns (train, test,
+    header), each split one ChannelBatch stack. Each gain array must be
+    complex128 of the header's (count, M, M), and passes the realization
+    checks, run once over the array; a SplitError names the first bad
+    realization."""
     members = _read_members(path)
     text = members["header"]
     try:
@@ -502,7 +473,7 @@ def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealizatio
     if not isinstance(header, dict) or header.get("version") != DATASET_VERSION \
             or header.get("kind") != "d2d-dataset":
         raise ValueError(f"unrecognized dataset header in {path} (re-run gen)")
-    try:  # ChannelRealization checks every other range
+    try:  # ChannelBatch.from_gains checks every other range
         check_json(header, _HEADER)
         m, p_max = header["M"], float(header["p_max"])
         sigma2, alpha = (np.asarray(header[key], dtype=float) for key in ("sigma2", "alpha"))
@@ -523,7 +494,7 @@ def load_dataset(path) -> tuple[list[ChannelRealization], list[ChannelRealizatio
             raise ValueError(f"{path}: {name} is {gains.dtype} of shape {gains.shape}, header "
                              f"says complex128 of ({header[split]}, {m}, {m})")
         try:
-            splits.append(_realizations(gains, sigma2, alpha, p_max))
+            splits.append(ChannelBatch.from_gains(gains, sigma2, alpha, p_max))
         except RealizationError as exc:
-            raise ValueError(f"{path} {name}[{exc.index}]: {exc}") from exc
+            raise SplitError(path, split, exc) from exc
     return splits[0], splits[1], header

@@ -153,8 +153,6 @@ def _validate_config(cfg: dict) -> None:
     tc = cfg["train"]
     if tc["epochs"] < 0 or tc["batch"] < 1 or tc["lr"] <= 0:
         raise ConfigError("train.epochs >= 0, train.batch >= 1, train.lr > 0 required")
-    if tc["eps"] <= 0 or not all(0 <= tc[key] < 1 for key in ("beta1", "beta2")):
-        raise ConfigError("train.eps > 0 and 0 <= train.beta1, train.beta2 < 1 required")
     if not all(0 <= seed < 2 ** 64 for seed in tc["seeds"].values()):
         raise ConfigError("train.seeds.data, init and stars must be in [0, 2^64)")
 
@@ -189,7 +187,7 @@ def cmd_gen(cfg: dict) -> int:
     """Draw the train/test realizations and write the dataset file."""
     sc = cfg["scenario"]
     data_seed = cfg["train"]["seeds"]["data"]
-    splits = {}
+    gains = {}
     for tag, (split, count_key) in enumerate((("train", "train_size"), ("test", "test_size"))):
         geom, fade = (np.array([mix_seed(data_seed, stream, tag, idx)
                                 for idx in range(sc[count_key])], dtype=np.uint64)
@@ -197,20 +195,20 @@ def cmd_gen(cfg: dict) -> int:
         try:  # one call of each per split, looked up on the module (the tracer wraps them)
             scen = ch.generate_scenario(M=sc["M"], d=sc["d"], d_min=sc["d_min"],
                                         d_max=sc["d_max"], seed=geom)
-            splits[split] = ch.realize_channels(
-                scen, pathloss_exp=sc["pathloss_exp"], sigma2=sc["sigma2"],
-                alpha=sc["alpha"], p_max=sc["p_max"], seed=fade)
-        # no receiver position found, or the scenario's numbers overflow a realization
-        except ch.RealizationError as exc:
+        except ch.GeometryError as exc:  # no receiver position found
             raise ConfigError(f"{split} realization {exc.index}: {exc}") from exc
+        gains[split] = ch.realize_channels(scen, pathloss_exp=sc["pathloss_exp"], seed=fade)
     path = _dataset_path(cfg)
     meta = {"seed": data_seed, "scenario": {key: sc[key] for key in
             ("d", "d_min", "d_max", "pathloss_exp")}}
-    try:
-        ch.save_dataset(path, splits["train"], splits["test"], meta)
+    try:  # save_dataset checks each split once, before it opens the file
+        ch.save_dataset(path, gains["train"], gains["test"], sc["sigma2"], sc["alpha"],
+                        sc["p_max"], meta)
+    except ch.SplitError as exc:  # the scenario's numbers overflow a realization
+        raise ConfigError(f"{exc.split} realization {exc.index}: {exc.__cause__}") from exc
     except OSError as exc:  # guarded here: main() lets BrokenPipeError through to run()
         raise ConfigError(f"cannot write dataset: {exc}") from exc
-    print(f"wrote {len(splits['train'])} train + {len(splits['test'])} test "
+    print(f"wrote {len(gains['train'])} train + {len(gains['test'])} test "
           f"realizations of M={sc['M']} to {path}")
     return 0
 
@@ -227,11 +225,8 @@ def _load_instances(cfg: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def _instances(label: str, realizations, scaler):
-    return [
-        Instance(label=f"{label}/{i}", channels=c, graph=build_graph(c, scaler))
-        for i, c in enumerate(realizations)
-    ]
+def _instances(label: str, channels: ch.ChannelBatch, scaler):
+    return [Instance(f"{label}/{i}", c, build_graph(c, scaler)) for i, c in enumerate(channels)]
 
 
 def cmd_train(cfg: dict) -> int:
@@ -290,9 +285,7 @@ def cmd_eval(cfg: dict, checkpoint: str | None, oracle_levels: int | None) -> in
     ratio = f" ratio={model_mean / baseline:.6g}" if baseline else ""
     print(f"wmmse test_mean_bpshz={baseline:.12g}{ratio}")
     if oracle_levels is not None:
-        oracle_vals = [grid_search_oracle(inst.channels, oracle_levels)[1]
-                       for inst in test_set]
-        oracle_mean = float(np.mean(oracle_vals))
+        oracle_mean = float(np.mean([grid_search_oracle(c, oracle_levels)[1] for c in test_ch]))
         print(f"oracle(levels={oracle_levels}) test_mean_bpshz={oracle_mean:.12g}")
     return 0
 

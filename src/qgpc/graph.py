@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelRealization
+from .channels import ChannelBatch
 
 NODE_FEATURES = 2  # columns of InterferenceGraph.node_features: direct gain, weight
 
@@ -43,15 +43,13 @@ class FeatureScaler:
         return (z + self.z_clip) / (2.0 * self.z_clip) * np.pi
 
 
-def fit_feature_scaler(realizations: list[ChannelRealization]) -> FeatureScaler:
-    """Fit mu/sigma over log10 of every squared gain in the training set."""
-    if not realizations:
+def fit_feature_scaler(channels: ChannelBatch) -> FeatureScaler:
+    """Fit mu/sigma over log10 of every squared gain of the training stack,
+    in one pass."""
+    if not len(channels):
         raise ValueError("cannot fit a scaler on an empty training set")
-    logs = np.concatenate([
-        np.log10(np.maximum(ch.gain, 1e-300)).ravel() for ch in realizations
-    ])
-    sigma = float(np.std(logs))
-    return FeatureScaler(mu=float(np.mean(logs)), sigma=max(sigma, 1e-12))
+    logs = np.log10(np.maximum(channels.gain, 1e-300)).ravel()
+    return FeatureScaler(mu=float(np.mean(logs)), sigma=max(float(np.std(logs)), 1e-12))
 
 
 @dataclass(eq=False)
@@ -64,7 +62,7 @@ class InterferenceGraph:
         return self.node_features.shape[0]
 
 
-def build_graph(channels: ChannelRealization, scaler: FeatureScaler) -> InterferenceGraph:
+def build_graph(channels: ChannelBatch, scaler: FeatureScaler) -> InterferenceGraph:
     """Complete graph over the M pairs of one realization."""
     edge = scaler.angle(channels.gain)
     feats = np.stack([np.diagonal(edge), channels.alpha], axis=1)  # a copy, before the zeroing

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import (
-    ChannelBatch, ChannelRealization, sigmoid, size_blocks, sum_rate, weighted_sum_rate_grad,
+    ChannelBatch, sigmoid, size_blocks, sum_rate, weighted_sum_rate_grad,
 )
 from .graph import InterferenceGraph, mix64
 # wmmse_allocate is not called here; it stays bound on this module for code
@@ -30,6 +30,8 @@ from .wmmse import wmmse_allocate, wmmse_batch  # noqa: F401
 
 _EVAL_STREAM_TAG = 0x45564C  # distinguishes frozen evaluation star draws
 _ORDER_STREAM_TAG = 0x4F5244  # distinguishes minibatch shuffling draws
+# Adam's moment decay rates and denominator floor (Kingma & Ba, ICLR 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class NonFiniteLossError(RuntimeError):
@@ -61,7 +63,7 @@ class Instance(NamedTuple):
     """One realization paired with its graph view."""
 
     label: str
-    channels: ChannelRealization
+    channels: ChannelBatch  # one realization
     graph: InterferenceGraph
 
 
@@ -154,7 +156,7 @@ class BatchModel:
             p = channels.p_max[:, None] * sig
             yield idx, channels, p, (tape, p * (1.0 - sig))
 
-    def forward(self, channels: ChannelRealization, graph: InterferenceGraph,
+    def forward(self, channels: ChannelBatch, graph: InterferenceGraph,
                 flat_params, star_seed) -> np.ndarray:
         """Powers of one instance: the batch path at B = 1."""
         return self.forward_batch([Instance("", channels, graph)], flat_params, [star_seed])[0]
@@ -203,18 +205,18 @@ class AdamState:
 
 def adam_step(params, grad, state: AdamState, t: int, cfg: TrainConfig,
               ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update at cfg's lr, beta1, beta2 and eps; t
+    """One bias-corrected Adam update at cfg's lr and the module's ADAM_*; t
     is the 1-based step count. Pure: inputs are left untouched and fresh
     arrays are returned."""
     if t < 1:
         raise ValueError("step count t must be >= 1")
     params = np.asarray(params, dtype=float)
     grad = np.asarray(grad, dtype=float)
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad ** 2
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    new_params = params - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad ** 2
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_params = params - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, AdamState(m=m, v=v)
 
 
@@ -230,9 +232,6 @@ class TrainConfig:
     epochs: int = 50
     lr: float = 5e-2
     batch: int = 300          # instances per step; >= train size means full batch
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seeds: SeedConfig = field(default_factory=SeedConfig)
 
 

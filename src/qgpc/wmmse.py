@@ -37,7 +37,7 @@ import numpy as np
 # sum_rate_batch is not called here; it stays bound on this module for code
 # that looks it up or wraps it here (the benchmark's tracer does).
 from .channels import (  # noqa: F401
-    ChannelBatch, ChannelRealization, _sinr_terms, size_blocks, sum_rate, sum_rate_batch,
+    ChannelBatch, _sinr_terms, size_blocks, sum_rate, sum_rate_batch,
     weighted_sum_rate)
 
 GRID_POINT_GUARD = 10 ** 7  # bounds the oracle's time; SLAB_POINTS bounds its memory
@@ -134,7 +134,7 @@ def _sweep_rows(batch: ChannelBatch, inst: np.ndarray, v: np.ndarray):
     return best_p, best_obj, trace, converged, iterations
 
 
-def wmmse_batch(realizations: list[ChannelRealization]) -> list[WmmseResult]:
+def wmmse_batch(realizations: list[ChannelBatch]) -> list[WmmseResult]:
     """Best WMMSE stationary point over the starts of each realization, in
     input order.
 
@@ -165,7 +165,7 @@ def wmmse_batch(realizations: list[ChannelRealization]) -> list[WmmseResult]:
     return results
 
 
-def wmmse_allocate(channels: ChannelRealization) -> WmmseResult:
+def wmmse_allocate(channels: ChannelBatch) -> WmmseResult:
     """Best WMMSE stationary point over the starts of one realization."""
     return wmmse_batch([channels])[0]
 
@@ -181,7 +181,7 @@ def check_grid(levels: int, m: int) -> None:
         )
 
 
-def _rates(channels: ChannelRealization, axis: np.ndarray, idx: list, own: list) -> np.ndarray:
+def _rates(channels: ChannelBatch, axis: np.ndarray, idx: list, own: list) -> np.ndarray:
     """Weighted sum rate at the points of axis^M whose levels are the
     per-axis index arrays idx (of one ndim, broadcast together), with pair
     m's direct term at level own[m]: own = idx gives each point's rate.
@@ -213,7 +213,7 @@ def _digit(flat: np.ndarray, j: int, n: int, levels: int) -> np.ndarray:
     return flat // levels ** (n - 1 - j) % levels
 
 
-def _block_bounds(channels: ChannelRealization, axis: np.ndarray, lead: int) -> np.ndarray:
+def _block_bounds(channels: ChannelBatch, axis: np.ndarray, lead: int) -> np.ndarray:
     """A bound on the rates of each block that fixes the lead leading axes,
     in lexicographic block order: each pair's own level at the top of its
     span in the block, each interferer at the bottom of its span."""
@@ -223,7 +223,7 @@ def _block_bounds(channels: ChannelRealization, axis: np.ndarray, lead: int) -> 
     return _rates(channels, axis, fixed + low, fixed + top)
 
 
-def grid_search_oracle(channels: ChannelRealization, levels: int) -> tuple[np.ndarray, float]:
+def grid_search_oracle(channels: ChannelBatch, levels: int) -> tuple[np.ndarray, float]:
     """Exhaustive search over the uniform grid {0, ..., p_max}^M, best-first.
 
     Refuses grids that check_grid refuses. A block fixes the leading axes

@@ -28,8 +28,11 @@ from qgpc.wmmse import grid_search_oracle, wmmse_allocate
 
 
 def _instance(m, seed):
+    """One realization at the default link constants, as a stack of one."""
     sc = ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=seed)
-    return ch.realize_channels(sc, seed=seed + 10_000)
+    return ch.ChannelBatch.from_gains(ch.realize_channels(sc, seed=seed + 10_000)[None],
+                                      ch.DEFAULT_NOISE_POWER, ch.DEFAULT_WEIGHT,
+                                      ch.DEFAULT_P_MAX)[0]
 
 
 def _random_circuit(rng):
@@ -111,7 +114,7 @@ def test_acceptance_3_wmmse_objective_never_decreases():
 def test_acceptance_4_qgnn_gradient_fidelity():
     started = time.perf_counter()
     inst = _instance(4, seed=777)
-    graph = build_graph(inst, fit_feature_scaler([inst]))
+    graph = build_graph(inst, fit_feature_scaler(ch.ChannelBatch.stack([inst])))
     n_params = QgnnModel(layers=2, depth=2).param_count()
     flat0 = np.random.default_rng(42).uniform(-0.5, 0.5, n_params)
     model = QgnnModel(layers=2, depth=2, k=2)
@@ -170,7 +173,7 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
 
     # star decomposition covers every node as center exactly once
     inst = _instance(5, seed=600)
-    graph = build_graph(inst, fit_feature_scaler([inst]))
+    graph = build_graph(inst, fit_feature_scaler(ch.ChannelBatch.stack([inst])))
     for seed in range(20):
         stars = decompose_stars(graph.N, k=2, seeds=seed)
         assert len(stars) == 5  # row i is the star centered on node i
@@ -226,7 +229,7 @@ def test_acceptance_6_structural_invariants(tmp_path, monkeypatch):
     flat_q = np.random.default_rng(63).uniform(-0.1, 0.1, 22)
     for m, k in [(2, 1), (4, 2), (6, 5)]:
         inst_m = _instance(m, seed=650 + m)
-        graph_m = build_graph(inst_m, fit_feature_scaler([inst_m]))
+        graph_m = build_graph(inst_m, fit_feature_scaler(ch.ChannelBatch.stack([inst_m])))
         p_m = QgnnModel(2, 1, k).forward_batch([Instance("m", inst_m, graph_m)], flat_q, [1])[0]
         assert p_m.shape == (m,)  # same 22 parameters drive every size
 

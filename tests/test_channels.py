@@ -13,8 +13,7 @@ from qgpc import channels as ch
 
 
 def _instance(G, sigma2=0.1, alpha=1.0, p_max=1.0):
-    return ch.ChannelRealization(G=np.asarray(G, dtype=complex), sigma2=sigma2,
-                                 alpha=alpha, p_max=p_max)
+    return ch.ChannelBatch.from_gains(G, sigma2, alpha, p_max)
 
 
 def test_generate_scenario_geometry_and_determinism():
@@ -78,10 +77,10 @@ def test_batched_draw_gives_the_bits_of_a_per_instance_draw(M, d):
         tx, rx, G, tries = _reference_drop(M, d, 2.0, 10.0, seed, fade_seed)
         assert np.array_equal(scen.tx_pos[b].view(np.uint8), tx.view(np.uint8))
         assert np.array_equal(scen.rx_pos[b].view(np.uint8), rx.view(np.uint8))
-        assert np.array_equal(batch[b].G.view(np.uint8), G.view(np.uint8))
+        assert np.array_equal(batch[b].view(np.uint8), G.view(np.uint8))
         used.append(sum(tries))
     one = ch.realize_channels(ch.generate_scenario(M, d, 2.0, 10.0, seed=seed), seed=fade_seed)
-    assert np.array_equal(one.G.view(np.uint8), G.view(np.uint8))  # a scalar seed: B = 1
+    assert np.array_equal(one.view(np.uint8), G.view(np.uint8))  # a scalar seed: B = 1
     if d == 10.0:  # some instance spent its first pool and drew another
         assert max(used) > ch.POOL_PER_PAIR * M
 
@@ -112,8 +111,8 @@ def test_pathloss_unit_at_zero_distance():
 
 def test_realize_channels_no_fading_no_pathloss_gives_unit_gains():
     sc = ch.generate_scenario(5, 100.0, 2.0, 10.0, seed=1)
-    inst = ch.realize_channels(sc, pathloss_exp=0.0, fading=False)
-    assert np.allclose(np.abs(inst.G), 1.0, atol=0.0)
+    G = ch.realize_channels(sc, pathloss_exp=0.0, fading=False)
+    assert np.allclose(np.abs(G), 1.0, atol=0.0)
 
 
 def test_realize_channels_deterministic_per_seed():
@@ -121,8 +120,8 @@ def test_realize_channels_deterministic_per_seed():
     a = ch.realize_channels(sc, seed=9)
     b = ch.realize_channels(sc, seed=9)
     c = ch.realize_channels(sc, seed=10)
-    assert np.array_equal(a.G, b.G)
-    assert not np.array_equal(a.G, c.G)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_fading_power_is_unit_mean():
@@ -130,7 +129,7 @@ def test_fading_power_is_unit_mean():
     sc = ch.generate_scenario(1, 100.0, 2.0, 10.0, seed=3)
     dist = float(np.linalg.norm(sc.tx_pos[0] - sc.rx_pos[0]))
     draws = np.array([
-        np.abs(ch.realize_channels(sc, seed=s).G[0, 0]) ** 2
+        np.abs(ch.realize_channels(sc, seed=s)[0, 0]) ** 2
         for s in range(200)
     ])
     # cheaper equivalent of many realizations: draw the fading directly
@@ -267,10 +266,11 @@ def test_sinr_keeps_its_precision_when_the_direct_power_dwarfs_the_rest():
 
 @st.composite
 def _mixed_size_cases(draw):
-    """Realizations of mixed M (1-10) with gains over eight decades, and one
+    """Realizations of mixed M (1-10) with gains over eight decades, one
     power vector each, every power 0 or in [1e-3, 1] p_max (a power near 1e-156
-    squares into the subnormal range, where products lose bits)."""
-    insts, powers = [], []
+    squares into the subnormal range, where products lose bits), and the
+    (G, sigma2, alpha, p_max) each was built from."""
+    insts, powers, drawn = [], [], []
     for _ in range(draw(st.integers(1, 8))):
         m = draw(st.integers(1, 10))
 
@@ -278,12 +278,13 @@ def _mixed_size_cases(draw):
             return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
 
         G = np.sqrt(10.0 ** arr((m, m), -4.0, 4.0)) * np.exp(1j * arr((m, m), 0.0, 2.0 * np.pi))
-        inst = _instance(G, sigma2=10.0 ** arr((m,), -3.0, 0.0), alpha=arr((m,), 0.0, 2.0),
-                         p_max=draw(st.floats(0.1, 10.0)))
+        drawn.append((G, 10.0 ** arr((m,), -3.0, 0.0), arr((m,), 0.0, 2.0),
+                      draw(st.floats(0.1, 10.0))))
+        inst = _instance(*drawn[-1])
         insts.append(inst)
         powers.append(inst.p_max * draw(hnp.arrays(
             float, (m,), elements=st.just(0.0) | st.floats(1e-3, 1.0))))
-    return insts, powers
+    return insts, powers, drawn
 
 
 def _both_paths(insts, powers, fn):
@@ -301,8 +302,9 @@ def _both_paths(insts, powers, fn):
 @settings(max_examples=80)
 @given(_mixed_size_cases())
 def test_batch_sum_rate_and_gradient_match_single_instance_calls(case):
+    insts, powers, _ = case
     for fn in (ch.sum_rate, ch.weighted_sum_rate_grad, ch.sinr):
-        alone, batched = _both_paths(*case, fn)
+        alone, batched = _both_paths(insts, powers, fn)
         assert all(np.array_equal(a, b) for a, b in zip(alone, batched))  # bit for bit
 
 
@@ -310,10 +312,10 @@ def test_batch_sum_rate_and_gradient_match_single_instance_calls(case):
 @given(_mixed_size_cases(), st.integers(-8, 8))
 def test_sinr_is_unchanged_when_gains_scale_by_c_and_noise_by_c_squared(case, k):
     # c a power of two scales every term exactly, so the SINR keeps its bits
-    insts, powers = case
+    insts, powers, drawn = case
     c = 2.0 ** k
-    scaled = [_instance(c * inst.G, sigma2=c ** 2 * inst.sigma2, alpha=inst.alpha,
-                        p_max=inst.p_max) for inst in insts]
+    scaled = [_instance(c * G, sigma2=c ** 2 * inst.sigma2, alpha=inst.alpha,
+                        p_max=inst.p_max) for inst, (G, *_) in zip(insts, drawn)]
     base, base_batched = _both_paths(insts, powers, ch.sinr)
     got, got_batched = _both_paths(scaled, powers, ch.sinr)
     assert all(np.array_equal(a, b) for a, b in zip(base + base_batched, got + got_batched))
@@ -322,14 +324,14 @@ def test_sinr_is_unchanged_when_gains_scale_by_c_and_noise_by_c_squared(case, k)
 @settings(max_examples=60)
 @given(_mixed_size_cases(), st.data())
 def test_a_silent_transmitter_adds_no_interference_and_has_rate_zero(case, data):
-    insts, powers = case
+    insts, powers, drawn = case
     silent = [data.draw(st.integers(0, inst.M - 1)) for inst in insts]
     for p, k in zip(powers, silent):
         p[k] = 0.0
     # the same network with transmitter k's gains to every receiver removed
     cut = []
-    for inst, k in zip(insts, silent):
-        G = inst.G.copy()
+    for inst, k, (G, *_) in zip(insts, silent, drawn):
+        G = G.copy()
         G[k, :] = 0.0
         cut.append(_instance(G, sigma2=inst.sigma2, alpha=inst.alpha, p_max=inst.p_max))
     for gamma, gamma_cut in zip(_both_paths(insts, powers, ch.sinr),
@@ -385,7 +387,7 @@ def test_channel_realization_validation():
     with pytest.raises(ValueError):
         _instance([[1.0]], alpha=-1.0)
     with pytest.raises(ch.DimensionError):
-        ch.ChannelRealization(G=np.ones((2, 3)), sigma2=0.1, alpha=1.0, p_max=1.0)
+        _instance(np.ones((2, 3)))
     # finite entries whose |G|^2 overflows are refused too, without a warning
     for G in ([[1e308 + 1e308j]], [[1.0, 1e155], [0.0, 1.0]], [[np.nan]], [[np.inf]]):
         with pytest.raises(ValueError, match=r"\|G\|\^2 must be finite"):
@@ -401,7 +403,8 @@ def test_channel_realization_validation():
 
 
 def test_a_batch_carries_its_zero_diagonal_gains_and_the_sinr_reads_them():
-    insts = [ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=s), seed=s)
+    insts = [_instance(ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=s),
+                                           seed=s), sigma2=ch.DEFAULT_NOISE_POWER)
              for s in range(4)]
     batch = ch.ChannelBatch.stack(insts)
     assert np.array_equal(batch.cross, batch.gain * (1.0 - np.eye(3)))
@@ -414,37 +417,104 @@ def test_a_batch_carries_its_zero_diagonal_gains_and_the_sinr_reads_them():
 
 def test_dataset_round_trip(tmp_path):
     sc = ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=21)
-    train = [ch.realize_channels(sc, seed=s) for s in range(4)]
-    test = [ch.realize_channels(sc, seed=100 + s) for s in range(2)]
+    train = np.stack([ch.realize_channels(sc, seed=s) for s in range(4)])
+    test = np.stack([ch.realize_channels(sc, seed=100 + s) for s in range(2)])
+    link = (ch.DEFAULT_NOISE_POWER, ch.DEFAULT_WEIGHT, ch.DEFAULT_P_MAX)
     path = tmp_path / "data.npz"
-    ch.save_dataset(path, train, test, meta={"seed": 21})
+    ch.save_dataset(path, train, test, *link, meta={"seed": 21})
     loaded_train, loaded_test, header = ch.load_dataset(path)
     assert header["M"] == 3 and header["train"] == 4 and header["test"] == 2
     assert header["seed"] == 21 and header["version"] == ch.DATASET_VERSION
-    for orig, back in zip(train + test, loaded_train + loaded_test):
-        assert np.array_equal(orig.G, back.G)
+    with np.load(path) as npz:
+        stored = np.concatenate([npz["G_train"], npz["G_test"]])
+    drawn = np.concatenate([train, test])
+    for G, member, orig, back in zip(drawn, stored, _instance(drawn, *link),
+                                     [*loaded_train, *loaded_test]):
+        assert np.array_equal(G, member)
         assert np.array_equal(orig.sigma2, back.sigma2)
         assert np.array_equal(orig.alpha, back.alpha)
         assert orig.p_max == back.p_max
     first = path.read_bytes()
-    ch.save_dataset(path, train, test, meta={"seed": 21})
+    ch.save_dataset(path, train, test, *link, meta={"seed": 21})
     assert path.read_bytes() == first
 
 
-def test_dataset_rejects_mixed_constants(tmp_path):
-    sc = ch.generate_scenario(2, 100.0, 2.0, 10.0, seed=1)
-    a = ch.realize_channels(sc, sigma2=0.01, seed=0)
-    b = ch.realize_channels(sc, sigma2=0.02, seed=1)
+def test_dataset_rejects_splits_of_two_sizes(tmp_path):
+    a = ch.realize_channels(ch.generate_scenario(2, 100.0, 2.0, 10.0, seed=1), seed=0)
+    b = ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=1), seed=1)
     with pytest.raises(ValueError):
-        ch.save_dataset(tmp_path / "bad.npz", [a], [b])
+        ch.save_dataset(tmp_path / "bad.npz", a[None], b[None], 0.01, 1.0, 1.0)
+    assert not (tmp_path / "bad.npz").exists()
+
+
+def test_each_loaded_split_is_one_stack_whose_rows_are_views_with_its_bits(tmp_path):
+    seeds = np.arange(7)
+    G = ch.realize_channels(ch.generate_scenario(4, 100.0, 2.0, 10.0, seed=seeds), seed=seeds)
+    path = tmp_path / "data.npz"
+    ch.save_dataset(path, G[:4], G[4:], 0.01, [1.0, 0.5, 2.0, 1.0], 1.0)
+    train, test, _ = ch.load_dataset(path)
+    rng = np.random.default_rng(5)
+    for split in (train, test):
+        assert type(split) is ch.ChannelBatch and split.gain.shape == (len(split), 4, 4)
+        p = rng.uniform(0.0, 1.0, (len(split), 4))
+        rates, grads = ch.sum_rate(split, p), ch.weighted_sum_rate_grad(split, p)
+        for b, row in enumerate(split):
+            for one in (row, split[b]):
+                for name in ("gain", "cross", "sigma2", "alpha"):
+                    assert np.shares_memory(getattr(one, name), getattr(split, name))
+                assert one.p_max == split.p_max[b]
+                assert ch.sum_rate(one, p[b]) == rates[b]  # bit for bit
+                assert np.array_equal(ch.weighted_sum_rate_grad(one, p[b]), grads[b])
+
+
+@pytest.mark.parametrize("split, index, value, words", [
+    ("train", 0, 1e154, "the power received at p_max must be finite"),
+    ("test", 1, 1e154, "the power received at p_max must be finite"),
+    ("train", 2, 1e308 + 1e308j, "|G|^2 must be finite"),
+    ("test", 0, np.nan, "|G|^2 must be finite"),
+])
+def test_save_refuses_the_gains_load_refuses_with_its_message(tmp_path, split, index, value,
+                                                              words):
+    seeds = np.arange(5)
+    G = ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=seeds), seed=seeds)
+    gains = {"train": G[:3], "test": G[3:]}
+    path = tmp_path / "data.npz"
+    ch.save_dataset(path, gains["train"], gains["test"], 0.01, 1.0, 1.0)
+    with np.load(path) as npz:
+        members = {name: npz[name] for name in npz.files}
+    members[f"G_{split}"][index, :2, 0] = value  # two gains into receiver 0
+    with open(path, "wb") as f:
+        np.savez(f, **members)
+    with pytest.raises(ValueError) as loaded:
+        ch.load_dataset(path)
+    assert str(loaded.value) == f"{path} G_{split}[{index}]: {words}"
+    path.unlink()
+    gains[split][index, :2, 0] = value
+    with pytest.raises(ch.SplitError) as saved:
+        ch.save_dataset(path, gains["train"], gains["test"], 0.01, 1.0, 1.0)
+    assert str(saved.value) == str(loaded.value)
+    assert (saved.value.split, saved.value.index) == (split, index)
+    assert not path.exists()
+
+
+def test_one_realization_has_no_len_and_is_not_iterable():
+    stack = _instance(np.ones((3, 2, 2)))
+    assert len(stack) == 3 and len(list(stack)) == 3 and len(stack[[0, 2]]) == 2
+    for one in (_instance(np.ones((2, 2))), stack[1], next(iter(stack))):
+        assert one.gain.shape == (2, 2)
+        for use in (len, iter, list, lambda row: row[0]):
+            with pytest.raises(TypeError):
+                use(one)
 
 
 def test_a_realization_keeps_the_bits_of_its_squared_gain_magnitudes():
     for s in range(5):
-        c = ch.realize_channels(ch.generate_scenario(6, 100.0, 2.0, 10.0, seed=s), seed=s)
-        assert np.array_equal(c.gain, np.abs(c.G) ** 2)
-    tiny = _instance([[1e-200 + 1e-200j]])  # |G|^2 underflows to 0 quietly
-    assert np.array_equal(tiny.gain, np.abs(tiny.G) ** 2)
+        G = ch.realize_channels(ch.generate_scenario(6, 100.0, 2.0, 10.0, seed=s), seed=s)
+        c = _instance(G, sigma2=ch.DEFAULT_NOISE_POWER)
+        assert np.array_equal(c.gain, np.abs(G) ** 2)
+    G = np.array([[1e-200 + 1e-200j]])
+    tiny = _instance(G)  # |G|^2 underflows to 0 quietly
+    assert np.array_equal(tiny.gain, np.abs(G) ** 2)
 
 
 _PROTO = {"n": 0, "x": 0.0, "each": [0.0], "list": [], "name": "", "sub": {"k": 0}}

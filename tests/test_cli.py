@@ -527,7 +527,7 @@ def test_gen_names_the_first_realization_whose_received_power_overflows(tmp_path
                 "--set", "scenario.pathloss_exp=0", "--set", "train.seeds.data=53")
     assert main(_args(tmp_path, *scenario) + ["gen"]) == 0
     train, test, _ = ch.load_dataset(tmp_path / "dataset.npz")
-    *fine, bad = [float(c.gain.sum(axis=0).max()) for c in train + test]
+    *fine, bad = [float(c.gain.sum(axis=0).max()) for c in [*train, *test]]
     assert bad > 2.0 * max(fine) >= 1.0
     p_max = math.sqrt(sys.float_info.max / math.sqrt(bad * max(fine)))
     (tmp_path / "dataset.npz").unlink()
@@ -542,7 +542,7 @@ def test_gen_names_the_first_realization_whose_received_power_overflows(tmp_path
 def test_gen_and_load_of_an_empty_test_split(tmp_path, capsys):
     assert main(_args(tmp_path, "--set", "scenario.test_size=0") + ["gen"]) == 0
     train, test, header = ch.load_dataset(tmp_path / "dataset.npz")
-    assert len(train) == 8 and test == [] and header["test"] == 0
+    assert len(train) == 8 and len(test) == 0 and header["test"] == 0
     assert _members(tmp_path / "dataset.npz")["G_test"].shape == (0, 3, 3)
 
 
@@ -846,15 +846,16 @@ def test_overflowing_parameters_abort_with_one_stderr_line(tmp_path, capsys, com
 @functools.cache
 def _valid_files() -> tuple[bytes, str]:
     """Bytes of a small valid dataset and text of a valid GCN checkpoint for it."""
-    realizations = [ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=s), seed=s)
-                    for s in range(3)]
+    drawn = np.stack([ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=s),
+                                          seed=s) for s in range(3)])
+    link = (ch.DEFAULT_NOISE_POWER, ch.DEFAULT_WEIGHT, ch.DEFAULT_P_MAX)
     model = GcnModel(hidden=4, layers=1)
     with tempfile.TemporaryDirectory() as tmp:
         data, ckpt = Path(tmp) / "dataset.npz", Path(tmp) / "ckpt.json"
-        ch.save_dataset(data, realizations[:2], realizations[2:], {"seed": 1})
+        ch.save_dataset(data, drawn[:2], drawn[2:], *link, {"seed": 1})
         save_checkpoint(ckpt, "gcn", model.arch_dict(),
                         model.init_params(np.random.default_rng(0)),
-                        fit_feature_scaler(realizations[:2]))
+                        fit_feature_scaler(ch.ChannelBatch.from_gains(drawn[:2], *link)))
         return data.read_bytes(), ckpt.read_text()
 
 
@@ -882,12 +883,12 @@ def _mutated_gains(gains: np.ndarray, index: tuple, value) -> np.ndarray:
         return held
 
 
-def _assert_valid_dataset(train, test, header):
+def _assert_valid_dataset(train, test, header, members):
     m = header["M"]
     assert type(m) is int and m >= 1
     assert len(train) == header["train"] and len(test) == header["test"]
-    for c in train + test:
-        assert c.G.shape == (m, m) and np.all(np.isfinite(c.G.view(float)))
+    for c, G in zip([*train, *test], [*members["G_train"], *members["G_test"]]):
+        assert G.shape == (m, m) and np.all(np.isfinite(G.view(float)))
         assert np.all(np.isfinite(c.sigma2) & (c.sigma2 > 0))
         assert np.all(np.isfinite(c.alpha) & (c.alpha >= 0))
         assert math.isfinite(c.p_max) and c.p_max > 0
@@ -926,7 +927,7 @@ def test_parsers_raise_only_typed_errors_on_a_mutated_field(field, value):
                 loaded = ch.load_dataset(path)
             except ValueError:
                 return
-            _assert_valid_dataset(*loaded)
+            _assert_valid_dataset(*loaded, _members(path))
             assert all(gains.dtype == np.complex128 for name, gains in _members(path).items()
                        if name != "header")
         else:

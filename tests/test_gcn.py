@@ -11,11 +11,24 @@ from qgpc.graph import InterferenceGraph, build_graph, fit_feature_scaler
 from qgpc.trainer import Instance
 
 
+def _channels(G):
+    """The checked channels of drawn gains, (M, M) or a (B, M, M) stack, at
+    the default link constants."""
+    return ch.ChannelBatch.from_gains(G, ch.DEFAULT_NOISE_POWER, ch.DEFAULT_WEIGHT,
+                                      ch.DEFAULT_P_MAX)
+
+
+def _pooled(drawn):
+    """Every gain of drawn (M, M) arrays of mixed M, as a stack of 1 x 1
+    gains: a scaler fit on it pools them as one fit over the list did."""
+    return np.concatenate([G.ravel() for G in drawn])[:, None, None]
+
+
 def _instance(m=4, seed=0):
     sc = ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=seed)
-    inst = ch.realize_channels(sc, seed=seed + 500)
-    graph = build_graph(inst, fit_feature_scaler([inst]))
-    return inst, graph
+    insts = _channels(ch.realize_channels(sc, seed=seed + 500)[None])
+    graph = build_graph(insts[0], fit_feature_scaler(insts))
+    return insts[0], graph
 
 
 def _random_params(hidden, layers, seed, scale=0.5):
@@ -186,9 +199,11 @@ def test_max_aggregation_matches_per_node_loop():
 
 def test_batch_calls_match_single_instance_calls(monkeypatch):
     sizes = [4, 1, 3, 4, 2, 4, 1, 3, 4, 5, 4, 3, 1] * 3
-    insts = [ch.realize_channels(ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=40 + i),
+    drawn = [ch.realize_channels(ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=40 + i),
                                  seed=540 + i) for i, m in enumerate(sizes)]
-    scaler = fit_feature_scaler(insts)  # shared, so single-node graphs differ too
+    insts = [_channels(G) for G in drawn]
+    # shared, so single-node graphs differ too: fit on every gain, as 1 x 1 channels
+    scaler = fit_feature_scaler(_channels(_pooled(drawn)))
     split = [Instance(f"i{i}", c, build_graph(c, scaler)) for i, c in enumerate(insts)]
     model = GcnModel(hidden=16, layers=2)
     _, flat = _random_params(16, 2, seed=21)
@@ -212,9 +227,10 @@ def test_batch_calls_match_single_instance_calls(monkeypatch):
 def test_forward_only_scores_equal_the_gradient_paths_bit_for_bit(monkeypatch, edge_rows):
     rng = np.random.default_rng(77)
     sizes = [1, 6] + rng.integers(1, 7, 28).tolist()
-    insts = [ch.realize_channels(ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=80 + i),
+    drawn = [ch.realize_channels(ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=80 + i),
                                  seed=580 + i) for i, m in enumerate(sizes)]
-    scaler = fit_feature_scaler(insts)
+    insts = [_channels(G) for G in drawn]
+    scaler = fit_feature_scaler(_channels(_pooled(drawn)))
     graphs = [build_graph(c, scaler) for c in insts]
     model, flat = _random_params(6, 2, seed=77)
     where = model.unflatten(np.arange(flat.size))[2][:, 1]  # flat positions of layer 0's msg_w2

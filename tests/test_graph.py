@@ -12,21 +12,28 @@ from qgpc.graph import build_graph, decompose_stars, fit_feature_scaler, mix64
 
 
 def _realization(m=4, seed=0, **kw):
+    """The complex gains of one drop."""
     sc = ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=seed)
     return ch.realize_channels(sc, seed=seed + 1000, **kw)
 
 
+def _channels(G):
+    """The checked stack of (B, M, M) drawn gains, at the default link constants."""
+    return ch.ChannelBatch.from_gains(G, ch.DEFAULT_NOISE_POWER, ch.DEFAULT_WEIGHT,
+                                      ch.DEFAULT_P_MAX)
+
+
 @pytest.fixture(scope="module")
 def graph4():
-    insts = [_realization(4, seed=s) for s in range(10)]
+    insts = _channels(np.stack([_realization(4, seed=s) for s in range(10)]))
     scaler = fit_feature_scaler(insts)
     return build_graph(insts[0], scaler), insts[0], scaler
 
 
 def test_scaler_maps_into_angle_range_and_is_monotone():
-    insts = [_realization(4, seed=s) for s in range(5)]
-    scaler = fit_feature_scaler(insts)
-    gains = np.abs(insts[0].G) ** 2
+    drawn = np.stack([_realization(4, seed=s) for s in range(5)])
+    scaler = fit_feature_scaler(_channels(drawn))
+    gains = np.abs(drawn[0]) ** 2
     angles = scaler.angle(gains)
     assert np.all(angles >= 0.0) and np.all(angles <= np.pi)
     xs = np.logspace(-9, 0, 40)
@@ -36,10 +43,10 @@ def test_scaler_maps_into_angle_range_and_is_monotone():
 
 def test_scaler_degenerate_training_set_centers_angles():
     # all gains equal: standardization collapses, every angle sits at pi/2
-    inst = _realization(3, seed=2, pathloss_exp=0.0, fading=False)
-    scaler = fit_feature_scaler([inst])
+    insts = _channels(_realization(3, seed=2, pathloss_exp=0.0, fading=False)[None])
+    scaler = fit_feature_scaler(insts)
     assert scaler.angle(np.array([1.0]))[0] == pytest.approx(np.pi / 2)
-    g = build_graph(inst, scaler)
+    g = build_graph(insts[0], scaler)
     assert np.allclose(g.node_features, g.node_features[0])
 
 
@@ -54,7 +61,7 @@ def test_build_graph_shapes_and_adjacency(graph4):
     assert np.all(g.node_features[:, 0] >= 0.0) and np.all(g.node_features[:, 0] <= np.pi)
     assert np.array_equal(g.node_features[:, 1], inst.alpha)
     # ordered edge (k, m) carries the scaled cross gain tx k -> rx m
-    gains = np.abs(inst.G) ** 2
+    gains = np.abs(_realization(4, seed=0)) ** 2  # the gains graph4's first drop drew
     for k in range(4):
         for m in range(4):
             if k != m:
@@ -64,8 +71,8 @@ def test_build_graph_shapes_and_adjacency(graph4):
 
 
 def test_build_graph_single_node():
-    inst = _realization(1, seed=5)
-    g = build_graph(inst, fit_feature_scaler([inst]))
+    insts = _channels(_realization(1, seed=5)[None])
+    g = build_graph(insts[0], fit_feature_scaler(insts))
     assert g.N == 1
     assert g.edge_angle.shape == (1, 1)
 

@@ -36,11 +36,18 @@ def build_qgcl_circuit(feature_dim, depth):
     return CircuitSpec(n=nq, gates=tuple(gates), angle_slots=slot)
 
 
+def _channels(G):
+    """The checked channels of drawn gains, (M, M) or a (B, M, M) stack, at
+    the default link constants."""
+    return ch.ChannelBatch.from_gains(G, ch.DEFAULT_NOISE_POWER, ch.DEFAULT_WEIGHT,
+                                      ch.DEFAULT_P_MAX)
+
+
 def _instance(m=4, seed=0):
     sc = ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=seed)
-    inst = ch.realize_channels(sc, seed=seed + 500)
-    graph = build_graph(inst, fit_feature_scaler([inst]))
-    return inst, graph
+    insts = _channels(ch.realize_channels(sc, seed=seed + 500)[None])
+    graph = build_graph(insts[0], fit_feature_scaler(insts))
+    return insts[0], graph
 
 
 def _random_params(n_layers, depth, seed, scale=0.5):
@@ -444,10 +451,11 @@ def test_input_slot_contraction_matches_shifted_states(feature_dim, data):
 
 
 def _split(m, count, seed0):
-    insts = []
+    drawn = []
     for i in range(count):
         sc = ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=seed0 + i)
-        insts.append(ch.realize_channels(sc, seed=seed0 + 1000 + i))
+        drawn.append(ch.realize_channels(sc, seed=seed0 + 1000 + i))
+    insts = _channels(np.stack(drawn))
     scaler = fit_feature_scaler(insts)
     return [Instance(f"test/{i}", c, build_graph(c, scaler)) for i, c in enumerate(insts)]
 

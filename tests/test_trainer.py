@@ -23,10 +23,12 @@ from qgpc.trainer import (
 
 def _instances(m, count, seed0, prefix="train"):
     """Realizations sharing one feature scaler, as the trainer consumes them."""
-    insts = []
+    drawn = []
     for i in range(count):
         sc = ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=seed0 + i)
-        insts.append(ch.realize_channels(sc, seed=seed0 + 1000 + i))
+        drawn.append(ch.realize_channels(sc, seed=seed0 + 1000 + i))
+    insts = ch.ChannelBatch.from_gains(np.stack(drawn), ch.DEFAULT_NOISE_POWER,
+                                       ch.DEFAULT_WEIGHT, ch.DEFAULT_P_MAX)
     scaler = fit_feature_scaler(insts)
     return [
         Instance(f"{prefix}-{i}", inst, build_graph(inst, scaler))
@@ -63,7 +65,7 @@ def test_adam_is_pure():
 
 
 def test_adam_matches_hand_computed_second_step():
-    cfg = TrainConfig(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    cfg = TrainConfig(lr=0.1)
     g1, g2 = np.array([1.0]), np.array([-2.0])
     p, s = adam_step(np.array([0.0]), g1, AdamState.zeros(1), t=1, cfg=cfg)
     p, s = adam_step(p, g2, s, t=2, cfg=cfg)

@@ -18,13 +18,18 @@ from qgpc.wmmse import (
 )
 
 
+def _channels(G, sigma2, alpha, p_max):
+    return ch.ChannelBatch.from_gains(G, sigma2, alpha, p_max)
+
+
 def _random_instance(rng, m, sigma2=1e-2):
     sc = ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=int(rng.integers(1 << 31)))
-    return ch.realize_channels(sc, sigma2=sigma2, seed=int(rng.integers(1 << 31)))
+    return _channels(ch.realize_channels(sc, seed=int(rng.integers(1 << 31))), sigma2,
+                     ch.DEFAULT_WEIGHT, ch.DEFAULT_P_MAX)
 
 
 def test_single_pair_goes_full_power():
-    inst = ch.ChannelRealization(G=np.array([[0.7 + 0.2j]]), sigma2=0.1, alpha=1.0, p_max=1.0)
+    inst = _channels(G=np.array([[0.7 + 0.2j]]), sigma2=0.1, alpha=1.0, p_max=1.0)
     res = wmmse_allocate(inst)
     assert res.p[0] == pytest.approx(1.0, abs=1e-12)
     assert res.converged
@@ -33,7 +38,7 @@ def test_single_pair_goes_full_power():
 
 def test_symmetric_pairs_get_symmetric_power():
     G = np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex)
-    inst = ch.ChannelRealization(G=G, sigma2=0.1, alpha=1.0, p_max=1.0)
+    inst = _channels(G=G, sigma2=0.1, alpha=1.0, p_max=1.0)
     res = wmmse_allocate(inst)
     assert res.p[0] == pytest.approx(res.p[1], rel=1e-9)
 
@@ -78,8 +83,8 @@ def _instances(draw, max_m=6, min_m=1):
         return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
 
     G = np.sqrt(10.0 ** arr((m, m), -4.0, 4.0)) * np.exp(1j * arr((m, m), 0.0, 2.0 * np.pi))
-    return ch.ChannelRealization(G=G, sigma2=10.0 ** arr((m,), -3.0, 0.0),
-                                 alpha=arr((m,), 0.1, 2.0), p_max=draw(st.floats(0.1, 10.0)))
+    return _channels(G=G, sigma2=10.0 ** arr((m,), -3.0, 0.0),
+                     alpha=arr((m,), 0.1, 2.0), p_max=draw(st.floats(0.1, 10.0)))
 
 
 @settings(max_examples=60)
@@ -106,8 +111,8 @@ def _extreme_sinr_instances(draw):
     gain[strong, strong] = 10.0 ** draw(st.floats(1.0, 4.0))
     sigma2[strong] = 1e-12
     G = np.sqrt(gain) * np.exp(1j * arr((m, m), 0.0, 2.0 * np.pi))
-    return ch.ChannelRealization(G=G, sigma2=sigma2, alpha=arr((m,), 0.1, 2.0),
-                                 p_max=draw(st.floats(1.0, 10.0)))
+    return _channels(G=G, sigma2=sigma2, alpha=arr((m,), 0.1, 2.0),
+                     p_max=draw(st.floats(1.0, 10.0)))
 
 
 @settings(max_examples=60, derandomize=True)
@@ -132,15 +137,17 @@ def test_sweep_blocks_match_the_textbook_complex_form():
     # cancellation in w's denominator far below the tolerance
     rng = np.random.default_rng(37)
     for m in (1, 2, 5, 8):
-        insts = [ch.ChannelRealization(
-            G=np.sqrt(10.0 ** rng.uniform(-1.0, 1.0, (m, m)))
-            * np.exp(2j * np.pi * rng.random((m, m))),
-            sigma2=10.0 ** rng.uniform(-1.0, 0.0, m), alpha=rng.uniform(0.1, 2.0, m),
-            p_max=rng.uniform(0.5, 3.0)) for _ in range(20)]
+        insts, drawn = [], []
+        for _ in range(20):
+            drawn.append(np.sqrt(10.0 ** rng.uniform(-1.0, 1.0, (m, m)))
+                         * np.exp(2j * np.pi * rng.random((m, m))))
+            insts.append(_channels(
+                G=drawn[-1], sigma2=10.0 ** rng.uniform(-1.0, 0.0, m),
+                alpha=rng.uniform(0.1, 2.0, m), p_max=rng.uniform(0.5, 3.0)))
         batch = ch.ChannelBatch.stack(insts)
         v = rng.random((20, m)) * batch.p_max[:, None]
         gamma, numer, coeff = wmmse._mmse_blocks(batch, v)
-        G = np.stack([inst.G for inst in insts])
+        G = np.stack(drawn)
         g = np.diagonal(G, axis1=1, axis2=2)
         t = np.einsum("bk,bkm->bm", v ** 2, np.abs(G) ** 2) + batch.sigma2
         u = g * v / t
@@ -181,8 +188,8 @@ def test_wmmse_batch_matches_the_per_start_reference(insts, budget, per_block):
 
 def test_wmmse_batch_matches_the_reference_on_unconverged_starts(monkeypatch):
     rng = np.random.default_rng(13)
-    insts = [ch.ChannelRealization(G=np.sqrt(10.0 ** rng.uniform(-2.0, 2.0, (m, m))),
-                                   sigma2=0.1, alpha=1.0, p_max=1.0) for m in (3, 1, 5, 3)]
+    insts = [_channels(G=np.sqrt(10.0 ** rng.uniform(-2.0, 2.0, (m, m))),
+                       sigma2=0.1, alpha=1.0, p_max=1.0) for m in (3, 1, 5, 3)]
     monkeypatch.setattr(wmmse, "MAX_ITER", 2)
     monkeypatch.setattr(wmmse, "TOL", 1e-30)
     got = wmmse_batch(insts)
@@ -206,7 +213,7 @@ def test_wmmse_batch_memory_is_bounded_by_a_block():
 def test_a_corner_start_wins_under_strong_interference():
     # pair 1 alone beats full power, where each pair drowns in the other's signal
     G = np.array([[1.0, 3.0], [3.0, 2.0]], dtype=complex)
-    inst = ch.ChannelRealization(G=G, sigma2=0.1, alpha=1.0, p_max=1.0)
+    inst = _channels(G=G, sigma2=0.1, alpha=1.0, p_max=1.0)
     res = wmmse_allocate(inst)
     assert res.start == 2  # 0 full power, 1 and 2 the corners of pairs 0 and 1
     assert np.array_equal(res.p, [0.0, 1.0])
@@ -215,7 +222,7 @@ def test_a_corner_start_wins_under_strong_interference():
 def test_tied_starts_resolve_to_the_earliest():
     # both corners of a symmetric pair reach the same objective, bit for bit
     G = np.array([[1.0, 3.0], [3.0, 1.0]], dtype=complex)
-    inst = ch.ChannelRealization(G=G, sigma2=0.1, alpha=1.0, p_max=1.0)
+    inst = _channels(G=G, sigma2=0.1, alpha=1.0, p_max=1.0)
     corners = [wmmse_reference.wmmse_sweeps(inst, v0) for v0 in np.eye(2)]
     assert corners[0].objective == corners[1].objective
     res = wmmse_allocate(inst)
@@ -224,7 +231,7 @@ def test_tied_starts_resolve_to_the_earliest():
 
 
 def test_grid_oracle_single_pair_matches_scan():
-    inst = ch.ChannelRealization(G=np.array([[0.9]]), sigma2=0.2, alpha=1.0, p_max=1.0)
+    inst = _channels(G=np.array([[0.9]]), sigma2=0.2, alpha=1.0, p_max=1.0)
     p, obj = grid_search_oracle(inst, levels=101)
     axis = np.linspace(0.0, 1.0, 101)
     objs = [ch.sum_rate(inst, np.array([x])) for x in axis]
@@ -278,7 +285,7 @@ def test_grid_oracle_matches_a_per_point_scan(data):
         G[dead, :] = 0.0  # every level of this transmitter ties
     sigma2 = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m), label="sigma2")
     p_max = data.draw(st.floats(0.1, 10.0), label="p_max")
-    inst = ch.ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
+    inst = _channels(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
     # slabs of a handful of points put slab boundaries inside small grids
     slab = data.draw(st.integers(1, 64) | st.just(wmmse.SLAB_POINTS), label="slab points")
     with mock.patch.object(wmmse, "SLAB_POINTS", slab):
@@ -339,7 +346,7 @@ def test_block_bound_is_at_least_every_rate_in_its_block(data):
     log_noise = st.lists(st.floats(-300.0, 0.0), min_size=m, max_size=m)
     sigma2 = 10.0 ** np.array(data.draw(log_noise, label="log10 sigma2"))
     p_max = data.draw(st.floats(0.1, 10.0), label="p_max")
-    inst = ch.ChannelRealization(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
+    inst = _channels(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
     axis = np.linspace(0.0, p_max, levels)
     bounds = wmmse._block_bounds(inst, axis, lead)
     idx = list(np.indices((levels,) * m, sparse=True))
@@ -377,7 +384,8 @@ def test_grid_oracle_is_bit_equal_to_a_full_scan(m, d, levels, count):
 
     for _ in range(count):
         sc = ch.generate_scenario(m, d, 2.0, 10.0, seed=int(rng.integers(1 << 31)))
-        inst = ch.realize_channels(sc, seed=int(rng.integers(1 << 31)))
+        inst = _channels(ch.realize_channels(sc, seed=int(rng.integers(1 << 31))),
+                         ch.DEFAULT_NOISE_POWER, ch.DEFAULT_WEIGHT, ch.DEFAULT_P_MAX)
         with mock.patch.object(wmmse, "_rates", counted):
             p, obj = grid_search_oracle(inst, levels)
         want_p, want_obj = _full_scan(inst, levels)
@@ -394,7 +402,7 @@ def test_grid_oracle_ties_across_chunks_go_to_the_first_point():
     # at p1 = 0 does pair 0 raise its block's bound. The search meets the
     # block p0 = p_max first, and must still return p0 = 0.
     G = np.array([[1.0, 1e-10], [1e15, 1e3]], dtype=complex)
-    inst = ch.ChannelRealization(G=G, sigma2=1.0, alpha=1.0, p_max=1.0)
+    inst = _channels(G=G, sigma2=1.0, alpha=1.0, p_max=1.0)
     with mock.patch.object(wmmse, "BLOCK_POINTS", 2):  # one block per level of p0
         p, obj = grid_search_oracle(inst, 5)
     assert np.array_equal(p, [0.0, 1.0])

@@ -4,16 +4,16 @@ product per block update, and the starts tried one by one in order."""
 
 import numpy as np
 
-from qgpc.channels import ChannelRealization, _sinr_terms, sum_rate
+from qgpc.channels import ChannelBatch, _sinr_terms, sum_rate
 from qgpc.wmmse import WmmseResult
 
 
-def wmmse_sweeps(channels: ChannelRealization, v0: np.ndarray) -> WmmseResult:
+def wmmse_sweeps(channels: ChannelBatch, v0: np.ndarray) -> WmmseResult:
     """Block-coordinate sweeps from one start until the objective moves by
     at most TOL, or MAX_ITER sweeps; start is left at 0."""
     from qgpc import wmmse
 
-    B2 = np.abs(channels.G) ** 2
+    B2 = channels.gain
     alpha = channels.alpha
     p_max = channels.p_max
 
@@ -52,7 +52,7 @@ def wmmse_sweeps(channels: ChannelRealization, v0: np.ndarray) -> WmmseResult:
     )
 
 
-def starts(channels: ChannelRealization) -> list[np.ndarray]:
+def starts(channels: ChannelBatch) -> list[np.ndarray]:
     """Full power, one corner per pair (M > 1), then the seeded restarts."""
     from qgpc import wmmse
 
@@ -65,7 +65,7 @@ def starts(channels: ChannelRealization) -> list[np.ndarray]:
     return out
 
 
-def wmmse_allocate(channels: ChannelRealization) -> WmmseResult:
+def wmmse_allocate(channels: ChannelBatch) -> WmmseResult:
     """The best start's record; a later start wins only by a strict
     improvement, so ties keep the earliest."""
     best = None
