@@ -115,8 +115,7 @@ def measure(tmp: Path) -> dict[str, dict]:
     wide_g, wide_train_g = _gains(TEST, TRAIN, WIDE_M), _gains(TRAIN, 0, WIDE_M)
     train_ch, test_ch = (ch.ChannelBatch.from_gains(G, *LINK) for G in (train_g, test_g))
     wide_ch, wide_train = (ch.ChannelBatch.from_gains(G, *LINK) for G in (wide_g, wide_train_g))
-    # lists of single realizations, as build_graph and wmmse_batch take them
-    desk_rows, wide_rows = [*train_ch, *test_ch], list(wide_ch)
+    desk_rows = [*train_ch, *test_ch]  # single realizations, as build_graph takes them
     scaler = fit_feature_scaler(train_ch)
     train_set = [Instance(f"train/{i}", c, build_graph(c, scaler))
                  for i, c in enumerate(train_ch)]
@@ -133,7 +132,8 @@ def measure(tmp: Path) -> dict[str, dict]:
     q_flat = qgnn.init_params(rng)
     kernel = qgnn._prepare(q_flat, grad=True)[1][0]
     # one full desk block at the block budget: its graphs of M min(k, M-1) rows
-    graphs = len(next(ch.size_blocks([M] * TRAIN, qgnn._item_bytes)))
+    block = next(ch.row_blocks(TRAIN, qgnn._item_bytes(M)))
+    graphs = block.stop - block.start
     rows = graphs * M * min(qgnn.k, M - 1)
     angles = rng.uniform(0.0, np.pi, (rows, input_slot_count(2)))
     w = rng.standard_normal((rows, 2))
@@ -165,8 +165,8 @@ def measure(tmp: Path) -> dict[str, dict]:
         f"gcn.evaluate_mean.{TRAIN}.M{WIDE_M}": lambda: evaluate_mean(gcn, g_flat, wide_set,
                                                                       seeds),
         f"graph.decompose_stars.{TRAIN}": lambda: decompose_stars(M, 2, star_seeds),
-        f"wmmse.wmmse_batch.{TEST}": lambda: wmmse_batch(desk_rows[TRAIN:]),
-        f"wmmse.wmmse_batch.{TEST}.M{WIDE_M}": lambda: wmmse_batch(wide_rows),
+        f"wmmse.wmmse_batch.{TEST}": lambda: wmmse_batch(test_ch),
+        f"wmmse.wmmse_batch.{TEST}.M{WIDE_M}": lambda: wmmse_batch(wide_ch),
         f"wmmse.grid_search_oracle.{TEST}": _oracle(test_ch, 17),
         f"wmmse.grid_search_oracle.{len(dense)}.d20": _oracle(dense, 17),
         f"wmmse.grid_search_oracle.{len(onoff)}.M{WIDE_M}.L2": _oracle(onoff, 2),

@@ -20,7 +20,6 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable
 
 import numpy as np
 
@@ -275,22 +274,17 @@ def realize_channels(
     return amp * fade
 
 
-def size_blocks(sizes, item_bytes: Callable[[int], int]):
-    """Index arrays of same-size items, smallest size first, each holding
-    items of ``item_bytes(n)`` bytes (an item of size n) that sum to at
-    most BLOCK_BYTES (one item when a single item has more). The one
-    grouping rule of the batch paths: model graphs, their channels and
-    WMMSE's instances all run in these blocks, each kernel counting the
-    bytes its items keep live."""
-    sizes = np.asarray(sizes)
-    for n in np.unique(sizes):
-        members = np.flatnonzero(sizes == n)
-        per_item = item_bytes(int(n))
-        # an item without rows runs alone, as in a single-item call: numpy
-        # sends a one-row product to gemv, which rounds otherwise than gemm
-        step = max(1, BLOCK_BYTES // per_item) if per_item else 1
-        for lo in range(0, members.size, step):
-            yield members[lo:lo + step]
+def row_blocks(count: int, item_bytes: int):
+    """Slices of range(count), in order, each holding items of item_bytes
+    bytes that sum to at most BLOCK_BYTES (one item when a single item has
+    more). The one blocking rule of the batch paths: model graphs, their
+    channels and WMMSE's instances all run in these blocks, each kernel
+    counting the bytes an item keeps live."""
+    # an item without rows runs alone, as in a single-item call: numpy
+    # sends a one-row product to gemv, which rounds otherwise than gemm
+    step = max(1, BLOCK_BYTES // item_bytes) if item_bytes else 1
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
 
 
 def _sinr_terms(channels: ChannelBatch, p):

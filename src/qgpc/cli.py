@@ -279,7 +279,7 @@ def cmd_eval(cfg: dict, checkpoint: str | None, oracle_levels: int | None) -> in
 
     test_set = _instances("test", test_ch, scaler)
     model_mean = evaluate_mean(model, params, test_set, _train_config(cfg).seeds)
-    baseline = wmmse_mean(test_set)
+    baseline = wmmse_mean(test_ch)
     print(f"model={model.name} test_mean_bpshz={model_mean:.12g}")
     # every rate is 0 when every test realization's gains are, so no ratio
     ratio = f" ratio={model_mean / baseline:.6g}" if baseline else ""

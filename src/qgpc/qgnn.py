@@ -20,8 +20,8 @@ Engine: every message of a layer runs the same circuit. The batch path both
 models share (trainer.BatchModel, which also applies the sigmoid) cuts blocks
 from a trainer.Split: a block of B graphs of N nodes holds its embeddings as
 (B, N, F) and each layer's stars as (B, N, s) leaves, ascending per star, from
-one keyed graph.decompose_stars call per layer (frozen ones once per split and
-size), and its N * s (center, leaf, edge) rows, s per center, go through one
+one keyed graph.decompose_stars call per layer (frozen ones once per split),
+and its N * s (center, leaf, edge) rows, s per center, go through one
 kernel call. A block holds graphs whose rows' psi and phi = psi U, 2^n and
 2^(n+1) floats, fit channels.BLOCK_BYTES (680 rows at M = 4, k = 2). Every
 kernel product runs per graph, a stacked (graphs, rows, K) matmul, except

@@ -6,9 +6,9 @@ as an evaluation baseline on the test split. All randomness flows from three
 named seeds (data, init, stars) through deterministic mixing, so identical
 configurations reproduce identical reports. Both models run one batch path,
 BatchModel, which computes that loss and its gradient at the powers, on
-blocks cut from a Split (instances grouped by size and stacked once). train
-builds one per data split, frozen evaluation stars included, and evaluates
-both with one prepare an epoch; a list entry point builds one per call.
+blocks cut from a Split (instances of one size, stacked once). train builds
+one per data split, frozen evaluation stars included, and evaluates both
+with one prepare an epoch; a list entry point builds one per call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import (
-    ChannelBatch, sigmoid, size_blocks, sum_rate, weighted_sum_rate_grad,
+    ChannelBatch, row_blocks, sigmoid, sum_rate, weighted_sum_rate_grad,
 )
 from .graph import InterferenceGraph, mix64
 # wmmse_allocate is not called here; it stays bound on this module for code
@@ -67,43 +67,25 @@ class Instance(NamedTuple):
     graph: InterferenceGraph
 
 
-class _SizeGroup(NamedTuple):
-    """The instances of one size N in a Split, in list order."""
-
-    features: np.ndarray      # (B, N, F) node features
-    edge: np.ndarray          # (B, N, N) edge angles
-    channels: ChannelBatch
-    stars: list[np.ndarray]   # frozen evaluation stars: (B, N, s) leaves per layer
-
-
 class Split:
-    """Instances grouped by size and stacked; given seeds, a star-drawing
-    model's frozen evaluation stars too, one _stars call per size."""
+    """Instances of one size N, stacked once: node features (B, N, F), edge
+    angles (B, N, N) and their channels; given seeds, a star-drawing model's
+    frozen evaluation stars too, (B, N, s) leaves per layer from one _stars
+    call. Instances of two sizes are refused."""
 
     def __init__(self, instances: list[Instance], model: BatchModel | None = None,
                  seeds: SeedConfig | None = None):
+        sizes = sorted({inst.graph.N for inst in instances})
+        if len(sizes) > 1:
+            raise ValueError(f"a split holds instances of one size, got sizes {sizes}")
         self.labels = [inst.label for inst in instances]
-        self.sizes = np.array([inst.graph.N for inst in instances], dtype=int)
-        self.row = np.empty(len(instances), dtype=int)  # each instance's row in its group
-        self.groups: dict[int, _SizeGroup] = {}
-        for n in np.unique(self.sizes).tolist():
-            positions = np.flatnonzero(self.sizes == n)
-            self.row[positions] = np.arange(positions.size)
-            members = [instances[i] for i in positions]
-            self.groups[n] = _SizeGroup(
-                np.stack([inst.graph.node_features for inst in members]),
-                np.stack([inst.graph.edge_angle for inst in members]),
-                ChannelBatch.stack([inst.channels for inst in members]),
-                model._stars(n, eval_star_seed(seeds, positions))
-                if seeds is not None and model.draws_stars else [])
-
-    def select(self, positions: np.ndarray) -> tuple[_SizeGroup, slice | np.ndarray]:
-        """The group of same-size instances at positions, and their rows in
-        it: a slice where the rows run consecutively, so a block is views."""
-        rows = self.row[positions]
-        if np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size)):
-            rows = slice(int(rows[0]), int(rows[0]) + rows.size)
-        return self.groups[int(self.sizes[positions[0]])], rows
+        # an empty split has no rows, so no block reads its (0, 0, 0) stacks
+        self.features, self.edge = (
+            np.stack([getattr(inst.graph, name) for inst in instances]) if instances
+            else np.empty((0, 0, 0)) for name in ("node_features", "edge_angle"))
+        self.channels = ChannelBatch.stack([inst.channels for inst in instances])
+        self.stars = (model._stars(sizes[0], eval_star_seed(seeds, np.arange(len(instances))))
+                      if instances and seeds is not None and model.draws_stars else [])
 
 
 class BatchModel:
@@ -140,18 +122,22 @@ class BatchModel:
         return []
 
     def _blocks(self, split: Split, prepared, star_seeds, members=None):
-        """(idx, ChannelBatch, p, (tape, dp/dz)) of each size_blocks block of
+        """(idx, ChannelBatch, p, (tape, dp/dz)) of each row_blocks block of
         the split's instances at positions ``members`` (all, in list order,
         by default): idx indexes members, p is the block's (B, N) decoded
         powers. A block draws its stars from star_seeds[idx], or, when
         star_seeds is None, takes the split's frozen ones."""
         members = np.arange(len(split.labels)) if members is None else members
-        for idx in size_blocks(split.sizes[members], self._item_bytes):
-            group, rows = split.select(members[idx])
-            stars = ([leaves[rows] for leaves in group.stars] if star_seeds is None
-                     else self._stars(group.features.shape[1], star_seeds[idx]))
-            channels = group.channels[rows]
-            z, tape = self._forward(group.features[rows], group.edge[rows], prepared, stars)
+        n = split.edge.shape[-1]
+        for block in row_blocks(len(members), self._item_bytes(n)):
+            idx = np.arange(block.start, block.stop)
+            rows = members[block]
+            if np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size)):
+                rows = slice(int(rows[0]), int(rows[0]) + rows.size)  # a run: views
+            stars = ([leaves[rows] for leaves in split.stars] if star_seeds is None
+                     else self._stars(n, star_seeds[idx]))
+            channels = split.channels[rows]
+            z, tape = self._forward(split.features[rows], split.edge[rows], prepared, stars)
             sig = sigmoid(z)
             p = channels.p_max[:, None] * sig
             yield idx, channels, p, (tape, p * (1.0 - sig))
@@ -284,33 +270,31 @@ def evaluate_mean(model: BatchModel, flat_params, instances: list[Instance],
 
 
 def _split_mean(model: BatchModel, prepared, split: Split) -> float:
-    """evaluate_mean on a split with frozen stars and prepared parameters."""
+    """evaluate_mean on a split with frozen stars and prepared parameters;
+    the first non-finite power in input order aborts it."""
     if not split.labels:
         return float("nan")
     rates = np.empty(len(split.labels))
-    bad = {}  # position -> powers, for each instance with a non-finite power
     # an overflow shows up below as a non-finite power, so it does not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, channels, p, _ in model._blocks(split, prepared, None):
             finite = np.all(np.isfinite(p), axis=1)
-            bad.update(zip(idx[~finite].tolist(), p[~finite]))
+            if not finite.all():
+                first = int(np.argmin(finite))
+                raise NonFinitePowerError(f"non-finite power {p[first].tolist()} "
+                                          f"for instance {split.labels[idx[first]]}")
             rates[idx] = sum_rate(channels, p)
-    if bad:
-        first = min(bad)  # the first in input order
-        raise NonFinitePowerError(
-            f"non-finite power {bad[first].tolist()} for instance {split.labels[first]}")
     total = 0.0
     for rate in rates:  # sequential in input order, so the printed means keep their bits
         total += float(rate)
     return total / len(split.labels)
 
 
-def wmmse_mean(instances: list[Instance]) -> float:
-    """Mean WMMSE objective, the evaluation baseline."""
-    if not instances:
+def wmmse_mean(stack: ChannelBatch) -> float:
+    """Mean WMMSE objective over a stack, the evaluation baseline."""
+    if not len(stack):
         return float("nan")
-    results = wmmse_batch([inst.channels for inst in instances])
-    return float(np.mean([res.objective for res in results]))
+    return float(np.mean([res.objective for res in wmmse_batch(stack)]))
 
 
 def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance],
@@ -328,8 +312,8 @@ def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance]
     params = model.init_params(rng_init)
     state = AdamState.zeros(params.size)
 
-    baseline_wmmse = wmmse_mean(test_set)
     splits = [Split(train_set, model, cfg.seeds), Split(test_set, model, cfg.seeds)]
+    baseline_wmmse = wmmse_mean(splits[1].channels)
 
     def means():  # one prepare for both splits
         prepared = model._prepare(params, grad=False)

@@ -17,7 +17,7 @@ full-power start can stall at a poor one (the global optimum may silence a
 pair entirely). WMMSE therefore multi-starts: full power, one corner start
 per pair (that pair at p_max, the rest silent), and a few seeded uniform
 restarts. The best run's record is returned; everything stays
-deterministic. wmmse_batch runs every start of every instance of a list as
+deterministic. wmmse_batch runs every start of every instance of a stack as
 one row of a stacked sweep; wmmse_allocate is that call on one instance.
 
 The grid oracle never builds its (levels^M, M) power grid, and it skips
@@ -37,7 +37,7 @@ import numpy as np
 # sum_rate_batch is not called here; it stays bound on this module for code
 # that looks it up or wraps it here (the benchmark's tracer does).
 from .channels import (  # noqa: F401
-    ChannelBatch, _sinr_terms, size_blocks, sum_rate, sum_rate_batch,
+    ChannelBatch, _sinr_terms, row_blocks, sum_rate, sum_rate_batch,
     weighted_sum_rate)
 
 GRID_POINT_GUARD = 10 ** 7  # bounds the oracle's time; SLAB_POINTS bounds its memory
@@ -134,40 +134,39 @@ def _sweep_rows(batch: ChannelBatch, inst: np.ndarray, v: np.ndarray):
     return best_p, best_obj, trace, converged, iterations
 
 
-def wmmse_batch(realizations: list[ChannelBatch]) -> list[WmmseResult]:
-    """Best WMMSE stationary point over the starts of each realization, in
-    input order.
+def wmmse_batch(stack: ChannelBatch) -> list[WmmseResult]:
+    """Best WMMSE stationary point over the starts of each realization of a
+    stack, in stack order.
 
-    Every (instance, start) pair is one row of a sweep. Whole instances of
-    one size run together, in size_blocks blocks of at most
-    channels.BLOCK_BYTES of row gains, one float each (an instance with
-    more runs alone), so memory is bounded by a block whatever the list's
+    Every (instance, start) pair is one row of a sweep. Whole instances run
+    together, in row_blocks blocks sliced from the stack, of at most
+    channels.BLOCK_BYTES of row gains, one float each (an instance with more
+    runs alone), so memory is bounded by a block whatever the stack's
     length. An instance's winner is the first best of its own rows: ties
     keep the earliest start, so mild instances still return the full-power
     run's answer. The winner's own monotone trace is returned.
     """
-    results: list[WmmseResult] = [None] * len(realizations)
-    sizes = [ch.M for ch in realizations]
+    m, n_starts = stack.M, _start_count(stack.M)
+    results: list[WmmseResult] = []
     # a row gain is one float of the (rows, M, M) gains a sweep gathers
-    for idx in size_blocks(sizes, lambda m: _start_count(m) * m * m * 8):
-        batch = ChannelBatch.stack([realizations[i] for i in idx])
-        n_starts = _start_count(batch.M)
+    for block in row_blocks(len(stack), n_starts * m * m * 8):
+        batch = stack[block]
         inst = np.repeat(np.arange(len(batch)), n_starts)
         p, obj, trace, converged, iterations = _sweep_rows(batch, inst, _starts(batch))
         won = obj.reshape(len(batch), n_starts).argmax(axis=1)
-        for b, (i, start) in enumerate(zip(idx, won.tolist())):
+        for b, start in enumerate(won.tolist()):
             r = b * n_starts + start
-            results[i] = WmmseResult(
+            results.append(WmmseResult(
                 p=p[r].copy(), objective=float(obj[r]),
                 trace=trace[r, :iterations[r] + 1].copy(),
                 converged=bool(converged[r]), iterations=int(iterations[r]), start=start,
-            )
+            ))
     return results
 
 
 def wmmse_allocate(channels: ChannelBatch) -> WmmseResult:
     """Best WMMSE stationary point over the starts of one realization."""
-    return wmmse_batch([channels])[0]
+    return wmmse_batch(ChannelBatch.stack([channels]))[0]
 
 
 def check_grid(levels: int, m: int) -> None:

@@ -546,6 +546,18 @@ def test_gen_and_load_of_an_empty_test_split(tmp_path, capsys):
     assert _members(tmp_path / "dataset.npz")["G_test"].shape == (0, 3, 3)
 
 
+@pytest.mark.parametrize("arch", ["qgnn", "gcn"])
+def test_train_on_an_empty_test_split_writes_nan_test_and_wmmse_columns(tmp_path, arch):
+    args = _args(tmp_path, "--set", "scenario.test_size=0", "--set", f"model.arch={arch}")
+    assert main(args + ["gen"]) == 0
+    assert main(args + ["train"]) == 0
+    _, rows = _csv_rows(tmp_path / f"{arch}_train_report.csv")
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    for row in rows:
+        assert math.isfinite(float(row[1]))
+        assert row[2:] == ["nan", "nan"]
+
+
 def test_gen_on_a_geometry_where_no_receiver_fits_exits_2(tmp_path, capsys):
     geometry = ("--set", "scenario.d=10", "--set", "scenario.d_min=10",
                 "--set", "scenario.d_max=10")

@@ -198,20 +198,19 @@ def test_max_aggregation_matches_per_node_loop():
 
 
 def test_batch_calls_match_single_instance_calls(monkeypatch):
-    sizes = [4, 1, 3, 4, 2, 4, 1, 3, 4, 5, 4, 3, 1] * 3
+    sizes = [4] * 24
     drawn = [ch.realize_channels(ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=40 + i),
                                  seed=540 + i) for i, m in enumerate(sizes)]
-    insts = [_channels(G) for G in drawn]
-    # shared, so single-node graphs differ too: fit on every gain, as 1 x 1 channels
-    scaler = fit_feature_scaler(_channels(_pooled(drawn)))
+    insts = _channels(np.stack(drawn))
+    scaler = fit_feature_scaler(insts)
     split = [Instance(f"i{i}", c, build_graph(c, scaler)) for i, c in enumerate(insts)]
     model = GcnModel(hidden=16, layers=2)
     _, flat = _random_params(16, 2, seed=21)
     where = model.unflatten(np.arange(flat.size))[8 + 2][:, 2]  # flat positions of layer 1's msg_w2
     flat[where.astype(int)] = 0.0  # column 2 ties across every edge
-    # 30 edge rows: 2 graphs of 4 nodes, 5 of 3 per block
+    # 30 edge rows: 2 graphs of 4 nodes per block
     monkeypatch.setattr(ch, "BLOCK_BYTES", model._item_bytes(6))
-    assert len(list(ch.size_blocks(sizes, model._item_bytes))) > len(set(sizes))
+    assert len(list(ch.row_blocks(len(sizes), model._item_bytes(4)))) > len(set(sizes))
     seeds = list(range(len(split)))
     powers = model.forward_batch(split, flat, seeds)
     losses, grads = model.loss_and_grad_batch(split, flat, seeds)
@@ -236,7 +235,9 @@ def test_forward_only_scores_equal_the_gradient_paths_bit_for_bit(monkeypatch, e
     where = model.unflatten(np.arange(flat.size))[2][:, 1]  # flat positions of layer 0's msg_w2
     flat[where.astype(int)] = 0.0  # column 1 ties across every edge
     monkeypatch.setattr(ch, "BLOCK_BYTES", edge_rows * model._item_bytes(2) // 2)
-    blocks = list(ch.size_blocks(sizes, model._item_bytes))
+    # the row_blocks blocks of each size's graphs, smallest size first
+    blocks = [np.flatnonzero(np.array(sizes) == n)[block] for n in sorted(set(sizes))
+              for block in ch.row_blocks(sizes.count(n), model._item_bytes(n))]
     sixes = [idx for idx in blocks if sizes[idx[0]] == 6]  # 30 edge rows each
     assert len(sixes) == (sizes.count(6) if edge_rows == 30 else 1)
     for idx in blocks:

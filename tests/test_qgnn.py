@@ -474,13 +474,12 @@ def test_layer_rows_match_a_per_star_loop():
 
 
 def test_batch_calls_match_single_instance_calls(monkeypatch):
-    split = _split(4, 24, seed0=300) + _split(1, 2, seed0=400) + _split(3, 3, seed0=500)
+    split = _split(4, 24, seed0=300)
     model = QgnnModel(layers=2, depth=2, k=2)
     flat = np.random.default_rng(17).uniform(-1.0, 1.0, model.param_count())
     seeds = [1000 + 7 * i for i in range(len(split))]
     monkeypatch.setattr(ch, "BLOCK_BYTES", 2 * model._item_bytes(4))  # 16 rows: 2 graphs a block
-    sizes = [inst.graph.N for inst in split]
-    assert len(list(ch.size_blocks(sizes, model._item_bytes))) == 12 + 2 + 2
+    assert len(list(ch.row_blocks(len(split), model._item_bytes(4)))) == 12
     powers = model.forward_batch(split, flat, seeds)
     losses, grads = model.loss_and_grad_batch(split, flat, seeds)
     assert len(powers) == len(split) and grads.shape == (len(split), flat.size)

@@ -120,6 +120,23 @@ def test_train_validates_inputs():
         train(model, insts, insts, TrainConfig(epochs=1, batch=0))
 
 
+@pytest.mark.parametrize("entry", ["forward_batch", "loss_and_grad_batch", "evaluate_mean",
+                                   "train"])
+def test_a_list_of_two_sizes_is_refused(entry):
+    insts = _instances(3, 2, seed0=60) + _instances(4, 2, seed0=65)
+    model = GcnModel(hidden=4, layers=1)
+    flat = model.init_params(np.random.default_rng(0))
+    run = {
+        "forward_batch": lambda: model.forward_batch(insts, flat, np.arange(4)),
+        "loss_and_grad_batch": lambda: model.loss_and_grad_batch(insts, flat, np.arange(4)),
+        "evaluate_mean": lambda: evaluate_mean(model, flat, insts, SeedConfig()),
+        "train": lambda: train(model, insts, insts[:1], TrainConfig(epochs=1)),
+    }[entry]
+    with pytest.raises(ValueError, match=r"^a split holds instances of one size, "
+                                         r"got sizes \[3, 4\]$"):
+        run()
+
+
 def test_train_zero_epochs_reports_baseline_only():
     insts = _instances(2, 3, seed0=70)
     model = GcnModel(hidden=4, layers=1)
@@ -185,14 +202,15 @@ def test_train_small_quantum_model_runs_and_improves(monkeypatch):
 
 
 class _NanModel(BatchModel):
-    """Scores NaN on the gradient path and on graphs of the sizes in
-    nan_sizes, and 0 (power p_max / 2 = 0.5) elsewhere; blocks hold at most
-    two graphs."""
+    """Scores NaN on the gradient path and in the forward calls numbered in
+    nan_calls (from 0), and 0 (power p_max / 2 = 0.5) elsewhere; blocks hold
+    at most two graphs."""
 
     name = "nan"
 
-    def __init__(self, nan_sizes=()):
-        self.nan_sizes = set(nan_sizes)
+    def __init__(self, nan_calls=()):
+        self.nan_calls = set(nan_calls)
+        self.calls = 0
 
     def _shapes(self):
         return [(2,)]
@@ -205,7 +223,8 @@ class _NanModel(BatchModel):
 
     def _forward(self, features, edge, grad, star_seeds):
         b, n = features.shape[:2]
-        return np.full((b, n), np.nan if grad or n in self.nan_sizes else 0.0), None
+        call, self.calls = self.calls, self.calls + 1
+        return np.full((b, n), np.nan if grad or call in self.nan_calls else 0.0), None
 
     def _backward(self, tape, grad, dloss_dz):
         return [np.zeros((len(dloss_dz), 2))]
@@ -239,12 +258,12 @@ def test_train_names_the_gradient_when_only_the_gradient_is_non_finite():
 
 
 def test_evaluate_mean_names_the_first_non_finite_instance_in_input_order():
-    # blocks run by size, 2 then 3 then 4, so a size-3 instance fails first
-    sizes = [4, 2, 3, 2, 3, 4]
-    split = [_instances(m, 1, seed0=200 + 10 * i)[0]._replace(label=f"test-{i}")
-             for i, m in enumerate(sizes)]
+    # blocks of two run in input order and the second and third score NaN, so
+    # the instance at position 2, labelled test-0, is the first to fail
+    split = [inst._replace(label=f"test-{(i - 2) % 6}")
+             for i, inst in enumerate(_instances(4, 6, seed0=200))]
     with pytest.raises(NonFinitePowerError, match=r"\[nan, nan, nan, nan\] for instance test-0$"):
-        evaluate_mean(_NanModel(nan_sizes=(3, 4)), np.zeros(2), split, SeedConfig())
+        evaluate_mean(_NanModel(nan_calls=(1, 2)), np.zeros(2), split, SeedConfig())
     total = 0.0
     for inst in split:  # the finite mean adds the rates in input order
         total += ch.sum_rate(inst.channels, np.full(inst.channels.M, 0.5))
@@ -256,9 +275,9 @@ def test_solver_is_never_consulted_during_training(monkeypatch):
     calls = []
     real = trainer_mod.wmmse_batch
 
-    def counting(realizations, *a, **kw):
-        calls.append(list(realizations))
-        return real(realizations, *a, **kw)
+    def counting(stack, *a, **kw):
+        calls.append(stack)
+        return real(stack, *a, **kw)
 
     monkeypatch.setattr(trainer_mod, "wmmse_batch", counting)
     tr = _instances(3, 5, seed0=160)
@@ -266,8 +285,8 @@ def test_solver_is_never_consulted_during_training(monkeypatch):
     train(GcnModel(hidden=4, layers=1), tr, te, TrainConfig(epochs=3))
     seen = [c for call in calls for c in call]
     assert len(seen) == len(te)
-    assert all(c is inst.channels for c, inst in zip(seen, te))
-    assert not any(c is inst.channels for c in seen for inst in tr)
+    assert all(np.array_equal(c.gain, inst.channels.gain) for c, inst in zip(seen, te))
+    assert not any(np.array_equal(c.gain, inst.channels.gain) for c in seen for inst in tr)
 
 
 def test_report_csv_layout_is_exact():
@@ -288,15 +307,17 @@ def test_report_csv_layout_is_exact():
 
 
 @settings(max_examples=200)
-@given(sizes=st.lists(st.integers(1, 9), max_size=40), budget=st.integers(0, 80),
+@given(n=st.integers(1, 9), count=st.integers(0, 40), budget=st.integers(0, 80),
        k=st.none() | st.integers(0, 4))
-def test_size_blocks_partition_graphs_by_size_within_the_budget(sizes, budget, k):
+def test_row_blocks_partition_graphs_in_order_within_the_budget(n, count, budget, k):
     # k None: the GCN's N(N-1) edge rows; else the QGNN's N min(k, N-1) message rows
     def rows(n):
         return n * (n - 1) if k is None else n * min(k, n - 1)
 
+    sizes = [n] * count
     with mock.patch.object(ch, "BLOCK_BYTES", budget):
-        blocks = list(ch.size_blocks(sizes, rows))
+        blocks = [np.arange(count)[block] for block in ch.row_blocks(count, rows(n))]
+    assert [i for idx in blocks for i in idx] == list(range(count))  # in input order
     assert sorted(i for idx in blocks for i in idx) == list(range(len(sizes)))
     for idx in blocks:
         assert len({sizes[i] for i in idx}) == 1
@@ -307,12 +328,13 @@ def test_size_blocks_partition_graphs_by_size_within_the_budget(sizes, budget, k
 
 def _per_block_reference(model, instances, flat, star_seeds):
     """Powers, losses and gradients of the batch path as it ran before the
-    Split: each size_blocks block of the list stacked on its own."""
+    Split: each row_blocks block of the list stacked on its own."""
     prepared = model._prepare(flat, grad=True)
     star_seeds = np.asarray(star_seeds, dtype=np.uint64)
     powers = [None] * len(instances)
     losses, grads = np.empty(len(instances)), np.empty((len(instances), flat.size))
-    for idx in ch.size_blocks([inst.graph.N for inst in instances], model._item_bytes):
+    for block in ch.row_blocks(len(instances), model._item_bytes(instances[0].graph.N)):
+        idx = np.arange(len(instances))[block]
         graphs = [instances[i].graph for i in idx]
         channels = ch.ChannelBatch.stack([instances[i].channels for i in idx])
         z, tape = model._forward(np.stack([g.node_features for g in graphs]),
@@ -333,10 +355,10 @@ def _per_block_reference(model, instances, flat, star_seeds):
 @pytest.mark.parametrize("case", range(3))
 def test_split_blocks_equal_per_block_stacking_bit_for_bit(monkeypatch, arch, case):
     rng = np.random.default_rng(900 + case)
-    insts = [_instances(int(m), 1, seed0=1000 * case + 10 * i)[0]._replace(label=f"mixed-{i}")
-             for i, m in enumerate(rng.integers(1, 6, 24))]
+    # one size a case; a graph of 1 node has no rows, so it runs alone
+    insts = _instances((4, 2, 1)[case], 24, seed0=1000 * case, prefix="case")
     model = QgnnModel(layers=2, depth=1, k=2) if arch == "qgnn" else GcnModel(hidden=4, layers=2)
-    # small budgets cut each size into several blocks: 12 message rows or 30
+    # small budgets cut the split into several blocks: 12 message rows or 30
     # edge rows (a graph of 2 nodes has 2 rows of either kind)
     rows = 12 if arch == "qgnn" else 30
     monkeypatch.setattr(ch, "BLOCK_BYTES", rows * model._item_bytes(2) // 2)
@@ -363,7 +385,7 @@ def test_split_blocks_equal_per_block_stacking_bit_for_bit(monkeypatch, arch, ca
         losses, grads = model._loss_and_grad(split, flat, seeds[members], members)
         assert np.array_equal(losses, want_losses) and np.array_equal(grads, want_grads)
 
-    # the frozen evaluation stars, drawn once per size, are each block's own draws
+    # the frozen evaluation stars, drawn once for the split, are each block's own draws
     frozen = SeedConfig(stars=case)
     powers = model.forward_batch(insts, flat, eval_star_seed(frozen, np.arange(len(insts))))
     total = 0.0
@@ -380,7 +402,8 @@ def test_any_block_gives_each_instance_its_single_instance_bits(arch, data):
     # so a graph's powers, loss and gradient keep their bits in any block:
     # from one graph a block (budget 0) to the whole list, in list order or
     # as a shuffled minibatch of a split
-    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=10), label="sizes")
+    size = data.draw(st.integers(1, 6), label="size")
+    sizes = [size] * data.draw(st.integers(1, 10), label="count")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     rng = np.random.default_rng(seed)
     insts = [_instances(m, 1, seed0=seed % 10_000 + 10 * i)[0] for i, m in enumerate(sizes)]
@@ -446,8 +469,7 @@ def test_a_desk_qgnn_epoch_draws_no_evaluation_stars_and_rebuilds_no_state(
     one, two = _counts(monkeypatch, targets, lambda epochs: train(
         QgnnModel(), *desk_sets, TrainConfig(epochs=epochs)))
     epoch = {name: two[name] - one[name] for name in one}
-    train_blocks, test_blocks = (len(list(ch.size_blocks([4] * len(insts),
-                                                         QgnnModel()._item_bytes)))
+    train_blocks, test_blocks = (len(list(ch.row_blocks(len(insts), QgnnModel()._item_bytes(4))))
                                  for insts in desk_sets)
     # 2 layers x the training blocks (one full batch); the evaluation stars,
     # 2 layers for each of the two splits, are drawn once per train call
