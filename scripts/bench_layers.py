@@ -11,10 +11,13 @@ and 100 test realizations, QGNN layers 2 / depth 1 / k 2, GCN hidden 16 /
 layers 2). WMMSE also runs on 100 realizations at M=16, where it takes
 enough sweeps to show their cost (about 1.5 per instance at M=4), and the
 GCN on 300 realizations at M=16, the size of the benchmark's GCN workload,
-where its N(N-1) edge rows dominate. The grid oracle runs on the desk test
-realizations at 17 levels (the paper's oracle), on 20 dense drops (M=4 in a
-20 m square, where less of the grid can be pruned) at 17 levels, and on
-on/off grids (2 levels) at M=16 (desk geometry and dense) and M=12 (dense).
+where its N(N-1) edge rows dominate. The grid oracle runs as one call on
+a stack, as ``qgpc eval`` calls it: on the desk test realizations at 17
+levels (the paper's oracle), on 20 dense drops (M=4 in a 20 m square, where
+less of the grid can be pruned) at 17 levels, on on/off grids (2 levels)
+at M=16 (desk geometry and dense) and M=12 (dense), and on 8 single-pair
+drops at 83,521 levels (17^4 points on one axis). It also runs on one desk
+realization alone, the per-realization call.
 The QGNN kernel's ``messages`` and
 ``vjp`` run on one full desk block at the block budget
 (``channels.BLOCK_BYTES``), with its graph count. Besides the kernels it
@@ -85,9 +88,10 @@ def _realizations(count: int, seed0: int, m: int = M,
     return ch.ChannelBatch.from_gains(_gains(count, seed0, m, side), *LINK)
 
 
-def _oracle(realizations: ch.ChannelBatch, levels: int):
-    rows = list(realizations)
-    return lambda: [grid_search_oracle(c, levels) for c in rows]
+def _oracle(channels: ch.ChannelBatch, levels: int):
+    """One grid oracle call: on a stack, as ``qgpc eval`` makes it, or on one
+    realization."""
+    return lambda: grid_search_oracle(channels, levels)
 
 
 def _gen(tmp: Path, *overrides: str):
@@ -148,6 +152,7 @@ def measure(tmp: Path) -> dict[str, dict]:
     onoff = _realizations(10, TRAIN, WIDE_M)
     onoff_dense = _realizations(10, TRAIN, WIDE_M, DENSE_SIDE)
     onoff_12 = _realizations(20, TRAIN, 12, DENSE_SIDE)
+    single = _realizations(8, TRAIN, 1)
 
     calls = {
         "qgnn._prepare.grad": lambda: qgnn._prepare(q_flat, grad=True),
@@ -168,10 +173,12 @@ def measure(tmp: Path) -> dict[str, dict]:
         f"wmmse.wmmse_batch.{TEST}": lambda: wmmse_batch(test_ch),
         f"wmmse.wmmse_batch.{TEST}.M{WIDE_M}": lambda: wmmse_batch(wide_ch),
         f"wmmse.grid_search_oracle.{TEST}": _oracle(test_ch, 17),
+        "wmmse.grid_search_oracle.1": _oracle(test_ch[0], 17),
         f"wmmse.grid_search_oracle.{len(dense)}.d20": _oracle(dense, 17),
         f"wmmse.grid_search_oracle.{len(onoff)}.M{WIDE_M}.L2": _oracle(onoff, 2),
         f"wmmse.grid_search_oracle.{len(onoff_dense)}.M{WIDE_M}.L2.d20": _oracle(onoff_dense, 2),
         f"wmmse.grid_search_oracle.{len(onoff_12)}.M12.L2.d20": _oracle(onoff_12, 2),
+        f"wmmse.grid_search_oracle.{len(single)}.M1.L{17 ** 4}": _oracle(single, 17 ** 4),
         f"trainer.Split.{TRAIN}": lambda: Split(train_set),
         "trainer.train.qgnn.1_epoch": lambda: train(qgnn, train_set, test_set, one_epoch),
         "trainer.train.gcn.1_epoch": lambda: train(gcn, train_set, test_set, one_epoch),

@@ -285,7 +285,7 @@ def cmd_eval(cfg: dict, checkpoint: str | None, oracle_levels: int | None) -> in
     ratio = f" ratio={model_mean / baseline:.6g}" if baseline else ""
     print(f"wmmse test_mean_bpshz={baseline:.12g}{ratio}")
     if oracle_levels is not None:
-        oracle_mean = float(np.mean([grid_search_oracle(c, oracle_levels)[1] for c in test_ch]))
+        oracle_mean = float(np.mean(grid_search_oracle(test_ch, oracle_levels)[1]))
         print(f"oracle(levels={oracle_levels}) test_mean_bpshz={oracle_mean:.12g}")
     return 0
 

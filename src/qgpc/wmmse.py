@@ -25,7 +25,8 @@ most of it. A pair's rate rises with its own power and falls with its
 interferers' (the monotone structure of MAPEL: Qian, Zhang & Huang, IEEE TWC
 2009), so a block of the grid is bounded by its pairs' top levels with their
 interferers at the lowest. Blocks are searched best bound first, and once a
-bound falls below the best rate found the rest cannot hold the answer.
+bound falls below the best rate found the rest cannot hold the answer. The
+searches of a stack's realizations run together, round by round.
 """
 
 from __future__ import annotations
@@ -180,29 +181,36 @@ def check_grid(levels: int, m: int) -> None:
         )
 
 
-def _rates(channels: ChannelBatch, axis: np.ndarray, idx: list, own: list) -> np.ndarray:
-    """Weighted sum rate at the points of axis^M whose levels are the
-    per-axis index arrays idx (of one ndim, broadcast together), with pair
-    m's direct term at level own[m]: own = idx gives each point's rate.
+def _rates(channels: ChannelBatch, axis: np.ndarray, inst, idx: list, own: list) -> np.ndarray:
+    """Weighted sum rate at grid points of the realizations of a stack: a
+    point lies on realization inst, at level idx[k] of that realization's
+    row of axis (B, levels) on axis k, with pair m's direct term at level
+    own[m] (own = idx gives each point's rate). inst and the level arrays
+    are integer arrays of one ndim, broadcast together.
 
-    term[k, m] holds axis^2 |g_km|^2. Receiver m's interference sums
-    term[k, m, idx[k]] over k in index order, an exact 0 at k = m, as
-    channels._sinr_terms does, and each rate takes the same float operations
-    as there; the sum over receivers runs in index order.
+    Each p_k^2 is gathered at the shape of its own index arrays, so sparse
+    level arrays broadcast an axis's power over the grid instead of
+    gathering it per point. Receiver m's interference sums |g_km|^2 p_k^2
+    over k in index order, an exact 0 at k = m, as channels._sinr_terms
+    does, and each rate takes the same float operations as there; the sum
+    over receivers runs in index order.
     """
-    m = len(idx)
-    term = channels.gain[:, :, None] * axis ** 2
-    cross = term * (1.0 - np.eye(m))[:, :, None]
+    power = [axis[inst, level] ** 2 for level in idx]  # p_k^2 at each point
+    own_power = power if own is idx else [axis[inst, level] ** 2 for level in own]
+    # each point's realization, receiver first: |g_km|^2 (0 at k = m), |g_mm|^2, sigma2, alpha
+    cross = np.take(np.moveaxis(channels.cross, 0, -1), inst, axis=2)
+    direct, sigma2, alpha = (np.take(x.T, inst, axis=1) for x in (
+        np.diagonal(channels.gain, axis1=1, axis2=2), channels.sigma2, channels.alpha))
     interference = 0.0
-    for k in range(m):  # every receiver at once: (M, *points)
-        interference = interference + cross[k][:, idx[k]]
+    for k, p2 in enumerate(power):  # every receiver at once: (M, *points)
+        interference = interference + cross[k] * p2
     total = 0.0
-    for r in range(m):
+    for r, p2 in enumerate(own_power):
         # alpha_r log2(1 + direct / (interference + sigma2_r)), in place after the division
-        rate = term[r, r, own[r]] / (interference[r] + channels.sigma2[r])
+        rate = direct[r] * p2 / (interference[r] + sigma2[r])
         rate += 1.0
         np.log2(rate, out=rate)
-        rate *= channels.alpha[r]
+        rate *= alpha[r]
         total = total + rate
     return total
 
@@ -214,59 +222,104 @@ def _digit(flat: np.ndarray, j: int, n: int, levels: int) -> np.ndarray:
 
 def _block_bounds(channels: ChannelBatch, axis: np.ndarray, lead: int) -> np.ndarray:
     """A bound on the rates of each block that fixes the lead leading axes,
-    in lexicographic block order: each pair's own level at the top of its
-    span in the block, each interferer at the bottom of its span."""
-    m, levels = channels.M, len(axis)
-    fixed = [_digit(np.arange(levels ** lead), j, lead, levels) for j in range(lead)]
-    low, top = [np.zeros(1, dtype=int)] * (m - lead), [np.full(1, levels - 1)] * (m - lead)
-    return _rates(channels, axis, fixed + low, fixed + top)
+    (B, levels^lead) for a stack of B, blocks in lexicographic order: each
+    pair's own level at the top of its span in the block, each interferer
+    at the bottom of its span."""
+    m, levels = channels.M, axis.shape[-1]
+    fixed = [_digit(np.arange(levels ** lead)[None], j, lead, levels) for j in range(lead)]
+    low, top = ([np.full((1, 1), level)] * (m - lead) for level in (0, levels - 1))
+    inst = np.arange(len(channels))[:, None]
+    return _rates(channels, axis, inst, fixed + low, fixed + top)
 
 
-def grid_search_oracle(channels: ChannelBatch, levels: int) -> tuple[np.ndarray, float]:
-    """Exhaustive search over the uniform grid {0, ..., p_max}^M, best-first.
+def _search(rows: ChannelBatch, levels: int, lead: int) -> np.ndarray:
+    """The first best point of each realization's grid, as (B, M) powers,
+    for blocks that fix the lead leading axes (grid_search_oracle).
+
+    Each realization keeps its own best-first search, run in rounds over the
+    whole stack: every top block, then every live realization's next chunk
+    of blocks up to its own stop, evaluated together in _rates calls of at
+    most SLAB_POINTS values; after a round each realization takes its best
+    rate, its first tied grid point and its new stop.
+    """
+    n, m = len(rows), rows.M
+    whole = m - lead
+    size, blocks = levels ** whole, levels ** lead
+    values, which = np.unique(rows.p_max, return_inverse=True)
+    axis = np.array([np.linspace(0.0, p, levels) for p in values])[which]  # each row's own axis
+    bounds = _block_bounds(rows, axis, lead)
+    bounds[np.isnan(bounds)] = np.inf  # 0 * inf at an alpha = 0 link: never skip its block
+    order = np.argsort(-bounds, axis=1, kind="stable")
+    floor = -np.take_along_axis(bounds, order, axis=1) * (1.0 + BOUND_MARGIN)  # ascending rows
+    # a _rates call's points are (*trailing grid, block): the block axis last
+    shape = (1,) * whole + (-1,)
+    trailing = list(np.indices((levels,) * whole + (1,), sparse=True))[:-1]
+    per_call = max(1, SLAB_POINTS // (m * size))  # blocks a _rates call takes
+    best_obj, best = np.full(n, -np.inf), np.full(n, levels ** m)
+    pos, stop, chunk = np.zeros(n, dtype=int), np.full(n, blocks), 1
+    while (live := np.flatnonzero(pos < stop)).size:
+        take = np.minimum(stop[live] - pos[live], chunk)
+        starts = np.cumsum(take) - take  # each live realization's first block of the round
+        inst = np.repeat(live, take)
+        ids = order[inst, pos[inst] + np.arange(len(inst)) - np.repeat(starts, take)]
+        top, first = np.empty(len(ids)), np.empty(len(ids), dtype=int)
+        for lo in range(0, len(ids), per_call):
+            part = slice(lo, lo + per_call)
+            fixed = [_digit(ids[part], j, lead, levels).reshape(shape) for j in range(lead)]
+            rates = _rates(rows, axis, inst[part].reshape(shape), fixed + trailing,
+                           fixed + trailing).reshape(size, -1)
+            rates[np.isnan(rates)] = -np.inf
+            top[part] = rates.max(axis=0)
+            first[part] = ids[part] * size + (rates == top[part]).argmax(axis=0)
+        round_top = np.maximum.reduceat(top, starts)
+        tied = np.where(top == np.repeat(round_top, take), first, levels ** m)
+        round_first = np.minimum.reduceat(tied, starts)  # its grid index
+        better = (round_top > best_obj[live]) | ((round_top == best_obj[live])
+                                                 & (round_first < best[live]))
+        best_obj[live[better]], best[live[better]] = round_top[better], round_first[better]
+        pos[live] += take
+        stop[live] = (floor[live] <= -best_obj[live, None]).sum(axis=1)  # searchsorted, right
+        chunk = per_call
+    digits = np.stack([_digit(best, j, m, levels) for j in range(m)], axis=-1)
+    return np.take_along_axis(axis, digits, axis=1)
+
+
+def grid_search_oracle(channels: ChannelBatch,
+                       levels: int) -> tuple[np.ndarray, float | np.ndarray]:
+    """Exhaustive search over the uniform grid {0, ..., p_max}^M, best-first,
+    of one realization, giving (p, objective), or of each realization of a
+    stack of B, giving (P (B, M), objectives (B,)).
 
     Refuses grids that check_grid refuses. A block fixes the leading axes
     and spans the fewest trailing axes that hold BLOCK_POINTS points, or
     more while the blocks' bounds (M values a block) exceed SLAB_POINTS. A
     pair's rate rises with its own power and falls with its interferers',
-    so _block_bounds bounds every rate of a block. Blocks are searched in
-    descending order of bound (a stable sort): the top block alone, then
-    chunks of blocks of at most SLAB_POINTS values, until a block's bound,
-    inflated by BOUND_MARGIN, falls strictly below the best rate found.
+    so _block_bounds bounds every rate of a block. Each realization's blocks
+    are searched in descending order of bound (a stable sort): the top block
+    alone, then chunks of blocks of at most SLAB_POINTS values, until a
+    block's bound, inflated by BOUND_MARGIN, falls strictly below the best
+    rate found. Whole realizations run together (_search), in row_blocks
+    slices of the stack, each counting its axis and M bound values a block;
+    one realization is a stack of one.
 
     The answer is that of a full scan: +, / and * round correctly, so they
     are monotone, and the margin covers log2's few-ulp error; so no block
     that could hold the best value is skipped, and ties go to the first grid
-    point in lexicographic order. Memory is bounded by SLAB_POINTS values
-    (by one axis at M = 1). The objective returned is sum_rate at the
-    winning point, so it is bit-equal to scoring that point alone; for M < 8
-    every in-grid value is too, while for larger M numpy's pairwise sum over
-    receivers may round an in-grid value differently.
+    point in lexicographic order. Memory is bounded by a row block and
+    SLAB_POINTS values (by one axis at M = 1). The objective returned is
+    sum_rate at the winning point, so it is bit-equal to scoring that point
+    alone; for M < 8 every in-grid value is too, while for larger M numpy's
+    pairwise sum over receivers may round an in-grid value differently.
     """
-    m = channels.M
+    one = channels.gain.ndim == 2
+    stack = ChannelBatch.stack([channels]) if one else channels
+    m = stack.M
     check_grid(levels, m)
-    axis = np.linspace(0.0, channels.p_max, levels)
     whole = 0  # trailing axes that every block spans
     while whole < m and (levels ** whole < BLOCK_POINTS or m * levels ** (m - whole) > SLAB_POINTS):
         whole += 1
-    lead, size = m - whole, levels ** whole
-    bounds = _block_bounds(channels, axis, lead)
-    bounds[np.isnan(bounds)] = np.inf  # 0 * inf at an alpha = 0 link: never skip its block
-    order = np.argsort(-bounds, kind="stable")
-    floor = -bounds[order] * (1.0 + BOUND_MARGIN)  # the inflated bounds, negated: ascending
-    trailing = [_digit(np.arange(size)[None], j, whole, levels) for j in range(whole)]
-    best_obj, best, pos, stop = -np.inf, levels ** m, 0, len(order)
-    while pos < stop:
-        ids = order[pos:min(stop, pos + (max(1, SLAB_POINTS // (m * size)) if pos else 1))]
-        fixed = [_digit(ids[:, None], j, lead, levels) for j in range(lead)]
-        rates = _rates(channels, axis, fixed + trailing, fixed + trailing).reshape(len(ids), size)
-        rates[np.isnan(rates)] = -np.inf
-        top = rates.max()
-        hit = np.flatnonzero(rates == top)
-        first = int((ids[hit // size] * size + hit % size).min())  # its grid index
-        if top > best_obj or (top == best_obj and first < best):
-            best_obj, best = top, first
-        pos += len(ids)
-        stop = int(np.searchsorted(floor, -best_obj, side="right"))
-    p = axis[np.array(np.unravel_index(best, (levels,) * m))]
-    return p, sum_rate(channels, p)
+    P = np.empty((len(stack), m))
+    for rows in row_blocks(len(stack), 8 * (levels + m * levels ** (m - whole))):
+        P[rows] = _search(stack[rows], levels, m - whole)
+    objectives = sum_rate(stack, P)
+    return (P[0], float(objectives[0])) if one else (P, objectives)

@@ -616,6 +616,20 @@ def test_eval_prints_evaluate_mean_exactly(tmp_path, capsys):
     assert printed == format(evaluate_mean(model, doc["params"], test_set, SeedConfig()), ".12g")
 
 
+def test_eval_prints_the_mean_of_the_oracle_row_by_row(tmp_path, capsys):
+    # eval searches the whole test stack in one oracle call
+    from qgpc.wmmse import grid_search_oracle
+
+    args = _args(tmp_path, "--set", "train.epochs=0")
+    assert main(args + ["gen"]) == 0
+    assert main(args + ["train"]) == 0
+    capsys.readouterr()
+    assert main(args + ["eval", "--oracle-levels", "9"]) == 0
+    printed = capsys.readouterr().out.split("oracle(levels=9) test_mean_bpshz=")[1].split()[0]
+    _, test_ch, _ = ch.load_dataset(tmp_path / "dataset.npz")
+    assert printed == format(np.mean([grid_search_oracle(c, 9)[1] for c in test_ch]), ".12g")
+
+
 # a dataset of the JSON-lines format that .npz files replaced
 _JSONL_DATASET = ('{"M":3,"kind":"d2d-dataset","test":0,"train":1,"version":1}\n'
                   '{"G":[[[1.0,0.0]]],"idx":0,"split":"train"}\n')

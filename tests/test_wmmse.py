@@ -258,6 +258,12 @@ def test_grid_oracle_guards():
         grid_search_oracle(inst, levels=1)
 
 
+def _one_rates(inst, axis, idx, own):
+    """wmmse._rates on one realization: a stack of one, with its axis as one row."""
+    where = np.zeros((1,) * len(idx), dtype=int)
+    return wmmse._rates(ch.ChannelBatch.stack([inst]), axis[None], where, idx, own)
+
+
 def _scan(inst, levels):
     """Reference: every grid point in lexicographic order, and sum_rate at
     each point, scored one by one."""
@@ -266,11 +272,9 @@ def _scan(inst, levels):
     return points, np.array([ch.sum_rate(inst, point) for point in points])
 
 
-@settings(max_examples=120)
-@given(data=st.data())
-def test_grid_oracle_matches_a_per_point_scan(data):
-    m = data.draw(st.integers(1, 5), label="M")
-    levels = data.draw(st.integers(2, 6), label="levels")
+def _oracle_row(data, m):
+    """One realization of M = m pairs for the grid oracle: log-uniform gains,
+    maybe an alpha = 0 link and a transmitter whose gains are all 0."""
     gains = st.lists(st.floats(-6.0, 3.0), min_size=m * m, max_size=m * m)
     phases = st.lists(st.floats(0.0, 2 * np.pi), min_size=m * m, max_size=m * m)
     G = (np.exp(np.array(data.draw(gains, label="log |g|")))
@@ -285,7 +289,15 @@ def test_grid_oracle_matches_a_per_point_scan(data):
         G[dead, :] = 0.0  # every level of this transmitter ties
     sigma2 = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m), label="sigma2")
     p_max = data.draw(st.floats(0.1, 10.0), label="p_max")
-    inst = _channels(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
+    return _channels(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_grid_oracle_matches_a_per_point_scan(data):
+    m = data.draw(st.integers(1, 5), label="M")
+    levels = data.draw(st.integers(2, 6), label="levels")
+    inst = _oracle_row(data, m)
     # slabs of a handful of points put slab boundaries inside small grids
     slab = data.draw(st.integers(1, 64) | st.just(wmmse.SLAB_POINTS), label="slab points")
     with mock.patch.object(wmmse, "SLAB_POINTS", slab):
@@ -296,8 +308,34 @@ def test_grid_oracle_matches_a_per_point_scan(data):
     assert obj == objs[first_max]
     # below 8 receivers every in-grid value is bit-equal to sum_rate
     idx = list(np.indices((levels,) * m, sparse=True))
-    whole = wmmse._rates(inst, np.linspace(0.0, inst.p_max, levels), idx, idx)
+    whole = _one_rates(inst, np.linspace(0.0, inst.p_max, levels), idx, idx)
     assert np.array_equal(whole.ravel(), objs)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_grid_oracle_on_a_stack_matches_a_per_point_scan_row_by_row(data):
+    m = data.draw(st.integers(1, 4), label="M")
+    levels = data.draw(st.integers(2, 5), label="levels")
+    rows = [_oracle_row(data, m) for _ in range(data.draw(st.integers(1, 5), label="rows"))]
+    slab = data.draw(st.integers(1, 64) | st.just(wmmse.SLAB_POINTS), label="slab points")
+    # a budget of a few bytes runs each realization in a row block of its own
+    budget = data.draw(st.integers(1, 4096) | st.just(ch.BLOCK_BYTES), label="block bytes")
+    with mock.patch.object(wmmse, "SLAB_POINTS", slab), \
+            mock.patch.object(ch, "BLOCK_BYTES", budget):
+        P, objs = grid_search_oracle(ch.ChannelBatch.stack(rows), levels)
+    assert P.shape == (len(rows), m) and objs.shape == (len(rows),)
+    for inst, p, obj in zip(rows, P, objs):
+        points, scan = _scan(inst, levels)
+        first_max = int(np.argmax(scan))
+        assert np.array_equal(p, points[first_max])
+        assert obj == scan[first_max]
+
+
+def test_grid_oracle_on_an_empty_stack_gives_empty_arrays():
+    empty = _channels(G=np.zeros((0, 3, 3)), sigma2=0.1, alpha=1.0, p_max=1.0)
+    P, objs = grid_search_oracle(empty, 5)
+    assert P.shape == (0, 3) and objs.shape == (0,)
 
 
 def test_grid_oracle_matches_a_per_point_scan_at_sixteen_pairs():
@@ -326,6 +364,23 @@ def test_grid_oracle_memory_is_bounded_by_a_slab():
     assert peak < 8e6
 
 
+@pytest.mark.parametrize("drops", [100, 1000])
+def test_grid_oracle_memory_on_a_stack_is_bounded_by_a_row_block(drops):
+    # the desk eval's oracle: a whole test stack at 17 levels in one call
+    seeds = np.arange(drops)
+    sc = ch.generate_scenario(4, ch.DEFAULT_AREA_SIDE, ch.DEFAULT_MIN_RANGE,
+                              ch.DEFAULT_MAX_RANGE, seeds)
+    stack = _channels(ch.realize_channels(sc, seed=seeds + 100_000), ch.DEFAULT_NOISE_POWER,
+                      ch.DEFAULT_WEIGHT, ch.DEFAULT_P_MAX)
+    tracemalloc.start()
+    try:
+        grid_search_oracle(stack, levels=17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 @settings(max_examples=200)
 @given(data=st.data())
 def test_block_bound_is_at_least_every_rate_in_its_block(data):
@@ -348,9 +403,9 @@ def test_block_bound_is_at_least_every_rate_in_its_block(data):
     p_max = data.draw(st.floats(0.1, 10.0), label="p_max")
     inst = _channels(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
     axis = np.linspace(0.0, p_max, levels)
-    bounds = wmmse._block_bounds(inst, axis, lead)
+    bounds = wmmse._block_bounds(ch.ChannelBatch.stack([inst]), axis[None], lead)[0]
     idx = list(np.indices((levels,) * m, sparse=True))
-    rates = wmmse._rates(inst, axis, idx, idx).reshape(len(bounds), -1)
+    rates = _one_rates(inst, axis, idx, idx).reshape(len(bounds), -1)
     # a NaN bound (0 * inf at an alpha = 0 link) is never used to skip a
     # block; a NaN rate occurs only in such a block
     usable = ~np.isnan(bounds)
@@ -362,7 +417,7 @@ def _full_scan(inst, levels):
     """Reference: every grid value at once, its first maximum, and sum_rate there."""
     axis = np.linspace(0.0, inst.p_max, levels)
     idx = list(np.indices((levels,) * inst.M, sparse=True))
-    rates = wmmse._rates(inst, axis, idx, idx)
+    rates = _one_rates(inst, axis, idx, idx)
     p = axis[np.array(np.unravel_index(int(np.argmax(rates)), rates.shape))]
     return p, ch.sum_rate(inst, p)
 
@@ -407,3 +462,17 @@ def test_grid_oracle_ties_across_chunks_go_to_the_first_point():
         p, obj = grid_search_oracle(inst, 5)
     assert np.array_equal(p, [0.0, 1.0])
     assert obj == ch.sum_rate(inst, p) == ch.sum_rate(inst, np.array([1.0, 1.0]))
+
+
+def test_grid_oracle_ties_across_chunks_go_to_the_first_point_inside_a_stack():
+    # the instance above, searched beside other realizations in one call
+    G = np.array([[1.0, 1e-10], [1e15, 1e3]], dtype=complex)
+    tied = _channels(G=G, sigma2=1.0, alpha=1.0, p_max=1.0)
+    rng = np.random.default_rng(37)
+    rows = [_random_instance(rng, 2), tied, _random_instance(rng, 2), _random_instance(rng, 2)]
+    with mock.patch.object(wmmse, "BLOCK_POINTS", 2):  # one block per level of p0
+        P, objs = grid_search_oracle(ch.ChannelBatch.stack(rows), 5)
+        alone = [grid_search_oracle(inst, 5) for inst in rows]
+    assert np.array_equal(P[1], [0.0, 1.0])
+    assert objs[1] == ch.sum_rate(tied, P[1]) == ch.sum_rate(tied, np.array([1.0, 1.0]))
+    assert all(np.array_equal(p, q) and obj == o for (p, obj), q, o in zip(alone, P, objs))
