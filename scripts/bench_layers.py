@@ -21,14 +21,16 @@ realization alone, the per-realization call.
 The QGNN kernel's ``messages`` and
 ``vjp`` run on one full desk block at the block budget
 (``channels.BLOCK_BYTES``), with its graph count. Besides the kernels it
-times building the training split (``trainer.Split``) and a
+times building the training split (``trainer.Split``) from the list of its
+300 row instances and from one stack instance, and a
 whole one-epoch desk ``trainer.train`` call of each model: the WMMSE
 baseline, the splits, the untrained evaluation and one full-batch epoch.
 Dataset save and load run on the desk realizations and on 300 + 100 at M=16,
 to a file in a temporary directory; so does ``cli.cmd_gen``, the whole
 ``gen`` command (seeds, draws, checks and save), at the desk config and at
-M=16. ``build_graph`` runs over the 400 desk realizations, and
-``fit_feature_scaler`` on the 300-realization training stack.
+M=16. ``build_graph`` runs over the 400 desk realizations one by one and
+on the 300-realization training stack in one call, and
+``fit_feature_scaler`` on the training stack.
 Each call is timed REPEATS times after one warm-up call, at one BLAS
 thread; the best and the median in milliseconds are printed and written to
 ``--out`` as JSON.
@@ -127,6 +129,7 @@ def measure(tmp: Path) -> dict[str, dict]:
     wide_set = [Instance(f"train/{i}", c, build_graph(c, wide_scaler))
                 for i, c in enumerate(wide_train)]
     test_set = [Instance(f"test/{i}", c, build_graph(c, scaler)) for i, c in enumerate(test_ch)]
+    train_stack = [Instance("train", train_ch, build_graph(train_ch, scaler))]
     one_epoch = TrainConfig(epochs=1)
     seeds = SeedConfig()
     star_seeds = train_star_seed(seeds, 0, np.arange(TRAIN))
@@ -180,6 +183,7 @@ def measure(tmp: Path) -> dict[str, dict]:
         f"wmmse.grid_search_oracle.{len(onoff_12)}.M12.L2.d20": _oracle(onoff_12, 2),
         f"wmmse.grid_search_oracle.{len(single)}.M1.L{17 ** 4}": _oracle(single, 17 ** 4),
         f"trainer.Split.{TRAIN}": lambda: Split(train_set),
+        f"trainer.Split.stack.{TRAIN}": lambda: Split(train_stack),
         "trainer.train.qgnn.1_epoch": lambda: train(qgnn, train_set, test_set, one_epoch),
         "trainer.train.gcn.1_epoch": lambda: train(gcn, train_set, test_set, one_epoch),
         f"channels.save_dataset.{stored}": lambda: ch.save_dataset(desk_file, train_g, test_g,
@@ -191,6 +195,7 @@ def measure(tmp: Path) -> dict[str, dict]:
         f"cli.cmd_gen.{stored}": _gen(tmp),
         f"cli.cmd_gen.{stored}.M{WIDE_M}": _gen(tmp, f"scenario.M={WIDE_M}"),
         f"graph.build_graph.{stored}": lambda: [build_graph(c, scaler) for c in desk_rows],
+        f"graph.build_graph.stack.{TRAIN}": lambda: build_graph(train_ch, scaler),
         f"graph.fit_feature_scaler.{TRAIN}": lambda: fit_feature_scaler(train_ch),
     }
     return {name: _time(fn) for name, fn in calls.items()}

@@ -225,17 +225,13 @@ def _load_instances(cfg: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def _instances(label: str, channels: ch.ChannelBatch, scaler):
-    return [Instance(f"{label}/{i}", c, build_graph(c, scaler)) for i, c in enumerate(channels)]
-
-
 def cmd_train(cfg: dict) -> int:
     """Fit the configured model on the dataset; write report CSV + checkpoint."""
     train_ch, test_ch, _ = _load_instances(cfg)
     scaler = fit_feature_scaler(train_ch)
     model = _build_model(cfg)
-    train_set = _instances("train", train_ch, scaler)
-    test_set = _instances("test", test_ch, scaler)
+    train_set = [Instance("train", train_ch, build_graph(train_ch, scaler))]  # one stack each
+    test_set = [Instance("test", test_ch, build_graph(test_ch, scaler))]
     report = train(model, train_set, test_set, _train_config(cfg))
 
     out = _out_dir(cfg)
@@ -277,7 +273,7 @@ def cmd_eval(cfg: dict, checkpoint: str | None, oracle_levels: int | None) -> in
             f"checkpoint has {params.shape[0]} parameters, model needs {model.param_count()}"
         )
 
-    test_set = _instances("test", test_ch, scaler)
+    test_set = [Instance("test", test_ch, build_graph(test_ch, scaler))]  # one stack
     model_mean = evaluate_mean(model, params, test_set, _train_config(cfg).seeds)
     baseline = wmmse_mean(test_ch)
     print(f"model={model.name} test_mean_bpshz={model_mean:.12g}")

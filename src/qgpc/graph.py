@@ -53,20 +53,22 @@ def fit_feature_scaler(channels: ChannelBatch) -> FeatureScaler:
 
 
 @dataclass(eq=False)
-class InterferenceGraph:
-    node_features: np.ndarray        # (N, NODE_FEATURES); column 0 already angle-scaled
-    edge_angle: np.ndarray           # (N, N); [k, m] = phi(|g_km|^2), diagonal unused
+class InterferenceGraph:  # one graph, or a stack along leading axes
+    node_features: np.ndarray        # (..., N, NODE_FEATURES); column 0 already angle-scaled
+    edge_angle: np.ndarray           # (..., N, N); [k, m] = phi(|g_km|^2), diagonal 0
 
     @property
     def N(self) -> int:
-        return self.node_features.shape[0]
+        return self.node_features.shape[-2]
 
 
 def build_graph(channels: ChannelBatch, scaler: FeatureScaler) -> InterferenceGraph:
-    """Complete graph over the M pairs of one realization."""
+    """Complete graph over the M pairs of one realization, or of each of a stack."""
     edge = scaler.angle(channels.gain)
-    feats = np.stack([np.diagonal(edge), channels.alpha], axis=1)  # a copy, before the zeroing
-    np.fill_diagonal(edge, 0.0)
+    # the features copy the diagonals before they are zeroed, through a strided view
+    feats = np.stack([np.diagonal(edge, axis1=-2, axis2=-1), channels.alpha], axis=-1)
+    m = edge.shape[-1]
+    edge.reshape(-1, m * m)[:, ::m + 1] = 0.0
     return InterferenceGraph(node_features=feats, edge_angle=edge)
 
 

@@ -6,7 +6,7 @@ as an evaluation baseline on the test split. All randomness flows from three
 named seeds (data, init, stars) through deterministic mixing, so identical
 configurations reproduce identical reports. Both models run one batch path,
 BatchModel, which computes that loss and its gradient at the powers, on
-blocks cut from a Split (instances of one size, stacked once). train builds
+blocks cut from a Split (instances of one size as one stack). train builds
 one per data split, frozen evaluation stars included, and evaluates both
 with one prepare an epoch; a list entry point builds one per call.
 """
@@ -60,32 +60,42 @@ def mix_seed(*parts: int) -> int:
 
 
 class Instance(NamedTuple):
-    """One realization paired with its graph view."""
+    """One realization, or a stack whose row i is ``label/i``, with its graph."""
 
     label: str
-    channels: ChannelBatch  # one realization
+    channels: ChannelBatch  # one realization, or a stack
     graph: InterferenceGraph
 
 
 class Split:
-    """Instances of one size N, stacked once: node features (B, N, F), edge
-    angles (B, N, N) and their channels; given seeds, a star-drawing model's
-    frozen evaluation stars too, (B, N, s) leaves per layer from one _stars
-    call. Instances of two sizes are refused."""
+    """Instances of one size N as one stack: a graph of (B, N, F) node
+    features and (B, N, N) edge angles, and their channels; given seeds, a
+    star-drawing model's frozen evaluation stars too, (B, N, s) leaves per
+    layer from one _stars call. One stack Instance is used as it is, a list
+    of realizations stacked once; two sizes, or a stack among more, are refused."""
 
     def __init__(self, instances: list[Instance], model: BatchModel | None = None,
                  seeds: SeedConfig | None = None):
-        sizes = sorted({inst.graph.N for inst in instances})
+        shapes = {inst.graph.edge_angle.shape for inst in instances}  # (N, N) or (B, N, N)
+        sizes = sorted({shape[-1] for shape in shapes})
         if len(sizes) > 1:
             raise ValueError(f"a split holds instances of one size, got sizes {sizes}")
-        self.labels = [inst.label for inst in instances]
-        # an empty split has no rows, so no block reads its (0, 0, 0) stacks
-        self.features, self.edge = (
-            np.stack([getattr(inst.graph, name) for inst in instances]) if instances
-            else np.empty((0, 0, 0)) for name in ("node_features", "edge_angle"))
-        self.channels = ChannelBatch.stack([inst.channels for inst in instances])
-        self.stars = (model._stars(sizes[0], eval_star_seed(seeds, np.arange(len(instances))))
+        if max(map(len, shapes), default=2) == 3:  # a stack, used as it is
+            if len(instances) > 1:
+                raise ValueError("a split holds one stack or a list of single realizations")
+            self._labels, self.channels, self.graph = instances[0]
+        else:
+            self._labels = [inst.label for inst in instances]
+            # an empty split has no rows, so no block reads its (0, 0, 0) stacks
+            self.graph = InterferenceGraph(*(
+                np.stack([getattr(inst.graph, name) for inst in instances]) if instances
+                else np.empty((0, 0, 0)) for name in ("node_features", "edge_angle")))
+            self.channels = ChannelBatch.stack([inst.channels for inst in instances])
+        self.stars = (model._stars(sizes[0], eval_star_seed(seeds, np.arange(len(self.channels))))
                       if instances and seeds is not None and model.draws_stars else [])
+
+    def label(self, i: int) -> str:  # a stack's row i is label/i
+        return f"{self._labels}/{i}" if isinstance(self._labels, str) else self._labels[i]
 
 
 class BatchModel:
@@ -127,8 +137,8 @@ class BatchModel:
         by default): idx indexes members, p is the block's (B, N) decoded
         powers. A block draws its stars from star_seeds[idx], or, when
         star_seeds is None, takes the split's frozen ones."""
-        members = np.arange(len(split.labels)) if members is None else members
-        n = split.edge.shape[-1]
+        members = np.arange(len(split.channels)) if members is None else members
+        n = split.graph.N
         for block in row_blocks(len(members), self._item_bytes(n)):
             idx = np.arange(block.start, block.stop)
             rows = members[block]
@@ -137,7 +147,8 @@ class BatchModel:
             stars = ([leaves[rows] for leaves in split.stars] if star_seeds is None
                      else self._stars(n, star_seeds[idx]))
             channels = split.channels[rows]
-            z, tape = self._forward(split.features[rows], split.edge[rows], prepared, stars)
+            z, tape = self._forward(split.graph.node_features[rows], split.graph.edge_angle[rows],
+                                    prepared, stars)
             sig = sigmoid(z)
             p = channels.p_max[:, None] * sig
             yield idx, channels, p, (tape, p * (1.0 - sig))
@@ -150,20 +161,17 @@ class BatchModel:
     def forward_batch(self, instances: list[Instance], flat_params,
                       star_seeds) -> list[np.ndarray]:
         """Power vector of each instance, drawing its stars from its seed."""
-        powers: list[np.ndarray] = [None] * len(instances)
-        for idx, _, p, _ in self._blocks(Split(instances), self._prepare(flat_params, grad=False),
-                                         np.asarray(star_seeds, dtype=np.uint64)):
-            for i, row in zip(idx, p):
-                powers[i] = row
-        return powers
+        blocks = self._blocks(Split(instances), self._prepare(flat_params, grad=False),
+                              np.asarray(star_seeds, dtype=np.uint64))
+        return [row for _, _, p, _ in blocks for row in p]  # the blocks run in input order
 
     def loss_and_grad_batch(self, instances: list[Instance], flat_params,
                             star_seeds) -> tuple[np.ndarray, np.ndarray]:
         """Per-instance losses (B,), the negative weighted sum rates, and
         their gradients (B, P)."""
-        return self._loss_and_grad(Split(instances), flat_params,
-                                   np.asarray(star_seeds, dtype=np.uint64),
-                                   np.arange(len(instances)))
+        split = Split(instances)
+        return self._loss_and_grad(split, flat_params, np.asarray(star_seeds, dtype=np.uint64),
+                                   np.arange(len(split.channels)))
 
     def _loss_and_grad(self, split: Split, flat_params, star_seeds, members):
         """loss_and_grad_batch of the split's instances at ``members``."""
@@ -272,9 +280,9 @@ def evaluate_mean(model: BatchModel, flat_params, instances: list[Instance],
 def _split_mean(model: BatchModel, prepared, split: Split) -> float:
     """evaluate_mean on a split with frozen stars and prepared parameters;
     the first non-finite power in input order aborts it."""
-    if not split.labels:
+    if not len(split.channels):
         return float("nan")
-    rates = np.empty(len(split.labels))
+    rates = np.empty(len(split.channels))
     # an overflow shows up below as a non-finite power, so it does not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, channels, p, _ in model._blocks(split, prepared, None):
@@ -282,12 +290,12 @@ def _split_mean(model: BatchModel, prepared, split: Split) -> float:
             if not finite.all():
                 first = int(np.argmin(finite))
                 raise NonFinitePowerError(f"non-finite power {p[first].tolist()} "
-                                          f"for instance {split.labels[idx[first]]}")
+                                          f"for instance {split.label(idx[first])}")
             rates[idx] = sum_rate(channels, p)
     total = 0.0
     for rate in rates:  # sequential in input order, so the printed means keep their bits
         total += float(rate)
-    return total / len(split.labels)
+    return total / len(rates)
 
 
 def wmmse_mean(stack: ChannelBatch) -> float:
@@ -301,18 +309,18 @@ def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance]
           cfg: TrainConfig) -> TrainReport:
     """Adam on the mean per-batch gradient. One step per batch; the batch
     size caps at the training-set size (full-batch default)."""
-    if not train_set:
-        raise ValueError("training set is empty")
     if cfg.epochs < 0:
         raise ValueError("epochs must be >= 0")
     if cfg.batch < 1:
         raise ValueError("batch must be >= 1")
+    splits = [Split(train_set, model, cfg.seeds), Split(test_set, model, cfg.seeds)]
+    n_train = len(splits[0].channels)
+    if not n_train:
+        raise ValueError("training set is empty")
 
     rng_init = np.random.default_rng(mix_seed(cfg.seeds.init))
     params = model.init_params(rng_init)
     state = AdamState.zeros(params.size)
-
-    splits = [Split(train_set, model, cfg.seeds), Split(test_set, model, cfg.seeds)]
     baseline_wmmse = wmmse_mean(splits[1].channels)
 
     def means():  # one prepare for both splits
@@ -321,7 +329,6 @@ def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance]
 
     baseline_train, baseline_test = means()
 
-    n_train = len(train_set)
     batch = min(cfg.batch, n_train)
     train_curve = np.zeros(cfg.epochs)
     test_curve = np.zeros(cfg.epochs)
@@ -343,7 +350,7 @@ def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance]
             finite = np.isfinite(losses) & np.all(np.isfinite(grads), axis=1)
             if not finite.all():
                 bad = int(np.argmin(finite))  # the first in member order
-                raise NonFiniteLossError(epoch, step, train_set[members[bad]].label,
+                raise NonFiniteLossError(epoch, step, splits[0].label(members[bad]),
                                          float(losses[bad]))
             grad_sum = np.zeros_like(params)
             for grad in grads:  # sequential in member order, so the sum keeps its bits

@@ -616,6 +616,42 @@ def test_eval_prints_evaluate_mean_exactly(tmp_path, capsys):
     assert printed == format(evaluate_mean(model, doc["params"], test_set, SeedConfig()), ".12g")
 
 
+def test_train_and_eval_build_one_graph_stack_per_split(tmp_path, monkeypatch):
+    # each split goes from file to loss as the loaded stack: one build_graph
+    # call per split, and the training Split holds the loaded arrays
+    import qgpc.trainer as trainer_mod
+
+    loaded, built, splits = [], [], []
+
+    def loading(*args):
+        loaded.append(real_load(*args))
+        return loaded[-1]
+
+    def building(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    class RecordingSplit(trainer_mod.Split):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            splits.append(self)
+
+    real_load, real_build = ch.load_dataset, cli.build_graph
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    monkeypatch.setattr(ch, "load_dataset", loading)
+    monkeypatch.setattr(cli, "build_graph", building)
+    monkeypatch.setattr(trainer_mod, "Split", RecordingSplit)
+    assert main(_args(tmp_path) + ["train"]) == 0
+    assert len(built) == 2 and len(loaded) == 1
+    (train_ch, test_ch, _), (train_split, test_split) = loaded[0], splits
+    assert train_split.channels is train_ch and train_split.graph is built[0]
+    assert test_split.channels is test_ch and test_split.graph is built[1]
+    assert built[0].edge_angle.shape == train_ch.gain.shape == (8, 3, 3)
+    built.clear()
+    assert main(_args(tmp_path) + ["eval"]) == 0
+    assert len(built) == 1 and built[0].edge_angle.shape == (4, 3, 3)
+
+
 def test_eval_prints_the_mean_of_the_oracle_row_by_row(tmp_path, capsys):
     # eval searches the whole test stack in one oracle call
     from qgpc.wmmse import grid_search_oracle

@@ -1,6 +1,7 @@
 """Graph construction, feature scaling, and star decomposition."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qgpc import channels as ch
-from qgpc.graph import build_graph, decompose_stars, fit_feature_scaler, mix64
+from qgpc.graph import FeatureScaler, build_graph, decompose_stars, fit_feature_scaler, mix64
 
 
 def _realization(m=4, seed=0, **kw):
@@ -202,3 +203,35 @@ def test_leaf_array_contract(n, k, seed):
         assert center not in row
         assert len(set(row.tolist())) == row.size
         assert np.all((row >= 0) & (row < n))
+
+
+@st.composite
+def _stacks(draw):
+    """A stack of 0-6 realizations at M = 1-6, weights given per pair, with
+    |G|^2 from 0 to 1e30 (far past the clip either way), and a scaler, fitted
+    or drawn, whose sigma may be the subnormal 1e-320."""
+    m, rows = draw(st.integers(1, 6), label="M"), draw(st.integers(0, 6), label="rows")
+    exps = draw(st.lists(st.none() | st.floats(-30.0, 30.0), min_size=rows * m * m,
+                         max_size=rows * m * m), label="log10 |G|^2")
+    gain = np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(rows, m, m)
+    alpha = draw(st.lists(st.floats(0.0, 5.0), min_size=m, max_size=m), label="alpha")
+    stack = ch.ChannelBatch.from_gains(np.sqrt(gain), 1e-2, alpha, 1.0)
+    sigma = draw(st.sampled_from([None, 1e-320, 1e-3, 1.0, 40.0]), label="sigma")
+    scaler = (fit_feature_scaler(stack) if sigma is None and rows else
+              FeatureScaler(mu=draw(st.floats(-20.0, 20.0), label="mu"), sigma=sigma or 1.0))
+    return stack, scaler
+
+
+@given(_stacks())
+def test_a_stack_builds_each_row_graph_bit_for_bit(case):
+    stack, scaler = case
+    rows, m = stack.gain.shape[:2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a saturated or subnormal-sigma clip warns nothing
+        g = build_graph(stack, scaler)
+        alone = [build_graph(c, scaler) for c in stack]
+    assert g.node_features.shape == (rows, m, 2) and g.edge_angle.shape == (rows, m, m)
+    assert g.N == m and not np.diagonal(g.edge_angle, axis1=-2, axis2=-1).any()
+    for i, r in enumerate(alone):
+        assert g.node_features[i].tobytes() == r.node_features.tobytes()
+        assert g.edge_angle[i].tobytes() == r.edge_angle.tobytes()

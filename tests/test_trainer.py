@@ -490,3 +490,106 @@ def test_a_gcn_epoch_stacks_nothing_and_derives_no_star_seeds(monkeypatch, desk_
         assert two[key] == one[key] > 0
     for key in ("train_star_seed", "eval_star_seed"):
         assert one[key] == two[key] == 0
+
+
+def _stack_and_rows(m, count, seed0, prefix, scaler=None):
+    """The realizations _instances draws, as one stack Instance whose row i
+    is prefix/i, and as the list of row Instances labelled alike. The scaler
+    is fitted on the stack unless one is given."""
+    drawn = [ch.realize_channels(ch.generate_scenario(m, 100.0, 2.0, 10.0, seed=seed0 + i),
+                                 seed=seed0 + 1000 + i) for i in range(count)]
+    stack = ch.ChannelBatch.from_gains(np.reshape(drawn, (count, m, m)), ch.DEFAULT_NOISE_POWER,
+                                       ch.DEFAULT_WEIGHT, ch.DEFAULT_P_MAX)
+    scaler = scaler or fit_feature_scaler(stack)
+    rows = [Instance(f"{prefix}/{i}", c, build_graph(c, scaler)) for i, c in enumerate(stack)]
+    return [Instance(prefix, stack, build_graph(stack, scaler))], rows, scaler
+
+
+def _split_pair(m=3, train_count=8, test_count=4, seed0=2000):
+    """A training and a test split, each as one stack and as rows, on the
+    training split's scaler."""
+    tr_stack, tr_rows, scaler = _stack_and_rows(m, train_count, seed0, "train")
+    te_stack, te_rows, _ = _stack_and_rows(m, test_count, seed0 + 500, "test", scaler)
+    return (tr_stack, te_stack), (tr_rows, te_rows)
+
+
+_MODELS = {"qgnn": lambda: QgnnModel(layers=2, depth=1, k=2),
+           "gcn": lambda: GcnModel(hidden=4, layers=2)}
+
+
+@pytest.mark.parametrize("arch", ["qgnn", "gcn"])
+@pytest.mark.parametrize("batch", [300, 3])
+def test_one_stack_per_split_trains_as_the_row_lists(arch, batch):
+    stacks, rows = _split_pair()
+    cfg = TrainConfig(epochs=3, lr=0.05, batch=batch)
+    by_stack = train(_MODELS[arch](), *stacks, cfg)
+    by_rows = train(_MODELS[arch](), *rows, cfg)
+    assert by_stack.to_csv().encode() == by_rows.to_csv().encode()
+    assert by_stack.final_params.tobytes() == by_rows.final_params.tobytes()
+
+
+@pytest.mark.parametrize("arch", ["qgnn", "gcn"])
+def test_one_stack_evaluates_to_the_row_list_mean(arch):
+    (_, te_stack), (_, te_rows) = _split_pair(test_count=9)
+    model = _MODELS[arch]()
+    flat = model.init_params(np.random.default_rng(4))
+    seeds = SeedConfig(stars=11)
+    assert evaluate_mean(model, flat, te_stack, seeds) == evaluate_mean(model, flat, te_rows, seeds)
+    # a stack split is the caller's arrays, with no copy
+    split = trainer_mod.Split(te_stack)
+    assert split.channels is te_stack[0].channels and split.graph is te_stack[0].graph
+
+
+@pytest.mark.parametrize("batch", [300, 2])
+def test_a_stack_names_the_row_whose_loss_is_non_finite(batch):
+    stacks, rows = _split_pair()
+    errors = []
+    for sets in (stacks, rows):
+        with pytest.raises(NonFiniteLossError) as err:
+            train(_NanModel(), *sets, TrainConfig(epochs=2, batch=batch))
+        errors.append(err.value)
+    assert errors[0].instance.startswith("train/")
+    assert str(errors[0]) == str(errors[1]) and errors[0].instance == errors[1].instance
+    if batch == 300:
+        assert errors[0].instance == "train/0"
+
+
+def test_a_stack_names_the_row_whose_power_is_non_finite():
+    # blocks of two: the second block, rows 2 and 3, scores NaN
+    (_, te_stack), (_, te_rows) = _split_pair(test_count=6)
+    for sets in (te_stack, te_rows):
+        with pytest.raises(NonFinitePowerError, match=r"\[nan, nan, nan\] for instance test/2$"):
+            evaluate_mean(_NanModel(nan_calls=(1,)), np.zeros(2), sets, SeedConfig())
+
+
+@pytest.mark.parametrize("entry", ["Split", "forward_batch", "evaluate_mean", "train"])
+@pytest.mark.parametrize("mix", ["stack_first", "row_first", "two_stacks"])
+def test_a_list_that_holds_a_stack_among_others_is_refused(entry, mix):
+    (stack, _), (rows, _) = _split_pair()
+    insts = {"stack_first": stack + rows[:1], "row_first": rows[:2] + stack,
+             "two_stacks": stack + stack}[mix]
+    model = GcnModel(hidden=4, layers=1)
+    flat = model.init_params(np.random.default_rng(0))
+    run = {
+        "Split": lambda: trainer_mod.Split(insts),
+        "forward_batch": lambda: model.forward_batch(insts, flat, np.arange(16)),
+        "evaluate_mean": lambda: evaluate_mean(model, flat, insts, SeedConfig()),
+        "train": lambda: train(model, insts, rows[:1], TrainConfig(epochs=1)),
+    }[entry]
+    with pytest.raises(ValueError, match=r"^a split holds one stack or a list of single "
+                                         r"realizations$"):
+        run()
+
+
+@pytest.mark.parametrize("arch", ["qgnn", "gcn"])
+def test_a_test_stack_of_no_rows_gives_nan(arch):
+    (tr_stack, _), _ = _split_pair()
+    empty, _, _ = _stack_and_rows(3, 0, 0, "test", fit_feature_scaler(tr_stack[0].channels))
+    model = _MODELS[arch]()
+    flat = model.init_params(np.random.default_rng(0))
+    assert np.isnan(evaluate_mean(model, flat, empty, SeedConfig()))
+    cfg = TrainConfig(epochs=2)
+    report = train(_MODELS[arch](), tr_stack, empty, cfg)
+    assert np.isnan(report.baseline_test_mean) and np.isnan(report.wmmse_test_mean)
+    assert np.isnan(report.test_curve).all()
+    assert report.to_csv() == train(_MODELS[arch](), tr_stack, [], cfg).to_csv()
