@@ -69,51 +69,66 @@ class SplitError(ValueError):
 
 @dataclass(eq=False)
 class Scenario:
-    """Transmitter/receiver positions for one drop of M pairs, or for a
-    stack of B drops."""
+    """Transmitter/receiver positions of one drop of M pairs, or a stack of B."""
 
-    M: int
-    d: float
-    d_min: float
-    d_max: float
-    seed: int | np.ndarray  # one seed, or the (B,) seeds of a stack
     tx_pos: np.ndarray  # (M, 2) or (B, M, 2) meters
     rx_pos: np.ndarray  # (M, 2) or (B, M, 2) meters
 
 
-def _check_stack(G: np.ndarray, sigma2, alpha, p_max):
-    """Check a complex (n, M, M) gain stack whose items share the link
-    constants: every |G|^2 finite, sigma2 positive and alpha non-negative
-    (each a number or M of them), p_max positive, all finite, and the power
-    each receiver takes in with every transmitter at p_max finite. Returns
-    |G|^2 and copies of the (M,) sigma2 and alpha.
-    Raises RealizationError at the first bad index with the message a check
-    of that item alone gives; a bad link constant makes index 0 bad."""
-    m = G.shape[-1]
+def check_link(m: int, sigma2, alpha, p_max) -> tuple[np.ndarray, np.ndarray]:
+    """The link-constant rule: M >= 1; sigma2 and alpha each a number or M of
+    them; sigma2 > 0, alpha >= 0 and p_max > 0, all finite. Returns copies of
+    the (M,) sigma2 and alpha; a ValueError names the constant."""
+    if m < 1:
+        raise ValueError(f"M must be >= 1, got {m}")
+    for key, value in (("sigma2", sigma2), ("alpha", alpha)):
+        if np.shape(value) not in ((), (m,)):
+            raise ValueError(f"{key} must be a number or a list of M={m} numbers, "
+                             f"got {reprlib.repr(value)}")
     sigma2, alpha = (np.broadcast_to(np.asarray(x, dtype=float), (m,)).copy()
                      for x in (sigma2, alpha))
+    if not np.all(np.isfinite(sigma2) & (sigma2 > 0)):
+        raise ValueError("sigma2 must be positive and finite")
+    if not np.all(np.isfinite(alpha) & (alpha >= 0)):
+        raise ValueError("alpha must be non-negative and finite")
+    if not (np.isfinite(p_max) and p_max > 0):
+        raise ValueError("p_max must be positive and finite")
+    return sigma2, alpha
+
+
+def check_dataset_link(m: int, sigma2, alpha, p_max) -> tuple[np.ndarray, np.ndarray]:
+    """check_link, and alpha not all 0 (every sum rate would be 0): a dataset's rule."""
+    sigma2, alpha = check_link(m, sigma2, alpha, p_max)
+    if not alpha.any():
+        raise ValueError("alpha must not be all 0")
+    return sigma2, alpha
+
+
+def check_geometry(M: int, d: float, d_min: float, d_max: float) -> None:
+    """The drop geometry rule: M >= 1 and 0 < d_min <= d_max <= d, or GeometryError."""
+    if M < 1:
+        raise GeometryError(f"M must be >= 1, got {M}")
+    if not (0 < d_min <= d_max <= d):
+        raise GeometryError(f"d_min, d_max need 0 < d_min <= d_max <= d, got {d_min}, {d_max}, {d}")
+
+
+def _check_stack(G: np.ndarray, sigma2: np.ndarray, p_max) -> np.ndarray:
+    """|G|^2 of a complex (n, M, M) gain stack, once every |G|^2 and each power
+    received at p_max plus the (M,) sigma2 are found finite. Raises RealizationError
+    at the first bad index with the message a check of that item alone gives."""
     gain = np.abs(G)
     with np.errstate(over="ignore"):  # an overflow is refused below
         gain *= gain  # the bits of np.abs(G) ** 2
     bad_gain = ~np.isfinite(gain).all(axis=(-2, -1))
-    link = None
-    if not np.all(np.isfinite(sigma2) & (sigma2 > 0)):
-        link = "sigma2 must be positive and finite"
-    elif not np.all(np.isfinite(alpha) & (alpha >= 0)):
-        link = "alpha must be non-negative and finite"
-    elif not (np.isfinite(p_max) and p_max > 0):
-        link = "p_max must be positive and finite"
     # the SINR kernel's largest sums, every transmitter at p_max plus noise
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN: refused
         received = float(p_max) * float(p_max) * gain.sum(axis=-2) + sigma2
     bad = bad_gain | ~np.isfinite(received).all(axis=-1)
-    if link is not None:
-        bad[:1] = True
     if bad.any():
         j = int(bad.argmax())
         raise RealizationError("|G|^2 must be finite" if bad_gain[j] else
-                               link or "the power received at p_max must be finite", j)
-    return gain, sigma2, alpha
+                               "the power received at p_max must be finite", j)
+    return gain
 
 
 @dataclass(eq=False)
@@ -134,14 +149,14 @@ class ChannelBatch:
     @classmethod
     def from_gains(cls, G, sigma2, alpha, p_max) -> "ChannelBatch":
         """The channels of complex gains G, (M, M) or a (B, M, M) stack
-        whose items share the link constants (sigma2 and alpha each a
-        number or M of them), checked once over the stack (_check_stack)."""
+        whose items share the link constants (check_link, which takes
+        all-zero weights), checked once over the stack (_check_stack)."""
         G = np.asarray(G, dtype=complex)
         if G.ndim not in (2, 3) or G.shape[-2] != G.shape[-1]:
             raise DimensionError(f"G must be square, got {G.shape}")
         lead, m = G.shape[:-2], G.shape[-1]
-        gain, sigma2, alpha = _check_stack(G.reshape(-1, m, m), sigma2, alpha, p_max)
-        gain = gain.reshape(G.shape)
+        sigma2, alpha = check_link(m, sigma2, alpha, p_max)
+        gain = _check_stack(G.reshape(-1, m, m), sigma2, p_max).reshape(G.shape)
         return cls(gain, gain * (1.0 - np.eye(m)), np.broadcast_to(sigma2, lead + (m,)),
                    np.broadcast_to(alpha, lead + (m,)),
                    np.full(lead, float(p_max)) if lead else float(p_max))
@@ -198,10 +213,7 @@ def generate_scenario(M: int, d: float, d_min: float, d_max: float, seed) -> Sce
     position in MAX_ATTEMPTS attempts raises GeometryError with the
     instance's index (in a 10 m square with d_min = 10, no point is 10 m
     from a transmitter near the centre)."""
-    if M < 1:
-        raise GeometryError("M must be >= 1")
-    if not (0 < d_min <= d_max <= d):
-        raise GeometryError(f"need 0 < d_min <= d_max <= d, got {d_min}, {d_max}, {d}")
+    check_geometry(M, d, d_min, d_max)
     seeds = np.asarray(seed, dtype=np.uint64)
     rngs = [np.random.default_rng(s) for s in seeds.reshape(-1).tolist()]
     n, k = len(rngs), POOL_PER_PAIR * M
@@ -239,8 +251,8 @@ def generate_scenario(M: int, d: float, d_min: float, d_max: float, seed) -> Sce
         rx[:, i] = tx[:, i] + step[every, first]
         nxt = first + 1
     if seeds.ndim == 0:
-        tx, rx, seeds = tx[0], rx[0], int(seeds)
-    return Scenario(M=M, d=d, d_min=d_min, d_max=d_max, seed=seeds, tx_pos=tx, rx_pos=rx)
+        tx, rx = tx[0], rx[0]
+    return Scenario(tx_pos=tx, rx_pos=rx)
 
 
 def realize_channels(
@@ -259,7 +271,7 @@ def realize_channels(
     Gaussian fading. With ``fading=False`` the fading factor is exactly 1,
     so pathloss_exp = 0 gives |g_km| = 1 for every link.
     """
-    m = scenario.M
+    m = scenario.tx_pos.shape[-2]
     diff = scenario.tx_pos[..., :, None, :] - scenario.rx_pos[..., None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=-1))  # dist[..., k, m] = tx k to rx m
     amp = np.sqrt(pathloss(dist, pathloss_exp))
@@ -366,24 +378,25 @@ def save_dataset(path, G_train, G_test, sigma2, alpha, p_max, meta: dict | None 
     """Write a dataset as one .npz: the complex gains of each split as a
     complex128 (n, M, M) array, G_train and G_test, and a JSON header string
     of M and the link constants both share (sigma2 and alpha each a number or
-    M of them). A split load_dataset would refuse raises its SplitError
-    before the file is opened. The file is written at ``path`` exactly."""
+    M of them, check_dataset_link). A split load_dataset would refuse raises its
+    SplitError before the file is opened. The file is written at ``path`` exactly."""
     gains = {"train": np.asarray(G_train, complex), "test": np.asarray(G_test, complex)}
     m = gains["train"].shape[-1]
     if any(G.ndim != 3 or G.shape[1:] != (m, m) for G in gains.values()):
         raise DimensionError("the splits must be (n, M, M) gain stacks of one M, got "
                              f"{gains['train'].shape} and {gains['test'].shape}")
+    sigma2, alpha = check_dataset_link(m, sigma2, alpha, p_max)  # both (M,)
     for split, G in gains.items():
         try:
-            _, sigma2_m, alpha_m = _check_stack(G, sigma2, alpha, p_max)  # both (M,)
+            _check_stack(G, sigma2, p_max)
         except RealizationError as exc:
             raise SplitError(path, split, exc) from exc
     header = {
         "version": DATASET_VERSION,
         "kind": "d2d-dataset",
         "M": m,
-        "sigma2": [float(x) for x in sigma2_m],
-        "alpha": [float(x) for x in alpha_m],
+        "sigma2": [float(x) for x in sigma2],
+        "alpha": [float(x) for x in alpha],
         "p_max": float(p_max),
         "seed": int((meta or {}).get("seed", 0)),
         "train": len(gains["train"]),
@@ -467,18 +480,10 @@ def load_dataset(path) -> tuple[ChannelBatch, ChannelBatch, dict]:
     if not isinstance(header, dict) or header.get("version") != DATASET_VERSION \
             or header.get("kind") != "d2d-dataset":
         raise ValueError(f"unrecognized dataset header in {path} (re-run gen)")
-    try:  # ChannelBatch.from_gains checks every other range
+    try:
         check_json(header, _HEADER)
-        m, p_max = header["M"], float(header["p_max"])
-        sigma2, alpha = (np.asarray(header[key], dtype=float) for key in ("sigma2", "alpha"))
-        if m < 1:
-            raise ValueError(f"M must be >= 1, got {m}")
-        for key, values in (("sigma2", sigma2), ("alpha", alpha)):
-            if values.shape not in ((), (m,)):
-                raise ValueError(f"{key} must be a number or a list of M={m} numbers, "
-                                 f"got {reprlib.repr(header[key])}")
-        if not alpha.any():  # every sum rate, WMMSE's too, would be 0
-            raise ValueError("alpha must not be all 0")
+        m, p_max = header["M"], header["p_max"]
+        sigma2, alpha = check_dataset_link(m, header["sigma2"], header["alpha"], p_max)
     except ValueError as exc:
         raise ValueError(f"dataset header in {path}: {exc}") from exc
     splits = []

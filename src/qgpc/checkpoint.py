@@ -63,10 +63,13 @@ def load_checkpoint(path) -> dict:
             "scaler": FeatureScaler(**sc), "params": np.asarray(doc["params"], dtype=float)}
 
 
-def check_arch(doc: dict, kind: str, arch: dict) -> None:
-    """Reject a checkpoint whose payload does not match the requested model."""
-    if doc["kind"] != kind:
-        raise CheckpointError(f"checkpoint holds {doc['kind']!r}, expected {kind!r}")
-    if doc["arch"] != arch:
+def check_arch(doc: dict, model) -> None:
+    """Reject a checkpoint of another kind, architecture or parameter count than model's."""
+    if doc["kind"] != model.name:
+        raise CheckpointError(f"checkpoint holds {doc['kind']!r}, expected {model.name!r}")
+    if doc["arch"] != model.arch_dict():
         raise CheckpointError(f"architecture mismatch: checkpoint {doc['arch']} "
-                              f"vs requested {arch}")
+                              f"vs requested {model.arch_dict()}")
+    if doc["params"].shape != (model.param_count(),):
+        raise CheckpointError(f"checkpoint has {doc['params'].size} parameters, "
+                              f"model needs {model.param_count()}")

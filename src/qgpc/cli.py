@@ -129,19 +129,15 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
-    """Range checks on a config of _PROTOTYPE's JSON types."""
+    """Value rules of a config of _PROTOTYPE's JSON types; channels and TrainConfig own theirs."""
     if cfg["version"] != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {cfg['version']!r}")
     sc = cfg["scenario"]
-    if sc["M"] < 1:
-        raise ConfigError("scenario.M must be >= 1")
-    if not (0 < sc["d_min"] <= sc["d_max"] <= sc["d"]):
-        raise ConfigError("need 0 < d_min <= d_max <= d")
-    if sc["sigma2"] <= 0 or sc["p_max"] <= 0:
-        raise ConfigError("sigma2 and p_max must be positive")
-    alpha = sc["alpha"] if isinstance(sc["alpha"], list) else [sc["alpha"]]
-    if len(alpha) not in (1, sc["M"]) or min(alpha) < 0 or max(alpha) == 0:
-        raise ConfigError(f"scenario.alpha must be one or M={sc['M']} weights >= 0, not all 0")
+    try:
+        ch.check_geometry(sc["M"], sc["d"], sc["d_min"], sc["d_max"])
+        ch.check_dataset_link(sc["M"], sc["sigma2"], sc["alpha"], sc["p_max"])
+    except ValueError as exc:
+        raise ConfigError(f"scenario.{exc}") from exc
     if sc["train_size"] < 1 or sc["test_size"] < 0:
         raise ConfigError("train_size must be >= 1 and test_size >= 0")
     mc = cfg["model"]
@@ -150,11 +146,10 @@ def _validate_config(cfg: dict) -> None:
     for key in ("layers", "depth", "k", "hidden"):
         if mc[key] < (0 if key == "k" else 1):
             raise ConfigError(f"model.{key} out of range")
-    tc = cfg["train"]
-    if tc["epochs"] < 0 or tc["batch"] < 1 or tc["lr"] <= 0:
-        raise ConfigError("train.epochs >= 0, train.batch >= 1, train.lr > 0 required")
-    if not all(0 <= seed < 2 ** 64 for seed in tc["seeds"].values()):
-        raise ConfigError("train.seeds.data, init and stars must be in [0, 2^64)")
+    try:
+        _train_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"train.{exc}") from exc
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -228,6 +223,8 @@ def _load_instances(cfg: dict):
 def cmd_train(cfg: dict) -> int:
     """Fit the configured model on the dataset; write report CSV + checkpoint."""
     train_ch, test_ch, _ = _load_instances(cfg)
+    if not train_ch:
+        raise ConfigError("dataset has no train split to train on")
     scaler = fit_feature_scaler(train_ch)
     model = _build_model(cfg)
     train_set = [Instance("train", train_ch, build_graph(train_ch, scaler))]  # one stack each
@@ -265,16 +262,10 @@ def cmd_eval(cfg: dict, checkpoint: str | None, oracle_levels: int | None) -> in
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     doc = load_checkpoint(ckpt_path)
-    check_arch(doc, model.name, model.arch_dict())
-    scaler = doc["scaler"]
-    params = doc["params"]
-    if params.shape != (model.param_count(),):
-        raise CheckpointError(
-            f"checkpoint has {params.shape[0]} parameters, model needs {model.param_count()}"
-        )
+    check_arch(doc, model)
 
-    test_set = [Instance("test", test_ch, build_graph(test_ch, scaler))]  # one stack
-    model_mean = evaluate_mean(model, params, test_set, _train_config(cfg).seeds)
+    test_set = [Instance("test", test_ch, build_graph(test_ch, doc["scaler"]))]  # one stack
+    model_mean = evaluate_mean(model, doc["params"], test_set, _train_config(cfg).seeds)
     baseline = wmmse_mean(test_ch)
     print(f"model={model.name} test_mean_bpshz={model_mean:.12g}")
     # every rate is 0 when every test realization's gains are, so no ratio

@@ -220,6 +220,11 @@ class SeedConfig:
     init: int = 2
     stars: int = 3
 
+    def __post_init__(self):
+        for name, seed in vars(self).items():
+            if not 0 <= seed < 2 ** 64:
+                raise ValueError(f"seeds.{name} must be in [0, 2^64), got {seed}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -227,6 +232,14 @@ class TrainConfig:
     lr: float = 5e-2
     batch: int = 300          # instances per step; >= train size means full batch
     seeds: SeedConfig = field(default_factory=SeedConfig)
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass(eq=False)
@@ -309,10 +322,6 @@ def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance]
           cfg: TrainConfig) -> TrainReport:
     """Adam on the mean per-batch gradient. One step per batch; the batch
     size caps at the training-set size (full-batch default)."""
-    if cfg.epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if cfg.batch < 1:
-        raise ValueError("batch must be >= 1")
     splits = [Split(train_set, model, cfg.seeds), Split(test_set, model, cfg.seeds)]
     n_train = len(splits[0].channels)
     if not n_train:

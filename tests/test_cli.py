@@ -24,7 +24,7 @@ from qgpc.cli import DEFAULT_CONFIG, ConfigError, load_config, main
 from qgpc.gcn import GcnModel
 from qgpc.graph import fit_feature_scaler
 from qgpc.qgnn import QgnnModel
-from qgpc.trainer import NonFiniteLossError
+from qgpc.trainer import NonFiniteLossError, SeedConfig, TrainConfig
 
 
 def _args(out_dir, *extra):
@@ -425,6 +425,116 @@ def test_dataset_header_values_are_type_checked(tmp_path, capsys):
         assert main(_args(tmp_path) + ["train"]) == 2, key
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+
+@functools.cache
+def _three_pair_gains() -> np.ndarray:
+    """Two drawn realizations of M = 3, for the link-constant tests."""
+    seeds = np.arange(2)
+    return ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=seeds), seed=seeds)
+
+
+def _refusal(call, prefix: str = "") -> str | None:
+    """None when call() returns, else its ValueError's message with
+    ``prefix`` cut from the front (which the message must carry)."""
+    try:
+        call()
+    except ValueError as exc:
+        words = str(exc)
+        assert words.startswith(prefix), (prefix, words)
+        return words[len(prefix):]
+    return None
+
+
+# finite values only: a non-finite one is the JSON type rule's, which runs first
+_LINK_VALUES = (1.0, 0.5, 0.01, 5e-324, 0.0, -0.0, -1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sigma2=st.one_of(st.sampled_from(_LINK_VALUES),
+                        st.lists(st.sampled_from(_LINK_VALUES), min_size=1, max_size=4)),
+       alpha=st.one_of(st.sampled_from(_LINK_VALUES),
+                       st.lists(st.sampled_from(_LINK_VALUES), min_size=1, max_size=4)),
+       p_max=st.sampled_from(_LINK_VALUES + (2.0,)))
+def test_the_dataset_readers_and_from_gains_agree_on_the_link_constants(sigma2, alpha, p_max):
+    # the config (its type rule takes one noise power, so a list sigma2 is
+    # not put to it), save_dataset and load_dataset of a header carrying the
+    # constants accept or refuse alike, in the same words after their prefix;
+    # from_gains differs only by taking all-zero weights
+    G = _three_pair_gains()
+    link = {"sigma2": sigma2, "alpha": alpha, "p_max": p_max}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.npz"
+        saved = _refusal(lambda: ch.save_dataset(path, G[:1], G[1:], **link))
+        ch.save_dataset(path, G[:1], G[1:], 0.01, 1.0, 1.0)
+        members = _members(path)
+        _write_members(path, members, {**json.loads(str(members["header"])), **link})
+        loaded = _refusal(lambda: ch.load_dataset(path), f"dataset header in {path}: ")
+    assert saved == loaded
+    if not isinstance(sigma2, list):
+        sets = ["scenario.M=3"] + [f"scenario.{key}={json.dumps(val)}" for key, val in link.items()]
+        assert _refusal(lambda: load_config(None, sets), "scenario.") == saved
+    built = _refusal(lambda: ch.ChannelBatch.from_gains(G, **link))
+    assert built == (None if saved == "alpha must not be all 0" else saved)
+    for words in (saved, built):  # a realization index reads G_train[0]
+        assert words is None or not any(leak in words for leak in ("G_train[", "G_test[",
+                                                                   "realization", "broadcast"))
+
+
+@pytest.mark.parametrize("key, value, words", [
+    ("sigma2", [0.1, 0.1], "sigma2 must be a number or a list of M=3 numbers, got [0.1, 0.1]"),
+    ("alpha", [1.0] * 4,
+     "alpha must be a number or a list of M=3 numbers, got [1.0, 1.0, 1.0, 1.0]"),
+    ("p_max", -1.0, "p_max must be positive and finite"),
+    ("sigma2", 0.0, "sigma2 must be positive and finite"),
+    ("alpha", 0.0, "alpha must not be all 0"),
+])
+def test_a_bad_link_constant_is_named_with_m_and_a_header_one_blames_the_header(
+        tmp_path, capsys, key, value, words):
+    G, link = _three_pair_gains(), {"sigma2": 0.01, "alpha": 1.0, "p_max": 1.0}
+    path = tmp_path / "dataset.npz"
+    with pytest.raises(ValueError) as saved:
+        ch.save_dataset(path, G[:1], G[1:], **{**link, key: value})
+    assert str(saved.value) == words and not path.exists()
+    if key != "alpha" or value:
+        with pytest.raises(ValueError) as built:
+            ch.ChannelBatch.from_gains(G, **{**link, key: value})
+        assert str(built.value) == words
+    ch.save_dataset(path, G[:1], G[1:], **link)
+    members = _members(path)
+    _write_members(path, members, {**json.loads(str(members["header"])), key: value})
+    for command in ("train", "eval"):
+        assert main(_args(tmp_path) + [command]) == 2
+        assert capsys.readouterr().err == f"error: dataset header in {path}: {words}\n"
+
+
+def test_train_on_a_dataset_without_a_train_split_exits_2_with_one_line(tmp_path, capsys):
+    G, path = _three_pair_gains(), tmp_path / "dataset.npz"
+    ch.save_dataset(path, G[:0], G, 0.01, 1.0, 1.0)
+    assert main(_args(tmp_path) + ["train"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: dataset has no train split to train on\n"
+
+
+@pytest.mark.parametrize("override, owner, words", [
+    ("scenario.M=0", lambda: ch.generate_scenario(0, 100.0, 2.0, 10.0, seed=0),
+     "M must be >= 1, got 0"),
+    ("scenario.d_min=500", lambda: ch.generate_scenario(4, 100.0, 500, 10.0, seed=0),
+     "d_min, d_max need 0 < d_min <= d_max <= d, got 500, 10.0, 100.0"),
+    ("scenario.d_max=101", lambda: ch.generate_scenario(4, 100.0, 2.0, 101, seed=0),
+     "d_min, d_max need 0 < d_min <= d_max <= d, got 2.0, 101, 100.0"),
+    ("train.epochs=-1", lambda: TrainConfig(epochs=-1), "epochs must be >= 0, got -1"),
+    ("train.batch=0", lambda: TrainConfig(batch=0), "batch must be >= 1, got 0"),
+    ("train.lr=0", lambda: TrainConfig(lr=0), "lr must be positive and finite, got 0"),
+    ("train.seeds.init=-5", lambda: SeedConfig(init=-5),
+     "seeds.init must be in [0, 2^64), got -5"),
+    ("train.seeds.stars=18446744073709551616", lambda: SeedConfig(stars=2 ** 64),
+     "seeds.stars must be in [0, 2^64), got 18446744073709551616"),
+])
+def test_a_config_value_is_refused_by_the_rule_of_its_owner(override, owner, words):
+    section = override.split(".")[0]
+    assert _refusal(lambda: load_config(None, [override]), f"{section}.") == words
+    assert _refusal(owner) == words
 
 
 def test_checkpoint_scaler_needs_finite_numbers_and_positive_scales(tmp_path, capsys):
