@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 DATASET_VERSION = 2  # 1 was one JSON line per realization
 # the JSON types of a dataset header's keys, for check_json; save_dataset adds others
@@ -40,6 +41,9 @@ DEFAULT_P_MAX = 1.0
 # the bytes a block's items keep live, as each kernel counts them: 85 desk QGNN
 # graphs (680 message rows), 2048 edge rows of a 16-wide GCN, 2^16 WMMSE row gains
 BLOCK_BYTES = 1 << 19
+# the most bytes one split's (n, M, M) complex128 gains may take (check_link);
+# gen's draw and train's graphs hold a few arrays of that size at once
+MAX_SPLIT_BYTES = 1 << 30
 
 
 class RealizationError(ValueError):
@@ -75,12 +79,18 @@ class Scenario:
     rx_pos: np.ndarray  # (M, 2) or (B, M, 2) meters
 
 
-def check_link(m: int, sigma2, alpha, p_max) -> tuple[np.ndarray, np.ndarray]:
-    """The link-constant rule: M >= 1; sigma2 and alpha each a number or M of
-    them; sigma2 > 0, alpha >= 0 and p_max > 0, all finite. Returns copies of
-    the (M,) sigma2 and alpha; a ValueError names the constant."""
+def check_link(m: int, sigma2, alpha, p_max, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The link-constant rule: M >= 1, with the complex gains of a split of
+    ``count`` realizations, (count, M, M), within MAX_SPLIT_BYTES; sigma2 and
+    alpha each a number or M of them; sigma2 > 0, alpha >= 0 and p_max > 0,
+    all finite. Returns copies of the (M,) sigma2 and alpha; a ValueError
+    names the constant. The size is checked before any array is made."""
     if m < 1:
         raise ValueError(f"M must be >= 1, got {m}")
+    if np.dtype(complex).itemsize * count * m * m > MAX_SPLIT_BYTES:
+        raise ValueError(f"M and the split sizes must keep a split's (n, M, M) complex gains "
+                         f"within {MAX_SPLIT_BYTES} bytes, got M={reprlib.repr(m)} and "
+                         f"n={reprlib.repr(count)}")
     for key, value in (("sigma2", sigma2), ("alpha", alpha)):
         if np.shape(value) not in ((), (m,)):
             raise ValueError(f"{key} must be a number or a list of M={m} numbers, "
@@ -96,9 +106,10 @@ def check_link(m: int, sigma2, alpha, p_max) -> tuple[np.ndarray, np.ndarray]:
     return sigma2, alpha
 
 
-def check_dataset_link(m: int, sigma2, alpha, p_max) -> tuple[np.ndarray, np.ndarray]:
-    """check_link, and alpha not all 0 (every sum rate would be 0): a dataset's rule."""
-    sigma2, alpha = check_link(m, sigma2, alpha, p_max)
+def check_dataset_link(m: int, sigma2, alpha, p_max, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """check_link, and alpha not all 0 (every sum rate would be 0): a dataset's
+    rule, ``count`` the size of its larger split."""
+    sigma2, alpha = check_link(m, sigma2, alpha, p_max, count)
     if not alpha.any():
         raise ValueError("alpha must not be all 0")
     return sigma2, alpha
@@ -155,7 +166,7 @@ class ChannelBatch:
         if G.ndim not in (2, 3) or G.shape[-2] != G.shape[-1]:
             raise DimensionError(f"G must be square, got {G.shape}")
         lead, m = G.shape[:-2], G.shape[-1]
-        sigma2, alpha = check_link(m, sigma2, alpha, p_max)
+        sigma2, alpha = check_link(m, sigma2, alpha, p_max, len(G) if lead else 1)
         gain = _check_stack(G.reshape(-1, m, m), sigma2, p_max).reshape(G.shape)
         return cls(gain, gain * (1.0 - np.eye(m)), np.broadcast_to(sigma2, lead + (m,)),
                    np.broadcast_to(alpha, lead + (m,)),
@@ -198,13 +209,103 @@ def pathloss(r, exponent: float):
 POOL_PER_PAIR = 2  # receiver attempts an instance draws at a time, per pair
 MAX_ATTEMPTS = 10_000  # a pair that finds no receiver position in these gives up
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a 4-word pool,
+# its hash and mix multipliers, and the 16-bit xorshift of each step
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+def _hash_rows(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(row).generate_state(n_words, np.uint64) of every row of
+    an (n, w) uint32 array of entropy words, as an (n, n_words) uint64 array:
+    numpy's pool mix and output hash, one uint32 column operation per step."""
+    n, w = entropy.shape
+    const = _INIT_A  # the hash multiplier steps the same way for every row
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _WORD
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ (out >> 16)
+
+    zero = np.zeros(n, np.uint32)  # a pool word past the entropy hashes a 0
+    pool = [hashmix(entropy[:, i] if i < w else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, w):  # entropy past the pool mixes into every word
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    state, const = np.empty((n, 2 * n_words), np.uint32), _INIT_B
+    for i in range(2 * n_words):
+        value = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _WORD
+        value = value * const
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)  # numpy's little-endian pairs
+
+
+def seed_state(*parts, n_words: int = 1) -> np.ndarray:
+    """np.random.SeedSequence([*parts[:-1], i]).generate_state(n_words,
+    np.uint64) for every i of the last part, from one array pass. The parts
+    are ints in [0, 2^64), the last one or an array of them: (n_words,) for
+    a scalar, (*shape, n_words) for an array. numpy makes an int its 32-bit
+    words, least significant first (0 is one word), so a last part below
+    2^32 is hashed in one pass and the larger ones in another."""
+    *head, last = parts
+    last = np.asarray(last)
+    if any(part < 0 for part in head) or np.any(last < 0):
+        raise ValueError("seed parts must be non-negative")
+    head = [int(part) >> shift & _WORD for part in head
+            for shift in range(0, max(int(part).bit_length(), 1), 32)]
+    flat = last.astype(np.uint64).reshape(-1)
+    state = np.empty((flat.size, n_words), np.uint64)
+    wide = flat > _WORD
+    for rows, width in ((np.flatnonzero(~wide), 1), (np.flatnonzero(wide), 2)):
+        if rows.size:
+            value = flat[rows]
+            entropy = np.empty((rows.size, len(head) + width), np.uint32)
+            entropy[:, :len(head)] = head
+            entropy[:, len(head):] = np.stack([value & _WORD, value >> 32], axis=1)[:, :width]
+            state[rows] = _hash_rows(entropy, n_words)
+    return state.reshape(last.shape + (n_words,))
+
+
+class _SeedWords(ISeedSequence):
+    """A seed's SeedSequence words, generate_state(4, np.uint64), hashed
+    beforehand and handed to PCG64 through numpy's public interface."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (len(self.words), np.uint64):
+            raise ValueError(f"{len(self.words)} uint64 words were hashed, not {n_words} {dtype}")
+        return self.words
+
+
+def generators(seeds) -> list[np.random.Generator]:
+    """np.random.default_rng(s) for every seed s of a uint64 array, in flat
+    order, with the same state bits: PCG64 seeds from its four words, all
+    hashed in one seed_state pass."""
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            for words in seed_state(np.asarray(seeds, np.uint64).reshape(-1), n_words=4)]
+
 
 def generate_scenario(M: int, d: float, d_min: float, d_max: float, seed) -> Scenario:
     """Drop M transmitters uniformly in the square and each receiver at a
     uniform range/bearing from its transmitter, rejection-sampled into the
     square. ``seed`` is one seed in [0, 2^64), giving (M, 2) positions, or a
     1-D array of B, giving (B, M, 2), instance b drawn from its own
-    generator exactly as its seed alone would draw it.
+    generator (``generators``) exactly as its seed alone would draw it.
 
     An instance draws its transmitters, then a pool of POOL_PER_PAIR * M
     (range, bearing) attempts, and another pool whenever one runs out. Pair
@@ -215,7 +316,7 @@ def generate_scenario(M: int, d: float, d_min: float, d_max: float, seed) -> Sce
     from a transmitter near the centre)."""
     check_geometry(M, d, d_min, d_max)
     seeds = np.asarray(seed, dtype=np.uint64)
-    rngs = [np.random.default_rng(s) for s in seeds.reshape(-1).tolist()]
+    rngs = generators(seeds)
     n, k = len(rngs), POOL_PER_PAIR * M
     low, high = [d_min, 0.0], [d_max, 2.0 * np.pi]
     tx, attempts = np.empty((n, M, 2)), np.empty((n, k, 2))
@@ -264,8 +365,9 @@ def realize_channels(
     """Draw the complex gains G[..., k, m], tx k to rx m, over a scenario:
     (M, M) for a drop, (B, M, M) for a stack of B drops, with ``seed`` one
     fading seed in [0, 2^64) or B of them, instance b drawn from its own
-    generator exactly as its seed alone would draw it. Nothing is checked
-    here: ChannelBatch.from_gains and save_dataset check the gains.
+    generator (``generators``) exactly as its seed alone would draw it.
+    Nothing is checked here: ChannelBatch.from_gains and save_dataset check
+    the gains.
 
     Amplitude gain = sqrt(pathloss(distance)) times unit-variance complex
     Gaussian fading. With ``fading=False`` the fading factor is exactly 1,
@@ -279,8 +381,8 @@ def realize_channels(
         return amp.astype(complex)
     seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), dist.shape[:-2])
     normal = np.empty((seeds.size, 2, m, m))  # the real parts, then the imaginary
-    for b, s in enumerate(seeds.reshape(-1).tolist()):
-        normal[b] = np.random.default_rng(s).standard_normal((2, m, m))
+    for b, rng in enumerate(generators(seeds)):
+        normal[b] = rng.standard_normal((2, m, m))
     normal = normal.reshape(seeds.shape + (2, m, m))
     fade = (normal[..., 0, :, :] + 1j * normal[..., 1, :, :]) / np.sqrt(2.0)
     return amp * fade
@@ -385,7 +487,8 @@ def save_dataset(path, G_train, G_test, sigma2, alpha, p_max, meta: dict | None 
     if any(G.ndim != 3 or G.shape[1:] != (m, m) for G in gains.values()):
         raise DimensionError("the splits must be (n, M, M) gain stacks of one M, got "
                              f"{gains['train'].shape} and {gains['test'].shape}")
-    sigma2, alpha = check_dataset_link(m, sigma2, alpha, p_max)  # both (M,)
+    sigma2, alpha = check_dataset_link(m, sigma2, alpha, p_max,  # both (M,)
+                                       max(map(len, gains.values())))
     for split, G in gains.items():
         try:
             _check_stack(G, sigma2, p_max)
@@ -483,7 +586,8 @@ def load_dataset(path) -> tuple[ChannelBatch, ChannelBatch, dict]:
     try:
         check_json(header, _HEADER)
         m, p_max = header["M"], header["p_max"]
-        sigma2, alpha = check_dataset_link(m, header["sigma2"], header["alpha"], p_max)
+        sigma2, alpha = check_dataset_link(m, header["sigma2"], header["alpha"], p_max,
+                                           max(header["train"], header["test"]))
     except ValueError as exc:
         raise ValueError(f"dataset header in {path}: {exc}") from exc
     splits = []

@@ -135,7 +135,8 @@ def _validate_config(cfg: dict) -> None:
     sc = cfg["scenario"]
     try:
         ch.check_geometry(sc["M"], sc["d"], sc["d_min"], sc["d_max"])
-        ch.check_dataset_link(sc["M"], sc["sigma2"], sc["alpha"], sc["p_max"])
+        ch.check_dataset_link(sc["M"], sc["sigma2"], sc["alpha"], sc["p_max"],
+                              max(sc["train_size"], sc["test_size"]))
     except ValueError as exc:
         raise ConfigError(f"scenario.{exc}") from exc
     if sc["train_size"] < 1 or sc["test_size"] < 0:
@@ -184,8 +185,8 @@ def cmd_gen(cfg: dict) -> int:
     data_seed = cfg["train"]["seeds"]["data"]
     gains = {}
     for tag, (split, count_key) in enumerate((("train", "train_size"), ("test", "test_size"))):
-        geom, fade = (np.array([mix_seed(data_seed, stream, tag, idx)
-                                for idx in range(sc[count_key])], dtype=np.uint64)
+        index = np.arange(sc[count_key])
+        geom, fade = (mix_seed(data_seed, stream, tag, index)
                       for stream in (_GEOM_STREAM_TAG, _FADE_STREAM_TAG))
         try:  # one call of each per split, looked up on the module (the tracer wraps them)
             scen = ch.generate_scenario(M=sc["M"], d=sc["d"], d_min=sc["d_min"],

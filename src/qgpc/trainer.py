@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import (
-    ChannelBatch, row_blocks, sigmoid, sum_rate, weighted_sum_rate_grad,
+    ChannelBatch, row_blocks, seed_state, sigmoid, sum_rate, weighted_sum_rate_grad,
 )
 from .graph import InterferenceGraph, mix64
 # wmmse_allocate is not called here; it stays bound on this module for code
@@ -53,10 +53,13 @@ class NonFinitePowerError(RuntimeError):
     """Evaluation aborted on a non-finite decoded power."""
 
 
-def mix_seed(*parts: int) -> int:
-    """Deterministically combine integers into one RNG seed."""
-    state = np.random.SeedSequence([int(p) for p in parts]).generate_state(1, np.uint64)
-    return int(state[0])
+def mix_seed(*parts):
+    """Combine ints in [0, 2^64) into one RNG seed, the first uint64 of
+    np.random.SeedSequence(parts).generate_state: one int. With an index
+    array as the last part, one uint64 seed per index, hashed in one array
+    pass (channels.seed_state) with the bits of the per-index calls."""
+    state = seed_state(*parts)[..., 0]
+    return int(state) if state.ndim == 0 else state
 
 
 class Instance(NamedTuple):

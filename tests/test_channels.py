@@ -85,6 +85,35 @@ def test_batched_draw_gives_the_bits_of_a_per_instance_draw(M, d):
         assert max(used) > ch.POOL_PER_PAIR * M
 
 
+# numpy hashes a part below 2^32 as one word and a larger one as two
+_SEED_PARTS = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]),
+                        st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=150)
+@given(head=st.lists(_SEED_PARTS, max_size=5), index=st.lists(_SEED_PARTS, max_size=6),
+       n_words=st.integers(1, 5))
+def test_seed_state_gives_the_bits_of_seed_sequence(head, index, n_words):
+    index = np.array(index, dtype=np.uint64)
+    got = ch.seed_state(*head, index, n_words=n_words)
+    assert got.dtype == np.uint64 and got.shape == (len(index), n_words)
+    for i, row in zip(index.tolist(), got):
+        want = np.random.SeedSequence([*head, i]).generate_state(n_words, np.uint64)
+        assert np.array_equal(row, want)
+        assert np.array_equal(ch.seed_state(*head, i, n_words=n_words), want)  # a scalar
+
+
+@settings(max_examples=60)
+@given(st.lists(_SEED_PARTS, max_size=6))
+def test_generators_carry_the_state_of_default_rng(seeds):
+    rngs = ch.generators(np.array(seeds, dtype=np.uint64))
+    assert len(rngs) == len(seeds)
+    for rng, seed in zip(rngs, seeds):
+        want = np.random.default_rng(seed)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(rng.standard_normal(3), want.standard_normal(3))
+
+
 def test_a_pair_that_finds_no_receiver_position_stops_at_the_attempt_cap():
     # d_min = d_max = d = 10: a receiver fits only where a corner of the square
     # is more than 10 m from the transmitter; pick drops by that distance

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgpc.cli as cli
+import seed_reference
 from qgpc import channels as ch
 from qgpc.checkpoint import (CHECKPOINT_VERSION, KNOWN_KINDS, CheckpointError, load_checkpoint,
                              save_checkpoint)
@@ -514,6 +515,86 @@ def test_train_on_a_dataset_without_a_train_split_exits_2_with_one_line(tmp_path
     assert main(_args(tmp_path) + ["train"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: dataset has no train split to train on\n"
+
+
+_TOO_LARGE = ("M and the split sizes must keep a split's (n, M, M) complex gains within "
+              f"{ch.MAX_SPLIT_BYTES} bytes, got M={{}} and n={{}}")
+
+
+@pytest.mark.parametrize("M", [10 ** 30, 10 ** 12])
+def test_an_m_past_the_split_byte_bound_is_one_line_from_the_config_and_the_header(
+        tmp_path, capsys, M):
+    # the rule runs before any (M,) array is made, so numpy's words ("Maximum
+    # allowed dimension exceeded", "Unable to allocate 7.28 TiB") never show
+    assert main(["--set", f"io.out_dir={tmp_path}", "--set", f"scenario.M={M}", "gen"]) == 2
+    assert capsys.readouterr().err == f"error: scenario.{_TOO_LARGE.format(M, 300)}\n"
+    assert main(_args(tmp_path) + ["gen"]) == 0
+    path = tmp_path / "dataset.npz"
+    members = _members(path)
+    _write_members(path, members, {**json.loads(str(members["header"])), "M": M})
+    capsys.readouterr()
+    for command in ("train", "eval"):
+        assert main(_args(tmp_path) + [command]) == 2
+        assert capsys.readouterr().err == (f"error: dataset header in {path}: "
+                                           f"{_TOO_LARGE.format(M, 8)}\n")
+
+
+def test_a_split_size_past_the_byte_bound_is_refused_by_each_reader_alike(tmp_path, capsys):
+    n = ch.MAX_SPLIT_BYTES // (16 * 3 * 3) + 1  # one realization of M=3 past the bound
+    words = _TOO_LARGE.format(3, n)
+    assert main(_args(tmp_path, "--set", f"scenario.test_size={n}") + ["gen"]) == 2
+    assert capsys.readouterr().err == f"error: scenario.{words}\n"
+    G = _three_pair_gains()
+    many = np.broadcast_to(G[0], (n, 3, 3))  # a view: no bytes are allocated for it
+    path = tmp_path / "dataset.npz"
+    assert _refusal(lambda: ch.save_dataset(path, G, many, 0.01, 1.0, 1.0)) == words
+    assert not path.exists()
+    assert _refusal(lambda: ch.ChannelBatch.from_gains(many, 0.01, 1.0, 1.0)) == words
+    ch.save_dataset(path, G[:1], G[1:], 0.01, 1.0, 1.0)
+    members = _members(path)
+    _write_members(path, members, {**json.loads(str(members["header"])), "train": n})
+    assert _refusal(lambda: ch.load_dataset(path), f"dataset header in {path}: ") == words
+    # one realization fewer is within the bound (the config is only read)
+    assert load_config(None, ["scenario.M=3", f"scenario.test_size={n - 1}"])
+
+
+class _CountedDraws:
+    """A generator that counts its uniform calls: two are a drop's
+    transmitters and first pool of receiver attempts; more are later pools."""
+
+    def __init__(self, rng):
+        self.rng, self.uniform_calls = rng, 0
+
+    def uniform(self, *args, **kwargs):
+        self.uniform_calls += 1
+        return self.rng.uniform(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def test_gen_writes_the_bytes_of_per_realization_seeding(tmp_path, monkeypatch):
+    # M=3 in a 20 m square: some receiver runs out of its first pool of
+    # attempts and draws another, so the later pools are compared too
+    def args(name):
+        return ["--set", f"io.out_dir={tmp_path / name}", "--set", "scenario.M=3",
+                "--set", "scenario.d=20", "--set", "scenario.train_size=20",
+                "--set", "scenario.test_size=10", "gen"]
+
+    assert main(args("array")) == 0
+    made = []
+
+    def reference(seeds):
+        rngs = [_CountedDraws(rng) for rng in seed_reference.generators(seeds)]
+        made.extend(rngs)
+        return rngs
+
+    monkeypatch.setattr(ch, "generators", reference)
+    monkeypatch.setattr(cli, "mix_seed", seed_reference.mix_seed)
+    assert main(args("reference")) == 0
+    assert len(made) == 2 * 30 and max(rng.uniform_calls for rng in made) > 2
+    assert ((tmp_path / "array" / "dataset.npz").read_bytes()
+            == (tmp_path / "reference" / "dataset.npz").read_bytes())
 
 
 @pytest.mark.parametrize("override, owner, words", [

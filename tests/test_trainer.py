@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import qgpc.qgnn as qgnn_mod
 import qgpc.qsim as qsim_mod
 import qgpc.trainer as trainer_mod
+import seed_reference
 from qgpc import channels as ch
 from qgpc.gcn import GcnModel
 from qgpc.graph import build_graph, fit_feature_scaler, mix64
@@ -82,6 +83,14 @@ def test_mix_seed_is_deterministic_and_sensitive_to_every_part():
     seen = {mix_seed(1, 2, 3), mix_seed(3, 2, 1), mix_seed(1, 2), mix_seed(1, 2, 4)}
     assert len(seen) == 4
     assert all(0 <= s < 2 ** 64 for s in seen)
+    # an index array gives the per-index SeedSequence seeds in one call, on
+    # both sides of 2^32 (one entropy word per index, or two)
+    idx = np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 7], dtype=np.uint64)
+    for head in ((), (1,), (2 ** 40, 0x47454F, 1)):
+        got = mix_seed(*head, idx)
+        assert got.dtype == np.uint64
+        assert got.tolist() == seed_reference.mix_seed(*head, idx).tolist()
+    assert mix_seed(1, 2, np.arange(0)).shape == (0,)
 
 
 def test_star_seed_streams_are_distinct():
