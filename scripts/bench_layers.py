@@ -30,7 +30,10 @@ to a file in a temporary directory; so does ``cli.cmd_gen``, the whole
 ``gen`` command (seeds, draws, checks and save), at the desk config and at
 M=16. The seeding of a desk ``gen`` is also timed alone: the position and
 fading seed of each of the 400 realizations (``trainer.mix_seed``, 800
-seeds) and the generators they seed (``channels.generators``, 800).
+seeds) and the generators they seed (``channels.generators``, 800); so are
+its drops (``channels.generate_scenario``, one call per split on gen's
+position seeds) and, at M=16, its gains (``channels.realize_channels``, one
+call per split over drops made beforehand, on gen's fading seeds).
 ``build_graph`` runs over the 400 desk realizations one by one and on the
 300-realization training stack in one call, and ``fit_feature_scaler`` on
 the training stack.
@@ -84,12 +87,28 @@ REPEATS = 30  # timed calls per kernel
 LINK = (ch.DEFAULT_NOISE_POWER, ch.DEFAULT_WEIGHT, ch.DEFAULT_P_MAX)  # sigma2, alpha, p_max
 
 
+def _scenario(m: int, seeds, side: float = ch.DEFAULT_AREA_SIDE) -> ch.Scenario:
+    """The drops of size m of the seeds, at the desk ranges."""
+    return ch.generate_scenario(m, side, ch.DEFAULT_MIN_RANGE, ch.DEFAULT_MAX_RANGE, seeds)
+
+
 def _gains(count: int, seed0: int, m: int = M, side: float = ch.DEFAULT_AREA_SIDE) -> np.ndarray:
     """The complex (count, m, m) gains of drops drawn from fixed seeds."""
     seeds = seed0 + np.arange(count)
-    return ch.realize_channels(ch.generate_scenario(m, side, ch.DEFAULT_MIN_RANGE,
-                                                    ch.DEFAULT_MAX_RANGE, seeds),
-                               seed=seeds + 100_000)
+    return ch.realize_channels(_scenario(m, seeds, side), seed=seeds + 100_000)
+
+
+def _gen_seeds() -> list[tuple]:
+    """The position and fading seeds of a desk gen's two splits at data seed 1."""
+    return [tuple(mix_seed(1, stream, tag, np.arange(count))
+                  for stream in (_GEOM_STREAM_TAG, _FADE_STREAM_TAG))
+            for tag, count in enumerate((TRAIN, TEST))]
+
+
+def _gen_splits(m: int) -> list[tuple]:
+    """The position seeds, fading seeds and drops of size m of a desk gen's
+    two splits, as gen draws them."""
+    return [(geom, fade, _scenario(m, geom)) for geom, fade in _gen_seeds()]
 
 
 def _realizations(count: int, seed0: int, m: int = M,
@@ -115,9 +134,9 @@ def _gen(tmp: Path, *overrides: str):
 
 def _seeding():
     """The seeds and generators of a desk gen at data seed 1, without the draws."""
-    for tag, count in enumerate((TRAIN, TEST)):
-        for stream in (_GEOM_STREAM_TAG, _FADE_STREAM_TAG):
-            ch.generators(mix_seed(1, stream, tag, np.arange(count)))
+    for split in _gen_seeds():
+        for seeds in split:
+            ch.generators(seeds)
 
 
 def _time(fn) -> dict:
@@ -170,6 +189,7 @@ def measure(tmp: Path) -> dict[str, dict]:
     onoff_dense = _realizations(10, TRAIN, WIDE_M, DENSE_SIDE)
     onoff_12 = _realizations(20, TRAIN, 12, DENSE_SIDE)
     single = _realizations(8, TRAIN, 1)
+    desk_splits, wide_splits = _gen_splits(M), _gen_splits(WIDE_M)
 
     calls = {
         "qgnn._prepare.grad": lambda: qgnn._prepare(q_flat, grad=True),
@@ -207,6 +227,10 @@ def measure(tmp: Path) -> dict[str, dict]:
             wide_file, wide_train_g, wide_g, *LINK),
         f"channels.load_dataset.{stored}.M{WIDE_M}": lambda: ch.load_dataset(wide_file),
         f"channels.seeding.{stored}": _seeding,
+        f"channels.generate_scenario.{stored}": lambda: [_scenario(M, geom)
+                                                         for geom, _, _ in desk_splits],
+        f"channels.realize_channels.{stored}.M{WIDE_M}": lambda: [
+            ch.realize_channels(drops, seed=fade) for _, fade, drops in wide_splits],
         f"cli.cmd_gen.{stored}": _gen(tmp),
         f"cli.cmd_gen.{stored}.M{WIDE_M}": _gen(tmp, f"scenario.M={WIDE_M}"),
         f"graph.build_graph.{stored}": lambda: [build_graph(c, scaler) for c in desk_rows],

@@ -116,11 +116,14 @@ def check_dataset_link(m: int, sigma2, alpha, p_max, count: int) -> tuple[np.nda
 
 
 def check_geometry(M: int, d: float, d_min: float, d_max: float) -> None:
-    """The drop geometry rule: M >= 1 and 0 < d_min <= d_max <= d, or GeometryError."""
+    """The drop geometry rule: M >= 1 and 0 < d_min <= d_max <= d, d finite,
+    or GeometryError."""
     if M < 1:
         raise GeometryError(f"M must be >= 1, got {M}")
     if not (0 < d_min <= d_max <= d):
         raise GeometryError(f"d_min, d_max need 0 < d_min <= d_max <= d, got {d_min}, {d_max}, {d}")
+    if not np.isfinite(d):
+        raise GeometryError(f"d must be finite, got {d}")
 
 
 def _check_stack(G: np.ndarray, sigma2: np.ndarray, p_max) -> np.ndarray:
@@ -202,8 +205,11 @@ class ChannelBatch:
 
 
 def pathloss(r, exponent: float):
-    """Distance gain (1 + r)^(-exponent); finite at r = 0."""
-    return (1.0 + np.asarray(r, dtype=float)) ** (-exponent)
+    """Distance gain (1 + r)^(-exponent); finite at r = 0. One array is
+    allocated, and the power is taken in it."""
+    gain = 1.0 + np.asarray(r, dtype=float)
+    gain **= -exponent  # the dispatch of ``**``, in place
+    return gain
 
 
 POOL_PER_PAIR = 2  # receiver attempts an instance draws at a time, per pair
@@ -300,6 +306,15 @@ def generators(seeds) -> list[np.random.Generator]:
             for words in seed_state(np.asarray(seeds, np.uint64).reshape(-1), n_words=4)]
 
 
+def _uniform(u: np.ndarray, low, high) -> np.ndarray:
+    """Generator.uniform(low, high) of the standard draws u (Generator.random)
+    that it makes, computed in u: low + (high - low) * u, numpy's own float
+    operations in its order."""
+    u *= np.subtract(high, low)
+    u += low
+    return u
+
+
 def generate_scenario(M: int, d: float, d_min: float, d_max: float, seed) -> Scenario:
     """Drop M transmitters uniformly in the square and each receiver at a
     uniform range/bearing from its transmitter, rejection-sampled into the
@@ -308,41 +323,45 @@ def generate_scenario(M: int, d: float, d_min: float, d_max: float, seed) -> Sce
     generator (``generators``) exactly as its seed alone would draw it.
 
     An instance draws its transmitters, then a pool of POOL_PER_PAIR * M
-    (range, bearing) attempts, and another pool whenever one runs out. Pair
-    i takes the next attempts in the order drawn until one lands in the
-    square, in one pass over every instance per pair. A pair that finds no
-    position in MAX_ATTEMPTS attempts raises GeometryError with the
-    instance's index (in a 10 m square with d_min = 10, no point is 10 m
-    from a transmitter near the centre)."""
+    (range, bearing) attempts, in one ``random`` call, and another pool
+    whenever one runs out; every draw is mapped by ``_uniform``, with the
+    bits of a ``uniform`` call per part. Pair i takes the next attempts in
+    the order drawn until one lands in the square, in one pass over every
+    instance per pair. A pair that finds no position in MAX_ATTEMPTS
+    attempts raises GeometryError with the instance's index (in a 10 m
+    square with d_min = 10, no point is 10 m from a transmitter near the
+    centre)."""
     check_geometry(M, d, d_min, d_max)
     seeds = np.asarray(seed, dtype=np.uint64)
     rngs = generators(seeds)
     n, k = len(rngs), POOL_PER_PAIR * M
     low, high = [d_min, 0.0], [d_max, 2.0 * np.pi]
-    tx, attempts = np.empty((n, M, 2)), np.empty((n, k, 2))
+    draws = np.empty((n, M + k, 2))  # each instance's transmitters, then its first pool
     for b, rng in enumerate(rngs):
-        tx[b] = rng.uniform(0.0, d, size=(M, 2))
-        attempts[b] = rng.uniform(low, high, size=(k, 2))
+        rng.random(out=draws[b])
+    tx = _uniform(draws[:, :M], 0.0, d)
 
     def steps(rows):  # (..., k, 2) range/bearing attempts -> offsets from the transmitter
         phi = rows[..., 1]
         return rows[..., :1] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
-    def inside(points):
+    def lands(origin, offsets):  # a point past float's range is outside the square
+        with np.errstate(over="ignore"):
+            points = origin + offsets
         return ((points >= 0.0) & (points <= d)).all(axis=-1)
 
-    step = steps(attempts)
+    step = steps(_uniform(draws[:, M:], low, high))
     rx = np.empty((n, M, 2))
     nxt = np.zeros(n, dtype=np.intp)  # each instance's next unused attempt
     every = np.arange(n)
     for i in range(M):
-        hit = inside(tx[:, i, None, :] + step) & (np.arange(k) >= nxt[:, None])
+        hit = lands(tx[:, i, None, :], step) & (np.arange(k) >= nxt[:, None])
         first = hit.argmax(axis=1)
         for b in np.flatnonzero(~hit[every, first]):  # this pool ran out
             tried, found = k - nxt[b], False
             while not found and tried < MAX_ATTEMPTS:
-                step[b] = steps(rngs[b].uniform(low, high, size=(k, 2)))
-                hits = inside(tx[b, i] + step[b])
+                step[b] = steps(_uniform(rngs[b].random((k, 2)), low, high))
+                hits = lands(tx[b, i], step[b])
                 first[b], found = hits.argmax(), hits.any()
                 tried += first[b] + 1 if found else k
             if tried > MAX_ATTEMPTS or not found:
@@ -367,25 +386,39 @@ def realize_channels(
     fading seed in [0, 2^64) or B of them, instance b drawn from its own
     generator (``generators``) exactly as its seed alone would draw it.
     Nothing is checked here: ChannelBatch.from_gains and save_dataset check
-    the gains.
+    the gains, so a distance or gain past float's range is theirs to refuse.
 
     Amplitude gain = sqrt(pathloss(distance)) times unit-variance complex
     Gaussian fading. With ``fading=False`` the fading factor is exactly 1,
-    so pathloss_exp = 0 gives |g_km| = 1 for every link.
+    so pathloss_exp = 0 gives |g_km| = 1 for every link. The fading is
+    formed in the returned array and its draws freed before the distances
+    are taken, so at most two arrays of the gains' bytes are live at once.
     """
-    m = scenario.tx_pos.shape[-2]
-    diff = scenario.tx_pos[..., :, None, :] - scenario.rx_pos[..., None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))  # dist[..., k, m] = tx k to rx m
-    amp = np.sqrt(pathloss(dist, pathloss_exp))
+    tx, rx = scenario.tx_pos, scenario.rx_pos
+    lead, m = tx.shape[:-2], tx.shape[-2]
+    if fading:
+        seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), lead)
+        normal = np.empty((seeds.size, 2, m, m))  # the real parts, then the imaginary
+        for b, rng in enumerate(generators(seeds)):
+            rng.standard_normal(out=normal[b])
+        normal = normal.reshape(lead + (2, m, m))
+        gains = np.multiply(1j, normal[..., 1, :, :], out=np.empty(lead + (m, m), complex))
+        np.add(normal[..., 0, :, :], gains, out=gains)
+        gains /= np.sqrt(2.0)
+        del normal
+    with np.errstate(over="ignore"):  # past float's range: inf or 0, for the checks to judge
+        dist = tx[..., :, None, 0] - rx[..., None, :, 0]  # x offsets, then dist[..., k, m]
+        dist *= dist
+        dy = tx[..., :, None, 1] - rx[..., None, :, 1]
+        dy *= dy
+        dist += dy
+        del dy
+        amp = pathloss(np.sqrt(dist, out=dist), pathloss_exp)
+    del dist
+    np.sqrt(amp, out=amp)
     if not fading:
         return amp.astype(complex)
-    seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), dist.shape[:-2])
-    normal = np.empty((seeds.size, 2, m, m))  # the real parts, then the imaginary
-    for b, rng in enumerate(generators(seeds)):
-        normal[b] = rng.standard_normal((2, m, m))
-    normal = normal.reshape(seeds.shape + (2, m, m))
-    fade = (normal[..., 0, :, :] + 1j * normal[..., 1, :, :]) / np.sqrt(2.0)
-    return amp * fade
+    return np.multiply(amp, gains, out=gains)
 
 
 def row_blocks(count: int, item_bytes: int):

@@ -36,11 +36,20 @@ class FeatureScaler:
     z_clip: float = 3.0
 
     def angle(self, x) -> np.ndarray:
-        x = np.maximum(np.asarray(x, dtype=float), 1e-300)
+        """phi of every value of x, a scalar or an array: one output array is
+        allocated and every step runs in it, so x is never written."""
+        x = np.asarray(x, dtype=float)
+        z = np.maximum(x, 1e-300, out=np.empty(x.shape))
+        np.log10(z, out=z)
+        z -= self.mu
         with np.errstate(over="ignore"):  # a subnormal sigma: the clip saturates the inf
-            z = (np.log10(x) - self.mu) / self.sigma
-        z = np.clip(z, -self.z_clip, self.z_clip)
-        return (z + self.z_clip) / (2.0 * self.z_clip) * np.pi
+            z /= self.sigma
+        # np.clip's bits, min(max(z, lo), hi) with NaN kept, without its Python wrapper
+        np.minimum(np.maximum(z, -self.z_clip, out=z), self.z_clip, out=z)
+        z += self.z_clip
+        z /= 2.0 * self.z_clip
+        z *= np.pi
+        return z if z.ndim else z[()]
 
 
 def fit_feature_scaler(channels: ChannelBatch) -> FeatureScaler:
@@ -65,9 +74,11 @@ class InterferenceGraph:  # one graph, or a stack along leading axes
 def build_graph(channels: ChannelBatch, scaler: FeatureScaler) -> InterferenceGraph:
     """Complete graph over the M pairs of one realization, or of each of a stack."""
     edge = scaler.angle(channels.gain)
-    # the features copy the diagonals before they are zeroed, through a strided view
-    feats = np.stack([np.diagonal(edge, axis1=-2, axis2=-1), channels.alpha], axis=-1)
     m = edge.shape[-1]
+    feats = np.empty(edge.shape[:-1] + (NODE_FEATURES,))
+    # the features copy the diagonals before they are zeroed, through a strided view
+    feats[..., 0] = edge.diagonal(axis1=-2, axis2=-1)
+    feats[..., 1] = channels.alpha
     edge.reshape(-1, m * m)[:, ::m + 1] = 0.0
     return InterferenceGraph(node_features=feats, edge_angle=edge)
 

@@ -133,6 +133,12 @@ def test_a_pair_that_finds_no_receiver_position_stops_at_the_attempt_cap():
                                    f"{ch.MAX_ATTEMPTS} attempts")
 
 
+def test_a_square_of_infinite_side_is_refused_before_any_draw():
+    # the draws map u to d * u, which would make every point of it infinite
+    with pytest.raises(ch.GeometryError, match=r"^d must be finite, got inf$"):
+        ch.generate_scenario(4, np.inf, 2.0, 10.0, seed=0)
+
+
 def test_pathloss_unit_at_zero_distance():
     assert ch.pathloss(0.0, 3.0) == 1.0
     assert ch.pathloss(1.0, 3.0) == pytest.approx(0.125)

@@ -559,15 +559,15 @@ def test_a_split_size_past_the_byte_bound_is_refused_by_each_reader_alike(tmp_pa
 
 
 class _CountedDraws:
-    """A generator that counts its uniform calls: two are a drop's
-    transmitters and first pool of receiver attempts; more are later pools."""
+    """A generator that counts its random calls: one is a drop's transmitters
+    and first pool of receiver attempts; more are later pools."""
 
     def __init__(self, rng):
-        self.rng, self.uniform_calls = rng, 0
+        self.rng, self.random_calls = rng, 0
 
-    def uniform(self, *args, **kwargs):
-        self.uniform_calls += 1
-        return self.rng.uniform(*args, **kwargs)
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self.rng.random(*args, **kwargs)
 
     def standard_normal(self, *args, **kwargs):
         return self.rng.standard_normal(*args, **kwargs)
@@ -592,7 +592,7 @@ def test_gen_writes_the_bytes_of_per_realization_seeding(tmp_path, monkeypatch):
     monkeypatch.setattr(ch, "generators", reference)
     monkeypatch.setattr(cli, "mix_seed", seed_reference.mix_seed)
     assert main(args("reference")) == 0
-    assert len(made) == 2 * 30 and max(rng.uniform_calls for rng in made) > 2
+    assert len(made) == 2 * 30 and max(rng.random_calls for rng in made) > 1
     assert ((tmp_path / "array" / "dataset.npz").read_bytes()
             == (tmp_path / "reference" / "dataset.npz").read_bytes())
 
@@ -1272,6 +1272,23 @@ def test_eval_with_a_subnormal_scaler_sigma_warns_nothing(tmp_path, capsys):
     capsys.readouterr()
     assert main(_args(tmp_path) + ["eval"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("overrides, code, lines", [
+    # (1 + r)^400 overflows for every r past ~5 m: the finite-gain check refuses it
+    (["scenario.pathloss_exp=-400"], 2, ["error: train realization 0: |G|^2 must be finite"]),
+    # attempts and squared distances past float's range: the first miss, the
+    # second a pathloss of exactly 0, which the dataset takes
+    (["scenario.d=1e308", "scenario.d_max=1e308"], 0, []),
+])
+def test_gen_past_float_range_writes_only_its_own_lines_to_stderr(tmp_path, overrides, code,
+                                                                  lines):
+    args = ["--set", f"io.out_dir={tmp_path}"]
+    for override in overrides:
+        args += ["--set", override]
+    result = _cli(args + ["gen"], tmp_path)
+    assert (result.returncode, result.stderr.decode().splitlines()) == (code, lines)
+    assert (tmp_path / "dataset.npz").exists() == (code == 0)
 
 
 @pytest.mark.parametrize("case", ["other_kind", "one_param_short"])

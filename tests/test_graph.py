@@ -226,12 +226,56 @@ def _stacks(draw):
 def test_a_stack_builds_each_row_graph_bit_for_bit(case):
     stack, scaler = case
     rows, m = stack.gain.shape[:2]
+    gain = stack.gain.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a saturated or subnormal-sigma clip warns nothing
         g = build_graph(stack, scaler)
         alone = [build_graph(c, scaler) for c in stack]
+    assert stack.gain.tobytes() == gain.tobytes()  # the angles are built in their own array
     assert g.node_features.shape == (rows, m, 2) and g.edge_angle.shape == (rows, m, m)
     assert g.N == m and not np.diagonal(g.edge_angle, axis1=-2, axis2=-1).any()
     for i, r in enumerate(alone):
         assert g.node_features[i].tobytes() == r.node_features.tobytes()
         assert g.edge_angle[i].tobytes() == r.edge_angle.tobytes()
+
+
+def _angle_reference(scaler, x):
+    """FeatureScaler.angle as one expression over temporaries: the in-place
+    steps must give its bits."""
+    x = np.maximum(np.asarray(x, dtype=float), 1e-300)
+    with np.errstate(over="ignore"):
+        z = (np.log10(x) - scaler.mu) / scaler.sigma
+    z = np.clip(z, -scaler.z_clip, scaler.z_clip)
+    return (z + scaler.z_clip) / (2.0 * scaler.z_clip) * np.pi
+
+
+_VALUES = (st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1e-300, 1.0, 1e300, 1e308]))
+
+
+@st.composite
+def _angle_inputs(draw):
+    """A scaler, its sigma possibly the subnormal 1e-320, and a float64 value
+    to scale: a Python float, a 0-d array, an (M, M) array or a stack."""
+    scaler = FeatureScaler(mu=draw(st.floats(-20.0, 20.0), label="mu"),
+                           sigma=draw(st.sampled_from([1e-320, 1e-3, 1.0, 40.0]), label="sigma"),
+                           z_clip=draw(st.sampled_from([3.0, 0.5, 10.0]), label="z_clip"))
+    shape = draw(st.sampled_from([None, (), (3, 3), (4, 2, 2), (0, 2, 2)]), label="shape")
+    if shape is None:
+        return scaler, draw(_VALUES, label="x")
+    values = draw(st.lists(_VALUES, min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))), label="x")
+    return scaler, np.array(values, dtype=float).reshape(shape)
+
+
+@given(_angle_inputs())
+def test_angle_keeps_its_argument_and_the_bits_of_one_expression(case):
+    scaler, x = case
+    before = np.array(x, copy=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither the subnormal sigma nor a NaN warns
+        got = scaler.angle(x)
+    want = _angle_reference(scaler, before)
+    assert np.asarray(x).tobytes() == before.tobytes()
+    assert type(got) is type(want)  # a scalar or a 0-d array gives a scalar
+    assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == want.tobytes()
