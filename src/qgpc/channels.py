@@ -19,7 +19,6 @@ import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -150,15 +149,16 @@ class ChannelBatch:
     """Channels of one size M, one realization or a stack of B along a
     leading axis. A stack has a length, iterates over its realizations and
     gives one as views at an int index, a stack at any other index; one
-    realization has no length. Only the real |G|^2 is kept: the SINR, its
-    gradient, the graph features and every WMMSE block read no phase, and
-    the complex gains would triple the bytes."""
+    realization has no length. The link constants are held once, read-only:
+    every row of a stack reads its sigma2, alpha and p_max. Only the real
+    |G|^2 is kept: the SINR, its gradient, the graph features and every
+    WMMSE block read no phase, and the complex gains would triple the bytes."""
 
     gain: np.ndarray    # (..., M, M) |G|^2, [k, m] from tx k to rx m
     cross: np.ndarray   # (..., M, M) |G|^2 with its diagonal zeroed, built once
-    sigma2: np.ndarray  # (..., M) receiver noise power, > 0
-    alpha: np.ndarray   # (..., M) objective weights, >= 0
-    p_max: np.ndarray | float  # (B,) for a stack
+    sigma2: np.ndarray  # (M,) receiver noise power, > 0
+    alpha: np.ndarray   # (M,) objective weights, >= 0
+    p_max: float        # the amplitude budget of every pair, > 0
 
     @classmethod
     def from_gains(cls, G, sigma2, alpha, p_max) -> "ChannelBatch":
@@ -168,20 +168,23 @@ class ChannelBatch:
         G = np.asarray(G, dtype=complex)
         if G.ndim not in (2, 3) or G.shape[-2] != G.shape[-1]:
             raise DimensionError(f"G must be square, got {G.shape}")
-        lead, m = G.shape[:-2], G.shape[-1]
-        sigma2, alpha = check_link(m, sigma2, alpha, p_max, len(G) if lead else 1)
+        m = G.shape[-1]
+        sigma2, alpha = check_link(m, sigma2, alpha, p_max, len(G) if G.ndim == 3 else 1)
         gain = _check_stack(G.reshape(-1, m, m), sigma2, p_max).reshape(G.shape)
-        return cls(gain, gain * (1.0 - np.eye(m)), np.broadcast_to(sigma2, lead + (m,)),
-                   np.broadcast_to(alpha, lead + (m,)),
-                   np.full(lead, float(p_max)) if lead else float(p_max))
+        sigma2.flags.writeable = alpha.flags.writeable = False  # shared by every row
+        return cls(gain, gain * (1.0 - np.eye(m)), sigma2, alpha, float(p_max))
 
     @classmethod
-    def stack(cls, realizations) -> "ChannelBatch":
-        """Stack single realizations that share M, in the order given."""
-        gain = np.array([ch.gain for ch in realizations])
-        return cls(gain, gain * (1.0 - np.eye(gain.shape[-1])),  # from_gains' zeroing
-                   *(np.array([getattr(ch, name) for ch in realizations])
-                     for name in ("sigma2", "alpha", "p_max")))
+    def stack(cls, realizations: list) -> "ChannelBatch":
+        """Stack single realizations that share M and the link constants, in
+        the order given; the stack holds the first one's constants."""
+        if len({ch.gain.shape for ch in realizations}) != 1 or not all(
+                (x == x[0]).all() for x in (np.array([getattr(ch, name) for ch in realizations])
+                                            for name in ("sigma2", "alpha", "p_max"))):
+            raise ValueError("stacked realizations must share M and the link constants")
+        gain, first = np.array([ch.gain for ch in realizations]), realizations[0]
+        return cls(gain, gain * (1.0 - np.eye(first.M)),  # from_gains' zeroing
+                   first.sigma2, first.alpha, first.p_max)
 
     def __len__(self) -> int:
         if self.gain.ndim == 2:
@@ -189,15 +192,13 @@ class ChannelBatch:
         return self.gain.shape[0]
 
     def __iter__(self):
-        n = len(self)  # one realization is not a stack of M rows
-        # a from_gains stack's link constants are one row broadcast: its rows share one view
-        link = (repeat(a[0], n) if n and not a.strides[0] else a for a in (self.sigma2, self.alpha))
-        return map(ChannelBatch, self.gain, self.cross, *link, self.p_max)
+        len(self)  # one realization is not a stack of M rows
+        return (ChannelBatch(gain, cross, self.sigma2, self.alpha, self.p_max)
+                for gain, cross in zip(self.gain, self.cross))
 
     def __getitem__(self, rows) -> "ChannelBatch":
         len(self)  # one realization has no rows to index
-        return ChannelBatch(self.gain[rows], self.cross[rows], self.sigma2[rows],
-                            self.alpha[rows], self.p_max[rows])
+        return ChannelBatch(self.gain[rows], self.cross[rows], self.sigma2, self.alpha, self.p_max)
 
     @property
     def M(self) -> int:
@@ -379,7 +380,6 @@ def realize_channels(
     scenario: Scenario,
     pathloss_exp: float = DEFAULT_PATHLOSS_EXP,
     seed=0,
-    fading: bool = True,
 ) -> np.ndarray:
     """Draw the complex gains G[..., k, m], tx k to rx m, over a scenario:
     (M, M) for a drop, (B, M, M) for a stack of B drops, with ``seed`` one
@@ -389,23 +389,21 @@ def realize_channels(
     the gains, so a distance or gain past float's range is theirs to refuse.
 
     Amplitude gain = sqrt(pathloss(distance)) times unit-variance complex
-    Gaussian fading. With ``fading=False`` the fading factor is exactly 1,
-    so pathloss_exp = 0 gives |g_km| = 1 for every link. The fading is
-    formed in the returned array and its draws freed before the distances
-    are taken, so at most two arrays of the gains' bytes are live at once.
+    Gaussian fading. The fading is formed in the returned array and its
+    draws freed before the distances are taken, so at most two arrays of
+    the gains' bytes are live at once.
     """
     tx, rx = scenario.tx_pos, scenario.rx_pos
     lead, m = tx.shape[:-2], tx.shape[-2]
-    if fading:
-        seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), lead)
-        normal = np.empty((seeds.size, 2, m, m))  # the real parts, then the imaginary
-        for b, rng in enumerate(generators(seeds)):
-            rng.standard_normal(out=normal[b])
-        normal = normal.reshape(lead + (2, m, m))
-        gains = np.multiply(1j, normal[..., 1, :, :], out=np.empty(lead + (m, m), complex))
-        np.add(normal[..., 0, :, :], gains, out=gains)
-        gains /= np.sqrt(2.0)
-        del normal
+    seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), lead)
+    normal = np.empty((seeds.size, 2, m, m))  # the real parts, then the imaginary
+    for b, rng in enumerate(generators(seeds)):
+        rng.standard_normal(out=normal[b])
+    normal = normal.reshape(lead + (2, m, m))
+    gains = np.multiply(1j, normal[..., 1, :, :], out=np.empty(lead + (m, m), complex))
+    np.add(normal[..., 0, :, :], gains, out=gains)
+    gains /= np.sqrt(2.0)
+    del normal
     with np.errstate(over="ignore"):  # past float's range: inf or 0, for the checks to judge
         dist = tx[..., :, None, 0] - rx[..., None, :, 0]  # x offsets, then dist[..., k, m]
         dist *= dist
@@ -416,8 +414,6 @@ def realize_channels(
         amp = pathloss(np.sqrt(dist, out=dist), pathloss_exp)
     del dist
     np.sqrt(amp, out=amp)
-    if not fading:
-        return amp.astype(complex)
     return np.multiply(amp, gains, out=gains)
 
 
@@ -462,12 +458,12 @@ def sinr(channels: ChannelBatch, p) -> np.ndarray:
 
 
 def weighted_sum_rate(gamma, alpha):
-    """sum_m alpha_m log2(1 + gamma_m) in bps/Hz over the last axis: a float
-    for gamma of shape (M,), an array of B values for shape (B, M). alpha is
-    (M,), or (B, M) with one weight vector per row."""
+    """sum_m alpha_m log2(1 + gamma_m) in bps/Hz over the last axis, alpha
+    (M,): a float for gamma of shape (M,), an array of B values for shape
+    (B, M)."""
     gamma = np.asarray(gamma, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    if gamma.shape[-1:] != alpha.shape[-1:] or alpha.ndim > gamma.ndim:
+    if alpha.shape != gamma.shape[-1:]:
         raise DimensionError(f"gamma {gamma.shape} vs alpha {alpha.shape}")
     if np.any(gamma < 0):
         raise ValueError("gamma must be non-negative")

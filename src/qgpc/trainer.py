@@ -75,7 +75,8 @@ class Split:
     features and (B, N, N) edge angles, and their channels; given seeds, a
     star-drawing model's frozen evaluation stars too, (B, N, s) leaves per
     layer from one _stars call. One stack Instance is used as it is, a list
-    of realizations stacked once; two sizes, or a stack among more, are refused."""
+    of realizations stacked once; two sizes, a stack among more, or link
+    constants that differ (ChannelBatch.stack) are refused."""
 
     def __init__(self, instances: list[Instance], model: BatchModel | None = None,
                  seeds: SeedConfig | None = None):
@@ -89,11 +90,14 @@ class Split:
             self._labels, self.channels, self.graph = instances[0]
         else:
             self._labels = [inst.label for inst in instances]
-            # an empty split has no rows, so no block reads its (0, 0, 0) stacks
+            # an empty split has no rows, so no block reads its (0, 0, 0) stacks or
+            # its link constants, which no realization gives
+            empty = np.empty((0, 0, 0))
             self.graph = InterferenceGraph(*(
                 np.stack([getattr(inst.graph, name) for inst in instances]) if instances
-                else np.empty((0, 0, 0)) for name in ("node_features", "edge_angle")))
-            self.channels = ChannelBatch.stack([inst.channels for inst in instances])
+                else empty for name in ("node_features", "edge_angle")))
+            self.channels = (ChannelBatch.stack([inst.channels for inst in instances]) if instances
+                             else ChannelBatch(empty, empty, np.empty(0), np.empty(0), math.nan))
         self.stars = (model._stars(sizes[0], eval_star_seed(seeds, np.arange(len(self.channels))))
                       if instances and seeds is not None and model.draws_stars else [])
 
@@ -153,7 +157,7 @@ class BatchModel:
             z, tape = self._forward(split.graph.node_features[rows], split.graph.edge_angle[rows],
                                     prepared, stars)
             sig = sigmoid(z)
-            p = channels.p_max[:, None] * sig
+            p = channels.p_max * sig
             yield idx, channels, p, (tape, p * (1.0 - sig))
 
     def forward(self, channels: ChannelBatch, graph: InterferenceGraph,

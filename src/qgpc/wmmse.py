@@ -74,14 +74,14 @@ def _start_count(m: int) -> int:
 
 def _starts(batch: ChannelBatch) -> np.ndarray:
     """Start rows of every instance of a batch, (B * S, M), instance-major,
-    in the order of _start_count. A restart draw depends on its index r
-    alone, so every instance of a size shares it."""
+    in the order of _start_count, scaled by the batch's p_max. A restart
+    draw depends on its index r alone, so every instance of a size shares it."""
     m = batch.M
     unit = [np.ones((1, m))] + ([np.eye(m)] if m > 1 else [])
     for r in range(RANDOM_RESTARTS):
         rng = np.random.default_rng(np.random.SeedSequence([0, _RESTART_STREAM_TAG, r]))
         unit.append(rng.random((1, m)))  # uniform(0, p_max) is p_max times these
-    return (batch.p_max[:, None, None] * np.concatenate(unit)).reshape(-1, m)
+    return np.tile(batch.p_max * np.concatenate(unit), (len(batch), 1))
 
 
 def _mmse_blocks(rows: ChannelBatch, v: np.ndarray):
@@ -116,7 +116,7 @@ def _sweep_rows(batch: ChannelBatch, inst: np.ndarray, v: np.ndarray):
     live = np.arange(n)  # the rows still running, in row order
     for sweep in range(1, MAX_ITER + 1):
         denom = (rows.gain @ coeff[:, :, None])[:, :, 0]
-        v = np.clip(numer / np.maximum(denom, _V_DENOM_FLOOR), 0.0, rows.p_max[:, None])
+        v = np.clip(numer / np.maximum(denom, _V_DENOM_FLOOR), 0.0, rows.p_max)
         gamma, numer, coeff = _mmse_blocks(rows, v)
         prev, obj = obj, weighted_sum_rate(gamma, rows.alpha)
         trace[live, sweep] = obj
@@ -183,34 +183,33 @@ def check_grid(levels: int, m: int) -> None:
 
 def _rates(channels: ChannelBatch, axis: np.ndarray, inst, idx: list, own: list) -> np.ndarray:
     """Weighted sum rate at grid points of the realizations of a stack: a
-    point lies on realization inst, at level idx[k] of that realization's
-    row of axis (B, levels) on axis k, with pair m's direct term at level
-    own[m] (own = idx gives each point's rate). inst and the level arrays
-    are integer arrays of one ndim, broadcast together.
+    point lies on realization inst, at level idx[k] of the power axis
+    (levels,) on axis k, with pair m's direct term at level own[m] (own =
+    idx gives each point's rate). inst and the level arrays are integer
+    arrays of one ndim, broadcast together.
 
-    Each p_k^2 is gathered at the shape of its own index arrays, so sparse
-    level arrays broadcast an axis's power over the grid instead of
-    gathering it per point. Receiver m's interference sums |g_km|^2 p_k^2
-    over k in index order, an exact 0 at k = m, as channels._sinr_terms
-    does, and each rate takes the same float operations as there; the sum
-    over receivers runs in index order.
+    Each p_k^2 is read at the shape of its own index array, so sparse level
+    arrays broadcast an axis's power over the grid; only the direct and
+    cross gains are gathered per point. Receiver m's interference sums
+    |g_km|^2 p_k^2 over k in index order, an exact 0 at k = m, as
+    channels._sinr_terms does, and each rate takes the same float
+    operations as there; the sum over receivers runs in index order.
     """
-    power = [axis[inst, level] ** 2 for level in idx]  # p_k^2 at each point
-    own_power = power if own is idx else [axis[inst, level] ** 2 for level in own]
-    # each point's realization, receiver first: |g_km|^2 (0 at k = m), |g_mm|^2, sigma2, alpha
+    power = [axis[level] ** 2 for level in idx]  # p_k^2 at each point
+    own_power = power if own is idx else [axis[level] ** 2 for level in own]
+    # each point's realization, receiver first: |g_km|^2 (0 at k = m) and |g_mm|^2
     cross = np.take(np.moveaxis(channels.cross, 0, -1), inst, axis=2)
-    direct, sigma2, alpha = (np.take(x.T, inst, axis=1) for x in (
-        np.diagonal(channels.gain, axis1=1, axis2=2), channels.sigma2, channels.alpha))
+    direct = np.take(np.diagonal(channels.gain, axis1=1, axis2=2).T, inst, axis=1)
     interference = 0.0
     for k, p2 in enumerate(power):  # every receiver at once: (M, *points)
         interference = interference + cross[k] * p2
     total = 0.0
     for r, p2 in enumerate(own_power):
         # alpha_r log2(1 + direct / (interference + sigma2_r)), in place after the division
-        rate = direct[r] * p2 / (interference[r] + sigma2[r])
+        rate = direct[r] * p2 / (interference[r] + channels.sigma2[r])
         rate += 1.0
         np.log2(rate, out=rate)
-        rate *= alpha[r]
+        rate *= channels.alpha[r]
         total = total + rate
     return total
 
@@ -225,7 +224,7 @@ def _block_bounds(channels: ChannelBatch, axis: np.ndarray, lead: int) -> np.nda
     (B, levels^lead) for a stack of B, blocks in lexicographic order: each
     pair's own level at the top of its span in the block, each interferer
     at the bottom of its span."""
-    m, levels = channels.M, axis.shape[-1]
+    m, levels = channels.M, len(axis)
     fixed = [_digit(np.arange(levels ** lead)[None], j, lead, levels) for j in range(lead)]
     low, top = ([np.full((1, 1), level)] * (m - lead) for level in (0, levels - 1))
     inst = np.arange(len(channels))[:, None]
@@ -245,8 +244,7 @@ def _search(rows: ChannelBatch, levels: int, lead: int) -> np.ndarray:
     n, m = len(rows), rows.M
     whole = m - lead
     size, blocks = levels ** whole, levels ** lead
-    values, which = np.unique(rows.p_max, return_inverse=True)
-    axis = np.array([np.linspace(0.0, p, levels) for p in values])[which]  # each row's own axis
+    axis = np.linspace(0.0, rows.p_max, levels)
     bounds = _block_bounds(rows, axis, lead)
     bounds[np.isnan(bounds)] = np.inf  # 0 * inf at an alpha = 0 link: never skip its block
     order = np.argsort(-bounds, axis=1, kind="stable")
@@ -281,7 +279,7 @@ def _search(rows: ChannelBatch, levels: int, lead: int) -> np.ndarray:
         stop[live] = (floor[live] <= -best_obj[live, None]).sum(axis=1)  # searchsorted, right
         chunk = per_call
     digits = np.stack([_digit(best, j, m, levels) for j in range(m)], axis=-1)
-    return np.take_along_axis(axis, digits, axis=1)
+    return axis[digits]
 
 
 def grid_search_oracle(channels: ChannelBatch,
@@ -298,9 +296,9 @@ def grid_search_oracle(channels: ChannelBatch,
     are searched in descending order of bound (a stable sort): the top block
     alone, then chunks of blocks of at most SLAB_POINTS values, until a
     block's bound, inflated by BOUND_MARGIN, falls strictly below the best
-    rate found. Whole realizations run together (_search), in row_blocks
-    slices of the stack, each counting its axis and M bound values a block;
-    one realization is a stack of one.
+    rate found. Whole realizations run together (_search) on the stack's
+    one power axis, in row_blocks slices of the stack, each realization
+    counting M bound values a block; one realization is a stack of one.
 
     The answer is that of a full scan: +, / and * round correctly, so they
     are monotone, and the margin covers log2's few-ulp error; so no block
@@ -319,7 +317,7 @@ def grid_search_oracle(channels: ChannelBatch,
     while whole < m and (levels ** whole < BLOCK_POINTS or m * levels ** (m - whole) > SLAB_POINTS):
         whole += 1
     P = np.empty((len(stack), m))
-    for rows in row_blocks(len(stack), 8 * (levels + m * levels ** (m - whole))):
+    for rows in row_blocks(len(stack), 8 * m * levels ** (m - whole)):
         P[rows] = _search(stack[rows], levels, m - whole)
     objectives = sum_rate(stack, P)
     return (P[0], float(objectives[0])) if one else (P, objectives)

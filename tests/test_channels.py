@@ -142,12 +142,7 @@ def test_a_square_of_infinite_side_is_refused_before_any_draw():
 def test_pathloss_unit_at_zero_distance():
     assert ch.pathloss(0.0, 3.0) == 1.0
     assert ch.pathloss(1.0, 3.0) == pytest.approx(0.125)
-
-
-def test_realize_channels_no_fading_no_pathloss_gives_unit_gains():
-    sc = ch.generate_scenario(5, 100.0, 2.0, 10.0, seed=1)
-    G = ch.realize_channels(sc, pathloss_exp=0.0, fading=False)
-    assert np.allclose(np.abs(G), 1.0, atol=0.0)
+    assert ch.pathloss(7.5, 0.0) == 1.0  # exponent 0: no distance loss
 
 
 def test_realize_channels_deterministic_per_seed():
@@ -301,20 +296,20 @@ def test_sinr_keeps_its_precision_when_the_direct_power_dwarfs_the_rest():
 
 @st.composite
 def _one_size_cases(draw):
-    """Realizations of one M (1-10) with gains over eight decades, one
-    power vector each, every power 0 or in [1e-3, 1] p_max (a power near 1e-156
-    squares into the subnormal range, where products lose bits), and the
-    (G, sigma2, alpha, p_max) each was built from."""
+    """Realizations of one M (1-10) and one set of link constants with gains
+    over eight decades, one power vector each, every power 0 or in [1e-3, 1]
+    p_max (a power near 1e-156 squares into the subnormal range, where
+    products lose bits), and the (G, sigma2, alpha, p_max) each was built from."""
     insts, powers, drawn = [], [], []
     m = draw(st.integers(1, 10))
+
+    def arr(shape, lo, hi):
+        return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
+
+    link = 10.0 ** arr((m,), -3.0, 0.0), arr((m,), 0.0, 2.0), draw(st.floats(0.1, 10.0))
     for _ in range(draw(st.integers(1, 8))):
-
-        def arr(shape, lo, hi):
-            return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
-
         G = np.sqrt(10.0 ** arr((m, m), -4.0, 4.0)) * np.exp(1j * arr((m, m), 0.0, 2.0 * np.pi))
-        drawn.append((G, 10.0 ** arr((m,), -3.0, 0.0), arr((m,), 0.0, 2.0),
-                      draw(st.floats(0.1, 10.0))))
+        drawn.append((G, *link))
         inst = _instance(*drawn[-1])
         insts.append(inst)
         powers.append(inst.p_max * draw(hnp.arrays(
@@ -495,9 +490,42 @@ def test_each_loaded_split_is_one_stack_whose_rows_are_views_with_its_bits(tmp_p
             for one in (row, split[b]):
                 for name in ("gain", "cross", "sigma2", "alpha"):
                     assert np.shares_memory(getattr(one, name), getattr(split, name))
-                assert one.p_max == split.p_max[b]
+                assert one.p_max == split.p_max
                 assert ch.sum_rate(one, p[b]) == rates[b]  # bit for bit
                 assert np.array_equal(ch.weighted_sum_rate_grad(one, p[b]), grads[b])
+
+
+def test_stack_refuses_realizations_of_two_sizes_or_other_link_constants():
+    G = ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=1), seed=2)
+    link = {"sigma2": 0.01, "alpha": 1.0, "p_max": 1.0}
+    base = _instance(G, **link)
+    others = [_instance(G, **{**link, key: value}) for key, value in (
+        ("sigma2", [0.01, 0.02, 0.01]), ("alpha", [1.0, 0.0, 1.0]), ("p_max", 2.0))]
+    for other in [*others, _instance(G[:2, :2], **link)]:
+        for rows in ([base, other], [other, base], [base, base, other]):
+            with pytest.raises(ValueError, match="link constants"):
+                ch.ChannelBatch.stack(rows)
+    with pytest.raises(ValueError, match="link constants"):
+        ch.ChannelBatch.stack([])  # no realization to take them from
+    assert ch.ChannelBatch.stack([base, _instance(2.0 * G, **link)]).p_max == 1.0
+
+
+def test_every_row_of_a_stack_carries_its_read_only_link_constants():
+    seeds = np.arange(5)
+    G = ch.realize_channels(ch.generate_scenario(3, 100.0, 2.0, 10.0, seed=seeds), seed=seeds)
+    built = _instance(G, sigma2=[0.01, 0.02, 0.03], alpha=[1.0, 0.5, 2.0], p_max=1.5)
+    stacked = ch.ChannelBatch.stack(list(built))
+    assert stacked.sigma2 is built.sigma2 and stacked.alpha is built.alpha
+    for stack in (built, stacked):
+        assert stack.sigma2.shape == stack.alpha.shape == (3,) and type(stack.p_max) is float
+        rows = [*stack, stack[1], stack[-1], stack[[2, 0]], stack[1:3],
+                stack[np.array([True, False, True, False, True])]]
+        for row in rows:
+            assert row.sigma2 is stack.sigma2 and row.alpha is stack.alpha
+            assert row.p_max == stack.p_max
+        for constants in (stack.sigma2, stack.alpha):
+            with pytest.raises(ValueError, match="read-only"):
+                constants[0] = 1.0
 
 
 @pytest.mark.parametrize("split, index, value, words", [

@@ -1,5 +1,6 @@
 """Optimizer, seed plumbing, and the unsupervised training loop."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from qgpc.gcn import GcnModel
 from qgpc.graph import build_graph, fit_feature_scaler, mix64
 from qgpc.qgnn import QgnnModel
 from qgpc.trainer import (
-    AdamState, BatchModel, Instance, NonFiniteLossError, NonFinitePowerError, SeedConfig,
+    AdamState, BatchModel, Instance, NonFiniteLossError, NonFinitePowerError, SeedConfig, Split,
     TrainConfig, TrainReport, adam_step, eval_star_seed, evaluate_mean, mix_seed, train,
     train_star_seed, wmmse_mean,
 )
@@ -118,10 +119,24 @@ def test_evaluate_mean_uses_frozen_star_seeds():
     assert np.isnan(wmmse_mean([]))
 
 
+def test_a_split_refuses_realizations_whose_link_constants_differ():
+    insts = _instances(3, 3, seed0=70)
+    model = GcnModel(hidden=4, layers=1)
+    flat = model.init_params(np.random.default_rng(0))
+    c = insts[2].channels
+    for other in (replace(c, sigma2=2.0 * c.sigma2), replace(c, alpha=np.array([1.0, 0.0, 1.0])),
+                  replace(c, p_max=2.0)):
+        mixed = [*insts[:2], insts[2]._replace(channels=other)]
+        with pytest.raises(ValueError, match="link constants"):
+            Split(mixed)
+        with pytest.raises(ValueError, match="link constants"):
+            evaluate_mean(model, flat, mixed, SeedConfig())
+
+
 def test_train_validates_inputs():
     insts = _instances(2, 2, seed0=60)
     model = GcnModel(hidden=4, layers=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="training set is empty"):
         train(model, [], insts, TrainConfig(epochs=1))
     with pytest.raises(ValueError):
         train(model, insts, insts, TrainConfig(epochs=-1))
@@ -350,7 +365,7 @@ def _per_block_reference(model, instances, flat, star_seeds):
                                  np.stack([g.edge_angle for g in graphs]), prepared,
                                  model._stars(graphs[0].N, star_seeds[idx]))
         sig = ch.sigmoid(z)
-        p = channels.p_max[:, None] * sig
+        p = channels.p_max * sig
         losses[idx] = -ch.sum_rate(channels, p)
         dloss_dz = -ch.weighted_sum_rate_grad(channels, p) * (p * (1.0 - sig))
         grads[idx] = np.concatenate([g.reshape(len(idx), -1) for g in

@@ -75,16 +75,24 @@ def test_unconverged_run_still_returns_best_iterate(monkeypatch):
 
 
 @st.composite
-def _instances(draw, max_m=6, min_m=1):
-    """Random instances: M min_m-max_m, gains over 1e-4..1e4, per-receiver noise."""
-    m = draw(st.integers(min_m, max_m))
+def _instance_lists(draw, max_m=6, max_count=1):
+    """1 to max_count random instances of one M, 1 to max_m, sharing their
+    link constants: gains over 1e-4..1e4, per-receiver noise."""
+    m = draw(st.integers(1, max_m))
 
     def arr(shape, lo, hi):
         return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
 
-    G = np.sqrt(10.0 ** arr((m, m), -4.0, 4.0)) * np.exp(1j * arr((m, m), 0.0, 2.0 * np.pi))
-    return _channels(G=G, sigma2=10.0 ** arr((m,), -3.0, 0.0),
-                     alpha=arr((m,), 0.1, 2.0), p_max=draw(st.floats(0.1, 10.0)))
+    link = {"sigma2": 10.0 ** arr((m,), -3.0, 0.0), "alpha": arr((m,), 0.1, 2.0),
+            "p_max": draw(st.floats(0.1, 10.0))}
+    return [_channels(G=np.sqrt(10.0 ** arr((m, m), -4.0, 4.0))
+                      * np.exp(1j * arr((m, m), 0.0, 2.0 * np.pi)), **link)
+            for _ in range(draw(st.integers(1, max_count)))]
+
+
+def _instances():
+    """One random instance of M 1-6."""
+    return _instance_lists().map(lambda insts: insts[0])
 
 
 @settings(max_examples=60)
@@ -137,15 +145,15 @@ def test_sweep_blocks_match_the_textbook_complex_form():
     # cancellation in w's denominator far below the tolerance
     rng = np.random.default_rng(37)
     for m in (1, 2, 5, 8):
+        link = {"sigma2": 10.0 ** rng.uniform(-1.0, 0.0, m), "alpha": rng.uniform(0.1, 2.0, m),
+                "p_max": rng.uniform(0.5, 3.0)}
         insts, drawn = [], []
         for _ in range(20):
             drawn.append(np.sqrt(10.0 ** rng.uniform(-1.0, 1.0, (m, m)))
                          * np.exp(2j * np.pi * rng.random((m, m))))
-            insts.append(_channels(
-                G=drawn[-1], sigma2=10.0 ** rng.uniform(-1.0, 0.0, m),
-                alpha=rng.uniform(0.1, 2.0, m), p_max=rng.uniform(0.5, 3.0)))
+            insts.append(_channels(G=drawn[-1], **link))
         batch = ch.ChannelBatch.stack(insts)
-        v = rng.random((20, m)) * batch.p_max[:, None]
+        v = rng.random((20, m)) * batch.p_max
         gamma, numer, coeff = wmmse._mmse_blocks(batch, v)
         G = np.stack(drawn)
         g = np.diagonal(G, axis1=1, axis2=2)
@@ -164,9 +172,8 @@ def _same_result(got, want):
 
 
 def _one_size_lists():
-    """1-8 instances of one size M of 1-10."""
-    return st.integers(1, 10).flatmap(
-        lambda m: st.lists(_instances(max_m=m, min_m=m), min_size=1, max_size=8))
+    """1-8 instances of one size M of 1-10 and one set of link constants."""
+    return _instance_lists(max_m=10, max_count=8)
 
 
 @settings(max_examples=40)
@@ -259,9 +266,9 @@ def test_grid_oracle_guards():
 
 
 def _one_rates(inst, axis, idx, own):
-    """wmmse._rates on one realization: a stack of one, with its axis as one row."""
+    """wmmse._rates on one realization: a stack of one."""
     where = np.zeros((1,) * len(idx), dtype=int)
-    return wmmse._rates(ch.ChannelBatch.stack([inst]), axis[None], where, idx, own)
+    return wmmse._rates(ch.ChannelBatch.stack([inst]), axis, where, idx, own)
 
 
 def _scan(inst, levels):
@@ -272,24 +279,28 @@ def _scan(inst, levels):
     return points, np.array([ch.sum_rate(inst, point) for point in points])
 
 
-def _oracle_row(data, m):
-    """One realization of M = m pairs for the grid oracle: log-uniform gains,
-    maybe an alpha = 0 link and a transmitter whose gains are all 0."""
-    gains = st.lists(st.floats(-6.0, 3.0), min_size=m * m, max_size=m * m)
-    phases = st.lists(st.floats(0.0, 2 * np.pi), min_size=m * m, max_size=m * m)
-    G = (np.exp(np.array(data.draw(gains, label="log |g|")))
-         * np.exp(1j * np.array(data.draw(phases, label="phase")))).reshape(m, m)
+def _oracle_rows(data, m, count):
+    """count realizations of M = m pairs for the grid oracle, sharing link
+    constants that may hold an alpha = 0 link: log-uniform gains, maybe with
+    a transmitter whose gains are all 0."""
     alpha = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m),
                                label="alpha"))
     silent = data.draw(st.none() | st.integers(0, m - 1), label="alpha=0 link")
     if silent is not None:
         alpha[silent] = 0.0
-    dead = data.draw(st.none() | st.integers(0, m - 1), label="zero gain row")
-    if dead is not None:
-        G[dead, :] = 0.0  # every level of this transmitter ties
     sigma2 = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m), label="sigma2")
     p_max = data.draw(st.floats(0.1, 10.0), label="p_max")
-    return _channels(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
+    gains = st.lists(st.floats(-6.0, 3.0), min_size=m * m, max_size=m * m)
+    phases = st.lists(st.floats(0.0, 2 * np.pi), min_size=m * m, max_size=m * m)
+    rows = []
+    for _ in range(count):
+        G = (np.exp(np.array(data.draw(gains, label="log |g|")))
+             * np.exp(1j * np.array(data.draw(phases, label="phase")))).reshape(m, m)
+        dead = data.draw(st.none() | st.integers(0, m - 1), label="zero gain row")
+        if dead is not None:
+            G[dead, :] = 0.0  # every level of this transmitter ties
+        rows.append(_channels(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max))
+    return rows
 
 
 @settings(max_examples=120)
@@ -297,7 +308,7 @@ def _oracle_row(data, m):
 def test_grid_oracle_matches_a_per_point_scan(data):
     m = data.draw(st.integers(1, 5), label="M")
     levels = data.draw(st.integers(2, 6), label="levels")
-    inst = _oracle_row(data, m)
+    inst, = _oracle_rows(data, m, 1)
     # slabs of a handful of points put slab boundaries inside small grids
     slab = data.draw(st.integers(1, 64) | st.just(wmmse.SLAB_POINTS), label="slab points")
     with mock.patch.object(wmmse, "SLAB_POINTS", slab):
@@ -317,7 +328,7 @@ def test_grid_oracle_matches_a_per_point_scan(data):
 def test_grid_oracle_on_a_stack_matches_a_per_point_scan_row_by_row(data):
     m = data.draw(st.integers(1, 4), label="M")
     levels = data.draw(st.integers(2, 5), label="levels")
-    rows = [_oracle_row(data, m) for _ in range(data.draw(st.integers(1, 5), label="rows"))]
+    rows = _oracle_rows(data, m, data.draw(st.integers(1, 5), label="rows"))
     slab = data.draw(st.integers(1, 64) | st.just(wmmse.SLAB_POINTS), label="slab points")
     # a budget of a few bytes runs each realization in a row block of its own
     budget = data.draw(st.integers(1, 4096) | st.just(ch.BLOCK_BYTES), label="block bytes")
@@ -403,7 +414,7 @@ def test_block_bound_is_at_least_every_rate_in_its_block(data):
     p_max = data.draw(st.floats(0.1, 10.0), label="p_max")
     inst = _channels(G=G, sigma2=sigma2, alpha=alpha, p_max=p_max)
     axis = np.linspace(0.0, p_max, levels)
-    bounds = wmmse._block_bounds(ch.ChannelBatch.stack([inst]), axis[None], lead)[0]
+    bounds = wmmse._block_bounds(ch.ChannelBatch.stack([inst]), axis, lead)[0]
     idx = list(np.indices((levels,) * m, sparse=True))
     rates = _one_rates(inst, axis, idx, idx).reshape(len(bounds), -1)
     # a NaN bound (0 * inf at an alpha = 0 link) is never used to skip a
@@ -469,7 +480,8 @@ def test_grid_oracle_ties_across_chunks_go_to_the_first_point_inside_a_stack():
     G = np.array([[1.0, 1e-10], [1e15, 1e3]], dtype=complex)
     tied = _channels(G=G, sigma2=1.0, alpha=1.0, p_max=1.0)
     rng = np.random.default_rng(37)
-    rows = [_random_instance(rng, 2), tied, _random_instance(rng, 2), _random_instance(rng, 2)]
+    rows = [_random_instance(rng, 2, sigma2=1.0), tied, _random_instance(rng, 2, sigma2=1.0),
+            _random_instance(rng, 2, sigma2=1.0)]
     with mock.patch.object(wmmse, "BLOCK_POINTS", 2):  # one block per level of p0
         P, objs = grid_search_oracle(ch.ChannelBatch.stack(rows), 5)
         alone = [grid_search_oracle(inst, 5) for inst in rows]
