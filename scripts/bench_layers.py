@@ -20,9 +20,10 @@ drops at 83,521 levels (17^4 points on one axis). It also runs on one desk
 realization alone, the per-realization call.
 The QGNN kernel's ``messages`` and
 ``vjp`` run on one full desk block at the block budget
-(``channels.BLOCK_BYTES``), with its graph count. Besides the kernels it
-times building the training split (``trainer.Split``) from the list of its
-300 row instances and from one stack instance, and a
+(``channels.BLOCK_BYTES``), with its graph count, on the model's first
+layer built alone (``_Kernel``, with a workspace of its own). Besides the
+kernels it times building the training split (``trainer.Split``) from the
+list of its 300 row instances and from one stack instance, and a
 whole one-epoch desk ``trainer.train`` call of each model: the WMMSE
 baseline, the splits, the untrained evaluation and one full-batch epoch.
 Dataset save and load run on the desk realizations and on 300 + 100 at M=16,
@@ -39,10 +40,13 @@ call per split over drops made beforehand, on gen's fading seeds).
 the training stack.
 Each call is timed REPEATS times after one warm-up call, at one BLAS
 thread; the best and the median in milliseconds are printed and written to
-``--out`` as JSON. With ``--processes N`` the rows run in N fresh processes,
-one after another; a row's best is then the best over them, its median the
-median of their medians, and ``process_best_ms`` lists each process's best,
-so a row whose processes settle in two modes shows both.
+``--out`` as JSON, with the minor page faults per timed call
+(``minflt_per_call``, from ``getrusage``): memory a call frees back to the
+OS and faults in again costs time that a best-of-REPEATS hides. With
+``--processes N`` the rows run in N fresh processes, one after another; a
+row's best is then the best over them, its median and its faults the
+median of theirs, and ``process_best_ms`` lists each process's best, so a
+row whose processes settle in two modes shows both.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ import contextlib
 import io
 import json
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -71,8 +76,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qgpc import channels as ch  # noqa: E402
 from qgpc.cli import _FADE_STREAM_TAG, _GEOM_STREAM_TAG, cmd_gen, load_config  # noqa: E402
 from qgpc.gcn import GcnModel  # noqa: E402
-from qgpc.graph import build_graph, decompose_stars, fit_feature_scaler  # noqa: E402
-from qgpc.qgnn import QgnnModel, input_slot_count  # noqa: E402
+from qgpc.graph import (  # noqa: E402
+    NODE_FEATURES, build_graph, decompose_stars, fit_feature_scaler,
+)
+from qgpc.qgnn import QgnnModel, _Kernel, input_slot_count  # noqa: E402
 from qgpc.trainer import (  # noqa: E402
     Instance, SeedConfig, Split, TrainConfig, evaluate_mean, mix_seed, train, train_star_seed,
 )
@@ -139,14 +146,20 @@ def _seeding():
             ch.generators(seeds)
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _time(fn) -> dict:
     fn()  # warm-up: caches and lazy set-up
     samples = []
+    faults = _minflt()
     for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
-    return {"best_ms": 1e3 * min(samples), "median_ms": 1e3 * float(np.median(samples))}
+    return {"best_ms": 1e3 * min(samples), "median_ms": 1e3 * float(np.median(samples)),
+            "minflt_per_call": (_minflt() - faults) / REPEATS}
 
 
 def measure(tmp: Path) -> dict[str, dict]:
@@ -170,7 +183,7 @@ def measure(tmp: Path) -> dict[str, dict]:
 
     qgnn = QgnnModel(layers=2, depth=1, k=2)
     q_flat = qgnn.init_params(rng)
-    kernel = qgnn._prepare(q_flat, grad=True)[1][0]
+    kernel = _Kernel(NODE_FEATURES, qgnn.depth, qgnn.unflatten(q_flat)[0], grad=True)
     # one full desk block at the block budget: its graphs of M min(k, M-1) rows
     block = next(ch.row_blocks(TRAIN, qgnn._item_bytes(M)))
     graphs = block.stop - block.start
@@ -264,10 +277,13 @@ def main(argv: list[str] | None = None) -> int:
                 else _in_processes(args.processes, Path(tmp)))
     timings = {name: {"best_ms": min(run[name]["best_ms"] for run in runs),
                       "median_ms": float(np.median([run[name]["median_ms"] for run in runs])),
+                      "minflt_per_call": float(np.median([run[name]["minflt_per_call"]
+                                                          for run in runs])),
                       "process_best_ms": [run[name]["best_ms"] for run in runs]}
                for name in runs[0]}
     for name, t in timings.items():
-        print(f"{name:40s} best {t['best_ms']:9.3f} ms  median {t['median_ms']:9.3f} ms")
+        print(f"{name:40s} best {t['best_ms']:9.3f} ms  median {t['median_ms']:9.3f} ms  "
+              f"faults {t['minflt_per_call']:8.1f}")
     record = {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -27,16 +27,19 @@ kernel call. A block holds graphs whose rows' psi and phi = psi U, 2^n and
 kernel product runs per graph, a stacked (graphs, rows, K) matmul, except
 the trainable slots' contraction, whose products all hold OUTER_GRAPHS
 graphs (the last zero-padded); so a graph's powers, loss and gradient have
-the same bits in any block. A forward prepared without the gradient keeps
-no tape. The RY encoding of |0...0> is the real product state
-psi = (x)_q [cos(a_q/2), sin(a_q/2)]; the trainable part is one
-2^n x 2^n unitary U, built from (F, depth) and the angles alone: in each
-entangling block a qubit's RY and RZ fold into one 2x2 factor, the CNOT
-ring is a fixed permutation of the basis columns, and U is the product of
-the blocks' permuted Kronecker products. The tests state the same circuit
-gate by gate for qsim. The messages are |psi U|^2 @ Z-signs; the tape keeps
-each layer's half-angle cosines and sines, psi and phi = psi U for the
-backward.
+the same bits in any block. The kernel's arrays live in a workspace the
+model keeps for its lifetime, grown to its largest block: a tape's per
+layer, valid until the next block's forward on the model (one pass at a time
+per model), the rest shared by the layers, as are all of a forward prepared
+without the gradient, which keeps no tape. Loops over qubits run with the
+rows as the last, contiguous axis. The RY encoding of |0...0> is the real
+product state psi = (x)_q [cos(a_q/2), sin(a_q/2)]; the trainable part is
+one 2^n x 2^n unitary U, built from (F, depth) and the angles alone: in each
+entangling block a qubit's RY and RZ fold into one 2x2 factor, the CNOT ring
+is a fixed permutation of the basis columns, and U is the product of the
+blocks' permuted Kronecker products. The tests state the same circuit gate
+by gate for qsim. The messages are |psi U|^2 @ Z-signs; the tape keeps each
+layer's half-angle cosines and sines, psi and phi = psi U for the backward.
 Gradients are exact: each slot x enters as exp(-i x P / 2), so d/dx is half
 the circuit at x + pi, and one adjoint pass (Jones & Gacon, arXiv:2009.02823)
 over the kept states contracts every slot, chained through the re-encoding
@@ -136,35 +139,59 @@ def _unitaries(n: int, depth: int, thetas: np.ndarray) -> np.ndarray:
     return np.concatenate([u.real, u.imag], axis=2)
 
 
-def _product_state(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows of (x)_q RY(a_q)|0> = (x)_q [c_q, s_q], c = cos(a/2) and
-    s = sin(a/2) of the angles (R, n), qubit 0 least significant: (R, 2^n)."""
-    psi = np.ones((len(c), 1))
-    for q in range(c.shape[1]):
-        psi = np.concatenate([c[:, q, None] * psi, s[:, q, None] * psi], axis=1)
-    return psi
+def _product_state(c: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(x)_q [c_q, s_q] = (x)_q RY(a_q)|0> of rows of c = cos(a/2), s = sin(a/2)
+    (n, R), qubit 0 least significant, into out (2^n, R): each qubit sets the
+    upper half to the lower half times s_q, then scales the lower by c_q."""
+    out[0] = 1.0
+    for q in range(len(c)):
+        np.multiply(out[:1 << q], s[q], out=out[1 << q:2 << q])
+        out[:1 << q] *= c[q]
+    return out
 
 
-def _shifted_dots(c: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _shifted_dots(c: np.ndarray, s: np.ndarray, v: np.ndarray, bufs: tuple) -> np.ndarray:
     """psi(a + pi e_q) . v for every row and qubit q, from c = cos(a/2) and
-    s = sin(a/2) (R, n) and v (R, 2^n) -> (R, n), without forming the
+    s = sin(a/2) (n, R) and v (R, 2^n) -> (R, n), without forming the
     shifted states. v is contracted with one qubit's factor [c_q, s_q] at a
     time, qubit 0 first, carrying the all-unshifted row and one row per
-    qubit already contracted with its shifted factor [-s_q, c_q]."""
-    x = v[:, None, :]  # (R, 1 + qubits shifted so far, amplitudes left)
-    for q in range(c.shape[1]):
-        x = x.reshape(len(x), x.shape[1], -1, 2)
-        lo, hi = x[..., 0], x[..., 1]
-        cq, sq = c[:, q, None, None], s[:, q, None, None]
-        x = np.concatenate([lo * cq + hi * sq, hi[:, :1] * cq - lo[:, :1] * sq], axis=1)
-    return x[:, 1:, 0]
+    qubit already contracted with its shifted factor [-s_q, c_q], all
+    row-last in the two flat buffers: qubit q reads one, writes bufs[q % 2]."""
+    n, r = c.shape
+    x = bufs[1][:v.size].reshape(1, -1, r)  # (1 + qubits shifted so far, amplitudes left, R)
+    x[0] = v.T
+    for q in range(n):
+        k, half = x.shape[0], x.shape[1] // 2
+        lo, hi = (x.reshape(k, half, 2, r)[:, :, i] for i in (0, 1))
+        x = bufs[q % 2][:(k + 1) * half * r].reshape(k + 1, half, r)
+        # lo c + hi s and hi c - lo s, each product rounded on its own
+        np.multiply(lo, c[q], out=x[:k])
+        np.multiply(hi[0], c[q], out=x[k])
+        lo[0] *= s[q]
+        x[k] -= lo[0]
+        hi *= s[q]
+        x[:k] += hi
+    return np.ascontiguousarray(x[1:, 0].T)
 
 
-def _per_graph(a: np.ndarray, b: np.ndarray, graphs: int) -> np.ndarray:
-    """a @ b for rows of a stacked as ``graphs`` equal runs, one product per
-    graph: BLAS rounds a row by the shape of the product it sits in, so a
-    graph's rows keep their bits in any block."""
-    return (a.reshape(graphs, -1, a.shape[1]) @ b).reshape(len(a), -1)
+def _per_graph(a: np.ndarray, b: np.ndarray, graphs: int, out: np.ndarray) -> np.ndarray:
+    """a @ b into out for rows of a stacked as ``graphs`` equal runs, one
+    product per graph: BLAS rounds a row by the shape of the product it
+    sits in, so a graph's rows keep their bits in any block."""
+    np.matmul(a.reshape(graphs, -1, a.shape[1]), b, out=out.reshape(graphs, -1, b.shape[1]))
+    return out
+
+
+class _Workspace(dict):
+    """Flat float buffers by name that every block of every pass reuses, so
+    no pass faults fresh pages in: ``take`` gives a buffer's leading values
+    as a C-contiguous array, growing it only for a larger request."""
+
+    def take(self, name, *shape: int) -> np.ndarray:
+        size = int(np.prod(shape))
+        if name not in self or self[name].size < size:
+            self[name] = np.empty(size)
+        return self[name][:size].reshape(shape)
 
 
 class _Kernel:
@@ -173,29 +200,37 @@ class _Kernel:
     blocks at theta + pi e_s, one per trainable slot s, from the same call.
     Rows come as ``graphs`` equal runs, one per graph. Every product runs
     per graph, or in products of one fixed shape, so a graph's results do
-    not depend on its block."""
+    not depend on its block. Its arrays live in ``work`` (its own by default),
+    those a tape keeps under its ``layer``; what it returns is fresh."""
 
-    def __init__(self, feature_dim: int, depth: int, theta: np.ndarray, grad: bool = False):
+    def __init__(self, feature_dim: int, depth: int, theta: np.ndarray, grad: bool = False,
+                 work: _Workspace | None = None, layer: int = 0):
         n = input_slot_count(feature_dim)
         self.signs = 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(feature_dim)) & 1)
         shifts = np.pi * np.eye(theta.size) if grad else np.empty((0, theta.size))
         blocks = _unitaries(n, depth, np.vstack([theta, theta + shifts]))
         self.block = blocks[0]
         self.grad_blocks = blocks[1:].reshape(len(shifts), self.block.size).T  # (2^(2n+1), S)
+        self.work = _Workspace() if work is None else work
+        self.layer = layer
 
     def messages(self, angles: np.ndarray,
                  graphs: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Z expectations (R, F) of the center qubits for input angles (R, n),
         and the rows for ``vjp``: the half-angle factors cos(a/2) and
-        sin(a/2), the product states psi (R, 2^n) and phi = psi U (R,
+        sin(a/2) (n, R), the product states psi (R, 2^n) and phi = psi U (R,
         2^(n+1)) as [Re | Im]."""
-        c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
-        psi = _product_state(c, s)
-        phi = _per_graph(psi, self.block, graphs)
-        dim = self.block.shape[0]
-        prob = phi[:, :dim] ** 2
-        prob += phi[:, dim:] ** 2
-        return _per_graph(prob, self.signs, graphs), (c, s, psi, phi)
+        (r, n), dim, take = angles.shape, self.block.shape[0], self.work.take
+        c, s = take(("c", self.layer), n, r), take(("s", self.layer), n, r)
+        np.cos(np.multiply(angles.T, 0.5, out=s), out=c)
+        np.sin(s, out=s)
+        psi = take(("psi", self.layer), r, dim)
+        psi[...] = _product_state(c, s, take("psi_t", dim, r)).T
+        phi = _per_graph(psi, self.block, graphs, take(("phi", self.layer), r, 2 * dim))
+        prob = np.square(phi[:, :dim], out=take("prob", r, dim))
+        prob += np.square(phi[:, dim:], out=take("prob2", r, dim))
+        msgs = _per_graph(prob, self.signs, graphs, np.empty((r, self.signs.shape[1])))
+        return msgs, (c, s, psi, phi)
 
     def vjp(self, rows: tuple, w: np.ndarray, graphs: int) -> tuple[np.ndarray, ...]:
         """Gradients of sum_{r, f} w[r, f] <Z_f>_r at each row's input slots
@@ -205,17 +240,21 @@ class _Kernel:
         (``_shifted_dots``), and Re <sum_r psi_r^T y_r, U(theta + pi e_s)>
         over a graph's rows for trainable slot s."""
         c, s, psi, phi = rows  # as ``messages`` formed them
-        y = np.tile(_per_graph(w, self.signs.T, graphs), 2)
+        r, dim, take = len(w), self.block.shape[0], self.work.take
+        obs = _per_graph(w, self.signs.T, graphs, take("obs", r, dim))
+        y = take("y", r, 2 * dim)
+        y.reshape(r, 2, dim)[...] = obs[:, None]
         y *= phi  # [Re y | -Im y]
-        inputs = _shifted_dots(c, s, _per_graph(y, self.block.T, graphs))
-        psi_t = psi.reshape(graphs, -1, psi.shape[1]).transpose(0, 2, 1)
-        y = y.reshape(graphs, -1, y.shape[1])
+        inputs = _shifted_dots(c, s, _per_graph(y, self.block.T, graphs, take("uy", r, dim)),
+                               (take("dots", dim * r), take("dots2", dim * r)))
+        psi_t = psi.reshape(graphs, -1, dim).transpose(0, 2, 1)
+        y = y.reshape(graphs, -1, 2 * dim)
         trainable = np.empty((graphs, self.grad_blocks.shape[1]))
         # each chunk of graphs' outer products is one product of the same
         # shape, the last chunk zero-padded: BLAS gives a row of a product of
         # fixed shape the same bits wherever it sits and whatever the other
         # rows hold, and one product reads grad_blocks once, not per graph
-        outer = np.zeros((OUTER_GRAPHS, psi_t.shape[1], y.shape[2]))
+        outer = take("outer", OUTER_GRAPHS, dim, 2 * dim)
         for lo in range(0, graphs, OUTER_GRAPHS):
             n = min(OUTER_GRAPHS, graphs - lo)
             np.matmul(psi_t[lo:lo + n], y[lo:lo + n], out=outer[:n])  # sum_r psi_r^T y_r
@@ -284,6 +323,7 @@ class QgnnModel(BatchModel):
         self.layers = layers
         self.depth = depth
         self.k = k
+        self._work = _Workspace()  # every block's kernel arrays, for the model's lifetime
 
     def _shapes(self) -> list[tuple[int, ...]]:
         """Each layer's trainable angles, then the decode scale and bias."""
@@ -299,7 +339,8 @@ class QgnnModel(BatchModel):
 
     def _prepare(self, flat_params, grad: bool) -> tuple[list[np.ndarray], list[_Kernel], bool]:
         params = self.unflatten(flat_params)
-        kernels = [_Kernel(NODE_FEATURES, self.depth, theta, grad) for theta in params[:-2]]
+        kernels = [_Kernel(NODE_FEATURES, self.depth, theta, grad, self._work, ell * grad)
+                   for ell, theta in enumerate(params[:-2])]
         return params, kernels, grad
 
     def _stars(self, n: int, star_seeds: np.ndarray) -> list[np.ndarray]:

@@ -143,7 +143,9 @@ class BatchModel:
         the split's instances at positions ``members`` (all, in list order,
         by default): idx indexes members, p is the block's (B, N) decoded
         powers. A block draws its stars from star_seeds[idx], or, when
-        star_seeds is None, takes the split's frozen ones."""
+        star_seeds is None, takes the split's frozen ones. A model may reuse
+        its arrays block to block (the QGNN's workspace), so a tape is valid
+        until the next block: one pass at a time per model."""
         members = np.arange(len(split.channels)) if members is None else members
         n = split.graph.N
         for block in row_blocks(len(members), self._item_bytes(n)):

@@ -15,7 +15,7 @@ from qgpc.qgnn import (
 )
 from qgpc.channels import sinr, weighted_sum_rate
 from qgpc.qsim import CircuitSpec, Gate, _apply_gates, expectations_z, run_batch
-from qgpc.trainer import Instance
+from qgpc.trainer import Instance, SeedConfig, evaluate_mean
 
 
 def build_qgcl_circuit(feature_dim, depth):
@@ -424,6 +424,13 @@ def test_prepare_builds_one_block_per_trainable_slot(monkeypatch):
     assert np.isfinite(losses[0]) and np.all(np.isfinite(grads))
 
 
+def _product_states(half):
+    """The product states (R, 2^n) of half-angles (R, n), filled row-last
+    as the kernel fills them."""
+    out = np.empty((2 ** half.shape[1], len(half)))
+    return qgnn._product_state(np.cos(half.T), np.sin(half.T), out).T
+
+
 _HALF_TURNS = st.sampled_from([0.0, np.pi, -np.pi, 2 * np.pi])
 
 
@@ -441,10 +448,9 @@ def test_input_slot_contraction_matches_shifted_states(feature_dim, data):
     theta = data.draw(hnp.arrays(float, spec.angle_slots - n, elements=st.floats(-np.pi, np.pi)))
     w = data.draw(hnp.arrays(float, (n_rows, feature_dim), elements=st.floats(-2.0, 2.0)))
     kernel = _Kernel(feature_dim, 1, theta)
-    psi = qgnn._product_state(np.cos(0.5 * angles), np.sin(0.5 * angles))
+    psi = _product_states(0.5 * angles)
     y = np.tile(w @ kernel.signs.T, 2) * (psi @ kernel.block)
-    half = 0.5 * (angles[:, None] + np.pi * np.eye(n)).reshape(-1, n)
-    shifted = qgnn._product_state(np.cos(half), np.sin(half))
+    shifted = _product_states(0.5 * (angles[:, None] + np.pi * np.eye(n)).reshape(-1, n))
     want = np.einsum("rqi,ri->rq", shifted.reshape(n_rows, n, -1), y @ kernel.block.T)
     inputs, _ = kernel.vjp(kernel.messages(angles, 1)[1], w, 1)
     np.testing.assert_allclose(inputs, want, rtol=0, atol=1e-13)
@@ -487,3 +493,58 @@ def test_batch_calls_match_single_instance_calls(monkeypatch):
         assert np.array_equal(powers[i], model.forward_batch([inst], flat, [seeds[i]])[0])
         (loss,), (grad,) = model.loss_and_grad_batch([inst], flat, [seeds[i]])
         assert losses[i] == loss and np.array_equal(grads[i], grad)
+
+
+def test_a_warm_workspace_gives_the_bits_of_a_fresh_one(monkeypatch):
+    # a model keeps its kernel arrays between passes: after larger blocks, a
+    # split of another N, grad and forward passes in turn, and a short last
+    # block, every result is bit for bit that of a model that ran nothing
+    split, larger, other = _split(4, 24, 300), _split(4, 40, 400), _split(6, 12, 500)
+    flat = np.random.default_rng(23).uniform(-1.0, 1.0, QgnnModel().param_count())
+    seeds, config = [1000 + 3 * i for i in range(len(larger))], SeedConfig()
+    mine = seeds[:len(split)]
+    fresh = (QgnnModel().loss_and_grad_batch(split, flat, mine),
+             QgnnModel().forward_batch(split, flat, mine),
+             evaluate_mean(QgnnModel(), flat, split, config))
+
+    def check(model):
+        for _ in range(2):  # grad and forward-only passes in turn
+            losses, grads = model.loss_and_grad_batch(split, flat, mine)
+            assert np.array_equal(losses, fresh[0][0]) and np.array_equal(grads, fresh[0][1])
+            assert np.array_equal(model.forward_batch(split, flat, mine), fresh[1])
+            assert evaluate_mean(model, flat, split, config) == fresh[2]
+
+    warm = QgnnModel()
+    warm.loss_and_grad_batch(larger, flat, seeds)
+    evaluate_mean(warm, flat, other, config)
+    check(warm)
+    warm.loss_and_grad_batch(other, flat, seeds[:len(other)])
+    check(warm)
+    warm.forward_batch(larger, flat, seeds)
+    # blocks of 5 graphs, the last of 4, after blocks of 40
+    monkeypatch.setattr(ch, "BLOCK_BYTES", 5 * warm._item_bytes(4))
+    blocks = ch.row_blocks(len(split), warm._item_bytes(4))
+    assert [b.stop - b.start for b in blocks] == [5] * 4 + [4]
+    check(warm)
+
+
+def test_results_never_alias_the_workspace():
+    # what a pass returns is the caller's own: another pass leaves it as it
+    # was, and it shares no memory with the model's or a kernel's buffers
+    split, other = _split(4, 6, 700), _split(4, 9, 800)
+    model = QgnnModel()
+    rng = np.random.default_rng(29)
+    flat = rng.uniform(-1.0, 1.0, model.param_count())
+    kernel = _Kernel(2, 1, flat[:slots_per_layer(2, 1)], grad=True)
+    angles = rng.uniform(0.0, np.pi, (24, 5))
+    results = [*model.forward_batch(split, flat, range(6)),
+               *model.loss_and_grad_batch(split, flat, range(6)), kernel.messages(angles, 3)[0]]
+    kept = [a.copy() for a in results]
+    model.loss_and_grad_batch(other, -flat, range(9))
+    model.forward_batch(other, -flat, range(9))
+    kernel.messages(angles[::-1], 3)
+    buffers = [*model._work.values(), *kernel.work.values()]
+    assert len(buffers) > 10
+    for got, want in zip(results, kept, strict=True):
+        assert np.array_equal(got, want)
+        assert not any(np.shares_memory(got, buf) for buf in buffers)

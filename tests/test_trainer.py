@@ -1,5 +1,6 @@
 """Optimizer, seed plumbing, and the unsupervised training loop."""
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -502,6 +503,29 @@ def test_a_desk_qgnn_epoch_draws_no_evaluation_stars_and_rebuilds_no_state(
     # every product state is a forward's: the backward reads the kept ones
     assert epoch["_product_state"] == epoch["messages"] == \
         2 * train_blocks + 2 * (train_blocks + test_blocks)
+
+
+def test_a_second_desk_qgnn_pass_allocates_little(desk_sets):
+    # the kernel's arrays live in the model's workspace, sized by the first
+    # pass, so a second desk pass allocates little beyond its results
+    model, seeds = QgnnModel(), SeedConfig()
+    flat = model.init_params(np.random.default_rng(3))
+    split = Split(desk_sets[0], model, seeds)
+    members = np.arange(len(desk_sets[0]))
+    star_seeds = train_star_seed(seeds, 1, members)
+    passes = {"_loss_and_grad": lambda: model._loss_and_grad(split, flat, star_seeds, members),
+              "_split_mean": lambda: trainer_mod._split_mean(
+                  model, model._prepare(flat, grad=False), split)}
+    peaks = {}
+    for name, run in passes.items():
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["_loss_and_grad"] < 1.5e6 and peaks["_split_mean"] < 0.6e6, peaks
 
 
 def test_a_gcn_epoch_stacks_nothing_and_derives_no_star_seeds(monkeypatch, desk_sets):
