@@ -25,7 +25,8 @@ layer built alone (``_Kernel``, with a workspace of its own). Besides the
 kernels it times building the training split (``trainer.Split``) from the
 list of its 300 row instances and from one stack instance, and a
 whole one-epoch desk ``trainer.train`` call of each model: the WMMSE
-baseline, the splits, the untrained evaluation and one full-batch epoch.
+baseline, the splits, the untrained evaluation and one full-batch epoch;
+the GCN's also at M=16 (300 train and 100 test realizations).
 Dataset save and load run on the desk realizations and on 300 + 100 at M=16,
 to a file in a temporary directory; so does ``cli.cmd_gen``, the whole
 ``gen`` command (seeds, draws, checks and save), at the desk config and at
@@ -42,11 +43,14 @@ Each call is timed REPEATS times after one warm-up call, at one BLAS
 thread; the best and the median in milliseconds are printed and written to
 ``--out`` as JSON, with the minor page faults per timed call
 (``minflt_per_call``, from ``getrusage``): memory a call frees back to the
-OS and faults in again costs time that a best-of-REPEATS hides. With
+OS and faults in again costs time that a best-of-REPEATS hides. One more
+call after the timed ones runs under ``tracemalloc``, whose peak is the
+row's ``peak_bytes``: the most memory the call holds at once. With
 ``--processes N`` the rows run in N fresh processes, one after another; a
 row's best is then the best over them, its median and its faults the
-median of theirs, and ``process_best_ms`` lists each process's best, so a
-row whose processes settle in two modes shows both.
+median of theirs, its peak the largest of theirs, and ``process_best_ms``
+lists each process's best, so a row whose processes settle in two modes
+shows both.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -158,8 +163,15 @@ def _time(fn) -> dict:
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
+    faults = (_minflt() - faults) / REPEATS
+    tracemalloc.start()  # kept out of the timed calls, which it would slow
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {"best_ms": 1e3 * min(samples), "median_ms": 1e3 * float(np.median(samples)),
-            "minflt_per_call": (_minflt() - faults) / REPEATS}
+            "minflt_per_call": faults, "peak_bytes": peak}
 
 
 def measure(tmp: Path) -> dict[str, dict]:
@@ -175,6 +187,8 @@ def measure(tmp: Path) -> dict[str, dict]:
     wide_set = [Instance(f"train/{i}", c, build_graph(c, wide_scaler))
                 for i, c in enumerate(wide_train)]
     test_set = [Instance(f"test/{i}", c, build_graph(c, scaler)) for i, c in enumerate(test_ch)]
+    wide_test_set = [Instance(f"test/{i}", c, build_graph(c, wide_scaler))
+                     for i, c in enumerate(wide_ch)]
     train_stack = [Instance("train", train_ch, build_graph(train_ch, scaler))]
     one_epoch = TrainConfig(epochs=1)
     seeds = SeedConfig()
@@ -233,6 +247,8 @@ def measure(tmp: Path) -> dict[str, dict]:
         f"trainer.Split.stack.{TRAIN}": lambda: Split(train_stack),
         "trainer.train.qgnn.1_epoch": lambda: train(qgnn, train_set, test_set, one_epoch),
         "trainer.train.gcn.1_epoch": lambda: train(gcn, train_set, test_set, one_epoch),
+        f"trainer.train.gcn.1_epoch.M{WIDE_M}": lambda: train(gcn, wide_set, wide_test_set,
+                                                              one_epoch),
         f"channels.save_dataset.{stored}": lambda: ch.save_dataset(desk_file, train_g, test_g,
                                                                    *LINK),
         f"channels.load_dataset.{stored}": lambda: ch.load_dataset(desk_file),
@@ -279,11 +295,12 @@ def main(argv: list[str] | None = None) -> int:
                       "median_ms": float(np.median([run[name]["median_ms"] for run in runs])),
                       "minflt_per_call": float(np.median([run[name]["minflt_per_call"]
                                                           for run in runs])),
+                      "peak_bytes": max(run[name]["peak_bytes"] for run in runs),
                       "process_best_ms": [run[name]["best_ms"] for run in runs]}
                for name in runs[0]}
     for name, t in timings.items():
         print(f"{name:40s} best {t['best_ms']:9.3f} ms  median {t['median_ms']:9.3f} ms  "
-              f"faults {t['minflt_per_call']:8.1f}")
+              f"faults {t['minflt_per_call']:8.1f}  peak {t['peak_bytes'] / 1e6:7.2f} MB")
     record = {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -50,6 +50,7 @@ tests' oracle for this kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -188,7 +189,7 @@ class _Workspace(dict):
     as a C-contiguous array, growing it only for a larger request."""
 
     def take(self, name, *shape: int) -> np.ndarray:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         if name not in self or self[name].size < size:
             self[name] = np.empty(size)
         return self[name][:size].reshape(shape)

@@ -184,16 +184,26 @@ class BatchModel:
 
     def _loss_and_grad(self, split: Split, flat_params, star_seeds, members):
         """loss_and_grad_batch of the split's instances at ``members``."""
-        prepared = self._prepare(flat_params, grad=True)
         losses = np.empty(len(members))
         grads = np.empty((len(members), self.param_count()))
+        # each block's rows go straight into the results, so no name keeps a
+        # block alive while the next one runs
+        for idx, losses[idx], grads[idx] in self._grad_blocks(split, flat_params, star_seeds,
+                                                              members):
+            pass
+        return losses, grads
+
+    def _grad_blocks(self, split: Split, flat_params, star_seeds, members):
+        """(idx, losses (b,), gradients (b, P)) of each _blocks block, in
+        member order: the one code that runs the model's backward. A block's
+        results are fresh, so a caller can fold them in and drop them."""
+        prepared = self._prepare(flat_params, grad=True)
         for idx, channels, p, (tape, dp_dz) in self._blocks(split, prepared, star_seeds,
                                                              members):
-            losses[idx] = -sum_rate(channels, p)
+            losses = -sum_rate(channels, p)
             dloss_dz = -weighted_sum_rate_grad(channels, p) * dp_dz
-            grads[idx] = np.concatenate([g.reshape(len(idx), -1) for g in
-                                         self._backward(tape, prepared, dloss_dz)], axis=1)
-        return losses, grads
+            yield idx, losses, np.concatenate([g.reshape(len(idx), -1) for g in
+                                               self._backward(tape, prepared, dloss_dz)], axis=1)
 
 
 @dataclass(eq=False)
@@ -363,16 +373,19 @@ def train(model: BatchModel, train_set: list[Instance], test_set: list[Instance]
         for step, start in enumerate(range(0, n_train, batch)):
             members = order[start:start + batch]
             star_seeds = train_star_seed(cfg.seeds, epoch, members) if model.draws_stars else None
-            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-                losses, grads = model._loss_and_grad(splits[0], params, star_seeds, members)
-            finite = np.isfinite(losses) & np.all(np.isfinite(grads), axis=1)
-            if not finite.all():
-                bad = int(np.argmin(finite))  # the first in member order
-                raise NonFiniteLossError(epoch, step, splits[0].label(members[bad]),
-                                         float(losses[bad]))
             grad_sum = np.zeros_like(params)
-            for grad in grads:  # sequential in member order, so the sum keeps its bits
-                grad_sum += grad
+            # each block is checked as it arrives, and its rows are added and
+            # dropped, so a step never holds a (batch, P) gradient array
+            with np.errstate(over="ignore", invalid="ignore"):
+                for idx, losses, grads in model._grad_blocks(splits[0], params, star_seeds,
+                                                             members):
+                    finite = np.isfinite(losses) & np.all(np.isfinite(grads), axis=1)
+                    if not finite.all():
+                        bad = int(np.argmin(finite))  # blocks run in member order
+                        raise NonFiniteLossError(epoch, step, splits[0].label(members[idx[bad]]),
+                                                 float(losses[bad]))
+                    for grad in grads:  # sequential in member order, so the sum keeps its bits
+                        grad_sum += grad
             t += 1
             params, state = adam_step(params, grad_sum / len(members), state, t, cfg)
         train_curve[epoch - 1], test_curve[epoch - 1] = means()

@@ -282,6 +282,87 @@ def test_train_names_the_gradient_when_only_the_gradient_is_non_finite():
     assert "non-finite loss nan at" in str(NonFiniteLossError(1, 0, "x", float("nan")))
 
 
+def _epoch_order(seeds, epoch, n):
+    """train's minibatch order of an epoch when the batch is below n."""
+    return np.random.default_rng(
+        mix_seed(seeds.data, trainer_mod._ORDER_STREAM_TAG, epoch)).permutation(n)
+
+
+class _BadRowModel(_NanModel):
+    """Scores 0 and gradients 1, but on the gradient path a NaN score (loss)
+    or only a NaN gradient (grad) for the graphs whose first node feature is
+    in bad; a graph counts one byte toward the block budget."""
+
+    def __init__(self, bad, where):
+        super().__init__()
+        self.bad, self.where = bad, where
+
+    def _item_bytes(self, n):
+        return 1
+
+    def _forward(self, features, edge, grad, star_seeds):
+        bad = np.isin(features[:, 0, 0], self.bad) & grad
+        z = np.zeros(features.shape[:2])
+        z[bad & (self.where == "loss")] = np.nan
+        return z, bad
+
+    def _backward(self, tape, grad, dloss_dz):
+        g = np.ones((len(dloss_dz), 2))
+        g[tape & (self.where == "grad")] = np.nan
+        return [g]
+
+
+@pytest.mark.parametrize("where", ["loss", "grad"])
+def test_a_step_names_the_first_bad_row_of_a_later_block_in_member_order(monkeypatch, where):
+    # blocks of three: step 1 of epoch 1 holds order[7:14] as blocks
+    # [7, 8, 9], [10, 11, 12], [13], and rows 11-13 are bad, so the first bad
+    # row is the second of the step's second block
+    monkeypatch.setattr(ch, "BLOCK_BYTES", 3)
+    insts = _instances(3, 14, seed0=180)
+    cfg = TrainConfig(epochs=2, batch=7)
+    order = _epoch_order(cfg.seeds, 1, len(insts))
+    bad = [insts[i].graph.node_features[0, 0] for i in order[11:]]
+    with pytest.raises(NonFiniteLossError) as err:
+        train(_BadRowModel(bad, where), insts, insts[:1], cfg)
+    first = insts[order[11]]
+    if where == "loss":
+        assert str(err.value) == f"non-finite loss nan at epoch 1, step 1, instance {first.label}"
+    else:
+        value = -ch.sum_rate(first.channels, np.full(3, ch.DEFAULT_P_MAX * 0.5))
+        assert str(err.value) == (f"non-finite gradient of the loss {value!r} at epoch 1, "
+                                  f"step 1, instance {first.label}")
+    assert (err.value.epoch, err.value.step, err.value.instance) == (1, 1, first.label)
+
+
+def _train_reference(model, insts, cfg):
+    """train's final parameters by its recipe, each step's gradient the sum
+    of loss_and_grad_batch rows of its instances, one by one in member order."""
+    params = model.init_params(np.random.default_rng(mix_seed(cfg.seeds.init)))
+    state, t = AdamState.zeros(params.size), 0
+    for epoch in range(1, cfg.epochs + 1):
+        order = _epoch_order(cfg.seeds, epoch, len(insts))
+        for start in range(0, len(insts), cfg.batch):
+            members = order[start:start + cfg.batch]
+            _, grads = model.loss_and_grad_batch([insts[i] for i in members], params,
+                                                 train_star_seed(cfg.seeds, epoch, members))
+            grad_sum = np.zeros_like(params)
+            for grad in grads:
+                grad_sum += grad
+            t += 1
+            params, state = adam_step(params, grad_sum / len(members), state, t, cfg)
+    return params
+
+
+@pytest.mark.parametrize("arch", ["qgnn", "gcn"])
+def test_streamed_steps_give_the_parameters_of_summed_batch_gradients(monkeypatch, arch):
+    # shuffled minibatches of 7 from 14 graphs, in blocks of three graphs
+    insts = _instances(3, 14, seed0=190)
+    monkeypatch.setattr(ch, "BLOCK_BYTES", 3 * _MODELS[arch]()._item_bytes(3))
+    cfg = TrainConfig(epochs=3, lr=0.05, batch=7)
+    got = train(_MODELS[arch](), insts, insts[:2], cfg).final_params
+    assert got.tobytes() == _train_reference(_MODELS[arch](), insts, cfg).tobytes()
+
+
 def test_evaluate_mean_names_the_first_non_finite_instance_in_input_order():
     # blocks of two run in input order and the second and third score NaN, so
     # the instance at position 2, labelled test-0, is the first to fail
@@ -526,6 +607,22 @@ def test_a_second_desk_qgnn_pass_allocates_little(desk_sets):
         finally:
             tracemalloc.stop()
     assert peaks["_loss_and_grad"] < 1.5e6 and peaks["_split_mean"] < 0.6e6, peaks
+
+
+def test_a_second_full_batch_gcn_train_at_m16_holds_no_batch_gradient():
+    # a step adds each block's gradient rows into its sum and drops them, so
+    # it never holds a (300, P) array, 300 x 2,289 x 8 B = 5.5 MB; what is
+    # left is the splits, the WMMSE baseline and one block (8 graphs at M=16)
+    train_set, test_set = _split_pair(m=16, train_count=300, test_count=100, seed0=7000)[1]
+    model, cfg = GcnModel(), TrainConfig(epochs=2)
+    train(model, train_set, test_set, cfg)
+    tracemalloc.start()
+    try:
+        train(model, train_set, test_set, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6, peak
 
 
 def test_a_gcn_epoch_stacks_nothing_and_derives_no_star_seeds(monkeypatch, desk_sets):
